@@ -21,16 +21,16 @@ import sys
 
 import numpy as np
 
-from .bvd import (DegenerateData, FitDiverged, LorentzianFit, ParseError,
-                  ResonatorSpecs, bvd_from_specs, fit_lorentzian, parallel_resonance,
-                  read_admittance_csv)
+from .bvd import (BranchLabel, DegenerateData, FitDiverged, LorentzianFit,
+                  MotionalBranch, ParseError, ResonatorSpecs, bvd_from_specs,
+                  fit_lorentzian, parallel_resonance, read_admittance_csv)
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .fileio import atomic_write_text, fingerprint
 from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular,
                   SingularStructure, sparams)
 from .metrics import CirculatorMetrics, metrics_table, summarize
-from .netlist import (Capacitor, ModulatedSeriesRlc, ModulationSpec, Netlist,
-                      NetlistError, Port, build_circulator, write_netlist)
+from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
+                      build_one_port, build_toy_wye, write_netlist)
 from .transient import (Diverged, IllConditionedBasis, StepTooLarge, cross_validate,
                         simulate as transient_simulate, write_waveforms)
 from .tuner import TuneProblem, tune, write_trace_csv
@@ -59,15 +59,6 @@ def _log(out_dir: str, message: str) -> None:
 
 # --- fit -------------------------------------------------------------------
 
-def _one_port_netlist(specs: ResonatorSpecs, z0: float) -> Netlist:
-    model = bvd_from_specs(specs)
-    return Netlist((
-        ModulatedSeriesRlc("x1", "p1", "0", model.branches[0], None),
-        Capacitor("c1", "p1", "0", specs.c0),
-        Port(1, "p1", z0),
-    ))
-
-
 def cmd_fit(args) -> int:
     if args.mode == "specs":
         specs = ResonatorSpecs(f_s=args.f_s, q=args.q, k_sq=args.k_sq, c0=args.c0)
@@ -80,7 +71,8 @@ def cmd_fit(args) -> int:
         print(f"f_s = {branch.f_s:.6g} Hz")
         print(f"f_p = {f_p:.6g} Hz")
         if args.emit_netlist:
-            atomic_write_text(args.emit_netlist, write_netlist(_one_port_netlist(specs, args.z0)))
+            net = build_one_port(branch, specs.c0, args.z0)
+            atomic_write_text(args.emit_netlist, write_netlist(net))
             print(f"netlist written to {args.emit_netlist}")
         print(json.dumps({"r_m_ohm": branch.r_m, "l_m_h": branch.l_m,
                           "c_m_f": branch.c_m, "c0_f": specs.c0,
@@ -99,10 +91,8 @@ def cmd_fit(args) -> int:
         r_m = 1.0 / fit.peak
         l_m = fit.q * r_m / (2.0 * math.pi * fit.f0)
         c_m = 1.0 / ((2.0 * math.pi * fit.f0) ** 2 * l_m)
-        from .bvd import BranchLabel, MotionalBranch
         branch = MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m, label=BranchLabel.BENDING_MODE)
-        net = Netlist((ModulatedSeriesRlc("x1", "p1", "0", branch, None),
-                       Capacitor("c1", "p1", "0", args.c0), Port(1, "p1", args.z0)))
+        net = build_one_port(branch, args.c0, args.z0)
         atomic_write_text(args.emit_netlist, write_netlist(net))
         print(f"netlist written to {args.emit_netlist}")
     print(json.dumps({"f0_hz": fit.f0, "q": fit.q, "peak_s": fit.peak,
@@ -113,14 +103,13 @@ def cmd_fit(args) -> int:
 
 # --- simulate ---------------------------------------------------------------
 
-def _run_simulation(cfg: RunConfig, out_dir: str, threads: int = 1,
-                    n_harm: int | None = None) -> CirculatorMetrics:
+def _run_simulation(cfg: RunConfig, out_dir: str, n_harm: int | None = None) -> CirculatorMetrics:
     design = cfg.design()
     net = build_circulator(design)
     order = n_harm if n_harm is not None else cfg.get_int("basis.n_harm")
     basis = HarmonicBasis(cfg.basis_f_mod(), order)
     freqs = cfg.sweep_frequencies()
-    grid = sparams(net, basis, freqs, threads=threads)
+    grid = sparams(net, basis, freqs)
     m = summarize(grid, cfg.direction(), cfg.get_float("metrics.bw_threshold_db"))
 
     from .touchstone import write_harmonics_csv, write_s3p
@@ -138,7 +127,7 @@ def _run_simulation(cfg: RunConfig, out_dir: str, threads: int = 1,
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    m = _run_simulation(cfg, args.out, threads=args.threads, n_harm=args.n_harm)
+    m = _run_simulation(cfg, args.out, n_harm=args.n_harm)
     _log(args.out, f"simulate config={args.config} fingerprint={fingerprint(serialize_config(cfg))}")
     print(metrics_table(m))
     print(m.record())
@@ -161,21 +150,13 @@ def _verify_cases(cfg: RunConfig):
     f = cfg.get_float("verify.f_ratio") * specs.f_s
     z0 = design.z0
 
+    # Zero depth rather than None keeps the static netlist's f_mod equal to the basis's.
     def one_port(delta: float) -> Netlist:
-        return Netlist((
-            ModulatedSeriesRlc("x1", "p1", "0", branch, ModulationSpec(delta, f_mod, 0.0)),
-            Capacitor("c1", "p1", "0", specs.c0),
-            Port(1, "p1", z0),
-        ))
+        return build_one_port(branch, specs.c0, z0, ModulationSpec(delta, f_mod, 0.0))
 
     def toy_wye(delta: float) -> Netlist:
-        return Netlist((
-            ModulatedSeriesRlc("x1", "p1", "cm", branch, ModulationSpec(delta, f_mod, 0.0)),
-            ModulatedSeriesRlc("x2", "p2", "cm", branch, ModulationSpec(delta, f_mod, math.pi / 2.0)),
-            Capacitor("c1", "p1", "0", specs.c0),
-            Capacitor("c2", "p2", "0", specs.c0),
-            Port(1, "p1", z0), Port(2, "p2", z0),
-        ))
+        return build_toy_wye(branch, specs.c0, z0, (ModulationSpec(delta, f_mod, 0.0),
+                                                    ModulationSpec(delta, f_mod, math.pi / 2.0)))
 
     ppc = cfg.get_int("verify.pts_per_cycle")
     ppc_static = cfg.get_int("verify.pts_per_cycle_static")
@@ -265,7 +246,7 @@ def cmd_tune(args) -> int:
     tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op,
                            problem.metrics_span, problem.metrics_points)
     atomic_write_text(os.path.join(args.out, "tuned_config.cfg"), serialize_config(tuned))
-    m = _run_simulation(tuned, args.out, threads=args.threads)
+    m = _run_simulation(tuned, args.out)
     _log(args.out, f"tune config={args.config} seed={args.seed} evals={result.evaluations}")
 
     if result.budget_exhausted:
@@ -339,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sweep S-parameters and export files")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default="out")
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--n-harm", type=int, default=None, dest="n_harm")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -354,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--config", required=True)
     p_tune.add_argument("--out", default="out")
     p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument("--threads", type=int, default=1)
     p_tune.set_defaults(func=cmd_tune)
 
     p_rep = sub.add_parser("report", help="comparison table of metrics records")

@@ -3,7 +3,8 @@
 Elements are two-terminal R/L/C devices, series R-L-C branches whose
 elastance (1/C) may be sinusoidally modulated, and port terminations.
 Builders generate the single-ended (one chip, three resonators in wye) and
-differential (two anti-phase chips in parallel) circulator topologies.
+differential (two anti-phase chips in parallel) circulator topologies, plus
+the one-port and two-resonator toy circuits the oracle checks use.
 
 Text format, one element per line (``*`` starts a comment):
 
@@ -260,6 +261,35 @@ def build_circulator(design: CirculatorDesign) -> Netlist:
     if design.topology is Topology.SINGLE_ENDED:
         return build_single_ended(design)
     return build_differential(design)
+
+
+def build_one_port(branch: MotionalBranch, c0: float, z0: float,
+                   modulation: ModulationSpec | None = None) -> Netlist:
+    """One resonator to ground behind port 1: plate capacitance c0 in
+    parallel with the (optionally modulated) motional branch."""
+    net = Netlist((
+        ModulatedSeriesRlc("x1", "p1", GROUND, branch, modulation),
+        Capacitor("c1", "p1", GROUND, c0),
+        Port(1, "p1", z0),
+    ))
+    net.validate()
+    return net
+
+
+def build_toy_wye(branch: MotionalBranch, c0: float, z0: float,
+                  modulations: tuple[ModulationSpec, ModulationSpec]) -> Netlist:
+    """Two modulated resonators from ports 1 and 2 to a floating common
+    node; each port node is shunted to ground by its plate capacitance c0."""
+    net = Netlist((
+        ModulatedSeriesRlc("x1", "p1", "cm", branch, modulations[0]),
+        ModulatedSeriesRlc("x2", "p2", "cm", branch, modulations[1]),
+        Capacitor("c1", "p1", GROUND, c0),
+        Capacitor("c2", "p2", GROUND, c0),
+        Port(1, "p1", z0),
+        Port(2, "p2", z0),
+    ))
+    net.validate()
+    return net
 
 
 def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None,

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from fbarcirc.bvd import ResonatorSpecs
-from fbarcirc.netlist import (Capacitor, CirculatorDesign, ModulatedSeriesRlc,
-                              ModulationSpec, Netlist, Port, Topology, bvd_from_specs)
+from fbarcirc.netlist import (CirculatorDesign, ModulationSpec, Netlist, Topology,
+                              build_one_port, build_toy_wye, bvd_from_specs)
 
 GHZ_SPECS = ResonatorSpecs(f_s=2.65e9, q=700.0, k_sq=0.09, c0=1.0e-12)
 DESK_SPECS = ResonatorSpecs(f_s=2.65e6, q=100.0, k_sq=0.09, c0=1.0e-9)
@@ -35,27 +35,12 @@ def single_ended_design():
 def one_port_net(specs: ResonatorSpecs, delta: float, f_mod: float,
                  phase: float = 0.0, z0: float = 50.0) -> Netlist:
     """Single resonator to ground behind one port: c0 in parallel with the branch."""
-    branch = bvd_from_specs(specs).branches[0]
-    net = Netlist((
-        ModulatedSeriesRlc("x1", "p1", "0", branch, ModulationSpec(delta, f_mod, phase)),
-        Capacitor("c1", "p1", "0", specs.c0),
-        Port(1, "p1", z0),
-    ))
-    net.validate()
-    return net
+    return build_one_port(bvd_from_specs(specs).branches[0], specs.c0, z0,
+                          ModulationSpec(delta, f_mod, phase))
 
 
 def toy_wye_net(specs: ResonatorSpecs, delta: float, f_mod: float,
                 phases=(0.0, math.pi / 2.0), z0: float = 50.0) -> Netlist:
     """Two modulated resonators joined at a floating common node, two ports."""
-    branch = bvd_from_specs(specs).branches[0]
-    net = Netlist((
-        ModulatedSeriesRlc("x1", "p1", "cm", branch, ModulationSpec(delta, f_mod, phases[0])),
-        ModulatedSeriesRlc("x2", "p2", "cm", branch, ModulationSpec(delta, f_mod, phases[1])),
-        Capacitor("c1", "p1", "0", specs.c0),
-        Capacitor("c2", "p2", "0", specs.c0),
-        Port(1, "p1", z0),
-        Port(2, "p2", z0),
-    ))
-    net.validate()
-    return net
+    return build_toy_wye(bvd_from_specs(specs).branches[0], specs.c0, z0,
+                         tuple(ModulationSpec(delta, f_mod, ph) for ph in phases))

@@ -138,7 +138,7 @@ class TestSimulate:
 
     def test_shipped_tuned_fixture_circulates(self, capsys, tmp_path):
         code, out, _ = run(capsys, "simulate", "--config", str(TUNED_FIXTURE),
-                           "--out", str(tmp_path / "out"), "--threads", "2")
+                           "--out", str(tmp_path / "out"))
         assert code == 0
         rec = last_json(out)
         assert rec["ix_db"] >= 40.0

@@ -127,6 +127,18 @@ class TestSolve:
         with pytest.raises(NumericallySingular):
             solve(sys)
 
+    def test_rank_deficient_matrix_raises(self):
+        # LAPACK factors this without a zero pivot; only the residual check
+        # catches it (max|b - A x| is of order one).
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        a = u @ u.conj().T
+        sys = HarmonicSystem(matrix=a, rhs=rng.normal(size=6) + 0j,
+                             variables=tuple(f"v:{i}" for i in range(6)),
+                             basis=HarmonicBasis(1e6, 1), f=1.0)
+        with pytest.raises(NumericallySingular):
+            solve(sys)
+
     def test_superposition_power_of_two_exact(self, desk_specs):
         net = one_port_net(desk_specs, 0.05, 23.2e3)
         sys = assemble(net, HarmonicBasis(23.2e3, 3), 2.68e6)
@@ -215,13 +227,20 @@ class TestSparams:
         for n in basis.harmonics():
             assert s_neg[n] == pytest.approx(s_pos[-n].conjugate(), abs=1e-9)
 
-    def test_threads_bitwise_identical(self, differential_design):
+    def test_columns_match_single_port_solves(self, differential_design):
+        # all-ports extraction agrees with the public assemble/solve path
         net = build_differential(differential_design)
-        freqs = np.linspace(2.66e9, 2.70e9, 8)
-        basis = HarmonicBasis(F_MOD, 3)
-        g1 = sparams(net, basis, freqs, threads=1)
-        g4 = sparams(net, basis, freqs, threads=4)
-        assert np.array_equal(g1.data, g4.data)
+        basis = HarmonicBasis(F_MOD, 5)
+        f = 2.6694e9
+        s = sparams(net, basis, [f]).data[0]
+        for p in (1, 2, 3):
+            sol = solve(assemble(net, basis, f, excited_port=p))
+            for q, port in enumerate(net.ports):
+                for n in basis.harmonics():
+                    b = sol.voltage(port.node, n) / math.sqrt(port.z0)
+                    if n == 0 and q == p - 1:
+                        b -= 1.0
+                    assert abs(s[n + basis.n_harm, q, p - 1] - b) <= 1e-12
 
     def test_f_mod_mismatch_rejected(self, differential_design):
         net = build_differential(differential_design)
