@@ -103,11 +103,18 @@ def cmd_fit(args) -> int:
 
 # --- simulate ---------------------------------------------------------------
 
+def _basis(cfg: RunConfig, f_mod: float, n_harm: int | None = None) -> HarmonicBasis:
+    """Harmonic basis of order ``n_harm`` (a positive --n-harm), else basis.n_harm."""
+    try:
+        return HarmonicBasis(f_mod, n_harm if n_harm is not None else cfg.get_int("basis.n_harm"))
+    except ValueError as exc:
+        raise ConfigError(f"basis.n_harm: {exc}") from exc
+
+
 def _run_simulation(cfg: RunConfig, out_dir: str, n_harm: int | None = None) -> CirculatorMetrics:
     design = cfg.design()
     net = build_circulator(design)
-    order = n_harm if n_harm is not None else cfg.get_int("basis.n_harm")
-    basis = HarmonicBasis(cfg.basis_f_mod(), order)
+    basis = _basis(cfg, design.f_mod, n_harm)
     freqs = cfg.sweep_frequencies()
     grid = sparams(net, basis, freqs)
     m = summarize(grid, cfg.direction(), cfg.get_float("metrics.bw_threshold_db"))
@@ -173,8 +180,7 @@ def _verify_cases(cfg: RunConfig):
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     cases, f, f_mod = _verify_cases(cfg)
-    order = args.n_harm if args.n_harm is not None else cfg.get_int("basis.n_harm")
-    basis = HarmonicBasis(f_mod, order)
+    basis = _basis(cfg, f_mod, args.n_harm)
     lines = []
     failed = False
     for name, net, ports, gate, periods, ppc in cases:
@@ -205,18 +211,22 @@ def _tune_problem(cfg: RunConfig) -> TuneProblem:
     window = cfg.get_float("tuner.f_mod_window")
     f_op_window = cfg.get_float("tuner.f_op_window")
     f_s = design.resonator.f_s
-    return TuneProblem(
+    fields = dict(
         design=design,
         delta_bounds=(0.0, cfg.get_float("tuner.delta_max")),
         f_mod_bounds=(design.f_mod * (1.0 - window), design.f_mod * (1.0 + window)),
         f_op_bounds=(f_s * (1.0 - f_op_window), f_s * (1.0 + f_op_window)),
         il_cap_db=cfg.get_float("tuner.il_cap_db"),
         budget=cfg.get_int("tuner.budget"),
-        n_harm=cfg.get_int("basis.n_harm"),
+        n_harm=_basis(cfg, design.f_mod).n_harm,
         direction=cfg.direction(),
         starts=cfg.get_int("tuner.starts"),
         metrics_span=cfg.get_float("tuner.metrics_span"),
         metrics_points=cfg.get_int("tuner.metrics_points"))
+    try:
+        return TuneProblem(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"tuner: {exc}") from exc
 
 
 def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float,
@@ -226,7 +236,6 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float,
     values = dict(cfg.values)
     values["design.delta"] = repr(delta)
     values["design.f_mod"] = repr(f_mod)
-    values["basis.f_mod"] = None
     values["sweep.f_start"] = repr(f_op - span)
     values["sweep.f_stop"] = repr(f_op + span)
     values["sweep.points"] = str(points)
@@ -301,6 +310,13 @@ def cmd_report(args) -> int:
 
 # --- entry ------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fbarcirc",
                                      description="Mechanically modulated circulator toolkit")
@@ -320,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sweep S-parameters and export files")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default="out")
-    p_sim.add_argument("--n-harm", type=int, default=None, dest="n_harm")
+    p_sim.add_argument("--n-harm", type=_positive_int, default=None, dest="n_harm")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="cross-check the harmonic engine against the transient oracle")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default="out")
-    p_ver.add_argument("--n-harm", type=int, default=None, dest="n_harm")
+    p_ver.add_argument("--n-harm", type=_positive_int, default=None, dest="n_harm")
     p_ver.add_argument("--dump-waveforms", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 

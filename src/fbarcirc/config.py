@@ -43,7 +43,6 @@ _DEFAULTS: dict[str, object] = {
     "sweep.points": 201,
     "sweep.include": "",
     "basis.n_harm": 5,
-    "basis.f_mod": None,
     "metrics.in_port": 1,
     "metrics.through_port": 2,
     "metrics.isolated_port": 3,
@@ -81,13 +80,8 @@ class RunConfig:
     values: dict[str, object]
     text: str = ""
 
-    def __getitem__(self, key: str):
-        return self.values[key]
-
     def _typed(self, key: str, caster, kind: str):
         raw = self.values[key]
-        if raw is None:
-            return None
         try:
             return caster(raw)
         except (TypeError, ValueError) as exc:
@@ -170,10 +164,9 @@ class RunConfig:
         return grid
 
     def basis_f_mod(self) -> float:
-        explicit = self.values.get("basis.f_mod")
-        if explicit is None:
-            return self.get_float("design.f_mod")
-        return self.get_float("basis.f_mod")
+        """Modulation frequency of the harmonic basis: always design.f_mod
+        (the benchmark worker builds its basis from this)."""
+        return self.get_float("design.f_mod")
 
     def direction(self) -> Direction:
         return Direction(in_port=self.get_int("metrics.in_port"),
@@ -209,8 +202,6 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key in sorted(cfg.values):
         v = cfg.values[key]
-        if v is None:
-            continue
         if isinstance(v, bool):
             v = "true" if v else "false"
         elif isinstance(v, float):

@@ -1,7 +1,7 @@
 """Harmonic transfer matrix engine for periodically modulated netlists.
 
 A modulated netlist driven at stimulus frequency f responds at the mixing
-frequencies f + n*f_mod, n in [-N, N].  This module assembles the modified
+frequencies f + n*f_mod, n in [-N, N].  This module builds the modified
 nodal analysis system lifted to that harmonic basis, solves it with LAPACK's
 pivoted dense LU (``numpy.linalg.solve``), and extracts multi-harmonic
 scattering parameters S^(n)_qp: the wave leaving port q at harmonic n per
@@ -9,15 +9,19 @@ unit incident wave at port p, harmonic 0.  Every solve is checked: a
 residual max|b - A x| above 1e-6 of max|b| raises NumericallySingular.
 
 Unknowns per harmonic are the non-ground node voltages plus one current and
-one charge variable for every modulated series branch.  Static R/L/C/port
-elements stamp block-diagonally; only the elastance Fourier coefficients of
-modulated branches couple adjacent harmonics.
+one charge variable for every modulated series branch.  Each netlist is
+stamped once into frequency-independent real blocks: constant terms g, the
+coefficient c of j*omega and the coefficient k of 1/(j*omega), plus blocks
+m_-1, m_0, m_+1 of branch elastance Fourier coefficients.  Each frequency point
+lifts them: diagonal block h is g + j*omega_h*c + k/(j*omega_h) + m_0, and
+only m_+-1 couple adjacent harmonics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,107 +141,96 @@ def _check_stimulus(f: float, f_mod: float, n_harm: int) -> None:
             f"stimulus {f} Hz is within 1e-6 of {k} x f_mod; mixing frequency would vanish")
 
 
-def _block_variables(net: Netlist) -> tuple[str, ...]:
-    tags: list[str] = []
-    seen: set[str] = set()
-    for el in net.elements:
-        nodes = (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b)
-        for n in nodes:
-            if n != net.ground and n not in seen:
-                seen.add(n)
-                tags.append(f"v:{n}")
-    for el in net.elements:
-        if isinstance(el, ModulatedSeriesRlc):
-            tags.append(f"i:{el.name}")
-            tags.append(f"q:{el.name}")
-    return tuple(tags)
+class _Stamps(NamedTuple):
+    """Frequency-independent per-harmonic blocks of one netlist."""
+
+    variables: tuple[str, ...]  # per-block variable tags, e.g. "v:p1", "i:xa1"
+    g: np.ndarray  # constant: resistors, ports, branch incidence, -r_m, charge row
+    c: np.ndarray  # coefficient of j*omega: capacitors, -l_m, charge
+    k: np.ndarray  # coefficient of 1/(j*omega): inductors
+    m: np.ndarray  # (3, nu, nu): -G_-1, -G_0, -G_+1; m[d + 1] couples block h to h - d
+    ports: tuple[Port, ...]
+    port_rows: list[int]  # block row of each port's node
 
 
-def _assemble_matrix(net: Netlist, basis: HarmonicBasis, f: float):
-    """Build the system matrix and the per-block variable tags."""
+def _stamp(net: Netlist) -> _Stamps:
+    """Walk the elements once and stamp them into the per-harmonic blocks."""
     bad = floating_nodes(net)
     if bad:
         raise SingularStructure(f"nodes not reachable from ground: {sorted(bad)}")
-    _check_stimulus(f, basis.f_mod, basis.n_harm)
-
-    variables = _block_variables(net)
+    row: dict[str, int] = {}
+    for el in net.elements:
+        for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
+            if n != net.ground:
+                row.setdefault(n, len(row))
+    variables = tuple(f"v:{n}" for n in row)
+    for el in net.modulated:
+        variables += (f"i:{el.name}", f"q:{el.name}")
     nu = len(variables)
-    vidx = {tag: i for i, tag in enumerate(variables)}
-    size = basis.size * nu
-    a = np.zeros((size, size), dtype=complex)
-    omega = TWO_PI * basis.mixing_freqs(f)
+    g, c, k = np.zeros((3, nu, nu))
+    m = np.zeros((3, nu, nu), dtype=complex)
 
-    def node_row(node: str, block: int) -> int:
-        return block * nu + vidx[f"v:{node}"]
+    def incidence(node_a: str, node_b: str) -> list[tuple[int, float]]:
+        """Rows of the non-ground ends, signed +1 at node_a and -1 at node_b."""
+        return [(row[n], s) for n, s in ((node_a, 1.0), (node_b, -1.0)) if n != net.ground]
 
-    def stamp_admittance(node_a: str, node_b: str, y: complex, block: int) -> None:
-        if node_a != net.ground:
-            ra = node_row(node_a, block)
-            a[ra, ra] += y
-        if node_b != net.ground:
-            rb = node_row(node_b, block)
-            a[rb, rb] += y
-        if node_a != net.ground and node_b != net.ground:
-            a[ra, rb] -= y
-            a[rb, ra] -= y
+    def stamp_admittance(block: np.ndarray, node_a: str, node_b: str, y: float) -> None:
+        ends = incidence(node_a, node_b)
+        for r, sr in ends:
+            for col, sc in ends:
+                block[r, col] += sr * sc * y
 
+    ci = len(row)
     for el in net.elements:
         if isinstance(el, Resistor):
-            for h in range(basis.size):
-                stamp_admittance(el.node_a, el.node_b, 1.0 / el.ohms, h)
+            stamp_admittance(g, el.node_a, el.node_b, 1.0 / el.ohms)
         elif isinstance(el, Capacitor):
-            for h in range(basis.size):
-                stamp_admittance(el.node_a, el.node_b, 1j * omega[h] * el.farads, h)
+            stamp_admittance(c, el.node_a, el.node_b, el.farads)
         elif isinstance(el, Inductor):
-            for h in range(basis.size):
-                stamp_admittance(el.node_a, el.node_b, 1.0 / (1j * omega[h] * el.henries), h)
+            stamp_admittance(k, el.node_a, el.node_b, 1.0 / el.henries)
         elif isinstance(el, Port):
-            for h in range(basis.size):
-                stamp_admittance(el.node, net.ground, 1.0 / el.z0, h)
+            stamp_admittance(g, el.node, net.ground, 1.0 / el.z0)
         elif isinstance(el, ModulatedSeriesRlc):
-            gamma = elastance_fourier(el.branch, el.modulation, 1)
-            ci = vidx[f"i:{el.name}"]
-            cq = vidx[f"q:{el.name}"]
-            b = el.branch
-            for h in range(basis.size):
-                row_i = h * nu + ci
-                row_q = h * nu + cq
-                # KCL: branch current leaves node_a, enters node_b.
-                if el.node_a != net.ground:
-                    a[node_row(el.node_a, h), row_i] += 1.0
-                if el.node_b != net.ground:
-                    a[node_row(el.node_b, h), row_i] -= 1.0
-                # KVL: V_a - V_b - (r + j*w*l)*I - sum_n G_{m-n}*Q_n = 0.
-                if el.node_a != net.ground:
-                    a[row_i, node_row(el.node_a, h)] += 1.0
-                if el.node_b != net.ground:
-                    a[row_i, node_row(el.node_b, h)] -= 1.0
-                a[row_i, row_i] -= b.r_m + 1j * omega[h] * b.l_m
-                for dm in (-1, 0, 1):
-                    hn = h - dm
-                    if 0 <= hn < basis.size:
-                        a[row_i, hn * nu + cq] -= gamma[dm + 1]
-                # Charge: j*w*Q - I = 0.
-                a[row_q, row_q] += 1j * omega[h]
-                a[row_q, row_i] -= 1.0
+            cq = ci + 1
+            # KCL: branch current leaves node_a, enters node_b.
+            # KVL: V_a - V_b - (r + j*w*l)*I - sum_n G_{m-n}*Q_n = 0.
+            for r, sign in incidence(el.node_a, el.node_b):
+                g[r, ci] += sign
+                g[ci, r] += sign
+            g[ci, ci] -= el.branch.r_m
+            c[ci, ci] -= el.branch.l_m
+            m[:, ci, cq] -= elastance_fourier(el.branch, el.modulation, 1)
+            # Charge: j*w*Q - I = 0.
+            c[cq, cq] += 1.0
+            g[cq, ci] -= 1.0
+            ci += 2
         else:
             raise SingularStructure(f"unknown element type {type(el).__name__}")
-    return a, variables
+    ports = net.ports
+    return _Stamps(variables, g, c, k, m, ports, [row[p.node] for p in ports])
 
 
-def _excitation_rhs(net: Netlist, basis: HarmonicBasis, variables: tuple[str, ...],
-                    excited_port: int) -> np.ndarray:
-    ports = {p.index: p for p in net.ports}
-    if excited_port not in ports:
-        raise ValueError(f"no port with index {excited_port}")
-    port = ports[excited_port]
-    nu = len(variables)
-    rhs = np.zeros(basis.size * nu, dtype=complex)
-    # Unit incident wave a = 1 at harmonic 0: Thevenin source 2*sqrt(z0),
-    # Norton current 2/sqrt(z0) into the port node.
-    block = basis.n_harm
-    rhs[block * nu + variables.index(f"v:{port.node}")] = 2.0 / math.sqrt(port.z0)
-    return rhs
+def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
+    """The harmonic system matrix at stimulus frequency f."""
+    _check_stimulus(f, basis.f_mod, basis.n_harm)
+    nu, size = len(st.variables), basis.size
+    jw = (1j * TWO_PI * basis.mixing_freqs(f))[:, None, None]
+    h = np.arange(size)
+    a = np.zeros((size, nu, size, nu), dtype=complex)
+    a[h, :, h, :] = st.g + jw * st.c + st.k / jw + st.m[1]
+    a[h[1:], :, h[:-1], :] = st.m[2]
+    a[h[:-1], :, h[1:], :] = st.m[0]
+    return a.reshape(size * nu, size * nu)
+
+
+def _excitation(st: _Stamps, basis: HarmonicBasis) -> np.ndarray:
+    """All-ports right-hand side: column p is a unit incident wave at port p + 1,
+    harmonic 0 (Thevenin source 2*sqrt(z0): Norton current 2/sqrt(z0))."""
+    nu, n_ports = len(st.variables), len(st.ports)
+    rhs = np.zeros((basis.size, nu, n_ports), dtype=complex)
+    rhs[basis.n_harm, st.port_rows, np.arange(n_ports)] = \
+        2.0 / np.sqrt([p.z0 for p in st.ports])
+    return rhs.reshape(basis.size * nu, n_ports)
 
 
 def assemble(net: Netlist, basis: HarmonicBasis, f: float,
@@ -249,9 +242,13 @@ def assemble(net: Netlist, basis: HarmonicBasis, f: float,
     :class:`SingularStructure` for floating nodes and
     :class:`DegenerateStimulus` when f collides with a multiple of f_mod.
     """
-    a, variables = _assemble_matrix(net, basis, f)
-    rhs = _excitation_rhs(net, basis, variables, excited_port)
-    return HarmonicSystem(matrix=a, rhs=rhs, variables=variables, basis=basis, f=f)
+    st = _stamp(net)
+    a = _lift(st, basis, f)
+    indices = [p.index for p in st.ports]
+    if excited_port not in indices:
+        raise ValueError(f"no port with index {excited_port}")
+    rhs = _excitation(st, basis)[:, indices.index(excited_port)]
+    return HarmonicSystem(matrix=a, rhs=rhs, variables=st.variables, basis=basis, f=f)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,9 +280,9 @@ def solve(sys: HarmonicSystem) -> HarmonicSolution:
 def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     """Multi-harmonic S-parameters over a stimulus frequency grid.
 
-    Each frequency point assembles its matrix and solves for all port
-    excitations at once; points are independent, so the grid depends only
-    on the inputs.
+    The netlist is stamped once; each frequency point lifts the stamps to
+    its harmonic matrix and solves for all port excitations at once.
+    Points are independent, so the grid depends only on the inputs.
     """
     net_f_mod = net.f_mod
     if net_f_mod is not None and net_f_mod != basis.f_mod:
@@ -296,22 +293,19 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
         raise ValueError("need at least one stimulus frequency")
     if np.any(freqs <= 0.0):
         raise ValueError("stimulus frequencies must be positive")
-    ports = net.ports
-    if not ports:
+    if not net.ports:
         raise ValueError("netlist has no ports")
-    variables = _block_variables(net)
-    nu = len(variables)
-    rhs = np.stack([_excitation_rhs(net, basis, variables, p.index) for p in ports], axis=1)
-    vrows = [variables.index(f"v:{p.node}") for p in ports]
-    sqrt_z0 = np.array([math.sqrt(p.z0) for p in ports])
-    diag = np.arange(len(ports))
-    data = np.empty((freqs.size, basis.size, len(ports), len(ports)), dtype=complex)
+    st = _stamp(net)
+    rhs = _excitation(st, basis)
+    nu, n_ports = len(st.variables), len(st.ports)
+    z0 = np.array([p.z0 for p in st.ports])
+    sqrt_z0 = np.sqrt(z0)[None, :, None]
+    diag = np.arange(n_ports)
+    data = np.empty((freqs.size, basis.size, n_ports, n_ports), dtype=complex)
     for fi, f in enumerate(freqs):
-        a, _ = _assemble_matrix(net, basis, float(f))
-        x = _solve(a, rhs).reshape(basis.size, nu, len(ports))
-        data[fi] = x[:, vrows, :] / sqrt_z0[None, :, None]    # (harmonic, q, p)
-        data[fi, basis.n_harm, diag, diag] -= 1.0             # remove the incident waves
-    z0 = np.array([p.z0 for p in ports])
+        x = _solve(_lift(st, basis, float(f)), rhs).reshape(basis.size, nu, n_ports)
+        data[fi] = x[:, st.port_rows, :] / sqrt_z0               # (harmonic, q, p)
+        data[fi, basis.n_harm, diag, diag] -= 1.0                # remove the incident waves
     return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=z0, data=data)
 
 

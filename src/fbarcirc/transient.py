@@ -16,7 +16,6 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor)
 
 DIVERGENCE_FACTOR = 1e6
-CANCEL_CHECK_STEPS = 10_000
+DIVERGENCE_CHECK_STEPS = 10_000
 
 
 class StepTooLarge(ValueError):
@@ -38,10 +37,6 @@ class Diverged(ArithmeticError):
 
 class IllConditionedBasis(ValueError):
     """Two extraction tones collide within the resolution of the window."""
-
-
-class SimulationCancelled(RuntimeError):
-    """Cooperative cancellation token fired."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
-             dt: float, cancel: Callable[[], bool] | None = None) -> TransientResult:
+             dt: float) -> TransientResult:
     """Integrate the netlist driven by one port tone with the trapezoidal rule.
 
     ``tone`` is (port_index, frequency_hz, incident_wave_amplitude); the
@@ -117,10 +112,9 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so the incident wave matches the harmonic engine's normalization.  All
     ports are terminated in their reference impedance.
 
-    Raises :class:`StepTooLarge` below 50 points per stimulus cycle,
+    Raises :class:`StepTooLarge` below 50 points per stimulus cycle and
     :class:`Diverged` when any node magnitude exceeds 1e6 times the source
-    amplitude, and :class:`SimulationCancelled` when ``cancel`` (checked
-    every 10^4 steps) returns True.
+    amplitude (checked every 10^4 steps).
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -269,10 +263,8 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
             vprev[i] = y[i]
         volts[k] = y[:nn]
 
-        if k % CANCEL_CHECK_STEPS == 0 or k == steps:
-            if cancel is not None and cancel():
-                raise SimulationCancelled(f"cancelled at step {k}")
-            block = volts[max(0, k - CANCEL_CHECK_STEPS):k + 1]
+        if k % DIVERGENCE_CHECK_STEPS == 0 or k == steps:
+            block = volts[max(0, k - DIVERGENCE_CHECK_STEPS):k + 1]
             if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
                 raise Diverged(f"waveform exceeded {limit:.3e} V near step {k}")
 
@@ -341,8 +333,7 @@ def _ring_up_time(net: Netlist) -> float:
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
                    ports: tuple[int, int] = (1, 2), pts_per_cycle: int = 400,
-                   mod_periods: float = 22.0, cancel: Callable[[], bool] | None = None,
-                   ) -> float:
+                   mod_periods: float = 22.0) -> float:
     """Max relative disagreement between the harmonic and transient engines.
 
     Excites port ``ports[0]`` and compares S^(n) at port ``ports[1]`` for
@@ -365,7 +356,7 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
 
     dt = 1.0 / (pts_per_cycle * f)
     duration = _ring_up_time(net) + mod_periods / basis.f_mod
-    res = simulate(net, (p_in, f, 1.0), duration, dt, cancel=cancel)
+    res = simulate(net, (p_in, f, 1.0), duration, dt)
     phasors = extract_phasors(res, port_map[q_out].node, f, basis.f_mod, basis.n_harm)
     sqrt_z0 = math.sqrt(port_map[q_out].z0)
     s_td = []

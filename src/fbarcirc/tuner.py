@@ -46,10 +46,15 @@ class TuneProblem:
                                ("f_op", self.f_op_bounds)):
             if not lo < hi:
                 raise ValueError(f"{name} bounds must be non-degenerate, got ({lo}, {hi})")
+        if not (0.0 <= self.delta_bounds[0] and self.delta_bounds[1] < 1.0):
+            raise ValueError(f"delta bounds must lie in [0, 1), got {self.delta_bounds}")
+        if not (self.f_mod_bounds[0] > 0.0 and self.f_op_bounds[0] > 0.0):
+            raise ValueError(f"f_mod and f_op bounds must be positive, got "
+                             f"{self.f_mod_bounds} and {self.f_op_bounds}")
         if self.budget < 10:
-            raise ValueError("budget must be at least 10")
+            raise ValueError(f"budget must be at least 10, got {self.budget}")
         if self.starts < 1:
-            raise ValueError("starts must be at least 1")
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
 
     @staticmethod
     def default(design: CirculatorDesign, budget: int = 300,
@@ -104,7 +109,7 @@ def objective(params, problem: TuneProblem) -> float:
         net = build_circulator(design)
         grid = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         ix, il, _ = metrics_at(grid, f_op, problem.direction)
-    except (NumericallySingular, DegenerateStimulus, ValueError) as exc:
+    except (NumericallySingular, DegenerateStimulus) as exc:
         log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
                     delta, f_mod, f_op, exc)
         return math.inf

@@ -252,3 +252,25 @@ class TestEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "r_m" in proc.stdout
+
+
+class TestInvalidSettings:
+    @pytest.mark.parametrize("command, extra_args, extra_cfg, named", [
+        ("simulate", ["--n-harm", "0"], "", "--n-harm"),
+        ("verify", ["--n-harm", "-1"], "", "--n-harm"),
+        ("simulate", [], "basis.n_harm = 0\n", "basis.n_harm"),
+        ("tune", [], "basis.n_harm = 0\n", "basis.n_harm"),
+        ("tune", [], "tuner.budget = 5\n", "budget"),
+        ("tune", [], "tuner.delta_max = 1.5\n", "delta bounds"),
+    ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
+            "tune-n-harm-key", "tune-budget", "tune-delta-max"])
+    def test_usage_error_without_traceback(self, tmp_path, command, extra_args, extra_cfg,
+                                           named):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SPLITTER_CFG + extra_cfg)
+        proc = subprocess.run([sys.executable, "-m", "fbarcirc.cli", command,
+                               "--config", str(cfg), "--out", str(tmp_path / "o"), *extra_args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr

@@ -96,5 +96,5 @@ class TestSerialize:
     def test_basis_f_mod_follows_design(self):
         cfg = parse_config("design.f_mod = 3.1e7\n")
         assert cfg.basis_f_mod() == 3.1e7
-        cfg2 = parse_config("design.f_mod = 3.1e7\nbasis.f_mod = 2.9e7\n")
-        assert cfg2.basis_f_mod() == 2.9e7
+        with pytest.raises(ConfigError, match="unknown key 'basis.f_mod'"):
+            parse_config("design.f_mod = 3.1e7\nbasis.f_mod = 2.9e7\n")

@@ -8,9 +8,9 @@ from fbarcirc.bvd import admittance, bvd_from_specs
 from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
                           NumericallySingular, SingularStructure, assemble,
                           convergence_check, solve, sparams)
-from fbarcirc.netlist import (CirculatorDesign, Netlist, PhaseSequence, Port,
-                              Resistor, Topology, build_differential,
-                              build_single_ended)
+from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist,
+                              PhaseSequence, Port, Resistor, Topology,
+                              build_differential, build_single_ended)
 
 from conftest import one_port_net
 
@@ -158,6 +158,38 @@ class TestOnePortAgainstClosedForm:
             y_htm = (1.0 - s11) / ((1.0 + s11) * 50.0)
             y_ref = admittance(model, f)
             assert abs(y_htm - y_ref) <= 1e-9 * abs(y_ref)
+
+
+class TestStaticRlcAgainstClosedForm:
+    def test_series_r_into_parallel_lc(self):
+        # port -> R -> node, L || C from node to ground
+        r, l, c, z0 = 20.0, 10e-9, 1e-12, 50.0
+        net = Netlist((Port(1, "p1", z0), Resistor("r1", "p1", "n1", r),
+                       Inductor("l1", "n1", "0", l), Capacitor("c1", "n1", "0", c)))
+        freqs = np.array([0.5e9, 1.2e9, 1.59e9, 1.6e9, 2.5e9])
+        s11 = sparams(net, HarmonicBasis(F_MOD, 2), freqs).s0[:, 0, 0]
+        w = 2.0 * np.pi * freqs
+        z = r + 1.0 / (1.0 / (1j * w * l) + 1j * w * c)
+        ref = (z - z0) / (z + z0)
+        assert np.all(np.abs(s11 - ref) <= 1e-12 * np.abs(ref))
+
+
+class TestStampedOnce:
+    def test_per_netlist_work_once_per_sweep(self, differential_design, monkeypatch):
+        import fbarcirc.htm as htm
+
+        net = build_differential(differential_design)
+        calls = {"elastance_fourier": 0, "floating_nodes": 0}
+        for name in calls:
+            original = getattr(htm, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(htm, name, counted)
+        sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.69e9, 50))
+        assert calls == {"elastance_fourier": len(net.modulated), "floating_nodes": 1}
 
 
 class TestSparams:

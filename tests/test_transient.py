@@ -6,10 +6,9 @@ import pytest
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Netlist, Port, Resistor)
-from fbarcirc.transient import (Diverged, IllConditionedBasis, SimulationCancelled,
-                                StepTooLarge, TransientResult, cross_validate,
-                                extract_phasors, read_waveforms, simulate,
-                                write_waveforms)
+from fbarcirc.transient import (Diverged, IllConditionedBasis, StepTooLarge,
+                                TransientResult, cross_validate, extract_phasors,
+                                read_waveforms, simulate, write_waveforms)
 
 from conftest import one_port_net, toy_wye_net
 
@@ -64,18 +63,6 @@ class TestSimulate:
                        Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
         with pytest.raises(Diverged):
             simulate(net, (1, 1e6, 1.0), 1e-3, 2e-8)
-
-    def test_cancellation_token(self, desk_specs):
-        net = one_port_net(desk_specs, 0.0, F_MOD)
-        calls = {"n": 0}
-
-        def cancel():
-            calls["n"] += 1
-            return True
-
-        with pytest.raises(SimulationCancelled):
-            simulate(net, (1, 2.68e6, 1.0), 2e-4, 1.0 / (400.0 * 2.68e6), cancel=cancel)
-        assert calls["n"] == 1
 
     def test_sample_count_invariant(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)

@@ -59,6 +59,14 @@ class TestObjective:
         # stimulus on a low multiple of f_mod is rejected by the engine
         assert objective((0.01, 23.2e6, 2 * 23.2e6), problem) == math.inf
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a solver failure")
+
+        monkeypatch.setattr("fbarcirc.tuner.metrics_at", broken)
+        with pytest.raises(ValueError, match="not a solver failure"):
+            objective((0.01, 23.2e6, 2.68e9), small_problem())
+
 
 class TestTuneOnSphere:
     def test_converges_within_budget(self):
@@ -137,6 +145,16 @@ class TestProblemValidation:
     def test_bad_starts(self):
         with pytest.raises(ValueError):
             small_problem(starts=0)
+
+    @pytest.mark.parametrize("bounds", [
+        {"delta_bounds": (-0.01, 0.1)},
+        {"delta_bounds": (0.0, 1.0)},
+        {"f_mod_bounds": (0.0, 30e6)},
+        {"f_op_bounds": (-1e9, 2.7e9)},
+    ])
+    def test_unphysical_bounds(self, bounds):
+        with pytest.raises(ValueError, match="bounds must"):
+            small_problem(**bounds)
 
 
 class TestAchievedMetrics:
