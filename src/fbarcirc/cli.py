@@ -32,7 +32,7 @@ from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
                       build_one_port, build_toy_wye, write_netlist)
 from .transient import (Diverged, IllConditionedBasis, StepTooLarge, cross_validate,
-                        simulate as transient_simulate, write_waveforms)
+                        simulate as transient_simulate, time_grid, write_waveforms)
 from .tuner import TuneProblem, tune, write_trace_csv
 
 # Measured hardware reference (differential FBAR circulator board) used by
@@ -116,8 +116,9 @@ def _run_simulation(cfg: RunConfig, out_dir: str, n_harm: int | None = None) -> 
     net = build_circulator(design)
     basis = _basis(cfg, design.f_mod, n_harm)
     freqs = cfg.sweep_frequencies()
+    direction = cfg.direction()
     grid = sparams(net, basis, freqs)
-    m = summarize(grid, cfg.direction(), cfg.get_float("metrics.bw_threshold_db"))
+    m = summarize(grid, direction, cfg.get_float("metrics.bw_threshold_db"))
 
     from .touchstone import write_harmonics_csv, write_s3p
     os.makedirs(out_dir, exist_ok=True)
@@ -146,11 +147,20 @@ def cmd_simulate(args) -> int:
 def _verify_cases(cfg: RunConfig):
     """Desk-scale oracle circuits per the frequency-scaled-replica recipe."""
     design = cfg.design()
+    for key in ("verify.scale", "verify.q", "verify.f_ratio", "verify.pts_per_cycle",
+                "verify.pts_per_cycle_static", "verify.mod_periods",
+                "verify.mod_periods_static"):
+        value = cfg.get_float(key)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{key}: must be finite and positive, got {value}")
     scale = cfg.get_float("verify.scale")
-    specs = ResonatorSpecs(f_s=design.resonator.f_s / scale,
-                           q=cfg.get_float("verify.q"),
-                           k_sq=design.resonator.k_sq,
-                           c0=design.resonator.c0 * scale)
+    try:
+        specs = ResonatorSpecs(f_s=design.resonator.f_s / scale,
+                               q=cfg.get_float("verify.q"),
+                               k_sq=design.resonator.k_sq,
+                               c0=design.resonator.c0 * scale)
+    except ValueError as exc:
+        raise ConfigError(f"verify.scale: {exc}") from exc
     model = bvd_from_specs(specs)
     branch = model.branches[0]
     f_mod = design.f_mod / scale
@@ -192,9 +202,7 @@ def cmd_verify(args) -> int:
         lines.append(line)
         print(line)
         if args.dump_waveforms:
-            dt = 1.0 / (ppc * f)
-            from .transient import _ring_up_time
-            duration = _ring_up_time(net) + periods / f_mod
+            dt, duration = time_grid(net, f, f_mod, ppc, periods)
             res = transient_simulate(net, (ports[0], f, 1.0), duration, dt)
             os.makedirs(args.out, exist_ok=True)
             write_waveforms(res, os.path.join(args.out, f"waveforms_{name}.csv.gz"))

@@ -169,9 +169,16 @@ class RunConfig:
         return self.get_float("design.f_mod")
 
     def direction(self) -> Direction:
-        return Direction(in_port=self.get_int("metrics.in_port"),
-                         through_port=self.get_int("metrics.through_port"),
-                         isolated_port=self.get_int("metrics.isolated_port"))
+        """Port roles of the 3-port circulator: each of 1..3, all distinct."""
+        keys = ("metrics.in_port", "metrics.through_port", "metrics.isolated_port")
+        roles = [self.get_int(key) for key in keys]
+        for key, port in zip(keys, roles):
+            if port not in (1, 2, 3):
+                raise ConfigError(f"{key}: expected a port index 1..3, got {port}")
+        if len(set(roles)) != 3:
+            raise ConfigError(f"metrics: in, through and isolated ports must differ, "
+                              f"got {roles}")
+        return Direction(*roles)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -6,6 +6,21 @@ from the waveform tail.  The point of this module is cross-validation: the
 integrator shares no code with the harmonic assembly, so agreement between
 the two is strong evidence against stamp or convention bugs.
 
+The netlist is stamped once into real matrices, ``C x' + G(t) x = u(t)``:
+the unknowns are the non-ground node voltages, one current per inductor and
+(i, u = q/c_m) per modulated branch, and only each modulated branch's
+elastance factor m(t) = 1 + depth*cos(w_m t + phase) in G changes with time.
+With K = 2C/dt and the history h = K x + C x', zero at t = 0 (no stored
+charge or flux, and the source not averaged into the first step), one
+trapezoidal step is
+
+    x1 = A1^-1 (h0 + u1),   A1 = K + G(t1),   h1 = 2K x1 - h0.
+
+Steps run in blocks: one batched LAPACK inverse of the block's step
+matrices, then the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u with one
+small matrix-vector product per step, then the block's node voltages in
+one batched product.
+
 High-Q circuits at GHz carriers are impractical to integrate directly; use
 :func:`fbarcirc.netlist.scale_frequency` to build a desk-scale replica with
 identical dimensionless behavior first.
@@ -67,40 +82,67 @@ class PhasorSet:
         raise KeyError(n)
 
 
-def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
-    """In-place Gaussian elimination with partial pivoting for tiny systems."""
-    n = len(b)
-    for k in range(n):
-        p = k
-        best = abs(a[k][k])
-        for i in range(k + 1, n):
-            v = abs(a[i][k])
-            if v > best:
-                best = v
-                p = i
-        if best == 0.0:
-            raise Diverged("singular transient system")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            b[k], b[p] = b[p], b[k]
-        ak = a[k]
-        pivot = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            m = ai[k] / pivot
-            if m != 0.0:
-                ai[k] = 0.0
-                for j in range(k + 1, n):
-                    ai[j] -= m * ak[j]
-                b[i] -= m * b[k]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        ak = a[k]
-        s = b[k]
-        for j in range(k + 1, n):
-            s -= ak[j] * x[j]
-        x[k] = s / ak[k]
-    return x
+def _stamp(net: Netlist, port_index: int, amplitude: float):
+    """Node names and the real C, G and s of ``C x' + G(t) x = s*cos(w t)``.
+
+    Unknowns: the node voltages (sorted by name), then one current per
+    inductor, then (i, u) per modulated branch.  G holds m = 1 at every
+    branch's (i, u) entry; each row (i, depth, w_m, phase) of the returned
+    ``mod`` marks a branch whose entry is m(t) instead.
+    """
+    node_names = [n for n in sorted(net.nodes) if n != net.ground]
+    nidx = {n: i for i, n in enumerate(node_names)}
+    currents = [el for el in net.elements if isinstance(el, (Inductor, ModulatedSeriesRlc))]
+    nu = len(nidx) + sum(2 if isinstance(el, ModulatedSeriesRlc) else 1 for el in currents)
+    c = np.zeros((nu, nu))
+    g = np.zeros((nu, nu))
+    s = np.zeros(nu)
+    mod = []
+
+    def incidence(a: str, b: str) -> np.ndarray:
+        e = np.zeros(nu)
+        if a != net.ground:
+            e[nidx[a]] += 1.0
+        if b != net.ground:
+            e[nidx[b]] -= 1.0
+        return e
+
+    for el in net.elements:
+        if isinstance(el, Resistor):
+            e = incidence(el.node_a, el.node_b)
+            g += np.outer(e, e) / el.ohms
+        elif isinstance(el, Capacitor):
+            e = incidence(el.node_a, el.node_b)
+            c += np.outer(e, e) * el.farads
+        elif isinstance(el, Port):
+            if el.node == net.ground:
+                raise ValueError(f"port {el.index} must not sit on the ground node")
+            e = incidence(el.node, net.ground)
+            g += np.outer(e, e) / el.z0
+            if el.index == port_index:
+                s += e * (2.0 * math.sqrt(el.z0) * amplitude / el.z0)
+
+    k = len(nidx)
+    for el in currents:
+        # current k leaves node_a and enters node_b; its row is l di/dt - v_ab (+ r i + m u) = 0
+        e = incidence(el.node_a, el.node_b)
+        g[:, k] += e
+        g[k, :] -= e
+        if isinstance(el, Inductor):
+            c[k, k] = el.henries
+            k += 1
+        else:  # and the charge row c_m du/dt - i = 0
+            b = el.branch
+            c[k, k] = b.l_m
+            g[k, k] = b.r_m
+            g[k, k + 1] = 1.0
+            c[k + 1, k + 1] = b.c_m
+            g[k + 1, k] = -1.0
+            m = el.modulation
+            if m is not None and m.depth != 0.0:
+                mod.append((k, m.depth, 2.0 * math.pi * m.f_mod, m.phase))
+            k += 2
+    return node_names, c, g, s, np.array(mod).reshape(-1, 4)
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
@@ -113,8 +155,8 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     ports are terminated in their reference impedance.
 
     Raises :class:`StepTooLarge` below 50 points per stimulus cycle and
-    :class:`Diverged` when any node magnitude exceeds 1e6 times the source
-    amplitude (checked every 10^4 steps).
+    :class:`Diverged` on a singular step matrix or when any node magnitude
+    exceeds 1e6 times the source amplitude (checked every 10^4 steps).
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -122,154 +164,48 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     if dt > 1.0 / (50.0 * f_stim):
         raise StepTooLarge(f"dt={dt} gives fewer than 50 points per cycle at {f_stim} Hz")
 
-    node_names = [n for n in sorted(net.nodes) if n != net.ground]
-    # keep builder ordering stable: sort is deterministic, index by name
-    nidx = {n: i for i, n in enumerate(node_names)}
-    nn = len(node_names)
-    branches = [el for el in net.elements if isinstance(el, ModulatedSeriesRlc)]
-    nb = len(branches)
-    nu = nn + 2 * nb
-
-    def node_of(name: str) -> int | None:
-        return None if name == net.ground else nidx[name]
-
-    w_stim = 2.0 * math.pi * f_stim
-    vs_amp = 0.0
-    a0 = [[0.0] * nu for _ in range(nu)]
-
-    def quad(ia, ib, g):
-        if ia is not None:
-            a0[ia][ia] += g
-        if ib is not None:
-            a0[ib][ib] += g
-        if ia is not None and ib is not None:
-            a0[ia][ib] -= g
-            a0[ib][ia] -= g
-
-    # Constant matrix entries and per-element integration metadata.
-    caps = []        # (ia, ib, g_c) with state i_c
-    inductors = []   # (ia, ib, g_l) with state i_l
-    port_meta = []   # (ia, z0, vs_amp)
-    for el in net.elements:
-        if isinstance(el, Resistor):
-            quad(node_of(el.node_a), node_of(el.node_b), 1.0 / el.ohms)
-        elif isinstance(el, Capacitor):
-            ia, ib = node_of(el.node_a), node_of(el.node_b)
-            g = 2.0 * el.farads / dt
-            quad(ia, ib, g)
-            caps.append([ia, ib, g, 0.0])
-        elif isinstance(el, Inductor):
-            ia, ib = node_of(el.node_a), node_of(el.node_b)
-            g = dt / (2.0 * el.henries)
-            quad(ia, ib, g)
-            inductors.append([ia, ib, g, 0.0])
-        elif isinstance(el, Port):
-            ia = node_of(el.node)
-            if ia is None:
-                raise ValueError(f"port {el.index} must not sit on the ground node")
-            quad(ia, None, 1.0 / el.z0)
-            amp = 2.0 * math.sqrt(el.z0) * amplitude if el.index == port_index else 0.0
-            vs_amp = max(vs_amp, amp)
-            if amp != 0.0:
-                port_meta.append((ia, el.z0, amp))
-    if not any(isinstance(el, Port) and el.index == port_index for el in net.elements):
+    sources = [2.0 * math.sqrt(p.z0) * amplitude for p in net.ports if p.index == port_index]
+    if not sources:
         raise ValueError(f"no port with index {port_index}")
+    limit = DIVERGENCE_FACTOR * max(sources + [1e-30])
 
-    branch_meta = []
-    for bi, el in enumerate(branches):
-        ia, ib = node_of(el.node_a), node_of(el.node_b)
-        ci = nn + 2 * bi
-        cu = ci + 1
-        b = el.branch
-        gl = 2.0 * b.l_m / dt
-        dq = dt / (2.0 * b.c_m)
-        if ia is not None:
-            a0[ia][ci] += 1.0
-        if ib is not None:
-            a0[ib][ci] -= 1.0
-        a0[ci][ci] = gl + b.r_m
-        if ia is not None:
-            a0[ci][ia] = -1.0
-        if ib is not None:
-            a0[ci][ib] = 1.0
-        a0[cu][cu] = 1.0
-        a0[cu][ci] = -dq
-        mod = el.modulation
-        if mod is None or mod.depth == 0.0:
-            a0[ci][cu] = 1.0
-            wm, depth, phase = 0.0, 0.0, 0.0
-        else:
-            wm = 2.0 * math.pi * mod.f_mod
-            depth, phase = mod.depth, mod.phase
-        # state: [i, u, hist_v]; hist_v = (v_ab - r*i - m(t)*u) at step n
-        branch_meta.append([ia, ib, ci, cu, gl, dq, b.r_m, wm, depth, phase, 0.0, 0.0, 0.0])
+    node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
+    nn, nu = len(node_names), s.size
+    rows = mod[:, 0].astype(int)
+    k = 2.0 * c / dt
+    a0 = k + g
+    w_stim = 2.0 * math.pi * f_stim
 
     steps = round(duration / dt)
-    volts = np.empty((steps + 1, nn))
-    volts[0] = 0.0
-    vprev = [0.0] * nn
-    limit = DIVERGENCE_FACTOR * max(vs_amp, 1e-30)
-    cos = math.cos
+    volts = np.zeros((nn, steps + 1))
+    h = np.zeros(nu)
+    for first in range(1, steps + 1, DIVERGENCE_CHECK_STEPS):
+        t = np.arange(first, min(first + DIVERGENCE_CHECK_STEPS, steps + 1)) * dt
+        a = a0  # a static netlist has one step matrix, broadcast over the block
+        if len(mod):
+            a = np.repeat(a0[None], t.size, axis=0)
+            a[:, rows, rows + 1] = 1.0 + mod[:, 1] * np.cos(np.outer(t, mod[:, 2]) + mod[:, 3])
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise Diverged("singular transient system") from exc
+        if not np.all(np.isfinite(a_inv)):
+            raise Diverged("singular transient system")
+        u = np.outer(np.cos(w_stim * t), s)[:, :, None]
+        step = (2.0 * k) @ a_inv
+        drive = (step @ u)[:, :, 0]
+        step -= np.eye(nu)
+        hist = np.empty((t.size, nu))
+        for m, f, out in zip(np.broadcast_to(step, (t.size, nu, nu)), drive, hist):
+            out[:] = h
+            h = m.dot(h)
+            h += f
+        block = (a_inv[..., :nn, :] @ (hist[:, :, None] + u))[:, :, 0]
+        volts[:, first:first + t.size] = block.T
+        if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
+            raise Diverged(f"waveform exceeded {limit:.3e} V near step {first + t.size - 1}")
 
-    def vdiff(vec, ia, ib):
-        va = vec[ia] if ia is not None else 0.0
-        vb = vec[ib] if ib is not None else 0.0
-        return va - vb
-
-    for k in range(1, steps + 1):
-        t1 = k * dt
-        a = [row[:] for row in a0]
-        rhs = [0.0] * nu
-        for ia, z0, amp in port_meta:
-            rhs[ia] += amp * cos(w_stim * t1) / z0
-        for c in caps:
-            ia, ib, g, ic = c
-            h = g * vdiff(vprev, ia, ib) + ic
-            if ia is not None:
-                rhs[ia] += h
-            if ib is not None:
-                rhs[ib] -= h
-        for ind in inductors:
-            ia, ib, g, il = ind
-            h = il + g * vdiff(vprev, ia, ib)
-            if ia is not None:
-                rhs[ia] -= h
-            if ib is not None:
-                rhs[ib] += h
-        for bm in branch_meta:
-            ci, cu = bm[2], bm[3]
-            if bm[8] != 0.0:  # depth
-                a[ci][cu] = 1.0 + bm[8] * cos(bm[7] * t1 + bm[9])
-            rhs[ci] = bm[4] * bm[10] + bm[12]   # gl*i_n + hist_v
-            rhs[cu] = bm[11] + bm[5] * bm[10]   # u_n + dq*i_n
-
-        y = _solve_dense(a, rhs)
-
-        for c in caps:
-            ia, ib, g, ic = c
-            c[3] = g * (vdiff(y, ia, ib) - vdiff(vprev, ia, ib)) - ic
-        for ind in inductors:
-            ia, ib, g, il = ind
-            ind[3] = il + g * (vdiff(y, ia, ib) + vdiff(vprev, ia, ib))
-        for bm in branch_meta:
-            ia, ib, ci, cu, gl, dq, r, wm, depth, phase = bm[:10]
-            i_new = y[ci]
-            u_new = y[cu]
-            m_new = 1.0 + depth * cos(wm * t1 + phase) if depth != 0.0 else 1.0
-            bm[10] = i_new
-            bm[11] = u_new
-            bm[12] = vdiff(y, ia, ib) - r * i_new - m_new * u_new
-        for i in range(nn):
-            vprev[i] = y[i]
-        volts[k] = y[:nn]
-
-        if k % DIVERGENCE_CHECK_STEPS == 0 or k == steps:
-            block = volts[max(0, k - DIVERGENCE_CHECK_STEPS):k + 1]
-            if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
-                raise Diverged(f"waveform exceeded {limit:.3e} V near step {k}")
-
-    samples = {name: volts[:, i].copy() for name, i in nidx.items()}
-    return TransientResult(dt=dt, duration=duration, samples=samples)
+    return TransientResult(dt=dt, duration=duration, samples=dict(zip(node_names, volts)))
 
 
 def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
@@ -320,15 +256,18 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     return PhasorSet(entries=entries, residual=residual)
 
 
-def _ring_up_time(net: Netlist) -> float:
+def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
+              mod_periods: float) -> tuple[float, float]:
+    """(dt, duration) of a cross-check run: ``pts_per_cycle`` steps per
+    stimulus cycle, for five time constants of the highest-Q (capped at
+    1e4), lowest-frequency branch plus ``mod_periods`` modulation periods."""
     q_max = 0.0
     f_min = math.inf
     for el in net.modulated:
         q_max = max(q_max, min(el.branch.q, 1e4))
         f_min = min(f_min, el.branch.f_s)
-    if not math.isfinite(f_min) or q_max == 0.0:
-        return 0.0
-    return 5.0 * q_max / (math.pi * f_min)
+    ring_up = 5.0 * q_max / (math.pi * f_min) if math.isfinite(f_min) and q_max else 0.0
+    return 1.0 / (pts_per_cycle * f), ring_up + mod_periods / f_mod
 
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
@@ -354,8 +293,7 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     qi, pi = q_out - 1, p_in - 1
     s_htm = np.array([grid.harmonic(n)[0, qi, pi] for n in (-1, 0, 1)])
 
-    dt = 1.0 / (pts_per_cycle * f)
-    duration = _ring_up_time(net) + mod_periods / basis.f_mod
+    dt, duration = time_grid(net, f, basis.f_mod, pts_per_cycle, mod_periods)
     res = simulate(net, (p_in, f, 1.0), duration, dt)
     phasors = extract_phasors(res, port_map[q_out].node, f, basis.f_mod, basis.n_harm)
     sqrt_z0 = math.sqrt(port_map[q_out].z0)

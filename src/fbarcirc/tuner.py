@@ -55,6 +55,8 @@ class TuneProblem:
             raise ValueError(f"budget must be at least 10, got {self.budget}")
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if self.metrics_points < 2:
+            raise ValueError(f"metrics_points must be at least 2, got {self.metrics_points}")
 
     @staticmethod
     def default(design: CirculatorDesign, budget: int = 300,

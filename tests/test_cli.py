@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbarcirc.cli import main
+from fbarcirc.cli import _verify_cases, main
+from fbarcirc.config import load_config
 from fbarcirc.netlist import read_netlist
 from fbarcirc.touchstone import read_s3p
+from fbarcirc.transient import read_waveforms, time_grid
 
 REPO = Path(__file__).resolve().parent.parent
 TUNED_FIXTURE = REPO / "configs" / "differential_tuned.cfg"
@@ -163,6 +165,25 @@ class TestVerify:
         report = (out_dir / "verify_report.txt").read_text()
         assert report.count("PASS") == 3
 
+    def test_dump_waveforms(self, capsys, tmp_path):
+        # 50 points per cycle keeps the dumps small; the gates fail at that step
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(VERIFY_CFG + "verify.pts_per_cycle = 50\nverify.pts_per_cycle_static = 50\n"
+                       "verify.mod_periods = 5\nverify.mod_periods_static = 5\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "verify", "--config", str(cfg), "--out", str(out_dir),
+                         "--dump-waveforms")
+        assert code == 1
+        cases, f, f_mod = _verify_cases(load_config(cfg))
+        assert sorted(p.name for p in out_dir.glob("waveforms_*")) == sorted(
+            f"waveforms_{name}.csv.gz" for name, *_ in cases)
+        for name, net, _, _, periods, ppc in cases:
+            dt, duration = time_grid(net, f, f_mod, ppc, periods)
+            res = read_waveforms(out_dir / f"waveforms_{name}.csv.gz")
+            assert sorted(res.samples) == sorted(net.nodes - {net.ground})
+            for v in res.samples.values():
+                assert v.size == round(duration / dt) + 1
+
     def test_zero_gate_fails(self, capsys, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(VERIFY_CFG + "verify.gate_static = 0\nverify.mod_periods = 6\n")
@@ -262,8 +283,19 @@ class TestInvalidSettings:
         ("tune", [], "basis.n_harm = 0\n", "basis.n_harm"),
         ("tune", [], "tuner.budget = 5\n", "budget"),
         ("tune", [], "tuner.delta_max = 1.5\n", "delta bounds"),
+        ("verify", [], "verify.scale = 0\n", "verify.scale"),
+        ("verify", [], "verify.scale = -1\n", "verify.scale"),
+        ("verify", [], "verify.q = 0\n", "verify.q"),
+        ("verify", [], "verify.pts_per_cycle = 0\n", "verify.pts_per_cycle"),
+        ("simulate", [], "metrics.in_port = 7\n", "metrics.in_port"),
+        ("simulate", [], "metrics.in_port = 0\n", "metrics.in_port"),
+        ("tune", [], "metrics.isolated_port = 1\n", "must differ"),
+        ("tune", [], "tuner.metrics_points = 1\n", "metrics_points"),
     ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
-            "tune-n-harm-key", "tune-budget", "tune-delta-max"])
+            "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
+            "verify-scale-negative", "verify-q-zero", "verify-pts-per-cycle-zero",
+            "simulate-in-port-out-of-range", "simulate-in-port-zero",
+            "tune-repeated-role", "tune-metrics-points"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, extra_cfg,
                                            named):
         cfg = tmp_path / "c.cfg"

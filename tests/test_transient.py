@@ -5,7 +5,7 @@ import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc.htm import HarmonicBasis
-from fbarcirc.netlist import (Capacitor, Netlist, Port, Resistor)
+from fbarcirc.netlist import Capacitor, Inductor, Netlist, Port, Resistor
 from fbarcirc.transient import (Diverged, IllConditionedBasis, StepTooLarge,
                                 TransientResult, cross_validate, extract_phasors,
                                 read_waveforms, simulate, write_waveforms)
@@ -32,6 +32,43 @@ class TestSimulate:
         zc = 1.0 / (1j * 2 * math.pi * f * c)
         expect = 2.0 * math.sqrt(z0) * zc / (zc + r + z0)
         assert abs(ph.phasor(0) - expect) <= 1e-3 * abs(expect)
+
+    def test_port_capacitor_matches_companion_recursion(self):
+        # trapezoidal companion model written out: i_k = g*(v_k - v_{k-1}) - i_{k-1}
+        # with g = 2C/dt, zero voltage and zero capacitor current at t = 0
+        z0, c, f = 50.0, 1e-9, 1e6
+        dt = 1.0 / (100.0 * f)
+        net = Netlist((Capacitor("c1", "p1", "0", c), Port(1, "p1", z0)))
+        res = simulate(net, (1, f, 1.0), 2000 * dt, dt)
+        g = 2.0 * c / dt
+        v, i = 0.0, 0.0
+        expect = [0.0]
+        for k in range(1, 2001):
+            vs = 2.0 * math.sqrt(z0) * math.cos(2.0 * math.pi * f * k * dt)
+            v_new = (vs / z0 + g * v + i) / (1.0 / z0 + g)
+            i = g * (v_new - v) - i
+            v = v_new
+            expect.append(v)
+        expect = np.array(expect)
+        assert np.max(np.abs(res.samples["p1"] - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_series_inductor_matches_phasor(self):
+        z0, ind, r, f = 50.0, 10e-6, 30.0, 1e6
+        net = Netlist((Inductor("l1", "p1", "n2", ind), Resistor("r1", "n2", "0", r),
+                       Port(1, "p1", z0)))
+        res = simulate(net, (1, f, 1.0), 40.0 / f, 1.0 / (400.0 * f))
+        zl = 2j * math.pi * f * ind
+        vs = 2.0 * math.sqrt(z0)
+        for node, expect in (("p1", vs * (zl + r) / (z0 + zl + r)),
+                             ("n2", vs * r / (z0 + zl + r))):
+            ph = extract_phasors(res, node, f, f / 7.0, 1)
+            assert abs(ph.phasor(0) - expect) <= 1e-4 * abs(expect)
+
+    def test_zero_conductance_node_diverges(self):
+        net = Netlist((Resistor("r1", "p1", "n2", math.inf),
+                       Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
+        with pytest.raises(Diverged):
+            simulate(net, (1, 1e6, 1.0), 1e-5, 1e-8)
 
     def test_bvd_one_port_matches_admittance(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)

@@ -156,6 +156,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="bounds must"):
             small_problem(**bounds)
 
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_too_few_metrics_points(self, points):
+        with pytest.raises(ValueError, match="metrics_points"):
+            replace(small_problem(), metrics_points=points)
+
 
 class TestAchievedMetrics:
     def test_grid_contains_exact_operating_point(self):
