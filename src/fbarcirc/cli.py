@@ -31,8 +31,7 @@ from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular,
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
                       build_one_port, build_toy_wye, write_netlist)
-from .transient import (Diverged, IllConditionedBasis, StepTooLarge, cross_validate,
-                        simulate as transient_simulate, time_grid, write_waveforms)
+from .transient import Diverged, IllConditionedBasis, StepTooLarge, cross_validate
 from .tuner import TuneProblem, tune, write_trace_csv
 
 # Measured hardware reference (differential FBAR circulator board) used by
@@ -193,20 +192,17 @@ def cmd_verify(args) -> int:
     basis = _basis(cfg, f_mod, args.n_harm)
     lines = []
     failed = False
+    os.makedirs(args.out, exist_ok=True)
     for name, net, ports, gate, periods, ppc in cases:
-        err = cross_validate(net, basis, f, ports=ports,
-                             pts_per_cycle=ppc, mod_periods=periods)
+        dump = (os.path.join(args.out, f"waveforms_{name}.csv.gz")
+                if args.dump_waveforms else None)
+        err = cross_validate(net, basis, f, ports=ports, pts_per_cycle=ppc,
+                             mod_periods=periods, waveforms_path=dump)
         ok = err <= gate
         failed = failed or not ok
         line = f"{name:<14} error={err:.3e}  gate={gate:.1e}  {'PASS' if ok else 'FAIL'}"
         lines.append(line)
         print(line)
-        if args.dump_waveforms:
-            dt, duration = time_grid(net, f, f_mod, ppc, periods)
-            res = transient_simulate(net, (ports[0], f, 1.0), duration, dt)
-            os.makedirs(args.out, exist_ok=True)
-            write_waveforms(res, os.path.join(args.out, f"waveforms_{name}.csv.gz"))
-    os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "verify_report.txt"), "\n".join(lines) + "\n")
     _log(args.out, f"verify config={args.config} failed={failed}")
     return 1 if failed else 0
@@ -216,31 +212,37 @@ def cmd_verify(args) -> int:
 
 def _tune_problem(cfg: RunConfig) -> TuneProblem:
     design = cfg.design()
-    window = cfg.get_float("tuner.f_mod_window")
-    f_op_window = cfg.get_float("tuner.f_op_window")
-    f_s = design.resonator.f_s
-    fields = dict(
-        design=design,
-        delta_bounds=(0.0, cfg.get_float("tuner.delta_max")),
-        f_mod_bounds=(design.f_mod * (1.0 - window), design.f_mod * (1.0 + window)),
-        f_op_bounds=(f_s * (1.0 - f_op_window), f_s * (1.0 + f_op_window)),
-        il_cap_db=cfg.get_float("tuner.il_cap_db"),
-        budget=cfg.get_int("tuner.budget"),
-        n_harm=_basis(cfg, design.f_mod).n_harm,
-        direction=cfg.direction(),
-        starts=cfg.get_int("tuner.starts"),
-        metrics_span=cfg.get_float("tuner.metrics_span"),
-        metrics_points=cfg.get_int("tuner.metrics_points"))
+    settings = dict(budget=cfg.get_int("tuner.budget"),
+                    il_cap_db=cfg.get_float("tuner.il_cap_db"),
+                    n_harm=_basis(cfg, design.f_mod).n_harm,
+                    delta_max=cfg.get_float("tuner.delta_max"),
+                    f_mod_window=cfg.get_float("tuner.f_mod_window"),
+                    f_op_window=cfg.get_float("tuner.f_op_window"),
+                    starts=cfg.get_int("tuner.starts"),
+                    direction=cfg.direction())
     try:
-        return TuneProblem(**fields)
+        return TuneProblem.default(design, **settings)
     except ValueError as exc:
         raise ConfigError(f"tuner: {exc}") from exc
 
 
+def _metrics_grid(cfg: RunConfig, problem: TuneProblem) -> tuple[float, int]:
+    """(half-span, points) of the post-tune grid, checked before any evaluation."""
+    span = cfg.get_float("tuner.metrics_span")
+    points = cfg.get_int("tuner.metrics_points")
+    f_op_min = problem.f_op_bounds[0]
+    if not (math.isfinite(span) and 0.0 < span < f_op_min):
+        raise ConfigError(f"tuner.metrics_span: must be finite, positive and below the "
+                          f"lowest f_op bound {f_op_min}, got {span}")
+    if points < 2:
+        raise ConfigError(f"tuner.metrics_points: must be at least 2, got {points}")
+    return span, points
+
+
 def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float,
                    span: float, points: int) -> RunConfig:
-    """Best-parameter configuration whose simulate run reproduces the
-    tuner's achieved metrics bit for bit."""
+    """Best-parameter configuration sweeping f_op +- ``span`` in ``points`` points
+    plus f_op; its simulate run is the one source of the tuned metrics."""
     values = dict(cfg.values)
     values["design.delta"] = repr(delta)
     values["design.f_mod"] = repr(f_mod)
@@ -256,12 +258,12 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float,
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
     problem = _tune_problem(cfg)
+    span, points = _metrics_grid(cfg, problem)
     result = tune(problem, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 
-    tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op,
-                           problem.metrics_span, problem.metrics_points)
+    tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op, span, points)
     atomic_write_text(os.path.join(args.out, "tuned_config.cfg"), serialize_config(tuned))
     m = _run_simulation(tuned, args.out)
     _log(args.out, f"tune config={args.config} seed={args.seed} evals={result.evaluations}")

@@ -14,6 +14,7 @@ typos fail loudly.  Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,20 +149,22 @@ class RunConfig:
         f_start = self.get_float("sweep.f_start")
         f_stop = self.get_float("sweep.f_stop")
         points = self.get_int("sweep.points")
+        include = self.get_str("sweep.include")
+        try:
+            extra = [float(t) for t in include.split(",") if t.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"sweep.include: {exc}") from exc
+        for key, f in ([("sweep.f_start", f_start), ("sweep.f_stop", f_stop)]
+                       + [("sweep.include", f) for f in extra]):
+            if not (math.isfinite(f) and f > 0.0):
+                raise ConfigError(f"{key}: must be finite and positive, got {f}")
         if not f_start < f_stop:
             raise ConfigError(f"sweep.f_start: must be below sweep.f_stop "
                               f"({f_start} >= {f_stop})")
         if points < 2:
             raise ConfigError(f"sweep.points: need at least 2, got {points}")
         grid = np.linspace(f_start, f_stop, points)
-        include = self.get_str("sweep.include").strip()
-        if include:
-            try:
-                extra = [float(t) for t in include.split(",") if t.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"sweep.include: {exc}") from exc
-            grid = np.union1d(grid, extra)
-        return grid
+        return np.union1d(grid, extra) if extra else grid
 
     def basis_f_mod(self) -> float:
         """Modulation frequency of the harmonic basis: always design.f_mod

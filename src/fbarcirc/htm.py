@@ -131,6 +131,8 @@ class SParamGrid:
 
 
 def _check_stimulus(f: float, f_mod: float, n_harm: int) -> None:
+    if not math.isfinite(f):
+        raise DegenerateStimulus(f"stimulus frequency must be finite, got {f}")
     if f == 0.0:
         raise DegenerateStimulus("stimulus frequency must be nonzero")
     # A mixing frequency f + n*f_mod vanishes only when f sits on a multiple

@@ -272,7 +272,7 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
                    ports: tuple[int, int] = (1, 2), pts_per_cycle: int = 400,
-                   mod_periods: float = 22.0) -> float:
+                   mod_periods: float = 22.0, waveforms_path=None) -> float:
     """Max relative disagreement between the harmonic and transient engines.
 
     Excites port ``ports[0]`` and compares S^(n) at port ``ports[1]`` for
@@ -282,7 +282,8 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
 
     The transient runs ``mod_periods`` modulation periods past ring-up at
     ``pts_per_cycle`` points per stimulus cycle; both significantly exceed
-    the preconditions of :func:`simulate` by default.
+    the preconditions of :func:`simulate` by default.  A ``waveforms_path``
+    receives that run through :func:`write_waveforms`.
     """
     p_in, q_out = ports
     port_map = {p.index: p for p in net.ports}
@@ -307,6 +308,8 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
 
     floor = 0.05 * float(np.max(np.abs(s_htm)))
     denom = np.maximum(np.abs(s_htm), max(floor, 1e-12))
+    if waveforms_path is not None:
+        write_waveforms(res, waveforms_path)
     return float(np.max(np.abs(s_td - s_htm) / denom))
 
 

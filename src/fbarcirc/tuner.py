@@ -4,7 +4,9 @@ stimulus frequency to maximize isolation under an insertion-loss cap.
 The search is a deterministic Nelder-Mead simplex with bound clipping and a
 hard evaluation budget, optionally restarted from a seeded low-discrepancy
 sequence.  Every evaluation lands in the trace, so a run is reproducible
-from (problem, seed) alone.
+from (problem, seed) alone.  The tuner returns only the search result; the
+metrics at the tuned point come from simulating the emitted configuration
+(``fbarcirc tune`` does this, so ``simulate`` of that file reproduces them).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, sparams
-from .metrics import CirculatorMetrics, Direction, metrics_at, summarize
+from .metrics import Direction, metrics_at
 from .netlist import CirculatorDesign, build_circulator
 
 log = logging.getLogger(__name__)
@@ -32,13 +34,11 @@ class TuneProblem:
     delta_bounds: tuple[float, float]
     f_mod_bounds: tuple[float, float]
     f_op_bounds: tuple[float, float]
-    il_cap_db: float = 3.0
-    budget: int = 300
-    n_harm: int = 5
-    direction: Direction = Direction()
-    starts: int = 4
-    metrics_span: float = 25e6
-    metrics_points: int = 251
+    il_cap_db: float
+    budget: int
+    n_harm: int
+    direction: Direction
+    starts: int
 
     def __post_init__(self) -> None:
         for name, (lo, hi) in (("delta", self.delta_bounds),
@@ -51,18 +51,19 @@ class TuneProblem:
         if not (self.f_mod_bounds[0] > 0.0 and self.f_op_bounds[0] > 0.0):
             raise ValueError(f"f_mod and f_op bounds must be positive, got "
                              f"{self.f_mod_bounds} and {self.f_op_bounds}")
+        if not math.isfinite(self.il_cap_db):
+            raise ValueError(f"il_cap_db must be finite, got {self.il_cap_db}")
         if self.budget < 10:
             raise ValueError(f"budget must be at least 10, got {self.budget}")
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
-        if self.metrics_points < 2:
-            raise ValueError(f"metrics_points must be at least 2, got {self.metrics_points}")
 
     @staticmethod
     def default(design: CirculatorDesign, budget: int = 300,
                 il_cap_db: float = 2.85, n_harm: int = 5,
                 delta_max: float = 0.1, f_mod_window: float = 0.4,
-                f_op_window: float = 0.02, starts: int = 4) -> "TuneProblem":
+                f_op_window: float = 0.02, starts: int = 4,
+                direction: Direction = Direction()) -> "TuneProblem":
         """Stock search space: delta in [0, 0.1], f_mod within +-40% of the
         design's modulation frequency, stimulus within +-2% of f_s.
 
@@ -76,7 +77,8 @@ class TuneProblem:
             f_mod_bounds=(design.f_mod * (1.0 - f_mod_window),
                           design.f_mod * (1.0 + f_mod_window)),
             f_op_bounds=(f_s * (1.0 - f_op_window), f_s * (1.0 + f_op_window)),
-            il_cap_db=il_cap_db, budget=budget, n_harm=n_harm, starts=starts)
+            il_cap_db=il_cap_db, budget=budget, n_harm=n_harm, direction=direction,
+            starts=starts)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -87,12 +89,11 @@ class TuneProblem:
 
 @dataclass
 class TuneResult:
-    """Best parameters found, achieved metrics, and the evaluation trace."""
+    """Best parameters found and the evaluation trace."""
 
     delta: float
     f_mod: float
     f_op: float
-    achieved: CirculatorMetrics
     trace: list[tuple[np.ndarray, float]]
     evaluations: int
     budget_exhausted: bool
@@ -184,7 +185,8 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
     ``objective_fn(params) -> float`` overrides the simulator-backed
     objective (test hook).  Returns the best point seen, never worse than
     the first evaluation; ``budget_exhausted`` flags a stop on budget rather
-    than convergence.
+    than convergence.  No metrics are computed here: the caller simulates
+    the best point on whatever grid it reports.
     """
     lo, hi = problem.bounds
     span = hi - lo
@@ -217,30 +219,9 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
     except _BudgetExhausted:
         exhausted = True
 
-    best = state["best_x"]
-    delta, f_mod, f_op = (float(v) for v in best)
-    achieved = achieved_metrics(problem, delta, f_mod, f_op)
-    return TuneResult(delta=delta, f_mod=f_mod, f_op=f_op, achieved=achieved,
-                      trace=trace, evaluations=state["used"],
-                      budget_exhausted=exhausted)
-
-
-def metrics_grid_freqs(problem: TuneProblem, f_op: float) -> np.ndarray:
-    """Frequency grid for post-tune metrics: a symmetric sweep around f_op
-    with the exact operating point unioned in."""
-    sweep = np.linspace(f_op - problem.metrics_span, f_op + problem.metrics_span,
-                        problem.metrics_points)
-    return np.union1d(sweep, [f_op])
-
-
-def achieved_metrics(problem: TuneProblem, delta: float, f_mod: float,
-                     f_op: float) -> CirculatorMetrics:
-    """Reproducible metrics recipe at a parameter triple (pure re-run)."""
-    design = replace(problem.design, delta=delta, f_mod=f_mod)
-    net = build_circulator(design)
-    grid = sparams(net, HarmonicBasis(f_mod, problem.n_harm),
-                   metrics_grid_freqs(problem, f_op))
-    return summarize(grid, problem.direction)
+    delta, f_mod, f_op = (float(v) for v in state["best_x"])
+    return TuneResult(delta=delta, f_mod=f_mod, f_op=f_op, trace=trace,
+                      evaluations=state["used"], budget_exhausted=exhausted)
 
 
 def write_trace_csv(result: TuneResult, path) -> None:

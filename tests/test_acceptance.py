@@ -14,7 +14,7 @@ import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, bvd_from_specs, fit_lorentzian, specs_from_bvd
 from fbarcirc.htm import HarmonicBasis, convergence_check, sparams
-from fbarcirc.metrics import sideband_scan
+from fbarcirc.metrics import sideband_scan, summarize
 from fbarcirc.netlist import (CirculatorDesign, PhaseSequence, Topology,
                               build_circulator, build_differential,
                               build_single_ended, read_netlist, write_netlist)
@@ -37,13 +37,17 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def tuned():
-    """Criterion 3's tuning run, shared with criteria 4-6."""
+    """Criterion 3's tuning run and its metrics (251 points across +-25 MHz,
+    plus f_op), shared with criteria 4-6."""
     design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.01, f_mod=F_MOD)
     problem = TuneProblem.default(design, budget=300, n_harm=5)
     t0 = time.perf_counter()
     result = tune(problem, seed=0)
+    net = build_circulator(replace(design, delta=result.delta, f_mod=result.f_mod))
+    freqs = np.union1d(np.linspace(result.f_op - 25e6, result.f_op + 25e6, 251), [result.f_op])
+    m = summarize(sparams(net, HarmonicBasis(result.f_mod, 5), freqs), problem.direction)
     elapsed = time.perf_counter() - t0
-    return problem, result, elapsed
+    return problem, result, m, elapsed
 
 
 def test_criterion_1_reciprocity_baseline():
@@ -75,8 +79,7 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_nonreciprocity_reproduction(tuned):
-    problem, result, elapsed = tuned
-    m = result.achieved
+    problem, result, m, elapsed = tuned
     within_band = abs(m.f_op - 2.68e9) <= 0.02 * 2.68e9
     bw_ok = m.bw_hz is not None and 0.5e6 <= m.bw_hz <= 50e6
     report(3, "tuned differential design circulates (IX>=40 dB, IL<=3 dB)",
@@ -87,7 +90,7 @@ def test_criterion_3_nonreciprocity_reproduction(tuned):
 
 
 def test_criterion_4_direction_reversal(tuned):
-    problem, result, _ = tuned
+    problem, result, _, _ = tuned
     fwd = replace(problem.design, delta=result.delta, f_mod=result.f_mod)
     rev = replace(fwd, phase_sequence=PhaseSequence.REVERSE)
     basis = HarmonicBasis(result.f_mod, 5)
@@ -100,7 +103,7 @@ def test_criterion_4_direction_reversal(tuned):
 
 
 def test_criterion_5_differential_cancellation(tuned):
-    problem, result, _ = tuned
+    problem, result, _, _ = tuned
     basis = HarmonicBasis(result.f_mod, 5)
     diff_design = replace(problem.design, delta=result.delta, f_mod=result.f_mod)
     se_design = replace(diff_design, topology=Topology.SINGLE_ENDED)
@@ -119,7 +122,7 @@ def test_criterion_5_differential_cancellation(tuned):
 
 
 def test_criterion_6_truncation_convergence(tuned):
-    problem, result, _ = tuned
+    problem, result, _, _ = tuned
     design = replace(problem.design, delta=result.delta, f_mod=result.f_mod)
     net = build_differential(design)
     delta_s = convergence_check(net, result.f_op, 3, 5)

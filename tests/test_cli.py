@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbarcirc.cli
+import fbarcirc.transient
+import fbarcirc.tuner
 from fbarcirc.cli import _verify_cases, main
 from fbarcirc.config import load_config
 from fbarcirc.netlist import read_netlist
@@ -25,6 +28,19 @@ def run(capsys, *argv):
 
 def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def counting(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so each call appends ``record(args)`` to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(record(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
 
 
 def bending_csv(path, n=128, noise=0.0, constant=False):
@@ -165,16 +181,18 @@ class TestVerify:
         report = (out_dir / "verify_report.txt").read_text()
         assert report.count("PASS") == 3
 
-    def test_dump_waveforms(self, capsys, tmp_path):
+    def test_dump_waveforms(self, capsys, tmp_path, monkeypatch):
         # 50 points per cycle keeps the dumps small; the gates fail at that step
         cfg = tmp_path / "v.cfg"
         cfg.write_text(VERIFY_CFG + "verify.pts_per_cycle = 50\nverify.pts_per_cycle_static = 50\n"
                        "verify.mod_periods = 5\nverify.mod_periods_static = 5\n")
         out_dir = tmp_path / "out"
+        calls = counting(monkeypatch, fbarcirc.transient, "simulate", lambda args: args[0])
         code, _, _ = run(capsys, "verify", "--config", str(cfg), "--out", str(out_dir),
                          "--dump-waveforms")
         assert code == 1
         cases, f, f_mod = _verify_cases(load_config(cfg))
+        assert len(calls) == len(cases)  # the dump reuses the cross-check's integration
         assert sorted(p.name for p in out_dir.glob("waveforms_*")) == sorted(
             f"waveforms_{name}.csv.gz" for name, *_ in cases)
         for name, net, _, _, periods, ppc in cases:
@@ -223,6 +241,17 @@ class TestTune:
         assert run(capsys, "tune", "--config", str(cfg), "--seed", "7", "--out", str(a))[0] == 0
         assert run(capsys, "tune", "--config", str(cfg), "--seed", "7", "--out", str(b))[0] == 0
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+    def test_metrics_grid_solved_once(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG)
+        out_dir = tmp_path / "out"
+        points = [counting(monkeypatch, module, "sparams", lambda args: len(args[2]))
+                  for module in (fbarcirc.tuner, fbarcirc.cli)]
+        assert run(capsys, "tune", "--config", str(cfg), "--seed", "1", "--out", str(out_dir))[0] == 0
+        grid = load_config(out_dir / "tuned_config.cfg").sweep_frequencies()
+        assert sum(points[0]) == 10  # one point per objective evaluation
+        assert points[1] == [grid.size]
 
     def test_emitted_config_reproduces_metrics(self, capsys, tmp_path):
         cfg = tmp_path / "t.cfg"
@@ -290,12 +319,26 @@ class TestInvalidSettings:
         ("simulate", [], "metrics.in_port = 7\n", "metrics.in_port"),
         ("simulate", [], "metrics.in_port = 0\n", "metrics.in_port"),
         ("tune", [], "metrics.isolated_port = 1\n", "must differ"),
-        ("tune", [], "tuner.metrics_points = 1\n", "metrics_points"),
+        ("tune", [], "tuner.metrics_points = 1\n", "tuner.metrics_points"),
+        ("tune", [], "tuner.metrics_span = 0\n", "tuner.metrics_span"),
+        ("tune", [], "tuner.metrics_span = -1e6\n", "tuner.metrics_span"),
+        ("tune", [], "tuner.metrics_span = nan\n", "tuner.metrics_span"),
+        ("tune", [], "tuner.metrics_span = 1e10\n", "tuner.metrics_span"),
+        ("tune", [], "tuner.il_cap_db = nan\n", "il_cap_db"),
+        ("simulate", [], "sweep.include = nan\n", "sweep.include"),
+        ("simulate", [], "sweep.include = inf\n", "sweep.include"),
+        ("simulate", [], "sweep.f_stop = inf\n", "sweep.f_stop"),
+        ("simulate", [], "sweep.include = -5e9\n", "sweep.include"),
+        ("simulate", [], "sweep.f_start = -1e9\n", "sweep.f_start"),
     ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-pts-per-cycle-zero",
             "simulate-in-port-out-of-range", "simulate-in-port-zero",
-            "tune-repeated-role", "tune-metrics-points"])
+            "tune-repeated-role", "tune-metrics-points", "tune-metrics-span-zero",
+            "tune-metrics-span-negative", "tune-metrics-span-nan",
+            "tune-metrics-span-too-wide", "tune-il-cap-nan",
+            "simulate-include-nan", "simulate-include-inf", "simulate-f-stop-inf",
+            "simulate-include-negative", "simulate-f-start-negative"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, extra_cfg,
                                            named):
         cfg = tmp_path / "c.cfg"
@@ -306,3 +349,4 @@ class TestInvalidSettings:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+        assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any evaluation

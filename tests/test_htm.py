@@ -80,6 +80,15 @@ class TestAssemble:
         with pytest.raises(DegenerateStimulus):
             assemble(net, HarmonicBasis(23.2e3, 3), 3 * 23.2e3 * (1 + 1e-9))
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_non_finite_stimulus_rejected(self, desk_specs, f):
+        net = one_port_net(desk_specs, 0.05, 23.2e3)
+        basis = HarmonicBasis(23.2e3, 3)
+        with pytest.raises(DegenerateStimulus, match="finite"):
+            assemble(net, basis, f)
+        with pytest.raises(DegenerateStimulus, match="finite"):
+            sparams(net, basis, [2.68e6, f])
+
     def test_inband_multiple_is_fine(self, ghz_specs):
         # 115 x f_mod lies in the operating band and zeroes no mixing frequency
         net = one_port_net(ghz_specs, 0.02, F_MOD)

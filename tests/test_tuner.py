@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from fbarcirc.htm import HarmonicBasis, sparams
-from fbarcirc.metrics import metrics_at
+from fbarcirc.metrics import Direction, metrics_at
 from fbarcirc.netlist import CirculatorDesign, Topology, build_differential
-from fbarcirc.tuner import (TuneProblem, achieved_metrics, metrics_grid_freqs,
-                            objective, penalized_objective, tune, write_trace_csv)
+from fbarcirc.tuner import (TuneProblem, objective, penalized_objective, tune,
+                            write_trace_csv)
 
 from conftest import GHZ_SPECS
 
 
 def small_problem(**overrides):
     design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.01, f_mod=23.2e6)
-    base = TuneProblem.default(design)
-    # tiny metrics sweep keeps hook-driven tests fast
-    return replace(base, metrics_points=5, metrics_span=2e6, **overrides)
+    return replace(TuneProblem.default(design), **overrides)
 
 
 def sphere_center(problem):
@@ -156,25 +154,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="bounds must"):
             small_problem(**bounds)
 
-    @pytest.mark.parametrize("points", [1, 0])
-    def test_too_few_metrics_points(self, points):
-        with pytest.raises(ValueError, match="metrics_points"):
-            replace(small_problem(), metrics_points=points)
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_il_cap(self, cap):
+        with pytest.raises(ValueError, match="il_cap_db must be finite"):
+            small_problem(il_cap_db=cap)
 
-
-class TestAchievedMetrics:
-    def test_grid_contains_exact_operating_point(self):
-        problem = small_problem()
-        f_op = 2.6766e9
-        freqs = metrics_grid_freqs(problem, f_op)
-        assert f_op in freqs
-        assert freqs.size >= problem.metrics_points
-
-    def test_reproducible_bit_identical(self):
-        problem = small_problem()
-        m1 = achieved_metrics(problem, 0.028, 30e6, 2.676e9)
-        m2 = achieved_metrics(problem, 0.028, 30e6, 2.676e9)
-        assert m1 == m2
+    def test_default_search_box(self):
+        design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.01, f_mod=23.2e6)
+        direction = Direction(in_port=2, through_port=3, isolated_port=1)
+        problem = TuneProblem.default(design, direction=direction)
+        assert problem.direction == direction
+        assert problem.il_cap_db == 2.85
+        assert problem.delta_bounds == (0.0, 0.1)
+        assert problem.f_mod_bounds == pytest.approx((0.6 * 23.2e6, 1.4 * 23.2e6), rel=1e-15)
+        assert problem.f_op_bounds == pytest.approx((0.98 * GHZ_SPECS.f_s, 1.02 * GHZ_SPECS.f_s),
+                                                    rel=1e-15)
 
 
 class TestTraceCsv:
