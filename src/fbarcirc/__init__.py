@@ -7,8 +7,7 @@ from .htm import HarmonicBasis, SParamGrid, assemble, convergence_check, solve, 
 from .metrics import (CirculatorMetrics, Direction, bandwidth_at, metrics_at,
                       sideband_scan, summarize)
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence,
-                      Topology, build_circulator, build_differential,
-                      build_single_ended, elastance_fourier, read_netlist,
+                      Topology, build_circulator, elastance_fourier, read_netlist,
                       scale_frequency, write_netlist)
 from .transient import PhasorSet, TransientResult, cross_validate, extract_phasors, simulate
 from .tuner import TuneProblem, TuneResult, objective, tune
@@ -23,8 +22,7 @@ __all__ = [
     "CirculatorMetrics", "Direction", "bandwidth_at", "metrics_at",
     "sideband_scan", "summarize",
     "CirculatorDesign", "ModulationSpec", "Netlist", "PhaseSequence", "Topology",
-    "build_circulator", "build_differential", "build_single_ended",
-    "elastance_fourier", "read_netlist", "scale_frequency", "write_netlist",
+    "build_circulator", "elastance_fourier", "read_netlist", "scale_frequency", "write_netlist",
     "PhasorSet", "TransientResult", "cross_validate", "extract_phasors", "simulate",
     "TuneProblem", "TuneResult", "objective", "tune",
     "__version__",

@@ -2,15 +2,16 @@
 
 A one-port FBAR is represented by its plate capacitance ``c0`` in parallel
 with one series R-L-C motional branch per mechanical mode (the fundamental
-bulk mode, plus optionally the low-frequency bending mode).  This module
-derives element values from measured figures (series frequency, quality
-factor, coupling coefficient), evaluates static admittance, and fits a
-Lorentzian magnitude profile to measured admittance data.
+bulk mode, plus optionally the low-frequency bending mode).  A branch is
+only its three element values; nothing computed depends on which mode it
+models.  This module derives element values from measured figures (series
+frequency, quality factor, coupling coefficient), evaluates static
+admittance, and fits a Lorentzian magnitude profile to measured admittance
+data.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,12 +33,7 @@ class DegenerateData(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed admittance CSV input."""
-
-
-class BranchLabel(enum.Enum):
-    FBAR_MODE = "fbar"
-    BENDING_MODE = "bending"
+    """Malformed input: an admittance CSV, or samples a fit cannot use."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,6 @@ class MotionalBranch:
     r_m: float
     l_m: float
     c_m: float
-    label: BranchLabel = BranchLabel.FBAR_MODE
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_m) and self.r_m >= 0.0):
@@ -56,9 +51,9 @@ class MotionalBranch:
             raise ValueError(f"motional inductance must be > 0, got {self.l_m}")
         if not (math.isfinite(self.c_m) and self.c_m > 0.0):
             raise ValueError(f"motional capacitance must be > 0, got {self.c_m}")
-        f_s = self.f_s
-        if not (math.isfinite(f_s) and f_s > 0.0):
-            raise ValueError(f"series resonance must be finite and positive, got {f_s}")
+        lc = self.l_m * self.c_m
+        if not 0.0 < lc < math.inf:
+            raise ValueError(f"series resonance must be finite and positive, got l_m*c_m = {lc}")
 
     @property
     def f_s(self) -> float:
@@ -127,7 +122,7 @@ def bvd_from_specs(specs: ResonatorSpecs) -> BvdParams:
     w_s = TWO_PI * specs.f_s
     l_m = 1.0 / (w_s * w_s * c_m)
     r_m = w_s * l_m / specs.q
-    branch = MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m, label=BranchLabel.FBAR_MODE)
+    branch = MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m)
     return BvdParams(c0=specs.c0, branches=(branch,))
 
 
@@ -193,15 +188,16 @@ def fit_lorentzian(samples) -> LorentzianFit:
     with an analytic Jacobian, initial guess from the peak location and
     half-power width; 200 iteration budget, 1e-10 relative step tolerance.
 
-    Raises :class:`DegenerateData` for constant samples and
+    Raises :class:`ParseError` for fewer than 8 samples or frequencies that
+    do not increase, :class:`DegenerateData` for constant samples and
     :class:`FitDiverged` when the budget is exhausted.
     """
     freqs = np.asarray([s[0] for s in samples], dtype=float)
     mags = np.abs(np.asarray([s[1] for s in samples], dtype=complex))
     if freqs.size < 8:
-        raise ValueError("need at least 8 samples spanning the resonance")
+        raise ParseError(f"need at least 8 samples spanning the resonance, got {freqs.size}")
     if np.any(np.diff(freqs) <= 0.0):
-        raise ValueError("frequencies must be strictly increasing")
+        raise ParseError("frequencies must be strictly increasing")
     span = float(mags.max() - mags.min())
     if span <= 1e-15 * max(1.0, float(mags.max())):
         raise DegenerateData("samples have constant magnitude")

@@ -18,19 +18,18 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
-import numpy as np
-
-from .bvd import (BranchLabel, DegenerateData, FitDiverged, LorentzianFit,
-                  MotionalBranch, ParseError, ResonatorSpecs, bvd_from_specs,
-                  fit_lorentzian, parallel_resonance, read_admittance_csv)
+from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
+                  ParseError, ResonatorSpecs, bvd_from_specs, fit_lorentzian,
+                  parallel_resonance, read_admittance_csv)
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .fileio import atomic_write_text, fingerprint
 from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular,
                   SingularStructure, sparams)
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
-                      build_one_port, build_toy_wye, write_netlist)
+                      build_one_port, build_toy_wye, scale_frequency, write_netlist)
 from .transient import Diverged, IllConditionedBasis, StepTooLarge, cross_validate
 from .tuner import TuneProblem, tune, write_trace_csv
 
@@ -90,7 +89,7 @@ def cmd_fit(args) -> int:
         r_m = 1.0 / fit.peak
         l_m = fit.q * r_m / (2.0 * math.pi * fit.f0)
         c_m = 1.0 / ((2.0 * math.pi * fit.f0) ** 2 * l_m)
-        branch = MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m, label=BranchLabel.BENDING_MODE)
+        branch = MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m)
         net = build_one_port(branch, args.c0, args.z0)
         atomic_write_text(args.emit_netlist, write_netlist(net))
         print(f"netlist written to {args.emit_netlist}")
@@ -144,7 +143,8 @@ def cmd_simulate(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 def _verify_cases(cfg: RunConfig):
-    """Desk-scale oracle circuits per the frequency-scaled-replica recipe."""
+    """Desk-scale oracle circuits, each built at the design's own frequency with
+    Q = verify.q and replicated verify.scale times lower by scale_frequency."""
     design = cfg.design()
     for key in ("verify.scale", "verify.q", "verify.f_ratio", "verify.pts_per_cycle",
                 "verify.pts_per_cycle_static", "verify.mod_periods",
@@ -154,25 +154,25 @@ def _verify_cases(cfg: RunConfig):
             raise ConfigError(f"{key}: must be finite and positive, got {value}")
     scale = cfg.get_float("verify.scale")
     try:
-        specs = ResonatorSpecs(f_s=design.resonator.f_s / scale,
-                               q=cfg.get_float("verify.q"),
-                               k_sq=design.resonator.k_sq,
-                               c0=design.resonator.c0 * scale)
+        branch = bvd_from_specs(replace(design.resonator, q=cfg.get_float("verify.q"))).branches[0]
     except ValueError as exc:
-        raise ConfigError(f"verify.scale: {exc}") from exc
-    model = bvd_from_specs(specs)
-    branch = model.branches[0]
-    f_mod = design.f_mod / scale
-    f = cfg.get_float("verify.f_ratio") * specs.f_s
-    z0 = design.z0
+        raise ConfigError(f"verify.q: {exc}") from exc
+    c0, z0 = design.resonator.c0, design.z0
+
+    def replica(net: Netlist) -> Netlist:
+        try:
+            return scale_frequency(net, scale)
+        except ValueError as exc:  # element values or f_mod out of float range
+            raise ConfigError(f"verify.scale: {exc}") from exc
 
     # Zero depth rather than None keeps the static netlist's f_mod equal to the basis's.
     def one_port(delta: float) -> Netlist:
-        return build_one_port(branch, specs.c0, z0, ModulationSpec(delta, f_mod, 0.0))
+        return replica(build_one_port(branch, c0, z0, ModulationSpec(delta, design.f_mod, 0.0)))
 
     def toy_wye(delta: float) -> Netlist:
-        return build_toy_wye(branch, specs.c0, z0, (ModulationSpec(delta, f_mod, 0.0),
-                                                    ModulationSpec(delta, f_mod, math.pi / 2.0)))
+        return replica(build_toy_wye(branch, c0, z0, (
+            ModulationSpec(delta, design.f_mod, 0.0),
+            ModulationSpec(delta, design.f_mod, math.pi / 2.0))))
 
     ppc = cfg.get_int("verify.pts_per_cycle")
     ppc_static = cfg.get_int("verify.pts_per_cycle_static")
@@ -183,7 +183,7 @@ def _verify_cases(cfg: RunConfig):
          cfg.get_float("verify.gate_single"), cfg.get_float("verify.mod_periods"), ppc),
         ("toy-wye", toy_wye(cfg.get_float("verify.delta_wye")), (1, 2),
          cfg.get_float("verify.gate_wye"), cfg.get_float("verify.mod_periods"), ppc),
-    ], f, f_mod
+    ], cfg.get_float("verify.f_ratio") * (design.resonator.f_s / scale), design.f_mod / scale
 
 
 def cmd_verify(args) -> int:
@@ -291,9 +291,13 @@ def _fmt(value, scale=1.0, missing="n/a") -> str:
 def cmd_report(args) -> int:
     records = []
     for path in args.records:
-        with open(path, "r", encoding="utf-8") as fh:
-            line = fh.readline().strip()
-        records.append((os.path.basename(path), CirculatorMetrics.from_record(line)))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                record = CirculatorMetrics.from_record(fh.readline().strip())
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: not a metrics record "
+                             f"({type(exc).__name__}: {exc})") from exc
+        records.append((os.path.basename(path), record))
     records.sort(key=lambda r: -r[1].ix_db)
 
     names = ["reference"] + [name for name, _ in records]
@@ -327,6 +331,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _open_interval(lo: float, hi: float):
+    """argparse type: a float strictly between lo and hi (so never nan)."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must lie in ({lo}, {hi}), got {value}")
+        return value
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fbarcirc",
                                      description="Mechanically modulated circulator toolkit")
@@ -335,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="derive resonator element values or fit a resonance")
     p_fit.add_argument("mode", choices=("specs", "lorentzian"))
     p_fit.add_argument("input", nargs="?", help="admittance CSV (lorentzian mode)")
-    p_fit.add_argument("--f-s", type=float, default=2.65e9, dest="f_s")
-    p_fit.add_argument("--q", type=float, default=700.0)
-    p_fit.add_argument("--k-sq", type=float, default=0.09, dest="k_sq")
-    p_fit.add_argument("--c0", type=float, default=1.0e-12)
+    p_fit.add_argument("--f-s", type=_open_interval(0.0, math.inf), default=2.65e9, dest="f_s")
+    p_fit.add_argument("--q", type=_open_interval(0.0, math.inf), default=700.0)
+    p_fit.add_argument("--k-sq", type=_open_interval(0.0, 1.0), default=0.09, dest="k_sq")
+    p_fit.add_argument("--c0", type=_open_interval(0.0, math.inf), default=1.0e-12)
     p_fit.add_argument("--z0", type=float, default=50.0)
     p_fit.add_argument("--emit-netlist", default=None)
     p_fit.set_defaults(func=cmd_fit)

@@ -71,11 +71,13 @@ def _attenuation_db(mag: float) -> float:
 
 
 def _freq_index(grid: SParamGrid, f: float) -> int:
+    """Nearest grid point; f must lie within half the grid step on its side of it."""
     freqs = grid.frequencies
     i = int(np.argmin(np.abs(freqs - f)))
     if freqs.size > 1:
         steps = np.diff(freqs)
-        local = steps[min(i, steps.size - 1)]
+        side = i if f >= freqs[i] else i - 1
+        local = steps[min(max(side, 0), steps.size - 1)]
         if abs(freqs[i] - f) > 0.5 * local:
             raise FrequencyOffGrid(f"{f} Hz is more than half a grid step from the grid")
     elif freqs[0] != f:

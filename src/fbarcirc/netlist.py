@@ -2,9 +2,11 @@
 
 Elements are two-terminal R/L/C devices, series R-L-C branches whose
 elastance (1/C) may be sinusoidally modulated, and port terminations.
-Builders generate the single-ended (one chip, three resonators in wye) and
-differential (two anti-phase chips in parallel) circulator topologies, plus
-the one-port and two-resonator toy circuits the oracle checks use.
+One builder per circuit: :func:`build_circulator` lays out the single-ended
+(one chip, three resonators in wye) or differential (two anti-phase chips in
+parallel) topology, and :func:`build_one_port` and :func:`build_toy_wye` the
+toy circuits the oracle checks use.  :func:`scale_frequency` turns any of
+them into a desk-scale replica with the same dimensionless behavior.
 
 Text format, one element per line (``*`` starts a comment):
 
@@ -220,47 +222,23 @@ def _wye_chip(design: CirculatorDesign, suffix: str, common: str,
     return out
 
 
-def _port_elements(z0: float) -> list[Element]:
-    return [Port(k + 1, f"p{k + 1}", z0) for k in range(3)]
-
-
-def build_single_ended(design: CirculatorDesign) -> Netlist:
-    """One chip: three modulated resonators in wye on a floating common node.
-
-    Resonator k (k = 0, 1, 2) runs from port node k+1 to the common node with
-    modulation phase s*k*2*pi/3 (s = +1 forward, -1 reverse); each plate
-    capacitance shunts its port node.
-    """
-    if design.topology is not Topology.SINGLE_ENDED:
-        raise NetlistError(f"expected single-ended design, got {design.topology}")
-    elements = _wye_chip(design, "a", "ca", 0.0) + _port_elements(design.z0)
-    net = Netlist(tuple(elements))
-    net.validate()
-    return net
-
-
-def build_differential(design: CirculatorDesign) -> Netlist:
-    """Two chips in parallel on shared port nodes, chip B driven in anti-phase.
-
-    The six resonators carry the six distinct modulation phases
-    {0, 2pi/3, 4pi/3} for chip A and {pi, pi+2pi/3, pi+4pi/3} for chip B
-    (signs flipped for the reverse sequence).  Each chip keeps its own
-    floating common node.
-    """
-    if design.topology is not Topology.DIFFERENTIAL:
-        raise NetlistError(f"expected differential design, got {design.topology}")
-    elements = (_wye_chip(design, "a", "ca", 0.0)
-                + _wye_chip(design, "b", "cb", math.pi)
-                + _port_elements(design.z0))
-    net = Netlist(tuple(elements))
-    net.validate()
-    return net
-
-
 def build_circulator(design: CirculatorDesign) -> Netlist:
-    if design.topology is Topology.SINGLE_ENDED:
-        return build_single_ended(design)
-    return build_differential(design)
+    """Chip A, then for the differential topology chip B, then ports 1-3.
+
+    Each chip is three modulated resonators in wye: resonator k (k = 0, 1, 2)
+    runs from port node k+1 to the chip's floating common node with
+    modulation phase offset + s*k*2*pi/3 (s = +1 forward, -1 reverse), and
+    each plate capacitance shunts its port node.  Chip A has offset 0 and
+    common node ``ca``; chip B, driven in anti-phase, has offset pi and
+    common node ``cb`` on the same port nodes.
+    """
+    elements = _wye_chip(design, "a", "ca", 0.0)
+    if design.topology is Topology.DIFFERENTIAL:
+        elements += _wye_chip(design, "b", "cb", math.pi)
+    elements += [Port(k + 1, f"p{k + 1}", design.z0) for k in range(3)]
+    net = Netlist(tuple(elements))
+    net.validate()
+    return net
 
 
 def build_one_port(branch: MotionalBranch, c0: float, z0: float,
@@ -329,7 +307,7 @@ def scale_frequency(net: Netlist, factor: float) -> Netlist:
             out.append(replace(el, farads=el.farads * factor))
         elif isinstance(el, ModulatedSeriesRlc):
             branch = MotionalBranch(r_m=el.branch.r_m, l_m=el.branch.l_m * factor,
-                                    c_m=el.branch.c_m * factor, label=el.branch.label)
+                                    c_m=el.branch.c_m * factor)
             mod = el.modulation
             if mod is not None:
                 mod = ModulationSpec(depth=mod.depth, f_mod=mod.f_mod / factor,

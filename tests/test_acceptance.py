@@ -16,8 +16,7 @@ from fbarcirc.bvd import ResonatorSpecs, bvd_from_specs, fit_lorentzian, specs_f
 from fbarcirc.htm import HarmonicBasis, convergence_check, sparams
 from fbarcirc.metrics import sideband_scan, summarize
 from fbarcirc.netlist import (CirculatorDesign, PhaseSequence, Topology,
-                              build_circulator, build_differential,
-                              build_single_ended, read_netlist, write_netlist)
+                              build_circulator, read_netlist, write_netlist)
 from fbarcirc.touchstone import read_s3p, write_s3p
 from fbarcirc.transient import cross_validate
 from fbarcirc.tuner import TuneProblem, tune
@@ -53,7 +52,7 @@ def tuned():
 def test_criterion_1_reciprocity_baseline():
     t0 = time.perf_counter()
     design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.0, f_mod=F_MOD)
-    net = build_differential(design)
+    net = build_circulator(design)
     freqs = np.linspace(2.5e9, 2.9e9, 201)
     grid = sparams(net, HarmonicBasis(F_MOD, 5), freqs)
     s0 = grid.s0
@@ -107,8 +106,8 @@ def test_criterion_5_differential_cancellation(tuned):
     basis = HarmonicBasis(result.f_mod, 5)
     diff_design = replace(problem.design, delta=result.delta, f_mod=result.f_mod)
     se_design = replace(diff_design, topology=Topology.SINGLE_ENDED)
-    grid_d = sparams(build_differential(diff_design), basis, [result.f_op])
-    grid_s = sparams(build_single_ended(se_design), basis, [result.f_op])
+    grid_d = sparams(build_circulator(diff_design), basis, [result.f_op])
+    grid_s = sparams(build_circulator(se_design), basis, [result.f_op])
     worst_d, _ = sideband_scan(grid_d)
     worst_s, _ = sideband_scan(grid_s)
     advantage = worst_s - worst_d
@@ -124,7 +123,7 @@ def test_criterion_5_differential_cancellation(tuned):
 def test_criterion_6_truncation_convergence(tuned):
     problem, result, _, _ = tuned
     design = replace(problem.design, delta=result.delta, f_mod=result.f_mod)
-    net = build_differential(design)
+    net = build_circulator(design)
     delta_s = convergence_check(net, result.f_op, 3, 5)
     report(6, "S(0) change between N=3 and N=5 at the tuned point <= 1e-4",
            delta_s <= 1e-4, f"delta={delta_s:.2e}")
@@ -197,7 +196,7 @@ def test_criterion_8_bvd_roundtrip_and_lorentzian():
 
 def test_criterion_9_format_fidelity(tmp_path):
     design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.02, f_mod=F_MOD)
-    net = build_differential(design)
+    net = build_circulator(design)
     grid = sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.70e9, 7))
     path = tmp_path / "fidelity.s3p"
     write_s3p(path, grid.frequencies, grid.s0, 50.0)

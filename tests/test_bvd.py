@@ -149,8 +149,7 @@ def _bending_branch(f0: float, q: float, r: float) -> MotionalBranch:
     w0 = TWO_PI * f0
     l = q * r / w0
     c = 1.0 / (w0 * w0 * l)
-    from fbarcirc.bvd import BranchLabel
-    return MotionalBranch(r_m=r, l_m=l, c_m=c, label=BranchLabel.BENDING_MODE)
+    return MotionalBranch(r_m=r, l_m=l, c_m=c)
 
 
 def _bending_samples(f0=11.6e6, q=100.0, r=50.0, n=201, rel_span=5.0):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,12 @@ import fbarcirc.transient
 import fbarcirc.tuner
 from fbarcirc.cli import _verify_cases, main
 from fbarcirc.config import load_config
-from fbarcirc.netlist import read_netlist
+from fbarcirc.htm import HarmonicBasis, sparams
+from fbarcirc.netlist import read_netlist, write_netlist
 from fbarcirc.touchstone import read_s3p
 from fbarcirc.transient import read_waveforms, time_grid
+
+from conftest import toy_wye_net
 
 REPO = Path(__file__).resolve().parent.parent
 TUNED_FIXTURE = REPO / "configs" / "differential_tuned.cfg"
@@ -89,6 +93,16 @@ class TestFit:
         branch = read_netlist(nl.read_text()).modulated[0].branch
         assert branch.r_m == pytest.approx(50.0, rel=5e-2)
         assert branch.f_s == pytest.approx(11.6e6, rel=1e-3)
+
+    def test_lorentzian_netlist_round_trips(self, capsys, tmp_path, monkeypatch):
+        # the emitted one-port is its own text: reading it back gives an equal object
+        csv = tmp_path / "bending.csv"
+        bending_csv(csv)
+        emitted = counting(monkeypatch, fbarcirc.cli, "write_netlist", lambda args: args[0])
+        code, _, _ = run(capsys, "fit", "lorentzian", str(csv),
+                         "--emit-netlist", str(tmp_path / "bending.net"))
+        assert code == 0 and len(emitted) == 1
+        assert read_netlist(write_netlist(emitted[0])) == emitted[0]
 
     def test_empty_file_exit_2(self, capsys, tmp_path):
         csv = tmp_path / "empty.csv"
@@ -202,6 +216,21 @@ class TestVerify:
             for v in res.samples.values():
                 assert v.size == round(duration / dt) + 1
 
+    def test_replica_matches_full_frequency_circuit(self, tmp_path):
+        # S of the desk replica at f equals S of the circuit at its own frequency at f*scale
+        cfg_path = tmp_path / "v.cfg"
+        cfg_path.write_text(VERIFY_CFG)
+        cfg = load_config(cfg_path)
+        design, scale = cfg.design(), cfg.get_float("verify.scale")
+        cases, f, f_mod = _verify_cases(cfg)
+        replica = next(net for name, net, *_ in cases if name == "toy-wye")
+        full = toy_wye_net(replace(design.resonator, q=cfg.get_float("verify.q")),
+                           cfg.get_float("verify.delta_wye"), design.f_mod, z0=design.z0)
+        n_harm = cfg.get_int("basis.n_harm")
+        s_rep = sparams(replica, HarmonicBasis(f_mod, n_harm), [f]).data
+        s_full = sparams(full, HarmonicBasis(design.f_mod, n_harm), [f * scale]).data
+        assert np.max(np.abs(s_rep - s_full)) <= 1e-9 * np.max(np.abs(s_full))
+
     def test_zero_gate_fails(self, capsys, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(VERIFY_CFG + "verify.gate_static = 0\nverify.mod_periods = 6\n")
@@ -304,8 +333,12 @@ class TestEntry:
         assert "r_m" in proc.stdout
 
 
+SHORT_CSV = "f_hz,re_s\n" + "".join(f"{1e6 + k * 1e3!r},0.0{k}\n" for k in range(7))
+UNSORTED_CSV = "f_hz,re_s\n" + "".join(f"{1e6 - k * 1e3!r},0.0{k}\n" for k in range(9))
+
+
 class TestInvalidSettings:
-    @pytest.mark.parametrize("command, extra_args, extra_cfg, named", [
+    @pytest.mark.parametrize("command, extra_args, text, named", [
         ("simulate", ["--n-harm", "0"], "", "--n-harm"),
         ("verify", ["--n-harm", "-1"], "", "--n-harm"),
         ("simulate", [], "basis.n_harm = 0\n", "basis.n_harm"),
@@ -315,6 +348,9 @@ class TestInvalidSettings:
         ("verify", [], "verify.scale = 0\n", "verify.scale"),
         ("verify", [], "verify.scale = -1\n", "verify.scale"),
         ("verify", [], "verify.q = 0\n", "verify.q"),
+        ("verify", [], "verify.q = 1e-310\n", "verify.q"),
+        ("verify", [], "verify.scale = 1e-300\n", "verify.scale"),
+        ("verify", [], "verify.scale = 1e300\n", "verify.scale"),
         ("verify", [], "verify.pts_per_cycle = 0\n", "verify.pts_per_cycle"),
         ("simulate", [], "metrics.in_port = 7\n", "metrics.in_port"),
         ("simulate", [], "metrics.in_port = 0\n", "metrics.in_port"),
@@ -330,23 +366,40 @@ class TestInvalidSettings:
         ("simulate", [], "sweep.f_stop = inf\n", "sweep.f_stop"),
         ("simulate", [], "sweep.include = -5e9\n", "sweep.include"),
         ("simulate", [], "sweep.f_start = -1e9\n", "sweep.f_start"),
+        ("fit", ["specs", "--q", "-5"], "", "--q"),
+        ("fit", ["specs", "--k-sq", "1.5"], "", "--k-sq"),
+        ("fit", ["specs", "--f-s", "0"], "", "--f-s"),
+        ("fit", ["specs", "--c0", "nan"], "", "--c0"),
+        ("fit", ["lorentzian", "INPUT"], SHORT_CSV, "at least 8 samples"),
+        ("fit", ["lorentzian", "INPUT"], UNSORTED_CSV, "strictly increasing"),
+        ("report", ["INPUT"], "not json\n", "INPUT: not a metrics record"),
+        ("report", ["INPUT"], '{"ix_db": 51.0}\n', "INPUT: not a metrics record"),
     ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
-            "verify-scale-negative", "verify-q-zero", "verify-pts-per-cycle-zero",
+            "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
+            "verify-scale-tiny", "verify-scale-huge", "verify-pts-per-cycle-zero",
             "simulate-in-port-out-of-range", "simulate-in-port-zero",
             "tune-repeated-role", "tune-metrics-points", "tune-metrics-span-zero",
             "tune-metrics-span-negative", "tune-metrics-span-nan",
             "tune-metrics-span-too-wide", "tune-il-cap-nan",
             "simulate-include-nan", "simulate-include-inf", "simulate-f-stop-inf",
-            "simulate-include-negative", "simulate-f-start-negative"])
-    def test_usage_error_without_traceback(self, tmp_path, command, extra_args, extra_cfg,
-                                           named):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(SPLITTER_CFG + extra_cfg)
-        proc = subprocess.run([sys.executable, "-m", "fbarcirc.cli", command,
-                               "--config", str(cfg), "--out", str(tmp_path / "o"), *extra_args],
+            "simulate-include-negative", "simulate-f-start-negative",
+            "fit-q-negative", "fit-k-sq-above-one", "fit-f-s-zero", "fit-c0-nan",
+            "fit-lorentzian-seven-samples", "fit-lorentzian-unsorted",
+            "report-not-json", "report-missing-keys"])
+    def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
+        # simulate, verify and tune read SPLITTER_CFG + text as their config;
+        # fit and report read text from the file that INPUT stands for
+        path = tmp_path / "input"
+        if command in ("simulate", "verify", "tune"):
+            path.write_text(SPLITTER_CFG + text)
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), *extra_args]
+        else:
+            path.write_text(text)
+            argv = [command, *(str(path) if a == "INPUT" else a for a in extra_args)]
+        proc = subprocess.run([sys.executable, "-m", "fbarcirc.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert named in proc.stderr
+        assert named.replace("INPUT", str(path)) in proc.stderr
         assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any evaluation

@@ -9,8 +9,7 @@ from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
                           NumericallySingular, SingularStructure, assemble,
                           convergence_check, solve, sparams)
 from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist,
-                              PhaseSequence, Port, Resistor, Topology,
-                              build_differential, build_single_ended)
+                              PhaseSequence, Port, Resistor, Topology, build_circulator)
 
 from conftest import one_port_net
 
@@ -33,7 +32,7 @@ def _s_harmonics(net, basis, f, port=1):
 
 class TestAssemble:
     def test_dimension_single_ended(self, single_ended_design):
-        net = build_single_ended(single_ended_design)
+        net = build_circulator(single_ended_design)
         sys = assemble(net, HarmonicBasis(F_MOD, 5), 2.68e9)
         # 4 non-ground nodes + 3 branch currents + 3 charges = 10 per harmonic
         assert len(sys.variables) == 10
@@ -42,7 +41,7 @@ class TestAssemble:
 
     def test_static_block_diagonal_identical_patterns(self, ghz_specs):
         design = CirculatorDesign(Topology.SINGLE_ENDED, ghz_specs, delta=0.0, f_mod=F_MOD)
-        net = build_single_ended(design)
+        net = build_circulator(design)
         basis = HarmonicBasis(F_MOD, 2)
         sys = assemble(net, basis, 2.7e9)
         nu = len(sys.variables)
@@ -122,7 +121,7 @@ class TestSolve:
             assert np.allclose(solve(sys).x, np.linalg.solve(a, b), rtol=1e-8, atol=1e-12)
 
     def test_residual_contract_on_assembled_system(self, differential_design):
-        net = build_differential(replace(differential_design, delta=0.03))
+        net = build_circulator(replace(differential_design, delta=0.03))
         sys = assemble(net, HarmonicBasis(F_MOD, 5), 2.6694e9)
         x = solve(sys).x
         resid = np.max(np.abs(sys.matrix @ x - sys.rhs)) / np.max(np.abs(sys.rhs))
@@ -187,7 +186,7 @@ class TestStampedOnce:
     def test_per_netlist_work_once_per_sweep(self, differential_design, monkeypatch):
         import fbarcirc.htm as htm
 
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         calls = {"elastance_fourier": 0, "floating_nodes": 0}
         for name in calls:
             original = getattr(htm, name)
@@ -204,13 +203,13 @@ class TestStampedOnce:
 class TestSparams:
     def test_static_has_no_sidebands(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.0, f_mod=F_MOD)
-        grid = sparams(build_differential(design), HarmonicBasis(F_MOD, 3), [2.68e9])
+        grid = sparams(build_circulator(design), HarmonicBasis(F_MOD, 3), [2.68e9])
         for n in (-3, -2, -1, 1, 2, 3):
             assert np.max(np.abs(grid.harmonic(n)[0])) <= 1e-12
 
     def test_static_reciprocity_random_freqs(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.0, f_mod=F_MOD)
-        net = build_differential(design)
+        net = build_circulator(design)
         rng = np.random.default_rng(2)
         freqs = rng.uniform(2.4e9, 2.9e9, 100)
         grid = sparams(net, HarmonicBasis(F_MOD, 1), freqs)
@@ -219,26 +218,25 @@ class TestSparams:
 
     def test_static_equal_split(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.0, f_mod=F_MOD)
-        grid = sparams(build_differential(design), HarmonicBasis(F_MOD, 2),
+        grid = sparams(build_circulator(design), HarmonicBasis(F_MOD, 2),
                        np.linspace(2.6e9, 2.76e9, 11))
         s0 = grid.s0
         assert np.max(np.abs(np.abs(s0[:, 1, 0]) - np.abs(s0[:, 2, 0]))) <= 1e-9
 
     @pytest.mark.parametrize("topology", [Topology.SINGLE_ENDED, Topology.DIFFERENTIAL])
     def test_forward_reverse_transpose(self, ghz_specs, topology):
-        build = build_single_ended if topology is Topology.SINGLE_ENDED else build_differential
         fwd = CirculatorDesign(topology, ghz_specs, delta=0.03, f_mod=F_MOD)
         rev = replace(fwd, phase_sequence=PhaseSequence.REVERSE)
         basis = HarmonicBasis(F_MOD, 5)
         freqs = np.linspace(2.66e9, 2.69e9, 7)
-        s_f = sparams(build(fwd), basis, freqs).s0
-        s_r = sparams(build(rev), basis, freqs).s0
+        s_f = sparams(build_circulator(fwd), basis, freqs).s0
+        s_r = sparams(build_circulator(rev), basis, freqs).s0
         assert np.max(np.abs(s_f - np.transpose(s_r, (0, 2, 1)))) <= 1e-9
 
     def test_modulated_s0_is_circulant(self, ghz_specs):
         # cyclic port rotation + modulation time shift leaves harmonic 0 invariant
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.03, f_mod=F_MOD)
-        s0 = sparams(build_differential(design), HarmonicBasis(F_MOD, 5), [2.6694e9]).s0[0]
+        s0 = sparams(build_circulator(design), HarmonicBasis(F_MOD, 5), [2.6694e9]).s0[0]
         for q in range(3):
             for p in range(3):
                 assert s0[q, p] == pytest.approx(s0[(q + 1) % 3, (p + 1) % 3], rel=1e-9)
@@ -250,7 +248,7 @@ class TestSparams:
             delta = rng.uniform(0.0, 0.05)
             topo = Topology.DIFFERENTIAL if rng.random() < 0.5 else Topology.SINGLE_ENDED
             design = CirculatorDesign(topo, ghz_specs, delta=float(delta), f_mod=F_MOD)
-            net = (build_differential if topo is Topology.DIFFERENTIAL else build_single_ended)(design)
+            net = build_circulator(design)
             f = float(rng.uniform(2.5e9, 2.9e9))
             grid = sparams(net, HarmonicBasis(F_MOD, 5), [f])
             p_in = int(rng.integers(0, 3))
@@ -270,7 +268,7 @@ class TestSparams:
 
     def test_columns_match_single_port_solves(self, differential_design):
         # all-ports extraction agrees with the public assemble/solve path
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         basis = HarmonicBasis(F_MOD, 5)
         f = 2.6694e9
         s = sparams(net, basis, [f]).data[0]
@@ -284,12 +282,12 @@ class TestSparams:
                     assert abs(s[n + basis.n_harm, q, p - 1] - b) <= 1e-12
 
     def test_f_mod_mismatch_rejected(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         with pytest.raises(ValueError):
             sparams(net, HarmonicBasis(2.0 * F_MOD, 3), [2.68e9])
 
     def test_bad_frequencies_rejected(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         basis = HarmonicBasis(F_MOD, 3)
         with pytest.raises(ValueError):
             sparams(net, basis, [])
@@ -300,22 +298,22 @@ class TestSparams:
 class TestConvergence:
     def test_static_exactly_zero(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.0, f_mod=F_MOD)
-        net = build_differential(design)
+        net = build_circulator(design)
         assert convergence_check(net, 2.68e9, 3, 5) == 0.0
 
     def test_small_depth_converged(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.01, f_mod=F_MOD)
-        net = build_differential(design)
+        net = build_circulator(design)
         assert convergence_check(net, 2.68e9, 3, 5) <= 1e-4
 
     def test_extreme_depth_reported(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.5, f_mod=F_MOD)
-        net = build_differential(design)
+        net = build_circulator(design)
         value = convergence_check(net, 2.68e9, 3, 5)
         assert value >= 0.0 and math.isfinite(value)
 
     def test_bad_orders_rejected(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         with pytest.raises(ValueError):
             convergence_check(net, 2.68e9, 0, 2)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from fbarcirc.htm import HarmonicBasis, SParamGrid, sparams
 from fbarcirc.metrics import (CirculatorMetrics, Direction, FrequencyOffGrid,
                               bandwidth_at, metrics_at, metrics_table,
                               operating_point, sideband_scan, summarize)
-from fbarcirc.netlist import CirculatorDesign, PhaseSequence, Topology, build_differential
+from fbarcirc.netlist import CirculatorDesign, PhaseSequence, Topology, build_circulator
 
 from conftest import GHZ_SPECS
 
@@ -44,6 +44,15 @@ class TestMetricsAt:
             metrics_at(grid, 2.9e9)  # beyond half a grid step past the edge
         # within half a step is fine (nearest-point lookup)
         assert metrics_at(grid, 1.2e9) == metrics_at(grid, 1e9)
+
+    def test_non_uniform_grid_uses_step_on_the_side_of_f(self):
+        # sweep.include leaves a 0.1 MHz step right of 2.70 GHz and 0.1 GHz left of it
+        grid = make_grid([2.60e9, 2.70e9, 2.7001e9, 2.80e9], s31=[0.1, 0.2, 0.3, 0.4])
+        assert metrics_at(grid, 2.68e9) == metrics_at(grid, 2.70e9)
+        assert metrics_at(grid, 2.76e9) == metrics_at(grid, 2.80e9)
+        for f in (2.54e9, 2.86e9):
+            with pytest.raises(FrequencyOffGrid):
+                metrics_at(grid, f)  # beyond half an edge step past either end
 
     def test_reciprocal_splitter_ix_equals_il(self):
         grid = make_grid([1e9], s31=0.43, s21=0.43)
@@ -142,14 +151,14 @@ class TestDirectionConsistency:
                                   f_mod=23.2e6)
         basis = HarmonicBasis(23.2e6, 5)
         f = 2.6694e9
-        s_f = sparams(build_differential(design), basis, [f])
+        s_f = sparams(build_circulator(design), basis, [f])
         cycle = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
         for d in cycle:
             ix, il, _ = metrics_at(s_f, f, Direction(*d))
             assert il < ix
         from dataclasses import replace
         rev = replace(design, phase_sequence=PhaseSequence.REVERSE)
-        s_r = sparams(build_differential(rev), basis, [f])
+        s_r = sparams(build_circulator(rev), basis, [f])
         for d in cycle:
             ix_f, il_f, _ = metrics_at(s_f, f, Direction(*d))
             swapped = Direction(d[0], d[2], d[1])

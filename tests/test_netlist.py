@@ -8,16 +8,16 @@ from fbarcirc.bvd import MotionalBranch
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.netlist import (Capacitor, CirculatorDesign, ModulatedSeriesRlc,
                               ModulationSpec, Netlist, NetlistError, PhaseSequence,
-                              Port, Resistor, Topology, build_differential,
-                              build_single_ended, elastance_fourier, floating_nodes,
-                              read_netlist, scale_frequency, write_netlist)
+                              Port, Resistor, Topology, build_circulator,
+                              elastance_fourier, floating_nodes, read_netlist,
+                              scale_frequency, write_netlist)
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestBuilders:
     def test_single_ended_structure(self, single_ended_design):
-        net = build_single_ended(single_ended_design)
+        net = build_circulator(single_ended_design)
         assert net.nodes == {"0", "p1", "p2", "p3", "ca"}
         mods = net.modulated
         caps = [e for e in net.elements if isinstance(e, Capacitor)]
@@ -31,7 +31,7 @@ class TestBuilders:
             assert (cap.node_a, cap.node_b) == (f"p{k + 1}", "0")
 
     def test_common_node_floats(self, single_ended_design):
-        net = build_single_ended(single_ended_design)
+        net = build_circulator(single_ended_design)
         for el in net.elements:
             if isinstance(el, (Capacitor, Resistor)):
                 assert not (el.node_a == "ca" and el.node_b == "0")
@@ -39,25 +39,25 @@ class TestBuilders:
 
     def test_reverse_flips_phase_sign(self, single_ended_design):
         from dataclasses import replace
-        fwd = build_single_ended(single_ended_design)
-        rev = build_single_ended(replace(single_ended_design,
-                                         phase_sequence=PhaseSequence.REVERSE))
+        fwd = build_circulator(single_ended_design)
+        rev = build_circulator(replace(single_ended_design,
+                                       phase_sequence=PhaseSequence.REVERSE))
         for ef, er in zip(fwd.modulated, rev.modulated):
             assert er.modulation.phase == pytest.approx(-ef.modulation.phase)
 
     def test_reverse_equals_port_swap_of_forward(self, single_ended_design):
         # reversal == permutation (1)(2 3) of the branch phases, up to 2*pi
         from dataclasses import replace
-        fwd = {e.node_a: e.modulation.phase for e in build_single_ended(single_ended_design).modulated}
+        fwd = {e.node_a: e.modulation.phase for e in build_circulator(single_ended_design).modulated}
         rev = {e.node_a: e.modulation.phase
-               for e in build_single_ended(replace(single_ended_design,
-                                                   phase_sequence=PhaseSequence.REVERSE)).modulated}
+               for e in build_circulator(replace(single_ended_design,
+                                                 phase_sequence=PhaseSequence.REVERSE)).modulated}
         swap = {"p1": "p1", "p2": "p3", "p3": "p2"}
         for node, phase in rev.items():
             assert cmath.exp(1j * phase) == pytest.approx(cmath.exp(1j * fwd[swap[node]]), abs=1e-12)
 
     def test_differential_six_distinct_phases(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         mods = net.modulated
         assert len(mods) == 6
         phases = [e.modulation.phase for e in mods]
@@ -67,22 +67,22 @@ class TestBuilders:
         assert len({round(p % (2 * math.pi), 12) for p in phases}) == 6
 
     def test_differential_shares_ports_separate_commons(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         assert net.nodes == {"0", "p1", "p2", "p3", "ca", "cb"}
         assert len(net.elements) == 15
         assert len(net.ports) == 3
 
     def test_chip_a_equals_single_ended(self, differential_design, single_ended_design):
-        diff = build_differential(differential_design)
-        se = build_single_ended(single_ended_design)
+        diff = build_circulator(differential_design)
+        se = build_circulator(single_ended_design)
         assert diff.elements[:6] == se.elements[:6]
 
     def test_static_differential_admittance_doubles(self, ghz_specs):
         # Y-matrix (termination-independent) of the parallel pair is exactly 2x one chip
-        se = build_single_ended(CirculatorDesign(Topology.SINGLE_ENDED, ghz_specs,
+        se = build_circulator(CirculatorDesign(Topology.SINGLE_ENDED, ghz_specs,
+                                               delta=0.0, f_mod=23.2e6))
+        diff = build_circulator(CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs,
                                                  delta=0.0, f_mod=23.2e6))
-        diff = build_differential(CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs,
-                                                   delta=0.0, f_mod=23.2e6))
         basis = HarmonicBasis(23.2e6, 1)
         for f in (2.62e9, 2.68e9, 2.74e9):
             eye = np.eye(3)
@@ -92,26 +92,20 @@ class TestBuilders:
             y_df = (eye - s_df) @ np.linalg.inv(eye + s_df) / 50.0
             assert np.max(np.abs(y_df - 2.0 * y_se)) <= 1e-9 * np.max(np.abs(y_df))
 
-    def test_topology_mismatch_rejected(self, differential_design, single_ended_design):
-        with pytest.raises(NetlistError):
-            build_single_ended(differential_design)
-        with pytest.raises(NetlistError):
-            build_differential(single_ended_design)
-
     def test_depth_at_least_one_rejected(self, ghz_specs):
         with pytest.raises(NetlistError):
-            build_differential(CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs,
-                                                delta=1.0, f_mod=23.2e6))
+            build_circulator(CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs,
+                                              delta=1.0, f_mod=23.2e6))
 
     def test_builders_produce_valid_netlists(self, differential_design, single_ended_design):
-        build_differential(differential_design).validate()
-        build_single_ended(single_ended_design).validate()
+        build_circulator(differential_design).validate()
+        build_circulator(single_ended_design).validate()
 
     def test_c0_across_branch_flag(self, ghz_specs):
         from dataclasses import replace
         design = CirculatorDesign(Topology.SINGLE_ENDED, ghz_specs, delta=0.01,
                                   f_mod=23.2e6, c0_to_ground=False)
-        net = build_single_ended(design)
+        net = build_circulator(design)
         caps = [e for e in net.elements if isinstance(e, Capacitor)]
         assert all(c.node_b == "ca" for c in caps)
 
@@ -188,17 +182,17 @@ class TestValidation:
 
 class TestTextFormat:
     def test_round_trip_equality(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         back = read_netlist(write_netlist(net))
         assert back.elements == net.elements
 
     def test_byte_exact_round_trip(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         text = write_netlist(net)
         assert write_netlist(read_netlist(text)) == text
 
     def test_byte_exact_after_scaling(self, differential_design):
-        net = scale_frequency(build_differential(differential_design), 997.3)
+        net = scale_frequency(build_circulator(differential_design), 997.3)
         text = write_netlist(net)
         assert write_netlist(read_netlist(text)) == text
 
@@ -231,7 +225,7 @@ class TestScaleFrequency:
         # Q=700 preserved; S(f) of the original equals S(f/sigma) of the replica
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.02,
                                   f_mod=23.2e6)
-        net = build_differential(design)
+        net = build_circulator(design)
         sigma = 1000.0
         scaled = scale_frequency(net, sigma)
         basis = HarmonicBasis(23.2e6, 3)
@@ -242,7 +236,7 @@ class TestScaleFrequency:
             assert np.max(np.abs(s_orig - s_scal)) <= 1e-10
 
     def test_dimensionless_figures_preserved(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         scaled = scale_frequency(net, 250.0)
         for orig, rep in zip(net.modulated, scaled.modulated):
             assert rep.branch.q == pytest.approx(orig.branch.q, rel=1e-12)
@@ -251,6 +245,6 @@ class TestScaleFrequency:
             assert rep.modulation.f_mod == pytest.approx(orig.modulation.f_mod / 250.0, rel=1e-12)
 
     def test_bad_factor(self, differential_design):
-        net = build_differential(differential_design)
+        net = build_circulator(differential_design)
         with pytest.raises(ValueError):
             scale_frequency(net, 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbarcirc.htm import HarmonicBasis, sparams
-from fbarcirc.netlist import CirculatorDesign, Topology, build_differential
+from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
 from fbarcirc.touchstone import (TouchstoneError, read_harmonics_csv, read_s3p,
                                  write_harmonics_csv, write_s3p)
 
@@ -12,7 +12,7 @@ from conftest import GHZ_SPECS
 @pytest.fixture(scope="module")
 def demo_grid():
     design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.02, f_mod=23.2e6)
-    net = build_differential(design)
+    net = build_circulator(design)
     freqs = np.linspace(2.66e9, 2.70e9, 5)
     return sparams(net, HarmonicBasis(23.2e6, 2), freqs)
 

@@ -1,3 +1,4 @@
+import gzip
 import math
 
 import numpy as np
@@ -229,3 +230,18 @@ class TestWaveformDump:
         write_waveforms(res, path)
         back = read_waveforms(path)
         assert np.array_equal(back.samples["p1"], res.samples["p1"])
+
+    def test_gzip_dump_is_reproducible(self, tmp_path, desk_specs, monkeypatch):
+        # two dumps written at different clock times hold the same bytes,
+        # and decompress to the plain CSV
+        net = toy_wye_net(desk_specs, 0.02, F_MOD)
+        res = simulate(net, (1, 2.68e6, 1.0), 2e-6, 1e-9)
+        dumps = []
+        for clock in (1.0e9, 2.0e9):
+            monkeypatch.setattr(gzip.time, "time", lambda now=clock: now)
+            (tmp_path / str(clock)).mkdir()
+            dumps.append(tmp_path / str(clock) / "w.csv.gz")
+            write_waveforms(res, dumps[-1])
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+        write_waveforms(res, tmp_path / "w.csv")
+        assert gzip.decompress(dumps[0].read_bytes()) == (tmp_path / "w.csv").read_bytes()

@@ -6,7 +6,7 @@ import pytest
 
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import Direction, metrics_at
-from fbarcirc.netlist import CirculatorDesign, Topology, build_differential
+from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
 from fbarcirc.tuner import (TuneProblem, objective, penalized_objective, tune,
                             write_trace_csv)
 
@@ -46,7 +46,7 @@ class TestObjective:
         problem = small_problem(il_cap_db=10.0)
         params = (0.0, 23.2e6, 2.68e9)
         value = objective(params, problem)
-        net = build_differential(replace(problem.design, delta=0.0))
+        net = build_circulator(replace(problem.design, delta=0.0))
         grid = sparams(net, HarmonicBasis(23.2e6, problem.n_harm), [2.68e9])
         ix, il, _ = metrics_at(grid, 2.68e9, problem.direction)
         assert ix == pytest.approx(il, abs=1e-9)       # no directionality at delta=0
