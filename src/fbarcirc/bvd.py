@@ -120,7 +120,10 @@ def bvd_from_specs(specs: ResonatorSpecs) -> BvdParams:
     """
     c_m = specs.c0 * COUPLING_GEOMETRY * specs.k_sq / (1.0 - specs.k_sq)
     w_s = TWO_PI * specs.f_s
-    l_m = 1.0 / (w_s * w_s * c_m)
+    stiffness = w_s * w_s * c_m
+    if stiffness == 0.0:  # underflow; MotionalBranch checks the other extremes
+        raise ValueError(f"(2*pi*f_s)^2 * c_m underflows for f_s={specs.f_s}, c_m={c_m}")
+    l_m = 1.0 / stiffness
     r_m = w_s * l_m / specs.q
     branch = MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m)
     return BvdParams(c0=specs.c0, branches=(branch,))

@@ -60,7 +60,11 @@ def _log(out_dir: str, message: str) -> None:
 def cmd_fit(args) -> int:
     if args.mode == "specs":
         specs = ResonatorSpecs(f_s=args.f_s, q=args.q, k_sq=args.k_sq, c0=args.c0)
-        model = bvd_from_specs(specs)
+        try:
+            model = bvd_from_specs(specs)
+        except ValueError as exc:  # finite flags whose element values leave float range
+            raise ConfigError(f"--f-s {args.f_s!r}, --q {args.q!r}, --k-sq {args.k_sq!r}, "
+                              f"--c0 {args.c0!r}: no finite BVD elements ({exc})") from exc
         branch = model.branches[0]
         f_p = parallel_resonance(model)
         print(f"r_m = {branch.r_m:.6g} ohm")

@@ -57,10 +57,23 @@ class CirculatorMetrics:
 
     @staticmethod
     def from_record(line: str) -> "CirculatorMetrics":
+        """Parse :meth:`record` output; ValueError unless every figure is a
+        finite real number (``bw_hz`` may also be null)."""
         d = json.loads(line)
-        return CirculatorMetrics(f_op=d["f_op_hz"], ix_db=d["ix_db"], il_db=d["il_db"],
-                                 rl_db=d["rl_db"], bw_hz=d["bw_hz"],
-                                 sideband_worst_dbc=d["sideband_dbc"])
+
+        def number(key: str, optional: bool = False) -> float | None:
+            value = d[key]
+            if value is None and optional:
+                return None
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+            return float(value)
+
+        return CirculatorMetrics(f_op=number("f_op_hz"), ix_db=number("ix_db"),
+                                 il_db=number("il_db"), rl_db=number("rl_db"),
+                                 bw_hz=number("bw_hz", optional=True),
+                                 sideband_worst_dbc=number("sideband_dbc"))
 
 
 def _attenuation_db(mag: float) -> float:

@@ -16,10 +16,17 @@ trapezoidal step is
 
     x1 = A1^-1 (h0 + u1),   A1 = K + G(t1),   h1 = 2K x1 - h0.
 
-Steps run in blocks: one batched LAPACK inverse of the block's step
-matrices, then the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u with one
-small matrix-vector product per step, then the block's node voltages in
-one batched product.
+The step matrices A_k change only through m(t), so they repeat with the
+modulation.  When dt divides the modulation period into P steps (as
+:func:`time_grid` makes it), the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u
+is integrated over one period only, under the complex drive s*exp(j w t)
+whose real part is the true drive: one batched LAPACK inverse per block of
+step matrices, and the block's affine maps composed into the propagators
+Phi_j and forced responses psi_j of the period.  Every later period starts
+from its boundary state, h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P, and
+its node voltages Re(A_j^-1 (Phi_{j-1} h_p + exp(j w p P dt) (psi_{j-1} +
+s exp(j w j dt)))) come from batched products in memory-bounded blocks.
+For any other dt, or without modulation, the repeat is the whole run.
 
 High-Q circuits at GHz carriers are impractical to integrate directly, so
 the verify workflow builds each check circuit at its own frequency and
@@ -41,7 +48,10 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor)
 
 DIVERGENCE_FACTOR = 1e6
-DIVERGENCE_CHECK_STEPS = 10_000
+# values in one block's stack of step matrices; bounds the integrator's working memory
+CHUNK_VALUES = 1 << 19
+# relative mismatch below which a modulation period counts as a whole number of steps
+REPEAT_TOLERANCE = 1e-12
 
 
 class StepTooLarge(ValueError):
@@ -147,6 +157,65 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
     return node_names, c, g, s, np.array(mod).reshape(-1, 4)
 
 
+def _repeat_length(mod: np.ndarray, dt: float, steps: int) -> int:
+    """Steps after which every step matrix K + G(t_k) recurs: the least common
+    multiple of the modulation periods when each is a whole number of steps,
+    else (or without modulation) the whole run."""
+    r = 1 if len(mod) else steps
+    for w in np.unique(mod[:, 2]):
+        p = round(2.0 * math.pi / (w * dt))
+        if p < 1 or abs(p * w * dt / (2.0 * math.pi) - 1.0) > REPEAT_TOLERANCE:
+            return max(steps, 1)
+        r = math.lcm(r, p)
+    return max(min(r, steps), 1)
+
+
+def _inverses(a0: np.ndarray, mod: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(K + G(t))^-1 at each time of ``t``; one inverse, broadcast, when G is static."""
+    a = a0
+    if len(mod):
+        rows = mod[:, 0].astype(int)
+        a = np.repeat(a0[None], t.size, axis=0)
+        a[:, rows, rows + 1] = 1.0 + mod[:, 1] * np.cos(np.outer(t, mod[:, 2]) + mod[:, 3])
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise Diverged("singular transient system") from exc
+    if not np.all(np.isfinite(a_inv)):
+        raise Diverged("singular transient system")
+    return np.broadcast_to(a_inv, (t.size,) + a0.shape)
+
+
+def _chain(m: np.ndarray, drive: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Every state of ``S_j = m_j S_{j-1} + [0 | drive_j]`` from S_0 = ``state``.
+
+    S is nu x (nu + 2): a propagator beside the real and imaginary parts of
+    a forced response.  Blocks of about sqrt(n) steps run side by side from
+    the identity, then the blocks are chained, so the Python loops take
+    about 2*sqrt(n) turns instead of n.
+    """
+    n, nu = m.shape[:2]
+    b = math.isqrt(n - 1) + 1
+    nb = -(-n // b)
+    pad = nb * b - n
+    m = np.concatenate([m, np.broadcast_to(np.eye(nu), (pad, nu, nu))]).reshape(nb, b, nu, nu)
+    drive = np.concatenate([drive, np.zeros((pad, nu, 2))]).reshape(nb, b, nu, 2)
+    local = np.empty((nb, b, nu, nu + 2))
+    s = np.broadcast_to(np.eye(nu, nu + 2), (nb, nu, nu + 2))
+    for i in range(b):
+        s = m[:, i] @ s
+        s[:, :, nu:] += drive[:, i]
+        local[:, i] = s
+    enter = np.empty((nb, nu, nu + 2))
+    for blk in range(nb):
+        enter[blk] = state
+        state = local[blk, -1, :, :nu] @ state
+        state[:, nu:] += local[blk, -1, :, nu:]
+    out = local[..., :nu] @ enter[:, None]
+    out[..., nu:] += local[..., nu:]
+    return out.reshape(nb * b, nu, nu + 2)[:n]
+
+
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
              dt: float) -> TransientResult:
     """Integrate the netlist driven by one port tone with the trapezoidal rule.
@@ -156,9 +225,13 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so the incident wave matches the harmonic engine's normalization.  All
     ports are terminated in their reference impedance.
 
+    A ``dt`` that divides the modulation period (see :func:`time_grid`)
+    integrates one period and reuses it; any other ``dt`` works, integrating
+    the whole run as one repeat (see the module docstring).
+
     Raises :class:`StepTooLarge` below 50 points per stimulus cycle and
     :class:`Diverged` on a singular step matrix or when any node magnitude
-    exceeds 1e6 times the source amplitude (checked every 10^4 steps).
+    exceeds 1e6 times the source amplitude (checked on every block of samples).
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -173,40 +246,60 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
 
     node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
     nn, nu = len(node_names), s.size
-    rows = mod[:, 0].astype(int)
     k = 2.0 * c / dt
     a0 = k + g
     w_stim = 2.0 * math.pi * f_stim
-
     steps = round(duration / dt)
-    volts = np.zeros((nn, steps + 1))
-    h = np.zeros(nu)
-    for first in range(1, steps + 1, DIVERGENCE_CHECK_STEPS):
-        t = np.arange(first, min(first + DIVERGENCE_CHECK_STEPS, steps + 1)) * dt
-        a = a0  # a static netlist has one step matrix, broadcast over the block
-        if len(mod):
-            a = np.repeat(a0[None], t.size, axis=0)
-            a[:, rows, rows + 1] = 1.0 + mod[:, 1] * np.cos(np.outer(t, mod[:, 2]) + mod[:, 3])
-        try:
-            a_inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError as exc:
-            raise Diverged("singular transient system") from exc
-        if not np.all(np.isfinite(a_inv)):
-            raise Diverged("singular transient system")
-        u = np.outer(np.cos(w_stim * t), s)[:, :, None]
-        step = (2.0 * k) @ a_inv
-        drive = (step @ u)[:, :, 0]
-        step -= np.eye(nu)
-        hist = np.empty((t.size, nu))
-        for m, f, out in zip(np.broadcast_to(step, (t.size, nu, nu)), drive, hist):
-            out[:] = h
-            h = m.dot(h)
-            h += f
-        block = (a_inv[..., :nn, :] @ (hist[:, :, None] + u))[:, :, 0]
-        volts[:, first:first + t.size] = block.T
-        if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
-            raise Diverged(f"waveform exceeded {limit:.3e} V near step {first + t.size - 1}")
+    r = _repeat_length(mod, dt, steps)
+    periods = -(-steps // r)
+    chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
 
+    def check(block: np.ndarray, last: int) -> None:
+        if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
+            raise Diverged(f"waveform exceeded {limit:.3e} V near step {last}")
+
+    volts = np.zeros((nn, periods * r + 1))
+    grid = volts[:, 1:].reshape(nn, periods, r)  # sample p*r + j + 1 at [:, p, j]
+    if periods > 1:  # kept for the later periods: x = Re(X_j h_p + e_p Y_j)
+        x_h = np.empty((nn, nu, r))
+        y_e = np.empty((nn, r), complex)
+    state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, r, chunk):
+            j = np.arange(j0 + 1, min(j0 + chunk, r) + 1)
+            a_inv = _inverses(a0, mod, j * dt)
+            z = np.exp(1j * w_stim * (j * dt))
+            step = (2.0 * k) @ a_inv
+            drive = (step @ s)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
+            states = _chain(step - np.eye(nu), drive, state)
+            xs = a_inv[:, :nn] @ np.concatenate([state[None], states[:-1]])
+            y = xs[..., nu] + 1j * xs[..., nu + 1] + (a_inv[:, :nn] @ s) * z[:, None]
+            grid[:, 0, j0:j0 + j.size] = y.real.T
+            check(y.real, int(j[-1]))
+            if periods > 1:
+                x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
+                y_e[:, j0:j0 + j.size] = y.T
+            state = states[-1]
+
+        # period boundaries h_p, then the later periods' samples in blocks
+        e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))
+        h = np.zeros((periods, nu), complex)
+        for p in range(1, periods):
+            h[p] = state[:, :nu] @ h[p - 1] + e[p - 1] * (state[:, nu] + 1j * state[:, nu + 1])
+        tail = steps - (periods - 1) * r  # samples in the last period
+        per = max(1, chunk // min(r, chunk))  # periods per block
+        for p0 in range(1, periods, per):
+            p1 = min(p0 + per, periods)
+            for j0 in range(0, r, chunk):
+                j1 = min(j0 + chunk, r)
+                block = h[p0:p1].real @ x_h[:, :, j0:j1]
+                block += (e[p0:p1, None] * y_e[:, None, j0:j1]).real
+                if p1 == periods:
+                    block[:, -1, max(tail - j0, 0):] = 0.0  # past the end of the run
+                grid[:, p0:p1, j0:j1] = block
+                check(block, min((p1 - 1) * r + j1, steps))
+
+    volts = volts[:, :steps + 1]
     return TransientResult(dt=dt, duration=duration, samples=dict(zip(node_names, volts)))
 
 
@@ -215,7 +308,8 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     """Fit the waveform tail against tones at f + n*f_mod, n in [-N, N].
 
     The last 25% of the samples (past ring-up) are projected onto
-    cos/sin pairs at each mixing frequency by linear least squares; the
+    cos/sin pairs at each mixing frequency by linear least squares, solved
+    through the normal equations accumulated over blocks of the tail; the
     phasor P_n satisfies v(t) ~ sum_n Re[P_n exp(j*2*pi*(f+n*f_mod)*t)].
     ``residual`` is the rms of the unfitted remainder relative to the rms
     of the tail.  Raises :class:`IllConditionedBasis` when two tone
@@ -224,11 +318,8 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     if node not in res.samples:
         raise KeyError(f"no samples for node {node!r}")
     v = res.samples[node]
-    times = res.times
     start = (v.size * 3) // 4
-    tt = times[start:]
-    vv = v[start:]
-    window = float(tt[-1] - tt[0])
+    window = (v.size - 1 - start) * res.dt
     if window <= 0.0:
         raise ValueError("empty fit window")
 
@@ -243,33 +334,58 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     if folded[0] < resolution:
         raise IllConditionedBasis("a tone sits within 1/window of DC")
 
-    design = np.empty((tt.size, 2 * len(ns)))
-    for i, fn in enumerate(tone_freqs):
-        wt = 2.0 * math.pi * fn * tt
-        design[:, 2 * i] = np.cos(wt)
-        design[:, 2 * i + 1] = np.sin(wt)
-    coef, *_ = np.linalg.lstsq(design, vv, rcond=None)
-    fit = design @ coef
-    rms_v = float(np.sqrt(np.mean(vv * vv)))
-    rms_r = float(np.sqrt(np.mean((vv - fit) ** 2)))
+    tones = len(ns)
+    cols = max(1, CHUNK_VALUES // (2 * tones))
+    blocks = range(start, v.size, cols)
+
+    def basis(first: int) -> tuple[np.ndarray, np.ndarray]:
+        """cos rows, then sin rows, of every tone at the tail samples from
+        ``first`` on, beside those samples; each tone is its lower neighbour
+        times exp(j*2*pi*f_mod*t)."""
+        t = np.arange(first, min(first + cols, v.size)) * res.dt
+        shift = np.exp(2j * math.pi * f_mod * t)
+        e = np.empty((tones, t.size), complex)
+        e[0] = np.exp(2j * math.pi * tone_freqs[0] * t)
+        for i in range(1, tones):
+            np.multiply(e[i - 1], shift, out=e[i])
+        return np.concatenate([e.real, e.imag]), v[first:first + t.size]
+
+    gram = np.zeros((2 * tones, 2 * tones))
+    proj = np.zeros(2 * tones)
+    for first in blocks:
+        d, vv = basis(first)
+        gram += d @ d.T
+        proj += d @ vv
+    try:
+        coef = np.linalg.solve(gram, proj)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedBasis("singular tone basis") from exc
+    misfit = sum(float(np.sum((vv - coef @ d) ** 2)) for d, vv in map(basis, blocks))
+    tail = v[start:]
+    rms_v = float(np.sqrt(np.mean(tail * tail)))
+    rms_r = math.sqrt(misfit / tail.size)
     residual = rms_r / rms_v if rms_v > 0.0 else 0.0
-    entries = tuple((n, complex(coef[2 * i], -coef[2 * i + 1]))
-                    for i, n in enumerate(ns))
+    entries = tuple((n, complex(coef[i], -coef[tones + i])) for i, n in enumerate(ns))
     return PhasorSet(entries=entries, residual=residual)
 
 
 def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
               mod_periods: float) -> tuple[float, float]:
-    """(dt, duration) of a cross-check run: ``pts_per_cycle`` steps per
+    """(dt, duration) of a cross-check run: about ``pts_per_cycle`` steps per
     stimulus cycle, for five time constants of the highest-Q (capped at
-    1e4), lowest-frequency branch plus ``mod_periods`` modulation periods."""
+    1e4), lowest-frequency branch plus ``mod_periods`` modulation periods.
+
+    dt = 1/(P*f_mod) with P = round(pts_per_cycle*f/f_mod), so one modulation
+    period is exactly P steps and :func:`simulate` integrates it only once;
+    dt differs from 1/(pts_per_cycle*f) by less than 1/P relative."""
     q_max = 0.0
     f_min = math.inf
     for el in net.modulated:
         q_max = max(q_max, min(el.branch.q, 1e4))
         f_min = min(f_min, el.branch.f_s)
     ring_up = 5.0 * q_max / (math.pi * f_min) if math.isfinite(f_min) and q_max else 0.0
-    return 1.0 / (pts_per_cycle * f), ring_up + mod_periods / f_mod
+    steps_per_period = max(1, round(pts_per_cycle * f / f_mod))
+    return 1.0 / (steps_per_period * f_mod), ring_up + mod_periods / f_mod
 
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,

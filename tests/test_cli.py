@@ -337,6 +337,10 @@ SHORT_CSV = "f_hz,re_s\n" + "".join(f"{1e6 + k * 1e3!r},0.0{k}\n" for k in range
 UNSORTED_CSV = "f_hz,re_s\n" + "".join(f"{1e6 - k * 1e3!r},0.0{k}\n" for k in range(9))
 
 
+RECORD = ('{"bw_hz": null, "f_op_hz": 2680000000.0, "il_db": 2.5, "ix_db": 51.0, '
+          '"rl_db": 20.0, "sideband_dbc": -40.0}\n')
+
+
 class TestInvalidSettings:
     @pytest.mark.parametrize("command, extra_args, text, named", [
         ("simulate", ["--n-harm", "0"], "", "--n-harm"),
@@ -374,6 +378,12 @@ class TestInvalidSettings:
         ("fit", ["lorentzian", "INPUT"], UNSORTED_CSV, "strictly increasing"),
         ("report", ["INPUT"], "not json\n", "INPUT: not a metrics record"),
         ("report", ["INPUT"], '{"ix_db": 51.0}\n', "INPUT: not a metrics record"),
+        ("report", ["INPUT"], RECORD.replace('"ix_db": 51.0', '"ix_db": null'),
+         "INPUT: not a metrics record (ValueError: ix_db"),
+        ("report", ["INPUT"], RECORD.replace('"ix_db": 51.0', '"ix_db": "x"'),
+         "INPUT: not a metrics record (ValueError: ix_db"),
+        ("fit", ["specs", "--f-s", "1e300"], "", "--f-s 1e+300"),
+        ("fit", ["specs", "--f-s", "1e-300"], "", "--f-s 1e-300"),
     ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
@@ -386,7 +396,8 @@ class TestInvalidSettings:
             "simulate-include-negative", "simulate-f-start-negative",
             "fit-q-negative", "fit-k-sq-above-one", "fit-f-s-zero", "fit-c0-nan",
             "fit-lorentzian-seven-samples", "fit-lorentzian-unsorted",
-            "report-not-json", "report-missing-keys"])
+            "report-not-json", "report-missing-keys", "report-null-value",
+            "report-string-value", "fit-f-s-huge", "fit-f-s-tiny"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
         # simulate, verify and tune read SPLITTER_CFG + text as their config;
         # fit and report read text from the file that INPUT stands for

@@ -6,10 +6,11 @@ import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc.htm import HarmonicBasis
-from fbarcirc.netlist import Capacitor, Inductor, Netlist, Port, Resistor
+from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
+                              Port, Resistor)
 from fbarcirc.transient import (Diverged, IllConditionedBasis, StepTooLarge,
                                 TransientResult, cross_validate, extract_phasors,
-                                read_waveforms, simulate, write_waveforms)
+                                read_waveforms, simulate, time_grid, write_waveforms)
 
 from conftest import one_port_net, toy_wye_net
 
@@ -139,6 +140,82 @@ class TestSimulate:
         for k in (1, 2, 4):  # whole numbers of beat periods from the tail
             window = power[-k * per_beat:]
             assert float(np.mean(window)) >= -0.01 * 0.5
+
+
+def _commensurate_dt(f, f_mod, pts_per_cycle):
+    """A step that divides the modulation period into a whole number of steps."""
+    return 1.0 / (round(pts_per_cycle * f / f_mod) * f_mod)
+
+
+class TestPeriodReuse:
+    # one modulation period of 693 steps at 60 points per stimulus cycle
+    F = 2.68e6
+    F_MOD_FAST = 10.0 * F_MOD
+
+    def test_modulated_one_port_matches_step_recurrence(self):
+        # the trapezoidal rule written out one step at a time: KCL at p1 and the
+        # branch's l_m di/dt + r_m i + m(t) u = v, c_m du/dt = i, all at t_k, with
+        # each derivative x'_k = (2/dt)(x_k - x_{k-1}) - x'_{k-1}, zero at t = 0
+        z0, delta, phase = 50.0, 0.3, 0.4
+        dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
+        steps = 12 * round(1.0 / (self.F_MOD_FAST * dt))
+        net = one_port_net(FAST_SPECS, delta, self.F_MOD_FAST, phase=phase, z0=z0)
+        res = simulate(net, (1, self.F, 1.0), steps * dt, dt)
+        b = bvd_from_specs(FAST_SPECS).branches[0]
+        c0, g = FAST_SPECS.c0, 2.0 / dt
+        x, dx = np.zeros(3), np.zeros(3)  # (v, i, u) and their derivatives
+        expect = [0.0]
+        for k in range(1, steps + 1):
+            t = k * dt
+            m = 1.0 + delta * math.cos(2.0 * math.pi * self.F_MOD_FAST * t + phase)
+            vs = 2.0 * math.sqrt(z0) * math.cos(2.0 * math.pi * self.F * t)
+            hist = g * x + dx
+            a = np.array([[1.0 / z0 + c0 * g, 1.0, 0.0],
+                          [-1.0, b.l_m * g + b.r_m, m],
+                          [0.0, -1.0, b.c_m * g]])
+            rhs = np.array([vs / z0 + c0 * hist[0], b.l_m * hist[1], b.c_m * hist[2]])
+            x_new = np.linalg.solve(a, rhs)
+            dx = g * (x_new - x) - dx
+            x = x_new
+            expect.append(x[0])
+        expect = np.array(expect)
+        assert res.samples["p1"].size == expect.size
+        assert np.max(np.abs(res.samples["p1"] - expect)) <= 1e-10 * np.max(np.abs(expect))
+
+    def test_negative_resistance_diverges(self):
+        # -49 ohm across the 50 ohm port leaves the node an unstable RC;
+        # it grows ~6x per modulation period, past the guard after ~8 periods
+        b = bvd_from_specs(FAST_SPECS).branches[0]
+        net = Netlist((ModulatedSeriesRlc("x1", "p1", "0", b,
+                                          ModulationSpec(0.05, self.F_MOD_FAST, 0.0)),
+                       Capacitor("c1", "p1", "0", FAST_SPECS.c0),
+                       Resistor("r1", "p1", "0", -49.0), Port(1, "p1", 50.0)))
+        dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
+        with pytest.raises(Diverged):
+            simulate(net, (1, self.F, 1.0), 40.0 / self.F_MOD_FAST, dt)
+
+    @pytest.mark.parametrize("f, ppc", [(2.68e6, 400), (2.68e6, 57), (1.0113 * 2.65e6, 400),
+                                        (7.1e5, 1000)])
+    def test_time_grid_divides_modulation_period(self, f, ppc):
+        dt, _ = time_grid(one_port_net(FAST_SPECS, 0.05, F_MOD), f, F_MOD, ppc, 10.0)
+        per = round(1.0 / (F_MOD * dt))
+        assert abs(per * dt * F_MOD - 1.0) <= 1e-14
+        assert abs(dt * ppc * f - 1.0) <= 1.0 / per
+
+    def test_commensurate_run_inverts_one_period(self, monkeypatch):
+        inverted = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            inverted.append(1 if a.ndim == 2 else a.shape[0])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        net = one_port_net(FAST_SPECS, 0.05, self.F_MOD_FAST)
+        dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
+        res = simulate(net, (1, self.F, 1.0), 12.0 / self.F_MOD_FAST, dt)
+        assert sum(inverted) <= round(1.0 / (self.F_MOD_FAST * dt))
+        assert res.samples["p1"].size == 12 * 693 + 1
 
 
 class TestExtractPhasors:
