@@ -3,7 +3,7 @@
 from .bvd import (BvdParams, LorentzianFit, MotionalBranch, ResonatorSpecs,
                   admittance, bvd_from_specs, fit_lorentzian, parallel_resonance,
                   specs_from_bvd)
-from .htm import HarmonicBasis, SParamGrid, assemble, convergence_check, solve, sparams
+from .htm import HarmonicBasis, SParamGrid, convergence_check, sparams
 from .metrics import (CirculatorMetrics, Direction, bandwidth_at, metrics_at,
                       sideband_scan, summarize)
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence,
@@ -18,7 +18,7 @@ __all__ = [
     "BvdParams", "LorentzianFit", "MotionalBranch", "ResonatorSpecs",
     "admittance", "bvd_from_specs", "fit_lorentzian", "parallel_resonance",
     "specs_from_bvd",
-    "HarmonicBasis", "SParamGrid", "assemble", "convergence_check", "solve", "sparams",
+    "HarmonicBasis", "SParamGrid", "convergence_check", "sparams",
     "CirculatorMetrics", "Direction", "bandwidth_at", "metrics_at",
     "sideband_scan", "summarize",
     "CirculatorDesign", "ModulationSpec", "Netlist", "PhaseSequence", "Topology",

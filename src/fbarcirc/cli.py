@@ -254,9 +254,7 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float,
     values["sweep.f_stop"] = repr(f_op + span)
     values["sweep.points"] = str(points)
     values["sweep.include"] = repr(f_op)
-    out = RunConfig(values=values)
-    out.text = serialize_config(out)
-    return out
+    return RunConfig(values=values)
 
 
 def cmd_tune(args) -> int:

@@ -76,16 +76,15 @@ _DEFAULTS: dict[str, object] = {
 
 @dataclass
 class RunConfig:
-    """Parsed configuration plus the raw text that produced it."""
+    """Parsed configuration: every key, defaults filled in."""
 
     values: dict[str, object]
-    text: str = ""
 
     def _typed(self, key: str, caster, kind: str):
         raw = self.values[key]
         try:
             return caster(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from exc
 
     def get_float(self, key: str) -> float:
@@ -199,7 +198,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in values:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
-    return RunConfig(values=values, text=text)
+    return RunConfig(values=values)
 
 
 def load_config(path) -> RunConfig:

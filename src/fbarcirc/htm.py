@@ -7,6 +7,8 @@ pivoted dense LU (``numpy.linalg.solve``), and extracts multi-harmonic
 scattering parameters S^(n)_qp: the wave leaving port q at harmonic n per
 unit incident wave at port p, harmonic 0.  Every solve is checked: a
 residual max|b - A x| above 1e-6 of max|b| raises NumericallySingular.
+:func:`sparams` is the solve path of every workflow; :func:`assemble` and
+:func:`solve` expose one point's matrix and solution for timing probes.
 
 Unknowns per harmonic are the non-ground node voltages plus one current and
 one charge variable for every modulated series branch.  Each netlist is
@@ -68,40 +70,21 @@ class HarmonicBasis:
     def size(self) -> int:
         return 2 * self.n_harm + 1
 
-    def harmonics(self) -> range:
-        return range(-self.n_harm, self.n_harm + 1)
-
     def mixing_freqs(self, f: float) -> np.ndarray:
         return f + self.f_mod * np.arange(-self.n_harm, self.n_harm + 1)
 
 
 @dataclass
 class HarmonicSystem:
-    """Assembled linear system A x = b over (variable, harmonic) unknowns."""
+    """Assembled linear system A x = b.  Unknown ``h * nu + i`` is unknown i of
+    harmonic h - n_harm; :func:`_stamp` gives nu and each port's row i."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    variables: tuple[str, ...]  # per-block variable tags, e.g. "v:p1", "i:xa1"
-    basis: HarmonicBasis
-    f: float
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass
-class HarmonicSolution:
-    """Solved unknowns with lookup by variable tag and harmonic index."""
-
-    x: np.ndarray
-    variables: tuple[str, ...]
-    basis: HarmonicBasis
-    f: float
-
-    def voltage(self, node: str, n: int = 0) -> complex:
-        block = n + self.basis.n_harm
-        return complex(self.x[block * len(self.variables) + self.variables.index(f"v:{node}")])
 
 
 @dataclass(frozen=True)
@@ -146,7 +129,7 @@ def _check_stimulus(f: float, f_mod: float, n_harm: int) -> None:
 class _Stamps(NamedTuple):
     """Frequency-independent per-harmonic blocks of one netlist."""
 
-    variables: tuple[str, ...]  # per-block variable tags, e.g. "v:p1", "i:xa1"
+    nu: int  # unknowns per harmonic: node voltages, then (current, charge) per branch
     g: np.ndarray  # constant: resistors, ports, branch incidence, -r_m, charge row
     c: np.ndarray  # coefficient of j*omega: capacitors, -l_m, charge
     k: np.ndarray  # coefficient of 1/(j*omega): inductors
@@ -165,10 +148,7 @@ def _stamp(net: Netlist) -> _Stamps:
         for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
             if n != net.ground:
                 row.setdefault(n, len(row))
-    variables = tuple(f"v:{n}" for n in row)
-    for el in net.modulated:
-        variables += (f"i:{el.name}", f"q:{el.name}")
-    nu = len(variables)
+    nu = len(row) + 2 * len(net.modulated)
     g, c, k = np.zeros((3, nu, nu))
     m = np.zeros((3, nu, nu), dtype=complex)
 
@@ -209,13 +189,13 @@ def _stamp(net: Netlist) -> _Stamps:
         else:
             raise SingularStructure(f"unknown element type {type(el).__name__}")
     ports = net.ports
-    return _Stamps(variables, g, c, k, m, ports, [row[p.node] for p in ports])
+    return _Stamps(nu, g, c, k, m, ports, [row[p.node] for p in ports])
 
 
 def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
     """The harmonic system matrix at stimulus frequency f."""
     _check_stimulus(f, basis.f_mod, basis.n_harm)
-    nu, size = len(st.variables), basis.size
+    nu, size = st.nu, basis.size
     jw = (1j * TWO_PI * basis.mixing_freqs(f))[:, None, None]
     h = np.arange(size)
     a = np.zeros((size, nu, size, nu), dtype=complex)
@@ -228,7 +208,7 @@ def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
 def _excitation(st: _Stamps, basis: HarmonicBasis) -> np.ndarray:
     """All-ports right-hand side: column p is a unit incident wave at port p + 1,
     harmonic 0 (Thevenin source 2*sqrt(z0): Norton current 2/sqrt(z0))."""
-    nu, n_ports = len(st.variables), len(st.ports)
+    nu, n_ports = st.nu, len(st.ports)
     rhs = np.zeros((basis.size, nu, n_ports), dtype=complex)
     rhs[basis.n_harm, st.port_rows, np.arange(n_ports)] = \
         2.0 / np.sqrt([p.z0 for p in st.ports])
@@ -250,7 +230,7 @@ def assemble(net: Netlist, basis: HarmonicBasis, f: float,
     if excited_port not in indices:
         raise ValueError(f"no port with index {excited_port}")
     rhs = _excitation(st, basis)[:, indices.index(excited_port)]
-    return HarmonicSystem(matrix=a, rhs=rhs, variables=st.variables, basis=basis, f=f)
+    return HarmonicSystem(matrix=a, rhs=rhs)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,14 +249,13 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(sys: HarmonicSystem) -> HarmonicSolution:
-    """Solve the assembled system; deterministic for identical inputs.
+def solve(sys: HarmonicSystem) -> np.ndarray:
+    """The solution x of the assembled system; deterministic for identical inputs.
 
     Raises :class:`NumericallySingular` when LAPACK reports a singular
     matrix or max|b - A x| exceeds 1e-6 of max|b|.
     """
-    x = _solve(sys.matrix, sys.rhs)
-    return HarmonicSolution(x=x, variables=sys.variables, basis=sys.basis, f=sys.f)
+    return _solve(sys.matrix, sys.rhs)
 
 
 def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
@@ -299,7 +278,7 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
         raise ValueError("netlist has no ports")
     st = _stamp(net)
     rhs = _excitation(st, basis)
-    nu, n_ports = len(st.variables), len(st.ports)
+    nu, n_ports = st.nu, len(st.ports)
     z0 = np.array([p.z0 for p in st.ports])
     sqrt_z0 = np.sqrt(z0)[None, :, None]
     diag = np.arange(n_ports)

@@ -17,16 +17,18 @@ trapezoidal step is
     x1 = A1^-1 (h0 + u1),   A1 = K + G(t1),   h1 = 2K x1 - h0.
 
 The step matrices A_k change only through m(t), so they repeat with the
-modulation.  When dt divides the modulation period into P steps (as
-:func:`time_grid` makes it), the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u
-is integrated over one period only, under the complex drive s*exp(j w t)
-whose real part is the true drive: one batched LAPACK inverse per block of
-step matrices, and the block's affine maps composed into the propagators
-Phi_j and forced responses psi_j of the period.  Every later period starts
-from its boundary state, h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P, and
-its node voltages Re(A_j^-1 (Phi_{j-1} h_p + exp(j w p P dt) (psi_{j-1} +
-s exp(j w j dt)))) come from batched products in memory-bounded blocks.
-For any other dt, or without modulation, the repeat is the whole run.
+modulation.  :func:`simulate` rounds dt so that it divides the modulation
+period into P whole steps (a dt from :func:`time_grid` already does), and
+integrates the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u over that one
+period only, under the complex drive s*exp(j w t) whose real part is the
+true drive: one batched LAPACK inverse per block of step matrices, and the
+block's affine maps composed into the propagators Phi_j and forced
+responses psi_j of the period.  Without modulation the step matrix never
+changes, and a block of steps stands in for the period.  Every period,
+the first included, starts from its boundary state, h_0 = 0 and
+h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P, and its node voltages
+Re(A_j^-1 (Phi_{j-1} h_p + exp(j w p P dt) (psi_{j-1} + s exp(j w j dt))))
+come from batched products in memory-bounded blocks.
 
 High-Q circuits at GHz carriers are impractical to integrate directly, so
 the verify workflow builds each check circuit at its own frequency and
@@ -50,8 +52,6 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
 DIVERGENCE_FACTOR = 1e6
 # values in one block's stack of step matrices; bounds the integrator's working memory
 CHUNK_VALUES = 1 << 19
-# relative mismatch below which a modulation period counts as a whole number of steps
-REPEAT_TOLERANCE = 1e-12
 
 
 class StepTooLarge(ValueError):
@@ -99,7 +99,7 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
 
     Unknowns: the node voltages (sorted by name), then one current per
     inductor, then (i, u) per modulated branch.  G holds m = 1 at every
-    branch's (i, u) entry; each row (i, depth, w_m, phase) of the returned
+    branch's (i, u) entry; each row (i, depth, f_mod, phase) of the returned
     ``mod`` marks a branch whose entry is m(t) instead.
     """
     node_names = [n for n in sorted(net.nodes) if n != net.ground]
@@ -152,22 +152,9 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
             g[k + 1, k] = -1.0
             m = el.modulation
             if m is not None and m.depth != 0.0:
-                mod.append((k, m.depth, 2.0 * math.pi * m.f_mod, m.phase))
+                mod.append((k, m.depth, m.f_mod, m.phase))
             k += 2
     return node_names, c, g, s, np.array(mod).reshape(-1, 4)
-
-
-def _repeat_length(mod: np.ndarray, dt: float, steps: int) -> int:
-    """Steps after which every step matrix K + G(t_k) recurs: the least common
-    multiple of the modulation periods when each is a whole number of steps,
-    else (or without modulation) the whole run."""
-    r = 1 if len(mod) else steps
-    for w in np.unique(mod[:, 2]):
-        p = round(2.0 * math.pi / (w * dt))
-        if p < 1 or abs(p * w * dt / (2.0 * math.pi) - 1.0) > REPEAT_TOLERANCE:
-            return max(steps, 1)
-        r = math.lcm(r, p)
-    return max(min(r, steps), 1)
 
 
 def _inverses(a0: np.ndarray, mod: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -176,7 +163,8 @@ def _inverses(a0: np.ndarray, mod: np.ndarray, t: np.ndarray) -> np.ndarray:
     if len(mod):
         rows = mod[:, 0].astype(int)
         a = np.repeat(a0[None], t.size, axis=0)
-        a[:, rows, rows + 1] = 1.0 + mod[:, 1] * np.cos(np.outer(t, mod[:, 2]) + mod[:, 3])
+        w_mod = 2.0 * math.pi * mod[:, 2]
+        a[:, rows, rows + 1] = 1.0 + mod[:, 1] * np.cos(np.outer(t, w_mod) + mod[:, 3])
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -225,20 +213,21 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so the incident wave matches the harmonic engine's normalization.  All
     ports are terminated in their reference impedance.
 
-    A ``dt`` that divides the modulation period (see :func:`time_grid`)
-    integrates one period and reuses it; any other ``dt`` works, integrating
-    the whole run as one repeat (see the module docstring).
+    With modulation, ``dt`` is rounded to 1/(P*f_mod), P = round(1/(f_mod*dt)),
+    so that one modulation period is P whole steps (a ``dt`` from
+    :func:`time_grid` passes through unchanged); the result reports the step
+    used.  Only one period of step matrices is inverted (see the module
+    docstring).  Raises ``ValueError`` when the branches do not share one
+    modulation frequency.
 
-    Raises :class:`StepTooLarge` below 50 points per stimulus cycle and
-    :class:`Diverged` on a singular step matrix or when any node magnitude
-    exceeds 1e6 times the source amplitude (checked on every block of samples).
+    Raises :class:`StepTooLarge` below 50 points per stimulus cycle at the
+    step used, and :class:`Diverged` on a singular step matrix or when any
+    node magnitude exceeds 1e6 times the source amplitude (checked on every
+    block of samples).
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("dt and duration must be positive")
-    if dt > 1.0 / (50.0 * f_stim):
-        raise StepTooLarge(f"dt={dt} gives fewer than 50 points per cycle at {f_stim} Hz")
-
     sources = [2.0 * math.sqrt(p.z0) * amplitude for p in net.ports if p.index == port_index]
     if not sources:
         raise ValueError(f"no port with index {port_index}")
@@ -246,23 +235,34 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
 
     node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
     nn, nu = len(node_names), s.size
+    chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
+    repeat = chunk  # a static step matrix repeats every step: one block is the repeat
+    f_mods = np.unique(mod[:, 2])
+    if f_mods.size > 1:
+        raise ValueError(f"modulated branches must share one f_mod, got {f_mods.tolist()}")
+    if f_mods.size:
+        f_mod = float(f_mods[0])
+        repeat = max(1, round(1.0 / (f_mod * dt)))  # steps in one modulation period
+        dt = 1.0 / (repeat * f_mod)
+    if dt > 1.0 / (50.0 * f_stim):
+        raise StepTooLarge(f"dt={dt} gives fewer than 50 points per cycle at {f_stim} Hz")
+    steps = round(duration / dt)
+    if steps < 1:
+        raise ValueError(f"duration {duration} is shorter than one step of {dt}")
+
     k = 2.0 * c / dt
     a0 = k + g
     w_stim = 2.0 * math.pi * f_stim
-    steps = round(duration / dt)
-    r = _repeat_length(mod, dt, steps)
+    r = min(repeat, steps)
     periods = -(-steps // r)
-    chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
 
     def check(block: np.ndarray, last: int) -> None:
         if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
             raise Diverged(f"waveform exceeded {limit:.3e} V near step {last}")
 
-    volts = np.zeros((nn, periods * r + 1))
-    grid = volts[:, 1:].reshape(nn, periods, r)  # sample p*r + j + 1 at [:, p, j]
-    if periods > 1:  # kept for the later periods: x = Re(X_j h_p + e_p Y_j)
-        x_h = np.empty((nn, nu, r))
-        y_e = np.empty((nn, r), complex)
+    # one repeat's maps from the boundary state: x = Re(X_j h_p + e_p Y_j)
+    x_h = np.empty((nn, nu, r))
+    y_e = np.empty((nn, r), complex)
     state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, r, chunk):
@@ -273,22 +273,24 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
             drive = (step @ s)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
             states = _chain(step - np.eye(nu), drive, state)
             xs = a_inv[:, :nn] @ np.concatenate([state[None], states[:-1]])
-            y = xs[..., nu] + 1j * xs[..., nu + 1] + (a_inv[:, :nn] @ s) * z[:, None]
-            grid[:, 0, j0:j0 + j.size] = y.real.T
-            check(y.real, int(j[-1]))
-            if periods > 1:
-                x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
-                y_e[:, j0:j0 + j.size] = y.T
-            state = states[-1]
+            x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
+            y_e[:, j0:j0 + j.size] = (xs[..., nu] + 1j * xs[..., nu + 1]
+                                      + (a_inv[:, :nn] @ s) * z[:, None]).T
+            state[...] = states[-1]
+        # Free the block, small arrays too: one left above its memory keeps the
+        # allocator from returning that memory before the fill.
+        del j, a_inv, z, step, drive, states, xs
 
-        # period boundaries h_p, then the later periods' samples in blocks
+        # period boundaries h_p from h_0 = 0, then every period's samples in blocks
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))
         h = np.zeros((periods, nu), complex)
         for p in range(1, periods):
             h[p] = state[:, :nu] @ h[p - 1] + e[p - 1] * (state[:, nu] + 1j * state[:, nu + 1])
+        volts = np.zeros((nn, periods * r + 1))
+        grid = volts[:, 1:].reshape(nn, periods, r)  # sample p*r + j + 1 at [:, p, j]
         tail = steps - (periods - 1) * r  # samples in the last period
-        per = max(1, chunk // min(r, chunk))  # periods per block
-        for p0 in range(1, periods, per):
+        per = max(1, chunk // r)  # periods per block
+        for p0 in range(0, periods, per):
             p1 = min(p0 + per, periods)
             for j0 in range(0, r, chunk):
                 j1 = min(j0 + chunk, r)

@@ -384,6 +384,9 @@ class TestInvalidSettings:
          "INPUT: not a metrics record (ValueError: ix_db"),
         ("fit", ["specs", "--f-s", "1e300"], "", "--f-s 1e+300"),
         ("fit", ["specs", "--f-s", "1e-300"], "", "--f-s 1e-300"),
+        ("simulate", [], "sweep.points = inf\n", "sweep.points"),
+        ("simulate", [], "basis.n_harm = 1e400\n", "basis.n_harm"),
+        ("tune", [], "tuner.budget = inf\n", "tuner.budget"),
     ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
@@ -397,7 +400,8 @@ class TestInvalidSettings:
             "fit-q-negative", "fit-k-sq-above-one", "fit-f-s-zero", "fit-c0-nan",
             "fit-lorentzian-seven-samples", "fit-lorentzian-unsorted",
             "report-not-json", "report-missing-keys", "report-null-value",
-            "report-string-value", "fit-f-s-huge", "fit-f-s-tiny"])
+            "report-string-value", "fit-f-s-huge", "fit-f-s-tiny",
+            "simulate-points-inf", "simulate-n-harm-overflow", "tune-budget-inf"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
         # simulate, verify and tune read SPLITTER_CFG + text as their config;
         # fit and report read text from the file that INPUT stands for

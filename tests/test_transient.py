@@ -109,6 +109,11 @@ class TestSimulate:
         res = simulate(net, (1, 2.68e6, 1.0), 1e-5, dt)
         assert res.samples["p1"].size == round(res.duration / res.dt) + 1
 
+    def test_run_shorter_than_one_step(self, desk_specs):
+        net = one_port_net(desk_specs, 0.0, F_MOD)
+        with pytest.raises(ValueError, match="shorter than one step"):
+            simulate(net, (1, 2.68e6, 1.0), 1e-12, 1e-9)
+
     def test_unknown_port(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
         with pytest.raises(ValueError):
@@ -197,12 +202,15 @@ class TestPeriodReuse:
     @pytest.mark.parametrize("f, ppc", [(2.68e6, 400), (2.68e6, 57), (1.0113 * 2.65e6, 400),
                                         (7.1e5, 1000)])
     def test_time_grid_divides_modulation_period(self, f, ppc):
-        dt, _ = time_grid(one_port_net(FAST_SPECS, 0.05, F_MOD), f, F_MOD, ppc, 10.0)
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        dt, _ = time_grid(net, f, F_MOD, ppc, 10.0)
         per = round(1.0 / (F_MOD * dt))
         assert abs(per * dt * F_MOD - 1.0) <= 1e-14
         assert abs(dt * ppc * f - 1.0) <= 1.0 / per
+        assert simulate(net, (1, f, 1.0), 1.0 / F_MOD, dt).dt == dt  # used unrounded
 
     def test_commensurate_run_inverts_one_period(self, monkeypatch):
+        # any other dt is rounded to the step that divides the period into 693
         inverted = []
         inv = np.linalg.inv
 
@@ -212,10 +220,21 @@ class TestPeriodReuse:
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         net = one_port_net(FAST_SPECS, 0.05, self.F_MOD_FAST)
-        dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
-        res = simulate(net, (1, self.F, 1.0), 12.0 / self.F_MOD_FAST, dt)
-        assert sum(inverted) <= round(1.0 / (self.F_MOD_FAST * dt))
-        assert res.samples["p1"].size == 12 * 693 + 1
+        for dt in (_commensurate_dt(self.F, self.F_MOD_FAST, 60), 1.0 / (60 * self.F)):
+            inverted.clear()
+            res = simulate(net, (1, self.F, 1.0), 12.0 / self.F_MOD_FAST, dt)
+            assert sum(inverted) <= 693
+            assert res.dt == 1.0 / (693 * self.F_MOD_FAST)
+            assert res.samples["p1"].size == 12 * 693 + 1
+
+    def test_two_modulation_frequencies_rejected(self):
+        b = bvd_from_specs(FAST_SPECS).branches[0]
+        net = Netlist((
+            ModulatedSeriesRlc("x1", "p1", "0", b, ModulationSpec(0.05, F_MOD, 0.0)),
+            ModulatedSeriesRlc("x2", "p1", "0", b, ModulationSpec(0.05, 2.0 * F_MOD, 0.0)),
+            Port(1, "p1", 50.0)))
+        with pytest.raises(ValueError, match="one f_mod"):
+            simulate(net, (1, self.F, 1.0), 1.0 / F_MOD, 1.0 / (60 * self.F))
 
 
 class TestExtractPhasors:
