@@ -2,21 +2,28 @@
 
 A modulated netlist driven at stimulus frequency f responds at the mixing
 frequencies f + n*f_mod, n in [-N, N].  This module builds the modified
-nodal analysis system lifted to that harmonic basis, solves it with LAPACK's
-pivoted dense LU (``numpy.linalg.solve``), and extracts multi-harmonic
-scattering parameters S^(n)_qp: the wave leaving port q at harmonic n per
-unit incident wave at port p, harmonic 0.  Every solve is checked: a
-residual max|b - A x| above 1e-6 of max|b| raises NumericallySingular.
-:func:`sparams` is the solve path of every workflow; :func:`assemble` and
-:func:`solve` expose one point's matrix and solution for timing probes.
+nodal analysis system lifted to that harmonic basis, solves it, and extracts
+multi-harmonic scattering parameters S^(n)_qp: the wave leaving port q at
+harmonic n per unit incident wave at port p, harmonic 0.
 
 Unknowns per harmonic are the non-ground node voltages plus one current and
 one charge variable for every modulated series branch.  Each netlist is
 stamped once into frequency-independent real blocks: constant terms g, the
 coefficient c of j*omega and the coefficient k of 1/(j*omega), plus blocks
-m_-1, m_0, m_+1 of branch elastance Fourier coefficients.  Each frequency point
-lifts them: diagonal block h is g + j*omega_h*c + k/(j*omega_h) + m_0, and
-only m_+-1 couple adjacent harmonics.
+m_-1, m_0, m_+1 of branch elastance Fourier coefficients.  At a frequency
+point, diagonal block h is g + j*omega_h*c + k/(j*omega_h) + m_0, and only
+m_+-1 couple adjacent harmonics, so the system is block-tridiagonal.
+
+:func:`sparams`, the solve path of every workflow, eliminates over the 2N+1
+harmonic blocks (block Thomas) for a chunk of frequency points at once: one
+batched LAPACK solve per harmonic, then back-substitution.  The elimination
+does not pivot across blocks, so every solve is checked: the residual
+max|b - A x| is formed blockwise from the stamps, and a point above 1e-6 of
+max|b|, or with a non-finite value, is solved again on its dense harmonic
+matrix with LAPACK's pivoted LU (``numpy.linalg.solve``).  The dense solve
+raises NumericallySingular when it fails the same check.  :func:`assemble`
+and :func:`solve` expose one point's dense matrix and solution for timing
+probes.
 """
 
 from __future__ import annotations
@@ -33,11 +40,15 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
 TWO_PI = 2.0 * math.pi
 
 # Largest accepted max|b - A x| relative to max|b|, per right-hand side.
-# LAPACK's pivoted LU leaves about 1e-13 on the engine's systems and up to
+# Block elimination leaves about 1e-12 on the tuned circulator, LAPACK's
+# pivoted LU about 1e-13 on the engine's systems and up to
 # about 6e-9 on dense random systems near condition number 1e8 (the rounding
 # floor there); a numerically rank-deficient matrix leaves a residual of
 # order one.
 RESIDUAL_BOUND = 1e-6
+# values in the harmonic blocks of one chunk of frequency points, points x
+# (2N+1) x nu x nu; bounds the working memory of sparams
+CHUNK_VALUES = 1 << 16
 
 
 class SingularStructure(ValueError):
@@ -258,12 +269,66 @@ def solve(sys: HarmonicSystem) -> np.ndarray:
     return _solve(sys.matrix, sys.rhs)
 
 
+def _eliminate(st: _Stamps, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-Thomas solve of the harmonic systems at angular frequencies w (F, H).
+
+    ``b`` (H, nu, P) holds the right-hand sides of every point; returns x
+    (F, H, nu, P).  Row h reads D_h x_h + m[2] x_h-1 + m[0] x_h+1 = b_h.
+    Forward elimination leaves x_h = Y_h - X_h x_h+1 with
+    [X_h | Y_h] = (D_h - m[2] X_h-1)^-1 [m[0] | b_h - m[2] Y_h-1]; m[0] is
+    nonzero only in the branch charge columns, so X_h keeps just those.
+    No pivoting crosses blocks: the caller checks the residual.
+    """
+    n_f, size = w.shape
+    nu, n_rhs = st.nu, b.shape[-1]
+    lower, upper = st.m[2], st.m[0]
+    cols = np.flatnonzero(np.any(upper != 0.0, axis=0))
+    n_c = cols.size
+    d_re, d_im = st.g + st.m[1].real, st.m[1].imag
+    xs = np.empty((size, n_f, nu, n_c), dtype=complex)
+    ys = np.empty((n_f, size, nu, n_rhs), dtype=complex)
+    rhs = np.empty((n_f, nu, n_c + n_rhs), dtype=complex)
+    rhs[:, :, :n_c] = upper[:, cols]
+    d = np.empty((n_f, nu, nu), dtype=complex)
+    for h in range(size):
+        wh = w[:, h, None, None]
+        d.real = d_re
+        d.imag = wh * st.c - st.k / wh + d_im      # D_h = g + j*w*c + k/(j*w) + m_0
+        rhs[:, :, n_c:] = b[h]
+        if h:
+            d[:, :, cols] -= lower @ xs[h - 1]
+            rhs[:, :, n_c:] -= lower @ ys[:, h - 1]
+        sol = np.linalg.solve(d, rhs)
+        xs[h] = sol[:, :, :n_c]
+        ys[:, h] = sol[:, :, n_c:]
+    for h in range(size - 2, -1, -1):
+        ys[:, h] -= xs[h] @ ys[:, h + 1, cols]
+    return ys
+
+
+def _accepted(st: _Stamps, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per point: x is finite and max|b - A x| <= RESIDUAL_BOUND of max|b| in
+    every column, with A x formed blockwise from the stamps."""
+    w = w[:, :, None, None]
+    r = b - (st.g + st.m[1]) @ x - 1j * w * (st.c @ x) + 1j * (st.k @ x) / w
+    r[:, 1:] -= st.m[2] @ x[:, :-1]
+    r[:, :-1] -= st.m[0] @ x[:, 1:]
+    resid = np.abs(r).max(axis=(1, 2))
+    bound = RESIDUAL_BOUND * np.abs(b).max(axis=(0, 1))
+    return np.all(np.isfinite(x), axis=(1, 2, 3)) & np.all(resid <= bound, axis=1)
+
+
 def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     """Multi-harmonic S-parameters over a stimulus frequency grid.
 
-    The netlist is stamped once; each frequency point lifts the stamps to
-    its harmonic matrix and solves for all port excitations at once.
-    Points are independent, so the grid depends only on the inputs.
+    The netlist is stamped once.  Chunks of frequency points are solved
+    together by block elimination over the harmonics (:func:`_eliminate`),
+    and every point's residual max|b - A x| is checked blockwise against
+    RESIDUAL_BOUND.  A point that fails the check or comes out non-finite,
+    and every point of a chunk in which LAPACK finds a singular block, is
+    solved again on its dense harmonic matrix, which raises
+    :class:`NumericallySingular` if it fails too.  Points are independent:
+    each point's result does not depend on the grid around it.
     """
     net_f_mod = net.f_mod
     if net_f_mod is not None and net_f_mod != basis.f_mod:
@@ -277,16 +342,31 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     if not net.ports:
         raise ValueError("netlist has no ports")
     st = _stamp(net)
+    for f in freqs:
+        _check_stimulus(float(f), basis.f_mod, basis.n_harm)
     rhs = _excitation(st, basis)
     nu, n_ports = st.nu, len(st.ports)
+    b = rhs.reshape(basis.size, nu, n_ports)
     z0 = np.array([p.z0 for p in st.ports])
-    sqrt_z0 = np.sqrt(z0)[None, :, None]
+    sqrt_z0 = np.sqrt(z0)[None, None, :, None]
     diag = np.arange(n_ports)
+    w = TWO_PI * basis.mixing_freqs(freqs[:, None])
+    chunk = max(1, CHUNK_VALUES // (basis.size * nu * nu))
     data = np.empty((freqs.size, basis.size, n_ports, n_ports), dtype=complex)
-    for fi, f in enumerate(freqs):
-        x = _solve(_lift(st, basis, float(f)), rhs).reshape(basis.size, nu, n_ports)
-        data[fi] = x[:, st.port_rows, :] / sqrt_z0               # (harmonic, q, p)
-        data[fi, basis.n_harm, diag, diag] -= 1.0                # remove the incident waves
+    for c0 in range(0, freqs.size, chunk):
+        wc = w[c0:c0 + chunk]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                x = _eliminate(st, wc, b)
+            except np.linalg.LinAlgError:  # an exactly singular block
+                x = np.empty((len(wc),) + b.shape, dtype=complex)
+                ok = np.zeros(len(wc), dtype=bool)
+            else:
+                ok = _accepted(st, wc, b, x)
+        for i in np.flatnonzero(~ok):
+            x[i] = _solve(_lift(st, basis, float(freqs[c0 + i])), rhs).reshape(b.shape)
+        data[c0:c0 + chunk] = x[:, :, st.port_rows, :] / sqrt_z0   # (point, harmonic, q, p)
+    data[:, basis.n_harm, diag, diag] -= 1.0                      # remove the incident waves
     return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=z0, data=data)
 
 

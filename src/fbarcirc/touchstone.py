@@ -110,13 +110,13 @@ def write_harmonics_csv(path, grid: SParamGrid, comments: tuple[str, ...] = ()) 
     lines.append("# z0_ohm = " + " ".join(repr(float(z)) for z in grid.z0))
     lines.append("f_hz,n,q,p,re_s,im_s")
     nh = grid.n_harm
-    for fi, f in enumerate(grid.frequencies):
-        for n in range(-nh, nh + 1):
-            for q in range(grid.ports):
-                for p in range(grid.ports):
-                    v = grid.data[fi, n + nh, q, p]
-                    lines.append(f"{float(f)!r},{n},{q + 1},{p + 1},"
-                                 f"{float(v.real)!r},{float(v.imag)!r}")
+    keys = [f"{n},{q + 1},{p + 1}" for n in range(-nh, nh + 1)
+            for q in range(grid.ports) for p in range(grid.ports)]
+    freqs = np.asarray(grid.frequencies, dtype=float).tolist()
+    for f, row in zip(freqs, grid.data.reshape(len(freqs), -1)):
+        f_s = repr(f)
+        lines.extend(f"{f_s},{key},{re!r},{im!r}"
+                     for key, re, im in zip(keys, row.real.tolist(), row.imag.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -185,15 +185,22 @@ def _chain(m: np.ndarray, drive: np.ndarray, state: np.ndarray) -> np.ndarray:
     n, nu = m.shape[:2]
     b = math.isqrt(n - 1) + 1
     nb = -(-n // b)
-    pad = nb * b - n
-    m = np.concatenate([m, np.broadcast_to(np.eye(nu), (pad, nu, nu))]).reshape(nb, b, nu, nu)
-    drive = np.concatenate([drive, np.zeros((pad, nu, 2))]).reshape(nb, b, nu, 2)
+    full = n // b
+    # whole blocks are views of the input; only a short tail block is copied,
+    # padded with identity steps
+    groups = [(m[:full * b].reshape(full, b, nu, nu), drive[:full * b].reshape(full, b, nu, 2))]
+    if full < nb:
+        pad = nb * b - n
+        groups.append((
+            np.concatenate([m[full * b:], np.broadcast_to(np.eye(nu), (pad, nu, nu))])[None],
+            np.concatenate([drive[full * b:], np.zeros((pad, nu, 2))])[None]))
     local = np.empty((nb, b, nu, nu + 2))
-    s = np.broadcast_to(np.eye(nu, nu + 2), (nb, nu, nu + 2))
-    for i in range(b):
-        s = m[:, i] @ s
-        s[:, :, nu:] += drive[:, i]
-        local[:, i] = s
+    for first, (mg, dg) in zip((0, full), groups):
+        s = np.broadcast_to(np.eye(nu, nu + 2), (len(mg), nu, nu + 2))
+        for i in range(b):
+            s = mg[:, i] @ s
+            s[:, :, nu:] += dg[:, i]
+            local[first:first + len(mg), i] = s
     enter = np.empty((nb, nu, nu + 2))
     for blk in range(nb):
         enter[blk] = state
@@ -271,7 +278,8 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
             z = np.exp(1j * w_stim * (j * dt))
             step = (2.0 * k) @ a_inv
             drive = (step @ s)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
-            states = _chain(step - np.eye(nu), drive, state)
+            step -= np.eye(nu)
+            states = _chain(step, drive, state)
             xs = a_inv[:, :nn] @ np.concatenate([state[None], states[:-1]])
             x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
             y_e[:, j0:j0 + j.size] = (xs[..., nu] + 1j * xs[..., nu + 1]

@@ -289,6 +289,86 @@ class TestSparams:
             sparams(net, basis, [-2.68e9])
 
 
+class TestBlockEngine:
+    @staticmethod
+    def _dense(net, basis, f):
+        """S^(n) of one point from the dense harmonic matrix, shape (harmonic, q, p)."""
+        st = htm._stamp(net)
+        x = htm._solve(htm._lift(st, basis, f), htm._excitation(st, basis))
+        s = x.reshape(basis.size, st.nu, -1)[:, st.port_rows] / np.sqrt(
+            [p.z0 for p in st.ports])[:, None]
+        s[basis.n_harm] -= np.eye(len(st.ports))
+        return s
+
+    def test_points_independent_of_grid(self, differential_design):
+        net = build_circulator(replace(differential_design, delta=0.03))
+        basis = HarmonicBasis(F_MOD, 5)
+        nu = htm._stamp(net).nu
+        freqs = np.linspace(2.65e9, 2.70e9, 3 * htm.CHUNK_VALUES // (basis.size * nu * nu) + 5)
+        grid = sparams(net, basis, freqs).data
+        shifted = sparams(net, basis, freqs[3:]).data
+        assert np.array_equal(grid[3:], shifted)
+        for i in (0, 1, len(freqs) // 2, len(freqs) - 1):
+            assert np.array_equal(grid[i], sparams(net, basis, [freqs[i]]).data[0])
+
+    def test_matches_dense_at_high_order(self, differential_design, monkeypatch):
+        net = build_circulator(replace(differential_design, delta=0.03))
+        basis = HarmonicBasis(F_MOD, 20)
+        freqs = [2.66e9, 2.6694e9, 2.68e9]
+        lifted = []
+        lift = htm._lift
+
+        def counted(st, basis, f):
+            lifted.append(f)
+            return lift(st, basis, f)
+
+        monkeypatch.setattr(htm, "_lift", counted)
+        grid = sparams(net, basis, freqs).data
+        assert lifted == []  # every point passed the blockwise residual check
+        for i, f in enumerate(freqs):
+            assert np.max(np.abs(grid[i] - self._dense(net, basis, f))) <= 1e-11
+
+    def test_failed_point_falls_back_to_dense(self, differential_design, monkeypatch):
+        net = build_circulator(replace(differential_design, delta=0.03))
+        basis = HarmonicBasis(F_MOD, 5)
+        freqs = np.linspace(2.66e9, 2.68e9, 9)
+        clean = sparams(net, basis, freqs).data
+        eliminate = htm._eliminate
+
+        def corrupted(st, w, b):
+            x = eliminate(st, w, b)
+            x[4] *= 1.0 + 1e-3
+            return x
+
+        monkeypatch.setattr(htm, "_eliminate", corrupted)
+        grid = sparams(net, basis, freqs).data
+        assert np.array_equal(grid[4], self._dense(net, basis, freqs[4]))
+        others = np.arange(len(freqs)) != 4
+        assert np.array_equal(grid[others], clean[others])
+
+    def test_non_finite_point_falls_back_to_dense(self, differential_design, monkeypatch):
+        net = build_circulator(differential_design)
+        basis = HarmonicBasis(F_MOD, 3)
+        eliminate = htm._eliminate
+
+        def corrupted(st, w, b):
+            x = eliminate(st, w, b)
+            x[0, 0, 0, 0] = np.inf
+            return x
+
+        monkeypatch.setattr(htm, "_eliminate", corrupted)
+        grid = sparams(net, basis, [2.67e9]).data
+        assert np.array_equal(grid[0], self._dense(net, basis, 2.67e9))
+
+    def test_singular_on_both_paths_raises(self):
+        # a node tied to ground only by a zero capacitor: every block and the
+        # dense matrix have a zero row
+        net = Netlist((Port(1, "p1", 50.0), Resistor("r1", "p1", "0", 10.0),
+                       Capacitor("c0", "n1", "0", 0.0)))
+        with pytest.raises(NumericallySingular):
+            sparams(net, HarmonicBasis(F_MOD, 2), [1.0e9, 1.1e9])
+
+
 class TestConvergence:
     def test_static_exactly_zero(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.0, f_mod=F_MOD)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbarcirc.htm import HarmonicBasis, sparams
+from fbarcirc.htm import HarmonicBasis, SParamGrid, sparams
 from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
 from fbarcirc.touchstone import (TouchstoneError, read_harmonics_csv, read_s3p,
                                  write_harmonics_csv, write_s3p)
@@ -98,6 +98,28 @@ class TestHarmonicsCsv:
         write_harmonics_csv(path, demo_grid, comments=("config_fingerprint = xyz",))
         head = path.read_text().splitlines()[0]
         assert head == "# config_fingerprint = xyz"
+
+    def test_bytes_match_per_value_repr(self, tmp_path, demo_grid):
+        data = demo_grid.data[:2].copy()
+        data[0, 0, 0, 0] = complex(-0.0, 0.0)
+        data[1, 2, 1, 2] = complex(0.0, -0.0)
+        data[1, 4, 2, 0] = complex(1e-300, -5e-324)
+        grid = SParamGrid(demo_grid.frequencies[:2], demo_grid.n_harm, demo_grid.z0, data)
+        lines = ["# z0_ohm = " + " ".join(repr(float(z)) for z in grid.z0),
+                 "f_hz,n,q,p,re_s,im_s"]
+        nh = grid.n_harm
+        for fi, f in enumerate(grid.frequencies):
+            for n in range(-nh, nh + 1):
+                for q in range(grid.ports):
+                    for p in range(grid.ports):
+                        v = grid.data[fi, n + nh, q, p]
+                        lines.append(f"{float(f)!r},{n},{q + 1},{p + 1},"
+                                     f"{float(v.real)!r},{float(v.imag)!r}")
+        path = tmp_path / "h.csv"
+        write_harmonics_csv(path, grid)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        text = path.read_text()
+        assert ",-0.0,0.0\n" in text and ",0.0,-0.0\n" in text
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "h.csv"

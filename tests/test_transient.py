@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
+from fbarcirc import transient
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
                               Port, Resistor)
@@ -226,6 +227,23 @@ class TestPeriodReuse:
             assert sum(inverted) <= 693
             assert res.dt == 1.0 / (693 * self.F_MOD_FAST)
             assert res.samples["p1"].size == 12 * 693 + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 97])
+    def test_chain_matches_step_loop(self, n):
+        # blocks of b steps: n = 12 fills them exactly, the other n leave a
+        # short tail block
+        rng = np.random.default_rng(n)
+        nu = 3
+        m = 0.4 * rng.normal(size=(n, nu, nu))
+        drive = rng.normal(size=(n, nu, 2))
+        state = rng.normal(size=(nu, nu + 2))
+        out = transient._chain(m, drive, state)
+        s = state
+        for j in range(n):
+            s = m[j] @ s
+            s[:, nu:] += drive[j]
+            assert np.allclose(out[j], s, rtol=0.0, atol=1e-12)
+        assert out.shape == (n, nu, nu + 2)
 
     def test_two_modulation_frequencies_rejected(self):
         b = bvd_from_specs(FAST_SPECS).branches[0]
