@@ -6,19 +6,25 @@ nodal analysis system lifted to that harmonic basis, solves it, and extracts
 multi-harmonic scattering parameters S^(n)_qp: the wave leaving port q at
 harmonic n per unit incident wave at port p, harmonic 0.
 
-Unknowns per harmonic are the non-ground node voltages plus one current and
-one charge variable for every modulated series branch.  Each netlist is
-stamped once into frequency-independent real blocks: constant terms g, the
-coefficient c of j*omega and the coefficient k of 1/(j*omega), plus blocks
-m_-1, m_0, m_+1 of branch elastance Fourier coefficients.  At a frequency
-point, diagonal block h is g + j*omega_h*c + k/(j*omega_h) + m_0, and only
-m_+-1 couple adjacent harmonics, so the system is block-tridiagonal.
+Unknowns per harmonic are the non-ground node voltages, then one current per
+modulated series branch, then one charge per modulated series branch.  Each
+netlist is stamped once into frequency-independent real blocks: constant
+terms g, the coefficient c of j*omega and the coefficient k of 1/(j*omega),
+plus blocks m_-1, m_0, m_+1 of branch elastance Fourier coefficients.  At a
+frequency point, diagonal block h is g + j*omega_h*c + k/(j*omega_h) + m_0,
+and only m_+-1 couple adjacent harmonics, so the system is block-tridiagonal.
+An elastance term ties a branch's KVL row to its charge, so with this order
+the m blocks are nonzero only in one contiguous (currents x charges) block,
+and the elimination touches basic slices of that small block, not whole
+nu x nu products.
 
 :func:`sparams`, the solve path of every workflow, eliminates over the 2N+1
-harmonic blocks (block Thomas) for a chunk of frequency points at once: one
-batched LAPACK solve per harmonic, then back-substitution.  The elimination
-does not pivot across blocks, so every solve is checked: the residual
-max|b - A x| is formed blockwise from the stamps, and a point above 1e-6 of
+harmonic blocks (block Thomas) for a chunk of frequency points at once: the
+diagonal blocks of every harmonic are built in one pass, then each harmonic
+takes one small coupling product and one batched LAPACK solve, then
+back-substitution.  The elimination does not pivot across blocks, so every
+solve is checked: the residual max|b - A x| is formed blockwise from the
+diagonal blocks and the coupling stamps, and a point above 1e-6 of
 max|b|, or with a non-finite value, is solved again on its dense harmonic
 matrix with LAPACK's pivoted LU (``numpy.linalg.solve``).  The dense solve
 raises NumericallySingular when it fails the same check.  :func:`assemble`
@@ -46,8 +52,9 @@ TWO_PI = 2.0 * math.pi
 # floor there); a numerically rank-deficient matrix leaves a residual of
 # order one.
 RESIDUAL_BOUND = 1e-6
-# values in the harmonic blocks of one chunk of frequency points, points x
-# (2N+1) x nu x nu; bounds the working memory of sparams
+# complex values in the working set of one chunk of frequency points: the
+# diagonal blocks and the [X | Y] solutions of _eliminate, points x (2N+1) x
+# nu x (nu + nb + ports); bounds the working memory of sparams
 CHUNK_VALUES = 1 << 16
 
 
@@ -140,11 +147,17 @@ def _check_stimulus(f: float, f_mod: float, n_harm: int) -> None:
 class _Stamps(NamedTuple):
     """Frequency-independent per-harmonic blocks of one netlist."""
 
-    nu: int  # unknowns per harmonic: node voltages, then (current, charge) per branch
+    # Unknowns per harmonic: node voltages, then the current of each
+    # modulated branch, then its charge.  The elastance terms, the only ones
+    # coupling harmonics, then fill one contiguous block: the current rows
+    # by the charge columns (see _coupling).
+    nu: int  # unknowns per harmonic
+    nb: int  # modulated branches: currents at nu-2*nb .. nu-nb-1, charges at nu-nb .. nu-1
     g: np.ndarray  # constant: resistors, ports, branch incidence, -r_m, charge row
     c: np.ndarray  # coefficient of j*omega: capacitors, -l_m, charge
     k: np.ndarray  # coefficient of 1/(j*omega): inductors
-    m: np.ndarray  # (3, nu, nu): -G_-1, -G_0, -G_+1; m[d + 1] couples block h to h - d
+    m: np.ndarray  # (3, nu, nu): -G_-1, -G_0, -G_+1; m[d + 1] couples block h to h - d;
+    #                zero outside the (currents x charges) block
     ports: tuple[Port, ...]
     port_rows: list[int]  # block row of each port's node
 
@@ -159,7 +172,8 @@ def _stamp(net: Netlist) -> _Stamps:
         for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
             if n != net.ground:
                 row.setdefault(n, len(row))
-    nu = len(row) + 2 * len(net.modulated)
+    nb = len(net.modulated)
+    nu = len(row) + 2 * nb
     g, c, k = np.zeros((3, nu, nu))
     m = np.zeros((3, nu, nu), dtype=complex)
 
@@ -184,7 +198,7 @@ def _stamp(net: Netlist) -> _Stamps:
         elif isinstance(el, Port):
             stamp_admittance(g, el.node, net.ground, 1.0 / el.z0)
         elif isinstance(el, ModulatedSeriesRlc):
-            cq = ci + 1
+            cq = ci + nb
             # KCL: branch current leaves node_a, enters node_b.
             # KVL: V_a - V_b - (r + j*w*l)*I - sum_n G_{m-n}*Q_n = 0.
             for r, sign in incidence(el.node_a, el.node_b):
@@ -196,11 +210,11 @@ def _stamp(net: Netlist) -> _Stamps:
             # Charge: j*w*Q - I = 0.
             c[cq, cq] += 1.0
             g[cq, ci] -= 1.0
-            ci += 2
+            ci += 1
         else:
             raise SingularStructure(f"unknown element type {type(el).__name__}")
     ports = net.ports
-    return _Stamps(nu, g, c, k, m, ports, [row[p.node] for p in ports])
+    return _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports])
 
 
 def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
@@ -269,53 +283,92 @@ def solve(sys: HarmonicSystem) -> np.ndarray:
     return _solve(sys.matrix, sys.rhs)
 
 
-def _eliminate(st: _Stamps, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-Thomas solve of the harmonic systems at angular frequencies w (F, H).
+def _diagonal(st: _Stamps, w: np.ndarray) -> np.ndarray:
+    """Diagonal blocks D[F, h] = g + j*w*c + k/(j*w) + m_0 at angular frequencies w (F, H)."""
+    w = w[:, :, None, None]
+    d = np.empty(w.shape[:2] + (st.nu, st.nu), dtype=complex)
+    np.divide(st.k, w, out=d.real)      # scratch: the real part is set last
+    np.multiply(w, st.c, out=d.imag)
+    d.imag -= d.real
+    d.imag += st.m[1].imag
+    d.real = st.g + st.m[1].real
+    return d
+
+
+def _coupling(st: _Stamps) -> tuple[slice, slice]:
+    """Rows (branch currents) and columns (branch charges) of the only block
+    where m is nonzero."""
+    return slice(st.nu - 2 * st.nb, st.nu - st.nb), slice(st.nu - st.nb, st.nu)
+
+
+def _eliminate(st: _Stamps, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-Thomas solve of the harmonic systems with diagonal blocks d (F, H, nu, nu).
 
     ``b`` (H, nu, P) holds the right-hand sides of every point; returns x
     (F, H, nu, P).  Row h reads D_h x_h + m[2] x_h-1 + m[0] x_h+1 = b_h.
     Forward elimination leaves x_h = Y_h - X_h x_h+1 with
-    [X_h | Y_h] = (D_h - m[2] X_h-1)^-1 [m[0] | b_h - m[2] Y_h-1]; m[0] is
-    nonzero only in the branch charge columns, so X_h keeps just those.
+    [X_h | Y_h] = (D_h - m[2] X_h-1)^-1 [m[0] | b_h - m[2] Y_h-1].  m[0] and
+    m[2] are nonzero only in the (currents, charges) block, so X_h keeps the
+    charge columns and each step updates only that block of D_h and the
+    current rows of b_h.  d is left as it was given.
     No pivoting crosses blocks: the caller checks the residual.
     """
-    n_f, size = w.shape
-    nu, n_rhs = st.nu, b.shape[-1]
-    lower, upper = st.m[2], st.m[0]
-    cols = np.flatnonzero(np.any(upper != 0.0, axis=0))
-    n_c = cols.size
-    d_re, d_im = st.g + st.m[1].real, st.m[1].imag
-    xs = np.empty((size, n_f, nu, n_c), dtype=complex)
-    ys = np.empty((n_f, size, nu, n_rhs), dtype=complex)
-    rhs = np.empty((n_f, nu, n_c + n_rhs), dtype=complex)
-    rhs[:, :, :n_c] = upper[:, cols]
-    d = np.empty((n_f, nu, nu), dtype=complex)
+    n_f, size, nu = d.shape[:3]
+    nb = st.nb
+    cur, chg = _coupling(st)
+    lower = st.m[2, cur, chg]
+    saved = d[:, :, cur, chg].copy()         # the steps below overwrite this block
+    s = np.zeros((n_f, size, nu, nb + b.shape[-1]), dtype=complex)   # [X_h | Y_h]
+    s[:, :, cur, :nb] = st.m[0, cur, chg]                              # holds [m[0] | b_h] until solved
+    s[:, :, :, nb:] = b
     for h in range(size):
-        wh = w[:, h, None, None]
-        d.real = d_re
-        d.imag = wh * st.c - st.k / wh + d_im      # D_h = g + j*w*c + k/(j*w) + m_0
-        rhs[:, :, n_c:] = b[h]
         if h:
-            d[:, :, cols] -= lower @ xs[h - 1]
-            rhs[:, :, n_c:] -= lower @ ys[:, h - 1]
-        sol = np.linalg.solve(d, rhs)
-        xs[h] = sol[:, :, :n_c]
-        ys[:, h] = sol[:, :, n_c:]
+            t = lower @ s[:, h - 1, chg]
+            d[:, h, cur, chg] -= t[:, :, :nb]
+            s[:, h, cur, nb:] -= t[:, :, nb:]
+        s[:, h] = np.linalg.solve(d[:, h], s[:, h])
+    d[:, :, cur, chg] = saved
+    x = s[:, :, :, nb:]
     for h in range(size - 2, -1, -1):
-        ys[:, h] -= xs[h] @ ys[:, h + 1, cols]
-    return ys
+        x[:, h] -= s[:, h, :, :nb] @ x[:, h + 1, chg]
+    return x
 
 
-def _accepted(st: _Stamps, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _accepted(st: _Stamps, d: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per point: x is finite and max|b - A x| <= RESIDUAL_BOUND of max|b| in
-    every column, with A x formed blockwise from the stamps."""
-    w = w[:, :, None, None]
-    r = b - (st.g + st.m[1]) @ x - 1j * w * (st.c @ x) + 1j * (st.k @ x) / w
-    r[:, 1:] -= st.m[2] @ x[:, :-1]
-    r[:, :-1] -= st.m[0] @ x[:, 1:]
+    every column, with A x formed blockwise: the diagonal blocks d, and the
+    coupling terms on the (currents, charges) block of the stamps."""
+    cur, chg = _coupling(st)
+    r = d @ x
+    np.subtract(b, r, out=r)
+    r[:, 1:, cur] -= st.m[2, cur, chg] @ x[:, :-1, chg]
+    r[:, :-1, cur] -= st.m[0, cur, chg] @ x[:, 1:, chg]
     resid = np.abs(r).max(axis=(1, 2))
     bound = RESIDUAL_BOUND * np.abs(b).max(axis=(0, 1))
     return np.all(np.isfinite(x), axis=(1, 2, 3)) & np.all(resid <= bound, axis=1)
+
+
+def _port_waves(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies.
+
+    Block elimination, then the residual check; a failed point, and every
+    point of a chunk where LAPACK meets an exactly singular block, is solved
+    again on its dense harmonic matrix.  The chunk's work arrays die here.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = _diagonal(st, TWO_PI * basis.mixing_freqs(freqs[:, None]))
+        try:
+            x = _eliminate(st, d, b)
+        except np.linalg.LinAlgError:  # an exactly singular block
+            x = np.empty((freqs.size,) + b.shape, dtype=complex)
+            ok = np.zeros(freqs.size, dtype=bool)
+        else:
+            ok = _accepted(st, d, b, x)
+    for i in np.flatnonzero(~ok):
+        x[i] = _solve(_lift(st, basis, float(freqs[i])),
+                      b.reshape(-1, b.shape[-1])).reshape(b.shape)
+    return x[:, :, st.port_rows]
 
 
 def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
@@ -344,29 +397,16 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     st = _stamp(net)
     for f in freqs:
         _check_stimulus(float(f), basis.f_mod, basis.n_harm)
-    rhs = _excitation(st, basis)
     nu, n_ports = st.nu, len(st.ports)
-    b = rhs.reshape(basis.size, nu, n_ports)
+    b = _excitation(st, basis).reshape(basis.size, nu, n_ports)
     z0 = np.array([p.z0 for p in st.ports])
-    sqrt_z0 = np.sqrt(z0)[None, None, :, None]
-    diag = np.arange(n_ports)
-    w = TWO_PI * basis.mixing_freqs(freqs[:, None])
-    chunk = max(1, CHUNK_VALUES // (basis.size * nu * nu))
+    chunk = max(1, CHUNK_VALUES // (basis.size * nu * (nu + st.nb + n_ports)))
     data = np.empty((freqs.size, basis.size, n_ports, n_ports), dtype=complex)
     for c0 in range(0, freqs.size, chunk):
-        wc = w[c0:c0 + chunk]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                x = _eliminate(st, wc, b)
-            except np.linalg.LinAlgError:  # an exactly singular block
-                x = np.empty((len(wc),) + b.shape, dtype=complex)
-                ok = np.zeros(len(wc), dtype=bool)
-            else:
-                ok = _accepted(st, wc, b, x)
-        for i in np.flatnonzero(~ok):
-            x[i] = _solve(_lift(st, basis, float(freqs[c0 + i])), rhs).reshape(b.shape)
-        data[c0:c0 + chunk] = x[:, :, st.port_rows, :] / sqrt_z0   # (point, harmonic, q, p)
-    data[:, basis.n_harm, diag, diag] -= 1.0                      # remove the incident waves
+        data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)
+    data /= np.sqrt(z0)[:, None]                        # (point, harmonic, q, p)
+    diag = np.arange(n_ports)
+    data[:, basis.n_harm, diag, diag] -= 1.0            # remove the incident waves
     return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=z0, data=data)
 
 

@@ -12,7 +12,7 @@ from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
 from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist,
                               PhaseSequence, Port, Resistor, Topology, build_circulator)
 
-from conftest import one_port_net
+from conftest import DESK_SPECS, GHZ_SPECS, one_port_net, toy_wye_net
 
 F_MOD = 23.2e6
 
@@ -289,6 +289,33 @@ class TestSparams:
             sparams(net, basis, [-2.68e9])
 
 
+def _static_rlc():
+    # port -> R -> node, L || C from node to ground: no modulated branch
+    net = Netlist((Port(1, "p1", 50.0), Resistor("r1", "p1", "n1", 20.0),
+                   Inductor("l1", "n1", "0", 10e-9), Capacitor("c1", "n1", "0", 1e-12)))
+    return net, F_MOD, [0.5e9, 1.59e9, 2.5e9]
+
+
+def _circulator(topology, delta):
+    def case():
+        design = CirculatorDesign(topology, GHZ_SPECS, delta=delta, f_mod=F_MOD)
+        return build_circulator(design), F_MOD, [2.66e9, 2.6694e9, 2.68e9]
+    return case
+
+
+# netlist, f_mod and stimulus frequencies of each block-engine coverage case
+ENGINE_CASES = {
+    "no-modulated-branch": _static_rlc,
+    "depth-zero": _circulator(Topology.DIFFERENTIAL, 0.0),
+    "single-ended": _circulator(Topology.SINGLE_ENDED, 0.03),
+    "differential": _circulator(Topology.DIFFERENTIAL, 0.03),
+    "one-port": lambda: (one_port_net(DESK_SPECS, 0.05, 23.2e3), 23.2e3,
+                         [2.6e6, 2.68e6, 2.75e6]),
+    "toy-wye": lambda: (toy_wye_net(DESK_SPECS, 0.05, 23.2e3), 23.2e3,
+                        [2.6e6, 2.68e6, 2.75e6]),
+}
+
+
 class TestBlockEngine:
     @staticmethod
     def _dense(net, basis, f):
@@ -310,23 +337,6 @@ class TestBlockEngine:
         assert np.array_equal(grid[3:], shifted)
         for i in (0, 1, len(freqs) // 2, len(freqs) - 1):
             assert np.array_equal(grid[i], sparams(net, basis, [freqs[i]]).data[0])
-
-    def test_matches_dense_at_high_order(self, differential_design, monkeypatch):
-        net = build_circulator(replace(differential_design, delta=0.03))
-        basis = HarmonicBasis(F_MOD, 20)
-        freqs = [2.66e9, 2.6694e9, 2.68e9]
-        lifted = []
-        lift = htm._lift
-
-        def counted(st, basis, f):
-            lifted.append(f)
-            return lift(st, basis, f)
-
-        monkeypatch.setattr(htm, "_lift", counted)
-        grid = sparams(net, basis, freqs).data
-        assert lifted == []  # every point passed the blockwise residual check
-        for i, f in enumerate(freqs):
-            assert np.max(np.abs(grid[i] - self._dense(net, basis, f))) <= 1e-11
 
     def test_failed_point_falls_back_to_dense(self, differential_design, monkeypatch):
         net = build_circulator(replace(differential_design, delta=0.03))
@@ -359,6 +369,36 @@ class TestBlockEngine:
         monkeypatch.setattr(htm, "_eliminate", corrupted)
         grid = sparams(net, basis, [2.67e9]).data
         assert np.array_equal(grid[0], self._dense(net, basis, 2.67e9))
+
+    @pytest.mark.parametrize("n_harm", [1, 5, 20])
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_matches_dense_without_fallback(self, case, n_harm, monkeypatch):
+        net, f_mod, freqs = ENGINE_CASES[case]()
+        basis = HarmonicBasis(f_mod, n_harm)
+        dense = [self._dense(net, basis, f) for f in freqs]
+        solves = []
+        solve = htm._solve
+
+        def counted(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(htm, "_solve", counted)
+        grid = sparams(net, basis, freqs).data
+        assert solves == []  # every point passed the blockwise residual check
+        for i in range(len(freqs)):
+            assert np.max(np.abs(grid[i] - dense[i])) <= 1e-11
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_coupling_confined_to_currents_by_charges(self, case):
+        net = ENGINE_CASES[case]()[0]
+        st = htm._stamp(net)
+        assert st.nb == len(net.modulated)
+        assert st.nu - 2 * st.nb == len(net.nodes) - 1
+        cur, chg = htm._coupling(st)
+        outside = st.m.copy()
+        outside[:, cur, chg] = 0.0
+        assert not np.any(outside)
 
     def test_singular_on_both_paths_raises(self):
         # a node tied to ground only by a zero capacitor: every block and the

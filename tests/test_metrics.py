@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fbarcirc.htm import HarmonicBasis, SParamGrid, sparams
-from fbarcirc.metrics import (CirculatorMetrics, Direction, FrequencyOffGrid,
-                              bandwidth_at, metrics_at, metrics_table,
+from fbarcirc.metrics import (SIDEBAND_FLOOR_DBC, CirculatorMetrics, Direction,
+                              FrequencyOffGrid, bandwidth_at, metrics_at, metrics_table,
                               operating_point, sideband_scan, summarize)
 from fbarcirc.netlist import CirculatorDesign, PhaseSequence, Topology, build_circulator
 
@@ -137,12 +137,12 @@ class TestSidebandScan:
         assert worst == pytest.approx(20.0 * math.log10(0.05 / 0.5), rel=1e-12)
         lookup = {(n, q): v for n, q, v in table}
         assert lookup[(-2, 3)] == pytest.approx(20.0 * math.log10(0.002 / 0.5), rel=1e-12)
-        assert lookup[(2, 1)] == -240.0
+        assert lookup[(2, 1)] == SIDEBAND_FLOOR_DBC
 
     def test_static_capped_at_floor(self):
         grid = make_grid([1e9, 2e9], s31=1e-3, n_harm=2)
         worst, _ = sideband_scan(grid)
-        assert worst == -240.0
+        assert worst == SIDEBAND_FLOOR_DBC
 
 
 class TestDirectionConsistency:

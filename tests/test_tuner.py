@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fbarcirc import htm
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import Direction, metrics_at
 from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
@@ -64,6 +65,23 @@ class TestObjective:
         monkeypatch.setattr("fbarcirc.tuner.metrics_at", broken)
         with pytest.raises(ValueError, match="not a solver failure"):
             objective((0.01, 23.2e6, 2.68e9), small_problem())
+
+
+class TestTuneOnEngine:
+    def test_stock_design_never_falls_back_to_dense_solve(self, monkeypatch):
+        # A silent fallback would keep every result right and lose the block
+        # engine's speed on the tuner's one-point solves.
+        calls = []
+        solve = htm._solve
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(htm, "_solve", counted)
+        result = tune(small_problem(budget=30), seed=0)
+        assert result.evaluations == 30
+        assert calls == []
 
 
 class TestTuneOnSphere:
