@@ -31,7 +31,7 @@ from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
                       build_one_port, build_toy_wye, scale_frequency, write_netlist)
 from .transient import Diverged, IllConditionedBasis, StepTooLarge, cross_validate
-from .tuner import TuneProblem, tune, write_trace_csv
+from .tuner import TuneFailed, TuneProblem, tune, write_trace_csv
 
 # Measured hardware reference (differential FBAR circulator board) used by
 # the report command as the comparison column.
@@ -45,7 +45,7 @@ HARDWARE_REFERENCE = {
 USAGE_ERRORS = (ConfigError, ParseError, NetlistError, SingularStructure,
                 DegenerateStimulus, FileNotFoundError, IsADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
-                    StepTooLarge, IllConditionedBasis)
+                    StepTooLarge, IllConditionedBasis, TuneFailed)
 
 
 def _log(out_dir: str, message: str) -> None:

@@ -30,6 +30,13 @@ matrix with LAPACK's pivoted LU (``numpy.linalg.solve``).  The dense solve
 raises NumericallySingular when it fails the same check.  :func:`assemble`
 and :func:`solve` expose one point's dense matrix and solution for timing
 probes.
+
+The modulation depth enters the stamps only through the m blocks.  The
+tuner therefore stamps its design once (:func:`_stamp`), and each
+evaluation rewrites the branch elastances (:func:`_couple`) and runs
+:func:`_sweep`, the part of :func:`sparams` after the stamp: the stimulus
+checks, the chunked solve with its residual check and dense fallback, and
+the wave normalisation.
 """
 
 from __future__ import annotations
@@ -206,7 +213,6 @@ def _stamp(net: Netlist) -> _Stamps:
                 g[ci, r] += sign
             g[ci, ci] -= el.branch.r_m
             c[ci, ci] -= el.branch.l_m
-            m[:, ci, cq] -= elastance_fourier(el.branch, el.modulation, 1)
             # Charge: j*w*Q - I = 0.
             c[cq, cq] += 1.0
             g[cq, ci] -= 1.0
@@ -214,7 +220,20 @@ def _stamp(net: Netlist) -> _Stamps:
         else:
             raise SingularStructure(f"unknown element type {type(el).__name__}")
     ports = net.ports
-    return _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports])
+    st = _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports])
+    _couple(st, [(el.branch, el.modulation) for el in net.modulated])
+    return st
+
+
+def _couple(st: _Stamps, modulations) -> None:
+    """Write the elastance terms -G_-1, -G_0, -G_+1 of each modulated branch
+    into st.m; ``modulations`` pairs each modulated branch, in element order,
+    with its ModulationSpec (or None).  Rewriting them is all it takes to
+    move a stamped netlist to a new modulation depth."""
+    cur, chg = _coupling(st)
+    for i, (branch, mod) in enumerate(modulations):
+        # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
+        st.m[:, cur.start + i, chg.start + i] = 0.0 - elastance_fourier(branch, mod, 1)
 
 
 def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
@@ -387,14 +406,19 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     if net_f_mod is not None and net_f_mod != basis.f_mod:
         raise ValueError(
             f"netlist modulation {net_f_mod} Hz does not match basis {basis.f_mod} Hz")
-    freqs = np.asarray(list(freqs), dtype=float)
+    if not net.ports:
+        raise ValueError("netlist has no ports")
+    return _sweep(_stamp(net), basis, np.asarray(list(freqs), dtype=float))
+
+
+def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray) -> SParamGrid:
+    """:func:`sparams` of a stamped netlist: the stimulus checks, then the
+    chunk loop over ``freqs`` (a float array), then the sqrt(z0) wave
+    normalisation.  ``st`` must carry the modulation that ``basis`` mixes at."""
     if freqs.size == 0:
         raise ValueError("need at least one stimulus frequency")
     if np.any(freqs <= 0.0):
         raise ValueError("stimulus frequencies must be positive")
-    if not net.ports:
-        raise ValueError("netlist has no ports")
-    st = _stamp(net)
     for f in freqs:
         _check_stimulus(float(f), basis.f_mod, basis.n_harm)
     nu, n_ports = st.nu, len(st.ports)

@@ -187,7 +187,8 @@ class Netlist:
 
 def floating_nodes(net: Netlist) -> set[str]:
     """Nodes with no element path to ground."""
-    adj: dict[str, set[str]] = {n: set() for n in net.nodes}
+    nodes = net.nodes
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
     for el in net.elements:
         if isinstance(el, Port):
             a, b = el.node, net.ground
@@ -202,7 +203,7 @@ def floating_nodes(net: Netlist) -> set[str]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return net.nodes - seen
+    return nodes - seen
 
 
 def _wye_chip(design: CirculatorDesign, suffix: str, common: str,

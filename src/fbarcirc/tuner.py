@@ -3,10 +3,15 @@ stimulus frequency to maximize isolation under an insertion-loss cap.
 
 The search is a deterministic Nelder-Mead simplex with bound clipping and a
 hard evaluation budget, optionally restarted from a seeded low-discrepancy
-sequence.  Every evaluation lands in the trace, so a run is reproducible
-from (problem, seed) alone.  The tuner returns only the search result; the
-metrics at the tuned point come from simulating the emitted configuration
-(``fbarcirc tune`` does this, so ``simulate`` of that file reproduces them).
+sequence; a restart runs only after a start converges within the budget.
+Every evaluation lands in the trace, so a run is reproducible from
+(problem, seed) alone.  A run builds and stamps its circulator once
+(:class:`StampedDesign`); each evaluation rewrites the elastance coupling
+for its modulation depth and solves one point at its f_mod and f_op, bit
+for bit what a fresh build would give.  The tuner returns only the search
+result; the metrics at the tuned point come from simulating the emitted
+configuration (``fbarcirc tune`` does this, so ``simulate`` of that file
+reproduces them).
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, sparams
+from . import htm
+from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
 from .metrics import Direction, metrics_at
-from .netlist import CirculatorDesign, build_circulator
+from .netlist import CirculatorDesign, ModulationSpec, build_circulator
 
 log = logging.getLogger(__name__)
 
@@ -104,13 +110,50 @@ def penalized_objective(ix_db: float, il_db: float, il_cap_db: float) -> float:
     return -ix_db + PENALTY_PER_DB * max(0.0, il_db - il_cap_db)
 
 
-def objective(params, problem: TuneProblem) -> float:
-    """Scalar cost of one (delta, f_mod, f_op) triple; +inf on solver failure."""
+class TuneFailed(ArithmeticError):
+    """No evaluation of a tune returned a finite objective."""
+
+
+class StampedDesign:
+    """The problem's circulator, built, validated and stamped once.
+
+    Between evaluations only delta, f_mod and f_op change.  delta enters the
+    stamps only through the elastance coupling of the modulated branches,
+    and the two frequencies only through the mixing frequencies, so
+    :meth:`sparams` rewrites that coupling in place and solves.  It keeps
+    every check of building the design at (delta, f_mod) and calling
+    :func:`htm.sparams`, and returns the same bits.
+    """
+
+    def __init__(self, problem: TuneProblem):
+        # Every point of the search box stamps the same structure; the box's
+        # lower corner is a valid modulation whatever the design's own delta.
+        net = build_circulator(replace(problem.design, delta=problem.delta_bounds[0],
+                                       f_mod=problem.f_mod_bounds[0]))
+        self.n_harm = problem.n_harm
+        self._stamps = htm._stamp(net)
+        self._branches = [(el.branch, el.modulation.phase) for el in net.modulated]
+
+    def sparams(self, delta: float, f_mod: float, f_op: float) -> SParamGrid:
+        """One-point S-parameters of the design modulated at (delta, f_mod)."""
+        mods = [(branch, ModulationSpec(delta, f_mod, phase))
+                for branch, phase in self._branches]
+        basis = HarmonicBasis(f_mod, self.n_harm)
+        htm._couple(self._stamps, mods)
+        return htm._sweep(self._stamps, basis, np.array([f_op]))
+
+
+def objective(params, problem: TuneProblem, stamped: StampedDesign | None = None) -> float:
+    """Scalar cost of one (delta, f_mod, f_op) triple; +inf on solver failure.
+
+    ``stamped`` is the problem's :class:`StampedDesign`; :func:`tune` passes
+    one to all its evaluations, and a call without it stamps its own.
+    """
     delta, f_mod, f_op = (float(v) for v in params)
-    design = replace(problem.design, delta=delta, f_mod=f_mod)
+    if stamped is None:
+        stamped = StampedDesign(problem)
     try:
-        net = build_circulator(design)
-        grid = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
+        grid = stamped.sparams(delta, f_mod, f_op)
         ix, il, _ = metrics_at(grid, f_op, problem.direction)
     except (NumericallySingular, DegenerateStimulus) as exc:
         log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
@@ -183,14 +226,20 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
     """Run the bounded simplex search; deterministic given (problem, seed).
 
     ``objective_fn(params) -> float`` overrides the simulator-backed
-    objective (test hook).  Returns the best point seen, never worse than
-    the first evaluation; ``budget_exhausted`` flags a stop on budget rather
-    than convergence.  No metrics are computed here: the caller simulates
-    the best point on whatever grid it reports.
+    objective (test hook), which stamps the design once for the whole run.
+    Returns the best point seen, never worse than the first evaluation;
+    ``budget_exhausted`` flags a stop on budget rather than convergence.
+    Raises :class:`TuneFailed` when no evaluation returns a finite
+    objective.  No metrics are computed here: the caller simulates the best
+    point on whatever grid it reports.
     """
     lo, hi = problem.bounds
     span = hi - lo
-    fn = objective_fn if objective_fn is not None else (lambda x: objective(x, problem))
+    if objective_fn is None:
+        stamped = StampedDesign(problem)
+        fn = lambda x: objective(x, problem, stamped)
+    else:
+        fn = objective_fn
     rng = np.random.default_rng(seed)
 
     trace: list[tuple[np.ndarray, float]] = []
@@ -218,6 +267,8 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
             _nelder_mead(ev, x0, 0.25 * span, lo, hi, max_iter=10 * problem.budget)
     except _BudgetExhausted:
         exhausted = True
+    if state["best_x"] is None:
+        raise TuneFailed(f"none of {state['used']} evaluations returned a finite objective")
 
     delta, f_mod, f_op = (float(v) for v in state["best_x"])
     return TuneResult(delta=delta, f_mod=f_mod, f_op=f_op, trace=trace,

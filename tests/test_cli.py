@@ -275,12 +275,24 @@ class TestTune:
         cfg = tmp_path / "t.cfg"
         cfg.write_text(TUNE_CFG)
         out_dir = tmp_path / "out"
-        points = [counting(monkeypatch, module, "sparams", lambda args: len(args[2]))
-                  for module in (fbarcirc.tuner, fbarcirc.cli)]
+        # an evaluation solves its one f_op on the tune's stamped design
+        points = [counting(monkeypatch, fbarcirc.tuner.StampedDesign, "sparams",
+                           lambda args: np.size(args[3])),
+                  counting(monkeypatch, fbarcirc.cli, "sparams", lambda args: len(args[2]))]
         assert run(capsys, "tune", "--config", str(cfg), "--seed", "1", "--out", str(out_dir))[0] == 0
         grid = load_config(out_dir / "tuned_config.cfg").sweep_frequencies()
         assert sum(points[0]) == 10  # one point per objective evaluation
         assert points[1] == [grid.size]
+
+    def test_no_finite_evaluation_exits_1(self, capsys, tmp_path):
+        # element values this extreme make every one-point solve non-finite
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG.replace("tuner.budget = 10", "tuner.budget = 12")
+                       + "design.k_sq = 1e-300\nbasis.n_harm = 1\n")
+        code, _, err = run(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("TuneFailed: ") and "12 evaluations" in err
+        assert "Traceback" not in err
 
     def test_emitted_config_reproduces_metrics(self, capsys, tmp_path):
         cfg = tmp_path / "t.cfg"

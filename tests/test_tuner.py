@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbarcirc import htm
+from fbarcirc import htm, tuner
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import Direction, metrics_at
-from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
-from fbarcirc.tuner import (TuneProblem, objective, penalized_objective, tune,
-                            write_trace_csv)
+from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator, elastance_fourier
+from fbarcirc.tuner import (StampedDesign, TuneProblem, objective, penalized_objective,
+                            tune, write_trace_csv)
 
 from conftest import GHZ_SPECS
 
@@ -82,6 +82,79 @@ class TestTuneOnEngine:
         result = tune(small_problem(budget=30), seed=0)
         assert result.evaluations == 30
         assert calls == []
+
+
+def reference_objective(params, problem):
+    """The objective as a fresh build of the design at (delta, f_mod) gives it."""
+    delta, f_mod, f_op = (float(v) for v in params)
+    net = build_circulator(replace(problem.design, delta=delta, f_mod=f_mod))
+    grid = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
+    ix, il, _ = metrics_at(grid, f_op, problem.direction)
+    return penalized_objective(ix, il, problem.il_cap_db)
+
+
+class TestStampedDesign:
+    def test_trace_bitwise_equal_to_fresh_builds(self):
+        problem = small_problem()
+        stamped = tune(problem, seed=0)
+        fresh = tune(problem, seed=0, objective_fn=lambda x: reference_objective(x, problem))
+        assert stamped.evaluations == fresh.evaluations == problem.budget
+        for (xs, vs), (xf, vf) in zip(stamped.trace, fresh.trace):
+            assert np.array_equal(xs, xf)
+            assert vs == vf
+
+    @pytest.mark.parametrize("params", [(0.05, 23.2e6, 2.66e9), (0.0, 20e6, 2.68e9),
+                                        (0.1, 30e6, 2.63e9)])
+    def test_rewritten_stamps_match_a_fresh_stamp(self, params):
+        problem = small_problem()
+        stamped = StampedDesign(problem)
+        stamped.sparams(0.07, 25e6, 2.67e9)   # a previous evaluation's coupling
+        delta, f_mod, f_op = params
+        grid = stamped.sparams(delta, f_mod, f_op)
+        net = build_circulator(replace(problem.design, delta=delta, f_mod=f_mod))
+        # the coupling as a fresh stamp subtracts it from zeros; tobytes
+        # tells -0.0 from +0.0, which array_equal does not
+        m = np.zeros_like(stamped._stamps.m)
+        cur, chg = htm._coupling(stamped._stamps)
+        for i, el in enumerate(net.modulated):
+            m[:, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation, 1)
+        assert stamped._stamps.m.tobytes() == m.tobytes()
+        ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
+        assert grid.data.tobytes() == ref.data.tobytes()
+
+    def test_keeps_the_modulation_checks(self):
+        stamped = StampedDesign(small_problem())
+        with pytest.raises(ValueError, match="depth"):
+            stamped.sparams(1.0, 23.2e6, 2.68e9)
+        with pytest.raises(ValueError, match="modulation frequency"):
+            stamped.sparams(0.01, math.inf, 2.68e9)
+        with pytest.raises(htm.DegenerateStimulus):
+            stamped.sparams(0.01, 23.2e6, 3 * 23.2e6)
+
+    def test_design_delta_outside_search_box_still_tunes(self):
+        # only the search box's delta is ever evaluated
+        problem = small_problem(budget=10)
+        problem = replace(problem, design=replace(problem.design, delta=2.0))
+        assert tune(problem, seed=0).evaluations == 10
+
+    @pytest.mark.parametrize("budget", [10, 30])
+    def test_one_build_and_one_stamp_per_tune(self, monkeypatch, budget):
+        calls = {"build": 0, "stamp": 0}
+        build, stamp = tuner.build_circulator, htm._stamp
+
+        def counted_build(design):
+            calls["build"] += 1
+            return build(design)
+
+        def counted_stamp(net):
+            calls["stamp"] += 1
+            return stamp(net)
+
+        monkeypatch.setattr(tuner, "build_circulator", counted_build)
+        monkeypatch.setattr(htm, "_stamp", counted_stamp)
+        result = tune(small_problem(budget=budget, n_harm=1), seed=0)
+        assert result.evaluations == budget
+        assert calls == {"build": 1, "stamp": 1}
 
 
 class TestTuneOnSphere:
