@@ -30,7 +30,8 @@ from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular,
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
                       build_one_port, build_toy_wye, scale_frequency, write_netlist)
-from .transient import Diverged, IllConditionedBasis, StepTooLarge, cross_validate
+from .transient import (Diverged, IllConditionedBasis, RunTooLarge, StepTooLarge,
+                        cross_validate)
 from .tuner import TuneFailed, TuneProblem, tune, write_trace_csv
 
 # Measured hardware reference (differential FBAR circulator board) used by
@@ -43,7 +44,7 @@ HARDWARE_REFERENCE = {
 }
 
 USAGE_ERRORS = (ConfigError, ParseError, NetlistError, SingularStructure,
-                DegenerateStimulus, FileNotFoundError, IsADirectoryError)
+                DegenerateStimulus, RunTooLarge, FileNotFoundError, IsADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
                     StepTooLarge, IllConditionedBasis, TuneFailed)
 

@@ -184,7 +184,8 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; unknown keys and malformed lines raise ConfigError."""
+    """Parse config text; unknown keys, malformed lines and a bad
+    metrics.bw_threshold_db raise ConfigError."""
     values = dict(_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -198,7 +199,13 @@ def parse_config(text: str) -> RunConfig:
         if key not in values:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
-    return RunConfig(values=values)
+    cfg = RunConfig(values=values)
+    # checked here, so that a bad value fails every workflow before any work
+    threshold = cfg.get_float("metrics.bw_threshold_db")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ConfigError(f"metrics.bw_threshold_db: must be finite and positive, "
+                          f"got {threshold}")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -167,6 +167,7 @@ class _Stamps(NamedTuple):
     #                zero outside the (currents x charges) block
     ports: tuple[Port, ...]
     port_rows: list[int]  # block row of each port's node
+    z0: np.ndarray  # reference impedance of each port
 
 
 def _stamp(net: Netlist) -> _Stamps:
@@ -220,7 +221,8 @@ def _stamp(net: Netlist) -> _Stamps:
         else:
             raise SingularStructure(f"unknown element type {type(el).__name__}")
     ports = net.ports
-    st = _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports])
+    st = _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports],
+                 np.array([p.z0 for p in ports]))
     _couple(st, [(el.branch, el.modulation) for el in net.modulated])
     return st
 
@@ -254,8 +256,7 @@ def _excitation(st: _Stamps, basis: HarmonicBasis) -> np.ndarray:
     harmonic 0 (Thevenin source 2*sqrt(z0): Norton current 2/sqrt(z0))."""
     nu, n_ports = st.nu, len(st.ports)
     rhs = np.zeros((basis.size, nu, n_ports), dtype=complex)
-    rhs[basis.n_harm, st.port_rows, np.arange(n_ports)] = \
-        2.0 / np.sqrt([p.z0 for p in st.ports])
+    rhs[basis.n_harm, st.port_rows, np.arange(n_ports)] = 2.0 / np.sqrt(st.z0)
     return rhs.reshape(basis.size * nu, n_ports)
 
 
@@ -408,13 +409,16 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
             f"netlist modulation {net_f_mod} Hz does not match basis {basis.f_mod} Hz")
     if not net.ports:
         raise ValueError("netlist has no ports")
-    return _sweep(_stamp(net), basis, np.asarray(list(freqs), dtype=float))
+    st = _stamp(net)
+    return _sweep(st, basis, np.asarray(list(freqs), dtype=float), _excitation(st, basis))
 
 
-def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray) -> SParamGrid:
+def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
+           excitation: np.ndarray) -> SParamGrid:
     """:func:`sparams` of a stamped netlist: the stimulus checks, then the
     chunk loop over ``freqs`` (a float array), then the sqrt(z0) wave
-    normalisation.  ``st`` must carry the modulation that ``basis`` mixes at."""
+    normalisation.  ``st`` must carry the modulation that ``basis`` mixes at,
+    and ``excitation`` is its :func:`_excitation` at ``basis``."""
     if freqs.size == 0:
         raise ValueError("need at least one stimulus frequency")
     if np.any(freqs <= 0.0):
@@ -422,16 +426,15 @@ def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray) -> SParamGrid:
     for f in freqs:
         _check_stimulus(float(f), basis.f_mod, basis.n_harm)
     nu, n_ports = st.nu, len(st.ports)
-    b = _excitation(st, basis).reshape(basis.size, nu, n_ports)
-    z0 = np.array([p.z0 for p in st.ports])
+    b = excitation.reshape(basis.size, nu, n_ports)
     chunk = max(1, CHUNK_VALUES // (basis.size * nu * (nu + st.nb + n_ports)))
     data = np.empty((freqs.size, basis.size, n_ports, n_ports), dtype=complex)
     for c0 in range(0, freqs.size, chunk):
         data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)
-    data /= np.sqrt(z0)[:, None]                        # (point, harmonic, q, p)
+    data /= np.sqrt(st.z0)[:, None]                     # (point, harmonic, q, p)
     diag = np.arange(n_ports)
     data[:, basis.n_harm, diag, diag] -= 1.0            # remove the incident waves
-    return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=z0, data=data)
+    return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=st.z0, data=data)
 
 
 def convergence_check(net: Netlist, f: float, n_small: int, n_large: int) -> float:

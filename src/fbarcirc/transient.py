@@ -16,16 +16,21 @@ trapezoidal step is
 
     x1 = A1^-1 (h0 + u1),   A1 = K + G(t1),   h1 = 2K x1 - h0.
 
-The step matrices A_k change only through m(t), so they repeat with the
+The step matrices A_j change only through m(t), so they repeat with the
 modulation.  :func:`simulate` rounds dt so that it divides the modulation
 period into P whole steps (a dt from :func:`time_grid` already does), and
 integrates the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u over that one
 period only, under the complex drive s*exp(j w t) whose real part is the
-true drive: one batched LAPACK inverse per block of step matrices, and the
-block's affine maps composed into the propagators Phi_j and forced
-responses psi_j of the period.  Without modulation the step matrix never
-changes, and a block of steps stands in for the period.  Every period,
-the first included, starts from its boundary state, h_0 = 0 and
+true drive, in blocks of steps: the block's inverses, then its affine maps
+composed into the propagators Phi_j and forced responses psi_j of the
+period.  A run makes one LAPACK inverse, of A0 = K + G with every m = 1.
+A_j differs from A0 only in one entry per modulated branch, an update of
+rank k = the number of modulated branches, so a block's inverses follow
+from A0^-1 by the Woodbury identity with one batched k x k solve per step,
+and the block's residual max|A_j A_j^-1 - I| must stay within
+INVERSE_RESIDUAL_BOUND.  Without modulation the step matrix never changes,
+and a block of steps stands in for the period.  Every period, the first
+included, starts from its boundary state, h_0 = 0 and
 h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P, and its node voltages
 Re(A_j^-1 (Phi_{j-1} h_p + exp(j w p P dt) (psi_{j-1} + s exp(j w j dt))))
 come from batched products in memory-bounded blocks.
@@ -50,12 +55,24 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor)
 
 DIVERGENCE_FACTOR = 1e6
+# max|A_j A_j^-1 - I| accepted for any step matrix's computed inverse
+INVERSE_RESIDUAL_BOUND = 1e-8
 # values in one block's stack of step matrices; bounds the integrator's working memory
 CHUNK_VALUES = 1 << 19
+# Size bounds of one run, checked before anything is allocated: the steps of
+# one modulation period (whose maps are held, nodes x unknowns values per
+# step) and the samples per node of the waveform.  The 800-points-per-cycle
+# run of the differential replica needs 89,655 and 2.85M.
+MAX_PERIOD_STEPS = 1 << 20
+MAX_SAMPLES = 1 << 25
 
 
 class StepTooLarge(ValueError):
     """Time step leaves fewer than 50 points per stimulus cycle."""
+
+
+class RunTooLarge(ValueError):
+    """The run needs more steps per period or samples than the size bounds allow."""
 
 
 class Diverged(ArithmeticError):
@@ -157,21 +174,78 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
     return node_names, c, g, s, np.array(mod).reshape(-1, 4)
 
 
-def _inverses(a0: np.ndarray, mod: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(K + G(t))^-1 at each time of ``t``; one inverse, broadcast, when G is static."""
-    a = a0
-    if len(mod):
-        rows = mod[:, 0].astype(int)
-        a = np.repeat(a0[None], t.size, axis=0)
-        w_mod = 2.0 * math.pi * mod[:, 2]
-        a[:, rows, rows + 1] = 1.0 + mod[:, 1] * np.cos(np.outer(t, w_mod) + mod[:, 3])
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise Diverged("singular transient system") from exc
-    if not np.all(np.isfinite(a_inv)):
-        raise Diverged("singular transient system")
-    return np.broadcast_to(a_inv, (t.size,) + a0.shape)
+def _premultiply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x_j for every matrix x_j of the stack x (n, nu, nu), as one GEMM
+    over the rows of the whole stack; returned as a (n, nu, nu) view."""
+    n, nu = x.shape[:2]
+    out = m @ x.transpose(1, 0, 2).reshape(nu, n * nu)
+    return out.reshape(-1, n, nu).transpose(1, 0, 2)
+
+
+def _check_residual(r: np.ndarray) -> None:
+    """Raise :class:`Diverged` unless max|r| <= INVERSE_RESIDUAL_BOUND (NaN
+    fails); r = A X - I, which this overwrites."""
+    resid = float(np.max(np.abs(r, out=r)))
+    if not resid <= INVERSE_RESIDUAL_BOUND:
+        raise Diverged(f"step-matrix inverse residual max|A X - I| = {resid:.3e} "
+                       f"exceeds {INVERSE_RESIDUAL_BOUND}")
+
+
+class _StepInverses:
+    """The step matrices' inverses (K + G(t))^-1 of one run, from one LAPACK
+    inverse of A0 = K + G with every m = 1; A0^-1 itself when G is static.
+
+    Only the k modulated entries (r, r+1) of ``mod``'s rows r change, so
+    A_j = A0 + U D_j V^T with D_j = diag(depth*cos(w_m t_j + phase)), U and V
+    the unit columns r and r+1, and by Woodbury
+    A_j^-1 = A0^-1 - (A0^-1 U) (I + D_j C)^-1 D_j (V^T A0^-1), C = V^T A0^-1 U.
+    A call solves its block's k x k systems in one batch and checks the
+    block's residual max|A_j A_j^-1 - I| against INVERSE_RESIDUAL_BOUND; a
+    singular A0 or step matrix, or a failed check, raises :class:`Diverged`.
+    """
+
+    def __init__(self, a0: np.ndarray, mod: np.ndarray, block: int):
+        nu = a0.shape[0]
+        try:
+            a0_inv = np.linalg.inv(a0)
+        except np.linalg.LinAlgError as exc:
+            raise Diverged("singular transient system") from exc
+        _check_residual(a0 @ a0_inv - np.eye(nu))
+        self.a0, self.a0_inv, self.mod = a0, a0_inv, mod
+        if len(mod):
+            self.rows = mod[:, 0].astype(int)
+            self.cols = self.rows + 1
+            self.u = a0_inv[:, self.rows]                # A0^-1 U
+            self.v = a0_inv[self.cols]                   # V^T A0^-1
+            self.c = self.v[:, self.rows]                # C
+            # one block's inverses and residuals, reused by every block
+            self.work = np.empty((2, nu * block * nu))
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The inverses at the times ``t`` (at most ``block`` of them), shape
+        (t.size, nu, nu); valid until the next call."""
+        n, nu = t.size, self.a0.shape[0]
+        if not len(self.mod):
+            return np.broadcast_to(self.a0_inv, (n, nu, nu))
+        mod, rows, k = self.mod, self.rows, self.rows.size
+        d = mod[:, 1] * np.cos(np.outer(t, 2.0 * math.pi * mod[:, 2]) + mod[:, 3])  # (n, k)
+        eye = np.eye(k)
+        try:
+            w = np.linalg.solve(eye + d[:, :, None] * self.c, d[:, :, None] * eye)
+        except np.linalg.LinAlgError as exc:
+            raise Diverged("singular transient system") from exc
+        # Row i of every step's inverse side by side, x_t[i, j] = (A_j^-1)[i],
+        # so that the products below are GEMMs over the whole block.
+        x_t, r = (buf[:nu * n * nu].reshape(nu, n, nu) for buf in self.work)
+        corr = self.u @ w.transpose(1, 0, 2).reshape(k, n * k)
+        np.matmul(corr.reshape(nu * n, k), -self.v, out=x_t.reshape(nu * n, nu))
+        x_t += self.a0_inv[:, None]
+        np.matmul(self.a0, x_t.reshape(nu, n * nu), out=r.reshape(nu, n * nu))
+        r[rows] += d.T[:, :, None] * x_t[self.cols]     # A_j A_j^-1
+        idx = np.arange(nu)
+        r[idx, :, idx] -= 1.0
+        _check_residual(r)
+        return x_t.transpose(1, 0, 2)
 
 
 def _chain(m: np.ndarray, drive: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -227,8 +301,11 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     docstring).  Raises ``ValueError`` when the branches do not share one
     modulation frequency.
 
-    Raises :class:`StepTooLarge` below 50 points per stimulus cycle at the
-    step used, and :class:`Diverged` on a singular step matrix or when any
+    Raises :class:`RunTooLarge`, before any work, when a modulation period
+    takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
+    samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
+    step used; and :class:`Diverged` on a singular step matrix, on a step
+    matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, or when any
     node magnitude exceeds 1e6 times the source amplitude (checked on every
     block of samples).
     """
@@ -249,11 +326,18 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         raise ValueError(f"modulated branches must share one f_mod, got {f_mods.tolist()}")
     if f_mods.size:
         f_mod = float(f_mods[0])
-        repeat = max(1, round(1.0 / (f_mod * dt)))  # steps in one modulation period
+        per = 1.0 / (f_mod * dt)  # steps in one modulation period
+        if not per <= MAX_PERIOD_STEPS:
+            raise RunTooLarge(f"{per:.4g} steps per modulation period exceed "
+                              f"MAX_PERIOD_STEPS = {MAX_PERIOD_STEPS}")
+        repeat = max(1, round(per))
         dt = 1.0 / (repeat * f_mod)
     if dt > 1.0 / (50.0 * f_stim):
         raise StepTooLarge(f"dt={dt} gives fewer than 50 points per cycle at {f_stim} Hz")
-    steps = round(duration / dt)
+    n = duration / dt
+    if not n + 1.0 <= MAX_SAMPLES:
+        raise RunTooLarge(f"{n + 1.0:.4g} samples per node exceed MAX_SAMPLES = {MAX_SAMPLES}")
+    steps = round(n)
     if steps < 1:
         raise ValueError(f"duration {duration} is shorter than one step of {dt}")
 
@@ -272,11 +356,12 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     y_e = np.empty((nn, r), complex)
     state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
     with np.errstate(over="ignore", invalid="ignore"):
+        inverses = _StepInverses(a0, mod, min(chunk, r))
         for j0 in range(0, r, chunk):
             j = np.arange(j0 + 1, min(j0 + chunk, r) + 1)
-            a_inv = _inverses(a0, mod, j * dt)
+            a_inv = inverses(j * dt)
             z = np.exp(1j * w_stim * (j * dt))
-            step = (2.0 * k) @ a_inv
+            step = _premultiply(2.0 * k, a_inv)
             drive = (step @ s)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
             step -= np.eye(nu)
             states = _chain(step, drive, state)
@@ -287,7 +372,7 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
             state[...] = states[-1]
         # Free the block, small arrays too: one left above its memory keeps the
         # allocator from returning that memory before the fill.
-        del j, a_inv, z, step, drive, states, xs
+        del j, a_inv, z, step, drive, states, xs, inverses
 
         # period boundaries h_p from h_0 = 0, then every period's samples in blocks
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))

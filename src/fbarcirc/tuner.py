@@ -133,6 +133,9 @@ class StampedDesign:
         self.n_harm = problem.n_harm
         self._stamps = htm._stamp(net)
         self._branches = [(el.branch, el.modulation.phase) for el in net.modulated]
+        # the excitation depends on the stamps and n_harm only, not on f_mod
+        self._excitation = htm._excitation(
+            self._stamps, HarmonicBasis(problem.f_mod_bounds[0], problem.n_harm))
 
     def sparams(self, delta: float, f_mod: float, f_op: float) -> SParamGrid:
         """One-point S-parameters of the design modulated at (delta, f_mod)."""
@@ -140,7 +143,7 @@ class StampedDesign:
                 for branch, phase in self._branches]
         basis = HarmonicBasis(f_mod, self.n_harm)
         htm._couple(self._stamps, mods)
-        return htm._sweep(self._stamps, basis, np.array([f_op]))
+        return htm._sweep(self._stamps, basis, np.array([f_op]), self._excitation)
 
 
 def objective(params, problem: TuneProblem, stamped: StampedDesign | None = None) -> float:

@@ -240,6 +240,24 @@ class TestVerify:
         assert "FAIL" in out
 
 
+class TestRunSizeGuard:
+    @pytest.mark.parametrize("text", ["design.f_s = 0.5\n", "design.f_mod = 0.5\n"],
+                             ids=["f-s-tiny", "f-mod-tiny"])
+    def test_oversized_oracle_run_exits_2_before_integrating(self, capsys, tmp_path,
+                                                             monkeypatch, text):
+        # each asks a transient run for GiBs of samples or a period of 1e12
+        # steps; the guard must stop it before anything is inverted
+        def refuse(a):
+            raise AssertionError("np.linalg.inv reached")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(VERIFY_CFG + text)
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "RunTooLarge" in err
+
+
 TUNE_CFG = """design.topology = differential
 design.delta = 0.01
 tuner.budget = 10
@@ -332,6 +350,25 @@ class TestReport:
     def test_zero_records_usage_error(self, capsys):
         code, _, _ = run(capsys, "report")
         assert code == 2
+
+
+class TestConfigCheckedAtLoad:
+    @pytest.mark.parametrize("command", ["simulate", "tune"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_bw_threshold_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                      command, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(fbarcirc.cli, "sparams", refuse)
+        monkeypatch.setattr(fbarcirc.cli, "tune", refuse)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TUNE_CFG + f"metrics.bw_threshold_db = {value}\n")
+        out_dir = tmp_path / "o"
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert "ConfigError: metrics.bw_threshold_db" in err
+        assert not out_dir.exists()
 
 
 class TestEntry:

@@ -52,6 +52,13 @@ sweep.points = 11
         with pytest.raises(ConfigError, match="design"):
             cfg.design()
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+    def test_bw_threshold_checked_at_load(self, value):
+        with pytest.raises(ConfigError, match="metrics.bw_threshold_db"):
+            parse_config(f"metrics.bw_threshold_db = {value}\n")
+        assert parse_config("metrics.bw_threshold_db = 3\n").get_float(
+            "metrics.bw_threshold_db") == 3.0
+
     def test_bool_parsing(self):
         assert parse_config("design.c0_to_ground = false\n").get_bool("design.c0_to_ground") is False
         with pytest.raises(ConfigError):

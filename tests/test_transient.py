@@ -1,19 +1,21 @@
 import gzip
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc import transient
+from fbarcirc.config import load_config
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
-                              Port, Resistor)
+                              Port, Resistor, build_circulator, scale_frequency)
 from fbarcirc.transient import (Diverged, IllConditionedBasis, StepTooLarge,
                                 TransientResult, cross_validate, extract_phasors,
                                 read_waveforms, simulate, time_grid, write_waveforms)
 
-from conftest import one_port_net, toy_wye_net
+from conftest import DESK_SPECS, one_port_net, toy_wye_net
 
 F_MOD = 23.2e3
 FAST_SPECS = ResonatorSpecs(f_s=2.65e6, q=20.0, k_sq=0.09, c0=1.0e-9)
@@ -253,6 +255,131 @@ class TestPeriodReuse:
             Port(1, "p1", 50.0)))
         with pytest.raises(ValueError, match="one f_mod"):
             simulate(net, (1, self.F, 1.0), 1.0 / F_MOD, 1.0 / (60 * self.F))
+
+
+def _explicit_inverses(a0, mod, t):
+    """np.linalg.inv of every step matrix K + G(t), each built entry by entry."""
+    ref = []
+    for tj in t:
+        a = a0.copy()
+        for row, depth, f_mod, phase in mod:
+            a[int(row), int(row) + 1] = 1.0 + depth * math.cos(2.0 * math.pi * f_mod * tj + phase)
+        ref.append(np.linalg.inv(a))
+    return np.array(ref)
+
+
+def _no_inverse(monkeypatch):
+    """Make np.linalg.inv fail if anything reaches it."""
+    def refuse(a):
+        raise AssertionError(f"np.linalg.inv reached with shape {np.shape(a)}")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestStepInverses:
+    F = 2.68e6
+
+    @staticmethod
+    def _tuned_replica():
+        design = load_config(CONFIGS / "differential_tuned.cfg").design()
+        return scale_frequency(build_circulator(design), 1000.0)
+
+    @pytest.mark.parametrize("case, nu, k", [("one-port", 3, 1), ("toy-wye", 7, 2),
+                                             ("differential", 17, 6)])
+    def test_woodbury_matches_direct_inverse(self, case, nu, k):
+        net, f, f_mod = {
+            "one-port": lambda: (one_port_net(FAST_SPECS, 0.05, F_MOD), self.F, F_MOD),
+            "toy-wye": lambda: (toy_wye_net(DESK_SPECS, 0.02, F_MOD), self.F, F_MOD),
+            "differential": lambda: (self._tuned_replica(), 2.6767e6, 31479.74575625309),
+        }[case]()
+        _, c, g, _, mod = transient._stamp(net, 1, 1.0)
+        assert (c.shape[0], len(mod)) == (nu, k)
+        dt, _ = time_grid(net, f, f_mod, 400, 1.0)
+        a0 = 2.0 * c / dt + g
+        # 300 steps spread over one modulation period
+        per = round(1.0 / (f_mod * dt))
+        t = (np.arange(1, per + 1, per // 300)) * dt
+        ref = _explicit_inverses(a0, mod, t)
+        inverses = transient._StepInverses(a0, mod, t.size + 9)
+        for n in (t.size, 37):  # a full block, then a short one in the same buffers
+            x = inverses(t[:n])
+            err = np.max(np.abs(x - ref[:n]), axis=(1, 2)) / np.max(np.abs(ref[:n]), axis=(1, 2))
+            assert x.shape == (n, nu, nu)
+            assert np.max(err) <= 1e-12
+
+    def test_singular_step_raises(self):
+        # A0 is regular, but at t = 0 the modulated entry makes both rows equal
+        a0 = np.array([[1.0, 1.0], [1.0, 2.0]])
+        mod = np.array([[0.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(Diverged):
+            transient._StepInverses(a0, mod, 2)(np.array([0.25, 0.0]))
+
+    def test_residual_bound_enforced_on_a0(self, monkeypatch):
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
+        monkeypatch.setattr(transient, "INVERSE_RESIDUAL_BOUND", 1e-30)
+        with pytest.raises(Diverged, match="residual"):
+            simulate(net, (1, self.F, 1.0), 2.0 / F_MOD, dt)
+
+    def test_residual_bound_enforced_on_every_block(self, monkeypatch):
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        _, c, g, _, mod = transient._stamp(net, 1, 1.0)
+        dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
+        a0 = 2.0 * c / dt + g
+        inverses = transient._StepInverses(a0, mod, 64)
+        t = np.arange(1, 65) * dt
+        inverses(t)
+        monkeypatch.setattr(transient, "INVERSE_RESIDUAL_BOUND", 1e-30)
+        with pytest.raises(Diverged, match="residual"):
+            inverses(t)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.02])
+    def test_one_run_inverts_one_matrix(self, monkeypatch, delta):
+        # at 400 points per cycle the modulation period spans several blocks
+        shapes = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        net = toy_wye_net(FAST_SPECS, delta, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 400, 1.0)
+        assert round(1.0 / (F_MOD * dt)) > transient.CHUNK_VALUES // (7 * 9)
+        simulate(net, (1, self.F, 1.0), 2.0 / F_MOD, dt)
+        assert shapes == [(7, 7)]
+
+    def test_period_size_bounded_before_any_work(self, monkeypatch):
+        _no_inverse(monkeypatch)
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        dt = 1.0 / (2.0 * transient.MAX_PERIOD_STEPS * F_MOD)
+        with pytest.raises(transient.RunTooLarge, match="MAX_PERIOD_STEPS"):
+            simulate(net, (1, self.F, 1.0), 1.0 / F_MOD, dt)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_sample_count_bounded_before_any_work(self, monkeypatch, delta):
+        _no_inverse(monkeypatch)
+        net = one_port_net(FAST_SPECS, delta, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
+        with pytest.raises(transient.RunTooLarge, match="MAX_SAMPLES"):
+            simulate(net, (1, self.F, 1.0), 2.0 * transient.MAX_SAMPLES * dt, dt)
+        assert isinstance(transient.RunTooLarge("x"), ValueError)
+
+    @pytest.mark.parametrize("config, f_op", [("differential.cfg", 2.6e9),
+                                              ("differential_tuned.cfg", 2676659341.9773417)])
+    def test_size_bounds_admit_a_fine_differential_run(self, config, f_op):
+        # the desk replica at 800 points per cycle, 22 periods past ring-up,
+        # at the operating point simulate reports: both bounds sit 10x above it
+        design = load_config(CONFIGS / config).design()
+        net = scale_frequency(build_circulator(design), 1000.0)
+        f_mod = design.f_mod / 1000.0
+        dt, duration = time_grid(net, f_op / 1000.0, f_mod, 800, 22.0)
+        assert 10 * round(1.0 / (f_mod * dt)) <= transient.MAX_PERIOD_STEPS
+        assert 10 * (round(duration / dt) + 1) <= transient.MAX_SAMPLES
 
 
 class TestExtractPhasors:

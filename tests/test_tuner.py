@@ -122,6 +122,19 @@ class TestStampedDesign:
         ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         assert grid.data.tobytes() == ref.data.tobytes()
 
+    def test_excitation_built_once_per_tune(self, monkeypatch):
+        calls = []
+        real = htm._excitation
+
+        def counted(st, basis):
+            calls.append(basis.n_harm)
+            return real(st, basis)
+
+        monkeypatch.setattr(htm, "_excitation", counted)
+        problem = small_problem(budget=20)
+        assert tune(problem, seed=0).evaluations == 20
+        assert calls == [problem.n_harm]
+
     def test_keeps_the_modulation_checks(self):
         stamped = StampedDesign(small_problem())
         with pytest.raises(ValueError, match="depth"):
