@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
                   ParseError, ResonatorSpecs, bvd_from_specs, fit_lorentzian,
@@ -28,8 +27,7 @@ from .fileio import atomic_write_text, fingerprint
 from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular,
                   SingularStructure, sparams)
 from .metrics import CirculatorMetrics, metrics_table, summarize
-from .netlist import (ModulationSpec, Netlist, NetlistError, build_circulator,
-                      build_one_port, build_toy_wye, scale_frequency, write_netlist)
+from .netlist import NetlistError, build_circulator, build_one_port, write_netlist
 from .transient import (Diverged, IllConditionedBasis, RunTooLarge, StepTooLarge,
                         cross_validate)
 from .tuner import TuneFailed, TuneProblem, tune, write_trace_csv
@@ -106,18 +104,18 @@ def cmd_fit(args) -> int:
 
 # --- simulate ---------------------------------------------------------------
 
-def _basis(cfg: RunConfig, f_mod: float, n_harm: int | None = None) -> HarmonicBasis:
-    """Harmonic basis of order ``n_harm`` (a positive --n-harm), else basis.n_harm."""
-    try:
-        return HarmonicBasis(f_mod, n_harm if n_harm is not None else cfg.get_int("basis.n_harm"))
-    except ValueError as exc:
-        raise ConfigError(f"basis.n_harm: {exc}") from exc
+def _load(args) -> RunConfig:
+    """The --config file, its basis.n_harm replaced by --n-harm when given."""
+    cfg = load_config(args.config)
+    if args.n_harm is None:
+        return cfg
+    return RunConfig(values={**cfg.values, "basis.n_harm": args.n_harm})
 
 
-def _run_simulation(cfg: RunConfig, out_dir: str, n_harm: int | None = None) -> CirculatorMetrics:
+def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
     design = cfg.design()
     net = build_circulator(design)
-    basis = _basis(cfg, design.f_mod, n_harm)
+    basis = HarmonicBasis(design.f_mod, cfg.get_int("basis.n_harm"))
     freqs = cfg.sweep_frequencies()
     direction = cfg.direction()
     grid = sparams(net, basis, freqs)
@@ -137,8 +135,8 @@ def _run_simulation(cfg: RunConfig, out_dir: str, n_harm: int | None = None) -> 
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    m = _run_simulation(cfg, args.out, n_harm=args.n_harm)
+    cfg = _load(args)
+    m = _run_simulation(cfg, args.out)
     _log(args.out, f"simulate config={args.config} fingerprint={fingerprint(serialize_config(cfg))}")
     print(metrics_table(m))
     print(m.record())
@@ -147,54 +145,10 @@ def cmd_simulate(args) -> int:
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_cases(cfg: RunConfig):
-    """Desk-scale oracle circuits, each built at the design's own frequency with
-    Q = verify.q and replicated verify.scale times lower by scale_frequency."""
-    design = cfg.design()
-    for key in ("verify.scale", "verify.q", "verify.f_ratio", "verify.pts_per_cycle",
-                "verify.pts_per_cycle_static", "verify.mod_periods",
-                "verify.mod_periods_static"):
-        value = cfg.get_float(key)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{key}: must be finite and positive, got {value}")
-    scale = cfg.get_float("verify.scale")
-    try:
-        branch = bvd_from_specs(replace(design.resonator, q=cfg.get_float("verify.q"))).branches[0]
-    except ValueError as exc:
-        raise ConfigError(f"verify.q: {exc}") from exc
-    c0, z0 = design.resonator.c0, design.z0
-
-    def replica(net: Netlist) -> Netlist:
-        try:
-            return scale_frequency(net, scale)
-        except ValueError as exc:  # element values or f_mod out of float range
-            raise ConfigError(f"verify.scale: {exc}") from exc
-
-    # Zero depth rather than None keeps the static netlist's f_mod equal to the basis's.
-    def one_port(delta: float) -> Netlist:
-        return replica(build_one_port(branch, c0, z0, ModulationSpec(delta, design.f_mod, 0.0)))
-
-    def toy_wye(delta: float) -> Netlist:
-        return replica(build_toy_wye(branch, c0, z0, (
-            ModulationSpec(delta, design.f_mod, 0.0),
-            ModulationSpec(delta, design.f_mod, math.pi / 2.0))))
-
-    ppc = cfg.get_int("verify.pts_per_cycle")
-    ppc_static = cfg.get_int("verify.pts_per_cycle_static")
-    return [
-        ("static", one_port(0.0), (1, 1), cfg.get_float("verify.gate_static"),
-         cfg.get_float("verify.mod_periods_static"), ppc_static),
-        ("single-branch", one_port(cfg.get_float("verify.delta_single")), (1, 1),
-         cfg.get_float("verify.gate_single"), cfg.get_float("verify.mod_periods"), ppc),
-        ("toy-wye", toy_wye(cfg.get_float("verify.delta_wye")), (1, 2),
-         cfg.get_float("verify.gate_wye"), cfg.get_float("verify.mod_periods"), ppc),
-    ], cfg.get_float("verify.f_ratio") * (design.resonator.f_s / scale), design.f_mod / scale
-
-
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    cases, f, f_mod = _verify_cases(cfg)
-    basis = _basis(cfg, f_mod, args.n_harm)
+    cfg = _load(args)
+    cases, f, f_mod = cfg.verify_cases()
+    basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
     lines = []
     failed = False
     os.makedirs(args.out, exist_ok=True)
@@ -216,57 +170,38 @@ def cmd_verify(args) -> int:
 # --- tune -------------------------------------------------------------------
 
 def _tune_problem(cfg: RunConfig) -> TuneProblem:
-    design = cfg.design()
-    settings = dict(budget=cfg.get_int("tuner.budget"),
-                    il_cap_db=cfg.get_float("tuner.il_cap_db"),
-                    n_harm=_basis(cfg, design.f_mod).n_harm,
-                    delta_max=cfg.get_float("tuner.delta_max"),
-                    f_mod_window=cfg.get_float("tuner.f_mod_window"),
-                    f_op_window=cfg.get_float("tuner.f_op_window"),
-                    starts=cfg.get_int("tuner.starts"),
-                    direction=cfg.direction())
-    try:
-        return TuneProblem.default(design, **settings)
-    except ValueError as exc:
-        raise ConfigError(f"tuner: {exc}") from exc
+    return TuneProblem.default(cfg.design(), budget=cfg.get_int("tuner.budget"),
+                               il_cap_db=cfg.get_float("tuner.il_cap_db"),
+                               n_harm=cfg.get_int("basis.n_harm"),
+                               delta_max=cfg.get_float("tuner.delta_max"),
+                               f_mod_window=cfg.get_float("tuner.f_mod_window"),
+                               f_op_window=cfg.get_float("tuner.f_op_window"),
+                               starts=cfg.get_int("tuner.starts"),
+                               direction=cfg.direction())
 
 
-def _metrics_grid(cfg: RunConfig, problem: TuneProblem) -> tuple[float, int]:
-    """(half-span, points) of the post-tune grid, checked before any evaluation."""
+def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float) -> RunConfig:
+    """Best-parameter configuration sweeping f_op +- tuner.metrics_span in
+    tuner.metrics_points points plus f_op; its simulate run is the one source
+    of the tuned metrics.  Building it checks it like any loaded config."""
     span = cfg.get_float("tuner.metrics_span")
-    points = cfg.get_int("tuner.metrics_points")
-    f_op_min = problem.f_op_bounds[0]
-    if not (math.isfinite(span) and 0.0 < span < f_op_min):
-        raise ConfigError(f"tuner.metrics_span: must be finite, positive and below the "
-                          f"lowest f_op bound {f_op_min}, got {span}")
-    if points < 2:
-        raise ConfigError(f"tuner.metrics_points: must be at least 2, got {points}")
-    return span, points
-
-
-def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float,
-                   span: float, points: int) -> RunConfig:
-    """Best-parameter configuration sweeping f_op +- ``span`` in ``points`` points
-    plus f_op; its simulate run is the one source of the tuned metrics."""
     values = dict(cfg.values)
     values["design.delta"] = repr(delta)
     values["design.f_mod"] = repr(f_mod)
     values["sweep.f_start"] = repr(f_op - span)
     values["sweep.f_stop"] = repr(f_op + span)
-    values["sweep.points"] = str(points)
+    values["sweep.points"] = str(cfg.get_int("tuner.metrics_points"))
     values["sweep.include"] = repr(f_op)
     return RunConfig(values=values)
 
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
-    problem = _tune_problem(cfg)
-    span, points = _metrics_grid(cfg, problem)
-    result = tune(problem, seed=args.seed)
+    result = tune(_tune_problem(cfg), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 
-    tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op, span, points)
+    tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op)
     atomic_write_text(os.path.join(args.out, "tuned_config.cfg"), serialize_config(tuned))
     m = _run_simulation(tuned, args.out)
     _log(args.out, f"tune config={args.config} seed={args.seed} evals={result.evaluations}")

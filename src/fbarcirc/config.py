@@ -10,105 +10,204 @@ typos fail loudly.  Example::
     sweep.f_stop = 2.76e9
     sweep.points = 201
     basis.n_harm = 5
+
+:data:`SCHEMA` declares each key's default, kind and range.  A :class:`RunConfig`
+checks every key and the facts that tie keys together when it is built, so
+a bad value fails every workflow before any work, even one that never reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .bvd import ResonatorSpecs
+from .bvd import ResonatorSpecs, bvd_from_specs
 from .metrics import Direction
-from .netlist import CirculatorDesign, PhaseSequence, Topology
+from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence, Topology,
+                      build_one_port, build_toy_wye, scale_frequency)
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration entry; message carries the key path."""
 
 
-_DEFAULTS: dict[str, object] = {
-    "design.topology": "differential",
-    "design.f_s": 2.65e9,
-    "design.q": 700.0,
-    "design.k_sq": 0.09,
-    "design.c0": 1.0e-12,
-    "design.delta": 0.0,
-    "design.f_mod": 23.2e6,
-    "design.z0": 50.0,
-    "design.phase_sequence": "forward",
-    "design.c0_to_ground": True,
-    "sweep.f_start": 2.6e9,
-    "sweep.f_stop": 2.76e9,
-    "sweep.points": 201,
-    "sweep.include": "",
-    "basis.n_harm": 5,
-    "metrics.in_port": 1,
-    "metrics.through_port": 2,
-    "metrics.isolated_port": 3,
-    "metrics.bw_threshold_db": 25.0,
-    "outputs.s3p": "sim.s3p",
-    "outputs.harmonics": "harmonics.csv",
-    "outputs.metrics": "metrics.json",
-    "tuner.delta_max": 0.1,
-    "tuner.f_mod_window": 0.4,
-    "tuner.f_op_window": 0.02,
-    "tuner.il_cap_db": 2.85,
-    "tuner.budget": 300,
-    "tuner.starts": 4,
-    "tuner.metrics_span": 25.0e6,
-    "tuner.metrics_points": 251,
-    "verify.scale": 1000.0,
-    "verify.q": 100.0,
-    "verify.f_ratio": 1.0113,
-    "verify.delta_single": 0.05,
-    "verify.delta_wye": 0.02,
-    "verify.pts_per_cycle": 400,
-    "verify.pts_per_cycle_static": 800,
-    "verify.mod_periods": 22.0,
-    "verify.mod_periods_static": 8.0,
-    "verify.gate_static": 1.0e-3,
-    "verify.gate_single": 1.0e-2,
-    "verify.gate_wye": 2.0e-2,
+class Key(NamedTuple):
+    """Default, kind (float, int, bool, an enum, ``list`` of frequencies or ``str``
+    file name) and the interval a number, or each listed frequency, lies in."""
+
+    default: object
+    kind: type
+    interval: str = "(-inf, inf)"
+
+
+SCHEMA: dict[str, Key] = {
+    "design.topology": Key("differential", Topology),
+    "design.f_s": Key(2.65e9, float, "(0, inf)"),
+    "design.q": Key(700.0, float, "(0, inf)"),
+    "design.k_sq": Key(0.09, float, "(0, 1)"),
+    "design.c0": Key(1.0e-12, float, "(0, inf)"),
+    "design.delta": Key(0.0, float, "[0, 1)"),
+    "design.f_mod": Key(23.2e6, float, "(0, inf)"),
+    "design.z0": Key(50.0, float, "(0, inf)"),
+    "design.phase_sequence": Key("forward", PhaseSequence),
+    "design.c0_to_ground": Key(True, bool),
+    "sweep.f_start": Key(2.6e9, float, "(0, inf)"),
+    "sweep.f_stop": Key(2.76e9, float, "(0, inf)"),
+    "sweep.points": Key(201, int, "[2, inf)"),
+    "sweep.include": Key("", list, "(0, inf)"),
+    "basis.n_harm": Key(5, int, "[1, inf)"),
+    "metrics.in_port": Key(1, int, "[1, 3]"),
+    "metrics.through_port": Key(2, int, "[1, 3]"),
+    "metrics.isolated_port": Key(3, int, "[1, 3]"),
+    "metrics.bw_threshold_db": Key(25.0, float, "(0, inf)"),
+    "outputs.s3p": Key("sim.s3p", str),
+    "outputs.harmonics": Key("harmonics.csv", str),
+    "outputs.metrics": Key("metrics.json", str),
+    "tuner.delta_max": Key(0.1, float, "(0, 1)"),
+    "tuner.f_mod_window": Key(0.4, float, "(0, 1)"),
+    "tuner.f_op_window": Key(0.02, float, "(0, 1)"),
+    "tuner.il_cap_db": Key(2.85, float),
+    "tuner.budget": Key(300, int, "[10, inf)"),
+    "tuner.starts": Key(4, int, "[1, inf)"),
+    "tuner.metrics_span": Key(25.0e6, float, "(0, inf)"),
+    "tuner.metrics_points": Key(251, int, "[2, inf)"),
+    "verify.scale": Key(1000.0, float, "(0, inf)"),
+    "verify.q": Key(100.0, float, "(0, inf)"),
+    "verify.f_ratio": Key(1.0113, float, "[0.5, 2]"),
+    "verify.delta_single": Key(0.05, float, "[0, 1)"),
+    "verify.delta_wye": Key(0.02, float, "[0, 1)"),
+    "verify.pts_per_cycle": Key(400, int, "[1, inf)"),
+    "verify.pts_per_cycle_static": Key(800, int, "[1, inf)"),
+    "verify.mod_periods": Key(22.0, float, "(0, inf)"),
+    "verify.mod_periods_static": Key(8.0, float, "(0, inf)"),
+    "verify.gate_static": Key(1.0e-3, float, "[0, inf)"),
+    "verify.gate_single": Key(1.0e-2, float, "[0, inf)"),
+    "verify.gate_wye": Key(2.0e-2, float, "[0, inf)"),
 }
+
+MAX_SWEEP_SIZE = 1 << 16
+"""Most points x (2*n_harm + 1) harmonics in one sweep; at the bound, simulate of
+the differential circulator takes about 2 s and 200 MB (2 vCPUs, most of it CSV)."""
+
+# Files the workflows write under --out besides the outputs.* names.
+FIXED_OUTPUTS = ("run.log", "trace.csv", "tuned_config.cfg", "verify_report.txt")
+
+_PORT_KEYS = ("metrics.in_port", "metrics.through_port", "metrics.isolated_port")
+_OUTPUT_KEYS = ("outputs.s3p", "outputs.harmonics", "outputs.metrics")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _integer(raw) -> int:
+    f = float(raw)
+    if f != int(f):  # int(inf) overflows, int(nan) raises
+        raise ValueError(raw)
+    return int(f)
+
+
+def _file_name(raw) -> str:
+    """A plain file name: not empty, ``.`` or ``..``, and no path separator."""
+    name = str(raw)
+    if name in ("", ".", "..") or "\0" in name or any(
+            sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValueError(raw)
+    return name
+
+
+# kind -> (parser, what the message says was expected)
+_PARSERS = {float: (float, "number"), int: (_integer, "integer"),
+            bool: (lambda raw: _BOOLEANS[str(raw).lower()], "true or false"),
+            list: (lambda raw: [float(t) for t in str(raw).split(",") if t.strip()],
+                   "comma-separated numbers"),
+            str: (_file_name, "plain file name")}
+
+
+def _within(value, interval: str) -> bool:
+    """``value`` lies in ``interval``, written "(lo, hi)" with [ or ] for a
+    closed end; nan lies in none."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    below = value <= hi if interval[-1] == "]" else value < hi
+    return above and below
+
+
+def _parse(key: str, spec: Key, raw):
+    """The typed value of one key; ConfigError names the key."""
+    parser, expected = _PARSERS.get(spec.kind) or (
+        spec.kind, " or ".join(member.value for member in spec.kind))
+    try:
+        value = parser(raw)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
+    if spec.kind in (float, int, list):
+        for v in value if spec.kind is list else [value]:
+            if not _within(v, spec.interval):
+                raise ConfigError(f"{key}: must lie in {spec.interval}, got {v}")
+    return value
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration: every key, defaults filled in."""
+    """Parsed configuration, every key filled in and checked on construction:
+    ``values`` as written (what :func:`serialize_config` reproduces), ``typed``
+    as checked (what the getters and section builders return)."""
 
     values: dict[str, object]
+    typed: dict[str, object] = field(init=False, repr=False)
 
-    def _typed(self, key: str, caster, kind: str):
-        raw = self.values[key]
-        try:
-            return caster(raw)
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from exc
+    def __post_init__(self) -> None:
+        self.typed = {key: _parse(key, spec, self.values[key]) for key, spec in SCHEMA.items()}
+        self._check_together()
+
+    def _check_together(self) -> None:
+        """The facts that tie keys together."""
+        t = self.typed
+        if not t["sweep.f_start"] < t["sweep.f_stop"]:
+            raise ConfigError(f"sweep.f_start: must be below sweep.f_stop "
+                              f"({t['sweep.f_start']} >= {t['sweep.f_stop']})")
+        for keys, fixed in ((_PORT_KEYS, ()), (_OUTPUT_KEYS, FIXED_OUTPUTS)):
+            names = [t[key] for key in keys] + list(fixed)
+            if len(set(names)) != len(names):
+                raise ConfigError(f"{', '.join(keys)}: must differ from each other, got {names}")
+        harmonics = 2.0 * t["basis.n_harm"] + 1.0  # floats, so sizes read as 1e300 still format
+        for key, points in (("sweep.points", float(t["sweep.points"] + len(t["sweep.include"]))),
+                            ("tuner.metrics_points", float(t["tuner.metrics_points"] + 1))):
+            if points * harmonics > MAX_SWEEP_SIZE:
+                raise ConfigError(f"{key}, basis.n_harm: {points:.4g} points x {harmonics:.4g} "
+                                  f"harmonics exceed MAX_SWEEP_SIZE = {MAX_SWEEP_SIZE}")
+        # the harmonic engine rounds each stimulus over f_mod to an integer
+        top = max(t["design.f_s"], t["sweep.f_stop"], *t["sweep.include"])
+        if not math.isfinite(top / t["design.f_mod"]):
+            raise ConfigError(f"design.f_mod: {top} Hz / f_mod {t['design.f_mod']} "
+                              f"is not finite")
+        # BVD elements in float range: the design's and the verify replicas'
+        for keys, build in (("design.f_s, design.q, design.k_sq, design.c0",
+                             lambda: bvd_from_specs(self.design().resonator)),
+                            ("verify.q, verify.scale", self.verify_cases)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: element values leave float range ({exc})") from exc
+        # the tune's search box in f_mod and f_op, laid out as TuneProblem.default does
+        for key, centre in (("tuner.f_mod_window", t["design.f_mod"]),
+                            ("tuner.f_op_window", t["design.f_s"])):
+            if not centre * (1.0 - t[key]) < centre * (1.0 + t[key]):
+                raise ConfigError(f"{key}: leaves an empty search box around {centre}")
+        # f_op +- span is the post-tune sweep: positive, and wider than a rounding step
+        f_s, window, span = t["design.f_s"], t["tuner.f_op_window"], t["tuner.metrics_span"]
+        f_op_min, f_op_max = f_s * (1.0 - window), f_s * (1.0 + window)
+        if not (span < f_op_min and f_op_max - span < f_op_max + span):
+            raise ConfigError(f"tuner.metrics_span: must be below the lowest f_op bound "
+                              f"{f_op_min} and resolve the highest {f_op_max}, got {span}")
 
     def get_float(self, key: str) -> float:
-        return self._typed(key, float, "number")
+        """The checked value of ``key``; get_int and get_bool are the same lookup."""
+        return self.typed[key]
 
-    def get_int(self, key: str) -> int:
-        def cast(v):
-            f = float(v)
-            if f != int(f):
-                raise ValueError(v)
-            return int(f)
-        return self._typed(key, cast, "integer")
-
-    def get_bool(self, key: str) -> bool:
-        def cast(v):
-            if isinstance(v, bool):
-                return v
-            s = str(v).strip().lower()
-            if s in ("true", "1", "yes"):
-                return True
-            if s in ("false", "0", "no"):
-                return False
-            raise ValueError(v)
-        return self._typed(key, cast, "boolean")
+    get_int = get_bool = get_float
 
     def get_str(self, key: str) -> str:
         return str(self.values[key])
@@ -116,77 +215,63 @@ class RunConfig:
     # Section builders -----------------------------------------------------
 
     def design(self) -> CirculatorDesign:
-        topo_raw = self.get_str("design.topology")
-        try:
-            topology = Topology(topo_raw)
-        except ValueError:
-            raise ConfigError(f"design.topology: expected single_ended or differential, "
-                              f"got {topo_raw!r}")
-        seq_raw = self.get_str("design.phase_sequence")
-        try:
-            sequence = PhaseSequence(seq_raw)
-        except ValueError:
-            raise ConfigError(f"design.phase_sequence: expected forward or reverse, "
-                              f"got {seq_raw!r}")
-        try:
-            specs = ResonatorSpecs(f_s=self.get_float("design.f_s"),
-                                   q=self.get_float("design.q"),
-                                   k_sq=self.get_float("design.k_sq"),
-                                   c0=self.get_float("design.c0"))
-            return CirculatorDesign(topology=topology, resonator=specs,
-                                    delta=self.get_float("design.delta"),
-                                    f_mod=self.get_float("design.f_mod"),
-                                    z0=self.get_float("design.z0"),
-                                    phase_sequence=sequence,
-                                    c0_to_ground=self.get_bool("design.c0_to_ground"))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"design: {exc}") from exc
+        t = self.typed
+        specs = ResonatorSpecs(f_s=t["design.f_s"], q=t["design.q"],
+                               k_sq=t["design.k_sq"], c0=t["design.c0"])
+        return CirculatorDesign(topology=t["design.topology"], resonator=specs,
+                                delta=t["design.delta"], f_mod=t["design.f_mod"],
+                                z0=t["design.z0"], phase_sequence=t["design.phase_sequence"],
+                                c0_to_ground=t["design.c0_to_ground"])
 
     def sweep_frequencies(self) -> np.ndarray:
-        f_start = self.get_float("sweep.f_start")
-        f_stop = self.get_float("sweep.f_stop")
-        points = self.get_int("sweep.points")
-        include = self.get_str("sweep.include")
-        try:
-            extra = [float(t) for t in include.split(",") if t.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"sweep.include: {exc}") from exc
-        for key, f in ([("sweep.f_start", f_start), ("sweep.f_stop", f_stop)]
-                       + [("sweep.include", f) for f in extra]):
-            if not (math.isfinite(f) and f > 0.0):
-                raise ConfigError(f"{key}: must be finite and positive, got {f}")
-        if not f_start < f_stop:
-            raise ConfigError(f"sweep.f_start: must be below sweep.f_stop "
-                              f"({f_start} >= {f_stop})")
-        if points < 2:
-            raise ConfigError(f"sweep.points: need at least 2, got {points}")
-        grid = np.linspace(f_start, f_stop, points)
+        t = self.typed
+        grid = np.linspace(t["sweep.f_start"], t["sweep.f_stop"], t["sweep.points"])
+        extra = t["sweep.include"]
         return np.union1d(grid, extra) if extra else grid
 
     def basis_f_mod(self) -> float:
         """Modulation frequency of the harmonic basis: always design.f_mod
         (the benchmark worker builds its basis from this)."""
-        return self.get_float("design.f_mod")
+        return self.typed["design.f_mod"]
 
     def direction(self) -> Direction:
         """Port roles of the 3-port circulator: each of 1..3, all distinct."""
-        keys = ("metrics.in_port", "metrics.through_port", "metrics.isolated_port")
-        roles = [self.get_int(key) for key in keys]
-        for key, port in zip(keys, roles):
-            if port not in (1, 2, 3):
-                raise ConfigError(f"{key}: expected a port index 1..3, got {port}")
-        if len(set(roles)) != 3:
-            raise ConfigError(f"metrics: in, through and isolated ports must differ, "
-                              f"got {roles}")
-        return Direction(*roles)
+        return Direction(*(self.typed[key] for key in _PORT_KEYS))
+
+    def verify_cases(self):
+        """``verify``'s oracle circuits, built at the design's own frequency with
+        Q = verify.q and replicated verify.scale times lower by scale_frequency:
+        [(name, netlist, ports, gate, mod_periods, pts_per_cycle)], f, f_mod."""
+        t, design = self.typed, self.design()
+        scale = t["verify.scale"]
+        branch = bvd_from_specs(replace(design.resonator, q=t["verify.q"])).branches[0]
+        c0, z0 = design.resonator.c0, design.z0
+
+        # Zero depth rather than None keeps the static netlist's f_mod equal to the basis's.
+        def one_port(delta: float) -> Netlist:
+            return scale_frequency(build_one_port(branch, c0, z0,
+                                                  ModulationSpec(delta, design.f_mod, 0.0)), scale)
+
+        def toy_wye(delta: float) -> Netlist:
+            return scale_frequency(build_toy_wye(branch, c0, z0, (
+                ModulationSpec(delta, design.f_mod, 0.0),
+                ModulationSpec(delta, design.f_mod, math.pi / 2.0))), scale)
+
+        ppc, periods = t["verify.pts_per_cycle"], t["verify.mod_periods"]
+        return [
+            ("static", one_port(0.0), (1, 1), t["verify.gate_static"],
+             t["verify.mod_periods_static"], t["verify.pts_per_cycle_static"]),
+            ("single-branch", one_port(t["verify.delta_single"]), (1, 1),
+             t["verify.gate_single"], periods, ppc),
+            ("toy-wye", toy_wye(t["verify.delta_wye"]), (1, 2), t["verify.gate_wye"],
+             periods, ppc),
+        ], t["verify.f_ratio"] * (design.resonator.f_s / scale), design.f_mod / scale
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; unknown keys, malformed lines and a bad
-    metrics.bw_threshold_db raise ConfigError."""
-    values = dict(_DEFAULTS)
+    """Parse config text; a malformed line, an unknown key or a value that
+    fails :data:`SCHEMA` or a cross-key fact raises ConfigError."""
+    values = {key: spec.default for key, spec in SCHEMA.items()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -199,13 +284,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in values:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
-    cfg = RunConfig(values=values)
-    # checked here, so that a bad value fails every workflow before any work
-    threshold = cfg.get_float("metrics.bw_threshold_db")
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ConfigError(f"metrics.bw_threshold_db: must be finite and positive, "
-                          f"got {threshold}")
-    return cfg
+    return RunConfig(values=values)
 
 
 def load_config(path) -> RunConfig:

@@ -139,13 +139,14 @@ class SParamGrid:
 
 
 def _check_stimulus(f: float, f_mod: float, n_harm: int) -> None:
-    if not math.isfinite(f):
-        raise DegenerateStimulus(f"stimulus frequency must be finite, got {f}")
+    ratio = f / f_mod  # not finite for a non-finite f, or one that overflows it
+    if not math.isfinite(ratio):
+        raise DegenerateStimulus(f"stimulus {f} Hz over f_mod {f_mod} Hz must be finite")
     if f == 0.0:
         raise DegenerateStimulus("stimulus frequency must be nonzero")
     # A mixing frequency f + n*f_mod vanishes only when f sits on a multiple
     # k*f_mod with |k| <= n_harm; only those stimuli are rejected.
-    k = round(f / f_mod)
+    k = round(ratio)
     if k != 0 and abs(k) <= n_harm and abs(f - k * f_mod) <= 1e-6 * abs(f):
         raise DegenerateStimulus(
             f"stimulus {f} Hz is within 1e-6 of {k} x f_mod; mixing frequency would vanish")

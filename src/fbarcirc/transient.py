@@ -472,15 +472,19 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
 
     dt = 1/(P*f_mod) with P = round(pts_per_cycle*f/f_mod), so one modulation
     period is exactly P steps and :func:`simulate` integrates it only once;
-    dt differs from 1/(pts_per_cycle*f) by less than 1/P relative."""
+    dt differs from 1/(pts_per_cycle*f) by less than 1/P relative.  Raises
+    :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS."""
+    steps = pts_per_cycle * f / f_mod
+    if not steps <= MAX_PERIOD_STEPS:  # also when it overflows, which round() would raise on
+        raise RunTooLarge(f"{steps:.4g} steps per modulation period exceed "
+                          f"MAX_PERIOD_STEPS = {MAX_PERIOD_STEPS}")
     q_max = 0.0
     f_min = math.inf
     for el in net.modulated:
         q_max = max(q_max, min(el.branch.q, 1e4))
         f_min = min(f_min, el.branch.f_s)
     ring_up = 5.0 * q_max / (math.pi * f_min) if math.isfinite(f_min) and q_max else 0.0
-    steps_per_period = max(1, round(pts_per_cycle * f / f_mod))
-    return 1.0 / (steps_per_period * f_mod), ring_up + mod_periods / f_mod
+    return 1.0 / (max(1, round(steps)) * f_mod), ring_up + mod_periods / f_mod
 
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,

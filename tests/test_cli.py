@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +13,8 @@ import pytest
 import fbarcirc.cli
 import fbarcirc.transient
 import fbarcirc.tuner
-from fbarcirc.cli import _verify_cases, main
-from fbarcirc.config import load_config
+from fbarcirc.cli import main
+from fbarcirc.config import SCHEMA, ConfigError, load_config, parse_config
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.netlist import read_netlist, write_netlist
 from fbarcirc.touchstone import read_s3p
@@ -205,7 +207,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--config", str(cfg), "--out", str(out_dir),
                          "--dump-waveforms")
         assert code == 1
-        cases, f, f_mod = _verify_cases(load_config(cfg))
+        cases, f, f_mod = load_config(cfg).verify_cases()
         assert len(calls) == len(cases)  # the dump reuses the cross-check's integration
         assert sorted(p.name for p in out_dir.glob("waveforms_*")) == sorted(
             f"waveforms_{name}.csv.gz" for name, *_ in cases)
@@ -222,7 +224,7 @@ class TestVerify:
         cfg_path.write_text(VERIFY_CFG)
         cfg = load_config(cfg_path)
         design, scale = cfg.design(), cfg.get_float("verify.scale")
-        cases, f, f_mod = _verify_cases(cfg)
+        cases, f, f_mod = cfg.verify_cases()
         replica = next(net for name, net, *_ in cases if name == "toy-wye")
         full = toy_wye_net(replace(design.resonator, q=cfg.get_float("verify.q")),
                            cfg.get_float("verify.delta_wye"), design.f_mod, z0=design.z0)
@@ -241,8 +243,11 @@ class TestVerify:
 
 
 class TestRunSizeGuard:
-    @pytest.mark.parametrize("text", ["design.f_s = 0.5\n", "design.f_mod = 0.5\n"],
-                             ids=["f-s-tiny", "f-mod-tiny"])
+    # a tune's metrics span must lie below f_s, so the tiny f_s comes with a tiny span
+    @pytest.mark.parametrize("text", ["design.f_s = 0.5\ntuner.metrics_span = 0.1\n",
+                                      "design.f_mod = 0.5\n",
+                                      "verify.pts_per_cycle_static = 1e308\n"],
+                             ids=["f-s-tiny", "f-mod-tiny", "pts-per-cycle-overflow"])
     def test_oversized_oracle_run_exits_2_before_integrating(self, capsys, tmp_path,
                                                              monkeypatch, text):
         # each asks a transient run for GiBs of samples or a period of 1e12
@@ -352,14 +357,49 @@ class TestReport:
         assert code == 2
 
 
+# Small enough that every workflow finishes in milliseconds.
+FUZZ_CFG = """design.delta = 0.01
+sweep.points = 5
+basis.n_harm = 1
+tuner.budget = 12
+tuner.metrics_points = 5
+tuner.metrics_span = 2e6
+verify.q = 20
+verify.pts_per_cycle = 100
+verify.pts_per_cycle_static = 100
+verify.mod_periods = 2
+verify.mod_periods_static = 2
+"""
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+class CaseTimedOut(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_cap(seconds: int):
+    """Raise CaseTimedOut in the block after ``seconds`` (no pytest-timeout here)."""
+    def expire(signum, frame):
+        raise CaseTimedOut(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestConfigCheckedAtLoad:
     @pytest.mark.parametrize("command", ["simulate", "tune"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_bw_threshold_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       command, value):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started")
-
         monkeypatch.setattr(fbarcirc.cli, "sparams", refuse)
         monkeypatch.setattr(fbarcirc.cli, "tune", refuse)
         cfg = tmp_path / "c.cfg"
@@ -369,6 +409,62 @@ class TestConfigCheckedAtLoad:
         assert code == 2
         assert "ConfigError: metrics.bw_threshold_db" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "tune", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300",
+                                       "x", "0.5"])
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_no_value_of_any_key_ends_in_a_traceback(self, capsys, tmp_path, monkeypatch,
+                                                     key, value, command):
+        # No value here is a large finite size: one that passed the load-time
+        # bounds would really be allocated.  Those bounds are tested on
+        # parse_config alone (tests/test_config.py).
+        text = FUZZ_CFG + f"{key} = {value}\n"
+        try:
+            parse_config(text)
+            rejected = False
+        except ConfigError:
+            rejected = True
+        if rejected:
+            for name in ("sparams", "tune", "cross_validate"):
+                monkeypatch.setattr(fbarcirc.cli, name, refuse)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        with time_cap(10):
+            code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if rejected:
+            assert code == 2 and err.startswith("ConfigError: ")
+
+    @pytest.mark.parametrize("text, named", [
+        ("outputs.s3p =\n", "outputs.s3p"),
+        ("outputs.metrics = .\n", "outputs.metrics"),
+        ("outputs.s3p = metrics.json\n", "outputs.s3p, outputs.harmonics, outputs.metrics: "
+                                         "must differ"),
+    ], ids=["empty", "dot", "same-as-metrics"])
+    def test_output_names_are_distinct_plain_file_names(self, capsys, tmp_path, monkeypatch,
+                                                        text, named):
+        monkeypatch.setattr(fbarcirc.cli, "sparams", refuse)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FUZZ_CFG + text)
+        out_dir = tmp_path / "o"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"ConfigError: {named}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_n_harm_flag_meets_the_sweep_size_bound(self, capsys, tmp_path, monkeypatch,
+                                                     command):
+        for name in ("sparams", "cross_validate"):
+            monkeypatch.setattr(fbarcirc.cli, name, refuse)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FUZZ_CFG)
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                           "--n-harm", "100000")
+        assert code == 2
+        assert err.startswith("ConfigError: sweep.points, basis.n_harm: ")
 
 
 class TestEntry:
@@ -397,7 +493,7 @@ class TestInvalidSettings:
         ("simulate", [], "basis.n_harm = 0\n", "basis.n_harm"),
         ("tune", [], "basis.n_harm = 0\n", "basis.n_harm"),
         ("tune", [], "tuner.budget = 5\n", "budget"),
-        ("tune", [], "tuner.delta_max = 1.5\n", "delta bounds"),
+        ("tune", [], "tuner.delta_max = 1.5\n", "tuner.delta_max"),
         ("verify", [], "verify.scale = 0\n", "verify.scale"),
         ("verify", [], "verify.scale = -1\n", "verify.scale"),
         ("verify", [], "verify.q = 0\n", "verify.q"),

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fbarcirc.config import ConfigError, parse_config, serialize_config
+from fbarcirc.config import (MAX_SWEEP_SIZE, SCHEMA, ConfigError, _parse, parse_config,
+                             serialize_config)
 from fbarcirc.netlist import PhaseSequence, Topology
 
 
@@ -38,19 +42,16 @@ sweep.points = 11
             parse_config("just some words\n")
 
     def test_type_error_carries_key_path(self):
-        cfg = parse_config("sweep.points = eleven\n")
         with pytest.raises(ConfigError, match="sweep.points"):
-            cfg.sweep_frequencies()
+            parse_config("sweep.points = eleven\n")
 
     def test_bad_topology_value(self):
-        cfg = parse_config("design.topology = circular\n")
         with pytest.raises(ConfigError, match="design.topology"):
-            cfg.design()
+            parse_config("design.topology = circular\n")
 
     def test_design_invariants_reported(self):
-        cfg = parse_config("design.k_sq = 1.5\n")
         with pytest.raises(ConfigError, match="design"):
-            cfg.design()
+            parse_config("design.k_sq = 1.5\n")
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
     def test_bw_threshold_checked_at_load(self, value):
@@ -62,7 +63,7 @@ sweep.points = 11
     def test_bool_parsing(self):
         assert parse_config("design.c0_to_ground = false\n").get_bool("design.c0_to_ground") is False
         with pytest.raises(ConfigError):
-            parse_config("design.c0_to_ground = maybe\n").get_bool("design.c0_to_ground")
+            parse_config("design.c0_to_ground = maybe\n")
 
 
 class TestSweep:
@@ -78,14 +79,63 @@ class TestSweep:
         assert grid.size == 4  # 1.5e9 collides with a linspace point
 
     def test_order_validated(self):
-        cfg = parse_config("sweep.f_start = 2e9\nsweep.f_stop = 1e9\n")
         with pytest.raises(ConfigError, match="f_start"):
-            cfg.sweep_frequencies()
+            parse_config("sweep.f_start = 2e9\nsweep.f_stop = 1e9\n")
 
     def test_points_validated(self):
-        cfg = parse_config("sweep.points = 1\n")
         with pytest.raises(ConfigError, match="points"):
-            cfg.sweep_frequencies()
+            parse_config("sweep.points = 1\n")
+
+
+class TestCrossKeyFacts:
+    @pytest.mark.parametrize("text, named", [
+        ("metrics.isolated_port = 1\n", "must differ"),
+        ("outputs.harmonics = run.log\n", "outputs.harmonics, outputs.metrics: must differ"),
+        ("outputs.metrics = a/b.json\n", "outputs.metrics"),
+        ("tuner.metrics_span = 3e9\n", "tuner.metrics_span"),
+        ("tuner.metrics_span = 1e-300\n", "tuner.metrics_span"),
+        ("tuner.f_mod_window = 1e-300\n", "tuner.f_mod_window"),
+        ("design.f_mod = 1e-300\n", "design.f_mod"),
+        ("design.f_s = 1e300\n", "design.f_s"),
+        ("verify.q = 1e-310\n", "verify.q"),
+        ("verify.scale = 1e300\n", "verify.scale"),
+    ])
+    def test_rejected_at_load(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(text)
+
+    # Only parse_config sees these sizes: a workflow would allocate them.
+    @pytest.mark.parametrize("text", [
+        "sweep.points = 1e9\n",
+        "basis.n_harm = 100000\n",
+        "sweep.points = 21846\nbasis.n_harm = 1\n",
+        "sweep.points = 21844\nbasis.n_harm = 1\nsweep.include = 1e9, 2e9, 3e9\n",
+        "tuner.metrics_points = 21845\nbasis.n_harm = 1\nsweep.points = 2\n",
+    ])
+    def test_sweep_size_bounded(self, text):
+        with pytest.raises(ConfigError, match="exceed MAX_SWEEP_SIZE"):
+            parse_config(text)
+
+    def test_sweep_size_at_the_bound_accepted(self):
+        # 21845 points x 3 harmonics = 65535, one below MAX_SWEEP_SIZE
+        assert MAX_SWEEP_SIZE == 65536
+        cfg = parse_config("sweep.points = 21845\ntuner.metrics_points = 21844\n"
+                           "basis.n_harm = 1\n")
+        assert cfg.get_int("sweep.points") == 21845
+
+
+def test_readme_table_lists_every_key_with_default_and_range():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {line.split("|")[1].strip(): line for line in text.splitlines()
+            if line.startswith("| ")}
+    for key, spec in SCHEMA.items():
+        section, name = key.split(".")
+        found = re.search(rf"`{name}` = ([^\s;]*)", rows[section])
+        assert found, key
+        assert _parse(key, spec, found.group(1).strip('"')) == _parse(key, spec, spec.default), key
+        if spec.kind in (float, int, list):
+            assert f"`{name}` = {found.group(1)} in {spec.interval}" in rows[section], key
+    assert f"`MAX_SWEEP_SIZE` = {MAX_SWEEP_SIZE}" in text
 
 
 class TestSerialize:

@@ -95,6 +95,12 @@ class TestAssemble:
         with pytest.raises(DegenerateStimulus, match="finite"):
             sparams(net, basis, [2.68e6, f])
 
+    def test_stimulus_over_tiny_f_mod_rejected(self, ghz_specs):
+        # f / f_mod overflows; rounding it to a harmonic index must not raise OverflowError
+        net = one_port_net(ghz_specs, 0.05, 1e-300)
+        with pytest.raises(DegenerateStimulus, match="must be finite"):
+            sparams(net, HarmonicBasis(1e-300, 1), [2.68e9])
+
     def test_inband_multiple_is_fine(self, ghz_specs):
         # 115 x f_mod lies in the operating band and zeroes no mixing frequency
         net = one_port_net(ghz_specs, 0.02, F_MOD)
