@@ -35,6 +35,13 @@ h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P, and its node voltages
 Re(A_j^-1 (Phi_{j-1} h_p + exp(j w p P dt) (psi_{j-1} + s exp(j w j dt))))
 come from batched products in memory-bounded blocks.
 
+The phasor fit (:func:`extract_phasors`) never forms the tones x samples
+basis of the tail.  With the n tail samples laid out in rows of about
+sqrt(n), each tone's phase factors into a per-row and a per-column table,
+so the projections and the fitted waveform are GEMMs against those tables,
+and the Gram matrix is a closed-form sum.  It needs O(n + tones*sqrt(n))
+memory.
+
 High-Q circuits at GHz carriers are impractical to integrate directly, so
 the verify workflow builds each check circuit at its own frequency and
 integrates the desk-scale replica :func:`fbarcirc.netlist.scale_frequency`
@@ -65,6 +72,8 @@ CHUNK_VALUES = 1 << 19
 # run of the differential replica needs 89,655 and 2.85M.
 MAX_PERIOD_STEPS = 1 << 20
 MAX_SAMPLES = 1 << 25
+# 2*pi as the double nearest it plus the remainder
+_TWO_PI_HI, _TWO_PI_LO = 2.0 * math.pi, 2.4492935982947064e-16
 
 
 class StepTooLarge(ValueError):
@@ -72,7 +81,8 @@ class StepTooLarge(ValueError):
 
 
 class RunTooLarge(ValueError):
-    """The run needs more steps per period or samples than the size bounds allow."""
+    """The run needs more steps per period or samples than the size bounds
+    allow, or more points per stimulus cycle than it asked for."""
 
 
 class Diverged(ArithmeticError):
@@ -398,17 +408,59 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     return TransientResult(dt=dt, duration=duration, samples=dict(zip(node_names, volts)))
 
 
+def _tone_sum(a: np.ndarray, b: np.ndarray, start: int, n: int) -> np.ndarray:
+    """sum_i exp(j*phi*i) over i = start ... start+n-1 at every phi = a + b
+    (broadcast), in closed form: exp(j*phi*(start + (n-1)/2)) sin(n*phi/2)/sin(phi/2),
+    with phi first reduced to [-pi, pi] and exactly n at phi = 0.
+
+    The reduction is exact to the last bit of the reduced phi (for up to 8
+    turns): a + b keeps its rounding error, and 2*pi is taken as two doubles.
+    A phi that rounds near a multiple of 2*pi would otherwise carry an error
+    of one ulp of 2*pi, times start + n/2 in the phase of a sum of size n."""
+    phi = a + b
+    b_part = phi - a
+    err = (a - (phi - b_part)) + (b - b_part)
+    turns = np.round(phi / _TWO_PI_HI)
+    phi = (phi - turns * _TWO_PI_HI) + (err - turns * _TWO_PI_LO)
+    half = 0.5 * phi
+    den = np.sin(half)
+    ratio = np.divide(np.sin(n * half), den, out=np.full(phi.shape, float(n)),
+                      where=den != 0.0)
+    return np.exp(1j * phi * (start + 0.5 * (n - 1))) * ratio
+
+
+def _gram(theta: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Gram matrix of the cos rows, then the sin rows, of the tones
+    exp(j*theta_k*i) over the samples i = start ... start+n-1, from the
+    closed-form sums at theta_m -+ theta_k; no pass over any data."""
+    d = _tone_sum(theta[:, None], -theta, start, n)
+    s = _tone_sum(theta[:, None], theta, start, n)
+    cc, ss, cs = 0.5 * (d + s).real, 0.5 * (d - s).real, 0.5 * (s - d).imag
+    return np.block([[cc, cs], [cs.T, ss]])
+
+
 def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
                     n_harm: int) -> PhasorSet:
     """Fit the waveform tail against tones at f + n*f_mod, n in [-N, N].
 
     The last 25% of the samples (past ring-up) are projected onto
-    cos/sin pairs at each mixing frequency by linear least squares, solved
-    through the normal equations accumulated over blocks of the tail; the
+    cos/sin pairs at each mixing frequency by linear least squares; the
     phasor P_n satisfies v(t) ~ sum_n Re[P_n exp(j*2*pi*(f+n*f_mod)*t)].
     ``residual`` is the rms of the unfitted remainder relative to the rms
     of the tail.  Raises :class:`IllConditionedBasis` when two tone
-    frequencies fall within 1/window of each other.
+    frequencies fall within 1/window of each other, or on a singular Gram
+    matrix.
+
+    The normal equations never hold a tones x samples array.  With
+    theta_k = 2*pi*(f + k*f_mod)*dt, the tail of n samples is laid out as
+    rows of L = isqrt(n-1)+1 (zero-padded), and exp(j*theta_k*i) at sample
+    i = start + b*L + l factors into ``outer[b, k]`` = exp(j*theta_k*(start+b*L))
+    times ``inner[k, l]`` = exp(j*theta_k*l).  The projections sum_i v_i
+    exp(j*theta_k*i) are ``outer`` times one GEMM of the rows with ``inner``'s
+    real and imaginary parts, the Gram matrix comes in closed form
+    (:func:`_gram`), and the fitted waveform Re((outer * P) @ inner) is one
+    more GEMM, from which the tail is subtracted in place.  Memory is
+    O(n + T*sqrt(n)) for T tones: the padded rows and the fitted waveform.
     """
     if node not in res.samples:
         raise KeyError(f"no samples for node {node!r}")
@@ -430,37 +482,30 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
         raise IllConditionedBasis("a tone sits within 1/window of DC")
 
     tones = len(ns)
-    cols = max(1, CHUNK_VALUES // (2 * tones))
-    blocks = range(start, v.size, cols)
-
-    def basis(first: int) -> tuple[np.ndarray, np.ndarray]:
-        """cos rows, then sin rows, of every tone at the tail samples from
-        ``first`` on, beside those samples; each tone is its lower neighbour
-        times exp(j*2*pi*f_mod*t)."""
-        t = np.arange(first, min(first + cols, v.size)) * res.dt
-        shift = np.exp(2j * math.pi * f_mod * t)
-        e = np.empty((tones, t.size), complex)
-        e[0] = np.exp(2j * math.pi * tone_freqs[0] * t)
-        for i in range(1, tones):
-            np.multiply(e[i - 1], shift, out=e[i])
-        return np.concatenate([e.real, e.imag]), v[first:first + t.size]
-
-    gram = np.zeros((2 * tones, 2 * tones))
-    proj = np.zeros(2 * tones)
-    for first in blocks:
-        d, vv = basis(first)
-        gram += d @ d.T
-        proj += d @ vv
+    theta = 2.0 * math.pi * np.array(tone_freqs) * res.dt
+    tail = v[start:]
+    n = tail.size
+    width = math.isqrt(n - 1) + 1
+    rows = np.zeros((-(-n // width), width))
+    rows.reshape(-1)[:n] = tail
+    inner = np.exp(1j * np.outer(theta, np.arange(width)))
+    outer = np.exp(1j * np.outer(start + width * np.arange(rows.shape[0]), theta))
+    basis = np.concatenate([inner.real, inner.imag])
+    part = rows @ basis.T
+    proj = np.sum(outer * (part[:, :tones] + 1j * part[:, tones:]), axis=0)
     try:
-        coef = np.linalg.solve(gram, proj)
+        coef = np.linalg.solve(_gram(theta, start, n), np.concatenate([proj.real, proj.imag]))
     except np.linalg.LinAlgError as exc:
         raise IllConditionedBasis("singular tone basis") from exc
-    misfit = sum(float(np.sum((vv - coef @ d) ** 2)) for d, vv in map(basis, blocks))
-    tail = v[start:]
-    rms_v = float(np.sqrt(np.mean(tail * tail)))
-    rms_r = math.sqrt(misfit / tail.size)
+    phasors = coef[:tones] - 1j * coef[tones:]
+    w = outer * phasors
+    fit = np.concatenate([w.real, -w.imag], axis=1) @ basis
+    r = fit.reshape(-1)[:n]
+    r -= tail
+    rms_v = math.sqrt(float(tail @ tail) / n)
+    rms_r = math.sqrt(float(r @ r) / n)
     residual = rms_r / rms_v if rms_v > 0.0 else 0.0
-    entries = tuple((n, complex(coef[i], -coef[tones + i])) for i, n in enumerate(ns))
+    entries = tuple((k, complex(p)) for k, p in zip(ns, phasors))
     return PhasorSet(entries=entries, residual=residual)
 
 
@@ -473,18 +518,24 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
     dt = 1/(P*f_mod) with P = round(pts_per_cycle*f/f_mod), so one modulation
     period is exactly P steps and :func:`simulate` integrates it only once;
     dt differs from 1/(pts_per_cycle*f) by less than 1/P relative.  Raises
-    :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS."""
+    :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS, or round to 0:
+    a step of a whole modulation period would take far more points per
+    stimulus cycle than asked for."""
     steps = pts_per_cycle * f / f_mod
     if not steps <= MAX_PERIOD_STEPS:  # also when it overflows, which round() would raise on
         raise RunTooLarge(f"{steps:.4g} steps per modulation period exceed "
                           f"MAX_PERIOD_STEPS = {MAX_PERIOD_STEPS}")
+    if round(steps) < 1:
+        raise RunTooLarge(f"f_mod = {f_mod} Hz is too fast for {pts_per_cycle} points per "
+                          f"cycle at {f} Hz: a modulation period would hold {steps:.4g} "
+                          f"steps, fewer than one")
     q_max = 0.0
     f_min = math.inf
     for el in net.modulated:
         q_max = max(q_max, min(el.branch.q, 1e4))
         f_min = min(f_min, el.branch.f_s)
     ring_up = 5.0 * q_max / (math.pi * f_min) if math.isfinite(f_min) and q_max else 0.0
-    return 1.0 / (max(1, round(steps)) * f_mod), ring_up + mod_periods / f_mod
+    return 1.0 / (round(steps) * f_mod), ring_up + mod_periods / f_mod
 
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
@@ -507,11 +558,12 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     if p_in not in port_map or q_out not in port_map:
         raise ValueError(f"ports {ports} not present in netlist")
 
+    # the step is checked before the harmonic solve
+    dt, duration = time_grid(net, f, basis.f_mod, pts_per_cycle, mod_periods)
     grid = sparams(net, basis, [f])
     qi, pi = q_out - 1, p_in - 1
     s_htm = np.array([grid.harmonic(n)[0, qi, pi] for n in (-1, 0, 1)])
 
-    dt, duration = time_grid(net, f, basis.f_mod, pts_per_cycle, mod_periods)
     res = simulate(net, (p_in, f, 1.0), duration, dt)
     phasors = extract_phasors(res, port_map[q_out].node, f, basis.f_mod, basis.n_harm)
     sqrt_z0 = math.sqrt(port_map[q_out].z0)

@@ -262,6 +262,21 @@ class TestRunSizeGuard:
         assert code == 2
         assert "RunTooLarge" in err
 
+    def test_modulation_faster_than_the_step_exits_2_before_any_solve(self, capsys, tmp_path,
+                                                                       monkeypatch):
+        # a modulation period shorter than one requested step: rounding P up to
+        # one step per period would ask for about 4e5 points per cycle
+        for module in (fbarcirc.cli, fbarcirc.transient):
+            monkeypatch.setattr(module, "sparams", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(FUZZ_CFG + "design.f_mod = 1e15\n")
+        with time_cap(10):
+            code, _, err = run(capsys, "verify", "--config", str(cfg),
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("RunTooLarge: f_mod = ") and "100 points per cycle" in err
+
 
 TUNE_CFG = """design.topology = differential
 design.delta = 0.01

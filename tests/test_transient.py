@@ -1,5 +1,6 @@
 import gzip
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,118 @@ class TestExtractPhasors:
         recon = sum(np.real(v * np.exp(2j * math.pi * (f + n * fm) * t))
                     for n, v in ph.entries)
         assert np.allclose(recon[-1000:], res.samples["n1"][-1000:], atol=1e-9)
+
+
+def _lstsq_reference(res, node, f, f_mod, n_harm):
+    """Phasors, residual and A^T A of an explicit least-squares fit of the
+    last quarter of ``node``'s samples: the full (samples x 2T) cos/sin matrix
+    at theta_k = 2*pi*(f + k*f_mod)*dt."""
+    v = res.samples[node]
+    start = (v.size * 3) // 4
+    ns = np.arange(-n_harm, n_harm + 1)
+    theta = 2.0 * math.pi * (f + ns * f_mod) * res.dt
+    i = np.arange(start, v.size)
+    a = np.concatenate([np.cos(np.outer(i, theta)), np.sin(np.outer(i, theta))], axis=1)
+    coef, *_ = np.linalg.lstsq(a, v[start:], rcond=None)
+    misfit = v[start:] - a @ coef
+    residual = math.sqrt(np.mean(misfit ** 2) / np.mean(v[start:] ** 2))
+    return coef[:ns.size] - 1j * coef[ns.size:], residual, a.T @ a, theta, start
+
+
+def _check_fit(res, node, f, f_mod, n_harm, phasors=True):
+    """Compare extract_phasors and its closed-form Gram matrix with the
+    explicit reference; returns the extracted PhasorSet and the reference
+    residual."""
+    ref, ref_residual, gram, theta, start = _lstsq_reference(res, node, f, f_mod, n_harm)
+    closed = transient._gram(theta, start, res.samples[node].size - start)
+    assert np.max(np.abs(closed - gram)) <= 1e-12 * np.max(np.abs(gram))
+    ph = extract_phasors(res, node, f, f_mod, n_harm)
+    if phasors:
+        got = np.array([ph.phasor(n) for n in range(-n_harm, n_harm + 1)])
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    return ph, ref_residual
+
+
+@pytest.fixture(scope="module")
+def wye_oracle():
+    """The toy-wye run of ``verify`` at the shipped defaults (1.08M steps)."""
+    cfg = load_config(CONFIGS / "differential.cfg")
+    cases, f, f_mod = cfg.verify_cases()
+    _, net, (_, q_out), _, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
+    dt, duration = time_grid(net, f, f_mod, ppc, periods)
+    node = next(p.node for p in net.ports if p.index == q_out)
+    res = simulate(net, (1, f, 1.0), duration, dt)
+    return res, node, f, f_mod, cfg.get_int("basis.n_harm")
+
+
+class TestExtractionAccuracy:
+    """extract_phasors against an explicit lstsq on the full cos/sin matrix:
+    phasors within 1e-11 of max|P|, the closed-form Gram within 1e-12 of
+    max|A^T A|, the residual within 1e-6 relative."""
+
+    F, FM = 1.1e5, 1.3e4
+    P = {-1: 0.1 + 0.3j, 0: 0.5 - 0.2j, 1: -0.05 + 0.02j}
+
+    def wave(self, t, f=F, fm=FM, stray=0.0):
+        out = sum(np.real(p * np.exp(2j * math.pi * (f + n * fm) * t)) for n, p in self.P.items())
+        return out + stray * np.cos(2 * math.pi * 1.7 * f * t)  # a tone outside the basis
+
+    def test_exact_tone_sum_incommensurate_step(self):
+        dt = 1e-8 * math.sqrt(2.0)  # 1/(f_mod*dt) is irrational
+        res, _ = _synthetic(dt, 140_000 * dt, self.wave)
+        ph, ref_residual = _check_fit(res, "n1", self.F, self.FM, 2)
+        for n, p in self.P.items():
+            assert abs(ph.phasor(n) - p) <= 1e-11
+        assert ph.residual <= 1e-12 and ref_residual <= 1e-12
+
+    def test_prime_tail_is_padded(self):
+        # 40,028 samples: the tail of 10,007 is prime, so the last row is padded
+        res, t = _synthetic(1e-8, 40_027e-8, lambda t: self.wave(t, stray=0.1))
+        n = t.size - (t.size * 3) // 4
+        assert n == 10_007 and n % (math.isqrt(n - 1) + 1) != 0
+        ph, ref_residual = _check_fit(res, "n1", self.F, self.FM, 2)
+        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
+
+    def test_tones_below_zero_frequency(self):
+        f, fm = 1.1e5, 4.0e4  # f - 3*f_mod = -10 kHz
+        res, _ = _synthetic(1e-8, 2e-3, lambda t: self.wave(t, f, fm, stray=0.1))
+        ph, ref_residual = _check_fit(res, "n1", f, fm, 3)
+        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
+
+    def test_phase_sum_within_1e9_of_two_pi(self):
+        # theta_0 + theta_1 = 2*pi - 5e-10: tone 1 aliases onto the mirror of
+        # tone 0, their columns agree to about 5e-10 * samples, and only the
+        # sum of their phasors is determined.  The Gram matrix and the
+        # residual still are, so those are compared.  Reducing the rounded
+        # theta_0 + theta_1 by the rounded 2*pi would put the Gram matrix
+        # 2.8e-12 off here.
+        f_mod = 0.1
+        f = 0.45 - 5e-10 / (4 * math.pi)
+        theta = 2.0 * math.pi * (f + np.arange(-1, 2) * f_mod)
+        assert abs(theta[1] + theta[2] - 2.0 * math.pi) <= 1e-9
+        res, _ = _synthetic(1.0, 16_000.0, lambda t: (0.5 * np.cos(theta[0] * t + 0.3)
+                                                      + np.cos(theta[1] * t - 1.0)
+                                                      + 0.2 * np.cos(0.77 * t)))
+        ph, ref_residual = _check_fit(res, "n1", f, f_mod, 1, phasors=False)
+        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
+
+    def test_toy_wye_oracle_waveform(self, wye_oracle):
+        res, node, f, f_mod, n_harm = wye_oracle
+        ph, ref_residual = _check_fit(res, node, f, f_mod, n_harm)
+        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
+
+    def test_memory_stays_near_the_tail(self, wye_oracle):
+        # the fit holds the padded tail and the fitted waveform, not a
+        # tones x samples basis
+        res, node, f, f_mod, n_harm = wye_oracle
+        tail_bytes = res.samples[node][(res.samples[node].size * 3) // 4:].nbytes
+        tracemalloc.start()
+        try:
+            extract_phasors(res, node, f, f_mod, n_harm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * tail_bytes
 
 
 class TestCrossValidate:
