@@ -24,13 +24,12 @@ from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
                   parallel_resonance, read_admittance_csv)
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .fileio import atomic_write_text, fingerprint
-from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular,
-                  SingularStructure, sparams)
+from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, sparams
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import NetlistError, build_circulator, build_one_port, write_netlist
 from .transient import (Diverged, IllConditionedBasis, RunTooLarge, StepTooLarge,
                         cross_validate)
-from .tuner import TuneFailed, TuneProblem, tune, write_trace_csv
+from .tuner import TuneFailed, tune, write_trace_csv
 
 # Measured hardware reference (differential FBAR circulator board) used by
 # the report command as the comparison column.
@@ -41,8 +40,8 @@ HARDWARE_REFERENCE = {
     "bw_hz": 4.7e6,
 }
 
-USAGE_ERRORS = (ConfigError, ParseError, NetlistError, SingularStructure,
-                DegenerateStimulus, RunTooLarge, FileNotFoundError, IsADirectoryError)
+USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge,
+                FileNotFoundError, IsADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
                     StepTooLarge, IllConditionedBasis, TuneFailed)
 
@@ -169,17 +168,6 @@ def cmd_verify(args) -> int:
 
 # --- tune -------------------------------------------------------------------
 
-def _tune_problem(cfg: RunConfig) -> TuneProblem:
-    return TuneProblem.default(cfg.design(), budget=cfg.get_int("tuner.budget"),
-                               il_cap_db=cfg.get_float("tuner.il_cap_db"),
-                               n_harm=cfg.get_int("basis.n_harm"),
-                               delta_max=cfg.get_float("tuner.delta_max"),
-                               f_mod_window=cfg.get_float("tuner.f_mod_window"),
-                               f_op_window=cfg.get_float("tuner.f_op_window"),
-                               starts=cfg.get_int("tuner.starts"),
-                               direction=cfg.direction())
-
-
 def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float) -> RunConfig:
     """Best-parameter configuration sweeping f_op +- tuner.metrics_span in
     tuner.metrics_points points plus f_op; its simulate run is the one source
@@ -197,7 +185,7 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float) -> R
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
-    result = tune(_tune_problem(cfg), seed=args.seed)
+    result = tune(cfg.tune_problem(), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 

@@ -29,6 +29,7 @@ from .bvd import ResonatorSpecs, bvd_from_specs
 from .metrics import Direction
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence, Topology,
                       build_one_port, build_toy_wye, scale_frequency)
+from .tuner import TuneProblem
 
 
 class ConfigError(ValueError):
@@ -191,14 +192,15 @@ class RunConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{keys}: element values leave float range ({exc})") from exc
-        # the tune's search box in f_mod and f_op, laid out as TuneProblem.default does
-        for key, centre in (("tuner.f_mod_window", t["design.f_mod"]),
-                            ("tuner.f_op_window", t["design.f_s"])):
-            if not centre * (1.0 - t[key]) < centre * (1.0 + t[key]):
-                raise ConfigError(f"{key}: leaves an empty search box around {centre}")
+        # the tune's search box, checked where it is laid out
+        try:
+            problem = self.tune_problem()
+        except ValueError as exc:
+            raise ConfigError(f"tuner.delta_max, tuner.f_mod_window, tuner.f_op_window: "
+                              f"no valid search box ({exc})") from exc
         # f_op +- span is the post-tune sweep: positive, and wider than a rounding step
-        f_s, window, span = t["design.f_s"], t["tuner.f_op_window"], t["tuner.metrics_span"]
-        f_op_min, f_op_max = f_s * (1.0 - window), f_s * (1.0 + window)
+        f_op_min, f_op_max = problem.f_op_bounds
+        span = t["tuner.metrics_span"]
         if not (span < f_op_min and f_op_max - span < f_op_max + span):
             raise ConfigError(f"tuner.metrics_span: must be below the lowest f_op bound "
                               f"{f_op_min} and resolve the highest {f_op_max}, got {span}")
@@ -237,6 +239,13 @@ class RunConfig:
     def direction(self) -> Direction:
         """Port roles of the 3-port circulator: each of 1..3, all distinct."""
         return Direction(*(self.typed[key] for key in _PORT_KEYS))
+
+    def tune_problem(self) -> TuneProblem:
+        """``tune``'s search problem: the design, basis.n_harm, the port roles and tuner.*."""
+        keys = ("budget", "il_cap_db", "delta_max", "f_mod_window", "f_op_window", "starts")
+        return TuneProblem.default(self.design(), n_harm=self.typed["basis.n_harm"],
+                                   direction=self.direction(),
+                                   **{key: self.typed[f"tuner.{key}"] for key in keys})
 
     def verify_cases(self):
         """``verify``'s oracle circuits, built at the design's own frequency with

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
-                      Resistor, elastance_fourier, floating_nodes)
+                      Resistor, elastance_fourier)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,10 +63,6 @@ RESIDUAL_BOUND = 1e-6
 # diagonal blocks and the [X | Y] solutions of _eliminate, points x (2N+1) x
 # nu x (nu + nb + ports); bounds the working memory of sparams
 CHUNK_VALUES = 1 << 16
-
-
-class SingularStructure(ValueError):
-    """The netlist graph leaves nodes without a path to ground."""
 
 
 class NumericallySingular(ArithmeticError):
@@ -172,10 +168,8 @@ class _Stamps(NamedTuple):
 
 
 def _stamp(net: Netlist) -> _Stamps:
-    """Walk the elements once and stamp them into the per-harmonic blocks."""
-    bad = floating_nodes(net)
-    if bad:
-        raise SingularStructure(f"nodes not reachable from ground: {sorted(bad)}")
+    """Walk the elements once and stamp them into the per-harmonic blocks; a
+    :class:`Netlist` is structurally valid by construction."""
     row: dict[str, int] = {}
     for el in net.elements:
         for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
@@ -219,8 +213,6 @@ def _stamp(net: Netlist) -> _Stamps:
             c[cq, cq] += 1.0
             g[cq, ci] -= 1.0
             ci += 1
-        else:
-            raise SingularStructure(f"unknown element type {type(el).__name__}")
     ports = net.ports
     st = _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports],
                  np.array([p.z0 for p in ports]))
@@ -267,7 +259,6 @@ def assemble(net: Netlist, basis: HarmonicBasis, f: float,
 
     The excited port carries a unit incident wave at harmonic 0; every port
     is terminated in its reference impedance.  Raises
-    :class:`SingularStructure` for floating nodes and
     :class:`DegenerateStimulus` when f collides with a multiple of f_mod.
     """
     st = _stamp(net)

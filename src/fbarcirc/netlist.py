@@ -130,13 +130,42 @@ class CirculatorDesign:
 
 @dataclass(frozen=True)
 class Netlist:
-    """Ordered element list over named nodes with a distinguished ground."""
+    """Ordered element list over named nodes with a distinguished ground.
+
+    Construction is the one structural check; it raises :class:`NetlistError`
+    unless each element is of the five kinds, names are unique, ports run
+    1..n off ground with finite z0 > 0, no R or L is 0, the modulated branches
+    share one f_mod and every node has a path to ground."""
 
     elements: tuple[Element, ...]
     ground: str = GROUND
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
+        for el in self.elements:
+            if not isinstance(el, Element):
+                raise NetlistError(f"unknown element type {type(el).__name__}")
+        names = [el.name for el in self.elements if not isinstance(el, Port)]
+        if len(names) != len(set(names)):
+            raise NetlistError("element names must be unique")
+        indices = sorted(p.index for p in self.ports)
+        if indices != list(range(1, len(indices) + 1)):
+            raise NetlistError(f"port indices must be contiguous from 1, got {indices}")
+        for p in self.ports:
+            if p.node == self.ground:
+                raise NetlistError(f"port {p.index} sits on the ground node {self.ground!r}")
+            if not (math.isfinite(p.z0) and p.z0 > 0.0):
+                raise NetlistError(f"port {p.index}: z0 must be positive")
+        for el in self.elements:  # the harmonic engine stamps 1/R and 1/L
+            if (isinstance(el, Resistor) and el.ohms == 0.0
+                    or isinstance(el, Inductor) and el.henries == 0.0):
+                raise NetlistError(f"{el.name}: resistance and inductance must be nonzero")
+        f_mods = {el.modulation.f_mod for el in self.modulated if el.modulation is not None}
+        if len(f_mods) > 1:
+            raise NetlistError(f"modulated branches must share one f_mod, got {sorted(f_mods)}")
+        floating = floating_nodes(self)
+        if floating:
+            raise NetlistError(f"nodes not reachable from ground: {sorted(floating)}")
 
     @property
     def nodes(self) -> set[str]:
@@ -166,27 +195,9 @@ class Netlist:
                 return el.modulation.f_mod
         return None
 
-    def validate(self) -> None:
-        """Raise :class:`NetlistError` on any structural invariant violation."""
-        names = [el.name for el in self.elements if not isinstance(el, Port)]
-        if len(names) != len(set(names)):
-            raise NetlistError("element names must be unique")
-        indices = sorted(p.index for p in self.ports)
-        if indices != list(range(1, len(indices) + 1)):
-            raise NetlistError(f"port indices must be contiguous from 1, got {indices}")
-        for p in self.ports:
-            if not (math.isfinite(p.z0) and p.z0 > 0.0):
-                raise NetlistError(f"port {p.index}: z0 must be positive")
-        f_mods = {el.modulation.f_mod for el in self.modulated if el.modulation is not None}
-        if len(f_mods) > 1:
-            raise NetlistError(f"modulated branches must share one f_mod, got {sorted(f_mods)}")
-        floating = floating_nodes(self)
-        if floating:
-            raise NetlistError(f"nodes not reachable from ground: {sorted(floating)}")
-
 
 def floating_nodes(net: Netlist) -> set[str]:
-    """Nodes with no element path to ground."""
+    """Nodes with no element path to ground (a :class:`Netlist` has none)."""
     nodes = net.nodes
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     for el in net.elements:
@@ -237,29 +248,25 @@ def build_circulator(design: CirculatorDesign) -> Netlist:
     if design.topology is Topology.DIFFERENTIAL:
         elements += _wye_chip(design, "b", "cb", math.pi)
     elements += [Port(k + 1, f"p{k + 1}", design.z0) for k in range(3)]
-    net = Netlist(tuple(elements))
-    net.validate()
-    return net
+    return Netlist(tuple(elements))
 
 
 def build_one_port(branch: MotionalBranch, c0: float, z0: float,
                    modulation: ModulationSpec | None = None) -> Netlist:
     """One resonator to ground behind port 1: plate capacitance c0 in
     parallel with the (optionally modulated) motional branch."""
-    net = Netlist((
+    return Netlist((
         ModulatedSeriesRlc("x1", "p1", GROUND, branch, modulation),
         Capacitor("c1", "p1", GROUND, c0),
         Port(1, "p1", z0),
     ))
-    net.validate()
-    return net
 
 
 def build_toy_wye(branch: MotionalBranch, c0: float, z0: float,
                   modulations: tuple[ModulationSpec, ModulationSpec]) -> Netlist:
     """Two modulated resonators from ports 1 and 2 to a floating common
     node; each port node is shunted to ground by its plate capacitance c0."""
-    net = Netlist((
+    return Netlist((
         ModulatedSeriesRlc("x1", "p1", "cm", branch, modulations[0]),
         ModulatedSeriesRlc("x2", "p2", "cm", branch, modulations[1]),
         Capacitor("c1", "p1", GROUND, c0),
@@ -267,8 +274,6 @@ def build_toy_wye(branch: MotionalBranch, c0: float, z0: float,
         Port(1, "p1", z0),
         Port(2, "p2", z0),
     ))
-    net.validate()
-    return net
 
 
 def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None,
@@ -337,15 +342,13 @@ def write_netlist(net: Netlist) -> str:
                 m = el.modulation
                 line += f" {m.depth!r} {m.f_mod!r} {m.phase!r}"
             lines.append(line)
-        elif isinstance(el, Port):
+        else:  # Port
             lines.append(f"P {el.index} {el.node} {el.z0!r}")
-        else:
-            raise NetlistError(f"unknown element type {type(el).__name__}")
     return "\n".join(lines) + "\n"
 
 
 def read_netlist(text: str) -> Netlist:
-    """Parse the plain-text element format; validates the result."""
+    """Parse the plain-text element format into a (checked) :class:`Netlist`."""
     elements: list[Element] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -376,6 +379,4 @@ def read_netlist(text: str) -> Netlist:
             raise
         except ValueError as exc:
             raise NetlistError(f"line {lineno}: {exc}") from exc
-    net = Netlist(tuple(elements))
-    net.validate()
-    return net
+    return Netlist(tuple(elements))

@@ -1,7 +1,8 @@
 """Touchstone v1 export of 3-port S-parameters and the multi-harmonic CSV.
 
 The writer emits the harmonic-0 block as ``.s3p``: an option line
-``# Hz S RI R <z0>``, then one line per frequency with 18 real columns
+``# Hz S RI R <z0>`` (z0 to 6 significant digits when that is exact, else
+every digit), then one line per frequency with 18 real columns
 (Re/Im pairs in row-major order S11 S12 S13 S21 ... S33) at 9 significant
 digits.  The reader is deliberately independent of the writer: it tokenizes
 any line layout, handles kHz/MHz/GHz units and RI/MA/DB formats, so it can
@@ -36,7 +37,8 @@ def write_s3p(path, freqs, s0, z0: float, comments: tuple[str, ...] = ()) -> Non
     if s0.ndim != 3 or s0.shape[1:] != (3, 3) or s0.shape[0] != freqs.size:
         raise ValueError(f"expected (F, 3, 3) S data, got {s0.shape}")
     lines = [f"! {c}" for c in comments]
-    lines.append(f"# Hz S RI R {z0:g}")
+    short = f"{z0:g}"  # "50" for 50; a z0 that 6 digits would round is written in full
+    lines.append(f"# Hz S RI R {short if float(short) == z0 else repr(float(z0))}")
     for i, f in enumerate(freqs):
         cols = [f"{f:.8e}"]
         for q in range(3):

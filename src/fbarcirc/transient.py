@@ -154,8 +154,6 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
             e = incidence(el.node_a, el.node_b)
             c += np.outer(e, e) * el.farads
         elif isinstance(el, Port):
-            if el.node == net.ground:
-                raise ValueError(f"port {el.index} must not sit on the ground node")
             e = incidence(el.node, net.ground)
             g += np.outer(e, e) / el.z0
             if el.index == port_index:
@@ -190,6 +188,14 @@ def _premultiply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     n, nu = x.shape[:2]
     out = m @ x.transpose(1, 0, 2).reshape(nu, n * nu)
     return out.reshape(-1, n, nu).transpose(1, 0, 2)
+
+
+def _steps(duration: float, dt: float) -> float:
+    """duration/dt; :class:`RunTooLarge` above MAX_SAMPLES samples per node."""
+    n = duration / dt
+    if not n + 1.0 <= MAX_SAMPLES:
+        raise RunTooLarge(f"{n + 1.0:.4g} samples per node exceed MAX_SAMPLES = {MAX_SAMPLES}")
+    return n
 
 
 def _check_residual(r: np.ndarray) -> None:
@@ -308,8 +314,7 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so that one modulation period is P whole steps (a ``dt`` from
     :func:`time_grid` passes through unchanged); the result reports the step
     used.  Only one period of step matrices is inverted (see the module
-    docstring).  Raises ``ValueError`` when the branches do not share one
-    modulation frequency.
+    docstring).
 
     Raises :class:`RunTooLarge`, before any work, when a modulation period
     takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
@@ -331,11 +336,8 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     nn, nu = len(node_names), s.size
     chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
     repeat = chunk  # a static step matrix repeats every step: one block is the repeat
-    f_mods = np.unique(mod[:, 2])
-    if f_mods.size > 1:
-        raise ValueError(f"modulated branches must share one f_mod, got {f_mods.tolist()}")
-    if f_mods.size:
-        f_mod = float(f_mods[0])
+    if len(mod):  # a Netlist's branches share one f_mod
+        f_mod = float(mod[0, 2])
         per = 1.0 / (f_mod * dt)  # steps in one modulation period
         if not per <= MAX_PERIOD_STEPS:
             raise RunTooLarge(f"{per:.4g} steps per modulation period exceed "
@@ -344,10 +346,7 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         dt = 1.0 / (repeat * f_mod)
     if dt > 1.0 / (50.0 * f_stim):
         raise StepTooLarge(f"dt={dt} gives fewer than 50 points per cycle at {f_stim} Hz")
-    n = duration / dt
-    if not n + 1.0 <= MAX_SAMPLES:
-        raise RunTooLarge(f"{n + 1.0:.4g} samples per node exceed MAX_SAMPLES = {MAX_SAMPLES}")
-    steps = round(n)
+    steps = round(_steps(duration, dt))
     if steps < 1:
         raise ValueError(f"duration {duration} is shorter than one step of {dt}")
 
@@ -518,9 +517,9 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
     dt = 1/(P*f_mod) with P = round(pts_per_cycle*f/f_mod), so one modulation
     period is exactly P steps and :func:`simulate` integrates it only once;
     dt differs from 1/(pts_per_cycle*f) by less than 1/P relative.  Raises
-    :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS, or round to 0:
-    a step of a whole modulation period would take far more points per
-    stimulus cycle than asked for."""
+    :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS, or round to 0
+    (a step of a whole modulation period would take far more points per
+    stimulus cycle than asked for), or the run exceed MAX_SAMPLES."""
     steps = pts_per_cycle * f / f_mod
     if not steps <= MAX_PERIOD_STEPS:  # also when it overflows, which round() would raise on
         raise RunTooLarge(f"{steps:.4g} steps per modulation period exceed "
@@ -535,7 +534,9 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
         q_max = max(q_max, min(el.branch.q, 1e4))
         f_min = min(f_min, el.branch.f_s)
     ring_up = 5.0 * q_max / (math.pi * f_min) if math.isfinite(f_min) and q_max else 0.0
-    return 1.0 / (round(steps) * f_mod), ring_up + mod_periods / f_mod
+    dt, duration = 1.0 / (round(steps) * f_mod), ring_up + mod_periods / f_mod
+    _steps(duration, dt)
+    return dt, duration
 
 
 def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
@@ -558,7 +559,7 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     if p_in not in port_map or q_out not in port_map:
         raise ValueError(f"ports {ports} not present in netlist")
 
-    # the step is checked before the harmonic solve
+    # the run's step and size are checked before the harmonic solve
     dt, duration = time_grid(net, f, basis.f_mod, pts_per_cycle, mod_periods)
     grid = sparams(net, basis, [f])
     qi, pi = q_out - 1, p_in - 1

@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import json
 import math
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbarcirc
 import fbarcirc.cli
 import fbarcirc.transient
 import fbarcirc.tuner
@@ -277,6 +280,30 @@ class TestRunSizeGuard:
         assert code == 2
         assert err.startswith("RunTooLarge: f_mod = ") and "100 points per cycle" in err
 
+    @pytest.mark.parametrize("key, solves", [("verify.mod_periods_static", 0),
+                                             ("verify.mod_periods", 1)])
+    def test_too_many_samples_exits_2_before_the_case_solves(self, capsys, tmp_path,
+                                                             monkeypatch, key, solves):
+        # 1e6 modulation periods are about 1e11 samples per node; only the
+        # cases before the oversized one (the static case runs first) may solve
+        done = []
+
+        def solve_or_refuse(*args, **kwargs):
+            if len(done) == solves:
+                raise AssertionError("harmonic solve of an oversized case")
+            done.append(1)
+            return sparams(*args, **kwargs)
+
+        monkeypatch.setattr(fbarcirc.transient, "sparams", solve_or_refuse)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(VERIFY_CFG + f"{key} = 1e6\n")
+        with time_cap(10):
+            code, _, err = run(capsys, "verify", "--config", str(cfg),
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("RunTooLarge: ") and "exceed MAX_SAMPLES" in err
+        assert len(done) == solves
+
 
 TUNE_CFG = """design.topology = differential
 design.delta = 0.01
@@ -482,9 +509,29 @@ class TestConfigCheckedAtLoad:
         assert err.startswith("ConfigError: sweep.points, basis.n_harm: ")
 
 
+# raised only by library calls that no workflow makes
+LIBRARY_ONLY = ("TouchstoneError", "FrequencyOffGrid")
+
+
 class TestEntry:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_every_exception_has_one_exit_code(self):
+        # a public exception class missing from both maps would end a
+        # workflow in a traceback instead of exit 1 or 2
+        found = [obj for info in pkgutil.iter_modules(fbarcirc.__path__)
+                 for name, obj in vars(importlib.import_module(f"fbarcirc.{info.name}")).items()
+                 if isinstance(obj, type) and issubclass(obj, BaseException)
+                 and not name.startswith("_") and obj.__module__ == f"fbarcirc.{info.name}"]
+        for cls in found:
+            homes = [cls in fbarcirc.cli.USAGE_ERRORS, cls in fbarcirc.cli.NUMERICAL_ERRORS,
+                     cls.__name__ in LIBRARY_ONLY]
+            assert sum(homes) == 1, cls.__name__
+        # the scan sees every mapped fbarcirc class and every library-only one
+        mapped = fbarcirc.cli.USAGE_ERRORS + fbarcirc.cli.NUMERICAL_ERRORS
+        assert {c for c in mapped if c.__module__.startswith("fbarcirc.")} <= set(found)
+        assert set(LIBRARY_ONLY) <= {cls.__name__ for cls in found}
 
     def test_console_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "fbarcirc.cli", "fit", "specs"],

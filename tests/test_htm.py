@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbarcirc import htm
+from fbarcirc import htm, netlist
 from fbarcirc.bvd import admittance, bvd_from_specs
 from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
-                          NumericallySingular, SingularStructure, assemble,
-                          convergence_check, solve, sparams)
-from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist,
+                          NumericallySingular, assemble, convergence_check, solve,
+                          sparams)
+from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist, NetlistError,
                               PhaseSequence, Port, Resistor, Topology, build_circulator)
 
 from conftest import DESK_SPECS, GHZ_SPECS, one_port_net, toy_wye_net
@@ -74,10 +74,10 @@ class TestAssemble:
         assert np.all(blocks[2, :, 0, :] == 0.0)
 
     def test_floating_node_raises(self):
-        net = Netlist((Resistor("r1", "a", "b", 10.0), Port(1, "p1", 50.0),
-                       Resistor("r2", "p1", "0", 10.0)))
-        with pytest.raises(SingularStructure):
-            assemble(net, HarmonicBasis(F_MOD, 1), 1e9)
+        # a floating node stops at construction, before the engine sees it
+        with pytest.raises(NetlistError, match="reachable"):
+            Netlist((Resistor("r1", "a", "b", 10.0), Port(1, "p1", 50.0),
+                     Resistor("r2", "p1", "0", 10.0)))
 
     def test_degenerate_stimulus_rejected(self, desk_specs):
         net = one_port_net(desk_specs, 0.05, 23.2e3)
@@ -189,16 +189,20 @@ class TestStaticRlcAgainstClosedForm:
 
 class TestStampedOnce:
     def test_per_netlist_work_once_per_sweep(self, differential_design, monkeypatch):
-        net = build_circulator(differential_design)
+        # the floating-node check runs once, when the netlist is built, and
+        # never inside sparams (counted under htm's name too, had it one)
         calls = {"elastance_fourier": 0, "floating_nodes": 0}
-        for name in calls:
-            original = getattr(htm, name)
+        for module, name in ((htm, "elastance_fourier"), (netlist, "floating_nodes"),
+                             (htm, "floating_nodes")):
+            original = getattr(module, name, netlist.floating_nodes)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(htm, name, counted)
+            monkeypatch.setattr(module, name, counted, raising=False)
+        net = build_circulator(differential_design)
+        assert calls == {"elastance_fourier": 0, "floating_nodes": 1}
         sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.69e9, 50))
         assert calls == {"elastance_fourier": len(net.modulated), "floating_nodes": 1}
 

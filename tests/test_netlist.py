@@ -1,15 +1,17 @@
 import cmath
 import math
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from fbarcirc.bvd import MotionalBranch
 from fbarcirc.htm import HarmonicBasis, sparams
-from fbarcirc.netlist import (Capacitor, CirculatorDesign, ModulatedSeriesRlc,
+from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, ModulatedSeriesRlc,
                               ModulationSpec, Netlist, NetlistError, PhaseSequence,
                               Port, Resistor, Topology, build_circulator,
-                              elastance_fourier, floating_nodes, read_netlist,
+                              elastance_fourier, read_netlist,
                               scale_frequency, write_netlist)
 
 TWO_PI = 2.0 * math.pi
@@ -98,8 +100,9 @@ class TestBuilders:
                                               delta=1.0, f_mod=23.2e6))
 
     def test_builders_produce_valid_netlists(self, differential_design, single_ended_design):
-        build_circulator(differential_design).validate()
-        build_circulator(single_ended_design).validate()
+        for design in (differential_design, single_ended_design):
+            net = build_circulator(design)
+            assert Netlist(net.elements, net.ground) == net  # passes the check again
 
     def test_c0_across_branch_flag(self, ghz_specs):
         from dataclasses import replace
@@ -147,37 +150,79 @@ class TestElastanceFourier:
 
 class TestValidation:
     def test_floating_node(self):
-        net = Netlist((Resistor("r1", "a", "b", 10.0), Port(1, "p1", 50.0)))
-        assert floating_nodes(net) == {"a", "b"}
-        with pytest.raises(NetlistError, match="reachable"):
-            net.validate()
+        with pytest.raises(NetlistError, match=re.escape("reachable from ground: ['a', 'b']")):
+            Netlist((Resistor("r1", "a", "b", 10.0), Port(1, "p1", 50.0)))
 
     def test_mixed_f_mod_rejected(self):
         b = MotionalBranch(1.0, 1e-6, 1e-12)
-        net = Netlist((
-            ModulatedSeriesRlc("x1", "p1", "0", b, ModulationSpec(0.1, 1e6, 0.0)),
-            ModulatedSeriesRlc("x2", "p1", "0", b, ModulationSpec(0.1, 2e6, 0.0)),
-            Port(1, "p1", 50.0),
-        ))
         with pytest.raises(NetlistError, match="f_mod"):
-            net.validate()
+            Netlist((
+                ModulatedSeriesRlc("x1", "p1", "0", b, ModulationSpec(0.1, 1e6, 0.0)),
+                ModulatedSeriesRlc("x2", "p1", "0", b, ModulationSpec(0.1, 2e6, 0.0)),
+                Port(1, "p1", 50.0),
+            ))
 
     def test_port_indices_contiguous(self):
-        net = Netlist((Resistor("r1", "p1", "0", 10.0), Port(1, "p1", 50.0),
-                       Port(3, "p1", 50.0)))
         with pytest.raises(NetlistError, match="contiguous"):
-            net.validate()
+            Netlist((Resistor("r1", "p1", "0", 10.0), Port(1, "p1", 50.0),
+                     Port(3, "p1", 50.0)))
 
     def test_duplicate_names(self):
-        net = Netlist((Resistor("r1", "p1", "0", 10.0),
-                       Resistor("r1", "p1", "0", 20.0), Port(1, "p1", 50.0)))
         with pytest.raises(NetlistError, match="unique"):
-            net.validate()
+            Netlist((Resistor("r1", "p1", "0", 10.0),
+                     Resistor("r1", "p1", "0", 20.0), Port(1, "p1", 50.0)))
 
     def test_bad_z0(self):
-        net = Netlist((Resistor("r1", "p1", "0", 10.0), Port(1, "p1", -5.0)))
         with pytest.raises(NetlistError, match="z0"):
-            net.validate()
+            Netlist((Resistor("r1", "p1", "0", 10.0), Port(1, "p1", -5.0)))
+
+
+@dataclass(frozen=True)
+class _Switch:
+    """A two-terminal element of a kind no engine stamps."""
+
+    name: str
+    node_a: str
+    node_b: str
+
+
+_B = MotionalBranch(1.0, 1e-6, 1e-12)
+
+
+class TestConstructionCheck:
+    """Netlists the engines would mishandle stop at construction."""
+
+    @pytest.mark.parametrize("elements, named", [
+        # else sparams raises KeyError: '0'
+        ((Resistor("r1", "p1", "0", 10.0), Port(1, "p1", 50.0), Port(2, "0", 50.0)),
+         "port 2 sits on the ground node '0'"),
+        # else sparams solves both branches at the first f_mod
+        ((ModulatedSeriesRlc("x1", "p1", "0", _B, ModulationSpec(0.1, 1e6, 0.0)),
+          ModulatedSeriesRlc("x2", "p1", "0", _B, ModulationSpec(0.0, 3e6, 0.0)),
+          Port(1, "p1", 50.0)), "share one f_mod, got [1000000.0, 3000000.0]"),
+        # else sparams returns a 2-port grid
+        ((Resistor("r1", "p1", "0", 10.0), Resistor("r3", "p3", "0", 10.0),
+          Port(1, "p1", 50.0), Port(3, "p3", 50.0)), "contiguous from 1, got [1, 3]"),
+        # else the harmonic engine divides by zero
+        ((Resistor("r1", "p1", "n1", 0.0), Resistor("r2", "n1", "0", 10.0),
+          Port(1, "p1", 50.0)), "r1: resistance and inductance must be nonzero"),
+        ((Inductor("l1", "p1", "0", 0.0), Port(1, "p1", 50.0)),
+         "l1: resistance and inductance must be nonzero"),
+        # else the oracle drops it
+        ((Resistor("r1", "p1", "0", 10.0), _Switch("s1", "p1", "0"), Port(1, "p1", 50.0)),
+         "unknown element type _Switch"),
+    ], ids=["port-on-ground", "two-f-mods", "ports-1-and-3", "zero-resistance",
+            "zero-inductance", "unknown-type"])
+    def test_rejected_at_construction(self, elements, named):
+        with pytest.raises(NetlistError, match=re.escape(named)):
+            Netlist(elements)
+
+    def test_replace_and_text_are_checked_too(self, differential_design):
+        net = build_circulator(differential_design)
+        with pytest.raises(NetlistError, match="port 1 sits on the ground node"):
+            replace(net, elements=net.elements[:-3] + (Port(1, "0", 50.0),))
+        with pytest.raises(NetlistError, match="r1: resistance"):
+            read_netlist("R r1 p1 0 0.0\nP 1 p1 50.0\n")
 
 
 class TestTextFormat:

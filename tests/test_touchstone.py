@@ -39,6 +39,16 @@ class TestS3p:
         # 9 significant digits: mantissa has 8 decimals
         assert body[0].split()[0] == f"{demo_grid.frequencies[0]:.8e}"
 
+    @pytest.mark.parametrize("z0, option", [(50.0, "R 50"), (75.25, "R 75.25"),
+                                            (50.123456789, "R 50.123456789"),
+                                            (1.0 / 3.0, "R 0.3333333333333333")])
+    def test_z0_reads_back_exactly(self, tmp_path, demo_grid, z0, option):
+        # 6 significant digits where they are exact, every digit otherwise
+        path = tmp_path / "demo.s3p"
+        write_s3p(path, demo_grid.frequencies[:1], demo_grid.s0[:1], np.float64(z0))
+        assert path.read_text().splitlines()[0] == f"# Hz S RI {option}"
+        assert read_s3p(path)[2] == z0
+
     def test_reader_tolerates_wrapped_lines(self, tmp_path, demo_grid):
         path = tmp_path / "demo.s3p"
         write_s3p(path, demo_grid.frequencies[:1], demo_grid.s0[:1], 50.0)
