@@ -134,8 +134,9 @@ class Netlist:
 
     Construction is the one structural check; it raises :class:`NetlistError`
     unless each element is of the five kinds, names are unique, ports run
-    1..n off ground with finite z0 > 0, no R or L is 0, the modulated branches
-    share one f_mod and every node has a path to ground."""
+    1..n off ground with finite z0 > 0, no R or L is 0, no value is NaN and
+    only R may be infinite, the modulated branches share one f_mod and every
+    node has a path to ground."""
 
     elements: tuple[Element, ...]
     ground: str = GROUND
@@ -160,6 +161,10 @@ class Netlist:
             if (isinstance(el, Resistor) and el.ohms == 0.0
                     or isinstance(el, Inductor) and el.henries == 0.0):
                 raise NetlistError(f"{el.name}: resistance and inductance must be nonzero")
+            if isinstance(el, Resistor) and math.isnan(el.ohms) or not all(
+                    map(math.isfinite, _finite_values(el))):
+                raise NetlistError(f"{el.name}: values must be finite, but for a resistance, "
+                                   f"which may be an infinite open")
         f_mods = {el.modulation.f_mod for el in self.modulated if el.modulation is not None}
         if len(f_mods) > 1:
             raise NetlistError(f"modulated branches must share one f_mod, got {sorted(f_mods)}")
@@ -194,6 +199,19 @@ class Netlist:
             if el.modulation is not None:
                 return el.modulation.f_mod
         return None
+
+
+def _finite_values(el: Element) -> tuple[float, ...]:
+    """The values of an element that must be finite: all but a resistance,
+    which may be +-inf, an open, and a port's z0, checked on its own."""
+    if isinstance(el, Inductor):
+        return (el.henries,)
+    if isinstance(el, Capacitor):
+        return (el.farads,)
+    if isinstance(el, ModulatedSeriesRlc):
+        b, m = el.branch, el.modulation
+        return (b.r_m, b.l_m, b.c_m) + (() if m is None else (m.depth, m.f_mod, m.phase))
+    return ()
 
 
 def floating_nodes(net: Netlist) -> set[str]:

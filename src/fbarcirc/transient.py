@@ -26,21 +26,29 @@ composed into the propagators Phi_j and forced responses psi_j of the
 period.  A run makes one LAPACK inverse, of A0 = K + G with every m = 1.
 A_j differs from A0 only in one entry per modulated branch, an update of
 rank k = the number of modulated branches, so a block's inverses follow
-from A0^-1 by the Woodbury identity with one batched k x k solve per step,
-and the block's residual max|A_j A_j^-1 - I| must stay within
-INVERSE_RESIDUAL_BOUND.  Without modulation the step matrix never changes,
-and a block of steps stands in for the period.  Every period, the first
-included, starts from its boundary state, h_0 = 0 and
-h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P, and its node voltages
-Re(A_j^-1 (Phi_{j-1} h_p + exp(j w p P dt) (psi_{j-1} + s exp(j w j dt))))
-come from batched products in memory-bounded blocks.
+from A0^-1 by the Woodbury identity.  Its k x k systems lie within about
+1e-6 of the identity on the verify circuits and are summed as a short
+Neumann series, or solved in one batch where the series would need more
+than SERIES_TERMS terms; either way the block's residual
+max|A_j A_j^-1 - I| must stay within INVERSE_RESIDUAL_BOUND.  Without
+modulation the step matrix never changes, and a block of steps stands in
+for the period.  Every period, the first included, starts from its
+boundary state, h_0 = 0 and h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P,
+and its node voltages are Re(X_j h_p + e_p Y_j) with e_p = exp(j w p P dt)
+and the maps X_j, Y_j of the one period.  :func:`simulate` returns those
+maps and boundary states (:class:`PeriodMaps`); the samples are filled
+from them, in memory-bounded blocks, only when they are read.
 
 The phasor fit (:func:`extract_phasors`) never forms the tones x samples
-basis of the tail.  With the n tail samples laid out in rows of about
-sqrt(n), each tone's phase factors into a per-row and a per-column table,
-so the projections and the fitted waveform are GEMMs against those tables,
-and the Gram matrix is a closed-form sum.  It needs O(n + tones*sqrt(n))
-memory.
+basis of the tail, and its Gram matrix is a closed-form sum.  On a result
+of :func:`simulate` it needs no samples: each projection is a sum over the
+boundary states of the maps' tone sums over one period, and the misfit's
+sum of squares a quadratic form, split about the drive's periodic state
+so that it does not cancel.  On samples alone (a waveform read back from
+a file), the tail is laid out in rows of about sqrt(n) samples, each
+tone's phase factors into a per-row and a per-column table, and the
+projections and the fitted waveform are GEMMs against those tables, in
+O(n + tones*sqrt(n)) memory.
 
 High-Q circuits at GHz carriers are impractical to integrate directly, so
 the verify workflow builds each check circuit at its own frequency and
@@ -66,6 +74,8 @@ DIVERGENCE_FACTOR = 1e6
 INVERSE_RESIDUAL_BOUND = 1e-8
 # values in one block's stack of step matrices; bounds the integrator's working memory
 CHUNK_VALUES = 1 << 19
+# most terms of the Neumann series that replaces the Woodbury k x k solves
+SERIES_TERMS = 4
 # Size bounds of one run, checked before anything is allocated: the steps of
 # one modulation period (whose maps are held, nodes x unknowns values per
 # step) and the samples per node of the waveform.  The 800-points-per-cycle
@@ -94,12 +104,40 @@ class IllConditionedBasis(ValueError):
 
 
 @dataclass(frozen=True)
-class TransientResult:
-    """Per-node voltage waveforms on a uniform time grid."""
+class PeriodMaps:
+    """One modulation period's maps of a :func:`simulate` run, from which
+    every sample follows: sample i = p*r + j + 1 of node n (p = 0 ... periods-1,
+    j = 0 ... r-1) is Re(X_j h_p + e_p Y_j)[n], and sample 0 is zero."""
 
-    dt: float
-    duration: float
-    samples: dict[str, np.ndarray]
+    nodes: tuple[str, ...]
+    x: np.ndarray       # (nodes, nu, r) real: X_j
+    y: np.ndarray       # (nodes, r) complex: Y_j
+    h: np.ndarray       # (periods, nu) complex: boundary states h_p
+    e: np.ndarray       # (periods,) complex: e_p = exp(j w p r dt)
+    period: np.ndarray  # (nu, nu + 2): [Phi_P | Re psi_P | Im psi_P]
+    turn: complex       # exp(j w r dt), the drive's phase advance over one period
+    steps: int
+    chunk: int          # the fill's block size
+    limit: float        # the divergence guard on |sample|
+
+
+class TransientResult:
+    """Per-node voltage waveforms on a uniform time grid.
+
+    A result of :func:`simulate` holds its run's :class:`PeriodMaps` and fills
+    ``samples`` from them on first access; :func:`extract_phasors` fits from
+    the maps and needs no samples."""
+
+    def __init__(self, dt: float, duration: float, samples: dict[str, np.ndarray] | None = None,
+                 maps: PeriodMaps | None = None):
+        self.dt, self.duration, self.maps = dt, duration, maps
+        self._samples = samples
+
+    @property
+    def samples(self) -> dict[str, np.ndarray]:
+        if self._samples is None:
+            self._samples = _fill(self.maps)
+        return self._samples
 
     @property
     def times(self) -> np.ndarray:
@@ -214,10 +252,13 @@ class _StepInverses:
     Only the k modulated entries (r, r+1) of ``mod``'s rows r change, so
     A_j = A0 + U D_j V^T with D_j = diag(depth*cos(w_m t_j + phase)), U and V
     the unit columns r and r+1, and by Woodbury
-    A_j^-1 = A0^-1 - (A0^-1 U) (I + D_j C)^-1 D_j (V^T A0^-1), C = V^T A0^-1 U.
-    A call solves its block's k x k systems in one batch and checks the
-    block's residual max|A_j A_j^-1 - I| against INVERSE_RESIDUAL_BOUND; a
-    singular A0 or step matrix, or a failed check, raises :class:`Diverged`.
+    A_j^-1 = A0^-1 - (A0^-1 U) W_j (V^T A0^-1), C = V^T A0^-1 U,
+    W_j = (I + D_j C)^-1 D_j.  With rho = max depth * ||C||_inf, W_j is the
+    series sum_{i<m} (-D_j C)^i D_j when rho^m <= 2^-53 for some
+    m <= SERIES_TERMS (on the verify circuits rho is about 1e-6 and m = 3),
+    else one batched k x k solve.  A call checks its block's residual
+    max|A_j A_j^-1 - I| against INVERSE_RESIDUAL_BOUND either way; a singular
+    A0 or step matrix, or a failed check, raises :class:`Diverged`.
     """
 
     def __init__(self, a0: np.ndarray, mod: np.ndarray, block: int):
@@ -234,8 +275,30 @@ class _StepInverses:
             self.u = a0_inv[:, self.rows]                # A0^-1 U
             self.v = a0_inv[self.cols]                   # V^T A0^-1
             self.c = self.v[:, self.rows]                # C
+            rho = float(np.max(np.abs(mod[:, 1])) * np.max(np.sum(np.abs(self.c), axis=1)))
+            # terms of the series, 0 for the solve
+            self.terms = next((m for m in range(1, SERIES_TERMS + 1) if rho ** m <= 2.0 ** -53), 0)
             # one block's inverses and residuals, reused by every block
             self.work = np.empty((2, nu * block * nu))
+
+    def _woodbury(self, d: np.ndarray) -> np.ndarray:
+        """W_j = (I + D_j C)^-1 D_j for the columns d_j of ``d`` (k, n), as
+        (k, n*k): row a holds (W_j)[a] side by side."""
+        k, n = d.shape
+        if not self.terms:
+            try:
+                w = np.linalg.solve(np.eye(k) + d.T[:, :, None] * self.c,
+                                    d.T[:, :, None] * np.eye(k))
+            except np.linalg.LinAlgError as exc:
+                raise Diverged("singular transient system") from exc
+            return w.transpose(1, 0, 2).reshape(k, n * k)
+        # W_j = D_j sum_{i<m} (-C D_j)^i, held as [a, b, j] so that each term
+        # is one GEMM of -C over the block
+        term = total = np.eye(k)[:, :, None]
+        for _ in range(1, self.terms):
+            term = (-self.c @ (d[:, None] * term).reshape(k, k * n)).reshape(k, k, n)
+            total = total + term
+        return (d[:, None] * total).transpose(0, 2, 1).reshape(k, n * k)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """The inverses at the times ``t`` (at most ``block`` of them), shape
@@ -244,20 +307,16 @@ class _StepInverses:
         if not len(self.mod):
             return np.broadcast_to(self.a0_inv, (n, nu, nu))
         mod, rows, k = self.mod, self.rows, self.rows.size
-        d = mod[:, 1] * np.cos(np.outer(t, 2.0 * math.pi * mod[:, 2]) + mod[:, 3])  # (n, k)
-        eye = np.eye(k)
-        try:
-            w = np.linalg.solve(eye + d[:, :, None] * self.c, d[:, :, None] * eye)
-        except np.linalg.LinAlgError as exc:
-            raise Diverged("singular transient system") from exc
+        d = mod[:, 1, None] * np.cos(np.outer(2.0 * math.pi * mod[:, 2], t) + mod[:, 3, None])
         # Row i of every step's inverse side by side, x_t[i, j] = (A_j^-1)[i],
         # so that the products below are GEMMs over the whole block.
         x_t, r = (buf[:nu * n * nu].reshape(nu, n, nu) for buf in self.work)
-        corr = self.u @ w.transpose(1, 0, 2).reshape(k, n * k)
+        corr = self.u @ self._woodbury(d)
         np.matmul(corr.reshape(nu * n, k), -self.v, out=x_t.reshape(nu * n, nu))
         x_t += self.a0_inv[:, None]
         np.matmul(self.a0, x_t.reshape(nu, n * nu), out=r.reshape(nu, n * nu))
-        r[rows] += d.T[:, :, None] * x_t[self.cols]     # A_j A_j^-1
+        for dr, row, col in zip(d, rows, self.cols):  # A_j A_j^-1
+            r[row] += dr[:, None] * x_t[col]
         idx = np.arange(nu)
         r[idx, :, idx] -= 1.0
         _check_residual(r)
@@ -291,13 +350,15 @@ def _chain(m: np.ndarray, drive: np.ndarray, state: np.ndarray) -> np.ndarray:
             s = mg[:, i] @ s
             s[:, :, nu:] += dg[:, i]
             local[first:first + len(mg), i] = s
-    enter = np.empty((nb, nu, nu + 2))
+    # each block's entry state S, as [[S], [0 | I]] so that one GEMM per block
+    # gives [Phi | psi] [[S], [0 | I]] = Phi S + [0 | psi]
+    enter = np.zeros((nb, nu + 2, nu + 2))
+    enter[:, nu:, nu:] = np.eye(2)
     for blk in range(nb):
-        enter[blk] = state
+        enter[blk, :nu] = state
         state = local[blk, -1, :, :nu] @ state
         state[:, nu:] += local[blk, -1, :, nu:]
-    out = local[..., :nu] @ enter[:, None]
-    out[..., nu:] += local[..., nu:]
+    out = local.reshape(nb, b * nu, nu + 2) @ enter
     return out.reshape(nb * b, nu, nu + 2)[:n]
 
 
@@ -314,15 +375,18 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so that one modulation period is P whole steps (a ``dt`` from
     :func:`time_grid` passes through unchanged); the result reports the step
     used.  Only one period of step matrices is inverted (see the module
-    docstring).
+    docstring), and the result holds that period's maps; its ``samples`` are
+    filled when first read.
 
     Raises :class:`RunTooLarge`, before any work, when a modulation period
     takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
     samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
     step used; and :class:`Diverged` on a singular step matrix, on a step
     matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, or when any
-    node magnitude exceeds 1e6 times the source amplitude (checked on every
-    block of samples).
+    node magnitude exceeds 1e6 times the source amplitude.  For that guard,
+    sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
+    node n in period p; only when a bound exceeds the guard are the samples
+    filled at once, each block checked, and kept.
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -356,42 +420,61 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     r = min(repeat, steps)
     periods = -(-steps // r)
 
-    def check(block: np.ndarray, last: int) -> None:
-        if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > limit:
-            raise Diverged(f"waveform exceeded {limit:.3e} V near step {last}")
-
     # one repeat's maps from the boundary state: x = Re(X_j h_p + e_p Y_j)
     x_h = np.empty((nn, nu, r))
     y_e = np.empty((nn, r), complex)
     state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
+    diag = np.arange(nu)
     with np.errstate(over="ignore", invalid="ignore"):
         inverses = _StepInverses(a0, mod, min(chunk, r))
         for j0 in range(0, r, chunk):
             j = np.arange(j0 + 1, min(j0 + chunk, r) + 1)
             a_inv = inverses(j * dt)
             z = np.exp(1j * w_stim * (j * dt))
+            a_s = np.einsum("jab,b->ja", a_inv, s)  # A_j^-1 s
             step = _premultiply(2.0 * k, a_inv)
-            drive = (step @ s)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
-            step -= np.eye(nu)
+            drive = (a_s @ (2.0 * k).T)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
+            step[:, diag, diag] -= 1.0
             states = _chain(step, drive, state)
             xs = a_inv[:, :nn] @ np.concatenate([state[None], states[:-1]])
             x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
-            y_e[:, j0:j0 + j.size] = (xs[..., nu] + 1j * xs[..., nu + 1]
-                                      + (a_inv[:, :nn] @ s) * z[:, None]).T
+            y_blk = y_e[:, j0:j0 + j.size]
+            a_s = a_s[:, :nn] * z[:, None]
+            y_blk.real = (xs[..., nu] + a_s.real).T
+            y_blk.imag = (xs[..., nu + 1] + a_s.imag).T
             state[...] = states[-1]
         # Free the block, small arrays too: one left above its memory keeps the
-        # allocator from returning that memory before the fill.
-        del j, a_inv, z, step, drive, states, xs, inverses
+        # allocator from returning that memory.
+        del j, a_inv, z, a_s, step, drive, states, xs, y_blk, inverses
 
-        # period boundaries h_p from h_0 = 0, then every period's samples in blocks
+        # period boundaries h_p from h_0 = 0
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))
         h = np.zeros((periods, nu), complex)
         for p in range(1, periods):
             h[p] = state[:, :nu] @ h[p - 1] + e[p - 1] * (state[:, nu] + 1j * state[:, nu + 1])
-        volts = np.zeros((nn, periods * r + 1))
-        grid = volts[:, 1:].reshape(nn, periods, r)  # sample p*r + j + 1 at [:, p, j]
-        tail = steps - (periods - 1) * r  # samples in the last period
-        per = max(1, chunk // r)  # periods per block
+        # |sample| <= sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]|, a bound
+        # that needs no sample; NaN fails it
+        x_max = np.maximum(np.max(x_h, axis=2), -np.min(x_h, axis=2))
+        bound = np.max(np.abs(h.real) @ x_max.T + np.max(np.abs(y_e), axis=1))
+    maps = PeriodMaps(nodes=tuple(node_names), x=x_h, y=y_e, h=h, e=e, period=state,
+                      turn=complex(np.exp(1j * w_stim * (r * dt))), steps=steps, chunk=chunk,
+                      limit=limit)
+    # the margin covers the rounding of the bound and of the samples
+    samples = None if bound * (1.0 + 1e-12) <= limit else _fill(maps)
+    return TransientResult(dt=dt, duration=duration, samples=samples, maps=maps)
+
+
+def _fill(maps: PeriodMaps) -> dict[str, np.ndarray]:
+    """Every node's samples from the period maps, in memory-bounded blocks;
+    :class:`Diverged` when a block holds a non-finite value or one above
+    ``maps.limit``."""
+    x_h, y_e, h, e, chunk, steps = maps.x, maps.y, maps.h, maps.e, maps.chunk, maps.steps
+    nn, r, periods = len(maps.nodes), x_h.shape[2], len(h)
+    volts = np.zeros((nn, periods * r + 1))
+    grid = volts[:, 1:].reshape(nn, periods, r)  # sample p*r + j + 1 at [:, p, j]
+    tail = steps - (periods - 1) * r  # samples in the last period
+    per = max(1, chunk // r)  # periods per block
+    with np.errstate(over="ignore", invalid="ignore"):
         for p0 in range(0, periods, per):
             p1 = min(p0 + per, periods)
             for j0 in range(0, r, chunk):
@@ -401,10 +484,10 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
                 if p1 == periods:
                     block[:, -1, max(tail - j0, 0):] = 0.0  # past the end of the run
                 grid[:, p0:p1, j0:j1] = block
-                check(block, min((p1 - 1) * r + j1, steps))
-
-    volts = volts[:, :steps + 1]
-    return TransientResult(dt=dt, duration=duration, samples=dict(zip(node_names, volts)))
+                if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > maps.limit:
+                    raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step "
+                                   f"{min((p1 - 1) * r + j1, steps)}")
+    return dict(zip(maps.nodes, volts[:, :steps + 1]))
 
 
 def _tone_sum(a: np.ndarray, b: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -438,11 +521,177 @@ def _gram(theta: np.ndarray, start: int, n: int) -> np.ndarray:
     return np.block([[cc, cs], [cs.T, ss]])
 
 
+class _ToneSums:
+    """sum_j w_j exp(j*theta_k*(j+1)) over any range of steps j of one
+    period, for the real rows w of an array (m, r), with every tone at once.
+
+    The steps are laid out as rows of L = isqrt(r-1)+1, as the samples are in
+    :func:`_fit_samples`: :meth:`rows` makes each row's sums in one GEMM, and
+    :meth:`over` adds the rows inside a range to the direct sums over its
+    ragged ends."""
+
+    def __init__(self, theta: np.ndarray, r: int):
+        self.theta, self.r = theta, r
+        self.width = math.isqrt(r - 1) + 1
+        self.full = r // self.width  # rows without padding
+        self.inner = np.exp(1j * np.outer(theta, np.arange(self.width)))
+        self.outer = np.exp(1j * np.outer(self.width * np.arange(-(-r // self.width)) + 1, theta))
+        self.ends: dict[tuple[int, int], np.ndarray] = {}  # phase tables of ragged ends
+
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        """Each whole row's sums, (m, rows, tones)."""
+        tones, n = self.theta.size, self.full * self.width
+        basis = np.concatenate([self.inner.real, self.inner.imag]).T
+        part = w[:, :n].reshape(len(w), self.full, self.width) @ basis
+        return self.outer[:self.full] * (part[..., :tones] + 1j * part[..., tones:])
+
+    def over(self, w: np.ndarray, rows: np.ndarray, j0: int, j1: int) -> np.ndarray:
+        """The sums over j0 <= j < j1, (m, tones), given ``rows`` = rows(w)."""
+        b0, b1 = -(-j0 // self.width), min(j1 // self.width, self.full)
+        if b0 >= b1:
+            return self._direct(w, j0, j1)
+        return (self._direct(w, j0, b0 * self.width) + rows[:, b0:b1].sum(axis=1)
+                + self._direct(w, b1 * self.width, j1))
+
+    def _direct(self, w: np.ndarray, j0: int, j1: int) -> np.ndarray:
+        if (j0, j1) not in self.ends:
+            self.ends[j0, j1] = np.exp(1j * np.outer(np.arange(j0 + 1, j1 + 1), self.theta))
+        return w[:, j0:j1] @ self.ends[j0, j1]
+
+    def waveform(self, phasors: np.ndarray) -> np.ndarray:
+        """sum_k P_k exp(j*theta_k*(j+1)) at every step j of the period."""
+        return ((self.outer * phasors) @ self.inner).reshape(-1)[:self.r]
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The cos, then sin, coefficients of the least-squares fit."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedBasis("singular tone basis") from exc
+
+
+def _fit_samples(v: np.ndarray, theta: np.ndarray, start: int,
+                 gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Phasors and relative rms misfit of the samples v[start:].
+
+    The tail of n samples is laid out as rows of L = isqrt(n-1)+1
+    (zero-padded), and exp(j*theta_k*i) at sample i = start + b*L + l factors
+    into ``outer[b, k]`` = exp(j*theta_k*(start+b*L)) times ``inner[k, l]`` =
+    exp(j*theta_k*l).  The projections sum_i v_i exp(j*theta_k*i) are
+    ``outer`` times one GEMM of the rows with ``inner``'s real and imaginary
+    parts, and the fitted waveform Re((outer * P) @ inner) is one more GEMM,
+    from which the tail is subtracted in place.  Memory is O(n + T*sqrt(n))
+    for T tones: the padded rows and the fitted waveform."""
+    tones = theta.size
+    tail = v[start:]
+    n = tail.size
+    width = math.isqrt(n - 1) + 1
+    rows = np.zeros((-(-n // width), width))
+    rows.reshape(-1)[:n] = tail
+    inner = np.exp(1j * np.outer(theta, np.arange(width)))
+    outer = np.exp(1j * np.outer(start + width * np.arange(rows.shape[0]), theta))
+    basis = np.concatenate([inner.real, inner.imag])
+    part = rows @ basis.T
+    proj = np.sum(outer * (part[:, :tones] + 1j * part[:, tones:]), axis=0)
+    coef = _solve(gram, np.concatenate([proj.real, proj.imag]))
+    phasors = coef[:tones] - 1j * coef[tones:]
+    w = outer * phasors
+    fit = np.concatenate([w.real, -w.imag], axis=1) @ basis
+    r = fit.reshape(-1)[:n]
+    r -= tail
+    rms_v = math.sqrt(float(tail @ tail) / n)
+    rms_r = math.sqrt(float(r @ r) / n)
+    return phasors, (rms_r / rms_v if rms_v > 0.0 else 0.0)
+
+
+def _fit_maps(maps: PeriodMaps, node: int, theta: np.ndarray, start: int,
+              gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Phasors and relative rms misfit of samples start ... steps of a node,
+    from the period maps; no sample is formed.
+
+    Sample i = p*r + j + 1 is c_p^T W_j, with c_p = [Re h_p; Re e_p; -Im e_p]
+    and W_j = [X_j; Re Y_j; Im Y_j], so the projection onto tone k is
+    sum_p exp(j*theta_k*p*r) c_p^T sum_j W_j exp(j*theta_k*(j+1)): the sums
+    over j are taken once over a whole period and once over each partial
+    period at the ends of the tail.
+
+    The misfit is not the sum of squares less the fitted part, which cancels
+    to nothing where the fit is good.  With the periodic state hbar of the
+    drive, (exp(j*theta_0*P) I - Phi_P) hbar = psi_P, delta_p = h_p - e_p hbar,
+    D_j = X_j hbar + Y_j - F_j for the fitted tones F_j = sum_k P_k
+    exp(j*theta_k*(j+1)), and a_pk = exp(j*theta_k*p*r) - e_p, the misfit of
+    sample i is Re(e_p D_j) + X_j Re delta_p - sum_k Re(a_pk P_k exp(j*theta_k*(j+1))),
+    all terms of the misfit's own size.  Its sum of squares is a quadratic
+    form in [Re delta_p; Re e_p; -Im e_p; -Re a_p P; Im a_p P] over the Gram
+    matrix of [X_j; Re D_j; Im D_j; cos; sin] on each part of the tail.  The
+    split holds for any hbar, so a singular system falls back to hbar = 0."""
+    x, y, h, e = maps.x[node], maps.y[node], maps.h, maps.e
+    nu, r = x.shape
+    tones = theta.size
+    sums = _ToneSums(theta, r)
+    y2 = np.stack([y.real, y.imag])
+    x_rows, y_rows = sums.rows(x), sums.rows(y2)
+    # the tail as parts of whole periods p0 <= p < p1 by steps j0 <= j < j1
+    pa, ja = divmod(start - 1, r)
+    pb, jb = divmod(maps.steps - 1, r)
+    parts = ([(pa, pa + 1, ja, jb + 1)] if pa == pb else
+             [(pa, pa + 1, ja, r), (pa + 1, pb, 0, r), (pb, pb + 1, 0, jb + 1)])
+    parts = [(p0, p1, j0, j1) for p0, p1, j0, j1 in parts if p0 < p1]
+    turns = [np.exp(1j * np.outer(np.arange(p0, p1) * r, theta)) for p0, p1, _, _ in parts]
+    s_x = [sums.over(x, x_rows, j0, j1) for _, _, j0, j1 in parts]
+    proj = np.zeros(tones, complex)
+    for (p0, p1, j0, j1), turn, sx in zip(parts, turns, s_x):
+        s_w = np.concatenate([sx, sums.over(y2, y_rows, j0, j1)])
+        c = np.column_stack([h[p0:p1].real, e[p0:p1].real, -e[p0:p1].imag])
+        proj += np.sum(turn * (c @ s_w), axis=0)
+    rhs = np.concatenate([proj.real, proj.imag])
+    coef = _solve(gram, rhs)
+    phasors = coef[:tones] - 1j * coef[tones:]
+
+    period = maps.period
+    with np.errstate(all="ignore"):
+        try:
+            hbar = np.linalg.solve(maps.turn * np.eye(nu) - period[:, :nu],
+                                   period[:, nu] + 1j * period[:, nu + 1])
+        except np.linalg.LinAlgError:
+            hbar = np.zeros(nu, complex)
+    if not np.all(np.isfinite(hbar)):
+        hbar = np.zeros(nu, complex)
+    d2 = np.stack([hbar.real, hbar.imag]) @ x  # [Re D_j; Im D_j]
+    d2 += y2
+    fit = sums.waveform(phasors)
+    d2[0] -= fit.real
+    d2[1] -= fit.imag
+    d_rows = sums.rows(d2)
+    m = nu + 2
+    g = np.empty((m + 2 * tones, m + 2 * tones))
+    ssr = 0.0
+    for (p0, p1, j0, j1), turn, sx in zip(parts, turns, s_x):
+        xs, ds = x[:, j0:j1], d2[:, j0:j1]
+        s_w = np.concatenate([sx, sums.over(d2, d_rows, j0, j1)])
+        g[:nu, :nu] = xs @ xs.T
+        g[:nu, nu:m] = xs @ ds.T
+        g[nu:m, :nu] = g[:nu, nu:m].T
+        g[nu:m, nu:m] = ds @ ds.T
+        g[:m, m:m + tones], g[:m, m + tones:] = s_w.real, s_w.imag
+        g[m:, :m] = g[:m, m:].T
+        g[m:, m:] = _gram(theta, j0 + 1, j1 - j0)
+        ep = e[p0:p1]
+        delta = h[p0:p1] - ep[:, None] * hbar
+        ap = (turn - ep[:, None]) * phasors
+        c = np.column_stack([delta.real, ep.real, -ep.imag, -ap.real, ap.imag])
+        ssr += float(np.sum((c @ g) * c))
+    ssr = max(ssr, 0.0)
+    ssv = ssr + float(coef @ rhs)
+    return phasors, (math.sqrt(ssr / ssv) if ssv > 0.0 else 0.0)
+
+
 def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
                     n_harm: int) -> PhasorSet:
     """Fit the waveform tail against tones at f + n*f_mod, n in [-N, N].
 
-    The last 25% of the samples (past ring-up) are projected onto
+    The last 25% of the steps + 1 samples (past ring-up) are projected onto
     cos/sin pairs at each mixing frequency by linear least squares; the
     phasor P_n satisfies v(t) ~ sum_n Re[P_n exp(j*2*pi*(f+n*f_mod)*t)].
     ``residual`` is the rms of the unfitted remainder relative to the rms
@@ -450,22 +699,19 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     frequencies fall within 1/window of each other, or on a singular Gram
     matrix.
 
-    The normal equations never hold a tones x samples array.  With
-    theta_k = 2*pi*(f + k*f_mod)*dt, the tail of n samples is laid out as
-    rows of L = isqrt(n-1)+1 (zero-padded), and exp(j*theta_k*i) at sample
-    i = start + b*L + l factors into ``outer[b, k]`` = exp(j*theta_k*(start+b*L))
-    times ``inner[k, l]`` = exp(j*theta_k*l).  The projections sum_i v_i
-    exp(j*theta_k*i) are ``outer`` times one GEMM of the rows with ``inner``'s
-    real and imaginary parts, the Gram matrix comes in closed form
-    (:func:`_gram`), and the fitted waveform Re((outer * P) @ inner) is one
-    more GEMM, from which the tail is subtracted in place.  Memory is
-    O(n + T*sqrt(n)) for T tones: the padded rows and the fitted waveform.
+    The normal equations never hold a tones x samples array, and their Gram
+    matrix comes in closed form (:func:`_gram`).  A result of
+    :func:`simulate` is fitted from its period maps (:func:`_fit_maps`), in
+    O(r) memory for r steps per period and without filling its samples; any
+    other result, such as one of :func:`read_waveforms`, from its samples
+    (:func:`_fit_samples`).
     """
-    if node not in res.samples:
+    maps = res.maps
+    if node not in (res.samples if maps is None else maps.nodes):
         raise KeyError(f"no samples for node {node!r}")
-    v = res.samples[node]
-    start = (v.size * 3) // 4
-    window = (v.size - 1 - start) * res.dt
+    size = res.samples[node].size if maps is None else maps.steps + 1
+    start = (size * 3) // 4
+    window = (size - 1 - start) * res.dt
     if window <= 0.0:
         raise ValueError("empty fit window")
 
@@ -480,30 +726,12 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     if folded[0] < resolution:
         raise IllConditionedBasis("a tone sits within 1/window of DC")
 
-    tones = len(ns)
     theta = 2.0 * math.pi * np.array(tone_freqs) * res.dt
-    tail = v[start:]
-    n = tail.size
-    width = math.isqrt(n - 1) + 1
-    rows = np.zeros((-(-n // width), width))
-    rows.reshape(-1)[:n] = tail
-    inner = np.exp(1j * np.outer(theta, np.arange(width)))
-    outer = np.exp(1j * np.outer(start + width * np.arange(rows.shape[0]), theta))
-    basis = np.concatenate([inner.real, inner.imag])
-    part = rows @ basis.T
-    proj = np.sum(outer * (part[:, :tones] + 1j * part[:, tones:]), axis=0)
-    try:
-        coef = np.linalg.solve(_gram(theta, start, n), np.concatenate([proj.real, proj.imag]))
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasis("singular tone basis") from exc
-    phasors = coef[:tones] - 1j * coef[tones:]
-    w = outer * phasors
-    fit = np.concatenate([w.real, -w.imag], axis=1) @ basis
-    r = fit.reshape(-1)[:n]
-    r -= tail
-    rms_v = math.sqrt(float(tail @ tail) / n)
-    rms_r = math.sqrt(float(r @ r) / n)
-    residual = rms_r / rms_v if rms_v > 0.0 else 0.0
+    gram = _gram(theta, start, size - start)
+    if maps is None:
+        phasors, residual = _fit_samples(res.samples[node], theta, start, gram)
+    else:
+        phasors, residual = _fit_maps(maps, maps.nodes.index(node), theta, start, gram)
     entries = tuple((k, complex(p)) for k, p in zip(ns, phasors))
     return PhasorSet(entries=entries, residual=residual)
 

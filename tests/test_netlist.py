@@ -217,6 +217,31 @@ class TestConstructionCheck:
         with pytest.raises(NetlistError, match=re.escape(named)):
             Netlist(elements)
 
+    @pytest.mark.parametrize("element", [
+        Resistor("r1", "p1", "0", math.nan),
+        Capacitor("r1", "p1", "0", math.nan),
+        Capacitor("r1", "p1", "0", math.inf),
+        Inductor("r1", "p1", "0", -math.inf),
+        ModulatedSeriesRlc("r1", "p1", "0", _B, ModulationSpec(0.1, 1e6, math.nan)),
+        ModulatedSeriesRlc("r1", "p1", "0", _B, ModulationSpec(0.1, 1e6, math.inf)),
+    ], ids=["nan-ohms", "nan-farads", "inf-farads", "inf-henries", "nan-phase", "inf-phase"])
+    def test_non_finite_value_rejected(self, element):
+        # else the engines fail as numerical errors (exit 1), not as a bad netlist
+        with pytest.raises(NetlistError, match="r1: values must be finite"):
+            Netlist((element, Resistor("r2", "p1", "0", 50.0), Port(1, "p1", 50.0)))
+
+    @pytest.mark.parametrize("ohms", [math.inf, -math.inf])
+    def test_infinite_resistance_is_an_open(self, ohms):
+        net = Netlist((Resistor("r1", "p1", "n2", ohms), Capacitor("c1", "p1", "0", 1e-9),
+                       Capacitor("c2", "n2", "0", 1e-9), Port(1, "p1", 50.0)))
+        assert net.elements[0].ohms == ohms
+
+    @pytest.mark.parametrize("line", ["R r1 p1 0 nan", "C r1 p1 0 inf", "L r1 p1 0 -inf",
+                                      "X r1 p1 0 1.0 1e-06 1e-12 0.1 1e6 nan"])
+    def test_non_finite_value_in_text_rejected(self, line):
+        with pytest.raises(NetlistError, match="r1: values must be finite"):
+            read_netlist(f"{line}\nR r2 p1 0 50.0\nP 1 p1 50.0\n")
+
     def test_replace_and_text_are_checked_too(self, differential_design):
         net = build_circulator(differential_design)
         with pytest.raises(NetlistError, match="port 1 sits on the ground node"):

@@ -383,6 +383,64 @@ class TestStepInverses:
         assert 10 * (round(duration / dt) + 1) <= transient.MAX_SAMPLES
 
 
+class TestSeriesInverses:
+    """The Woodbury k x k systems by their Neumann series where rho^m <= 2^-53."""
+
+    F = 2.68e6
+
+    @staticmethod
+    def _inverses(ppc, block):
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        _, c, g, _, mod = transient._stamp(net, 1, 1.0)
+        dt, _ = time_grid(net, TestSeriesInverses.F, F_MOD, ppc, 1.0)
+        return transient._StepInverses(2.0 * c / dt + g, mod, block), dt
+
+    def test_series_matches_lapack_path(self):
+        # rho = 1.2e-6 at 400 points per cycle: three terms
+        inverses, dt = self._inverses(400, 2000)
+        assert inverses.terms == 3
+        t = np.arange(1, 2001) * 7 * dt  # spread over a third of the period
+        series = inverses(t).copy()
+        inverses.terms = 0
+        lapack = inverses(t)
+        assert np.max(np.abs(series - lapack)) <= 1e-13 * np.max(np.abs(lapack))
+
+    def test_coarse_step_takes_lapack_path(self, monkeypatch):
+        # rho = 8e-4 on the deep one-port at 60 points per cycle, above the
+        # cutoff of four terms; rho = 1.2e-6 on the toy wye at 400
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        f_mod = 10.0 * F_MOD
+        net = one_port_net(FAST_SPECS, 0.3, f_mod, phase=0.4)
+        simulate(net, (1, self.F, 1.0), 2.0 / f_mod, _commensurate_dt(self.F, f_mod, 60))
+        assert solves and all(shape[1:] == (1, 1) for shape in solves)
+        solves.clear()
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 400, 1.0)
+        simulate(net, (1, self.F, 1.0), 2.0 / F_MOD, dt)
+        assert solves == []
+
+    def test_residual_bound_enforced_on_solved_blocks(self, monkeypatch):
+        # test_residual_bound_enforced_on_every_block takes the series (rho =
+        # 5.3e-5, four terms); the deep one-port's rho = 8e-4 takes the solve
+        f_mod = 10.0 * F_MOD
+        _, c, g, _, mod = transient._stamp(one_port_net(FAST_SPECS, 0.3, f_mod, phase=0.4), 1, 1.0)
+        dt = _commensurate_dt(self.F, f_mod, 60)
+        inverses = transient._StepInverses(2.0 * c / dt + g, mod, 64)
+        assert inverses.terms == 0
+        t = np.arange(1, 65) * dt
+        inverses(t)
+        monkeypatch.setattr(transient, "INVERSE_RESIDUAL_BOUND", 1e-30)
+        with pytest.raises(Diverged, match="residual"):
+            inverses(t)
+
+
 class TestExtractPhasors:
     def test_pure_tone_exact(self):
         f, amp, phase = 1.1e5, 0.8, 0.6
@@ -540,6 +598,112 @@ class TestExtractionAccuracy:
         assert peak <= 4 * tail_bytes
 
 
+def _fit_of_samples(res, node, f, f_mod, n_harm):
+    """extract_phasors on the filled samples alone, the sample path."""
+    return extract_phasors(TransientResult(res.dt, res.duration, res.samples), node, f, f_mod,
+                           n_harm)
+
+
+class TestMapFit:
+    """extract_phasors from a simulate result's period maps against the same
+    fit of its filled samples: phasors within 1e-11 of max|P|, the residual
+    within 1e-6 relative."""
+
+    F = 2.68e6
+
+    @staticmethod
+    def _compare(res, nodes, f, f_mod, n_harm):
+        assert res.maps is not None  # else both sides take the sample path
+        for node in nodes:
+            got = extract_phasors(res, node, f, f_mod, n_harm)
+            ref = _fit_of_samples(res, node, f, f_mod, n_harm)
+            p_got = np.array([p for _, p in got.entries])
+            p_ref = np.array([p for _, p in ref.entries])
+            assert np.max(np.abs(p_got - p_ref)) <= 1e-11 * np.max(np.abs(p_ref))
+            assert ref.residual > 1e-9  # a misfit above round-off, so the bound tests something
+            assert abs(got.residual - ref.residual) <= 1e-6 * ref.residual
+
+    def test_static_one_port(self):
+        # no modulation: a block of 34,952 steps stands for the period, and
+        # the wide tone spacing keeps the ring-down in the tail
+        net = one_port_net(DESK_SPECS, 0.0, F_MOD)
+        res = simulate(net, (1, self.F, 1.0), 3e-5, 1.0 / (1000.0 * self.F))
+        assert len(res.maps.h) == 3
+        self._compare(res, ["p1"], self.F, 5e5, 2)
+
+    def test_modulated_one_port(self):
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 200, 1.0)
+        res = simulate(net, (1, self.F, 1.0), 8.0 / F_MOD, dt)
+        self._compare(res, ["p1"], self.F, F_MOD, 3)
+
+    def test_toy_wye(self, wye_oracle):
+        res, _, f, f_mod, n_harm = wye_oracle
+        self._compare(res, ["p1", "p2", "cm"], f, f_mod, n_harm)
+
+    def test_differential_replica(self):
+        design = load_config(CONFIGS / "differential_tuned.cfg").design()
+        net = scale_frequency(build_circulator(design), 1000.0)
+        f, f_mod = 2.6767e6, design.f_mod / 1000.0
+        dt, _ = time_grid(net, f, f_mod, 200, 1.0)
+        res = simulate(net, (1, f, 1.0), 6.0 / f_mod, dt)
+        self._compare(res, [p.node for p in net.ports] + ["ca"], f, f_mod, 5)
+
+
+class TestDivergenceBound:
+    """simulate fills no waveform when a bound on every sample stays within the
+    divergence guard; above it, it fills and checks each block as before."""
+
+    F = 2.68e6
+
+    @staticmethod
+    def _counted_fill(monkeypatch):
+        fills = []
+        fill = transient._fill
+
+        def counted(maps):
+            fills.append(maps)
+            return fill(maps)
+
+        monkeypatch.setattr(transient, "_fill", counted)
+        return fills
+
+    def _run(self):
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
+        return simulate(net, (1, self.F, 1.0), 6.0 / F_MOD, dt)
+
+    def test_no_waveform_unless_one_is_read(self, monkeypatch):
+        fills = self._counted_fill(monkeypatch)
+        res = self._run()
+        extract_phasors(res, "p1", self.F, F_MOD, 2)
+        assert fills == []
+        assert res.samples["p1"].size == res.maps.steps + 1
+        assert res.samples is res.samples and len(fills) == 1
+
+    def test_limit_between_samples_and_bound(self, monkeypatch):
+        reference = self._run()
+        maps = reference.maps
+        v_max = np.max(np.abs(reference.samples["p1"]))
+        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
+                       + np.max(np.abs(maps.y), axis=1))
+        assert bound > 1.5 * v_max
+        source = 2.0 * math.sqrt(50.0)
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
+        fills = self._counted_fill(monkeypatch)
+        res = self._run()  # no raise
+        assert len(fills) == 1
+        assert np.array_equal(res.samples["p1"], reference.samples["p1"])
+        extract_phasors(res, "p1", self.F, F_MOD, 2)
+        assert len(fills) == 1
+
+    def test_limit_below_samples_raises(self, monkeypatch):
+        v_max = np.max(np.abs(self._run().samples["p1"]))
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.9 * v_max / (2.0 * math.sqrt(50.0)))
+        with pytest.raises(Diverged, match="waveform exceeded"):
+            self._run()
+
+
 class TestCrossValidate:
     def test_static_one_port(self, desk_specs):
         # the 1e-3 gate needs the finer step: trapezoidal frequency warp
@@ -565,6 +729,30 @@ class TestCrossValidate:
         net = one_port_net(desk_specs, 0.0, F_MOD)
         with pytest.raises(ValueError):
             cross_validate(net, HarmonicBasis(F_MOD, 2), 2.68e6, ports=(1, 9))
+
+    def test_one_simulate_and_one_fit_through_module_globals(self, monkeypatch):
+        # perfbench counts the oracle's steps by wrapping transient.simulate and
+        # reads round(duration/dt) off its result
+        results, fits = [], []
+        simulate_, extract_ = transient.simulate, transient.extract_phasors
+
+        def counted_simulate(*args, **kwargs):
+            results.append(simulate_(*args, **kwargs))
+            return results[-1]
+
+        def counted_extract(*args, **kwargs):
+            fits.append(args)
+            return extract_(*args, **kwargs)
+
+        monkeypatch.setattr(transient, "simulate", counted_simulate)
+        monkeypatch.setattr(transient, "extract_phasors", counted_extract)
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        cross_validate(net, HarmonicBasis(F_MOD, 4), 2.68e6, ports=(1, 2), mod_periods=4.0)
+        assert len(results) == 1 and len(fits) == 1
+        res = results[0]
+        assert fits[0][0] is res
+        assert round(res.duration / res.dt) == res.maps.steps
+        assert res.samples["p1"].size == res.maps.steps + 1
 
 
 class TestWaveformDump:
