@@ -39,14 +39,10 @@ def write_s3p(path, freqs, s0, z0: float, comments: tuple[str, ...] = ()) -> Non
     lines = [f"! {c}" for c in comments]
     short = f"{z0:g}"  # "50" for 50; a z0 that 6 digits would round is written in full
     lines.append(f"# Hz S RI R {short if float(short) == z0 else repr(float(z0))}")
-    for i, f in enumerate(freqs):
-        cols = [f"{f:.8e}"]
-        for q in range(3):
-            for p in range(3):
-                v = s0[i, q, p]
-                cols.append(f"{v.real:.8e}")
-                cols.append(f"{v.imag:.8e}")
-        lines.append(" ".join(cols))
+    # each row: f, then Re and Im of S11 S12 ... S33
+    rows = np.column_stack([freqs, s0.astype(complex).reshape(-1, 9).view(float)])
+    template = " ".join(["%.8e"] * 19)
+    lines.extend(template % tuple(row) for row in rows.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -21,9 +21,12 @@ modulation.  :func:`simulate` rounds dt so that it divides the modulation
 period into P whole steps (a dt from :func:`time_grid` already does), and
 integrates the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u over that one
 period only, under the complex drive s*exp(j w t) whose real part is the
-true drive, in blocks of steps: the block's inverses, then its affine maps
-composed into the propagators Phi_j and forced responses psi_j of the
-period.  A run makes one LAPACK inverse, of A0 = K + G with every m = 1.
+true drive, in cache-sized blocks of steps.  A block's step stack holds
+each inverse beside its drive, [A_j^-1 | A_j^-1 s z_j]; its product with
+[[S], [0 | I]] for the state S = [Phi_{j-1} | psi_{j-1}] of the period's
+propagator and forced response gives the unknowns x_j, and 2K x_j - S the
+next state.  Only the node rows of x_j are kept, never a state per step.
+A run makes one LAPACK inverse, of A0 = K + G with every m = 1.
 A_j differs from A0 only in one entry per modulated branch, an update of
 rank k = the number of modulated branches, so a block's inverses follow
 from A0^-1 by the Woodbury identity.  Its k x k systems lie within about
@@ -72,8 +75,9 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
 DIVERGENCE_FACTOR = 1e6
 # max|A_j A_j^-1 - I| accepted for any step matrix's computed inverse
 INVERSE_RESIDUAL_BOUND = 1e-8
-# values in one block's stack of step matrices; bounds the integrator's working memory
-CHUNK_VALUES = 1 << 19
+# values in one block's stack of step matrices (1 MiB): small enough that a
+# block's arrays stay in cache, and a bound on the integrator's working memory
+CHUNK_VALUES = 1 << 17
 # most terms of the Neumann series that replaces the Woodbury k x k solves
 SERIES_TERMS = 4
 # Size bounds of one run, checked before anything is allocated: the steps of
@@ -220,14 +224,6 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
     return node_names, c, g, s, np.array(mod).reshape(-1, 4)
 
 
-def _premultiply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x_j for every matrix x_j of the stack x (n, nu, nu), as one GEMM
-    over the rows of the whole stack; returned as a (n, nu, nu) view."""
-    n, nu = x.shape[:2]
-    out = m @ x.transpose(1, 0, 2).reshape(nu, n * nu)
-    return out.reshape(-1, n, nu).transpose(1, 0, 2)
-
-
 def _steps(duration: float, dt: float) -> float:
     """duration/dt; :class:`RunTooLarge` above MAX_SAMPLES samples per node."""
     n = duration / dt
@@ -323,43 +319,51 @@ class _StepInverses:
         return x_t.transpose(1, 0, 2)
 
 
-def _chain(m: np.ndarray, drive: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Every state of ``S_j = m_j S_{j-1} + [0 | drive_j]`` from S_0 = ``state``.
+def _chain(step: np.ndarray, k2: np.ndarray, state: np.ndarray,
+           nr: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last state of S_j = k2 P_j - S_{j-1}, P_j = step_j [[S_{j-1}], [0 | I]],
+    from S_0 = ``state``, and the first ``nr`` rows of every P_j.
 
     S is nu x (nu + 2): a propagator beside the real and imaginary parts of
-    a forced response.  Blocks of about sqrt(n) steps run side by side from
-    the identity, then the blocks are chained, so the Python loops take
-    about 2*sqrt(n) turns instead of n.
+    a forced response.  With step_j = [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j]
+    and k2 = 2K, P_j is the unknowns x_j and S_j = (2K A_j^-1 - I) S_{j-1} +
+    [0 | 2K A_j^-1 s z_j].  Blocks of about sqrt(n) steps run side by side
+    from the identity, a turn being one small product per block and one GEMM
+    of k2 over all of them; one product with its entry state lifts a block's
+    rows to absolute states.  So no state is kept per step, and the Python
+    loops take about 2*sqrt(n) turns instead of n.
     """
-    n, nu = m.shape[:2]
+    n, nu = step.shape[:2]
     b = math.isqrt(n - 1) + 1
     nb = -(-n // b)
-    full = n // b
-    # whole blocks are views of the input; only a short tail block is copied,
-    # padded with identity steps
-    groups = [(m[:full * b].reshape(full, b, nu, nu), drive[:full * b].reshape(full, b, nu, 2))]
-    if full < nb:
-        pad = nb * b - n
-        groups.append((
-            np.concatenate([m[full * b:], np.broadcast_to(np.eye(nu), (pad, nu, nu))])[None],
-            np.concatenate([drive[full * b:], np.zeros((pad, nu, 2))])[None]))
-    local = np.empty((nb, b, nu, nu + 2))
-    for first, (mg, dg) in zip((0, full), groups):
-        s = np.broadcast_to(np.eye(nu, nu + 2), (len(mg), nu, nu + 2))
-        for i in range(b):
-            s = mg[:, i] @ s
-            s[:, :, nu:] += dg[:, i]
-            local[first:first + len(mg), i] = s
-    # each block's entry state S, as [[S], [0 | I]] so that one GEMM per block
-    # gives [Phi | psi] [[S], [0 | I]] = Phi S + [0 | psi]
+    short = n - (nb - 1) * b  # steps of the last block
+    # every block's local [[S], [0 | I]], a row of all blocks at a time so that
+    # one GEMM takes k2 P for all of them; two buffers used in turn
+    local = np.zeros((2, nu + 2, nb, nu + 2))
+    local[0, :nu, :, :nu] = np.eye(nu)[:, None]
+    local[:, nu, :, nu] = local[:, nu + 1, :, nu + 1] = 1.0
+    p = np.empty((nu, nb, nu + 2))
+    rows = np.empty((nb, b, nr, nu + 2))
+    rows[-1, short:] = 0.0  # past the end of the last block
+    last = local[b % 2, :nu, -1]  # the last block's state, unless it is short
+    for i in range(b):  # step i of every block that has one
+        now, nxt = local[i % 2], local[1 - i % 2]
+        if i == short:  # the short last block is done; later turns overwrite its state
+            last = now[:nu, -1].copy()
+        g = -(-(n - i) // b)
+        np.matmul(step[i::b], now[:, :g].transpose(1, 0, 2), out=p[:, :g].transpose(1, 0, 2))
+        np.matmul(k2, p.reshape(nu, -1), out=nxt[:nu].reshape(nu, -1))
+        nxt[:nu] -= now[:nu]
+        rows[:g, i] = p[:nr, :g].transpose(1, 0, 2)
+    # each block's entry state S as [[S], [0 | I]]: one product with it lifts
+    # the block's local [Phi | psi] to the absolute state
     enter = np.zeros((nb, nu + 2, nu + 2))
     enter[:, nu:, nu:] = np.eye(2)
     for blk in range(nb):
         enter[blk, :nu] = state
-        state = local[blk, -1, :, :nu] @ state
-        state[:, nu:] += local[blk, -1, :, nu:]
-    out = local.reshape(nb, b * nu, nu + 2) @ enter
-    return out.reshape(nb * b, nu, nu + 2)[:n]
+        state = (local[b % 2, :nu, blk] if blk < nb - 1 else last) @ enter[blk]
+    out = rows.reshape(nb, -1, nu + 2) @ enter
+    return state, out.reshape(nb * b, nr, nu + 2)[:n]
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
@@ -424,28 +428,25 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     x_h = np.empty((nn, nu, r))
     y_e = np.empty((nn, r), complex)
     state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
-    diag = np.arange(nu)
     with np.errstate(over="ignore", invalid="ignore"):
         inverses = _StepInverses(a0, mod, min(chunk, r))
         for j0 in range(0, r, chunk):
             j = np.arange(j0 + 1, min(j0 + chunk, r) + 1)
-            a_inv = inverses(j * dt)
+            # [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j], row i of every step side by side
+            step = np.empty((nu, j.size, nu + 2))
+            step[:, :, :nu] = inverses(j * dt).transpose(1, 0, 2)
             z = np.exp(1j * w_stim * (j * dt))
-            a_s = np.einsum("jab,b->ja", a_inv, s)  # A_j^-1 s
-            step = _premultiply(2.0 * k, a_inv)
-            drive = (a_s @ (2.0 * k).T)[:, :, None] * np.stack([z.real, z.imag], -1)[:, None]
-            step[:, diag, diag] -= 1.0
-            states = _chain(step, drive, state)
-            xs = a_inv[:, :nn] @ np.concatenate([state[None], states[:-1]])
+            a_s = step[:, :, :nu] @ s  # A_j^-1 s
+            np.multiply(a_s, z.real, out=step[:, :, nu])
+            np.multiply(a_s, z.imag, out=step[:, :, nu + 1])
+            state, xs = _chain(step.transpose(1, 0, 2), 2.0 * k, state, nn)
             x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
             y_blk = y_e[:, j0:j0 + j.size]
-            a_s = a_s[:, :nn] * z[:, None]
-            y_blk.real = (xs[..., nu] + a_s.real).T
-            y_blk.imag = (xs[..., nu + 1] + a_s.imag).T
-            state[...] = states[-1]
+            y_blk.real = xs[..., nu].T
+            y_blk.imag = xs[..., nu + 1].T
         # Free the block, small arrays too: one left above its memory keeps the
         # allocator from returning that memory.
-        del j, a_inv, z, a_s, step, drive, states, xs, y_blk, inverses
+        del j, step, z, a_s, xs, y_blk, inverses
 
         # period boundaries h_p from h_0 = 0
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))

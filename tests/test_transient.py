@@ -231,22 +231,31 @@ class TestPeriodReuse:
             assert res.dt == 1.0 / (693 * self.F_MOD_FAST)
             assert res.samples["p1"].size == 12 * 693 + 1
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 97])
-    def test_chain_matches_step_loop(self, n):
+    @pytest.mark.parametrize("n, static", [pytest.param(n, s, id=f"static-{n}" if s else str(n))
+                                           for s in (False, True) for n in (1, 2, 3, 12, 13, 97)])
+    def test_chain_matches_step_loop(self, n, static):
         # blocks of b steps: n = 12 fills them exactly, the other n leave a
-        # short tail block
+        # short last block; a static run repeats one step, here as a
+        # broadcast stack
         rng = np.random.default_rng(n)
-        nu = 3
-        m = 0.4 * rng.normal(size=(n, nu, nu))
-        drive = rng.normal(size=(n, nu, 2))
+        nu, nr = 3, 2
+        k2 = 2.0 * np.eye(nu) + 0.3 * rng.normal(size=(nu, nu))
+        size = 1 if static else n
+        # A_j^-1 = k2^-1 (I + m_j), so that M_j = k2 A_j^-1 - I = m_j is small
+        a_inv = np.linalg.solve(k2, np.eye(nu) + 0.4 * rng.normal(size=(size, nu, nu)))
+        step = np.broadcast_to(np.concatenate([a_inv, rng.normal(size=(size, nu, 2))], axis=2),
+                               (n, nu, nu + 2))
         state = rng.normal(size=(nu, nu + 2))
-        out = transient._chain(m, drive, state)
+        last, rows = transient._chain(step, k2, state, nr)
+        assert rows.shape == (n, nr, nu + 2)
         s = state
         for j in range(n):
-            s = m[j] @ s
-            s[:, nu:] += drive[j]
-            assert np.allclose(out[j], s, rtol=0.0, atol=1e-12)
-        assert out.shape == (n, nu, nu + 2)
+            x = step[j, :, :nu] @ s  # R_j S_{j-1} + [0 | w_j] in its first rows
+            x[:, nu:] += step[j, :, nu:]
+            assert np.allclose(rows[j], x[:nr], rtol=0.0, atol=1e-12)
+            s = (k2 @ step[j, :, :nu] - np.eye(nu)) @ s  # M_j S_{j-1} + [0 | d_j]
+            s[:, nu:] += k2 @ step[j, :, nu:]
+        assert np.allclose(last, s, rtol=0.0, atol=1e-12)
 
     def test_two_modulation_frequencies_rejected(self):
         # the netlist cannot be built, so simulate never meets one
@@ -516,16 +525,37 @@ def _check_fit(res, node, f, f_mod, n_harm, phasors=True):
     return ph, ref_residual
 
 
-@pytest.fixture(scope="module")
-def wye_oracle():
-    """The toy-wye run of ``verify`` at the shipped defaults (1.08M steps)."""
+def _wye_case():
+    """The toy-wye case of ``verify`` at the shipped defaults (400 points per
+    cycle, 22 periods): netlist, output node, f, f_mod, n_harm, dt, duration."""
     cfg = load_config(CONFIGS / "differential.cfg")
     cases, f, f_mod = cfg.verify_cases()
     _, net, (_, q_out), _, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
     dt, duration = time_grid(net, f, f_mod, ppc, periods)
     node = next(p.node for p in net.ports if p.index == q_out)
+    return net, node, f, f_mod, cfg.get_int("basis.n_harm"), dt, duration
+
+
+@pytest.fixture(scope="module")
+def wye_oracle():
+    """The toy-wye run of ``verify`` at the shipped defaults (1.08M steps)."""
+    net, node, f, f_mod, n_harm, dt, duration = _wye_case()
     res = simulate(net, (1, f, 1.0), duration, dt)
-    return res, node, f, f_mod, cfg.get_int("basis.n_harm")
+    return res, node, f, f_mod, n_harm
+
+
+def test_simulate_memory_stays_near_the_maps():
+    # a block's working arrays are cache-sized, and no per-step stack of
+    # states is formed, so the maps the result holds set the peak
+    net, _, f, _, _, dt, duration = _wye_case()
+    tracemalloc.start()
+    try:
+        res = simulate(net, (1, f, 1.0), duration, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    maps = res.maps
+    assert peak <= 2 * (maps.x.nbytes + maps.y.nbytes + maps.h.nbytes + maps.e.nbytes)
 
 
 class TestExtractionAccuracy:
@@ -624,11 +654,14 @@ class TestMapFit:
             assert abs(got.residual - ref.residual) <= 1e-6 * ref.residual
 
     def test_static_one_port(self):
-        # no modulation: a block of 34,952 steps stands for the period, and
-        # the wide tone spacing keeps the ring-down in the tail
+        # no modulation: a block of CHUNK_VALUES // (nu (nu + 2)) steps, nu = 3,
+        # stands for the period, and the wide tone spacing keeps the ring-down
+        # in the tail
         net = one_port_net(DESK_SPECS, 0.0, F_MOD)
         res = simulate(net, (1, self.F, 1.0), 3e-5, 1.0 / (1000.0 * self.F))
-        assert len(res.maps.h) == 3
+        block = transient.CHUNK_VALUES // (3 * 5)
+        assert res.maps.x.shape[2] == block
+        assert len(res.maps.h) == -(-res.maps.steps // block)
         self._compare(res, ["p1"], self.F, 5e5, 2)
 
     def test_modulated_one_port(self):
