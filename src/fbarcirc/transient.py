@@ -39,19 +39,18 @@ for the period.  Every period, the first included, starts from its
 boundary state, h_0 = 0 and h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P,
 and its node voltages are Re(X_j h_p + e_p Y_j) with e_p = exp(j w p P dt)
 and the maps X_j, Y_j of the one period.  :func:`simulate` returns those
-maps and boundary states (:class:`PeriodMaps`); the samples are filled
-from them, in memory-bounded blocks, only when they are read.
+maps and boundary states (:class:`PeriodMaps`); one routine writes a
+node's samples over any range from them, a period at a time, and the
+samples are filled only when they are read.
 
 The phasor fit (:func:`extract_phasors`) never forms the tones x samples
-basis of the tail, and its Gram matrix is a closed-form sum.  On a result
-of :func:`simulate` it needs no samples: each projection is a sum over the
-boundary states of the maps' tone sums over one period, and the misfit's
-sum of squares a quadratic form, split about the drive's periodic state
-so that it does not cancel.  On samples alone (a waveform read back from
-a file), the tail is laid out in rows of about sqrt(n) samples, each
-tone's phase factors into a per-row and a per-column table, and the
-projections and the fitted waveform are GEMMs against those tables, in
-O(n + tones*sqrt(n)) memory.
+basis of the tail, and its Gram matrix is a closed-form sum.  The tail, the
+last quarter of one node's samples, is laid out in rows of about sqrt(n)
+samples, written there from the period maps of a :func:`simulate` result
+or copied from the samples of any other (a waveform read back from a
+file).  Each tone's phase factors into a per-row and a per-column table,
+and the projections and the fitted waveform are GEMMs against those
+tables, in O(n + tones*sqrt(n)) memory.
 
 High-Q circuits at GHz carriers are impractical to integrate directly, so
 the verify workflow builds each check circuit at its own frequency and
@@ -86,6 +85,9 @@ SERIES_TERMS = 4
 # run of the differential replica needs 89,655 and 2.85M.
 MAX_PERIOD_STEPS = 1 << 20
 MAX_SAMPLES = 1 << 25
+# largest condition number of the fit's Gram matrix that is solved: above it
+# two tones, folded about half the sample rate, cannot be told apart
+GRAM_CONDITION_BOUND = 1e15
 # 2*pi as the double nearest it plus the remainder
 _TWO_PI_HI, _TWO_PI_LO = 2.0 * math.pi, 2.4492935982947064e-16
 
@@ -104,24 +106,23 @@ class Diverged(ArithmeticError):
 
 
 class IllConditionedBasis(ValueError):
-    """Two extraction tones collide within the resolution of the window."""
+    """Two extraction tones collide within the resolution of the window, or
+    alias onto each other about half the sample rate."""
 
 
 @dataclass(frozen=True)
 class PeriodMaps:
     """One modulation period's maps of a :func:`simulate` run, from which
-    every sample follows: sample i = p*r + j + 1 of node n (p = 0 ... periods-1,
-    j = 0 ... r-1) is Re(X_j h_p + e_p Y_j)[n], and sample 0 is zero."""
+    every sample follows (:func:`_node_samples`): sample i = p*r + j + 1 of
+    node n (p = 0 ... periods-1, j = 0 ... r-1) is Re(X_j h_p + e_p Y_j)[n],
+    and sample 0 is zero."""
 
     nodes: tuple[str, ...]
     x: np.ndarray       # (nodes, nu, r) real: X_j
     y: np.ndarray       # (nodes, r) complex: Y_j
     h: np.ndarray       # (periods, nu) complex: boundary states h_p
     e: np.ndarray       # (periods,) complex: e_p = exp(j w p r dt)
-    period: np.ndarray  # (nu, nu + 2): [Phi_P | Re psi_P | Im psi_P]
-    turn: complex       # exp(j w r dt), the drive's phase advance over one period
     steps: int
-    chunk: int          # the fill's block size
     limit: float        # the divergence guard on |sample|
 
 
@@ -129,8 +130,8 @@ class TransientResult:
     """Per-node voltage waveforms on a uniform time grid.
 
     A result of :func:`simulate` holds its run's :class:`PeriodMaps` and fills
-    ``samples`` from them on first access; :func:`extract_phasors` fits from
-    the maps and needs no samples."""
+    ``samples`` from them on first access; :func:`extract_phasors` writes only
+    its fit window from the maps and needs no samples."""
 
     def __init__(self, dt: float, duration: float, samples: dict[str, np.ndarray] | None = None,
                  maps: PeriodMaps | None = None):
@@ -390,7 +391,7 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     node magnitude exceeds 1e6 times the source amplitude.  For that guard,
     sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
     node n in period p; only when a bound exceeds the guard are the samples
-    filled at once, each block checked, and kept.
+    filled at once, checked, and kept.
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -457,38 +458,38 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         # that needs no sample; NaN fails it
         x_max = np.maximum(np.max(x_h, axis=2), -np.min(x_h, axis=2))
         bound = np.max(np.abs(h.real) @ x_max.T + np.max(np.abs(y_e), axis=1))
-    maps = PeriodMaps(nodes=tuple(node_names), x=x_h, y=y_e, h=h, e=e, period=state,
-                      turn=complex(np.exp(1j * w_stim * (r * dt))), steps=steps, chunk=chunk,
+    maps = PeriodMaps(nodes=tuple(node_names), x=x_h, y=y_e, h=h, e=e, steps=steps,
                       limit=limit)
     # the margin covers the rounding of the bound and of the samples
     samples = None if bound * (1.0 + 1e-12) <= limit else _fill(maps)
     return TransientResult(dt=dt, duration=duration, samples=samples, maps=maps)
 
 
+def _node_samples(maps: PeriodMaps, node: int, start: int, out: np.ndarray) -> None:
+    """Write samples start ... steps (start >= 1) of the node at index
+    ``node`` into ``out``, one period at a time: Re h_p times X_j[node], one
+    GEMV, plus Re(e_p Y_j[node])."""
+    x, y, h, e, steps = maps.x[node], maps.y[node], maps.h, maps.e, maps.steps
+    r = x.shape[1]
+    for p in range((start - 1) // r, len(h)):
+        j0, j1 = max(start - 1 - p * r, 0), min(steps - p * r, r)  # sample p*r + j + 1
+        seg = out[p * r + j0 + 1 - start:p * r + j1 + 1 - start]
+        np.matmul(h[p].real, x[:, j0:j1], out=seg)
+        seg += (e[p] * y[j0:j1]).real
+
+
 def _fill(maps: PeriodMaps) -> dict[str, np.ndarray]:
-    """Every node's samples from the period maps, in memory-bounded blocks;
-    :class:`Diverged` when a block holds a non-finite value or one above
-    ``maps.limit``."""
-    x_h, y_e, h, e, chunk, steps = maps.x, maps.y, maps.h, maps.e, maps.chunk, maps.steps
-    nn, r, periods = len(maps.nodes), x_h.shape[2], len(h)
-    volts = np.zeros((nn, periods * r + 1))
-    grid = volts[:, 1:].reshape(nn, periods, r)  # sample p*r + j + 1 at [:, p, j]
-    tail = steps - (periods - 1) * r  # samples in the last period
-    per = max(1, chunk // r)  # periods per block
+    """Every node's samples from the period maps; :class:`Diverged`, naming
+    the first step that holds a non-finite value or one above ``maps.limit``."""
+    volts = np.empty((len(maps.nodes), maps.steps + 1))
+    volts[:, 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for p0 in range(0, periods, per):
-            p1 = min(p0 + per, periods)
-            for j0 in range(0, r, chunk):
-                j1 = min(j0 + chunk, r)
-                block = h[p0:p1].real @ x_h[:, :, j0:j1]
-                block += (e[p0:p1, None] * y_e[:, None, j0:j1]).real
-                if p1 == periods:
-                    block[:, -1, max(tail - j0, 0):] = 0.0  # past the end of the run
-                grid[:, p0:p1, j0:j1] = block
-                if not np.all(np.isfinite(block)) or np.max(np.abs(block)) > maps.limit:
-                    raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step "
-                                   f"{min((p1 - 1) * r + j1, steps)}")
-    return dict(zip(maps.nodes, volts[:, :steps + 1]))
+        for node, row in enumerate(volts):
+            _node_samples(maps, node, 1, row[1:])
+        if not (np.max(volts) <= maps.limit and np.min(volts) >= -maps.limit):  # NaN fails
+            step = int(np.argmax(np.any(~(np.abs(volts) <= maps.limit), axis=0)))
+            raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step {step}")
+    return dict(zip(maps.nodes, volts))
 
 
 def _tone_sum(a: np.ndarray, b: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -522,74 +523,42 @@ def _gram(theta: np.ndarray, start: int, n: int) -> np.ndarray:
     return np.block([[cc, cs], [cs.T, ss]])
 
 
-class _ToneSums:
-    """sum_j w_j exp(j*theta_k*(j+1)) over any range of steps j of one
-    period, for the real rows w of an array (m, r), with every tone at once.
-
-    The steps are laid out as rows of L = isqrt(r-1)+1, as the samples are in
-    :func:`_fit_samples`: :meth:`rows` makes each row's sums in one GEMM, and
-    :meth:`over` adds the rows inside a range to the direct sums over its
-    ragged ends."""
-
-    def __init__(self, theta: np.ndarray, r: int):
-        self.theta, self.r = theta, r
-        self.width = math.isqrt(r - 1) + 1
-        self.full = r // self.width  # rows without padding
-        self.inner = np.exp(1j * np.outer(theta, np.arange(self.width)))
-        self.outer = np.exp(1j * np.outer(self.width * np.arange(-(-r // self.width)) + 1, theta))
-        self.ends: dict[tuple[int, int], np.ndarray] = {}  # phase tables of ragged ends
-
-    def rows(self, w: np.ndarray) -> np.ndarray:
-        """Each whole row's sums, (m, rows, tones)."""
-        tones, n = self.theta.size, self.full * self.width
-        basis = np.concatenate([self.inner.real, self.inner.imag]).T
-        part = w[:, :n].reshape(len(w), self.full, self.width) @ basis
-        return self.outer[:self.full] * (part[..., :tones] + 1j * part[..., tones:])
-
-    def over(self, w: np.ndarray, rows: np.ndarray, j0: int, j1: int) -> np.ndarray:
-        """The sums over j0 <= j < j1, (m, tones), given ``rows`` = rows(w)."""
-        b0, b1 = -(-j0 // self.width), min(j1 // self.width, self.full)
-        if b0 >= b1:
-            return self._direct(w, j0, j1)
-        return (self._direct(w, j0, b0 * self.width) + rows[:, b0:b1].sum(axis=1)
-                + self._direct(w, b1 * self.width, j1))
-
-    def _direct(self, w: np.ndarray, j0: int, j1: int) -> np.ndarray:
-        if (j0, j1) not in self.ends:
-            self.ends[j0, j1] = np.exp(1j * np.outer(np.arange(j0 + 1, j1 + 1), self.theta))
-        return w[:, j0:j1] @ self.ends[j0, j1]
-
-    def waveform(self, phasors: np.ndarray) -> np.ndarray:
-        """sum_k P_k exp(j*theta_k*(j+1)) at every step j of the period."""
-        return ((self.outer * phasors) @ self.inner).reshape(-1)[:self.r]
-
-
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The cos, then sin, coefficients of the least-squares fit."""
+    """The cos, then sin, coefficients of the least-squares fit;
+    :class:`IllConditionedBasis` above GRAM_CONDITION_BOUND (NaN fails)."""
     try:
+        cond = float(np.linalg.cond(gram))
+        if not cond <= GRAM_CONDITION_BOUND:
+            raise IllConditionedBasis(f"tone basis condition number {cond:.3g} exceeds "
+                                      f"{GRAM_CONDITION_BOUND:g}: tones alias about half the "
+                                      f"sample rate")
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedBasis("singular tone basis") from exc
 
 
-def _fit_samples(v: np.ndarray, theta: np.ndarray, start: int,
-                 gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Phasors and relative rms misfit of the samples v[start:].
+def _fit(res: TransientResult, node: str, theta: np.ndarray, start: int, size: int,
+         gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Phasors and relative rms misfit of samples start ... size-1 of ``node``.
 
     The tail of n samples is laid out as rows of L = isqrt(n-1)+1
-    (zero-padded), and exp(j*theta_k*i) at sample i = start + b*L + l factors
-    into ``outer[b, k]`` = exp(j*theta_k*(start+b*L)) times ``inner[k, l]`` =
-    exp(j*theta_k*l).  The projections sum_i v_i exp(j*theta_k*i) are
+    (zero-padded), written there from the period maps of a :func:`simulate`
+    result (:func:`_node_samples`) or copied from ``samples`` when the result
+    has no maps.  The phase exp(j*theta_k*i) at sample i = start + b*L + l
+    factors into ``outer[b, k]`` = exp(j*theta_k*(start+b*L)) times
+    ``inner[k, l]`` = exp(j*theta_k*l).  The projections sum_i v_i exp(j*theta_k*i) are
     ``outer`` times one GEMM of the rows with ``inner``'s real and imaginary
     parts, and the fitted waveform Re((outer * P) @ inner) is one more GEMM,
     from which the tail is subtracted in place.  Memory is O(n + T*sqrt(n))
     for T tones: the padded rows and the fitted waveform."""
-    tones = theta.size
-    tail = v[start:]
-    n = tail.size
+    tones, n, maps = theta.size, size - start, res.maps
     width = math.isqrt(n - 1) + 1
     rows = np.zeros((-(-n // width), width))
-    rows.reshape(-1)[:n] = tail
+    tail = rows.reshape(-1)[:n]
+    if maps is None:
+        tail[:] = res.samples[node][start:]
+    else:
+        _node_samples(maps, maps.nodes.index(node), start, tail)
     inner = np.exp(1j * np.outer(theta, np.arange(width)))
     outer = np.exp(1j * np.outer(start + width * np.arange(rows.shape[0]), theta))
     basis = np.concatenate([inner.real, inner.imag])
@@ -606,88 +575,6 @@ def _fit_samples(v: np.ndarray, theta: np.ndarray, start: int,
     return phasors, (rms_r / rms_v if rms_v > 0.0 else 0.0)
 
 
-def _fit_maps(maps: PeriodMaps, node: int, theta: np.ndarray, start: int,
-              gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Phasors and relative rms misfit of samples start ... steps of a node,
-    from the period maps; no sample is formed.
-
-    Sample i = p*r + j + 1 is c_p^T W_j, with c_p = [Re h_p; Re e_p; -Im e_p]
-    and W_j = [X_j; Re Y_j; Im Y_j], so the projection onto tone k is
-    sum_p exp(j*theta_k*p*r) c_p^T sum_j W_j exp(j*theta_k*(j+1)): the sums
-    over j are taken once over a whole period and once over each partial
-    period at the ends of the tail.
-
-    The misfit is not the sum of squares less the fitted part, which cancels
-    to nothing where the fit is good.  With the periodic state hbar of the
-    drive, (exp(j*theta_0*P) I - Phi_P) hbar = psi_P, delta_p = h_p - e_p hbar,
-    D_j = X_j hbar + Y_j - F_j for the fitted tones F_j = sum_k P_k
-    exp(j*theta_k*(j+1)), and a_pk = exp(j*theta_k*p*r) - e_p, the misfit of
-    sample i is Re(e_p D_j) + X_j Re delta_p - sum_k Re(a_pk P_k exp(j*theta_k*(j+1))),
-    all terms of the misfit's own size.  Its sum of squares is a quadratic
-    form in [Re delta_p; Re e_p; -Im e_p; -Re a_p P; Im a_p P] over the Gram
-    matrix of [X_j; Re D_j; Im D_j; cos; sin] on each part of the tail.  The
-    split holds for any hbar, so a singular system falls back to hbar = 0."""
-    x, y, h, e = maps.x[node], maps.y[node], maps.h, maps.e
-    nu, r = x.shape
-    tones = theta.size
-    sums = _ToneSums(theta, r)
-    y2 = np.stack([y.real, y.imag])
-    x_rows, y_rows = sums.rows(x), sums.rows(y2)
-    # the tail as parts of whole periods p0 <= p < p1 by steps j0 <= j < j1
-    pa, ja = divmod(start - 1, r)
-    pb, jb = divmod(maps.steps - 1, r)
-    parts = ([(pa, pa + 1, ja, jb + 1)] if pa == pb else
-             [(pa, pa + 1, ja, r), (pa + 1, pb, 0, r), (pb, pb + 1, 0, jb + 1)])
-    parts = [(p0, p1, j0, j1) for p0, p1, j0, j1 in parts if p0 < p1]
-    turns = [np.exp(1j * np.outer(np.arange(p0, p1) * r, theta)) for p0, p1, _, _ in parts]
-    s_x = [sums.over(x, x_rows, j0, j1) for _, _, j0, j1 in parts]
-    proj = np.zeros(tones, complex)
-    for (p0, p1, j0, j1), turn, sx in zip(parts, turns, s_x):
-        s_w = np.concatenate([sx, sums.over(y2, y_rows, j0, j1)])
-        c = np.column_stack([h[p0:p1].real, e[p0:p1].real, -e[p0:p1].imag])
-        proj += np.sum(turn * (c @ s_w), axis=0)
-    rhs = np.concatenate([proj.real, proj.imag])
-    coef = _solve(gram, rhs)
-    phasors = coef[:tones] - 1j * coef[tones:]
-
-    period = maps.period
-    with np.errstate(all="ignore"):
-        try:
-            hbar = np.linalg.solve(maps.turn * np.eye(nu) - period[:, :nu],
-                                   period[:, nu] + 1j * period[:, nu + 1])
-        except np.linalg.LinAlgError:
-            hbar = np.zeros(nu, complex)
-    if not np.all(np.isfinite(hbar)):
-        hbar = np.zeros(nu, complex)
-    d2 = np.stack([hbar.real, hbar.imag]) @ x  # [Re D_j; Im D_j]
-    d2 += y2
-    fit = sums.waveform(phasors)
-    d2[0] -= fit.real
-    d2[1] -= fit.imag
-    d_rows = sums.rows(d2)
-    m = nu + 2
-    g = np.empty((m + 2 * tones, m + 2 * tones))
-    ssr = 0.0
-    for (p0, p1, j0, j1), turn, sx in zip(parts, turns, s_x):
-        xs, ds = x[:, j0:j1], d2[:, j0:j1]
-        s_w = np.concatenate([sx, sums.over(d2, d_rows, j0, j1)])
-        g[:nu, :nu] = xs @ xs.T
-        g[:nu, nu:m] = xs @ ds.T
-        g[nu:m, :nu] = g[:nu, nu:m].T
-        g[nu:m, nu:m] = ds @ ds.T
-        g[:m, m:m + tones], g[:m, m + tones:] = s_w.real, s_w.imag
-        g[m:, :m] = g[:m, m:].T
-        g[m:, m:] = _gram(theta, j0 + 1, j1 - j0)
-        ep = e[p0:p1]
-        delta = h[p0:p1] - ep[:, None] * hbar
-        ap = (turn - ep[:, None]) * phasors
-        c = np.column_stack([delta.real, ep.real, -ep.imag, -ap.real, ap.imag])
-        ssr += float(np.sum((c @ g) * c))
-    ssr = max(ssr, 0.0)
-    ssv = ssr + float(coef @ rhs)
-    return phasors, (math.sqrt(ssr / ssv) if ssv > 0.0 else 0.0)
-
-
 def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
                     n_harm: int) -> PhasorSet:
     """Fit the waveform tail against tones at f + n*f_mod, n in [-N, N].
@@ -697,15 +584,15 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
     phasor P_n satisfies v(t) ~ sum_n Re[P_n exp(j*2*pi*(f+n*f_mod)*t)].
     ``residual`` is the rms of the unfitted remainder relative to the rms
     of the tail.  Raises :class:`IllConditionedBasis` when two tone
-    frequencies fall within 1/window of each other, or on a singular Gram
-    matrix.
+    frequencies fall within 1/window of each other, or when the Gram
+    matrix's condition number exceeds GRAM_CONDITION_BOUND, as it does where
+    two tones alias onto each other about half the sample rate.
 
     The normal equations never hold a tones x samples array, and their Gram
-    matrix comes in closed form (:func:`_gram`).  A result of
-    :func:`simulate` is fitted from its period maps (:func:`_fit_maps`), in
-    O(r) memory for r steps per period and without filling its samples; any
-    other result, such as one of :func:`read_waveforms`, from its samples
-    (:func:`_fit_samples`).
+    matrix comes in closed form (:func:`_gram`).  One fit (:func:`_fit`)
+    serves every result: the window of a :func:`simulate` result is written
+    from its period maps, without filling its samples, and that of any other
+    result, such as one of :func:`read_waveforms`, is copied from its samples.
     """
     maps = res.maps
     if node not in (res.samples if maps is None else maps.nodes):
@@ -729,10 +616,7 @@ def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
 
     theta = 2.0 * math.pi * np.array(tone_freqs) * res.dt
     gram = _gram(theta, start, size - start)
-    if maps is None:
-        phasors, residual = _fit_samples(res.samples[node], theta, start, gram)
-    else:
-        phasors, residual = _fit_maps(maps, maps.nodes.index(node), theta, start, gram)
+    phasors, residual = _fit(res, node, theta, start, size, gram)
     entries = tuple((k, complex(p)) for k, p in zip(ns, phasors))
     return PhasorSet(entries=entries, residual=residual)
 

@@ -477,6 +477,19 @@ class TestExtractPhasors:
         with pytest.raises(IllConditionedBasis):
             extract_phasors(res, "n1", 1e5, 1.0e3, 1)  # 1 kHz < 1/window = 4 kHz
 
+    @pytest.mark.parametrize("samples", [161, 162])
+    def test_tones_aliased_about_half_the_sample_rate_rejected(self, samples):
+        # f and f + f_mod sum to 1/dt - 8e-11: folded about 1/(2*dt) they lie
+        # far closer than 1/window, though their |f| do not.  The Gram
+        # matrix's condition number is 7e18 at 161 samples, where its LU meets
+        # an exact zero pivot, and 2e16 at 162, where the solve returns without
+        # error and with phasors of 6e5 for a waveform of amplitude 1.
+        f, f_mod = 0.45 - 4e-11, 0.1
+        res, _ = _synthetic(1.0, samples - 1.0, lambda t: (np.cos(2 * math.pi * f * t - 1.0)
+                                                           + 0.2 * np.cos(0.77 * t)))
+        with pytest.raises(IllConditionedBasis, match="condition number"):
+            extract_phasors(res, "n1", f, f_mod, 1)
+
     def test_unknown_node(self):
         res, _ = _synthetic(1e-6, 1e-3, lambda t: np.cos(t))
         with pytest.raises(KeyError):
@@ -629,21 +642,22 @@ class TestExtractionAccuracy:
 
 
 def _fit_of_samples(res, node, f, f_mod, n_harm):
-    """extract_phasors on the filled samples alone, the sample path."""
+    """extract_phasors on a result that holds only the filled samples, so
+    that the fit copies its window from them."""
     return extract_phasors(TransientResult(res.dt, res.duration, res.samples), node, f, f_mod,
                            n_harm)
 
 
 class TestMapFit:
-    """extract_phasors from a simulate result's period maps against the same
-    fit of its filled samples: phasors within 1e-11 of max|P|, the residual
-    within 1e-6 relative."""
+    """One fit from two sources of its window: written from a simulate
+    result's period maps, and copied from the same run's filled samples.
+    Phasors within 1e-11 of max|P|, the residual within 1e-6 relative."""
 
     F = 2.68e6
 
     @staticmethod
     def _compare(res, nodes, f, f_mod, n_harm):
-        assert res.maps is not None  # else both sides take the sample path
+        assert res.maps is not None  # else both sides copy the window from samples
         for node in nodes:
             got = extract_phasors(res, node, f, f_mod, n_harm)
             ref = _fit_of_samples(res, node, f, f_mod, n_harm)
@@ -685,7 +699,7 @@ class TestMapFit:
 
 class TestDivergenceBound:
     """simulate fills no waveform when a bound on every sample stays within the
-    divergence guard; above it, it fills and checks each block as before."""
+    divergence guard; above it, it fills every sample and checks them."""
 
     F = 2.68e6
 
@@ -731,10 +745,15 @@ class TestDivergenceBound:
         assert len(fills) == 1
 
     def test_limit_below_samples_raises(self, monkeypatch):
-        v_max = np.max(np.abs(self._run().samples["p1"]))
+        samples = self._run().samples
+        v_max = np.max(np.abs(samples["p1"]))
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.9 * v_max / (2.0 * math.sqrt(50.0)))
-        with pytest.raises(Diverged, match="waveform exceeded"):
+        with pytest.raises(Diverged, match="waveform exceeded") as info:
             self._run()
+        # the message names the first sample above the limit, over every node
+        limit = transient.DIVERGENCE_FACTOR * 2.0 * math.sqrt(50.0)
+        first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
+        assert first > 0 and str(info.value).endswith(f"near step {first}")
 
 
 class TestCrossValidate:
