@@ -2,24 +2,38 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
-import tempfile
+import secrets
+
+# rows of a table an export formats per write: its peak memory is one such
+# block of Python floats and text, about 0.3 MiB for a Touchstone block
+BLOCK_ROWS = 256
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
-    path = str(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+@contextlib.contextmanager
+def atomic_open(path):
+    """Yield a binary handle on a new temp file in ``path``'s directory, renamed
+    onto ``path`` on a clean exit and removed on any exception.  Exports write
+    through it a block at a time, so their memory is one block, not the file.
+    The file takes the mode a plain ``open`` gives (0o666 less the umask)."""
+    tmp = os.path.join(os.path.dirname(str(path)) or ".", f".tmp_{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 64 random bits: no clash
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 through :func:`atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def fingerprint(text: str) -> str:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import BLOCK_ROWS, atomic_open
 from .htm import SParamGrid
 
 _UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -36,14 +36,18 @@ def write_s3p(path, freqs, s0, z0: float, comments: tuple[str, ...] = ()) -> Non
     s0 = np.asarray(s0)
     if s0.ndim != 3 or s0.shape[1:] != (3, 3) or s0.shape[0] != freqs.size:
         raise ValueError(f"expected (F, 3, 3) S data, got {s0.shape}")
-    lines = [f"! {c}" for c in comments]
+    lines = [f"! {c}\n" for c in comments]
     short = f"{z0:g}"  # "50" for 50; a z0 that 6 digits would round is written in full
-    lines.append(f"# Hz S RI R {short if float(short) == z0 else repr(float(z0))}")
-    # each row: f, then Re and Im of S11 S12 ... S33
-    rows = np.column_stack([freqs, s0.astype(complex).reshape(-1, 9).view(float)])
-    template = " ".join(["%.8e"] * 19)
-    lines.extend(template % tuple(row) for row in rows.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines.append(f"# Hz S RI R {short if float(short) == z0 else repr(float(z0))}\n")
+    template = " ".join(["%.8e"] * 19) + "\n"
+    s0 = s0.reshape(-1, 9)
+    with atomic_open(path) as fh:
+        fh.write("".join(lines).encode("utf-8"))
+        for b in range(0, freqs.size, BLOCK_ROWS):
+            # each row: f, then Re and Im of S11 S12 ... S33
+            rows = np.column_stack([freqs[b:b + BLOCK_ROWS],
+                                    s0[b:b + BLOCK_ROWS].astype(complex).view(float)])
+            fh.write("".join(template % tuple(row) for row in rows.tolist()).encode("utf-8"))
 
 
 def read_s3p(path):
@@ -103,19 +107,21 @@ def read_s3p(path):
 
 
 def write_harmonics_csv(path, grid: SParamGrid, comments: tuple[str, ...] = ()) -> None:
-    """Full multi-harmonic grid as CSV: f_hz, n, q, p, re_s, im_s."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("# z0_ohm = " + " ".join(repr(float(z)) for z in grid.z0))
-    lines.append("f_hz,n,q,p,re_s,im_s")
+    """Full multi-harmonic grid as CSV: f_hz, n, q, p, re_s, im_s; written one
+    stimulus point's lines at a time."""
+    lines = [f"# {c}\n" for c in comments]
+    lines.append("# z0_ohm = " + " ".join(repr(float(z)) for z in grid.z0) + "\n")
+    lines.append("f_hz,n,q,p,re_s,im_s\n")
     nh = grid.n_harm
     keys = [f"{n},{q + 1},{p + 1}" for n in range(-nh, nh + 1)
             for q in range(grid.ports) for p in range(grid.ports)]
     freqs = np.asarray(grid.frequencies, dtype=float).tolist()
-    for f, row in zip(freqs, grid.data.reshape(len(freqs), -1)):
-        f_s = repr(f)
-        lines.extend(f"{f_s},{key},{re!r},{im!r}"
-                     for key, re, im in zip(keys, row.real.tolist(), row.imag.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("".join(lines).encode("utf-8"))
+        for f, row in zip(freqs, grid.data.reshape(len(freqs), -1)):
+            f_s = repr(f)
+            fh.write("".join(f"{f_s},{key},{re!r},{im!r}\n" for key, re, im
+                             in zip(keys, row.real.tolist(), row.imag.tolist())).encode("utf-8"))
 
 
 def read_harmonics_csv(path) -> SParamGrid:

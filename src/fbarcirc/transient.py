@@ -67,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import BLOCK_ROWS, atomic_open
 from .htm import HarmonicBasis, sparams
 from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor)
@@ -549,8 +550,9 @@ def _fit(res: TransientResult, node: str, theta: np.ndarray, start: int, size: i
     ``inner[k, l]`` = exp(j*theta_k*l).  The projections sum_i v_i exp(j*theta_k*i) are
     ``outer`` times one GEMM of the rows with ``inner``'s real and imaginary
     parts, and the fitted waveform Re((outer * P) @ inner) is one more GEMM,
-    from which the tail is subtracted in place.  Memory is O(n + T*sqrt(n))
-    for T tones: the padded rows and the fitted waveform."""
+    formed about CHUNK_VALUES values at a time and the tail subtracted from
+    each block.  Memory is O(n + T*sqrt(n)) for T tones: the padded rows and
+    one block of the fit."""
     tones, n, maps = theta.size, size - start, res.maps
     width = math.isqrt(n - 1) + 1
     rows = np.zeros((-(-n // width), width))
@@ -567,11 +569,17 @@ def _fit(res: TransientResult, node: str, theta: np.ndarray, start: int, size: i
     coef = _solve(gram, np.concatenate([proj.real, proj.imag]))
     phasors = coef[:tones] - 1j * coef[tones:]
     w = outer * phasors
-    fit = np.concatenate([w.real, -w.imag], axis=1) @ basis
-    r = fit.reshape(-1)[:n]
-    r -= tail
+    w = np.concatenate([w.real, -w.imag], axis=1)  # the fitted rows are w @ basis
+    block = max(1, CHUNK_VALUES // width)
+    fit = np.empty((min(block, len(rows)), width))
+    misfit = 0.0
+    for b in range(0, len(rows), block):
+        r = np.matmul(w[b:b + block], basis, out=fit[:len(rows) - b])
+        r -= rows[b:b + block]
+        r = r.reshape(-1)[:n - b * width]  # not the padding
+        misfit += float(r @ r)
     rms_v = math.sqrt(float(tail @ tail) / n)
-    rms_r = math.sqrt(float(r @ r) / n)
+    rms_r = math.sqrt(misfit / n)
     return phasors, (rms_r / rms_v if rms_v > 0.0 else 0.0)
 
 
@@ -701,18 +709,24 @@ def write_waveforms(res: TransientResult, path) -> None:
 
     The gzip member has mtime 0, so equal waveforms give equal bytes.  It uses
     level 1, as ``repr`` digits barely compress: level 9 is 10x slower for 8% less.
+    Rows are written BLOCK_ROWS at a time through :func:`fbarcirc.fileio.atomic_open`,
+    so a failed dump leaves no partial file.
     """
     path = str(path)
     nodes = sorted(res.samples)
-    cols = [res.times.tolist()] + [res.samples[n].tolist() for n in nodes]
-    if path.endswith(".gz"):
-        fh = io.TextIOWrapper(gzip.GzipFile(path, "wb", compresslevel=1, mtime=0),
-                              encoding="utf-8")
-    else:
-        fh = open(path, "w", encoding="utf-8")
-    with fh:
-        fh.write("t_s," + ",".join(f"v_{n}" for n in nodes) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+    cols = [res.samples[n] for n in nodes]
+    size = min([round(res.duration / res.dt) + 1] + [c.size for c in cols])
+    with atomic_open(path) as raw:
+        # The gzip header names the final file, not the temp file.  Closing
+        # the text layer flushes the compressor (a zlib sync flush) before its
+        # trailer, as dumps always have, so the archive's bytes stay stable.
+        gz = gzip.GzipFile(path, "wb", 1, raw, mtime=0) if path.endswith(".gz") else None
+        with io.TextIOWrapper(gz or raw, encoding="utf-8") as fh:
+            fh.write("t_s," + ",".join(f"v_{n}" for n in nodes) + "\n")
+            for b in range(0, size, BLOCK_ROWS):
+                t = np.arange(b, min(b + BLOCK_ROWS, size)) * res.dt  # a block of res.times
+                block = zip(t.tolist(), *(c[b:b + BLOCK_ROWS].tolist() for c in cols))
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def read_waveforms(path) -> TransientResult:

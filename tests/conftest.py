@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -10,6 +11,15 @@ GHZ_SPECS = ResonatorSpecs(f_s=2.65e9, q=700.0, k_sq=0.09, c0=1.0e-12)
 DESK_SPECS = ResonatorSpecs(f_s=2.65e6, q=100.0, k_sq=0.09, c0=1.0e-9)
 F_MOD_GHZ = 23.2e6
 F_MOD_DESK = 23.2e3
+
+
+@pytest.fixture
+def umask():
+    """``os.umask``, with the process umask restored after the test."""
+    saved = os.umask(0o022)
+    os.umask(saved)
+    yield os.umask
+    os.umask(saved)
 
 
 @pytest.fixture

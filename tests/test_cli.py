@@ -4,6 +4,7 @@ import json
 import math
 import pkgutil
 import signal
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -160,6 +161,17 @@ class TestSimulate:
         assert run(capsys, "simulate", "--config", str(cfg), "--out", str(b))[0] == 0
         for name in ("sim.s3p", "harmonics.csv", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_outputs_take_the_umask(self, capsys, tmp_path, umask):
+        # the same mode as run.log, which a plain open creates
+        umask(0o022)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SPLITTER_CFG)
+        out_dir = tmp_path / "out"
+        assert run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out_dir.iterdir()}
+        assert modes == dict.fromkeys(["run.log", "sim.s3p", "harmonics.csv", "metrics.json"],
+                                      0o644)
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

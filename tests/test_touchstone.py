@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,23 @@ from fbarcirc.touchstone import (TouchstoneError, read_harmonics_csv, read_s3p,
                                  write_harmonics_csv, write_s3p)
 
 from conftest import GHZ_SPECS
+
+
+def _random_grid(points, n_harm):
+    rng = np.random.default_rng(0)
+    shape = (points, 2 * n_harm + 1, 3, 3)
+    return SParamGrid(np.linspace(2.65e9, 2.70e9, points), n_harm, np.full(3, 50.0),
+                      rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc peak of one call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +105,16 @@ class TestS3p:
         with pytest.raises(TouchstoneError):
             read_s3p(nonnum)
 
+    def test_streams_in_blocks(self, tmp_path):
+        # the MAX_SWEEP_SIZE sweep at n_harm = 5: 5957 points, 1.8 MB of text
+        # that were 6.7 MiB at the peak when formatted whole
+        grid = _random_grid(5957, 5)
+        path = tmp_path / "big.s3p"
+        assert _peak_bytes(write_s3p, path, grid.frequencies, grid.s0, 50.0) < 2 ** 20
+        freqs, s, _ = read_s3p(path)
+        assert freqs.size == 5957
+        assert np.max(np.abs(s - grid.s0)) <= 1e-8 * np.max(np.abs(grid.s0))
+
     def test_wrong_shape_rejected(self, tmp_path, demo_grid):
         with pytest.raises(ValueError):
             write_s3p(tmp_path / "x.s3p", demo_grid.frequencies,
@@ -130,6 +159,15 @@ class TestHarmonicsCsv:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         text = path.read_text()
         assert ",-0.0,0.0\n" in text and ",0.0,-0.0\n" in text
+
+    def test_streams_one_point_at_a_time(self, tmp_path):
+        # the benchmark sweep's size: 252 points x 99 values, 1.7 MB of text
+        # that were 6 MiB at the peak when formatted whole
+        grid = _random_grid(252, 5)
+        path = tmp_path / "h.csv"
+        assert _peak_bytes(write_harmonics_csv, path, grid) < 2 ** 20
+        back = read_harmonics_csv(path)
+        assert np.array_equal(back.data, grid.data)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "h.csv"

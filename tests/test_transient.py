@@ -628,8 +628,8 @@ class TestExtractionAccuracy:
         assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
 
     def test_memory_stays_near_the_tail(self, wye_oracle):
-        # the fit holds the padded tail and the fitted waveform, not a
-        # tones x samples basis
+        # the fit holds the padded tail and one block of the fitted waveform,
+        # not a second window nor a tones x samples basis
         res, node, f, f_mod, n_harm = wye_oracle
         tail_bytes = res.samples[node][(res.samples[node].size * 3) // 4:].nbytes
         tracemalloc.start()
@@ -638,7 +638,17 @@ class TestExtractionAccuracy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * tail_bytes
+        assert peak <= 2 * tail_bytes
+
+    def test_misfit_summed_over_blocks(self, monkeypatch):
+        # 10,007 samples in 100 rows of 101, the last padded: blocks of 7 rows
+        # give the phasors of one block exactly, and the residual to round-off
+        res, _ = _synthetic(1e-8, 40_027e-8, lambda t: self.wave(t, stray=0.1))
+        whole = extract_phasors(res, "n1", self.F, self.FM, 2)
+        monkeypatch.setattr(transient, "CHUNK_VALUES", 7 * 101)
+        blocks = extract_phasors(res, "n1", self.F, self.FM, 2)
+        assert blocks.entries == whole.entries
+        assert abs(blocks.residual - whole.residual) <= 1e-12 * whole.residual
 
 
 def _fit_of_samples(res, node, f, f_mod, n_harm):
@@ -839,3 +849,40 @@ class TestWaveformDump:
         assert dumps[0].read_bytes() == dumps[1].read_bytes()
         write_waveforms(res, tmp_path / "w.csv")
         assert gzip.decompress(dumps[0].read_bytes()) == (tmp_path / "w.csv").read_bytes()
+
+    def test_gzip_header_names_the_final_file(self, tmp_path):
+        res, _ = _synthetic(1e-8, 1e-5, np.sin)
+        path = tmp_path / "w.csv.gz"
+        write_waveforms(res, path)
+        head = path.read_bytes()
+        assert head[3] & 0x08  # FNAME: a zero-terminated name follows the 10-byte header
+        assert head[10:head.index(b"\0", 10)] == b"w.csv"
+
+    @pytest.mark.parametrize("name", ["w.csv", "w.csv.gz"])
+    def test_failed_dump_keeps_target(self, tmp_path, name):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("unprintable sample")
+
+        values = np.array([0.5] * 3000, dtype=object)
+        values[2000] = Unprintable(0.5)  # past the first block of rows
+        path = tmp_path / name
+        path.write_bytes(b"previous dump")
+        res = TransientResult(dt=1.0, duration=2999.0, samples={"n1": values})
+        with pytest.raises(RuntimeError, match="unprintable"):
+            write_waveforms(res, path)
+        assert path.read_bytes() == b"previous dump"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_memory_stays_near_one_block(self, tmp_path):
+        # 200,001 rows of three nodes and the time, whose columns as Python
+        # lists took 26 MB: the dump holds one block of rows and the compressor
+        res, _ = _synthetic(1e-8, 2e-3, np.sin)
+        res.samples["n2"] = res.samples["n3"] = res.samples["n1"]
+        tracemalloc.start()
+        try:
+            write_waveforms(res, tmp_path / "w.csv.gz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
