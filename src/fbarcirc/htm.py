@@ -405,21 +405,42 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     return _sweep(st, basis, np.asarray(list(freqs), dtype=float), _excitation(st, basis))
 
 
-def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
-           excitation: np.ndarray) -> SParamGrid:
-    """:func:`sparams` of a stamped netlist: the stimulus checks, then the
-    chunk loop over ``freqs`` (a float array), then the sqrt(z0) wave
-    normalisation.  ``st`` must carry the modulation that ``basis`` mixes at,
-    and ``excitation`` is its :func:`_excitation` at ``basis``."""
+def check_grid(basis: HarmonicBasis, freqs: np.ndarray) -> None:
+    """The stimulus checks :func:`sparams` makes of its whole grid (a float
+    array) before it solves any point: ValueError for an empty grid or a
+    frequency that is not positive, :class:`DegenerateStimulus` for the
+    first point whose mixing frequency would vanish."""
     if freqs.size == 0:
         raise ValueError("need at least one stimulus frequency")
     if np.any(freqs <= 0.0):
         raise ValueError("stimulus frequencies must be positive")
     for f in freqs:
         _check_stimulus(float(f), basis.f_mod, basis.n_harm)
+
+
+def _chunk(st: _Stamps, basis: HarmonicBasis) -> int:
+    """Stimulus points solved together by one :func:`_port_waves`."""
+    return max(1, CHUNK_VALUES // (basis.size * st.nu * (st.nu + st.nb + len(st.ports))))
+
+
+def sweep_chunk(net: Netlist, basis: HarmonicBasis) -> int:
+    """Stimulus points that :func:`sparams` solves together.  Pieces of a grid
+    cut only at multiples of it are solved in the chunks of the whole grid,
+    so every point keeps its bits, even in a chunk that meets a singular
+    block and falls back to the dense solve."""
+    return _chunk(_stamp(net), basis)
+
+
+def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
+           excitation: np.ndarray) -> SParamGrid:
+    """:func:`sparams` of a stamped netlist: the stimulus checks, then the
+    chunk loop over ``freqs`` (a float array), then the sqrt(z0) wave
+    normalisation.  ``st`` must carry the modulation that ``basis`` mixes at,
+    and ``excitation`` is its :func:`_excitation` at ``basis``."""
+    check_grid(basis, freqs)
     nu, n_ports = st.nu, len(st.ports)
     b = excitation.reshape(basis.size, nu, n_ports)
-    chunk = max(1, CHUNK_VALUES // (basis.size * nu * (nu + st.nb + n_ports)))
+    chunk = _chunk(st, basis)
     data = np.empty((freqs.size, basis.size, n_ports, n_ports), dtype=complex)
     for c0 in range(0, freqs.size, chunk):
         data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)

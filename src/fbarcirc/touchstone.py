@@ -106,22 +106,34 @@ def read_s3p(path):
     return freqs, s, z0
 
 
-def write_harmonics_csv(path, grid: SParamGrid, comments: tuple[str, ...] = ()) -> None:
-    """Full multi-harmonic grid as CSV: f_hz, n, q, p, re_s, im_s; written one
-    stimulus point's lines at a time."""
+def harmonics_header(z0, comments: tuple[str, ...] = ()) -> bytes:
+    """The lines of :func:`write_harmonics_csv` above its data: ``comments``
+    as ``#`` lines, the port impedances, the column names."""
     lines = [f"# {c}\n" for c in comments]
-    lines.append("# z0_ohm = " + " ".join(repr(float(z)) for z in grid.z0) + "\n")
+    lines.append("# z0_ohm = " + " ".join(repr(float(z)) for z in z0) + "\n")
     lines.append("f_hz,n,q,p,re_s,im_s\n")
+    return "".join(lines).encode("utf-8")
+
+
+def write_harmonics_rows(fh, grid: SParamGrid) -> None:
+    """The data lines of :func:`write_harmonics_csv` for ``grid``, written to
+    the binary handle ``fh`` one stimulus point's lines at a time."""
     nh = grid.n_harm
     keys = [f"{n},{q + 1},{p + 1}" for n in range(-nh, nh + 1)
             for q in range(grid.ports) for p in range(grid.ports)]
     freqs = np.asarray(grid.frequencies, dtype=float).tolist()
+    for f, row in zip(freqs, grid.data.reshape(len(freqs), -1)):
+        f_s = repr(f)
+        fh.write("".join(f"{f_s},{key},{re!r},{im!r}\n" for key, re, im
+                         in zip(keys, row.real.tolist(), row.imag.tolist())).encode("utf-8"))
+
+
+def write_harmonics_csv(path, grid: SParamGrid, comments: tuple[str, ...] = ()) -> None:
+    """Full multi-harmonic grid as CSV: f_hz, n, q, p, re_s, im_s; written one
+    stimulus point's lines at a time."""
     with atomic_open(path) as fh:
-        fh.write("".join(lines).encode("utf-8"))
-        for f, row in zip(freqs, grid.data.reshape(len(freqs), -1)):
-            f_s = repr(f)
-            fh.write("".join(f"{f_s},{key},{re!r},{im!r}\n" for key, re, im
-                             in zip(keys, row.real.tolist(), row.imag.tolist())).encode("utf-8"))
+        fh.write(harmonics_header(grid.z0, comments))
+        write_harmonics_rows(fh, grid)
 
 
 def read_harmonics_csv(path) -> SParamGrid:

@@ -467,13 +467,16 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
 
 
 def _node_samples(maps: PeriodMaps, node: int, start: int, out: np.ndarray) -> None:
-    """Write samples start ... steps (start >= 1) of the node at index
-    ``node`` into ``out``, one period at a time: Re h_p times X_j[node], one
-    GEMV, plus Re(e_p Y_j[node])."""
-    x, y, h, e, steps = maps.x[node], maps.y[node], maps.h, maps.e, maps.steps
+    """Write samples start ... start + out.size - 1 (start >= 1, at most
+    ``maps.steps``) of the node at index ``node`` into ``out``, one period at
+    a time: Re h_p times X_j[node], one GEMV, plus Re(e_p Y_j[node]).  A
+    GEMV's last bits depend on its column range, so a sample has the bits of
+    :func:`_fill` when ``out`` spans whole periods."""
+    x, y, h, e = maps.x[node], maps.y[node], maps.h, maps.e
+    stop = start + out.size  # one past the last sample written
     r = x.shape[1]
-    for p in range((start - 1) // r, len(h)):
-        j0, j1 = max(start - 1 - p * r, 0), min(steps - p * r, r)  # sample p*r + j + 1
+    for p in range((start - 1) // r, (stop - 2) // r + 1):
+        j0, j1 = max(start - 1 - p * r, 0), min(stop - 1 - p * r, r)  # sample p*r + j + 1
         seg = out[p * r + j0 + 1 - start:p * r + j1 + 1 - start]
         np.matmul(h[p].real, x[:, j0:j1], out=seg)
         seg += (e[p] * y[j0:j1]).real
@@ -704,18 +707,43 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     return float(np.max(np.abs(s_td - s_htm) / denom))
 
 
+def _period_blocks(maps: PeriodMaps, nodes: list[str], size: int):
+    """Samples 0 ... size-1 of ``nodes`` from the period maps, as (first
+    sample, columns) blocks, columns[k] of nodes[k]: sample 0, then one period
+    at a time in one reused buffer, written by the GEMVs of :func:`_fill`, so
+    with its bits, and never the whole waveform."""
+    yield 0, np.zeros((len(nodes), 1))
+    r = maps.x.shape[2]
+    buf = np.empty((len(nodes), r))
+    index = [maps.nodes.index(n) for n in nodes]
+    for start in range(1, size, r):
+        cols = buf[:, :min(r, maps.steps + 1 - start)]
+        for row, node in zip(cols, index):
+            _node_samples(maps, node, start, row)
+        yield start, cols[:, :size - start]
+
+
 def write_waveforms(res: TransientResult, path) -> None:
     """Dump waveforms as CSV (t_s, one column per node); gzip when path ends .gz.
 
     The gzip member has mtime 0, so equal waveforms give equal bytes.  It uses
     level 1, as ``repr`` digits barely compress: level 9 is 10x slower for 8% less.
     Rows are written BLOCK_ROWS at a time through :func:`fbarcirc.fileio.atomic_open`,
-    so a failed dump leaves no partial file.
+    so a failed dump leaves no partial file.  A result of :func:`simulate` that
+    holds no samples is written from its maps one period at a time
+    (:func:`_period_blocks`) and stays unfilled.
     """
     path = str(path)
-    nodes = sorted(res.samples)
-    cols = [res.samples[n] for n in nodes]
-    size = min([round(res.duration / res.dt) + 1] + [c.size for c in cols])
+    size = round(res.duration / res.dt) + 1
+    if res._samples is None and res.maps is not None:
+        nodes = sorted(res.maps.nodes)
+        size = min(size, res.maps.steps + 1)
+        blocks = _period_blocks(res.maps, nodes, size)
+    else:
+        nodes = sorted(res.samples)
+        cols = [res.samples[n] for n in nodes]
+        size = min([size] + [c.size for c in cols])
+        blocks = [(0, [c[:size] for c in cols])]
     with atomic_open(path) as raw:
         # The gzip header names the final file, not the temp file.  Closing
         # the text layer flushes the compressor (a zlib sync flush) before its
@@ -723,10 +751,12 @@ def write_waveforms(res: TransientResult, path) -> None:
         gz = gzip.GzipFile(path, "wb", 1, raw, mtime=0) if path.endswith(".gz") else None
         with io.TextIOWrapper(gz or raw, encoding="utf-8") as fh:
             fh.write("t_s," + ",".join(f"v_{n}" for n in nodes) + "\n")
-            for b in range(0, size, BLOCK_ROWS):
-                t = np.arange(b, min(b + BLOCK_ROWS, size)) * res.dt  # a block of res.times
-                block = zip(t.tolist(), *(c[b:b + BLOCK_ROWS].tolist() for c in cols))
-                fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
+            for first, cols in blocks:
+                for b in range(0, len(cols[0]), BLOCK_ROWS):
+                    # a block of res.times
+                    t = (first + np.arange(b, min(b + BLOCK_ROWS, len(cols[0])))) * res.dt
+                    block = zip(t.tolist(), *(c[b:b + BLOCK_ROWS].tolist() for c in cols))
+                    fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def read_waveforms(path) -> TransientResult:

@@ -2,11 +2,13 @@ import contextlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import signal
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,10 +20,12 @@ import fbarcirc.cli
 import fbarcirc.transient
 import fbarcirc.tuner
 from fbarcirc.cli import main
-from fbarcirc.config import SCHEMA, ConfigError, load_config, parse_config
-from fbarcirc.htm import HarmonicBasis, sparams
-from fbarcirc.netlist import read_netlist, write_netlist
-from fbarcirc.touchstone import read_s3p
+from fbarcirc.config import SCHEMA, ConfigError, load_config, parse_config, serialize_config
+from fbarcirc.fileio import fingerprint
+from fbarcirc.htm import HarmonicBasis, NumericallySingular, sparams
+from fbarcirc.metrics import summarize
+from fbarcirc.netlist import build_circulator, read_netlist, write_netlist
+from fbarcirc.touchstone import read_s3p, write_harmonics_csv, write_s3p
 from fbarcirc.transient import read_waveforms, time_grid
 
 from conftest import toy_wye_net
@@ -381,6 +385,207 @@ class TestTune:
                            "--out", str(resim))
         assert code == 0
         assert (out_dir / "metrics.json").read_bytes() == (resim / "metrics.json").read_bytes()
+
+
+def sweep_cfg(tmp_path, points: int, extra: str = "") -> Path:
+    """The shipped tuned design sweeping ``points`` points (plus its f_op when
+    that is off the grid), with ``extra`` config lines."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(TUNED_FIXTURE.read_text() + f"sweep.points = {points}\n" + extra)
+    return cfg
+
+
+def serial_exports(cfg_path: Path, out_dir: Path) -> None:
+    """simulate's three exports of ``cfg_path`` from one sparams call over the
+    whole grid, through the public writers: what an unsplit run writes."""
+    cfg = load_config(cfg_path)
+    design = cfg.design()
+    basis = HarmonicBasis(design.f_mod, cfg.get_int("basis.n_harm"))
+    grid = sparams(build_circulator(design), basis, cfg.sweep_frequencies())
+    tag = f"config_fingerprint = {fingerprint(serialize_config(cfg))}"
+    out_dir.mkdir()
+    write_s3p(out_dir / "sim.s3p", grid.frequencies, grid.s0, float(grid.z0[0]), comments=(tag,))
+    write_harmonics_csv(out_dir / "harmonics.csv", grid, comments=(tag,))
+    m = summarize(grid, cfg.direction(), cfg.get_float("metrics.bw_threshold_db"))
+    (out_dir / "metrics.json").write_text(m.record() + "\n")
+
+
+def assert_no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``set_cpus(n)``: the sweep split sees n CPUs; returns the list that
+    gets one entry per fork.  The sweep pins its processes to those CPUs and
+    restores the mask it saw, so the real mask is restored after the test."""
+    forks = []
+    fork = os.fork
+    mask = os.sched_getaffinity(0)
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def set_cpus(n: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forks
+
+    yield set_cpus
+    os.sched_setaffinity(0, mask)
+
+
+class TestSweepWorkers:
+    """simulate splits its grid over forked workers in contiguous slices cut
+    at the engine's chunk (13 points here), and writes the bytes, raises the
+    errors and leaves the files of one unsplit call."""
+
+    @pytest.mark.parametrize("n_cpus, points, min_slice, forks", [
+        (1, 53, None, 0), (2, 53, None, 1), (3, 53, None, 2),
+        (2, 39, None, 1),  # slices of 13 and 26 points
+        (3, 27, 1, 2),  # slices of 13, 13 and 1 points
+    ])
+    def test_simulate_outputs_match_one_call(self, capsys, tmp_path, monkeypatch, cpus,
+                                             n_cpus, points, min_slice, forks):
+        if min_slice is not None:
+            monkeypatch.setattr(fbarcirc.cli, "MIN_SLICE_POINTS", min_slice)
+        cfg = sweep_cfg(tmp_path, points)
+        assert load_config(cfg).sweep_frequencies().size == points
+        serial_exports(cfg, tmp_path / "serial")
+        seen = cpus(n_cpus)
+        out_dir = tmp_path / "out"
+        with time_cap(60):
+            assert run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+        assert len(seen) == forks
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "harmonics.csv", "metrics.json", "run.log", "sim.s3p"]
+        for name in ("sim.s3p", "harmonics.csv", "metrics.json"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        assert_no_worker_left()
+
+    def test_cpu_set_without_an_affinity_call_or_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert fbarcirc.cli._cpus() == [0, 1, 2]
+        monkeypatch.delattr(os, "fork")
+        assert fbarcirc.cli._cpus() == [0]
+
+    def test_tune_outputs_do_not_depend_on_the_cpus(self, capsys, tmp_path, monkeypatch, cpus):
+        # the tuned config sweeps 26 points and its f_op: slices of 13, 13 and 1
+        monkeypatch.setattr(fbarcirc.cli, "MIN_SLICE_POINTS", 1)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG + "tuner.metrics_points = 26\n")
+        names = ("trace.csv", "tuned_config.cfg", "sim.s3p", "harmonics.csv", "metrics.json")
+        outputs = []
+        for n_cpus, forks in ((1, 0), (2, 1), (3, 3)):
+            seen = cpus(n_cpus)
+            out_dir = tmp_path / f"cpus{n_cpus}"
+            with time_cap(120):
+                assert run(capsys, "tune", "--config", str(cfg), "--seed", "0",
+                           "--out", str(out_dir))[0] == 0
+            assert len(seen) == forks  # counted since the first run
+            outputs.append([(out_dir / name).read_bytes() for name in names])
+            assert_no_worker_left()
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_dense_fallback_of_a_chunk_keeps_its_bits(self, capsys, tmp_path, monkeypatch, cpus):
+        # a singular block in the chunk of point 14 sends all of points 13..25
+        # to the dense solve, whose last bits differ from the block solve's:
+        # slices cut inside that chunk would solve some of them by blocks
+        cfg = sweep_cfg(tmp_path, 39)
+        bad = load_config(cfg).sweep_frequencies()[14]
+        port_waves, eliminate = fbarcirc.htm._port_waves, fbarcirc.htm._eliminate
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular block")
+
+        def one_singular_chunk(st, basis, freqs, b):
+            monkeypatch.setattr(fbarcirc.htm, "_eliminate",
+                                singular if bad in freqs else eliminate)
+            return port_waves(st, basis, freqs, b)
+
+        monkeypatch.setattr(fbarcirc.htm, "_port_waves", one_singular_chunk)
+        serial_exports(cfg, tmp_path / "serial")
+        cpus(2)
+        with time_cap(60):
+            assert run(capsys, "simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))[0] == 0
+        for name in ("sim.s3p", "harmonics.csv", "metrics.json"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    def _fail(self, capsys, tmp_path, cpus, cfg, n_cpus):
+        cpus(n_cpus)
+        out_dir = tmp_path / f"cpus{n_cpus}"
+        with time_cap(60):
+            code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert_no_worker_left()
+        assert not out_dir.exists()  # as an unsplit run: no output before every point solves
+        return code, err
+
+    @pytest.mark.parametrize("checked_first", [True, False], ids=["checked", "in-worker"])
+    def test_degenerate_stimulus_in_a_worker_slice_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                           cpus, checked_first):
+        # 86 x f_mod lies above the sweep, so it ends the last slice; the
+        # whole grid's stimulus checks come first, and without them the
+        # worker's own sparams raises the same error
+        f_mod = load_config(TUNED_FIXTURE).design().f_mod
+        cfg = sweep_cfg(tmp_path, 39, f"basis.n_harm = 86\nsweep.include = {86 * f_mod!r}\n")
+        if not checked_first:
+            monkeypatch.setattr(fbarcirc.cli, "check_grid", lambda basis, freqs: None)
+        serial = self._fail(capsys, tmp_path, cpus, cfg, 1)
+        assert serial[0] == 2 and serial[1].startswith("DegenerateStimulus: stimulus ")
+        assert self._fail(capsys, tmp_path, cpus, cfg, 2) == serial
+
+    def test_singular_point_in_a_worker_slice_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
+        # points 20 and up fail, in the second slice (13..38) and the third:
+        # the error is the one point 20 raises, as in an unsplit call
+        cfg = sweep_cfg(tmp_path, 53)
+        bad = load_config(cfg).sweep_frequencies()[20]
+
+        def failing(net, basis, freqs):
+            hit = [f for f in freqs if f >= bad]
+            if hit:
+                raise NumericallySingular(f"no solution at {hit[0]!r} Hz")
+            return sparams(net, basis, freqs)
+
+        monkeypatch.setattr(fbarcirc.cli, "sparams", failing)
+        serial = self._fail(capsys, tmp_path, cpus, cfg, 1)
+        assert serial == (1, f"NumericallySingular: no solution at {bad!r} Hz\n")
+        assert self._fail(capsys, tmp_path, cpus, cfg, 3) == serial
+
+    def test_killed_worker_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
+        parent = os.getpid()
+
+        def killed(net, basis, freqs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sparams(net, basis, freqs)
+
+        monkeypatch.setattr(fbarcirc.cli, "sparams", killed)
+        code, err = self._fail(capsys, tmp_path, cpus, sweep_cfg(tmp_path, 39), 2)
+        assert code == 1
+        assert err == ("WorkerLost: the worker for stimulus points 13..38 was killed by "
+                       "SIGKILL without a result\n")
+
+    def test_interrupt_kills_and_reaps_the_workers(self, capsys, tmp_path, monkeypatch, cpus):
+        parent = os.getpid()
+
+        def interrupted(net, basis, freqs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a worker still busy when the parent stops
+
+        monkeypatch.setattr(fbarcirc.cli, "sparams", interrupted)
+        cpus(3)
+        with time_cap(30), pytest.raises(KeyboardInterrupt):  # the workers are killed
+            main(["simulate", "--config", str(sweep_cfg(tmp_path, 53)),
+                  "--out", str(tmp_path / "out")])
+        assert_no_worker_left()
+        assert not (tmp_path / "out").exists()
 
 
 class TestReport:

@@ -886,3 +886,29 @@ class TestWaveformDump:
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+    def test_dump_from_the_maps_stays_near_one_period(self, tmp_path):
+        # 30 modulation periods of about 6,900 steps: a result that holds only
+        # its maps is written one period at a time, with the bytes of its
+        # filled waveform, and is never filled
+        f = 2.68e6
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        dt, _ = time_grid(net, f, F_MOD, 60, 1.0)
+        res = simulate(net, (1, f, 1.0), 30.0 / F_MOD, dt)
+        assert res._samples is None
+        (tmp_path / "maps").mkdir()
+        tracemalloc.start()
+        try:
+            write_waveforms(res, tmp_path / "maps" / "w.csv.gz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res._samples is None
+        filled = TransientResult(res.dt, res.duration, samples=transient._fill(res.maps))
+        assert sum(v.nbytes for v in filled.samples.values()) > 2 ** 20  # what a fill holds
+        assert res.maps.x.shape[2] * len(res.maps.nodes) * 8 <= 2 ** 17  # one period
+        assert peak <= 2 ** 20
+        (tmp_path / "filled").mkdir()
+        write_waveforms(filled, tmp_path / "filled" / "w.csv.gz")
+        assert ((tmp_path / "maps" / "w.csv.gz").read_bytes()
+                == (tmp_path / "filled" / "w.csv.gz").read_bytes())
