@@ -7,7 +7,8 @@ table against the measured hardware reference).
 
 Exit codes: 0 success, 1 numerical, gate or worker failure, 2
 usage/config/parse error.  Output files carry no timestamps (a sidecar run.log does), so
-re-running a command with identical inputs reproduces identical bytes.
+re-running a command with identical inputs reproduces identical bytes on one
+numpy/BLAS build and CPU kernel.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ import contextlib
 import datetime
 import json
 import math
+import mmap
 import os
-import pickle
 import shutil
-import signal
 import sys
 import tempfile
 
 import numpy as np
 
+from . import fork
 from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
                   ParseError, ResonatorSpecs, bvd_from_specs, fit_lorentzian,
                   parallel_resonance, read_admittance_csv)
@@ -57,14 +58,10 @@ HARDWARE_REFERENCE = {
 MIN_SLICE_POINTS = 16
 
 
-class WorkerLost(RuntimeError):
-    """A sweep worker process ended without sending its slice's result."""
-
-
 USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge,
                 FileNotFoundError, IsADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
-                    StepTooLarge, IllConditionedBasis, TuneFailed, WorkerLost)
+                    StepTooLarge, IllConditionedBasis, TuneFailed, fork.WorkerLost)
 
 
 def _log(out_dir: str, message: str) -> None:
@@ -132,126 +129,41 @@ def _load(args) -> RunConfig:
     return RunConfig(values={**cfg.values, "basis.n_harm": args.n_harm})
 
 
-def _cpus() -> list[int]:
-    """The CPUs a sweep may run on: those of this process's affinity mask, or
-    all os.cpu_count() where there is no affinity call; one without os.fork."""
-    if not hasattr(os, "fork"):
-        return [0]
-    if not hasattr(os, "sched_getaffinity"):
-        return list(range(os.cpu_count() or 1))
-    return sorted(os.sched_getaffinity(0))
-
-
-def _pin(cpus: list[int]) -> None:
-    """Keep this process on ``cpus`` where the platform can.  A fork starts on
-    its parent's CPU, and Linux was seen to keep both there through a 75 ms
-    run while another CPU idled, so each sweep process takes a CPU of its own."""
-    if hasattr(os, "sched_setaffinity"):
-        with contextlib.suppress(OSError):  # not one of them is online
-            os.sched_setaffinity(0, cpus)
-
-
-def _solve_slice(net, basis: HarmonicBasis, freqs, rows) -> SParamGrid:
-    """One slice of the sweep: its grid, and its harmonics.csv data lines
-    written and flushed to the binary file ``rows``."""
-    grid = sparams(net, basis, freqs)
-    write_harmonics_rows(rows, grid)
-    rows.flush()
-    return grid
-
-
-def _worker(pipe: int, work) -> None:
-    """Body of a forked worker: pickle ``(True, work())``, or ``(False, the
-    exception)``, to the ``pipe`` fd, then end the process without unwinding
-    into the parent's stack."""
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps((True, work()))
-        except BaseException as exc:  # the parent re-raises it
-            payload = pickle.dumps((False, exc))
-        with os.fdopen(pipe, "wb") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _result(sent, status: int, points: range) -> SParamGrid:
-    """The grid a reaped worker sent, its exception re-raised, or
-    :class:`WorkerLost` when it sent neither (``sent`` is None)."""
-    if sent is None:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited {code}"
-        raise WorkerLost(f"the worker for stimulus points {points.start}..{points.stop - 1} "
-                         f"{how} without a result")
-    ok, value = sent
-    if not ok:
-        raise value
-    return value
-
-
 @contextlib.contextmanager
 def _sliced_sweep(net, basis: HarmonicBasis, freqs: np.ndarray):
     """Yield ``sparams(net, basis, freqs)`` and the harmonics.csv data lines
     of its contiguous slices, one unlinked temp file each, in grid order.
 
-    Slice 0 is solved here, each further slice by a forked worker, and every
-    slice is cut at a multiple of the engine's chunk, so the grid and its
-    lines carry the bits of one call over the whole grid.  A failure raises
-    what that call raises: the stimulus checks come first, then the error of
-    the first failing slice in grid order.  Every worker is reaped, or killed
-    and reaped, before this returns or raises, and the temp files close with
-    it."""
+    Slice 0 is solved here and each further slice by a forked worker, into
+    one S block that all the processes share.  Slices are cut at multiples of
+    the engine's chunk, so the grid and its lines carry the bits of one call
+    over the whole grid.  A failure raises what that call raises: the
+    stimulus checks first, then the error of the first failing slice.  The
+    workers are gone, and the temp files closed, when this returns or raises."""
     check_grid(basis, freqs)
     chunk = sweep_chunk(net, basis)
     chunks = -(-freqs.size // chunk)
-    cpus = _cpus()
-    count = max(1, min(len(cpus), freqs.size // MIN_SLICE_POINTS, chunks))
+    count = max(1, min(len(fork.cpus()), freqs.size // MIN_SLICE_POINTS, chunks))
     cuts = [min(chunk * (k * chunks // count), freqs.size) for k in range(count + 1)]
-    parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    shape = (freqs.size, basis.size, len(net.ports), len(net.ports))
+    data = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts]
-        workers = []  # (pid, pipe read end, points) of every unreaped worker
-        try:
-            if count > 1:
-                _pin(cpus[:1])
-            for cpu, points, rows in zip(cpus[1:], parts[1:], files[1:]):
-                read_end, write_end = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _pin([cpu])
-                    os.close(read_end)
-                    for _, pipe, _ in workers:
-                        pipe.close()
-                    _worker(write_end, lambda: _solve_slice(
-                        net, basis, freqs[points.start:points.stop], rows))
-                workers.append((pid, open(read_end, "rb"), points))
-                os.close(write_end)
-            head = _solve_slice(net, basis, freqs[parts[0].start:parts[0].stop], files[0])
-            z0, data = head.z0, head.data
-            if workers:  # room for every slice; slice 0's own block is freed
-                data = np.empty((freqs.size,) + data.shape[1:], dtype=complex)
-                data[:parts[0].stop] = head.data
-            del head
-            while workers:
-                pid, pipe, points = workers[0]
-                try:
-                    sent = pickle.load(pipe)  # no second copy of the S block
-                except (EOFError, pickle.UnpicklingError):  # nothing sent, or cut short
-                    sent = None
-                status = os.waitpid(pid, 0)[1]
-                workers.pop(0)
-                pipe.close()
-                data[points.start:points.stop] = _result(sent, status, points).data
-        finally:
-            for pid, pipe, _ in workers:
-                pipe.close()
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)  # reaped already if interrupted just now
-                    os.waitpid(pid, 0)
-            if count > 1:
-                _pin(cpus)
+
+        def solve(k: int) -> np.ndarray:
+            """Slice k into its rows of ``data`` and ``files[k]``; its z0."""
+            grid = sparams(net, basis, freqs[parts[k]], out=data[parts[k]])
+            write_harmonics_rows(files[k], grid)
+            files[k].flush()
+            return grid.z0
+
+        with fork.workers(solve, count - 1) as pool:
+            for k, worker in enumerate(pool, 1):
+                worker.submit(k, f"stimulus points {parts[k].start}..{parts[k].stop - 1}")
+            z0 = solve(0)
+            for worker in pool:
+                worker.reply()
         yield SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=z0, data=data), files
 
 

@@ -383,7 +383,7 @@ def _port_waves(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
     return x[:, :, st.port_rows]
 
 
-def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
+def sparams(net: Netlist, basis: HarmonicBasis, freqs, out=None) -> SParamGrid:
     """Multi-harmonic S-parameters over a stimulus frequency grid.
 
     The netlist is stamped once.  Chunks of frequency points are solved
@@ -393,7 +393,8 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     and every point of a chunk in which LAPACK finds a singular block, is
     solved again on its dense harmonic matrix, which raises
     :class:`NumericallySingular` if it fails too.  Points are independent:
-    each point's result does not depend on the grid around it.
+    each point's result does not depend on the grid around it.  ``out``, a
+    complex (points, 2 n_harm + 1, ports, ports) array, receives the data.
     """
     net_f_mod = net.f_mod
     if net_f_mod is not None and net_f_mod != basis.f_mod:
@@ -402,7 +403,7 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs) -> SParamGrid:
     if not net.ports:
         raise ValueError("netlist has no ports")
     st = _stamp(net)
-    return _sweep(st, basis, np.asarray(list(freqs), dtype=float), _excitation(st, basis))
+    return _sweep(st, basis, np.asarray(list(freqs), dtype=float), _excitation(st, basis), out)
 
 
 def check_grid(basis: HarmonicBasis, freqs: np.ndarray) -> None:
@@ -432,16 +433,17 @@ def sweep_chunk(net: Netlist, basis: HarmonicBasis) -> int:
 
 
 def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
-           excitation: np.ndarray) -> SParamGrid:
+           excitation: np.ndarray, out: np.ndarray | None = None) -> SParamGrid:
     """:func:`sparams` of a stamped netlist: the stimulus checks, then the
     chunk loop over ``freqs`` (a float array), then the sqrt(z0) wave
     normalisation.  ``st`` must carry the modulation that ``basis`` mixes at,
-    and ``excitation`` is its :func:`_excitation` at ``basis``."""
+    and ``excitation`` is its :func:`_excitation` at ``basis``; ``out`` as there."""
     check_grid(basis, freqs)
     nu, n_ports = st.nu, len(st.ports)
     b = excitation.reshape(basis.size, nu, n_ports)
     chunk = _chunk(st, basis)
-    data = np.empty((freqs.size, basis.size, n_ports, n_ports), dtype=complex)
+    data = out if out is not None else np.empty(
+        (freqs.size, basis.size, n_ports, n_ports), dtype=complex)
     for c0 in range(0, freqs.size, chunk):
         data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)
     data /= np.sqrt(st.z0)[:, None]                     # (point, harmonic, q, p)

@@ -12,6 +12,10 @@ for bit what a fresh build would give.  The tuner returns only the search
 result; the metrics at the tuned point come from simulating the emitted
 configuration (``fbarcirc tune`` does this, so ``simulate`` of that file
 reproduces them).
+
+With a second CPU, a forked worker evaluates one point ahead, the expansion
+or contraction a simplex step may ask for after its reflection; the trace is
+that of one process.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import htm
+from . import fork, htm
 from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
 from .metrics import Direction, metrics_at
 from .netlist import CirculatorDesign, ModulationSpec, build_circulator
@@ -173,7 +177,10 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, max_iter: int) -> None:
     """Minimize via reflect/expand/contract/shrink; points clipped to bounds.
 
-    Evaluation, bookkeeping and stopping-by-budget live in ``ev``.
+    Evaluation, bookkeeping and stopping-by-budget live in ``ev``.  A step's
+    look-ahead is the expansion or the contraction, whichever the last step
+    needing a second point needed (at first the contraction); the initial
+    simplex goes in pairs.
     """
     dim = x0.size
 
@@ -185,7 +192,9 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
         p = x0.copy()
         p[i] += steps[i]
         simplex.append(clip(p))
-    values = [ev(p) for p in simplex]
+    values = [ev(p, ahead=simplex[i + 1] if i % 2 == 0 and i < dim else None)
+              for i, p in enumerate(simplex)]
+    expand = False
 
     for _ in range(max_iter):
         order = np.argsort(values, kind="stable")
@@ -198,9 +207,11 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         xr = clip(centroid + (centroid - worst))
-        fr = ev(xr)
+        xe = clip(centroid + 2.0 * (centroid - worst))
+        xc = clip(centroid + 0.5 * (worst - centroid))
+        fr = ev(xr, ahead=xe if expand else xc)
         if fr < values[0]:
-            xe = clip(centroid + 2.0 * (centroid - worst))
+            expand = True
             fe = ev(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
@@ -209,7 +220,7 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
         elif fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
         else:
-            xc = clip(centroid + 0.5 * (worst - centroid))
+            expand = False
             fc = ev(xc)
             if fc < values[-1]:
                 simplex[-1], values[-1] = xc, fc
@@ -229,7 +240,8 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
     """Run the bounded simplex search; deterministic given (problem, seed).
 
     ``objective_fn(params) -> float`` overrides the simulator-backed
-    objective (test hook), which stamps the design once for the whole run.
+    objective (test hook), which stamps the design once for the whole run;
+    either may run in a forked worker, on points the search then drops.
     Returns the best point seen, never worse than the first evaluation;
     ``budget_exhausted`` flags a stop on budget rather than convergence.
     Raises :class:`TuneFailed` when no evaluation returns a finite
@@ -243,39 +255,45 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
         fn = lambda x: objective(x, problem, stamped)
     else:
         fn = objective_fn
-    rng = np.random.default_rng(seed)
-
+    u0 = np.random.default_rng(seed).random(3)
     trace: list[tuple[np.ndarray, float]] = []
-    state = {"best_x": None, "best_v": math.inf, "used": 0}
-
-    def ev(x: np.ndarray) -> float:
-        if state["used"] >= problem.budget:
-            raise _BudgetExhausted
-        v = float(fn(x))
-        state["used"] += 1
-        trace.append((x.copy(), v))
-        if v < state["best_v"]:
-            state["best_v"] = v
-            state["best_x"] = x.copy()
-        return v
-
-    u0 = rng.random(3)
     exhausted = False
-    try:
-        for s in range(problem.starts):
-            if s == 0:
-                x0 = lo + 0.5 * span
-            else:
-                x0 = lo + ((u0 + s * _LOW_DISCREPANCY_ALPHA) % 1.0) * span
-            _nelder_mead(ev, x0, 0.25 * span, lo, hi, max_iter=10 * problem.budget)
-    except _BudgetExhausted:
-        exhausted = True
-    if state["best_x"] is None:
-        raise TuneFailed(f"none of {state['used']} evaluations returned a finite objective")
+    with fork.workers(fn, 1) as pool:
+        pending = None  # the point the worker holds, or is evaluating
 
-    delta, f_mod, f_op = (float(v) for v in state["best_x"])
+        def ev(x: np.ndarray, ahead: np.ndarray | None = None) -> float:
+            # fn(x), traced; the worker's fn(ahead) counts only if asked for next
+            nonlocal pending
+            if len(trace) >= problem.budget:
+                raise _BudgetExhausted
+            if x is pending:
+                pending, v = None, float(pool[0].reply())
+            else:
+                if ahead is not None and pool:
+                    if pending is not None:
+                        pool[0].reply(take=False)
+                    pool[0].submit(ahead, f"the objective at {tuple(map(float, ahead))}")
+                    pending = ahead
+                v = float(fn(x))
+            trace.append((x.copy(), v))
+            return v
+
+        try:
+            for s in range(problem.starts):
+                if s == 0:
+                    x0 = lo + 0.5 * span
+                else:
+                    x0 = lo + ((u0 + s * _LOW_DISCREPANCY_ALPHA) % 1.0) * span
+                _nelder_mead(ev, x0, 0.25 * span, lo, hi, max_iter=10 * problem.budget)
+        except _BudgetExhausted:
+            exhausted = True
+    finite = [(v, i) for i, (_, v) in enumerate(trace) if v < math.inf]
+    if not finite:
+        raise TuneFailed(f"none of {len(trace)} evaluations returned a finite objective")
+
+    delta, f_mod, f_op = (float(v) for v in trace[min(finite)[1]][0])
     return TuneResult(delta=delta, f_mod=f_mod, f_op=f_op, trace=trace,
-                      evaluations=state["used"], budget_exhausted=exhausted)
+                      evaluations=len(trace), budget_exhausted=exhausted)
 
 
 def write_trace_csv(result: TuneResult, path) -> None:

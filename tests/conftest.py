@@ -22,6 +22,34 @@ def umask():
     os.umask(saved)
 
 
+def assert_no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``set_cpus(n)``: forked workers see n CPUs; returns the list that gets
+    one entry per fork.  The workers pin their processes to those CPUs and
+    restore the mask they saw, so the real mask is restored after the test."""
+    forks = []
+    fork = os.fork
+    mask = os.sched_getaffinity(0)
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def set_cpus(n: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forks
+
+    yield set_cpus
+    os.sched_setaffinity(0, mask)
+
+
 @pytest.fixture
 def ghz_specs():
     return GHZ_SPECS

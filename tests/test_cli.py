@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import signal
 import stat
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 
 import fbarcirc
 import fbarcirc.cli
+import fbarcirc.fork
 import fbarcirc.transient
 import fbarcirc.tuner
 from fbarcirc.cli import main
@@ -28,7 +30,7 @@ from fbarcirc.netlist import build_circulator, read_netlist, write_netlist
 from fbarcirc.touchstone import read_s3p, write_harmonics_csv, write_s3p
 from fbarcirc.transient import read_waveforms, time_grid
 
-from conftest import toy_wye_net
+from conftest import assert_no_worker_left, toy_wye_net
 
 REPO = Path(__file__).resolve().parent.parent
 TUNED_FIXTURE = REPO / "configs" / "differential_tuned.cfg"
@@ -352,10 +354,11 @@ class TestTune:
         assert run(capsys, "tune", "--config", str(cfg), "--seed", "7", "--out", str(b))[0] == 0
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
 
-    def test_metrics_grid_solved_once(self, capsys, tmp_path, monkeypatch):
+    def test_metrics_grid_solved_once(self, capsys, tmp_path, monkeypatch, cpus):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(TUNE_CFG)
         out_dir = tmp_path / "out"
+        cpus(1)  # every evaluation in this process, where the counters are
         # an evaluation solves its one f_op on the tune's stamped design
         points = [counting(monkeypatch, fbarcirc.tuner.StampedDesign, "sparams",
                            lambda args: np.size(args[3])),
@@ -410,34 +413,6 @@ def serial_exports(cfg_path: Path, out_dir: Path) -> None:
     (out_dir / "metrics.json").write_text(m.record() + "\n")
 
 
-def assert_no_worker_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """``set_cpus(n)``: the sweep split sees n CPUs; returns the list that
-    gets one entry per fork.  The sweep pins its processes to those CPUs and
-    restores the mask it saw, so the real mask is restored after the test."""
-    forks = []
-    fork = os.fork
-    mask = os.sched_getaffinity(0)
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-
-    def set_cpus(n: int) -> list:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        return forks
-
-    yield set_cpus
-    os.sched_setaffinity(0, mask)
-
-
 class TestSweepWorkers:
     """simulate splits its grid over forked workers in contiguous slices cut
     at the engine's chunk (13 points here), and writes the bytes, raises the
@@ -469,9 +444,9 @@ class TestSweepWorkers:
     def test_cpu_set_without_an_affinity_call_or_fork(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert fbarcirc.cli._cpus() == [0, 1, 2]
+        assert fbarcirc.fork.cpus() == [0, 1, 2]
         monkeypatch.delattr(os, "fork")
-        assert fbarcirc.cli._cpus() == [0]
+        assert fbarcirc.fork.cpus() == [0]
 
     def test_tune_outputs_do_not_depend_on_the_cpus(self, capsys, tmp_path, monkeypatch, cpus):
         # the tuned config sweeps 26 points and its f_op: slices of 13, 13 and 1
@@ -480,7 +455,8 @@ class TestSweepWorkers:
         cfg.write_text(TUNE_CFG + "tuner.metrics_points = 26\n")
         names = ("trace.csv", "tuned_config.cfg", "sim.s3p", "harmonics.csv", "metrics.json")
         outputs = []
-        for n_cpus, forks in ((1, 0), (2, 1), (3, 3)):
+        # tune keeps one look-ahead worker whenever there are 2 CPUs or more
+        for n_cpus, forks in ((1, 0), (2, 2), (3, 5)):
             seen = cpus(n_cpus)
             out_dir = tmp_path / f"cpus{n_cpus}"
             with time_cap(120):
@@ -546,11 +522,11 @@ class TestSweepWorkers:
         cfg = sweep_cfg(tmp_path, 53)
         bad = load_config(cfg).sweep_frequencies()[20]
 
-        def failing(net, basis, freqs):
+        def failing(net, basis, freqs, out=None):
             hit = [f for f in freqs if f >= bad]
             if hit:
                 raise NumericallySingular(f"no solution at {hit[0]!r} Hz")
-            return sparams(net, basis, freqs)
+            return sparams(net, basis, freqs, out=out)
 
         monkeypatch.setattr(fbarcirc.cli, "sparams", failing)
         serial = self._fail(capsys, tmp_path, cpus, cfg, 1)
@@ -560,10 +536,10 @@ class TestSweepWorkers:
     def test_killed_worker_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
         parent = os.getpid()
 
-        def killed(net, basis, freqs):
+        def killed(net, basis, freqs, out=None):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return sparams(net, basis, freqs)
+            return sparams(net, basis, freqs, out=out)
 
         monkeypatch.setattr(fbarcirc.cli, "sparams", killed)
         code, err = self._fail(capsys, tmp_path, cpus, sweep_cfg(tmp_path, 39), 2)
@@ -574,7 +550,7 @@ class TestSweepWorkers:
     def test_interrupt_kills_and_reaps_the_workers(self, capsys, tmp_path, monkeypatch, cpus):
         parent = os.getpid()
 
-        def interrupted(net, basis, freqs):
+        def interrupted(net, basis, freqs, out=None):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)  # a worker still busy when the parent stops
@@ -585,6 +561,57 @@ class TestSweepWorkers:
             main(["simulate", "--config", str(sweep_cfg(tmp_path, 53)),
                   "--out", str(tmp_path / "out")])
         assert_no_worker_left()
+        assert not (tmp_path / "out").exists()
+
+
+class TestTuneWorker:
+    """tune evaluates its look-ahead point on a forked worker (2 CPUs here)."""
+
+    def test_killed_worker_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
+        parent = os.getpid()
+        objective = fbarcirc.tuner.objective
+
+        def killed(params, problem, stamped=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return objective(params, problem, stamped)
+
+        monkeypatch.setattr(fbarcirc.tuner, "objective", killed)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG)
+        forks = cpus(2)
+        out_dir = tmp_path / "out"
+        with time_cap(60):
+            code, _, err = run(capsys, "tune", "--config", str(cfg), "--out", str(out_dir))
+        assert_no_worker_left()
+        assert len(forks) == 1 and code == 1
+        assert re.fullmatch(r"WorkerLost: the worker for the objective at \([^)]*\) "
+                            r"was killed by SIGKILL without a result\n", err), err
+        assert not (out_dir / "trace.csv").exists()
+
+    def test_interrupt_kills_the_worker_and_restores_the_mask(self, tmp_path, monkeypatch,
+                                                             cpus):
+        parent = os.getpid()
+        getaffinity = os.sched_getaffinity
+        before = getaffinity(0)
+        masks = []
+
+        def interrupted(params, problem, stamped=None):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker still busy when the parent stops
+            masks.append(getaffinity(0))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fbarcirc.tuner, "objective", interrupted)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG)
+        forks = cpus(2)
+        with time_cap(30), pytest.raises(KeyboardInterrupt):
+            main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert_no_worker_left()
+        assert len(forks) == 1
+        assert masks == [({0} & before) or before]  # pinned while the worker lived
+        assert getaffinity(0) == (({0, 1} & before) or before)  # the mask the tune saw
         assert not (tmp_path / "out").exists()
 
 

@@ -1,17 +1,19 @@
+import logging
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fbarcirc import htm, tuner
+from fbarcirc import fork, htm, tuner
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import Direction, metrics_at
 from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator, elastance_fourier
 from fbarcirc.tuner import (StampedDesign, TuneProblem, objective, penalized_objective,
                             tune, write_trace_csv)
 
-from conftest import GHZ_SPECS
+from conftest import GHZ_SPECS, assert_no_worker_left
 
 
 def small_problem(**overrides):
@@ -68,9 +70,10 @@ class TestObjective:
 
 
 class TestTuneOnEngine:
-    def test_stock_design_never_falls_back_to_dense_solve(self, monkeypatch):
+    def test_stock_design_never_falls_back_to_dense_solve(self, monkeypatch, cpus):
         # A silent fallback would keep every result right and lose the block
         # engine's speed on the tuner's one-point solves.
+        cpus(1)  # every evaluation in this process, where the counter is
         calls = []
         solve = htm._solve
 
@@ -122,7 +125,8 @@ class TestStampedDesign:
         ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         assert grid.data.tobytes() == ref.data.tobytes()
 
-    def test_excitation_built_once_per_tune(self, monkeypatch):
+    def test_excitation_built_once_per_tune(self, monkeypatch, cpus):
+        cpus(1)
         calls = []
         real = htm._excitation
 
@@ -151,7 +155,8 @@ class TestStampedDesign:
         assert tune(problem, seed=0).evaluations == 10
 
     @pytest.mark.parametrize("budget", [10, 30])
-    def test_one_build_and_one_stamp_per_tune(self, monkeypatch, budget):
+    def test_one_build_and_one_stamp_per_tune(self, monkeypatch, cpus, budget):
+        cpus(1)
         calls = {"build": 0, "stamp": 0}
         build, stamp = tuner.build_circulator, htm._stamp
 
@@ -233,6 +238,101 @@ class TestTuneOnSphere:
         result = tune(problem, seed=4, objective_fn=fn)
         values = [v for _, v in result.trace]
         assert min(values) <= values[0]
+
+
+def trace_bits(result):
+    return [(x.tobytes(), float(v).hex()) for x, v in result.trace]
+
+
+def outcome(result):
+    return (result.delta, result.f_mod, result.f_op, result.evaluations, result.budget_exhausted)
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The look-ahead results this process takes from the worker, in order."""
+    values = []
+    reply = fork.Worker.reply
+
+    def counted(self, take=True):
+        value = reply(self, take)
+        if take:
+            values.append(value)
+        return value
+
+    monkeypatch.setattr(fork.Worker, "reply", counted)
+    return values
+
+
+class TestLookAhead:
+    """At 2 CPUs a forked worker evaluates the point the simplex will likely
+    ask for next; trace, budget and best point are those of one process."""
+
+    @pytest.mark.parametrize("budget", [10, 30, 300])
+    def test_engine_trace_matches_one_cpu(self, cpus, taken, budget):
+        problem = small_problem(budget=budget)
+        cpus(1)
+        serial = tune(problem, seed=0)
+        forks = cpus(2)
+        split = tune(problem, seed=0)
+        assert len(forks) == 1 and taken
+        assert trace_bits(split) == trace_bits(serial)
+        assert outcome(split) == outcome(serial)
+        assert_no_worker_left()
+
+    def test_sphere_second_start_matches_one_cpu(self, cpus, taken):
+        problem = small_problem(starts=2, budget=280)
+        _, fn = sphere_center(problem)
+        cpus(1)
+        first = tune(replace(problem, starts=1), seed=1, objective_fn=fn)
+        serial = tune(problem, seed=1, objective_fn=fn)
+        assert not first.budget_exhausted and serial.evaluations > first.evaluations
+        cpus(2)
+        split = tune(problem, seed=1, objective_fn=fn)
+        assert taken
+        assert trace_bits(split) == trace_bits(serial)
+        assert outcome(split) == outcome(serial)
+
+    def test_dropped_point_neither_raises_nor_logs(self, cpus, caplog, tmp_path):
+        problem = small_problem(starts=2, budget=120)
+        _, fn = sphere_center(problem)
+        cpus(1)
+        serial = tune(problem, seed=5, objective_fn=fn)
+        on_trace = {x.tobytes() for x, _ in serial.trace}
+        dropped = tmp_path / "dropped"
+
+        def strict(x):
+            if x.tobytes() not in on_trace:
+                with open(dropped, "a") as fh:  # written by the worker
+                    fh.write("x")
+                logging.getLogger("fbarcirc.tuner").warning("off the trace at %s", x)
+                raise RuntimeError("off the trace")
+            return fn(x)
+
+        cpus(2)
+        with caplog.at_level(logging.WARNING):
+            split = tune(problem, seed=5, objective_fn=strict)
+        assert len(dropped.read_text()) > 0
+        assert caplog.records == []
+        assert trace_bits(split) == trace_bits(serial)
+
+    def test_taken_point_raises_and_logs(self, cpus, caplog):
+        problem = small_problem(starts=1, budget=30)
+        _, fn = sphere_center(problem)
+        parent = os.getpid()
+
+        def failing_ahead(x):
+            if os.getpid() != parent:
+                logging.getLogger("fbarcirc.tuner").warning("worker failed at %s", x)
+                raise RuntimeError("worker failed")
+            return fn(x)
+
+        cpus(2)
+        with caplog.at_level(logging.WARNING), pytest.raises(RuntimeError, match="worker failed"):
+            tune(problem, seed=0, objective_fn=failing_ahead)
+        assert [(r.name, r.levelno) for r in caplog.records] == [("fbarcirc.tuner", logging.WARNING)]
+        assert caplog.records[0].getMessage().startswith("worker failed at [")
+        assert_no_worker_left()
 
 
 class TestProblemValidation:
