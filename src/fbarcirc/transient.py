@@ -25,7 +25,8 @@ true drive, in cache-sized blocks of steps.  A block's step stack holds
 each inverse beside its drive, [A_j^-1 | A_j^-1 s z_j]; its product with
 [[S], [0 | I]] for the state S = [Phi_{j-1} | psi_{j-1}] of the period's
 propagator and forced response gives the unknowns x_j, and 2K x_j - S the
-next state.  Only the node rows of x_j are kept, never a state per step.
+next state.  Only the node rows of x_j are formed, never a state per step,
+and only those of the nodes a run keeps are stored.
 A run makes one LAPACK inverse, of A0 = K + G with every m = 1.
 A_j differs from A0 only in one entry per modulated branch, an update of
 rank k = the number of modulated branches, so a block's inverses follow
@@ -39,9 +40,11 @@ for the period.  Every period, the first included, starts from its
 boundary state, h_0 = 0 and h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P,
 and its node voltages are Re(X_j h_p + e_p Y_j) with e_p = exp(j w p P dt)
 and the maps X_j, Y_j of the one period.  :func:`simulate` returns those
-maps and boundary states (:class:`PeriodMaps`); one routine writes a
-node's samples over any range from them, a period at a time, and the
-samples are filled only when they are read.
+maps, of the nodes it was asked to keep (every node by default), and the
+boundary states (:class:`PeriodMaps`); one routine writes a node's samples
+over any range from them, a period at a time, and the samples are filled
+only when they are read.  The divergence guard covers every node, kept or
+not: a running max|X_j| and max|Y_j| per node bound its samples.
 
 The phasor fit (:func:`extract_phasors`) never forms the tones x samples
 basis of the tail, and its Gram matrix is a closed-form sum.  The tail, the
@@ -63,6 +66,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +118,10 @@ class IllConditionedBasis(ValueError):
 @dataclass(frozen=True)
 class PeriodMaps:
     """One modulation period's maps of a :func:`simulate` run, from which
-    every sample follows (:func:`_node_samples`): sample i = p*r + j + 1 of
-    node n (p = 0 ... periods-1, j = 0 ... r-1) is Re(X_j h_p + e_p Y_j)[n],
-    and sample 0 is zero."""
+    every sample of the kept ``nodes`` follows (:func:`_node_samples`):
+    sample i = p*r + j + 1 of node n (p = 0 ... periods-1, j = 0 ... r-1) is
+    Re(X_j h_p + e_p Y_j)[n], and sample 0 is zero.  Row n of ``x`` and ``y``
+    is the node ``nodes[n]``; the run's other nodes have no rows."""
 
     nodes: tuple[str, ...]
     x: np.ndarray       # (nodes, nu, r) real: X_j
@@ -369,7 +374,7 @@ def _chain(step: np.ndarray, k2: np.ndarray, state: np.ndarray,
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
-             dt: float) -> TransientResult:
+             dt: float, nodes: tuple[str, ...] | None = None) -> TransientResult:
     """Integrate the netlist driven by one port tone with the trapezoidal rule.
 
     ``tone`` is (port_index, frequency_hz, incident_wave_amplitude); the
@@ -381,18 +386,24 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so that one modulation period is P whole steps (a ``dt`` from
     :func:`time_grid` passes through unchanged); the result reports the step
     used.  Only one period of step matrices is inverted (see the module
-    docstring), and the result holds that period's maps; its ``samples`` are
-    filled when first read.
+    docstring), and the result holds that period's maps of ``nodes`` (node
+    names; every node when None); its ``samples``, of the same nodes, are
+    filled when first read.  A kept node's maps and samples have the bits of
+    the same node's in a run of every node.
 
-    Raises :class:`RunTooLarge`, before any work, when a modulation period
-    takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
-    samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
-    step used; and :class:`Diverged` on a singular step matrix, on a step
-    matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, or when any
-    node magnitude exceeds 1e6 times the source amplitude.  For that guard,
+    Raises :class:`ValueError`, before any work, when ``nodes`` is empty or
+    names a node the netlist lacks; :class:`RunTooLarge`, before any work,
+    when a modulation period takes more than MAX_PERIOD_STEPS steps or a node
+    more than MAX_SAMPLES samples; :class:`StepTooLarge` below 50 points per
+    stimulus cycle at the step used; and :class:`Diverged` on a singular step
+    matrix, on a step matrix inverse whose residual exceeds
+    INVERSE_RESIDUAL_BOUND, or when any node magnitude, kept or not, exceeds
+    1e6 times the source amplitude.  For that guard,
     sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
     node n in period p; only when a bound exceeds the guard are the samples
-    filled at once, checked, and kept.
+    filled at once, checked, and kept.  When a dropped node's bound does, the
+    run is made again keeping every node and checked as a run of every node
+    is; that path is rare, and it holds both runs' maps while it runs.
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -404,6 +415,9 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
 
     node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
     nn, nu = len(node_names), s.size
+    if nodes is not None and (not nodes or set(nodes) - set(node_names)):
+        raise ValueError(f"nodes {nodes!r} are not a non-empty set of the netlist's nodes")
+    keep = [i for i, n in enumerate(node_names) if nodes is None or n in nodes]
     chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
     repeat = chunk  # a static step matrix repeats every step: one block is the repeat
     if len(mod):  # a Netlist's branches share one f_mod
@@ -426,29 +440,39 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     r = min(repeat, steps)
     periods = -(-steps // r)
 
-    # one repeat's maps from the boundary state: x = Re(X_j h_p + e_p Y_j)
-    x_h = np.empty((nn, nu, r))
-    y_e = np.empty((nn, r), complex)
+    # one repeat's maps of the kept nodes, x = Re(X_j h_p + e_p Y_j), outside
+    # the heap: released there, they would leave more free memory at its top
+    # than the allocator keeps, and the next run would fault it in again
+    buf = mmap.mmap(-1, len(keep) * r * (16 + 8 * nu), access=mmap.ACCESS_COPY)
+    y_e = np.frombuffer(buf, complex, len(keep) * r).reshape(len(keep), r)
+    x_h = np.frombuffer(buf, float, offset=16 * len(keep) * r).reshape(len(keep), nu, r)
+    # every node's max_j |X_j| and max_j |Y_j|, for the guard
+    x_max, y_max = np.zeros((nn, nu)), np.zeros(nn)
     state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
     with np.errstate(over="ignore", invalid="ignore"):
         inverses = _StepInverses(a0, mod, min(chunk, r))
+        # one block's step stack, reused: a new one per block would need twice its room
+        stack = np.empty((nu, min(chunk, r), nu + 2))
         for j0 in range(0, r, chunk):
             j = np.arange(j0 + 1, min(j0 + chunk, r) + 1)
             # [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j], row i of every step side by side
-            step = np.empty((nu, j.size, nu + 2))
+            step = stack[:, :j.size]
             step[:, :, :nu] = inverses(j * dt).transpose(1, 0, 2)
             z = np.exp(1j * w_stim * (j * dt))
             a_s = step[:, :, :nu] @ s  # A_j^-1 s
             np.multiply(a_s, z.real, out=step[:, :, nu])
             np.multiply(a_s, z.imag, out=step[:, :, nu + 1])
             state, xs = _chain(step.transpose(1, 0, 2), 2.0 * k, state, nn)
-            x_h[:, :, j0:j0 + j.size] = xs[..., :nu].transpose(1, 2, 0)
-            y_blk = y_e[:, j0:j0 + j.size]
-            y_blk.real = xs[..., nu].T
-            y_blk.imag = xs[..., nu + 1].T
+            xs = np.ascontiguousarray(xs.transpose(1, 2, 0))  # node, column, step
+            y_blk = np.empty((nn, j.size), complex)
+            y_blk.real, y_blk.imag = xs[:, nu], xs[:, nu + 1]
+            x_max = np.maximum(x_max, np.max(np.abs(xs[:, :nu]), axis=2))
+            y_max = np.maximum(y_max, np.max(np.abs(y_blk), axis=1))
+            x_h[:, :, j0:j0 + j.size] = xs[keep, :nu]
+            y_e[:, j0:j0 + j.size] = y_blk[keep]
         # Free the block, small arrays too: one left above its memory keeps the
         # allocator from returning that memory.
-        del j, step, z, a_s, xs, y_blk, inverses
+        del j, stack, step, z, a_s, xs, y_blk, inverses
 
         # period boundaries h_p from h_0 = 0
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))
@@ -456,13 +480,18 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         for p in range(1, periods):
             h[p] = state[:, :nu] @ h[p - 1] + e[p - 1] * (state[:, nu] + 1j * state[:, nu + 1])
         # |sample| <= sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]|, a bound
-        # that needs no sample; NaN fails it
-        x_max = np.maximum(np.max(x_h, axis=2), -np.min(x_h, axis=2))
-        bound = np.max(np.abs(h.real) @ x_max.T + np.max(np.abs(y_e), axis=1))
-    maps = PeriodMaps(nodes=tuple(node_names), x=x_h, y=y_e, h=h, e=e, steps=steps,
-                      limit=limit)
-    # the margin covers the rounding of the bound and of the samples
-    samples = None if bound * (1.0 + 1e-12) <= limit else _fill(maps)
+        # per node that needs no sample; the margin covers the rounding of the
+        # bound and of the samples, and NaN fails it
+        over = ~(np.max(np.abs(h.real) @ x_max.T + y_max, axis=0) * (1.0 + 1e-12) <= limit)
+    maps = PeriodMaps(nodes=tuple(node_names[i] for i in keep), x=x_h, y=y_e, h=h, e=e,
+                      steps=steps, limit=limit)
+    if np.any(np.delete(over, keep)):
+        # a dropped node may exceed the guard: check every node's samples, as a
+        # run of every node does
+        samples = simulate(net, tone, duration, dt).samples
+        samples = {n: samples[n].copy() for n in maps.nodes}
+    else:
+        samples = _fill(maps) if np.any(over) else None
     return TransientResult(dt=dt, duration=duration, samples=samples, maps=maps)
 
 
@@ -675,8 +704,10 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
 
     The transient runs ``mod_periods`` modulation periods past ring-up at
     ``pts_per_cycle`` points per stimulus cycle; both significantly exceed
-    the preconditions of :func:`simulate` by default.  A ``waveforms_path``
-    receives that run through :func:`write_waveforms`.
+    the preconditions of :func:`simulate` by default.  It keeps the maps of
+    the output port's node only, unless a ``waveforms_path`` asks for every
+    node's waveform, which that path receives through :func:`write_waveforms`;
+    the error is the same either way.
     """
     p_in, q_out = ports
     port_map = {p.index: p for p in net.ports}
@@ -689,8 +720,10 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     qi, pi = q_out - 1, p_in - 1
     s_htm = np.array([grid.harmonic(n)[0, qi, pi] for n in (-1, 0, 1)])
 
-    res = simulate(net, (p_in, f, 1.0), duration, dt)
-    phasors = extract_phasors(res, port_map[q_out].node, f, basis.f_mod, basis.n_harm)
+    node = port_map[q_out].node
+    res = simulate(net, (p_in, f, 1.0), duration, dt,
+                   nodes=None if waveforms_path is not None else (node,))
+    phasors = extract_phasors(res, node, f, basis.f_mod, basis.n_harm)
     sqrt_z0 = math.sqrt(port_map[q_out].z0)
     s_td = []
     for n in (-1, 0, 1):

@@ -218,6 +218,16 @@ class TestVerify:
         report = (out_dir / "verify_report.txt").read_text()
         assert report.count("PASS") == 3
 
+    def test_shipped_tuned_report(self, capsys, tmp_path):
+        # the oracle at the shipped settings: these bytes must not move
+        code, _, _ = run(capsys, "verify", "--config", str(TUNED_FIXTURE),
+                         "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert (tmp_path / "out" / "verify_report.txt").read_text() == (
+            "static         error=5.202e-04  gate=1.0e-03  PASS\n"
+            "single-branch  error=2.792e-03  gate=1.0e-02  PASS\n"
+            "toy-wye        error=1.584e-03  gate=2.0e-02  PASS\n")
+
     def test_dump_waveforms(self, capsys, tmp_path, monkeypatch):
         # 50 points per cycle keeps the dumps small; the gates fail at that step
         cfg = tmp_path / "v.cfg"

@@ -8,7 +8,7 @@ import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc import transient
-from fbarcirc.config import load_config
+from fbarcirc.config import load_config, parse_config
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
                               NetlistError, Port, Resistor, build_circulator, scale_frequency)
@@ -70,11 +70,13 @@ class TestSimulate:
             ph = extract_phasors(res, node, f, f / 7.0, 1)
             assert abs(ph.phasor(0) - expect) <= 1e-4 * abs(expect)
 
-    def test_zero_conductance_node_diverges(self):
+    @pytest.mark.parametrize("nodes", [None, ("p1",)])
+    def test_zero_conductance_node_diverges(self, nodes):
+        # a singular A0: this raises before the divergence guard, for any nodes
         net = Netlist((Resistor("r1", "p1", "n2", math.inf),
                        Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
         with pytest.raises(Diverged):
-            simulate(net, (1, 1e6, 1.0), 1e-5, 1e-8)
+            simulate(net, (1, 1e6, 1.0), 1e-5, 1e-8, nodes=nodes)
 
     def test_bvd_one_port_matches_admittance(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
@@ -559,7 +561,9 @@ def wye_oracle():
 
 def test_simulate_memory_stays_near_the_maps():
     # a block's working arrays are cache-sized, and no per-step stack of
-    # states is formed, so the maps the result holds set the peak
+    # states is formed; x and y sit in a map of their own, which tracemalloc
+    # does not see, so they are added back to bound the working arrays by the
+    # maps' size
     net, _, f, _, _, dt, duration = _wye_case()
     tracemalloc.start()
     try:
@@ -568,7 +572,8 @@ def test_simulate_memory_stays_near_the_maps():
     finally:
         tracemalloc.stop()
     maps = res.maps
-    assert peak <= 2 * (maps.x.nbytes + maps.y.nbytes + maps.h.nbytes + maps.e.nbytes)
+    mapped = maps.x.nbytes + maps.y.nbytes
+    assert peak + mapped <= 2 * (mapped + maps.h.nbytes + maps.e.nbytes)
 
 
 class TestExtractionAccuracy:
@@ -707,6 +712,14 @@ class TestMapFit:
         self._compare(res, [p.node for p in net.ports] + ["ca"], f, f_mod, 5)
 
 
+def _fast_wye(nodes=None):
+    """Six modulation periods of the Q = 20 toy wye at 60 points per cycle,
+    port 1 driven."""
+    net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+    dt, _ = time_grid(net, 2.68e6, F_MOD, 60, 1.0)
+    return simulate(net, (1, 2.68e6, 1.0), 6.0 / F_MOD, dt, nodes=nodes)
+
+
 class TestDivergenceBound:
     """simulate fills no waveform when a bound on every sample stays within the
     divergence guard; above it, it fills every sample and checks them."""
@@ -725,10 +738,10 @@ class TestDivergenceBound:
         monkeypatch.setattr(transient, "_fill", counted)
         return fills
 
-    def _run(self):
+    def _run(self, nodes=None):
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
-        return simulate(net, (1, self.F, 1.0), 6.0 / F_MOD, dt)
+        return simulate(net, (1, self.F, 1.0), 6.0 / F_MOD, dt, nodes=nodes)
 
     def test_no_waveform_unless_one_is_read(self, monkeypatch):
         fills = self._counted_fill(monkeypatch)
@@ -738,7 +751,8 @@ class TestDivergenceBound:
         assert res.samples["p1"].size == res.maps.steps + 1
         assert res.samples is res.samples and len(fills) == 1
 
-    def test_limit_between_samples_and_bound(self, monkeypatch):
+    @pytest.mark.parametrize("nodes", [None, ("p1",)])
+    def test_limit_between_samples_and_bound(self, monkeypatch, nodes):
         reference = self._run()
         maps = reference.maps
         v_max = np.max(np.abs(reference.samples["p1"]))
@@ -748,7 +762,7 @@ class TestDivergenceBound:
         source = 2.0 * math.sqrt(50.0)
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
         fills = self._counted_fill(monkeypatch)
-        res = self._run()  # no raise
+        res = self._run(nodes)  # no raise
         assert len(fills) == 1
         assert np.array_equal(res.samples["p1"], reference.samples["p1"])
         extract_phasors(res, "p1", self.F, F_MOD, 2)
@@ -764,6 +778,91 @@ class TestDivergenceBound:
         limit = transient.DIVERGENCE_FACTOR * 2.0 * math.sqrt(50.0)
         first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
         assert first > 0 and str(info.value).endswith(f"near step {first}")
+
+    def test_dropped_node_above_limit_raises(self, monkeypatch):
+        # the limit lies above the kept node's bound but below a dropped node's
+        # peak: the run still raises, with the message of the run of every node
+        reference = _fast_wye()
+        maps, samples = reference.maps, reference.samples
+        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
+                       + np.max(np.abs(maps.y), axis=1), axis=0)
+        kept = maps.nodes.index("p2")
+        v_p1 = np.max(np.abs(samples["p1"]))
+        assert bound[kept] < 0.9 * v_p1
+        source = 2.0 * math.sqrt(50.0)
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.95 * v_p1 / source)
+        with pytest.raises(Diverged) as every:
+            _fast_wye()
+        with pytest.raises(Diverged) as one:
+            _fast_wye(("p2",))
+        limit = transient.DIVERGENCE_FACTOR * source
+        first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
+        assert first > 0 and str(every.value).endswith(f"near step {first}")
+        assert str(one.value) == str(every.value)
+        assert str(one.value).startswith("waveform exceeded")
+
+    def test_dropped_nodes_below_limit_fill_the_kept_node(self, monkeypatch):
+        # every bound below the limit but the kept node's: only its samples are
+        # filled, and with the bits of the run of every node
+        reference = _fast_wye()
+        maps = reference.maps
+        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
+                       + np.max(np.abs(maps.y), axis=1), axis=0)
+        kept = maps.nodes.index("cm")
+        v_max = np.max(np.abs(reference.samples["cm"]))
+        others = max(b for i, b in enumerate(bound) if i != kept)
+        assert max(others, v_max) < 0.5 * bound[kept]
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR",
+                            1.5 * max(others, v_max) / (2.0 * math.sqrt(50.0)))
+        fills = self._counted_fill(monkeypatch)
+        res = _fast_wye(("cm",))  # no raise
+        assert [f.nodes for f in fills] == [("cm",)]
+        assert list(res.samples) == ["cm"]
+        assert np.array_equal(res.samples["cm"], reference.samples["cm"])
+
+
+class TestKeptNodes:
+    """simulate(nodes=...) holds the maps and samples of those nodes only,
+    with the bits of the same rows of a run of every node."""
+
+    F = 2.68e6
+
+    @pytest.mark.parametrize("nodes", [(), ("p9",), ("p1", "p9"), "p1"],
+                             ids=["empty", "unknown", "one-unknown", "string"])
+    def test_bad_nodes_raise_before_any_integration(self, monkeypatch, nodes):
+        _no_inverse(monkeypatch)
+        with pytest.raises(ValueError, match="nodes"):
+            _fast_wye(nodes)
+
+    def test_maps_and_samples_hold_the_kept_nodes(self):
+        every = _fast_wye()
+        res = _fast_wye(("p2", "cm"))
+        assert res.maps.nodes == ("cm", "p2")  # in the netlist's node order
+        assert res.maps.x.shape[0] == res.maps.y.shape[0] == 2
+        assert list(res.samples) == ["cm", "p2"]
+        for node in ("cm", "p2"):
+            assert np.array_equal(res.samples[node], every.samples[node])
+
+    def test_dropped_node_has_no_phasors(self):
+        res = _fast_wye(("p2",))
+        extract_phasors(res, "p2", self.F, F_MOD, 2)
+        with pytest.raises(KeyError, match="p1"):
+            extract_phasors(res, "p1", self.F, F_MOD, 2)
+
+    def test_one_node_maps_equal_the_rows_of_every_node(self):
+        # every case of a fast verify config, every node
+        cfg = parse_config("design.topology = differential\nverify.q = 20\n"
+                           "verify.pts_per_cycle = 200\nbasis.n_harm = 4\n")
+        cases, f, f_mod = cfg.verify_cases()
+        for _, net, (p_in, _), _, periods, ppc in cases:
+            dt, duration = time_grid(net, f, f_mod, ppc, periods)
+            every = simulate(net, (p_in, f, 1.0), duration, dt).maps
+            for i, node in enumerate(every.nodes):
+                one = simulate(net, (p_in, f, 1.0), duration, dt, nodes=(node,)).maps
+                assert one.nodes == (node,)
+                assert np.array_equal(one.x[0], every.x[i])
+                assert np.array_equal(one.y[0], every.y[i])
+                assert np.array_equal(one.h, every.h) and np.array_equal(one.e, every.e)
 
 
 class TestCrossValidate:
@@ -814,7 +913,50 @@ class TestCrossValidate:
         res = results[0]
         assert fits[0][0] is res
         assert round(res.duration / res.dt) == res.maps.steps
-        assert res.samples["p1"].size == res.maps.steps + 1
+        assert res.samples["p2"].size == res.maps.steps + 1
+
+
+    def test_same_error_with_and_without_a_dump(self, tmp_path):
+        # the dump's run keeps every node, the plain run only the output port's
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        basis = HarmonicBasis(F_MOD, 4)
+        plain = cross_validate(net, basis, 2.68e6, ports=(1, 2), pts_per_cycle=100,
+                               mod_periods=4.0)
+        dumped = cross_validate(net, basis, 2.68e6, ports=(1, 2), pts_per_cycle=100,
+                                mod_periods=4.0, waveforms_path=tmp_path / "w.csv.gz")
+        assert plain == dumped
+        assert sorted(read_waveforms(tmp_path / "w.csv.gz").samples) == ["cm", "p1", "p2"]
+
+    def test_shipped_toy_wye_holds_one_nodes_maps(self, monkeypatch):
+        # the verify default run of the toy wye keeps the output port's maps
+        # only; tracemalloc does not see them (they sit in a map of their own),
+        # and the rest of the call stays below what every node's maps would take
+        results = []
+        simulate_ = transient.simulate
+
+        def kept(*args, **kwargs):
+            results.append(simulate_(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(transient, "simulate", kept)
+        cfg = load_config(CONFIGS / "differential.cfg")
+        cases, f, f_mod = cfg.verify_cases()
+        _, net, ports, gate, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
+        basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
+        tracemalloc.start()
+        try:
+            err = cross_validate(net, basis, f, ports=ports, pts_per_cycle=ppc,
+                                 mod_periods=periods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err <= gate
+        (res,) = results
+        maps = res.maps
+        assert maps.nodes == ("p2",) and res._samples is None
+        nu, r = maps.x.shape[1:]
+        assert maps.x.nbytes + maps.y.nbytes == (8 * nu + 16) * r  # one node's
+        assert peak <= 3 * (8 * nu + 16) * r  # every node's would be 3 of them
 
 
 class TestWaveformDump:
