@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import read_text
+
 TWO_PI = 2.0 * math.pi
 
 # c_m / c0 = COUPLING_GEOMETRY * k^2 / (1 - k^2), standard thin-film
@@ -290,25 +292,24 @@ def read_admittance_csv(path) -> list[tuple[float, complex]]:
     """
     rows: list[tuple[float, complex]] = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    for lineno, raw in enumerate(read_text(path, ParseError).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            if not rows and not header_seen:
+                header_seen = True
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                if not rows and not header_seen:
-                    header_seen = True
-                    continue
-                raise ParseError(f"line {lineno}: non-numeric field in {line!r}")
-            if len(vals) == 2:
-                rows.append((vals[0], complex(vals[1], 0.0)))
-            elif len(vals) == 3:
-                rows.append((vals[0], complex(vals[1], vals[2])))
-            else:
-                raise ParseError(f"line {lineno}: expected 2 or 3 columns, got {len(vals)}")
+            raise ParseError(f"line {lineno}: non-numeric field in {line!r}")
+        if len(vals) == 2:
+            rows.append((vals[0], complex(vals[1], 0.0)))
+        elif len(vals) == 3:
+            rows.append((vals[0], complex(vals[1], vals[2])))
+        else:
+            raise ParseError(f"line {lineno}: expected 2 or 3 columns, got {len(vals)}")
     if not rows:
         raise ParseError("no data rows found")
     return rows

@@ -33,7 +33,7 @@ from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .fileio import atomic_open, atomic_write_text, fingerprint
 from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid,
-                  check_grid, sparams, sweep_chunk)
+                  Stamped, check_grid, sparams)
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import NetlistError, build_circulator, build_one_port, write_netlist
 from .transient import (Diverged, IllConditionedBasis, RunTooLarge, StepTooLarge,
@@ -141,19 +141,20 @@ def _sliced_sweep(net, basis: HarmonicBasis, freqs: np.ndarray):
     stimulus checks first, then the error of the first failing slice.  The
     workers are gone, and the temp files closed, when this returns or raises."""
     check_grid(basis, freqs)
-    chunk = sweep_chunk(net, basis)
+    stamped = Stamped(net)  # the workers inherit it
+    chunk = stamped.chunk(basis)
     chunks = -(-freqs.size // chunk)
     count = max(1, min(len(fork.cpus()), freqs.size // MIN_SLICE_POINTS, chunks))
     cuts = [min(chunk * (k * chunks // count), freqs.size) for k in range(count + 1)]
     parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    shape = (freqs.size, basis.size, len(net.ports), len(net.ports))
+    shape = (freqs.size, basis.size, len(stamped.ports), len(stamped.ports))
     data = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts]
 
         def solve(k: int) -> np.ndarray:
             """Slice k into its rows of ``data`` and ``files[k]``; its z0."""
-            grid = sparams(net, basis, freqs[parts[k]], out=data[parts[k]])
+            grid = sparams(stamped, basis, freqs[parts[k]], out=data[parts[k]])
             write_harmonics_rows(files[k], grid)
             files[k].flush()
             return grid.z0

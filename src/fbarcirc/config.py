@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bvd import ResonatorSpecs, bvd_from_specs
+from .fileio import read_text
 from .metrics import Direction
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence, Topology,
                       build_one_port, build_toy_wye, scale_frequency)
@@ -297,8 +298,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path, ConfigError))
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -19,7 +19,10 @@ def atomic_open(path):
     through it a block at a time, so their memory is one block, not the file.
     The file takes the mode a plain ``open`` gives (0o666 less the umask)."""
     tmp = os.path.join(os.path.dirname(str(path)) or ".", f".tmp_{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 64 random bits: no clash
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 64 random bits: no clash
+    except OSError as exc:  # say which file could not be written, not the temp name
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -34,6 +37,16 @@ def atomic_write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 through :func:`atomic_open`."""
     with atomic_open(path) as fh:
         fh.write(text.encode("utf-8"))
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``; a file that does not decode raises ``error``
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def fingerprint(text: str) -> str:

@@ -31,19 +31,17 @@ raises NumericallySingular when it fails the same check.  :func:`assemble`
 and :func:`solve` expose one point's dense matrix and solution for timing
 probes.
 
-The modulation depth enters the stamps only through the m blocks.  The
-tuner therefore stamps its design once (:func:`_stamp`), and each
-evaluation rewrites the branch elastances (:func:`_couple`) and runs
-:func:`_sweep`, the part of :func:`sparams` after the stamp: the stimulus
-checks, the chunked solve with its residual check and dense fallback, and
-the wave normalisation.
+A :class:`Stamped` netlist holds those blocks, and :func:`sparams` solves
+a netlist or a Stamped one, so a caller stamps once however often it
+solves.  The modulation enters the stamps only through the m blocks:
+:meth:`Stamped.modulate` rewrites them, so the tuner stamps its design once
+and solves every evaluation's modulation on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +96,7 @@ class HarmonicBasis:
 @dataclass
 class HarmonicSystem:
     """Assembled linear system A x = b.  Unknown ``h * nu + i`` is unknown i of
-    harmonic h - n_harm; :func:`_stamp` gives nu and each port's row i."""
+    harmonic h - n_harm; :class:`Stamped` gives nu and each port's row i."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -148,90 +146,108 @@ def _check_stimulus(f: float, f_mod: float, n_harm: int) -> None:
             f"stimulus {f} Hz is within 1e-6 of {k} x f_mod; mixing frequency would vanish")
 
 
-class _Stamps(NamedTuple):
-    """Frequency-independent per-harmonic blocks of one netlist."""
+class Stamped:
+    """One netlist walked once and stamped into the frequency-independent
+    per-harmonic blocks that every solve of it reads; a :class:`Netlist` is
+    structurally valid by construction, so only a portless one is refused.
 
-    # Unknowns per harmonic: node voltages, then the current of each
-    # modulated branch, then its charge.  The elastance terms, the only ones
-    # coupling harmonics, then fill one contiguous block: the current rows
-    # by the charge columns (see _coupling).
-    nu: int  # unknowns per harmonic
-    nb: int  # modulated branches: currents at nu-2*nb .. nu-nb-1, charges at nu-nb .. nu-1
-    g: np.ndarray  # constant: resistors, ports, branch incidence, -r_m, charge row
-    c: np.ndarray  # coefficient of j*omega: capacitors, -l_m, charge
-    k: np.ndarray  # coefficient of 1/(j*omega): inductors
-    m: np.ndarray  # (3, nu, nu): -G_-1, -G_0, -G_+1; m[d + 1] couples block h to h - d;
-    #                zero outside the (currents x charges) block
-    ports: tuple[Port, ...]
-    port_rows: list[int]  # block row of each port's node
-    z0: np.ndarray  # reference impedance of each port
+    Unknowns per harmonic: node voltages, then the current of each modulated
+    branch, then its charge.  The elastance terms, the only ones coupling
+    harmonics, then fill one contiguous block: the current rows by the charge
+    columns (see _coupling).  ``modulations`` holds each modulated branch's
+    ModulationSpec (or None) in element order, and ``f_mod`` their common
+    frequency (None when static); :meth:`modulate` rewrites both.
+    """
+
+    def __init__(self, net: Netlist):
+        if not net.ports:
+            raise ValueError("netlist has no ports")
+        row: dict[str, int] = {}
+        for el in net.elements:
+            for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
+                if n != net.ground:
+                    row.setdefault(n, len(row))
+        nb = len(net.modulated)
+        nu = len(row) + 2 * nb
+        g, c, k = np.zeros((3, nu, nu))
+
+        def incidence(node_a: str, node_b: str) -> list[tuple[int, float]]:
+            """Rows of the non-ground ends, signed +1 at node_a and -1 at node_b."""
+            return [(row[n], s) for n, s in ((node_a, 1.0), (node_b, -1.0)) if n != net.ground]
+
+        def stamp_admittance(block: np.ndarray, node_a: str, node_b: str, y: float) -> None:
+            ends = incidence(node_a, node_b)
+            for r, sr in ends:
+                for col, sc in ends:
+                    block[r, col] += sr * sc * y
+
+        ci = len(row)
+        for el in net.elements:
+            if isinstance(el, Resistor):
+                stamp_admittance(g, el.node_a, el.node_b, 1.0 / el.ohms)
+            elif isinstance(el, Capacitor):
+                stamp_admittance(c, el.node_a, el.node_b, el.farads)
+            elif isinstance(el, Inductor):
+                stamp_admittance(k, el.node_a, el.node_b, 1.0 / el.henries)
+            elif isinstance(el, Port):
+                stamp_admittance(g, el.node, net.ground, 1.0 / el.z0)
+            elif isinstance(el, ModulatedSeriesRlc):
+                cq = ci + nb
+                # KCL: branch current leaves node_a, enters node_b.
+                # KVL: V_a - V_b - (r + j*w*l)*I - sum_n G_{m-n}*Q_n = 0.
+                for r, sign in incidence(el.node_a, el.node_b):
+                    g[r, ci] += sign
+                    g[ci, r] += sign
+                g[ci, ci] -= el.branch.r_m
+                c[ci, ci] -= el.branch.l_m
+                # Charge: j*w*Q - I = 0.
+                c[cq, cq] += 1.0
+                g[cq, ci] -= 1.0
+                ci += 1
+        self.nu = nu  # unknowns per harmonic
+        self.nb = nb  # modulated branches: currents at nu-2*nb .. nu-nb-1, charges at nu-nb .. nu-1
+        self.g = g  # constant: resistors, ports, branch incidence, -r_m, charge row
+        self.c = c  # coefficient of j*omega: capacitors, -l_m, charge
+        self.k = k  # coefficient of 1/(j*omega): inductors
+        # (3, nu, nu): -G_-1, -G_0, -G_+1; m[d + 1] couples block h to h - d;
+        # zero outside the (currents x charges) block
+        self.m = np.zeros((3, nu, nu), dtype=complex)
+        self.ports = net.ports
+        self.port_rows = [row[p.node] for p in self.ports]  # block row of each port's node
+        self.z0 = np.array([p.z0 for p in self.ports])  # reference impedance of each port
+        self._branches = [el.branch for el in net.modulated]
+        self._excitations: dict[int, np.ndarray] = {}  # by n_harm
+        self.modulate([el.modulation for el in net.modulated])
+
+    def modulate(self, modulations) -> None:
+        """Write the elastance terms -G_-1, -G_0, -G_+1 of each modulated
+        branch into m; ``modulations`` gives each one, in element order, its
+        ModulationSpec (or None).  Rewriting them is all it takes to move the
+        stamped netlist to a new modulation."""
+        modulations = tuple(modulations)
+        cur, chg = _coupling(self)
+        for i, (branch, mod) in enumerate(zip(self._branches, modulations, strict=True)):
+            # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
+            self.m[:, cur.start + i, chg.start + i] = 0.0 - elastance_fourier(branch, mod, 1)
+        self.modulations = modulations
+        self.f_mod = next((m.f_mod for m in self.modulations if m is not None), None)
+
+    def chunk(self, basis: HarmonicBasis) -> int:
+        """Stimulus points that :func:`sparams` solves together.  Pieces of a
+        grid cut only at multiples of it are solved in the chunks of the whole
+        grid, so every point keeps its bits, even in a chunk that meets a
+        singular block and falls back to the dense solve."""
+        return max(1, CHUNK_VALUES // (basis.size * self.nu * (self.nu + self.nb + len(self.ports))))
+
+    def excitation(self, basis: HarmonicBasis) -> np.ndarray:
+        """:func:`_excitation` at ``basis``, built once per harmonic order."""
+        b = self._excitations.get(basis.n_harm)
+        if b is None:
+            b = self._excitations[basis.n_harm] = _excitation(self, basis)
+        return b
 
 
-def _stamp(net: Netlist) -> _Stamps:
-    """Walk the elements once and stamp them into the per-harmonic blocks; a
-    :class:`Netlist` is structurally valid by construction."""
-    row: dict[str, int] = {}
-    for el in net.elements:
-        for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
-            if n != net.ground:
-                row.setdefault(n, len(row))
-    nb = len(net.modulated)
-    nu = len(row) + 2 * nb
-    g, c, k = np.zeros((3, nu, nu))
-    m = np.zeros((3, nu, nu), dtype=complex)
-
-    def incidence(node_a: str, node_b: str) -> list[tuple[int, float]]:
-        """Rows of the non-ground ends, signed +1 at node_a and -1 at node_b."""
-        return [(row[n], s) for n, s in ((node_a, 1.0), (node_b, -1.0)) if n != net.ground]
-
-    def stamp_admittance(block: np.ndarray, node_a: str, node_b: str, y: float) -> None:
-        ends = incidence(node_a, node_b)
-        for r, sr in ends:
-            for col, sc in ends:
-                block[r, col] += sr * sc * y
-
-    ci = len(row)
-    for el in net.elements:
-        if isinstance(el, Resistor):
-            stamp_admittance(g, el.node_a, el.node_b, 1.0 / el.ohms)
-        elif isinstance(el, Capacitor):
-            stamp_admittance(c, el.node_a, el.node_b, el.farads)
-        elif isinstance(el, Inductor):
-            stamp_admittance(k, el.node_a, el.node_b, 1.0 / el.henries)
-        elif isinstance(el, Port):
-            stamp_admittance(g, el.node, net.ground, 1.0 / el.z0)
-        elif isinstance(el, ModulatedSeriesRlc):
-            cq = ci + nb
-            # KCL: branch current leaves node_a, enters node_b.
-            # KVL: V_a - V_b - (r + j*w*l)*I - sum_n G_{m-n}*Q_n = 0.
-            for r, sign in incidence(el.node_a, el.node_b):
-                g[r, ci] += sign
-                g[ci, r] += sign
-            g[ci, ci] -= el.branch.r_m
-            c[ci, ci] -= el.branch.l_m
-            # Charge: j*w*Q - I = 0.
-            c[cq, cq] += 1.0
-            g[cq, ci] -= 1.0
-            ci += 1
-    ports = net.ports
-    st = _Stamps(nu, nb, g, c, k, m, ports, [row[p.node] for p in ports],
-                 np.array([p.z0 for p in ports]))
-    _couple(st, [(el.branch, el.modulation) for el in net.modulated])
-    return st
-
-
-def _couple(st: _Stamps, modulations) -> None:
-    """Write the elastance terms -G_-1, -G_0, -G_+1 of each modulated branch
-    into st.m; ``modulations`` pairs each modulated branch, in element order,
-    with its ModulationSpec (or None).  Rewriting them is all it takes to
-    move a stamped netlist to a new modulation depth."""
-    cur, chg = _coupling(st)
-    for i, (branch, mod) in enumerate(modulations):
-        # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
-        st.m[:, cur.start + i, chg.start + i] = 0.0 - elastance_fourier(branch, mod, 1)
-
-
-def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
+def _lift(st: Stamped, basis: HarmonicBasis, f: float) -> np.ndarray:
     """The harmonic system matrix at stimulus frequency f."""
     _check_stimulus(f, basis.f_mod, basis.n_harm)
     nu, size = st.nu, basis.size
@@ -244,7 +260,7 @@ def _lift(st: _Stamps, basis: HarmonicBasis, f: float) -> np.ndarray:
     return a.reshape(size * nu, size * nu)
 
 
-def _excitation(st: _Stamps, basis: HarmonicBasis) -> np.ndarray:
+def _excitation(st: Stamped, basis: HarmonicBasis) -> np.ndarray:
     """All-ports right-hand side: column p is a unit incident wave at port p + 1,
     harmonic 0 (Thevenin source 2*sqrt(z0): Norton current 2/sqrt(z0))."""
     nu, n_ports = st.nu, len(st.ports)
@@ -261,12 +277,12 @@ def assemble(net: Netlist, basis: HarmonicBasis, f: float,
     is terminated in its reference impedance.  Raises
     :class:`DegenerateStimulus` when f collides with a multiple of f_mod.
     """
-    st = _stamp(net)
+    st = Stamped(net)
     a = _lift(st, basis, f)
     indices = [p.index for p in st.ports]
     if excited_port not in indices:
         raise ValueError(f"no port with index {excited_port}")
-    rhs = _excitation(st, basis)[:, indices.index(excited_port)]
+    rhs = st.excitation(basis)[:, indices.index(excited_port)]
     return HarmonicSystem(matrix=a, rhs=rhs)
 
 
@@ -295,7 +311,7 @@ def solve(sys: HarmonicSystem) -> np.ndarray:
     return _solve(sys.matrix, sys.rhs)
 
 
-def _diagonal(st: _Stamps, w: np.ndarray) -> np.ndarray:
+def _diagonal(st: Stamped, w: np.ndarray) -> np.ndarray:
     """Diagonal blocks D[F, h] = g + j*w*c + k/(j*w) + m_0 at angular frequencies w (F, H)."""
     w = w[:, :, None, None]
     d = np.empty(w.shape[:2] + (st.nu, st.nu), dtype=complex)
@@ -307,13 +323,13 @@ def _diagonal(st: _Stamps, w: np.ndarray) -> np.ndarray:
     return d
 
 
-def _coupling(st: _Stamps) -> tuple[slice, slice]:
+def _coupling(st: Stamped) -> tuple[slice, slice]:
     """Rows (branch currents) and columns (branch charges) of the only block
     where m is nonzero."""
     return slice(st.nu - 2 * st.nb, st.nu - st.nb), slice(st.nu - st.nb, st.nu)
 
 
-def _eliminate(st: _Stamps, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _eliminate(st: Stamped, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block-Thomas solve of the harmonic systems with diagonal blocks d (F, H, nu, nu).
 
     ``b`` (H, nu, P) holds the right-hand sides of every point; returns x
@@ -346,7 +362,7 @@ def _eliminate(st: _Stamps, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _accepted(st: _Stamps, d: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _accepted(st: Stamped, d: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per point: x is finite and max|b - A x| <= RESIDUAL_BOUND of max|b| in
     every column, with A x formed blockwise: the diagonal blocks d, and the
     coupling terms on the (currents, charges) block of the stamps."""
@@ -360,7 +376,7 @@ def _accepted(st: _Stamps, d: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.nd
     return np.all(np.isfinite(x), axis=(1, 2, 3)) & np.all(resid <= bound, axis=1)
 
 
-def _port_waves(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
+def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
     """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies.
 
@@ -383,10 +399,12 @@ def _port_waves(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
     return x[:, :, st.port_rows]
 
 
-def sparams(net: Netlist, basis: HarmonicBasis, freqs, out=None) -> SParamGrid:
+def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SParamGrid:
     """Multi-harmonic S-parameters over a stimulus frequency grid.
 
-    The netlist is stamped once.  Chunks of frequency points are solved
+    ``net`` is a :class:`Netlist`, which is stamped here, or a
+    :class:`Stamped` netlist at its present modulation; either must be static
+    or modulated at basis.f_mod.  Chunks of frequency points are solved
     together by block elimination over the harmonics (:func:`_eliminate`),
     and every point's residual max|b - A x| is checked blockwise against
     RESIDUAL_BOUND.  A point that fails the check or comes out non-finite,
@@ -396,14 +414,23 @@ def sparams(net: Netlist, basis: HarmonicBasis, freqs, out=None) -> SParamGrid:
     each point's result does not depend on the grid around it.  ``out``, a
     complex (points, 2 n_harm + 1, ports, ports) array, receives the data.
     """
-    net_f_mod = net.f_mod
-    if net_f_mod is not None and net_f_mod != basis.f_mod:
+    st = net if isinstance(net, Stamped) else Stamped(net)
+    if st.f_mod is not None and st.f_mod != basis.f_mod:
         raise ValueError(
-            f"netlist modulation {net_f_mod} Hz does not match basis {basis.f_mod} Hz")
-    if not net.ports:
-        raise ValueError("netlist has no ports")
-    st = _stamp(net)
-    return _sweep(st, basis, np.asarray(list(freqs), dtype=float), _excitation(st, basis), out)
+            f"netlist modulation {st.f_mod} Hz does not match basis {basis.f_mod} Hz")
+    freqs = np.asarray(list(freqs), dtype=float)
+    check_grid(basis, freqs)
+    nu, n_ports = st.nu, len(st.ports)
+    b = st.excitation(basis).reshape(basis.size, nu, n_ports)
+    chunk = st.chunk(basis)
+    data = out if out is not None else np.empty(
+        (freqs.size, basis.size, n_ports, n_ports), dtype=complex)
+    for c0 in range(0, freqs.size, chunk):
+        data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)
+    data /= np.sqrt(st.z0)[:, None]                     # (point, harmonic, q, p)
+    diag = np.arange(n_ports)
+    data[:, basis.n_harm, diag, diag] -= 1.0            # remove the incident waves
+    return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=st.z0, data=data)
 
 
 def check_grid(basis: HarmonicBasis, freqs: np.ndarray) -> None:
@@ -419,39 +446,6 @@ def check_grid(basis: HarmonicBasis, freqs: np.ndarray) -> None:
         _check_stimulus(float(f), basis.f_mod, basis.n_harm)
 
 
-def _chunk(st: _Stamps, basis: HarmonicBasis) -> int:
-    """Stimulus points solved together by one :func:`_port_waves`."""
-    return max(1, CHUNK_VALUES // (basis.size * st.nu * (st.nu + st.nb + len(st.ports))))
-
-
-def sweep_chunk(net: Netlist, basis: HarmonicBasis) -> int:
-    """Stimulus points that :func:`sparams` solves together.  Pieces of a grid
-    cut only at multiples of it are solved in the chunks of the whole grid,
-    so every point keeps its bits, even in a chunk that meets a singular
-    block and falls back to the dense solve."""
-    return _chunk(_stamp(net), basis)
-
-
-def _sweep(st: _Stamps, basis: HarmonicBasis, freqs: np.ndarray,
-           excitation: np.ndarray, out: np.ndarray | None = None) -> SParamGrid:
-    """:func:`sparams` of a stamped netlist: the stimulus checks, then the
-    chunk loop over ``freqs`` (a float array), then the sqrt(z0) wave
-    normalisation.  ``st`` must carry the modulation that ``basis`` mixes at,
-    and ``excitation`` is its :func:`_excitation` at ``basis``; ``out`` as there."""
-    check_grid(basis, freqs)
-    nu, n_ports = st.nu, len(st.ports)
-    b = excitation.reshape(basis.size, nu, n_ports)
-    chunk = _chunk(st, basis)
-    data = out if out is not None else np.empty(
-        (freqs.size, basis.size, n_ports, n_ports), dtype=complex)
-    for c0 in range(0, freqs.size, chunk):
-        data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)
-    data /= np.sqrt(st.z0)[:, None]                     # (point, harmonic, q, p)
-    diag = np.arange(n_ports)
-    data[:, basis.n_harm, diag, diag] -= 1.0            # remove the incident waves
-    return SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=st.z0, data=data)
-
-
 def convergence_check(net: Netlist, f: float, n_small: int, n_large: int) -> float:
     """Max |change of S^(0)| between two truncation orders at one frequency.
 
@@ -464,7 +458,7 @@ def convergence_check(net: Netlist, f: float, n_small: int, n_large: int) -> flo
               if el.modulation is not None and el.modulation.depth > 0.0]
     if not active:
         return 0.0
-    f_mod = net.f_mod
-    s_small = sparams(net, HarmonicBasis(f_mod, n_small), [f]).s0[0]
-    s_large = sparams(net, HarmonicBasis(f_mod, n_large), [f]).s0[0]
+    st = Stamped(net)
+    s_small = sparams(st, HarmonicBasis(st.f_mod, n_small), [f]).s0[0]
+    s_large = sparams(st, HarmonicBasis(st.f_mod, n_large), [f]).s0[0]
     return float(np.max(np.abs(s_large - s_small)))

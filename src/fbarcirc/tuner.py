@@ -6,9 +6,9 @@ hard evaluation budget, optionally restarted from a seeded low-discrepancy
 sequence; a restart runs only after a start converges within the budget.
 Every evaluation lands in the trace, so a run is reproducible from
 (problem, seed) alone.  A run builds and stamps its circulator once
-(:class:`StampedDesign`); each evaluation rewrites the elastance coupling
-for its modulation depth and solves one point at its f_mod and f_op, bit
-for bit what a fresh build would give.  The tuner returns only the search
+(:class:`htm.Stamped`); each evaluation remodulates it at its delta and
+f_mod and solves its one f_op through :func:`htm.sparams`, bit for bit what
+a fresh build would give.  The tuner returns only the search
 result; the metrics at the tuned point come from simulating the emitted
 configuration (``fbarcirc tune`` does this, so ``simulate`` of that file
 reproduces them).
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fork, htm
-from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
+from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular
 from .metrics import Direction, metrics_at
 from .netlist import CirculatorDesign, ModulationSpec, build_circulator
 
@@ -118,49 +118,27 @@ class TuneFailed(ArithmeticError):
     """No evaluation of a tune returned a finite objective."""
 
 
-class StampedDesign:
-    """The problem's circulator, built, validated and stamped once.
-
-    Between evaluations only delta, f_mod and f_op change.  delta enters the
-    stamps only through the elastance coupling of the modulated branches,
-    and the two frequencies only through the mixing frequencies, so
-    :meth:`sparams` rewrites that coupling in place and solves.  It keeps
-    every check of building the design at (delta, f_mod) and calling
-    :func:`htm.sparams`, and returns the same bits.
-    """
-
-    def __init__(self, problem: TuneProblem):
-        # Every point of the search box stamps the same structure; the box's
-        # lower corner is a valid modulation whatever the design's own delta.
-        net = build_circulator(replace(problem.design, delta=problem.delta_bounds[0],
-                                       f_mod=problem.f_mod_bounds[0]))
-        self.n_harm = problem.n_harm
-        self._stamps = htm._stamp(net)
-        self._branches = [(el.branch, el.modulation.phase) for el in net.modulated]
-        # the excitation depends on the stamps and n_harm only, not on f_mod
-        self._excitation = htm._excitation(
-            self._stamps, HarmonicBasis(problem.f_mod_bounds[0], problem.n_harm))
-
-    def sparams(self, delta: float, f_mod: float, f_op: float) -> SParamGrid:
-        """One-point S-parameters of the design modulated at (delta, f_mod)."""
-        mods = [(branch, ModulationSpec(delta, f_mod, phase))
-                for branch, phase in self._branches]
-        basis = HarmonicBasis(f_mod, self.n_harm)
-        htm._couple(self._stamps, mods)
-        return htm._sweep(self._stamps, basis, np.array([f_op]), self._excitation)
+def _stamped_box(problem: TuneProblem) -> htm.Stamped:
+    """The problem's circulator, built and stamped once for every evaluation.
+    Every point of the search box stamps the same structure; the box's lower
+    corner is a valid modulation whatever the design's own delta."""
+    return htm.Stamped(build_circulator(replace(problem.design, delta=problem.delta_bounds[0],
+                                                f_mod=problem.f_mod_bounds[0])))
 
 
-def objective(params, problem: TuneProblem, stamped: StampedDesign | None = None) -> float:
+def objective(params, problem: TuneProblem, stamped: htm.Stamped | None = None) -> float:
     """Scalar cost of one (delta, f_mod, f_op) triple; +inf on solver failure.
 
-    ``stamped`` is the problem's :class:`StampedDesign`; :func:`tune` passes
-    one to all its evaluations, and a call without it stamps its own.
+    ``stamped`` is the problem's stamped circulator, which the call
+    remodulates at (delta, f_mod); :func:`tune` passes one to all its
+    evaluations, and a call without it stamps its own.
     """
     delta, f_mod, f_op = (float(v) for v in params)
     if stamped is None:
-        stamped = StampedDesign(problem)
+        stamped = _stamped_box(problem)
+    stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations])
     try:
-        grid = stamped.sparams(delta, f_mod, f_op)
+        grid = htm.sparams(stamped, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         ix, il, _ = metrics_at(grid, f_op, problem.direction)
     except (NumericallySingular, DegenerateStimulus) as exc:
         log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
@@ -251,7 +229,7 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
     lo, hi = problem.bounds
     span = hi - lo
     if objective_fn is None:
-        stamped = StampedDesign(problem)
+        stamped = _stamped_box(problem)
         fn = lambda x: objective(x, problem, stamped)
     else:
         fn = objective_fn

@@ -27,6 +27,23 @@ def assert_no_worker_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_stamps(monkeypatch) -> list:
+    """Record each netlist that ``htm.Stamped`` stamps, in the returned list.
+    The constructor is wrapped: a function in place of the class would break
+    the isinstance dispatch of ``htm.sparams``."""
+    from fbarcirc.htm import Stamped
+
+    stamped = []
+    init = Stamped.__init__
+
+    def counted(self, net):
+        stamped.append(net)
+        init(self, net)
+
+    monkeypatch.setattr(Stamped, "__init__", counted)
+    return stamped
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """``set_cpus(n)``: forked workers see n CPUs; returns the list that gets

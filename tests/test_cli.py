@@ -30,7 +30,7 @@ from fbarcirc.netlist import build_circulator, read_netlist, write_netlist
 from fbarcirc.touchstone import read_s3p, write_harmonics_csv, write_s3p
 from fbarcirc.transient import read_waveforms, time_grid
 
-from conftest import assert_no_worker_left, toy_wye_net
+from conftest import assert_no_worker_left, count_stamps, toy_wye_net
 
 REPO = Path(__file__).resolve().parent.parent
 TUNED_FIXTURE = REPO / "configs" / "differential_tuned.cfg"
@@ -134,6 +134,22 @@ class TestFit:
         code, _, err = run(capsys, "fit", "lorentzian")
         assert code == 2
 
+    def test_non_utf8_csv_exit_2(self, capsys, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"f_hz,re_s\n1e6,\xff\n")
+        code, _, err = run(capsys, "fit", "lorentzian", str(csv))
+        assert code == 2
+        assert err.startswith(f"ParseError: {csv}: not UTF-8 text")
+        assert "Traceback" not in err
+
+    def test_netlist_into_a_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "net.txt"
+        code, _, err = run(capsys, "fit", "specs", "--emit-netlist", str(target))
+        assert code == 2
+        assert err.startswith("FileNotFoundError: ") and str(target) in err
+        assert ".tmp_" not in err and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
 
 SPLITTER_CFG = """design.topology = differential
 design.delta = 0.0
@@ -185,6 +201,15 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "ConfigError" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "tune"])
+    def test_non_utf8_config_exit_2(self, capsys, tmp_path, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith(f"ConfigError: {cfg}: not UTF-8 text")
+        assert "Traceback" not in err
 
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -370,8 +395,7 @@ class TestTune:
         out_dir = tmp_path / "out"
         cpus(1)  # every evaluation in this process, where the counters are
         # an evaluation solves its one f_op on the tune's stamped design
-        points = [counting(monkeypatch, fbarcirc.tuner.StampedDesign, "sparams",
-                           lambda args: np.size(args[3])),
+        points = [counting(monkeypatch, fbarcirc.htm, "sparams", lambda args: np.size(args[2])),
                   counting(monkeypatch, fbarcirc.cli, "sparams", lambda args: len(args[2]))]
         assert run(capsys, "tune", "--config", str(cfg), "--seed", "1", "--out", str(out_dir))[0] == 0
         grid = load_config(out_dir / "tuned_config.cfg").sweep_frequencies()
@@ -441,10 +465,12 @@ class TestSweepWorkers:
         assert load_config(cfg).sweep_frequencies().size == points
         serial_exports(cfg, tmp_path / "serial")
         seen = cpus(n_cpus)
+        stamps = count_stamps(monkeypatch)
         out_dir = tmp_path / "out"
         with time_cap(60):
             assert run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))[0] == 0
         assert len(seen) == forks
+        assert len(stamps) == 1  # the workers inherit the parent's
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "harmonics.csv", "metrics.json", "run.log", "sim.s3p"]
         for name in ("sim.s3p", "harmonics.csv", "metrics.json"):

@@ -12,14 +12,14 @@ from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
 from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist, NetlistError,
                               PhaseSequence, Port, Resistor, Topology, build_circulator)
 
-from conftest import DESK_SPECS, GHZ_SPECS, one_port_net, toy_wye_net
+from conftest import DESK_SPECS, GHZ_SPECS, count_stamps, one_port_net, toy_wye_net
 
 F_MOD = 23.2e6
 
 
 def _port_voltages(net, basis, f, port=1):
     """Port node voltages via the public assemble/solve, shape (harmonic, port)."""
-    st = htm._stamp(net)
+    st = htm.Stamped(net)
     x = solve(assemble(net, basis, f, excited_port=port))
     return x.reshape(basis.size, st.nu)[:, st.port_rows]
 
@@ -289,6 +289,11 @@ class TestSparams:
         net = build_circulator(differential_design)
         with pytest.raises(ValueError):
             sparams(net, HarmonicBasis(2.0 * F_MOD, 3), [2.68e9])
+        st = htm.Stamped(net)  # remodulated at 2 f_mod, solved at f_mod
+        st.modulate([replace(m, f_mod=2.0 * F_MOD) for m in st.modulations])
+        assert st.f_mod == 2.0 * F_MOD
+        with pytest.raises(ValueError, match="does not match"):
+            sparams(st, HarmonicBasis(F_MOD, 3), [2.68e9])
 
     def test_bad_frequencies_rejected(self, differential_design):
         net = build_circulator(differential_design)
@@ -330,7 +335,7 @@ class TestBlockEngine:
     @staticmethod
     def _dense(net, basis, f):
         """S^(n) of one point from the dense harmonic matrix, shape (harmonic, q, p)."""
-        st = htm._stamp(net)
+        st = htm.Stamped(net)
         x = htm._solve(htm._lift(st, basis, f), htm._excitation(st, basis))
         s = x.reshape(basis.size, st.nu, -1)[:, st.port_rows] / np.sqrt(
             [p.z0 for p in st.ports])[:, None]
@@ -340,7 +345,7 @@ class TestBlockEngine:
     def test_points_independent_of_grid(self, differential_design):
         net = build_circulator(replace(differential_design, delta=0.03))
         basis = HarmonicBasis(F_MOD, 5)
-        nu = htm._stamp(net).nu
+        nu = htm.Stamped(net).nu
         freqs = np.linspace(2.65e9, 2.70e9, 3 * htm.CHUNK_VALUES // (basis.size * nu * nu) + 5)
         grid = sparams(net, basis, freqs).data
         shifted = sparams(net, basis, freqs[3:]).data
@@ -402,7 +407,7 @@ class TestBlockEngine:
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_coupling_confined_to_currents_by_charges(self, case):
         net = ENGINE_CASES[case]()[0]
-        st = htm._stamp(net)
+        st = htm.Stamped(net)
         assert st.nb == len(net.modulated)
         assert st.nu - 2 * st.nb == len(net.nodes) - 1
         cur, chg = htm._coupling(st)
@@ -425,10 +430,12 @@ class TestConvergence:
         net = build_circulator(design)
         assert convergence_check(net, 2.68e9, 3, 5) == 0.0
 
-    def test_small_depth_converged(self, ghz_specs):
+    def test_small_depth_converged(self, ghz_specs, monkeypatch):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.01, f_mod=F_MOD)
         net = build_circulator(design)
+        stamps = count_stamps(monkeypatch)
         assert convergence_check(net, 2.68e9, 3, 5) <= 1e-4
+        assert stamps == [net]  # both orders solve one stamp
 
     def test_extreme_depth_reported(self, ghz_specs):
         design = CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.5, f_mod=F_MOD)

@@ -9,11 +9,11 @@ import pytest
 from fbarcirc import fork, htm, tuner
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import Direction, metrics_at
-from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator, elastance_fourier
-from fbarcirc.tuner import (StampedDesign, TuneProblem, objective, penalized_objective,
-                            tune, write_trace_csv)
+from fbarcirc.netlist import (CirculatorDesign, ModulationSpec, Topology, build_circulator,
+                              elastance_fourier)
+from fbarcirc.tuner import TuneProblem, objective, penalized_objective, tune, write_trace_csv
 
-from conftest import GHZ_SPECS, assert_no_worker_left
+from conftest import GHZ_SPECS, assert_no_worker_left, count_stamps
 
 
 def small_problem(**overrides):
@@ -96,7 +96,15 @@ def reference_objective(params, problem):
     return penalized_objective(ix, il, problem.il_cap_db)
 
 
+def remodulated(stamped, problem, delta, f_mod, f_op):
+    """One evaluation's solve: the tune's stamped design at (delta, f_mod), at f_op."""
+    stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations])
+    return sparams(stamped, HarmonicBasis(f_mod, problem.n_harm), [f_op])
+
+
 class TestStampedDesign:
+    """The tune's circulator, stamped once and remodulated at every evaluation."""
+
     def test_trace_bitwise_equal_to_fresh_builds(self):
         problem = small_problem()
         stamped = tune(problem, seed=0)
@@ -110,18 +118,18 @@ class TestStampedDesign:
                                         (0.1, 30e6, 2.63e9)])
     def test_rewritten_stamps_match_a_fresh_stamp(self, params):
         problem = small_problem()
-        stamped = StampedDesign(problem)
-        stamped.sparams(0.07, 25e6, 2.67e9)   # a previous evaluation's coupling
+        stamped = tuner._stamped_box(problem)
+        remodulated(stamped, problem, 0.07, 25e6, 2.67e9)   # a previous evaluation's coupling
         delta, f_mod, f_op = params
-        grid = stamped.sparams(delta, f_mod, f_op)
+        grid = remodulated(stamped, problem, delta, f_mod, f_op)
         net = build_circulator(replace(problem.design, delta=delta, f_mod=f_mod))
         # the coupling as a fresh stamp subtracts it from zeros; tobytes
         # tells -0.0 from +0.0, which array_equal does not
-        m = np.zeros_like(stamped._stamps.m)
-        cur, chg = htm._coupling(stamped._stamps)
+        m = np.zeros_like(stamped.m)
+        cur, chg = htm._coupling(stamped)
         for i, el in enumerate(net.modulated):
             m[:, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation, 1)
-        assert stamped._stamps.m.tobytes() == m.tobytes()
+        assert stamped.m.tobytes() == m.tobytes()
         ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         assert grid.data.tobytes() == ref.data.tobytes()
 
@@ -140,13 +148,14 @@ class TestStampedDesign:
         assert calls == [problem.n_harm]
 
     def test_keeps_the_modulation_checks(self):
-        stamped = StampedDesign(small_problem())
+        problem = small_problem()
+        stamped = tuner._stamped_box(problem)
         with pytest.raises(ValueError, match="depth"):
-            stamped.sparams(1.0, 23.2e6, 2.68e9)
+            remodulated(stamped, problem, 1.0, 23.2e6, 2.68e9)
         with pytest.raises(ValueError, match="modulation frequency"):
-            stamped.sparams(0.01, math.inf, 2.68e9)
+            remodulated(stamped, problem, 0.01, math.inf, 2.68e9)
         with pytest.raises(htm.DegenerateStimulus):
-            stamped.sparams(0.01, 23.2e6, 3 * 23.2e6)
+            remodulated(stamped, problem, 0.01, 23.2e6, 3 * 23.2e6)
 
     def test_design_delta_outside_search_box_still_tunes(self):
         # only the search box's delta is ever evaluated
@@ -157,22 +166,28 @@ class TestStampedDesign:
     @pytest.mark.parametrize("budget", [10, 30])
     def test_one_build_and_one_stamp_per_tune(self, monkeypatch, cpus, budget):
         cpus(1)
-        calls = {"build": 0, "stamp": 0}
-        build, stamp = tuner.build_circulator, htm._stamp
+        calls = {"build": 0}
+        build = tuner.build_circulator
 
         def counted_build(design):
             calls["build"] += 1
             return build(design)
 
-        def counted_stamp(net):
-            calls["stamp"] += 1
-            return stamp(net)
-
         monkeypatch.setattr(tuner, "build_circulator", counted_build)
-        monkeypatch.setattr(htm, "_stamp", counted_stamp)
+        stamps = count_stamps(monkeypatch)
+        solves = []
+        solve = htm.sparams
+
+        def counted_solve(net, basis, freqs, out=None):
+            solves.append(len(freqs))
+            return solve(net, basis, freqs, out)
+
+        monkeypatch.setattr(htm, "sparams", counted_solve)
         result = tune(small_problem(budget=budget, n_harm=1), seed=0)
         assert result.evaluations == budget
-        assert calls == {"build": 1, "stamp": 1}
+        assert calls == {"build": 1}
+        assert len(stamps) == 1
+        assert solves == [1] * budget  # every evaluation solves through sparams
 
 
 class TestTuneOnSphere:
