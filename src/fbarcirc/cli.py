@@ -129,61 +129,51 @@ def _load(args) -> RunConfig:
     return RunConfig(values={**cfg.values, "basis.n_harm": args.n_harm})
 
 
-@contextlib.contextmanager
-def _sliced_sweep(net, basis: HarmonicBasis, freqs: np.ndarray):
-    """Yield ``sparams(net, basis, freqs)`` and the harmonics.csv data lines
-    of its contiguous slices, one unlinked temp file each, in grid order.
-
-    Slice 0 is solved here and each further slice by a forked worker, into
-    one S block that all the processes share.  Slices are cut at multiples of
-    the engine's chunk, so the grid and its lines carry the bits of one call
-    over the whole grid.  A failure raises what that call raises: the
-    stimulus checks first, then the error of the first failing slice.  The
-    workers are gone, and the temp files closed, when this returns or raises."""
-    check_grid(basis, freqs)
-    stamped = Stamped(net)  # the workers inherit it
-    chunk = stamped.chunk(basis)
-    chunks = -(-freqs.size // chunk)
-    count = max(1, min(len(fork.cpus()), freqs.size // MIN_SLICE_POINTS, chunks))
-    cuts = [min(chunk * (k * chunks // count), freqs.size) for k in range(count + 1)]
-    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    shape = (freqs.size, basis.size, len(stamped.ports), len(stamped.ports))
-    data = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts]
-
-        def solve(k: int) -> np.ndarray:
-            """Slice k into its rows of ``data`` and ``files[k]``; its z0."""
-            grid = sparams(stamped, basis, freqs[parts[k]], out=data[parts[k]])
-            write_harmonics_rows(files[k], grid)
-            files[k].flush()
-            return grid.z0
-
-        with fork.workers(solve, count - 1) as pool:
-            for k, worker in enumerate(pool, 1):
-                worker.submit(k, f"stimulus points {parts[k].start}..{parts[k].stop - 1}")
-            z0 = solve(0)
-            for worker in pool:
-                worker.reply()
-        yield SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=z0, data=data), files
-
-
 def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
+    """Sweep ``cfg``'s design and write simulate's three exports to ``out_dir``.
+
+    The grid is cut into balanced contiguous slices, at most one per CPU and
+    none under MIN_SLICE_POINTS, solved into one S block that all processes
+    share, with their harmonics.csv lines in unlinked temp files.  A forked
+    worker solves each slice after the first, and this process every slice
+    without a worker.  The files are those of one sparams call over the grid,
+    and a failure raises what it raises: the stimulus checks first, then the
+    first failing slice's error.  No worker or temp file outlives this."""
     design = cfg.design()
     net = build_circulator(design)
     basis = HarmonicBasis(design.f_mod, cfg.get_int("basis.n_harm"))
     freqs = cfg.sweep_frequencies()
     direction = cfg.direction()
-    with _sliced_sweep(net, basis, freqs) as (grid, slice_rows):
+    check_grid(basis, freqs)
+    stamped = Stamped(net)  # the workers inherit it
+    n = freqs.size
+    count = max(1, min(len(fork.cpus()), n // MIN_SLICE_POINTS))
+    parts = [slice(k * n // count, (k + 1) * n // count) for k in range(count)]
+    shape = (n, basis.size, len(stamped.ports), len(stamped.ports))
+    data = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+    grid = SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=stamped.z0, data=data)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts]
+
+        def solve(k: int) -> None:
+            """Slice k into its rows of ``data`` and ``files[k]``."""
+            write_harmonics_rows(files[k], sparams(stamped, basis, freqs[parts[k]],
+                                                   out=data[parts[k]]))
+            files[k].flush()
+
+        with fork.workers(solve, count - 1) as pool:
+            for k, worker in enumerate(pool, 1):
+                worker.submit(k, f"stimulus points {parts[k].start}..{parts[k].stop - 1}")
+            for k in range(count):  # in grid order, so the first failing slice raises
+                pool[k - 1].reply() if 0 < k <= len(pool) else solve(k)
         m = summarize(grid, direction, cfg.get_float("metrics.bw_threshold_db"))
         os.makedirs(out_dir, exist_ok=True)
         tag = f"config_fingerprint = {fingerprint(serialize_config(cfg))}"
-        if grid.ports == 3:
-            write_s3p(os.path.join(out_dir, cfg.get_str("outputs.s3p")),
-                      grid.frequencies, grid.s0, float(grid.z0[0]), comments=(tag,))
+        write_s3p(os.path.join(out_dir, cfg.get_str("outputs.s3p")),
+                  grid.frequencies, grid.s0, float(grid.z0[0]), comments=(tag,))
         with atomic_open(os.path.join(out_dir, cfg.get_str("outputs.harmonics"))) as fh:
             fh.write(harmonics_header(grid.z0, comments=(tag,)))
-            for rows in slice_rows:
+            for rows in files:
                 rows.seek(0)
                 shutil.copyfileobj(rows, fh)  # in 64 KiB blocks
     atomic_write_text(os.path.join(out_dir, cfg.get_str("outputs.metrics")),
@@ -308,11 +298,14 @@ def cmd_report(args) -> int:
 
 # --- entry ------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_from(lo: int):
+    """argparse type: an integer no less than lo."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+    return integer
 
 
 def _open_interval(lo: float, hi: float):
@@ -344,20 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sweep S-parameters and export files")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default="out")
-    p_sim.add_argument("--n-harm", type=_positive_int, default=None, dest="n_harm")
+    p_sim.add_argument("--n-harm", type=_int_from(1), default=None, dest="n_harm")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="cross-check the harmonic engine against the transient oracle")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default="out")
-    p_ver.add_argument("--n-harm", type=_positive_int, default=None, dest="n_harm")
+    p_ver.add_argument("--n-harm", type=_int_from(1), default=None, dest="n_harm")
     p_ver.add_argument("--dump-waveforms", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
     p_tune = sub.add_parser("tune", help="optimize modulation depth/frequency and operating point")
     p_tune.add_argument("--config", required=True)
     p_tune.add_argument("--out", default="out")
-    p_tune.add_argument("--seed", type=int, default=0)
+    p_tune.add_argument("--seed", type=_int_from(0), default=0)
     p_tune.set_defaults(func=cmd_tune)
 
     p_rep = sub.add_parser("report", help="comparison table of metrics records")

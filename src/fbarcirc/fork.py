@@ -106,7 +106,8 @@ class Worker:
 def workers(serve, count: int):
     """Yield up to ``count`` :class:`Worker` serving requests with ``serve``,
     one per CPU of the mask after the first, which this process keeps to;
-    they are killed and reaped, and the mask restored, however it ends."""
+    they are killed and reaped, and the mask restored, however it ends.  A
+    failed fork ends the forking, and the workers made before it are yielded."""
     mask = cpus()
     count = min(count, len(mask) - 1)
     pool: list[Worker] = []
@@ -116,7 +117,12 @@ def workers(serve, count: int):
         for cpu in mask[1:count + 1]:
             inbox, requests = os.pipe()
             replies, outbox = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: serve with the workers made
+                for end in (inbox, requests, replies, outbox):
+                    os.close(end)
+                break
             if pid == 0:  # the worker keeps no end of its own pipes but these
                 os.close(requests)
                 os.close(replies)

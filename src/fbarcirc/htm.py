@@ -26,8 +26,10 @@ back-substitution.  The elimination does not pivot across blocks, so every
 solve is checked: the residual max|b - A x| is formed blockwise from the
 diagonal blocks and the coupling stamps, and a point above 1e-6 of
 max|b|, or with a non-finite value, is solved again on its dense harmonic
-matrix with LAPACK's pivoted LU (``numpy.linalg.solve``).  The dense solve
-raises NumericallySingular when it fails the same check.  :func:`assemble`
+matrix with LAPACK's pivoted LU (``numpy.linalg.solve``); a chunk where
+LAPACK meets an exactly singular block is solved a point at a time, so a
+point's bits never depend on its chunk.  The dense solve raises
+NumericallySingular when it fails the same check.  :func:`assemble`
 and :func:`solve` expose one point's dense matrix and solution for timing
 probes.
 
@@ -232,13 +234,6 @@ class Stamped:
         self.modulations = modulations
         self.f_mod = next((m.f_mod for m in self.modulations if m is not None), None)
 
-    def chunk(self, basis: HarmonicBasis) -> int:
-        """Stimulus points that :func:`sparams` solves together.  Pieces of a
-        grid cut only at multiples of it are solved in the chunks of the whole
-        grid, so every point keeps its bits, even in a chunk that meets a
-        singular block and falls back to the dense solve."""
-        return max(1, CHUNK_VALUES // (basis.size * self.nu * (self.nu + self.nb + len(self.ports))))
-
     def excitation(self, basis: HarmonicBasis) -> np.ndarray:
         """:func:`_excitation` at ``basis``, built once per harmonic order."""
         b = self._excitations.get(basis.n_harm)
@@ -380,17 +375,19 @@ def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
     """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies.
 
-    Block elimination, then the residual check; a failed point, and every
-    point of a chunk where LAPACK meets an exactly singular block, is solved
-    again on its dense harmonic matrix.  The chunk's work arrays die here.
+    Block elimination, then the residual check; a failed point is solved
+    again on its dense harmonic matrix, and a chunk where LAPACK meets an
+    exactly singular block one point at a time.  The work arrays die here.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d = _diagonal(st, TWO_PI * basis.mixing_freqs(freqs[:, None]))
         try:
             x = _eliminate(st, d, b)
         except np.linalg.LinAlgError:  # an exactly singular block
-            x = np.empty((freqs.size,) + b.shape, dtype=complex)
-            ok = np.zeros(freqs.size, dtype=bool)
+            if freqs.size > 1:
+                return np.concatenate([_port_waves(st, basis, f, b) for f in freqs[:, None]])
+            x = np.empty((1,) + b.shape, dtype=complex)
+            ok = np.zeros(1, dtype=bool)
         else:
             ok = _accepted(st, d, b, x)
     for i in np.flatnonzero(~ok):
@@ -407,11 +404,11 @@ def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SP
     or modulated at basis.f_mod.  Chunks of frequency points are solved
     together by block elimination over the harmonics (:func:`_eliminate`),
     and every point's residual max|b - A x| is checked blockwise against
-    RESIDUAL_BOUND.  A point that fails the check or comes out non-finite,
-    and every point of a chunk in which LAPACK finds a singular block, is
-    solved again on its dense harmonic matrix, which raises
-    :class:`NumericallySingular` if it fails too.  Points are independent:
-    each point's result does not depend on the grid around it.  ``out``, a
+    RESIDUAL_BOUND.  A point that fails the check, comes out non-finite, or
+    meets a singular block when solved alone is solved again on its dense
+    harmonic matrix, which raises :class:`NumericallySingular` if it fails
+    too.  Points are independent: each point's result does not depend on the
+    grid around it, bit for bit, wherever the grid is cut.  ``out``, a
     complex (points, 2 n_harm + 1, ports, ports) array, receives the data.
     """
     st = net if isinstance(net, Stamped) else Stamped(net)
@@ -422,7 +419,7 @@ def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SP
     check_grid(basis, freqs)
     nu, n_ports = st.nu, len(st.ports)
     b = st.excitation(basis).reshape(basis.size, nu, n_ports)
-    chunk = st.chunk(basis)
+    chunk = max(1, CHUNK_VALUES // (basis.size * nu * (nu + st.nb + n_ports)))
     data = out if out is not None else np.empty(
         (freqs.size, basis.size, n_ports, n_ports), dtype=complex)
     for c0 in range(0, freqs.size, chunk):

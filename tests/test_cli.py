@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import json
 import math
@@ -381,6 +382,16 @@ class TestTune:
         assert (out_dir / "tuned_config.cfg").exists()
         assert (out_dir / "metrics.json").exists()
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG)
+        code, _, err = run(capsys, "tune", "--config", str(cfg), "--seed", "-1",
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "--seed: must be an integer >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_repeat_byte_identical_trace(self, capsys, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(TUNE_CFG)
@@ -448,14 +459,14 @@ def serial_exports(cfg_path: Path, out_dir: Path) -> None:
 
 
 class TestSweepWorkers:
-    """simulate splits its grid over forked workers in contiguous slices cut
-    at the engine's chunk (13 points here), and writes the bytes, raises the
-    errors and leaves the files of one unsplit call."""
+    """simulate splits its grid over forked workers in balanced contiguous
+    slices, cut anywhere (the engine's chunks are 13 points here), and writes
+    the bytes, raises the errors and leaves the files of one unsplit call."""
 
     @pytest.mark.parametrize("n_cpus, points, min_slice, forks", [
         (1, 53, None, 0), (2, 53, None, 1), (3, 53, None, 2),
-        (2, 39, None, 1),  # slices of 13 and 26 points
-        (3, 27, 1, 2),  # slices of 13, 13 and 1 points
+        (2, 39, None, 1),  # slices of 19 and 20 points
+        (3, 27, 1, 2),  # slices of 9, 9 and 9 points
     ])
     def test_simulate_outputs_match_one_call(self, capsys, tmp_path, monkeypatch, cpus,
                                              n_cpus, points, min_slice, forks):
@@ -485,7 +496,7 @@ class TestSweepWorkers:
         assert fbarcirc.fork.cpus() == [0]
 
     def test_tune_outputs_do_not_depend_on_the_cpus(self, capsys, tmp_path, monkeypatch, cpus):
-        # the tuned config sweeps 26 points and its f_op: slices of 13, 13 and 1
+        # the tuned config sweeps 26 points and its f_op: slices of 9, 9 and 9
         monkeypatch.setattr(fbarcirc.cli, "MIN_SLICE_POINTS", 1)
         cfg = tmp_path / "t.cfg"
         cfg.write_text(TUNE_CFG + "tuner.metrics_points = 26\n")
@@ -503,11 +514,17 @@ class TestSweepWorkers:
             assert_no_worker_left()
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_dense_fallback_of_a_chunk_keeps_its_bits(self, capsys, tmp_path, monkeypatch, cpus):
-        # a singular block in the chunk of point 14 sends all of points 13..25
-        # to the dense solve, whose last bits differ from the block solve's:
-        # slices cut inside that chunk would solve some of them by blocks
-        cfg = sweep_cfg(tmp_path, 39)
+    @pytest.mark.parametrize("n_cpus, points", [
+        (2, 39),  # slices 0..18 and 19..38
+        (3, 53),  # slices 0..16, 17..34 and 35..52
+    ])
+    def test_dense_fallback_of_a_chunk_keeps_its_bits(self, capsys, tmp_path, monkeypatch, cpus,
+                                                      n_cpus, points):
+        # a singular block in the chunk of point 14 (points 13..25 in one
+        # call) sends point 14 alone to the dense solve, whose last bits differ
+        # from the block solve's; the cuts split that chunk, and every point
+        # keeps the bits of one call
+        cfg = sweep_cfg(tmp_path, points)
         bad = load_config(cfg).sweep_frequencies()[14]
         port_waves, eliminate = fbarcirc.htm._port_waves, fbarcirc.htm._eliminate
 
@@ -521,13 +538,73 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(fbarcirc.htm, "_port_waves", one_singular_chunk)
         serial_exports(cfg, tmp_path / "serial")
-        cpus(2)
+        seen = cpus(n_cpus)
         with time_cap(60):
             assert run(capsys, "simulate", "--config", str(cfg),
                        "--out", str(tmp_path / "out"))[0] == 0
+        assert len(seen) == n_cpus - 1
         for name in ("sim.s3p", "harmonics.csv", "metrics.json"):
             assert ((tmp_path / "out" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())
+
+    def test_mask_shrunk_before_the_forks_keeps_the_bytes(self, capsys, tmp_path, monkeypatch,
+                                                          cpus):
+        # the mask holds 3 CPUs when the grid is cut and 2 when the workers
+        # fork: the slice no worker took is solved here
+        cfg = sweep_cfg(tmp_path, 53)
+        serial_exports(cfg, tmp_path / "serial")
+        seen = cpus(2)
+        masks = iter([{0, 1, 2}])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: next(masks, {0, 1}))
+        out_dir = tmp_path / "out"
+        with time_cap(60):
+            assert run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+        assert len(seen) == 1
+        for name in ("sim.s3p", "harmonics.csv", "metrics.json"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first-fork", "second-fork"])
+    def test_failed_fork_leaves_the_work_here(self, capsys, tmp_path, monkeypatch, cpus,
+                                              failing):
+        # at 3 CPUs, simulate of 53 points forks twice, and tune once for its
+        # look-ahead, then twice for its 53-point re-simulation; fork number
+        # ``failing`` of each run raises as a full process table makes it
+        getaffinity = os.sched_getaffinity
+        before = getaffinity(0)
+        sim_cfg, tune_cfg = sweep_cfg(tmp_path, 53), tmp_path / "t.cfg"
+        tune_cfg.write_text(TUNE_CFG + "tuner.metrics_points = 52\n")
+        seen = cpus(1)
+        counted, calls = os.fork, []
+
+        def failing_fork():
+            calls.append(None)
+            if len(calls) == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return counted()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        for argv, names, forks in (
+                (["simulate", "--config", str(sim_cfg)],
+                 ("sim.s3p", "harmonics.csv", "metrics.json"), failing - 1),
+                (["tune", "--config", str(tune_cfg), "--seed", "0"],
+                 ("trace.csv", "tuned_config.cfg", "sim.s3p", "harmonics.csv", "metrics.json"),
+                 3 - failing)):
+            one, three = tmp_path / f"{argv[0]}1", tmp_path / f"{argv[0]}3"
+            cpus(1)
+            assert run(capsys, *argv, "--out", str(one))[0] == 0
+            cpus(3)
+            calls.clear()
+            seen.clear()
+            fds = len(os.listdir("/proc/self/fd"))
+            with time_cap(120):
+                assert run(capsys, *argv, "--out", str(three))[0] == 0
+            assert len(seen) == forks and len(calls) > forks
+            assert len(os.listdir("/proc/self/fd")) == fds
+            assert_no_worker_left()
+            assert getaffinity(0) == (({0, 1, 2} & before) or before)
+            for name in names:
+                assert (three / name).read_bytes() == (one / name).read_bytes()
 
     def _fail(self, capsys, tmp_path, cpus, cfg, n_cpus):
         cpus(n_cpus)
@@ -553,7 +630,7 @@ class TestSweepWorkers:
         assert self._fail(capsys, tmp_path, cpus, cfg, 2) == serial
 
     def test_singular_point_in_a_worker_slice_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
-        # points 20 and up fail, in the second slice (13..38) and the third:
+        # points 20 and up fail, in the second slice (17..34) and the third:
         # the error is the one point 20 raises, as in an unsplit call
         cfg = sweep_cfg(tmp_path, 53)
         bad = load_config(cfg).sweep_frequencies()[20]
@@ -580,7 +657,7 @@ class TestSweepWorkers:
         monkeypatch.setattr(fbarcirc.cli, "sparams", killed)
         code, err = self._fail(capsys, tmp_path, cpus, sweep_cfg(tmp_path, 39), 2)
         assert code == 1
-        assert err == ("WorkerLost: the worker for stimulus points 13..38 was killed by "
+        assert err == ("WorkerLost: the worker for stimulus points 19..38 was killed by "
                        "SIGKILL without a result\n")
 
     def test_interrupt_kills_and_reaps_the_workers(self, capsys, tmp_path, monkeypatch, cpus):

@@ -371,6 +371,37 @@ class TestBlockEngine:
         others = np.arange(len(freqs)) != 4
         assert np.array_equal(grid[others], clean[others])
 
+    def test_singular_block_sends_only_its_point_to_dense(self, differential_design,
+                                                          monkeypatch):
+        # LAPACK meets an exactly singular block in the chunk holding point 17:
+        # that chunk is solved again a point at a time, and only point 17,
+        # singular alone too, goes to the dense solve
+        net = build_circulator(replace(differential_design, delta=0.03))
+        basis = HarmonicBasis(F_MOD, 5)
+        freqs = np.linspace(2.66e9, 2.68e9, 30)
+        clean = sparams(net, basis, freqs).data
+        port_waves, eliminate, solve = htm._port_waves, htm._eliminate, htm._solve
+        dense = []
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular block")
+
+        def one_singular_point(st, basis, chunk, b):
+            monkeypatch.setattr(htm, "_eliminate", singular if freqs[17] in chunk else eliminate)
+            return port_waves(st, basis, chunk, b)
+
+        def counted(a, b):
+            dense.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(htm, "_port_waves", one_singular_point)
+        monkeypatch.setattr(htm, "_solve", counted)
+        grid = sparams(net, basis, freqs).data
+        assert len(dense) == 1
+        assert np.array_equal(grid[17], self._dense(net, basis, freqs[17]))
+        others = np.arange(len(freqs)) != 17
+        assert np.array_equal(grid[others], clean[others])
+
     def test_non_finite_point_falls_back_to_dense(self, differential_design, monkeypatch):
         net = build_circulator(differential_design)
         basis = HarmonicBasis(F_MOD, 3)
