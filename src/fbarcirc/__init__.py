@@ -9,7 +9,7 @@ from .metrics import (CirculatorMetrics, Direction, bandwidth_at, metrics_at,
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence,
                       Topology, build_circulator, elastance_fourier, read_netlist,
                       scale_frequency, write_netlist)
-from .transient import PhasorSet, TransientResult, cross_validate, extract_phasors, simulate
+from .transient import TransientResult, cross_validate, simulate
 from .tuner import TuneProblem, TuneResult, objective, tune
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "sideband_scan", "summarize",
     "CirculatorDesign", "ModulationSpec", "Netlist", "PhaseSequence", "Topology",
     "build_circulator", "elastance_fourier", "read_netlist", "scale_frequency", "write_netlist",
-    "PhasorSet", "TransientResult", "cross_validate", "extract_phasors", "simulate",
+    "TransientResult", "cross_validate", "simulate",
     "TuneProblem", "TuneResult", "objective", "tune",
     "__version__",
 ]

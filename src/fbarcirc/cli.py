@@ -36,8 +36,7 @@ from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular, SParam
                   Stamped, check_grid, sparams)
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import NetlistError, build_circulator, build_one_port, write_netlist
-from .transient import (Diverged, IllConditionedBasis, RunTooLarge, StepTooLarge,
-                        cross_validate)
+from .transient import Diverged, RunTooLarge, StepTooLarge, cross_validate
 from .touchstone import harmonics_header, write_harmonics_rows, write_s3p
 from .tuner import TuneFailed, tune, write_trace_csv
 
@@ -61,7 +60,7 @@ MIN_SLICE_POINTS = 16
 USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge,
                 FileNotFoundError, IsADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
-                    StepTooLarge, IllConditionedBasis, TuneFailed, fork.WorkerLost)
+                    StepTooLarge, TuneFailed, fork.WorkerLost)
 
 
 def _log(out_dir: str, message: str) -> None:

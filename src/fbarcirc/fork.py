@@ -107,7 +107,8 @@ def workers(serve, count: int):
     """Yield up to ``count`` :class:`Worker` serving requests with ``serve``,
     one per CPU of the mask after the first, which this process keeps to;
     they are killed and reaped, and the mask restored, however it ends.  A
-    failed fork ends the forking, and the workers made before it are yielded."""
+    failed pipe or fork ends the forking, and the workers made before it are
+    yielded."""
     mask = cpus()
     count = min(count, len(mask) - 1)
     pool: list[Worker] = []
@@ -115,14 +116,16 @@ def workers(serve, count: int):
         if count:
             _pin(mask[:1])
         for cpu in mask[1:count + 1]:
-            inbox, requests = os.pipe()
-            replies, outbox = os.pipe()
+            ends: list[int] = []
             try:
+                ends += os.pipe()
+                ends += os.pipe()
                 pid = os.fork()
-            except OSError:  # out of processes or memory: serve with the workers made
-                for end in (inbox, requests, replies, outbox):
+            except OSError:  # out of fds, processes or memory: serve with the workers made
+                for end in ends:
                     os.close(end)
                 break
+            inbox, requests, replies, outbox = ends
             if pid == 0:  # the worker keeps no end of its own pipes but these
                 os.close(requests)
                 os.close(replies)

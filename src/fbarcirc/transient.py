@@ -1,10 +1,10 @@
 """Time-domain oracle for modulated netlists.
 
 Fixed-step trapezoidal integration of the same circuits the harmonic engine
-solves, plus least-squares extraction of steady-state mixing-product phasors
-from the waveform tail.  The point of this module is cross-validation: the
-integrator shares no code with the harmonic assembly, so agreement between
-the two is strong evidence against stamp or convention bugs.
+solves, and the mixing-product phasors of its periodic steady state.  The
+point of this module is cross-validation: the integrator shares no code with
+the harmonic assembly, so agreement between the two is strong evidence
+against stamp or convention bugs.
 
 The netlist is stamped once into real matrices, ``C x' + G(t) x = u(t)``:
 the unknowns are the non-ground node voltages, one current per inductor and
@@ -46,14 +46,20 @@ over any range from them, a period at a time, and the samples are filled
 only when they are read.  The divergence guard covers every node, kept or
 not: a running max|X_j| and max|Y_j| per node bound its samples.
 
-The phasor fit (:func:`extract_phasors`) never forms the tones x samples
-basis of the tail, and its Gram matrix is a closed-form sum.  The tail, the
-last quarter of one node's samples, is laid out in rows of about sqrt(n)
-samples, written there from the period maps of a :func:`simulate` result
-or copied from the samples of any other (a waveform read back from a
-file).  Each tone's phase factors into a per-row and a per-column table,
-and the projections and the fitted waveform are GEMMs against those
-tables, in O(n + tones*sqrt(n)) memory.
+One period also holds the steady state, which needs no ring-up and no fit.
+Its boundary state h* repeats up to the drive's phase, h_p = E^p h* with
+E = exp(j w P dt), so (E I - Phi_P) h* = psi_P, and its complex samples are
+z_j = X_j h* + Y_j.  The phasor at f + n*f_mod is the DFT bin
+P_n = sum_j z_j c_j,n = A_n h* + B_n with c_j,n = exp(-j (w dt + 2 pi n/P) j)/P
+over j = 1 ... P, A_n = sum_j X_j c_j,n and B_n = sum_j Y_j c_j,n.  A run
+asked for one node's steady state adds that node's rows into A_n and B_n,
+n = -1, 0, 1, one small GEMM per block while the chain runs, so it needs no
+maps; after the period it solves for h* and checks the residual
+max|(E I - Phi_P) h* - psi_P| against STEADY_RESIDUAL_BOUND times max|psi_P|.
+Phi_P has multipliers of modulus 1 (+1 from floating nodes, -1 from the
+trapezoid's algebraic unknowns) that E meets at half-integer f/f_mod, so the
+residual, not a condition number, is what is checked: the drive does not
+excite those modes.
 
 High-Q circuits at GHz carriers are impractical to integrate directly, so
 the verify workflow builds each check circuit at its own frequency and
@@ -79,6 +85,8 @@ from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
 DIVERGENCE_FACTOR = 1e6
 # max|A_j A_j^-1 - I| accepted for any step matrix's computed inverse
 INVERSE_RESIDUAL_BOUND = 1e-8
+# max|(E I - Phi) h* - psi| / max|psi| accepted for the periodic steady state
+STEADY_RESIDUAL_BOUND = 1e-10
 # values in one block's stack of step matrices (1 MiB): small enough that a
 # block's arrays stay in cache, and a bound on the integrator's working memory
 CHUNK_VALUES = 1 << 17
@@ -90,11 +98,6 @@ SERIES_TERMS = 4
 # run of the differential replica needs 89,655 and 2.85M.
 MAX_PERIOD_STEPS = 1 << 20
 MAX_SAMPLES = 1 << 25
-# largest condition number of the fit's Gram matrix that is solved: above it
-# two tones, folded about half the sample rate, cannot be told apart
-GRAM_CONDITION_BOUND = 1e15
-# 2*pi as the double nearest it plus the remainder
-_TWO_PI_HI, _TWO_PI_LO = 2.0 * math.pi, 2.4492935982947064e-16
 
 
 class StepTooLarge(ValueError):
@@ -108,11 +111,6 @@ class RunTooLarge(ValueError):
 
 class Diverged(ArithmeticError):
     """Waveform magnitude exceeded the divergence guard."""
-
-
-class IllConditionedBasis(ValueError):
-    """Two extraction tones collide within the resolution of the window, or
-    alias onto each other about half the sample rate."""
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,21 @@ class PeriodMaps:
 class TransientResult:
     """Per-node voltage waveforms on a uniform time grid.
 
-    A result of :func:`simulate` holds its run's :class:`PeriodMaps` and fills
-    ``samples`` from them on first access; :func:`extract_phasors` writes only
-    its fit window from the maps and needs no samples."""
+    A result of :func:`simulate` holds its run's :class:`PeriodMaps`, unless
+    it kept no node, and fills ``samples`` from them on first access; a run
+    asked for a node's steady state holds its ``phasors`` P_-1, P_0, P_1."""
 
     def __init__(self, dt: float, duration: float, samples: dict[str, np.ndarray] | None = None,
-                 maps: PeriodMaps | None = None):
-        self.dt, self.duration, self.maps = dt, duration, maps
+                 maps: PeriodMaps | None = None, phasors: np.ndarray | None = None):
+        self.dt, self.duration, self.maps, self.phasors = dt, duration, maps, phasors
         self._samples = samples
 
     @property
     def samples(self) -> dict[str, np.ndarray]:
         if self._samples is None:
+            if self.maps is None:
+                raise ValueError("this run kept no node's maps, so it has no samples: "
+                                 "simulate(nodes=...) names the nodes it keeps")
             self._samples = _fill(self.maps)
         return self._samples
 
@@ -154,20 +155,6 @@ class TransientResult:
     def times(self) -> np.ndarray:
         n = round(self.duration / self.dt)
         return np.arange(n + 1) * self.dt
-
-
-@dataclass(frozen=True)
-class PhasorSet:
-    """Extracted phasors per harmonic index and the relative rms misfit."""
-
-    entries: tuple[tuple[int, complex], ...]
-    residual: float
-
-    def phasor(self, n: int) -> complex:
-        for k, v in self.entries:
-            if k == n:
-                return v
-        raise KeyError(n)
 
 
 def _stamp(net: Netlist, port_index: int, amplitude: float):
@@ -353,15 +340,22 @@ def _chain(step: np.ndarray, k2: np.ndarray, state: np.ndarray,
     rows = np.empty((nb, b, nr, nu + 2))
     rows[-1, short:] = 0.0  # past the end of the last block
     last = local[b % 2, :nu, -1]  # the last block's state, unless it is short
+    p_flat = p.reshape(nu, -1)
+    turns = {}  # a turn's views, made once per buffer parity and count g of blocks
     for i in range(b):  # step i of every block that has one
-        now, nxt = local[i % 2], local[1 - i % 2]
-        if i == short:  # the short last block is done; later turns overwrite its state
-            last = now[:nu, -1].copy()
         g = -(-(n - i) // b)
-        np.matmul(step[i::b], now[:, :g].transpose(1, 0, 2), out=p[:, :g].transpose(1, 0, 2))
-        np.matmul(k2, p.reshape(nu, -1), out=nxt[:nu].reshape(nu, -1))
-        nxt[:nu] -= now[:nu]
-        rows[:g, i] = p[:nr, :g].transpose(1, 0, 2)
+        if (i % 2, g) not in turns:
+            now, nxt = local[i % 2], local[1 - i % 2]
+            turns[i % 2, g] = (now[:, :g].transpose(1, 0, 2), p[:, :g].transpose(1, 0, 2),
+                               nxt[:nu].reshape(nu, -1), nxt[:nu], now[:nu],
+                               p[:nr, :g].transpose(1, 0, 2))
+        now_g, p_g, nxt_flat, nxt_s, now_s, rows_g = turns[i % 2, g]
+        if i == short:  # the short last block is done; later turns overwrite its state
+            last = now_s[:, -1].copy()
+        np.matmul(step[i::b], now_g, out=p_g)
+        np.matmul(k2, p_flat, out=nxt_flat)
+        nxt_s -= now_s
+        rows[:g, i] = rows_g
     # each block's entry state S as [[S], [0 | I]]: one product with it lifts
     # the block's local [Phi | psi] to the absolute state
     enter = np.zeros((nb, nu + 2, nu + 2))
@@ -374,7 +368,8 @@ def _chain(step: np.ndarray, k2: np.ndarray, state: np.ndarray,
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
-             dt: float, nodes: tuple[str, ...] | None = None) -> TransientResult:
+             dt: float, nodes: tuple[str, ...] | None = None,
+             steady_node: str | None = None) -> TransientResult:
     """Integrate the netlist driven by one port tone with the trapezoidal rule.
 
     ``tone`` is (port_index, frequency_hz, incident_wave_amplitude); the
@@ -391,19 +386,27 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     filled when first read.  A kept node's maps and samples have the bits of
     the same node's in a run of every node.
 
-    Raises :class:`ValueError`, before any work, when ``nodes`` is empty or
-    names a node the netlist lacks; :class:`RunTooLarge`, before any work,
-    when a modulation period takes more than MAX_PERIOD_STEPS steps or a node
-    more than MAX_SAMPLES samples; :class:`StepTooLarge` below 50 points per
-    stimulus cycle at the step used; and :class:`Diverged` on a singular step
-    matrix, on a step matrix inverse whose residual exceeds
-    INVERSE_RESIDUAL_BOUND, or when any node magnitude, kept or not, exceeds
-    1e6 times the source amplitude.  For that guard,
-    sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
-    node n in period p; only when a bound exceeds the guard are the samples
-    filled at once, checked, and kept.  When a dropped node's bound does, the
-    run is made again keeping every node and checked as a run of every node
-    is; that path is rare, and it holds both runs' maps while it runs.
+    With ``steady_node``, the result's ``phasors`` are that node's P_n,
+    n = -1, 0, 1, at f + n*f_mod in the periodic steady state (see the module
+    docstring), with the same bits whatever nodes are kept and however long
+    the run: a modulated run integrates at least one whole period.  Only such
+    a run may keep no node (``nodes`` empty), and then holds no maps.
+
+    Raises :class:`ValueError`, before any work, when ``nodes`` is empty
+    without ``steady_node``, or either names a node the netlist lacks;
+    :class:`RunTooLarge`, before any work, when a modulation period
+    takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
+    samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
+    step used; and :class:`Diverged` on a singular step matrix, on a step
+    matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, on a steady
+    state whose residual exceeds STEADY_RESIDUAL_BOUND, or when any node
+    magnitude, kept or not, exceeds 1e6 times the source amplitude.  For that
+    guard, sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every
+    sample of node n in period p; only when a bound exceeds the guard are the
+    samples filled at once, checked, and kept.  When a dropped node's bound
+    does, the run is made again keeping every node and checked as a run of
+    every node is; that path is rare, and it holds both runs' maps while it
+    runs.
     """
     port_index, f_stim, amplitude = tone
     if dt <= 0.0 or duration <= 0.0:
@@ -415,9 +418,12 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
 
     node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
     nn, nu = len(node_names), s.size
-    if nodes is not None and (not nodes or set(nodes) - set(node_names)):
+    if nodes is not None and (not (nodes or steady_node) or set(nodes) - set(node_names)):
         raise ValueError(f"nodes {nodes!r} are not a non-empty set of the netlist's nodes")
+    if steady_node is not None and steady_node not in node_names:
+        raise ValueError(f"steady_node {steady_node!r} is not a node of the netlist")
     keep = [i for i, n in enumerate(node_names) if nodes is None or n in nodes]
+    steady = None if steady_node is None else node_names.index(steady_node)
     chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
     repeat = chunk  # a static step matrix repeats every step: one block is the repeat
     if len(mod):  # a Netlist's branches share one f_mod
@@ -437,15 +443,20 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     k = 2.0 * c / dt
     a0 = k + g
     w_stim = 2.0 * math.pi * f_stim
-    r = min(repeat, steps)
+    # a steady state needs a whole modulation period, however short the run
+    r = repeat if steady is not None and len(mod) else min(repeat, steps)
     periods = -(-steps // r)
 
-    # one repeat's maps of the kept nodes, x = Re(X_j h_p + e_p Y_j), outside
-    # the heap: released there, they would leave more free memory at its top
-    # than the allocator keeps, and the next run would fault it in again
-    buf = mmap.mmap(-1, len(keep) * r * (16 + 8 * nu), access=mmap.ACCESS_COPY)
-    y_e = np.frombuffer(buf, complex, len(keep) * r).reshape(len(keep), r)
-    x_h = np.frombuffer(buf, float, offset=16 * len(keep) * r).reshape(len(keep), nu, r)
+    if keep:
+        # one repeat's maps of the kept nodes, x = Re(X_j h_p + e_p Y_j), outside
+        # the heap: released there, they would leave more free memory at its top
+        # than the allocator keeps, and the next run would fault it in again
+        buf = mmap.mmap(-1, len(keep) * r * (16 + 8 * nu), access=mmap.ACCESS_COPY)
+        y_e = np.frombuffer(buf, complex, len(keep) * r).reshape(len(keep), r)
+        x_h = np.frombuffer(buf, float, offset=16 * len(keep) * r).reshape(len(keep), nu, r)
+    # the steady node's DFT bins n = -1, 0, 1 of the period, sum_j [X_j | Re Y_j,
+    # Im Y_j][node] c_j,n
+    bins = np.zeros((nu + 2, 3), complex)
     # every node's max_j |X_j| and max_j |Y_j|, for the guard
     x_max, y_max = np.zeros((nn, nu)), np.zeros(nn)
     state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
@@ -464,12 +475,15 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
             np.multiply(a_s, z.imag, out=step[:, :, nu + 1])
             state, xs = _chain(step.transpose(1, 0, 2), 2.0 * k, state, nn)
             xs = np.ascontiguousarray(xs.transpose(1, 2, 0))  # node, column, step
+            if steady is not None:
+                bins += xs[steady] @ _dft_weights(z, j, r)
             y_blk = np.empty((nn, j.size), complex)
             y_blk.real, y_blk.imag = xs[:, nu], xs[:, nu + 1]
             x_max = np.maximum(x_max, np.max(np.abs(xs[:, :nu]), axis=2))
             y_max = np.maximum(y_max, np.max(np.abs(y_blk), axis=1))
-            x_h[:, :, j0:j0 + j.size] = xs[keep, :nu]
-            y_e[:, j0:j0 + j.size] = y_blk[keep]
+            if keep:
+                x_h[:, :, j0:j0 + j.size] = xs[keep, :nu]
+                y_e[:, j0:j0 + j.size] = y_blk[keep]
         # Free the block, small arrays too: one left above its memory keeps the
         # allocator from returning that memory.
         del j, stack, step, z, a_s, xs, y_blk, inverses
@@ -483,16 +497,49 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         # per node that needs no sample; the margin covers the rounding of the
         # bound and of the samples, and NaN fails it
         over = ~(np.max(np.abs(h.real) @ x_max.T + y_max, axis=0) * (1.0 + 1e-12) <= limit)
-    maps = PeriodMaps(nodes=tuple(node_names[i] for i in keep), x=x_h, y=y_e, h=h, e=e,
-                      steps=steps, limit=limit)
+    maps = None
+    if keep:
+        maps = PeriodMaps(nodes=tuple(node_names[i] for i in keep), x=x_h, y=y_e, h=h, e=e,
+                          steps=steps, limit=limit)
+    samples = None
     if np.any(np.delete(over, keep)):
         # a dropped node may exceed the guard: check every node's samples, as a
         # run of every node does
-        samples = simulate(net, tone, duration, dt).samples
-        samples = {n: samples[n].copy() for n in maps.nodes}
-    else:
-        samples = _fill(maps) if np.any(over) else None
-    return TransientResult(dt=dt, duration=duration, samples=samples, maps=maps)
+        every = simulate(net, tone, duration, dt).samples
+        samples = {n: every[n].copy() for n in maps.nodes} if maps else None
+    elif np.any(over):
+        samples = _fill(maps)
+    phasors = None if steady is None else _steady_phasors(state, bins,
+                                                          np.exp(1j * w_stim * (r * dt)))
+    return TransientResult(dt=dt, duration=duration, samples=samples, maps=maps, phasors=phasors)
+
+
+def _dft_weights(z: np.ndarray, j: np.ndarray, r: int) -> np.ndarray:
+    """c_j,n = exp(-i (w dt + 2 pi n / r) j) / r at the steps ``j`` of a period
+    of ``r``, from the drive's phases z_j = exp(i w j dt); columns n = -1, 0, 1."""
+    turn = np.exp((2j * math.pi / r) * j)
+    return z.conj()[:, None] / r * np.stack([turn, np.ones(j.size), turn.conj()], axis=1)
+
+
+def _steady_phasors(state: np.ndarray, bins: np.ndarray, phase: complex) -> np.ndarray:
+    """P_n = A_n h* + B_n for the bins [A_n | Re B_n, Im B_n] (columns of
+    ``bins``) and the steady boundary state h*, (E I - Phi) h* = psi with
+    E = ``phase`` and the period's state [Phi | Re psi, Im psi]; a singular
+    system, or a residual max|(E I - Phi) h* - psi| above STEADY_RESIDUAL_BOUND
+    times max|psi| (NaN fails), raises :class:`Diverged`."""
+    nu = state.shape[0]
+    system = phase * np.eye(nu) - state[:, :nu]
+    psi = state[:, nu] + 1j * state[:, nu + 1]
+    try:
+        h_star = np.linalg.solve(system, psi)
+    except np.linalg.LinAlgError as exc:
+        raise Diverged("singular steady-state system") from exc
+    resid = float(np.max(np.abs(system @ h_star - psi)))
+    scale = float(np.max(np.abs(psi)))
+    if not resid <= STEADY_RESIDUAL_BOUND * scale:
+        raise Diverged(f"steady-state residual max|(E I - Phi) h - psi| = {resid:.3e} exceeds "
+                       f"{STEADY_RESIDUAL_BOUND} of max|psi| = {scale:.3e}")
+    return bins[:nu].T @ h_star + bins[nu] + 1j * bins[nu + 1]
 
 
 def _node_samples(maps: PeriodMaps, node: int, start: int, out: np.ndarray) -> None:
@@ -523,142 +570,6 @@ def _fill(maps: PeriodMaps) -> dict[str, np.ndarray]:
             step = int(np.argmax(np.any(~(np.abs(volts) <= maps.limit), axis=0)))
             raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step {step}")
     return dict(zip(maps.nodes, volts))
-
-
-def _tone_sum(a: np.ndarray, b: np.ndarray, start: int, n: int) -> np.ndarray:
-    """sum_i exp(j*phi*i) over i = start ... start+n-1 at every phi = a + b
-    (broadcast), in closed form: exp(j*phi*(start + (n-1)/2)) sin(n*phi/2)/sin(phi/2),
-    with phi first reduced to [-pi, pi] and exactly n at phi = 0.
-
-    The reduction is exact to the last bit of the reduced phi (for up to 8
-    turns): a + b keeps its rounding error, and 2*pi is taken as two doubles.
-    A phi that rounds near a multiple of 2*pi would otherwise carry an error
-    of one ulp of 2*pi, times start + n/2 in the phase of a sum of size n."""
-    phi = a + b
-    b_part = phi - a
-    err = (a - (phi - b_part)) + (b - b_part)
-    turns = np.round(phi / _TWO_PI_HI)
-    phi = (phi - turns * _TWO_PI_HI) + (err - turns * _TWO_PI_LO)
-    half = 0.5 * phi
-    den = np.sin(half)
-    ratio = np.divide(np.sin(n * half), den, out=np.full(phi.shape, float(n)),
-                      where=den != 0.0)
-    return np.exp(1j * phi * (start + 0.5 * (n - 1))) * ratio
-
-
-def _gram(theta: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Gram matrix of the cos rows, then the sin rows, of the tones
-    exp(j*theta_k*i) over the samples i = start ... start+n-1, from the
-    closed-form sums at theta_m -+ theta_k; no pass over any data."""
-    d = _tone_sum(theta[:, None], -theta, start, n)
-    s = _tone_sum(theta[:, None], theta, start, n)
-    cc, ss, cs = 0.5 * (d + s).real, 0.5 * (d - s).real, 0.5 * (s - d).imag
-    return np.block([[cc, cs], [cs.T, ss]])
-
-
-def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The cos, then sin, coefficients of the least-squares fit;
-    :class:`IllConditionedBasis` above GRAM_CONDITION_BOUND (NaN fails)."""
-    try:
-        cond = float(np.linalg.cond(gram))
-        if not cond <= GRAM_CONDITION_BOUND:
-            raise IllConditionedBasis(f"tone basis condition number {cond:.3g} exceeds "
-                                      f"{GRAM_CONDITION_BOUND:g}: tones alias about half the "
-                                      f"sample rate")
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasis("singular tone basis") from exc
-
-
-def _fit(res: TransientResult, node: str, theta: np.ndarray, start: int, size: int,
-         gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Phasors and relative rms misfit of samples start ... size-1 of ``node``.
-
-    The tail of n samples is laid out as rows of L = isqrt(n-1)+1
-    (zero-padded), written there from the period maps of a :func:`simulate`
-    result (:func:`_node_samples`) or copied from ``samples`` when the result
-    has no maps.  The phase exp(j*theta_k*i) at sample i = start + b*L + l
-    factors into ``outer[b, k]`` = exp(j*theta_k*(start+b*L)) times
-    ``inner[k, l]`` = exp(j*theta_k*l).  The projections sum_i v_i exp(j*theta_k*i) are
-    ``outer`` times one GEMM of the rows with ``inner``'s real and imaginary
-    parts, and the fitted waveform Re((outer * P) @ inner) is one more GEMM,
-    formed about CHUNK_VALUES values at a time and the tail subtracted from
-    each block.  Memory is O(n + T*sqrt(n)) for T tones: the padded rows and
-    one block of the fit."""
-    tones, n, maps = theta.size, size - start, res.maps
-    width = math.isqrt(n - 1) + 1
-    rows = np.zeros((-(-n // width), width))
-    tail = rows.reshape(-1)[:n]
-    if maps is None:
-        tail[:] = res.samples[node][start:]
-    else:
-        _node_samples(maps, maps.nodes.index(node), start, tail)
-    inner = np.exp(1j * np.outer(theta, np.arange(width)))
-    outer = np.exp(1j * np.outer(start + width * np.arange(rows.shape[0]), theta))
-    basis = np.concatenate([inner.real, inner.imag])
-    part = rows @ basis.T
-    proj = np.sum(outer * (part[:, :tones] + 1j * part[:, tones:]), axis=0)
-    coef = _solve(gram, np.concatenate([proj.real, proj.imag]))
-    phasors = coef[:tones] - 1j * coef[tones:]
-    w = outer * phasors
-    w = np.concatenate([w.real, -w.imag], axis=1)  # the fitted rows are w @ basis
-    block = max(1, CHUNK_VALUES // width)
-    fit = np.empty((min(block, len(rows)), width))
-    misfit = 0.0
-    for b in range(0, len(rows), block):
-        r = np.matmul(w[b:b + block], basis, out=fit[:len(rows) - b])
-        r -= rows[b:b + block]
-        r = r.reshape(-1)[:n - b * width]  # not the padding
-        misfit += float(r @ r)
-    rms_v = math.sqrt(float(tail @ tail) / n)
-    rms_r = math.sqrt(misfit / n)
-    return phasors, (rms_r / rms_v if rms_v > 0.0 else 0.0)
-
-
-def extract_phasors(res: TransientResult, node: str, f: float, f_mod: float,
-                    n_harm: int) -> PhasorSet:
-    """Fit the waveform tail against tones at f + n*f_mod, n in [-N, N].
-
-    The last 25% of the steps + 1 samples (past ring-up) are projected onto
-    cos/sin pairs at each mixing frequency by linear least squares; the
-    phasor P_n satisfies v(t) ~ sum_n Re[P_n exp(j*2*pi*(f+n*f_mod)*t)].
-    ``residual`` is the rms of the unfitted remainder relative to the rms
-    of the tail.  Raises :class:`IllConditionedBasis` when two tone
-    frequencies fall within 1/window of each other, or when the Gram
-    matrix's condition number exceeds GRAM_CONDITION_BOUND, as it does where
-    two tones alias onto each other about half the sample rate.
-
-    The normal equations never hold a tones x samples array, and their Gram
-    matrix comes in closed form (:func:`_gram`).  One fit (:func:`_fit`)
-    serves every result: the window of a :func:`simulate` result is written
-    from its period maps, without filling its samples, and that of any other
-    result, such as one of :func:`read_waveforms`, is copied from its samples.
-    """
-    maps = res.maps
-    if node not in (res.samples if maps is None else maps.nodes):
-        raise KeyError(f"no samples for node {node!r}")
-    size = res.samples[node].size if maps is None else maps.steps + 1
-    start = (size * 3) // 4
-    window = (size - 1 - start) * res.dt
-    if window <= 0.0:
-        raise ValueError("empty fit window")
-
-    ns = list(range(-n_harm, n_harm + 1))
-    tone_freqs = [f + n * f_mod for n in ns]
-    folded = sorted(abs(x) for x in tone_freqs)
-    resolution = 1.0 / window
-    for a, b in zip(folded, folded[1:]):
-        if b - a < resolution:
-            raise IllConditionedBasis(
-                f"tones {a} and {b} Hz collide within 1/window = {resolution} Hz")
-    if folded[0] < resolution:
-        raise IllConditionedBasis("a tone sits within 1/window of DC")
-
-    theta = 2.0 * math.pi * np.array(tone_freqs) * res.dt
-    gram = _gram(theta, start, size - start)
-    phasors, residual = _fit(res, node, theta, start, size, gram)
-    entries = tuple((k, complex(p)) for k, p in zip(ns, phasors))
-    return PhasorSet(entries=entries, residual=residual)
 
 
 def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
@@ -702,12 +613,13 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     max(|S^(n)|, 0.05 * max_k |S^(k)|) so structurally tiny entries are
     measured against the dominant response instead of dividing by zero.
 
-    The transient runs ``mod_periods`` modulation periods past ring-up at
-    ``pts_per_cycle`` points per stimulus cycle; both significantly exceed
-    the preconditions of :func:`simulate` by default.  It keeps the maps of
-    the output port's node only, unless a ``waveforms_path`` asks for every
-    node's waveform, which that path receives through :func:`write_waveforms`;
-    the error is the same either way.
+    The transient's S^(n) come from the output port node's periodic steady
+    state at ``pts_per_cycle`` points per stimulus cycle (:func:`simulate`
+    with ``steady_node``), which needs no ring-up and no fit.  The run still
+    spans ``mod_periods`` modulation periods past ring-up, which the
+    divergence guard checks and a dump holds.  It keeps no period maps, unless
+    a ``waveforms_path`` asks for every node's waveform, which that path
+    receives through :func:`write_waveforms`; the error is the same either way.
     """
     p_in, q_out = ports
     port_map = {p.index: p for p in net.ports}
@@ -720,18 +632,12 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     qi, pi = q_out - 1, p_in - 1
     s_htm = np.array([grid.harmonic(n)[0, qi, pi] for n in (-1, 0, 1)])
 
-    node = port_map[q_out].node
     res = simulate(net, (p_in, f, 1.0), duration, dt,
-                   nodes=None if waveforms_path is not None else (node,))
-    phasors = extract_phasors(res, node, f, basis.f_mod, basis.n_harm)
-    sqrt_z0 = math.sqrt(port_map[q_out].z0)
-    s_td = []
-    for n in (-1, 0, 1):
-        b = phasors.phasor(n) / sqrt_z0
-        if q_out == p_in and n == 0:
-            b -= 1.0
-        s_td.append(b)
-    s_td = np.array(s_td)
+                   nodes=None if waveforms_path is not None else (),
+                   steady_node=port_map[q_out].node)
+    s_td = res.phasors / math.sqrt(port_map[q_out].z0)
+    if q_out == p_in:
+        s_td[1] -= 1.0
 
     floor = 0.05 * float(np.max(np.abs(s_htm)))
     denom = np.maximum(np.abs(s_htm), max(floor, 1e-12))

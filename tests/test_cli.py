@@ -251,7 +251,7 @@ class TestVerify:
         assert code == 0
         assert (tmp_path / "out" / "verify_report.txt").read_text() == (
             "static         error=5.202e-04  gate=1.0e-03  PASS\n"
-            "single-branch  error=2.792e-03  gate=1.0e-02  PASS\n"
+            "single-branch  error=2.778e-03  gate=1.0e-02  PASS\n"
             "toy-wye        error=1.584e-03  gate=2.0e-02  PASS\n")
 
     def test_dump_waveforms(self, capsys, tmp_path, monkeypatch):
@@ -274,6 +274,14 @@ class TestVerify:
             assert sorted(res.samples) == sorted(net.nodes - {net.ground})
             for v in res.samples.values():
                 assert v.size == round(duration / dt) + 1
+
+    def test_steady_residual_above_the_bound_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(fbarcirc.transient, "STEADY_RESIDUAL_BOUND", 1e-30)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(VERIFY_CFG)
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("Diverged: steady-state residual")
 
     def test_replica_matches_full_frequency_circuit(self, tmp_path):
         # S of the desk replica at f equals S of the circuit at its own frequency at f*scale
@@ -564,26 +572,30 @@ class TestSweepWorkers:
             assert (out_dir / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
         assert_no_worker_left()
 
-    @pytest.mark.parametrize("failing", [1, 2], ids=["first-fork", "second-fork"])
+    @pytest.mark.parametrize("call, failing", [("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 2)],
+                             ids=["first-fork", "second-fork", "first-pipe", "second-pipe"])
     def test_failed_fork_leaves_the_work_here(self, capsys, tmp_path, monkeypatch, cpus,
-                                              failing):
+                                              call, failing):
         # at 3 CPUs, simulate of 53 points forks twice, and tune once for its
         # look-ahead, then twice for its 53-point re-simulation; fork number
-        # ``failing`` of each run raises as a full process table makes it
+        # ``failing`` of each run raises as a full process table makes it, or
+        # the second pipe of worker number ``failing`` as a full fd table does
         getaffinity = os.sched_getaffinity
         before = getaffinity(0)
         sim_cfg, tune_cfg = sweep_cfg(tmp_path, 53), tmp_path / "t.cfg"
         tune_cfg.write_text(TUNE_CFG + "tuner.metrics_points = 52\n")
         seen = cpus(1)
-        counted, calls = os.fork, []
+        counted, calls = getattr(os, call), []
 
-        def failing_fork():
+        def failing_call():
             calls.append(None)
-            if len(calls) == failing:
+            if call == "fork" and len(calls) == failing:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            if call == "pipe" and len(calls) == 2 * failing:
+                raise OSError(errno.EMFILE, "Too many open files")
             return counted()
 
-        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, call, failing_call)
         for argv, names, forks in (
                 (["simulate", "--config", str(sim_cfg)],
                  ("sim.s3p", "harmonics.csv", "metrics.json"), failing - 1),

@@ -12,8 +12,7 @@ from fbarcirc.config import load_config, parse_config
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
                               NetlistError, Port, Resistor, build_circulator, scale_frequency)
-from fbarcirc.transient import (Diverged, IllConditionedBasis, StepTooLarge,
-                                TransientResult, cross_validate, extract_phasors,
+from fbarcirc.transient import (Diverged, StepTooLarge, TransientResult, cross_validate,
                                 read_waveforms, simulate, time_grid, write_waveforms)
 
 from conftest import DESK_SPECS, one_port_net, toy_wye_net
@@ -28,16 +27,30 @@ def _synthetic(dt, duration, wave):
     return TransientResult(dt=dt, duration=duration, samples={"n1": wave(t)}), t
 
 
+def _tail_phasors(res, node, f, f_mod, n_harm):
+    """{n: P_n} of an explicit least-squares fit of the last quarter of
+    ``node``'s samples against the full (samples x 2T) cos/sin matrix of the
+    tones f + n*f_mod, n in [-n_harm, n_harm]."""
+    v = res.samples[node]
+    start = (v.size * 3) // 4
+    ns = np.arange(-n_harm, n_harm + 1)
+    theta = 2.0 * math.pi * (f + ns * f_mod) * res.dt
+    i = np.arange(start, v.size)
+    a = np.concatenate([np.cos(np.outer(i, theta)), np.sin(np.outer(i, theta))], axis=1)
+    coef, *_ = np.linalg.lstsq(a, v[start:], rcond=None)
+    return dict(zip(ns.tolist(), coef[:ns.size] - 1j * coef[ns.size:]))
+
+
 class TestSimulate:
     def test_rc_divider_amplitude(self):
         z0, r, c, f = 50.0, 200.0, 1e-9, 1e6
         net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
                        Port(1, "p1", z0)))
         res = simulate(net, (1, f, 1.0), 60.0 / f, 1.0 / (200.0 * f))
-        ph = extract_phasors(res, "n2", f, f / 7.0, 1)
+        ph = _tail_phasors(res, "n2", f, f / 7.0, 1)
         zc = 1.0 / (1j * 2 * math.pi * f * c)
         expect = 2.0 * math.sqrt(z0) * zc / (zc + r + z0)
-        assert abs(ph.phasor(0) - expect) <= 1e-3 * abs(expect)
+        assert abs(ph[0] - expect) <= 1e-3 * abs(expect)
 
     def test_port_capacitor_matches_companion_recursion(self):
         # trapezoidal companion model written out: i_k = g*(v_k - v_{k-1}) - i_{k-1}
@@ -67,8 +80,8 @@ class TestSimulate:
         vs = 2.0 * math.sqrt(z0)
         for node, expect in (("p1", vs * (zl + r) / (z0 + zl + r)),
                              ("n2", vs * r / (z0 + zl + r))):
-            ph = extract_phasors(res, node, f, f / 7.0, 1)
-            assert abs(ph.phasor(0) - expect) <= 1e-4 * abs(expect)
+            ph = _tail_phasors(res, node, f, f / 7.0, 1)
+            assert abs(ph[0] - expect) <= 1e-4 * abs(expect)
 
     @pytest.mark.parametrize("nodes", [None, ("p1",)])
     def test_zero_conductance_node_diverges(self, nodes):
@@ -83,19 +96,19 @@ class TestSimulate:
         model = bvd_from_specs(desk_specs)
         f = desk_specs.f_s  # driven at series resonance
         res = simulate(net, (1, f, 1.0), 4.0e-4, 1.0 / (400.0 * f))
-        ph = extract_phasors(res, "p1", f, F_MOD, 1)
+        ph = _tail_phasors(res, "p1", f, F_MOD, 1)
         expect = 2.0 * math.sqrt(50.0) / (1.0 + 50.0 * admittance(model, f))
-        assert abs(ph.phasor(0) - expect) <= 5e-3 * abs(expect)
+        assert abs(ph[0] - expect) <= 5e-3 * abs(expect)
 
     def test_modulation_creates_sidebands(self):
         f = 2.68e6
         kwargs = dict(duration=3.0e-4, dt=1.0 / (200.0 * f))
         on = simulate(one_port_net(FAST_SPECS, 0.05, F_MOD), (1, f, 1.0), **kwargs)
         off = simulate(one_port_net(FAST_SPECS, 0.0, F_MOD), (1, f, 1.0), **kwargs)
-        ph_on = extract_phasors(on, "p1", f, F_MOD, 1)
-        ph_off = extract_phasors(off, "p1", f, F_MOD, 1)
-        assert abs(ph_on.phasor(1)) > 1e3 * abs(ph_off.phasor(1))
-        assert abs(ph_off.phasor(1)) < 1e-6 * abs(ph_off.phasor(0))
+        ph_on = _tail_phasors(on, "p1", f, F_MOD, 1)
+        ph_off = _tail_phasors(off, "p1", f, F_MOD, 1)
+        assert abs(ph_on[1]) > 1e3 * abs(ph_off[1])
+        assert abs(ph_off[1]) < 1e-6 * abs(ph_off[0])
 
     def test_step_too_large(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
@@ -132,7 +145,7 @@ class TestSimulate:
         p = []
         for ppc in (200, 400):
             res = simulate(net, (1, f, 1.0), dur, 1.0 / (ppc * f))
-            p.append(extract_phasors(res, "p1", f, F_MOD, 2).phasor(0))
+            p.append(_tail_phasors(res, "p1", f, F_MOD, 2)[0])
         assert abs(p[1] - p[0]) <= 2e-3 * abs(p[1])
 
     def test_energy_nonnegative_over_beat_periods(self):
@@ -452,94 +465,6 @@ class TestSeriesInverses:
             inverses(t)
 
 
-class TestExtractPhasors:
-    def test_pure_tone_exact(self):
-        f, amp, phase = 1.1e5, 0.8, 0.6
-        res, _ = _synthetic(1e-8, 2e-3,
-                            lambda t: amp * np.cos(2 * math.pi * f * t + phase))
-        ph = extract_phasors(res, "n1", f, 1.3e4, 2)
-        expect = amp * np.exp(1j * phase)
-        assert abs(ph.phasor(0) - expect) <= 1e-6 * abs(expect)
-        for n in (-2, -1, 1, 2):
-            assert abs(ph.phasor(n)) <= 1e-9
-        assert ph.residual <= 1e-9
-
-    def test_two_tone_recovery(self):
-        f, fm = 1.1e5, 1.3e4
-        p0, p1 = 0.5 - 0.2j, 0.1 + 0.3j
-        res, _ = _synthetic(1e-8, 2e-3, lambda t: (
-            np.real(p0 * np.exp(2j * math.pi * f * t))
-            + np.real(p1 * np.exp(2j * math.pi * (f + fm) * t))))
-        ph = extract_phasors(res, "n1", f, fm, 1)
-        assert abs(ph.phasor(0) - p0) <= 1e-6 * abs(p0)
-        assert abs(ph.phasor(1) - p1) <= 1e-6 * abs(p1)
-
-    def test_colliding_bins_rejected(self):
-        res, _ = _synthetic(1e-6, 1e-3, lambda t: np.cos(2 * math.pi * 1e5 * t))
-        with pytest.raises(IllConditionedBasis):
-            extract_phasors(res, "n1", 1e5, 1.0e3, 1)  # 1 kHz < 1/window = 4 kHz
-
-    @pytest.mark.parametrize("samples", [161, 162])
-    def test_tones_aliased_about_half_the_sample_rate_rejected(self, samples):
-        # f and f + f_mod sum to 1/dt - 8e-11: folded about 1/(2*dt) they lie
-        # far closer than 1/window, though their |f| do not.  The Gram
-        # matrix's condition number is 7e18 at 161 samples, where its LU meets
-        # an exact zero pivot, and 2e16 at 162, where the solve returns without
-        # error and with phasors of 6e5 for a waveform of amplitude 1.
-        f, f_mod = 0.45 - 4e-11, 0.1
-        res, _ = _synthetic(1.0, samples - 1.0, lambda t: (np.cos(2 * math.pi * f * t - 1.0)
-                                                           + 0.2 * np.cos(0.77 * t)))
-        with pytest.raises(IllConditionedBasis, match="condition number"):
-            extract_phasors(res, "n1", f, f_mod, 1)
-
-    def test_unknown_node(self):
-        res, _ = _synthetic(1e-6, 1e-3, lambda t: np.cos(t))
-        with pytest.raises(KeyError):
-            extract_phasors(res, "zz", 1e5, 1e4, 1)
-
-    def test_conjugate_consistency(self):
-        # extracted phasors describe a real signal: fitting the reconstruction
-        # of the fit reproduces the same phasors
-        f, fm = 1.1e5, 1.3e4
-        res, t = _synthetic(1e-8, 2e-3, lambda t: (
-            0.4 * np.cos(2 * math.pi * f * t + 0.3)
-            + 0.1 * np.cos(2 * math.pi * (f - fm) * t - 1.0)))
-        ph = extract_phasors(res, "n1", f, fm, 1)
-        recon = sum(np.real(v * np.exp(2j * math.pi * (f + n * fm) * t))
-                    for n, v in ph.entries)
-        assert np.allclose(recon[-1000:], res.samples["n1"][-1000:], atol=1e-9)
-
-
-def _lstsq_reference(res, node, f, f_mod, n_harm):
-    """Phasors, residual and A^T A of an explicit least-squares fit of the
-    last quarter of ``node``'s samples: the full (samples x 2T) cos/sin matrix
-    at theta_k = 2*pi*(f + k*f_mod)*dt."""
-    v = res.samples[node]
-    start = (v.size * 3) // 4
-    ns = np.arange(-n_harm, n_harm + 1)
-    theta = 2.0 * math.pi * (f + ns * f_mod) * res.dt
-    i = np.arange(start, v.size)
-    a = np.concatenate([np.cos(np.outer(i, theta)), np.sin(np.outer(i, theta))], axis=1)
-    coef, *_ = np.linalg.lstsq(a, v[start:], rcond=None)
-    misfit = v[start:] - a @ coef
-    residual = math.sqrt(np.mean(misfit ** 2) / np.mean(v[start:] ** 2))
-    return coef[:ns.size] - 1j * coef[ns.size:], residual, a.T @ a, theta, start
-
-
-def _check_fit(res, node, f, f_mod, n_harm, phasors=True):
-    """Compare extract_phasors and its closed-form Gram matrix with the
-    explicit reference; returns the extracted PhasorSet and the reference
-    residual."""
-    ref, ref_residual, gram, theta, start = _lstsq_reference(res, node, f, f_mod, n_harm)
-    closed = transient._gram(theta, start, res.samples[node].size - start)
-    assert np.max(np.abs(closed - gram)) <= 1e-12 * np.max(np.abs(gram))
-    ph = extract_phasors(res, node, f, f_mod, n_harm)
-    if phasors:
-        got = np.array([ph.phasor(n) for n in range(-n_harm, n_harm + 1)])
-        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
-    return ph, ref_residual
-
-
 def _wye_case():
     """The toy-wye case of ``verify`` at the shipped defaults (400 points per
     cycle, 22 periods): netlist, output node, f, f_mod, n_harm, dt, duration."""
@@ -549,14 +474,6 @@ def _wye_case():
     dt, duration = time_grid(net, f, f_mod, ppc, periods)
     node = next(p.node for p in net.ports if p.index == q_out)
     return net, node, f, f_mod, cfg.get_int("basis.n_harm"), dt, duration
-
-
-@pytest.fixture(scope="module")
-def wye_oracle():
-    """The toy-wye run of ``verify`` at the shipped defaults (1.08M steps)."""
-    net, node, f, f_mod, n_harm, dt, duration = _wye_case()
-    res = simulate(net, (1, f, 1.0), duration, dt)
-    return res, node, f, f_mod, n_harm
 
 
 def test_simulate_memory_stays_near_the_maps():
@@ -576,148 +493,13 @@ def test_simulate_memory_stays_near_the_maps():
     assert peak + mapped <= 2 * (mapped + maps.h.nbytes + maps.e.nbytes)
 
 
-class TestExtractionAccuracy:
-    """extract_phasors against an explicit lstsq on the full cos/sin matrix:
-    phasors within 1e-11 of max|P|, the closed-form Gram within 1e-12 of
-    max|A^T A|, the residual within 1e-6 relative."""
-
-    F, FM = 1.1e5, 1.3e4
-    P = {-1: 0.1 + 0.3j, 0: 0.5 - 0.2j, 1: -0.05 + 0.02j}
-
-    def wave(self, t, f=F, fm=FM, stray=0.0):
-        out = sum(np.real(p * np.exp(2j * math.pi * (f + n * fm) * t)) for n, p in self.P.items())
-        return out + stray * np.cos(2 * math.pi * 1.7 * f * t)  # a tone outside the basis
-
-    def test_exact_tone_sum_incommensurate_step(self):
-        dt = 1e-8 * math.sqrt(2.0)  # 1/(f_mod*dt) is irrational
-        res, _ = _synthetic(dt, 140_000 * dt, self.wave)
-        ph, ref_residual = _check_fit(res, "n1", self.F, self.FM, 2)
-        for n, p in self.P.items():
-            assert abs(ph.phasor(n) - p) <= 1e-11
-        assert ph.residual <= 1e-12 and ref_residual <= 1e-12
-
-    def test_prime_tail_is_padded(self):
-        # 40,028 samples: the tail of 10,007 is prime, so the last row is padded
-        res, t = _synthetic(1e-8, 40_027e-8, lambda t: self.wave(t, stray=0.1))
-        n = t.size - (t.size * 3) // 4
-        assert n == 10_007 and n % (math.isqrt(n - 1) + 1) != 0
-        ph, ref_residual = _check_fit(res, "n1", self.F, self.FM, 2)
-        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
-
-    def test_tones_below_zero_frequency(self):
-        f, fm = 1.1e5, 4.0e4  # f - 3*f_mod = -10 kHz
-        res, _ = _synthetic(1e-8, 2e-3, lambda t: self.wave(t, f, fm, stray=0.1))
-        ph, ref_residual = _check_fit(res, "n1", f, fm, 3)
-        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
-
-    def test_phase_sum_within_1e9_of_two_pi(self):
-        # theta_0 + theta_1 = 2*pi - 5e-10: tone 1 aliases onto the mirror of
-        # tone 0, their columns agree to about 5e-10 * samples, and only the
-        # sum of their phasors is determined.  The Gram matrix and the
-        # residual still are, so those are compared.  Reducing the rounded
-        # theta_0 + theta_1 by the rounded 2*pi would put the Gram matrix
-        # 2.8e-12 off here.
-        f_mod = 0.1
-        f = 0.45 - 5e-10 / (4 * math.pi)
-        theta = 2.0 * math.pi * (f + np.arange(-1, 2) * f_mod)
-        assert abs(theta[1] + theta[2] - 2.0 * math.pi) <= 1e-9
-        res, _ = _synthetic(1.0, 16_000.0, lambda t: (0.5 * np.cos(theta[0] * t + 0.3)
-                                                      + np.cos(theta[1] * t - 1.0)
-                                                      + 0.2 * np.cos(0.77 * t)))
-        ph, ref_residual = _check_fit(res, "n1", f, f_mod, 1, phasors=False)
-        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
-
-    def test_toy_wye_oracle_waveform(self, wye_oracle):
-        res, node, f, f_mod, n_harm = wye_oracle
-        ph, ref_residual = _check_fit(res, node, f, f_mod, n_harm)
-        assert abs(ph.residual - ref_residual) <= 1e-6 * ref_residual
-
-    def test_memory_stays_near_the_tail(self, wye_oracle):
-        # the fit holds the padded tail and one block of the fitted waveform,
-        # not a second window nor a tones x samples basis
-        res, node, f, f_mod, n_harm = wye_oracle
-        tail_bytes = res.samples[node][(res.samples[node].size * 3) // 4:].nbytes
-        tracemalloc.start()
-        try:
-            extract_phasors(res, node, f, f_mod, n_harm)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * tail_bytes
-
-    def test_misfit_summed_over_blocks(self, monkeypatch):
-        # 10,007 samples in 100 rows of 101, the last padded: blocks of 7 rows
-        # give the phasors of one block exactly, and the residual to round-off
-        res, _ = _synthetic(1e-8, 40_027e-8, lambda t: self.wave(t, stray=0.1))
-        whole = extract_phasors(res, "n1", self.F, self.FM, 2)
-        monkeypatch.setattr(transient, "CHUNK_VALUES", 7 * 101)
-        blocks = extract_phasors(res, "n1", self.F, self.FM, 2)
-        assert blocks.entries == whole.entries
-        assert abs(blocks.residual - whole.residual) <= 1e-12 * whole.residual
-
-
-def _fit_of_samples(res, node, f, f_mod, n_harm):
-    """extract_phasors on a result that holds only the filled samples, so
-    that the fit copies its window from them."""
-    return extract_phasors(TransientResult(res.dt, res.duration, res.samples), node, f, f_mod,
-                           n_harm)
-
-
-class TestMapFit:
-    """One fit from two sources of its window: written from a simulate
-    result's period maps, and copied from the same run's filled samples.
-    Phasors within 1e-11 of max|P|, the residual within 1e-6 relative."""
-
-    F = 2.68e6
-
-    @staticmethod
-    def _compare(res, nodes, f, f_mod, n_harm):
-        assert res.maps is not None  # else both sides copy the window from samples
-        for node in nodes:
-            got = extract_phasors(res, node, f, f_mod, n_harm)
-            ref = _fit_of_samples(res, node, f, f_mod, n_harm)
-            p_got = np.array([p for _, p in got.entries])
-            p_ref = np.array([p for _, p in ref.entries])
-            assert np.max(np.abs(p_got - p_ref)) <= 1e-11 * np.max(np.abs(p_ref))
-            assert ref.residual > 1e-9  # a misfit above round-off, so the bound tests something
-            assert abs(got.residual - ref.residual) <= 1e-6 * ref.residual
-
-    def test_static_one_port(self):
-        # no modulation: a block of CHUNK_VALUES // (nu (nu + 2)) steps, nu = 3,
-        # stands for the period, and the wide tone spacing keeps the ring-down
-        # in the tail
-        net = one_port_net(DESK_SPECS, 0.0, F_MOD)
-        res = simulate(net, (1, self.F, 1.0), 3e-5, 1.0 / (1000.0 * self.F))
-        block = transient.CHUNK_VALUES // (3 * 5)
-        assert res.maps.x.shape[2] == block
-        assert len(res.maps.h) == -(-res.maps.steps // block)
-        self._compare(res, ["p1"], self.F, 5e5, 2)
-
-    def test_modulated_one_port(self):
-        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
-        dt, _ = time_grid(net, self.F, F_MOD, 200, 1.0)
-        res = simulate(net, (1, self.F, 1.0), 8.0 / F_MOD, dt)
-        self._compare(res, ["p1"], self.F, F_MOD, 3)
-
-    def test_toy_wye(self, wye_oracle):
-        res, _, f, f_mod, n_harm = wye_oracle
-        self._compare(res, ["p1", "p2", "cm"], f, f_mod, n_harm)
-
-    def test_differential_replica(self):
-        design = load_config(CONFIGS / "differential_tuned.cfg").design()
-        net = scale_frequency(build_circulator(design), 1000.0)
-        f, f_mod = 2.6767e6, design.f_mod / 1000.0
-        dt, _ = time_grid(net, f, f_mod, 200, 1.0)
-        res = simulate(net, (1, f, 1.0), 6.0 / f_mod, dt)
-        self._compare(res, [p.node for p in net.ports] + ["ca"], f, f_mod, 5)
-
-
-def _fast_wye(nodes=None):
-    """Six modulation periods of the Q = 20 toy wye at 60 points per cycle,
-    port 1 driven."""
+def _fast_wye(nodes=None, steady_node=None, periods=6.0):
+    """``periods`` modulation periods of the Q = 20 toy wye at 60 points per
+    cycle, port 1 driven."""
     net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
     dt, _ = time_grid(net, 2.68e6, F_MOD, 60, 1.0)
-    return simulate(net, (1, 2.68e6, 1.0), 6.0 / F_MOD, dt, nodes=nodes)
+    return simulate(net, (1, 2.68e6, 1.0), periods / F_MOD, dt, nodes=nodes,
+                    steady_node=steady_node)
 
 
 class TestDivergenceBound:
@@ -746,7 +528,6 @@ class TestDivergenceBound:
     def test_no_waveform_unless_one_is_read(self, monkeypatch):
         fills = self._counted_fill(monkeypatch)
         res = self._run()
-        extract_phasors(res, "p1", self.F, F_MOD, 2)
         assert fills == []
         assert res.samples["p1"].size == res.maps.steps + 1
         assert res.samples is res.samples and len(fills) == 1
@@ -765,8 +546,6 @@ class TestDivergenceBound:
         res = self._run(nodes)  # no raise
         assert len(fills) == 1
         assert np.array_equal(res.samples["p1"], reference.samples["p1"])
-        extract_phasors(res, "p1", self.F, F_MOD, 2)
-        assert len(fills) == 1
 
     def test_limit_below_samples_raises(self, monkeypatch):
         samples = self._run().samples
@@ -821,6 +600,39 @@ class TestDivergenceBound:
         assert np.array_equal(res.samples["cm"], reference.samples["cm"])
 
 
+    def test_run_without_maps_checks_every_node_again(self, monkeypatch):
+        # a run that keeps no maps and trips a node's bound is made again
+        # keeping every node: with the limit above every sample the rerun
+        # passes and the phasors stand; below a sample it raises as the run
+        # of every node does
+        reference = _fast_wye(steady_node="p2")
+        maps, samples = reference.maps, reference.samples
+        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
+                       + np.max(np.abs(maps.y), axis=1))
+        v_max = max(np.max(np.abs(v)) for v in samples.values())
+        assert bound > 1.5 * v_max
+        source = 2.0 * math.sqrt(50.0)
+        reruns = []
+        simulate_ = transient.simulate
+
+        def counted(*args, **kwargs):
+            reruns.append(kwargs)
+            return simulate_(*args, **kwargs)
+
+        monkeypatch.setattr(transient, "simulate", counted)  # the rerun's global
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
+        res = _fast_wye((), "p2")  # no raise
+        assert reruns == [{}]  # every node kept
+        assert res.maps is None and np.array_equal(res.phasors, reference.phasors)
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.9 * v_max / source)
+        with pytest.raises(Diverged) as every:
+            _fast_wye()
+        with pytest.raises(Diverged) as none:
+            _fast_wye((), "p2")
+        assert str(none.value) == str(every.value)
+        assert str(none.value).startswith("waveform exceeded")
+
+
 class TestKeptNodes:
     """simulate(nodes=...) holds the maps and samples of those nodes only,
     with the bits of the same rows of a run of every node."""
@@ -842,12 +654,6 @@ class TestKeptNodes:
         assert list(res.samples) == ["cm", "p2"]
         for node in ("cm", "p2"):
             assert np.array_equal(res.samples[node], every.samples[node])
-
-    def test_dropped_node_has_no_phasors(self):
-        res = _fast_wye(("p2",))
-        extract_phasors(res, "p2", self.F, F_MOD, 2)
-        with pytest.raises(KeyError, match="p1"):
-            extract_phasors(res, "p1", self.F, F_MOD, 2)
 
     def test_one_node_maps_equal_the_rows_of_every_node(self):
         # every case of a fast verify config, every node
@@ -891,30 +697,23 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(net, HarmonicBasis(F_MOD, 2), 2.68e6, ports=(1, 9))
 
-    def test_one_simulate_and_one_fit_through_module_globals(self, monkeypatch):
+    def test_one_simulate_through_module_globals(self, monkeypatch):
         # perfbench counts the oracle's steps by wrapping transient.simulate and
         # reads round(duration/dt) off its result
-        results, fits = [], []
-        simulate_, extract_ = transient.simulate, transient.extract_phasors
+        results = []
+        simulate_ = transient.simulate
 
         def counted_simulate(*args, **kwargs):
             results.append(simulate_(*args, **kwargs))
             return results[-1]
 
-        def counted_extract(*args, **kwargs):
-            fits.append(args)
-            return extract_(*args, **kwargs)
-
         monkeypatch.setattr(transient, "simulate", counted_simulate)
-        monkeypatch.setattr(transient, "extract_phasors", counted_extract)
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
         cross_validate(net, HarmonicBasis(F_MOD, 4), 2.68e6, ports=(1, 2), mod_periods=4.0)
-        assert len(results) == 1 and len(fits) == 1
+        assert len(results) == 1
         res = results[0]
-        assert fits[0][0] is res
-        assert round(res.duration / res.dt) == res.maps.steps
-        assert res.samples["p2"].size == res.maps.steps + 1
-
+        dt, duration = time_grid(net, 2.68e6, F_MOD, 400, 4.0)
+        assert round(res.duration / res.dt) == round(duration / dt)
 
     def test_same_error_with_and_without_a_dump(self, tmp_path):
         # the dump's run keeps every node, the plain run only the output port's
@@ -927,10 +726,10 @@ class TestCrossValidate:
         assert plain == dumped
         assert sorted(read_waveforms(tmp_path / "w.csv.gz").samples) == ["cm", "p1", "p2"]
 
-    def test_shipped_toy_wye_holds_one_nodes_maps(self, monkeypatch):
-        # the verify default run of the toy wye keeps the output port's maps
-        # only; tracemalloc does not see them (they sit in a map of their own),
-        # and the rest of the call stays below what every node's maps would take
+    def test_shipped_toy_wye_holds_no_maps(self, monkeypatch):
+        # the verify default run of the toy wye keeps no node's maps: it maps no
+        # memory for them, and the rest of the call, which tracemalloc sees,
+        # stays below what every node's maps would take
         results = []
         simulate_ = transient.simulate
 
@@ -938,7 +737,11 @@ class TestCrossValidate:
             results.append(simulate_(*args, **kwargs))
             return results[-1]
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("period maps allocated")
+
         monkeypatch.setattr(transient, "simulate", kept)
+        monkeypatch.setattr(transient.mmap, "mmap", refuse)
         cfg = load_config(CONFIGS / "differential.cfg")
         cases, f, f_mod = cfg.verify_cases()
         _, net, ports, gate, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
@@ -952,11 +755,181 @@ class TestCrossValidate:
             tracemalloc.stop()
         assert err <= gate
         (res,) = results
-        maps = res.maps
-        assert maps.nodes == ("p2",) and res._samples is None
-        nu, r = maps.x.shape[1:]
-        assert maps.x.nbytes + maps.y.nbytes == (8 * nu + 16) * r  # one node's
-        assert peak <= 3 * (8 * nu + 16) * r  # every node's would be 3 of them
+        assert res.maps is None and res._samples is None
+        nu = transient._stamp(net, ports[0], 1.0)[3].size
+        r = round(1.0 / (f_mod * res.dt))
+        assert peak <= 3 * (8 * nu + 16) * r  # every node's maps would be 3 of one node's
+
+    def test_toy_wye_at_a_half_integer_frequency_ratio(self):
+        # f/f_mod = 116.5: E = exp(j w T) meets -1, a multiplier of the
+        # trapezoid's algebraic unknowns, yet the drive does not excite them
+        cfg = load_config(CONFIGS / "differential.cfg")
+        cases, _, f_mod = cfg.verify_cases()
+        _, net, ports, gate, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
+        basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
+        err = cross_validate(net, basis, 116.5 * f_mod, ports=ports, pts_per_cycle=ppc,
+                             mod_periods=periods)
+        assert err <= 0.1 * gate
+
+
+class TestSteadyState:
+    """simulate(steady_node=...) reads P_-1, P_0, P_1 from one period's
+    steady state, whatever nodes the run keeps."""
+
+    F = 2.68e6
+
+    def test_static_sidebands_vanish(self):
+        # the RC divider of TestSimulate: one block stands in for the period,
+        # and only the carrier's bin holds anything
+        z0, r, c, f = 50.0, 200.0, 1e-9, 1e6
+        net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
+                       Port(1, "p1", z0)))
+        res = simulate(net, (1, f, 1.0), 60.0 / f, 1.0 / (200.0 * f), nodes=(),
+                       steady_node="n2")
+        p_m, p_0, p_p = res.phasors
+        zc = 1.0 / (1j * 2 * math.pi * f * c)
+        expect = 2.0 * math.sqrt(z0) * zc / (zc + r + z0)
+        assert abs(p_0 - expect) <= 1e-3 * abs(expect)  # the fit's bound in TestSimulate
+        assert max(abs(p_m), abs(p_p)) <= 1e-13 * abs(p_0)
+
+    def test_steady_state_matches_the_waveform_tail(self):
+        # the Q = 20 one-port rings up within a few of its 40 modulation
+        # periods, and 15 tones fit the tail's waveform: that fit reads the
+        # steady state's phasors (8e-14 apart)
+        f_mod = 10.0 * F_MOD
+        net = one_port_net(FAST_SPECS, 0.05, f_mod, phase=0.4)
+        dt, _ = time_grid(net, self.F, f_mod, 100, 1.0)
+        res = simulate(net, (1, self.F, 1.0), 40.0 / f_mod, dt, steady_node="p1")
+        fit = _tail_phasors(res, "p1", self.F, f_mod, 7)
+        assert np.allclose(res.phasors, [fit[-1], fit[0], fit[1]], rtol=0.0,
+                           atol=1e-11 * abs(fit[0]))
+
+    def test_run_without_maps_refuses_samples(self):
+        res = _fast_wye((), "p2")
+        assert res.maps is None
+        with pytest.raises(ValueError, match="kept no node's maps"):
+            res.samples
+        # the bins come from rows that every run forms: the same bits with maps
+        kept = _fast_wye(steady_node="p2")
+        assert np.array_equal(res.phasors, kept.phasors)
+        assert np.array_equal(kept.samples["p2"], _fast_wye().samples["p2"])
+
+    @pytest.mark.parametrize("nodes", [None, ()], ids=["every-node", "no-maps"])
+    def test_unknown_steady_node_raises_before_any_work(self, monkeypatch, nodes):
+        _no_inverse(monkeypatch)
+        with pytest.raises(ValueError, match="steady_node"):
+            _fast_wye(nodes, "p9")
+
+    def test_run_shorter_than_a_period_integrates_one(self):
+        # the steady state is the circuit's, not the run's: half a period
+        # integrates a whole one, and its samples are those of the long run
+        short, long = _fast_wye(steady_node="p2", periods=0.5), _fast_wye(steady_node="p2")
+        assert np.array_equal(short.phasors, long.phasors)
+        assert short.samples["p2"].size == round(short.duration / short.dt) + 1
+        assert np.array_equal(short.samples["p2"], long.samples["p2"][:short.samples["p2"].size])
+
+    @pytest.mark.parametrize("node", ["p1", "p2", "cm"])
+    def test_phasors_do_not_depend_on_the_kept_nodes(self, node):
+        every = _fast_wye(steady_node=node).phasors
+        for nodes in ((), ("p1",), ("p2", "cm")):
+            assert np.array_equal(_fast_wye(nodes, node).phasors, every)
+
+    def test_phasors_scale_with_the_drive(self):
+        # the run is linear in the source, and scaling by a power of two
+        # commutes with every rounding
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
+        one, two = (simulate(net, (1, self.F, a), 2.0 / F_MOD, dt, nodes=(), steady_node="p2")
+                    for a in (1.0, 2.0))
+        assert np.array_equal(two.phasors, 2.0 * one.phasors)
+
+    def test_short_static_run_reads_the_same_steady_state(self):
+        # a static run shorter than a block takes its own steps for the
+        # period: the steady state is the same tone
+        z0, r, c, f = 50.0, 200.0, 1e-9, 1e6
+        net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
+                       Port(1, "p1", z0)))
+        dt = 1.0 / (200.0 * f)
+        short, long = (simulate(net, (1, f, 1.0), n * dt, dt, nodes=(), steady_node="n2")
+                       for n in (37, 12_000))
+        assert abs(short.phasors[1] - long.phasors[1]) <= 1e-12 * abs(long.phasors[1])
+        assert max(abs(short.phasors[0]), abs(short.phasors[2])) <= 1e-13 * abs(short.phasors[1])
+
+    def test_no_phasors_without_a_steady_node(self):
+        assert _fast_wye().phasors is None
+
+
+class TestDftWeights:
+    """_dft_weights: over one period of r steps, the complex samples of a sum
+    of tones f + n*f_mod give each tone's phasor in its bin n = -1, 0, 1, and
+    nothing of the others."""
+
+    P = {-3: 0.2 - 0.1j, -2: 0.05j, -1: 0.1 + 0.3j, 0: 0.5 - 0.2j, 1: -0.05 + 0.02j, 2: 0.3}
+
+    def _period(self, r):
+        w_dt = 2.0 * math.pi * 116.37 / r  # f/f_mod = 116.37, not an integer
+        j = np.arange(1, r + 1)
+        z = np.exp(1j * w_dt * j)
+        wave = sum(p * np.exp(1j * (w_dt + 2.0 * math.pi * n / r) * j) for n, p in self.P.items())
+        return wave, z, j
+
+    @pytest.mark.parametrize("r", [7, 64, 9973])
+    def test_period_sum_reads_each_tone(self, r):
+        wave, z, j = self._period(r)
+        got = wave @ transient._dft_weights(z, j, r)
+        expect = np.array([self.P[n] for n in (-1, 0, 1)])
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_blocks_sum_to_the_period(self):
+        r = 9973
+        wave, z, j = self._period(r)
+        whole = wave @ transient._dft_weights(z, j, r)
+        for block in (1000, 4096):
+            parts = sum(wave[i:i + block] @ transient._dft_weights(z[i:i + block],
+                                                                   j[i:i + block], r)
+                        for i in range(0, r, block))
+            assert np.max(np.abs(parts - whole)) <= 1e-14
+
+
+class TestSteadyPhasors:
+    """_steady_phasors solves (E I - Phi) h* = psi and returns A_n h* + B_n,
+    or raises Diverged where the system is singular or the residual is not
+    within STEADY_RESIDUAL_BOUND."""
+
+    NU = 5
+
+    def _case(self, seed=0):
+        rng = np.random.default_rng(seed)
+        phi = 0.3 * rng.standard_normal((self.NU, self.NU))
+        h_star = rng.standard_normal(self.NU) + 1j * rng.standard_normal(self.NU)
+        phase = np.exp(0.7j)
+        psi = phase * h_star - phi @ h_star
+        state = np.concatenate([phi, psi.real[:, None], psi.imag[:, None]], axis=1)
+        a = rng.standard_normal((self.NU, 3)) + 1j * rng.standard_normal((self.NU, 3))
+        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        bins = np.concatenate([a, b.real[None], b.imag[None]])
+        return state, bins, phase, a.T @ h_star + b
+
+    def test_phasors_of_the_boundary_state(self):
+        state, bins, phase, expect = self._case()
+        got = transient._steady_phasors(state, bins, phase)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_singular_system_raises(self):
+        state, bins, _, _ = self._case()
+        state[:, :self.NU] = np.eye(self.NU)  # E = 1 meets every multiplier of Phi = I
+        with pytest.raises(Diverged, match="singular steady-state system"):
+            transient._steady_phasors(state, bins, 1.0)
+
+    @pytest.mark.parametrize("case", ["bound", "nan"])
+    def test_residual_not_within_the_bound_raises(self, monkeypatch, case):
+        state, bins, phase, _ = self._case()
+        if case == "bound":
+            monkeypatch.setattr(transient, "STEADY_RESIDUAL_BOUND", 1e-30)
+        else:
+            state[0, self.NU] = np.nan
+        with pytest.raises(Diverged, match="steady-state residual"):
+            transient._steady_phasors(state, bins, phase)
 
 
 class TestWaveformDump:
