@@ -18,13 +18,10 @@ import contextlib
 import datetime
 import json
 import math
-import mmap
 import os
 import shutil
 import sys
 import tempfile
-
-import numpy as np
 
 from . import fork
 from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
@@ -149,7 +146,7 @@ def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
     count = max(1, min(len(fork.cpus()), n // MIN_SLICE_POINTS))
     parts = [slice(k * n // count, (k + 1) * n // count) for k in range(count)]
     shape = (n, basis.size, len(stamped.ports), len(stamped.ports))
-    data = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+    data = fork.shared(shape, complex)
     grid = SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=stamped.z0, data=data)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts]

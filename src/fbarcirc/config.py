@@ -230,7 +230,13 @@ class RunConfig:
         t = self.typed
         grid = np.linspace(t["sweep.f_start"], t["sweep.f_stop"], t["sweep.points"])
         extra = t["sweep.include"]
-        return np.union1d(grid, extra) if extra else grid
+        if not extra:
+            return grid
+        # np.union1d's values, by a sort and an adjacent-duplicate mask: only
+        # copies, so the grid keeps its bits; np.union1d imports numpy.ma
+        values = np.concatenate((grid, extra))
+        values.sort()
+        return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
     def basis_f_mod(self) -> float:
         """Modulation frequency of the harmonic basis: always design.f_mod

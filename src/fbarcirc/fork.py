@@ -1,17 +1,23 @@
 """Forked workers, the one place where fbarcirc starts processes.  A worker
 inherits the function that serves its requests; requests and replies go
 pickled over two pipes, in order, and a reply's exception and log records
-take effect only where the reply is taken, never where it is dropped."""
+take effect only where the reply is taken, never where it is dropped.
+Bulk results go through arrays that :func:`shared` makes before the fork."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import logging
+import math
+import mmap
 import os
 import pickle
 import select
 import signal
 import time
+
+import numpy as np
 
 
 # A worker polls this long for its next request before it blocks.  A blocked
@@ -31,6 +37,13 @@ def cpus() -> list[int]:
     if not hasattr(os, "sched_getaffinity"):
         return list(range(os.cpu_count() or 1))
     return sorted(os.sched_getaffinity(0))
+
+
+def shared(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array of ``shape`` on an anonymous shared memory map, so that
+    what a worker forked after this call writes into it, its parent reads."""
+    buf = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype).reshape(shape)
 
 
 def _pin(cpus: list[int]) -> None:
@@ -70,10 +83,13 @@ class Worker:
 
     def __init__(self, pid: int, requests, replies):
         self.pid, self._requests, self._replies = pid, requests, replies
+        self._owed = collections.deque()  # what each request not yet replied to is about
 
     def submit(self, request, about: str) -> None:
-        """Send ``request`` once the last reply is read; ``about`` names it."""
-        self._about = about
+        """Send ``request``; ``about`` names it.  Requests may be sent before
+        earlier replies are read: the worker serves them in order, and
+        :meth:`reply` reads the replies in the same order."""
+        self._owed.append(about)
         try:
             self._requests.write(pickle.dumps(request))
             self._requests.flush()
@@ -81,13 +97,15 @@ class Worker:
             self._lost()
 
     def reply(self, take: bool = True):
-        """The request's value, or its exception raised, once its log records
-        are emitted here; None, the reply dropped, if not ``take``.
+        """The value of the oldest request not yet replied to, or its exception
+        raised, once its log records are emitted here; None, the reply
+        dropped, if not ``take``.
         :class:`WorkerLost` if the worker ended without it."""
         try:
             ok, value, records = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):  # nothing sent, or cut short
             self._lost()
+        self._owed.popleft()
         if take:
             for record in records:
                 logging.getLogger(record.name).handle(record)
@@ -99,7 +117,7 @@ class Worker:
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
         how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited {code}"
-        raise WorkerLost(f"the worker for {self._about} {how} without a result")
+        raise WorkerLost(f"the worker for {self._owed[0]} {how} without a result")
 
 
 @contextlib.contextmanager

@@ -21,7 +21,9 @@ modulation.  :func:`simulate` rounds dt so that it divides the modulation
 period into P whole steps (a dt from :func:`time_grid` already does), and
 integrates the recurrence h <- (2K A^-1 - I) h + 2K A^-1 u over that one
 period only, under the complex drive s*exp(j w t) whose real part is the
-true drive, in cache-sized blocks of steps.  A block's step stack holds
+true drive, in cache-sized blocks of steps; a period of at least
+MIN_FORK_BLOCKS blocks is built on two CPUs where there are two, with the
+bits of one (see :func:`_period`).  A block's step stack holds
 each inverse beside its drive, [A_j^-1 | A_j^-1 s z_j]; its product with
 [[S], [0 | I]] for the state S = [Phi_{j-1} | psi_{j-1}] of the period's
 propagator and forced response gives the unknowns x_j, and 2K x_j - S the
@@ -69,6 +71,7 @@ makes of it, whose dimensionless behavior is identical.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import math
@@ -77,6 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fork
 from .fileio import BLOCK_ROWS, atomic_open
 from .htm import HarmonicBasis, sparams
 from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
@@ -90,6 +94,12 @@ STEADY_RESIDUAL_BOUND = 1e-10
 # values in one block's stack of step matrices (1 MiB): small enough that a
 # block's arrays stay in cache, and a bound on the integrator's working memory
 CHUNK_VALUES = 1 << 17
+# Blocks a modulation period must hold before a forked worker builds two in
+# every three of them (see _period).  The fork, the copy-on-write faults and
+# the reaping cost this process several ms: on 2 vCPUs, one period of the toy
+# wye ran 7% slower with the worker at 8 blocks, as fast at 9, 2% faster at
+# 10 and 11, 10% at 12 and 16% at 14.
+MIN_FORK_BLOCKS = 10
 # most terms of the Neumann series that replaces the Woodbury k x k solves
 SERIES_TERMS = 4
 # Size bounds of one run, checked before anything is allocated: the steps of
@@ -313,36 +323,36 @@ class _StepInverses:
         return x_t.transpose(1, 0, 2)
 
 
-def _chain(step: np.ndarray, k2: np.ndarray, state: np.ndarray,
-           nr: int) -> tuple[np.ndarray, np.ndarray]:
-    """The last state of S_j = k2 P_j - S_{j-1}, P_j = step_j [[S_{j-1}], [0 | I]],
-    from S_0 = ``state``, and the first ``nr`` rows of every P_j.
+def _local(step: np.ndarray, k2: np.ndarray, nr: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of a block's chain that does not depend on its entry state:
+    ``ends`` (nu, nb, nu + 2), each sub-block's last local state, and ``rows``
+    (nb, b, nr, nu + 2), the first ``nr`` rows of every local P_j, for
+    :func:`_lift`.
 
+    The chain is S_j = k2 P_j - S_{j-1}, P_j = step_j [[S_{j-1}], [0 | I]].
     S is nu x (nu + 2): a propagator beside the real and imaginary parts of
     a forced response.  With step_j = [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j]
     and k2 = 2K, P_j is the unknowns x_j and S_j = (2K A_j^-1 - I) S_{j-1} +
-    [0 | 2K A_j^-1 s z_j].  Blocks of about sqrt(n) steps run side by side
-    from the identity, a turn being one small product per block and one GEMM
-    of k2 over all of them; one product with its entry state lifts a block's
-    rows to absolute states.  So no state is kept per step, and the Python
-    loops take about 2*sqrt(n) turns instead of n.
+    [0 | 2K A_j^-1 s z_j].  nb sub-blocks of b, about sqrt(n), steps run side
+    by side from the identity, a turn being one small product per sub-block
+    and one GEMM of k2 over all of them.  So no state is kept per step, and
+    the Python loops take about 2*sqrt(n) turns instead of n.
     """
     n, nu = step.shape[:2]
-    b = math.isqrt(n - 1) + 1
-    nb = -(-n // b)
-    short = n - (nb - 1) * b  # steps of the last block
-    # every block's local [[S], [0 | I]], a row of all blocks at a time so that
-    # one GEMM takes k2 P for all of them; two buffers used in turn
+    b, nb = _sub_blocks(n)
+    short = n - (nb - 1) * b  # steps of the last sub-block
+    # every sub-block's local [[S], [0 | I]], a row of all of them at a time so
+    # that one GEMM takes k2 P for all; two buffers used in turn
     local = np.zeros((2, nu + 2, nb, nu + 2))
     local[0, :nu, :, :nu] = np.eye(nu)[:, None]
     local[:, nu, :, nu] = local[:, nu + 1, :, nu + 1] = 1.0
     p = np.empty((nu, nb, nu + 2))
     rows = np.empty((nb, b, nr, nu + 2))
-    rows[-1, short:] = 0.0  # past the end of the last block
-    last = local[b % 2, :nu, -1]  # the last block's state, unless it is short
+    rows[-1, short:] = 0.0  # past the end of the last sub-block
+    last = None  # the last sub-block's state, if it is short
     p_flat = p.reshape(nu, -1)
-    turns = {}  # a turn's views, made once per buffer parity and count g of blocks
-    for i in range(b):  # step i of every block that has one
+    turns = {}  # a turn's views, made once per buffer parity and count g of sub-blocks
+    for i in range(b):  # step i of every sub-block that has one
         g = -(-(n - i) // b)
         if (i % 2, g) not in turns:
             now, nxt = local[i % 2], local[1 - i % 2]
@@ -350,21 +360,114 @@ def _chain(step: np.ndarray, k2: np.ndarray, state: np.ndarray,
                                nxt[:nu].reshape(nu, -1), nxt[:nu], now[:nu],
                                p[:nr, :g].transpose(1, 0, 2))
         now_g, p_g, nxt_flat, nxt_s, now_s, rows_g = turns[i % 2, g]
-        if i == short:  # the short last block is done; later turns overwrite its state
+        if i == short:  # the short last sub-block is done; later turns overwrite its state
             last = now_s[:, -1].copy()
         np.matmul(step[i::b], now_g, out=p_g)
         np.matmul(k2, p_flat, out=nxt_flat)
         nxt_s -= now_s
         rows[:g, i] = rows_g
-    # each block's entry state S as [[S], [0 | I]]: one product with it lifts
-    # the block's local [Phi | psi] to the absolute state
+    ends = local[b % 2, :nu]
+    if last is not None:
+        ends[:, -1] = last
+    return ends, rows
+
+
+def _lift(ends: np.ndarray, rows: np.ndarray, state: np.ndarray,
+          n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last state of a block's chain of ``n`` steps from S_0 = ``state``,
+    and the absolute rows of every P_j, from its :func:`_local` parts."""
+    nu, nb = ends.shape[:2]
+    # each sub-block's entry state S as [[S], [0 | I]]: one product with it
+    # lifts the sub-block's local [Phi | psi] to the absolute state
     enter = np.zeros((nb, nu + 2, nu + 2))
     enter[:, nu:, nu:] = np.eye(2)
     for blk in range(nb):
         enter[blk, :nu] = state
-        state = (local[b % 2, :nu, blk] if blk < nb - 1 else last) @ enter[blk]
+        state = ends[:, blk] @ enter[blk]
     out = rows.reshape(nb, -1, nu + 2) @ enter
-    return state, out.reshape(nb * b, nr, nu + 2)[:n]
+    return state, out.reshape(-1, rows.shape[2], nu + 2)[:n]
+
+
+def _sub_blocks(n: int) -> tuple[int, int]:
+    """(b, nb): a block of ``n`` steps runs as nb sub-blocks of b steps, the
+    last perhaps short."""
+    b = math.isqrt(n - 1) + 1
+    return b, -(-n // b)
+
+
+def _period(a0: np.ndarray, mod: np.ndarray, s: np.ndarray, k2: np.ndarray, dt: float,
+            w_stim: float, r: int, chunk: int, nr: int):
+    """The blocks of ``chunk`` steps of a modulation period of ``r`` steps
+    from S_0 = [I | 0], in order, as (j, z, state, rows): the block's steps
+    j, the drive's phases z_j = exp(i w j dt), the chain's state after it,
+    and the first ``nr`` rows of its P_j as (row, column, step); close it to
+    stop early.
+
+    A block's step stack [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j] and its
+    :func:`_local` parts do not depend on its entry state.  So with at least
+    MIN_FORK_BLOCKS blocks a forked worker, where there is one, builds two
+    blocks in every three into a ring of two shared slots, and this process
+    builds the third and lifts every block in order: the same operations on
+    the same inputs as one process, so the same bits, and the first failing
+    block raises its error."""
+    nu = s.size
+    starts = range(0, r, chunk)
+    inverses = _StepInverses(a0, mod, chunk)
+    # one block's step stack, reused: a new one per block would need twice its room
+    stack = np.empty((nu, chunk, nu + 2))
+
+    def phases(i: int) -> tuple[np.ndarray, np.ndarray]:
+        j = np.arange(starts[i] + 1, min(starts[i] + chunk, r) + 1)
+        return j, np.exp(1j * w_stim * (j * dt))
+
+    def build(j: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The :func:`_local` parts of the block of steps j."""
+        # [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j], row i of every step side by side
+        step = stack[:, :j.size]
+        step[:, :, :nu] = inverses(j * dt).transpose(1, 0, 2)
+        a_s = step[:, :, :nu] @ s  # A_j^-1 s
+        np.multiply(a_s, z.real, out=step[:, :, nu])
+        np.multiply(a_s, z.imag, out=step[:, :, nu + 1])
+        return _local(step.transpose(1, 0, 2), k2, nr)
+
+    forking = len(starts) >= MIN_FORK_BLOCKS
+    if forking:  # slot i % 3 - 1 holds worker block i's ends, then from ``cap`` its rows
+        b, nb = _sub_blocks(chunk)
+        cap = nu * nb * (nu + 2)
+        ring = fork.shared((2, cap + nb * b * nr * (nu + 2)), float)
+
+    def serve(i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """In the worker: block i's parts into its slot; their shapes."""
+        ends, rows = build(*phases(i))
+        slot = ring[i % 3 - 1]
+        slot[:ends.size] = ends.ravel()
+        slot[cap:cap + rows.size] = rows.ravel()
+        return ends.shape, rows.shape
+
+    def submit(i: int) -> None:
+        if i < len(starts):
+            pool[0].submit(i, f"steps {starts[i] + 1}..{min(starts[i] + chunk, r)} "
+                              f"of the modulation period")
+
+    state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
+    with fork.workers(serve, int(forking)) as pool:
+        if pool:
+            submit(1)
+            submit(2)
+        for i in range(len(starts)):
+            j, z = phases(i)
+            if pool and i % 3:
+                shape_e, shape_r = pool[0].reply()
+                slot = ring[i % 3 - 1]
+                ends = slot[:math.prod(shape_e)].reshape(shape_e)
+                rows = slot[cap:cap + math.prod(shape_r)].reshape(shape_r)
+                state, xs = _lift(ends, rows, state, j.size)
+                submit(i + 3)  # into the slot just read
+            else:
+                state, xs = _lift(*build(j, z), state, j.size)
+            # rebound, so that the lifted rows are freed while the caller holds the block
+            xs = np.ascontiguousarray(xs.transpose(1, 2, 0))
+            yield j, z, state, xs
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
@@ -459,34 +562,23 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     bins = np.zeros((nu + 2, 3), complex)
     # every node's max_j |X_j| and max_j |Y_j|, for the guard
     x_max, y_max = np.zeros((nn, nu)), np.zeros(nn)
-    state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        inverses = _StepInverses(a0, mod, min(chunk, r))
-        # one block's step stack, reused: a new one per block would need twice its room
-        stack = np.empty((nu, min(chunk, r), nu + 2))
-        for j0 in range(0, r, chunk):
-            j = np.arange(j0 + 1, min(j0 + chunk, r) + 1)
-            # [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j], row i of every step side by side
-            step = stack[:, :j.size]
-            step[:, :, :nu] = inverses(j * dt).transpose(1, 0, 2)
-            z = np.exp(1j * w_stim * (j * dt))
-            a_s = step[:, :, :nu] @ s  # A_j^-1 s
-            np.multiply(a_s, z.real, out=step[:, :, nu])
-            np.multiply(a_s, z.imag, out=step[:, :, nu + 1])
-            state, xs = _chain(step.transpose(1, 0, 2), 2.0 * k, state, nn)
-            xs = np.ascontiguousarray(xs.transpose(1, 2, 0))  # node, column, step
-            if steady is not None:
-                bins += xs[steady] @ _dft_weights(z, j, r)
-            y_blk = np.empty((nn, j.size), complex)
-            y_blk.real, y_blk.imag = xs[:, nu], xs[:, nu + 1]
-            x_max = np.maximum(x_max, np.max(np.abs(xs[:, :nu]), axis=2))
-            y_max = np.maximum(y_max, np.max(np.abs(y_blk), axis=1))
-            if keep:
-                x_h[:, :, j0:j0 + j.size] = xs[keep, :nu]
-                y_e[:, j0:j0 + j.size] = y_blk[keep]
+        blocks = _period(a0, mod, s, 2.0 * k, dt, w_stim, r, min(chunk, r), nn)
+        with contextlib.closing(blocks):  # its worker ends with it
+            for j, z, state, xs in blocks:
+                if steady is not None:
+                    bins += xs[steady] @ _dft_weights(z, j, r)
+                y_blk = np.empty((nn, j.size), complex)
+                y_blk.real, y_blk.imag = xs[:, nu], xs[:, nu + 1]
+                x_max = np.maximum(x_max, np.max(np.abs(xs[:, :nu]), axis=2))
+                y_max = np.maximum(y_max, np.max(np.abs(y_blk), axis=1))
+                if keep:
+                    x_h[:, :, j[0] - 1:j[-1]] = xs[keep, :nu]
+                    y_e[:, j[0] - 1:j[-1]] = y_blk[keep]
+                del xs  # before the next block is lifted
         # Free the block, small arrays too: one left above its memory keeps the
         # allocator from returning that memory.
-        del j, stack, step, z, a_s, xs, y_blk, inverses
+        del j, z, y_blk, blocks
 
         # period boundaries h_p from h_0 = 0
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))

@@ -78,6 +78,20 @@ class TestSweep:
         assert 1.25e9 in grid and 1.5e9 in grid
         assert grid.size == 4  # 1.5e9 collides with a linspace point
 
+    @pytest.mark.parametrize("include", [
+        "1.5e9",  # on the grid
+        "1.3e9, 2.5e9, 1e8",  # off it, unsorted, outside the span
+        "1.3e9, 1.3e9, 1.5e9, 1.5e9",  # repeated, on and off the grid
+        "1.3e9, 1e9, 2e9, 1.3000000000000002e9",  # the grid's ends, a last-bit neighbour
+    ], ids=["on-grid", "off-grid", "repeated", "ends"])
+    def test_include_has_the_values_of_union1d(self, include):
+        cfg = parse_config("sweep.f_start = 1e9\nsweep.f_stop = 2e9\nsweep.points = 7\n"
+                           f"sweep.include = {include}\n")
+        grid = np.linspace(1e9, 2e9, 7)
+        extra = [float(v) for v in include.split(",")]
+        got = cfg.sweep_frequencies()
+        assert got.dtype == np.float64 and np.array_equal(got, np.union1d(grid, extra))
+
     def test_order_validated(self):
         with pytest.raises(ConfigError, match="f_start"):
             parse_config("sweep.f_start = 2e9\nsweep.f_stop = 1e9\n")

@@ -1,5 +1,8 @@
+import errno
 import gzip
 import math
+import os
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
-from fbarcirc import transient
+from fbarcirc import fork, transient
 from fbarcirc.config import load_config, parse_config
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
@@ -15,7 +18,7 @@ from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Modulatio
 from fbarcirc.transient import (Diverged, StepTooLarge, TransientResult, cross_validate,
                                 read_waveforms, simulate, time_grid, write_waveforms)
 
-from conftest import DESK_SPECS, one_port_net, toy_wye_net
+from conftest import DESK_SPECS, assert_no_worker_left, one_port_net, toy_wye_net
 
 F_MOD = 23.2e3
 FAST_SPECS = ResonatorSpecs(f_s=2.65e6, q=20.0, k_sq=0.09, c0=1.0e-9)
@@ -261,7 +264,7 @@ class TestPeriodReuse:
         step = np.broadcast_to(np.concatenate([a_inv, rng.normal(size=(size, nu, 2))], axis=2),
                                (n, nu, nu + 2))
         state = rng.normal(size=(nu, nu + 2))
-        last, rows = transient._chain(step, k2, state, nr)
+        last, rows = transient._lift(*transient._local(step, k2, nr), state, n)
         assert rows.shape == (n, nr, nu + 2)
         s = state
         for j in range(n):
@@ -671,6 +674,138 @@ class TestKeptNodes:
                 assert np.array_equal(one.h, every.h) and np.array_equal(one.e, every.e)
 
 
+class TestTwoCpuPeriod:
+    """A period of at least MIN_FORK_BLOCKS blocks is built on two CPUs: a
+    forked worker builds two blocks in three, this process the third and
+    lifts every block in order, with the bits, errors and files of one
+    process."""
+
+    @staticmethod
+    def _cut(monkeypatch, blocks: int) -> int:
+        """Cut the fast wye's period at 60 points per cycle into ``blocks``
+        blocks; the steps of one block."""
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        r = round(1.0 / (F_MOD * time_grid(net, 2.68e6, F_MOD, 60, 1.0)[0]))
+        steps = -(-r // blocks)
+        assert -(-r // steps) == blocks
+        monkeypatch.setattr(transient, "CHUNK_VALUES", steps * 7 * 9)  # nu = 7 unknowns
+        return steps
+
+    @staticmethod
+    def _outputs():
+        res = _fast_wye(steady_node="p2", periods=2.5)
+        maps = res.maps
+        return [res.phasors, maps.x, maps.y, maps.h, _fast_wye((), "p2", 2.5).phasors]
+
+    @pytest.mark.parametrize("extra, short", [(0, True), (1, True), (19, False)],
+                             ids=["at-threshold", "one-step-last-block", "full-blocks"])
+    def test_bits_do_not_depend_on_the_cpus(self, monkeypatch, cpus, extra, short):
+        blocks = transient.MIN_FORK_BLOCKS + extra
+        steps = self._cut(monkeypatch, blocks)
+        outputs = []
+        for n_cpus in (1, 2, 3):
+            forks = cpus(n_cpus)
+            forks.clear()
+            outputs.append(self._outputs())
+            assert len(forks) == (0 if n_cpus == 1 else 2)  # one per run
+            assert_no_worker_left()
+        assert (outputs[0][3].shape[0] > 1 and outputs[0][1].shape[2] == 6931
+                and (6931 % steps != 0) == short)
+        for other in outputs[1:]:
+            for a, b in zip(outputs[0], other):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_no_fork_below_the_threshold(self, monkeypatch, cpus):
+        self._cut(monkeypatch, transient.MIN_FORK_BLOCKS - 1)
+        forks = cpus(2)
+        self._outputs()
+        assert forks == []
+
+    @pytest.mark.parametrize("first", [3, 4, 5], ids=["own-block", "worker-first", "worker-second"])
+    def test_first_failing_block_raises(self, monkeypatch, cpus, first):
+        # every block from ``first`` on fails; blocks 4 and 5 are the worker's
+        # and 3 and 6 this process's, so the worker's failures may come first
+        steps = self._cut(monkeypatch, transient.MIN_FORK_BLOCKS)
+        call = transient._StepInverses.__call__
+        dt = time_grid(toy_wye_net(FAST_SPECS, 0.02, F_MOD), 2.68e6, F_MOD, 60, 1.0)[0]
+
+        def failing(self, t):
+            if round(t[0] / dt) - 1 >= first * steps:
+                raise Diverged(f"block from step {round(t[0] / dt)}")
+            return call(self, t)
+
+        monkeypatch.setattr(transient._StepInverses, "__call__", failing)
+        messages = []
+        for n_cpus in (1, 2):
+            forks = cpus(n_cpus)
+            forks.clear()
+            with pytest.raises(Diverged) as info:
+                _fast_wye(steady_node="p2")
+            messages.append(str(info.value))
+            assert len(forks) == n_cpus - 1
+            assert_no_worker_left()
+        assert messages == [f"block from step {first * steps + 1}"] * 2
+
+    def test_killed_worker_names_the_block_it_owed(self, monkeypatch, cpus):
+        # two blocks are in flight when the worker dies on its first
+        steps = self._cut(monkeypatch, transient.MIN_FORK_BLOCKS)
+        parent, call = os.getpid(), transient._StepInverses.__call__
+
+        def killed(self, t):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return call(self, t)
+
+        monkeypatch.setattr(transient._StepInverses, "__call__", killed)
+        cpus(2)
+        with pytest.raises(fork.WorkerLost) as info:
+            _fast_wye(steady_node="p2")
+        assert str(info.value) == (f"the worker for steps {steps + 1}..{2 * steps} of the "
+                                   f"modulation period was killed by SIGKILL without a result")
+        assert_no_worker_left()
+
+    def test_failed_fork_gives_the_one_process_bits(self, monkeypatch, cpus):
+        self._cut(monkeypatch, transient.MIN_FORK_BLOCKS)
+        cpus(1)
+        one = self._outputs()
+        forks = cpus(2)
+        calls = []
+
+        def failing_fork():
+            calls.append(None)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        two = self._outputs()
+        assert len(calls) == 2 and forks == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+        for a, b in zip(one, two):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("where", ["_lift", "_dft_weights"],
+                             ids=["while-lifting", "between-blocks"])
+    def test_interrupt_leaves_no_worker(self, monkeypatch, cpus, where):
+        # interrupted in the fifth block, with the worker's requests in flight
+        self._cut(monkeypatch, transient.MIN_FORK_BLOCKS)
+        parent, wrapped, calls = os.getpid(), getattr(transient, where), []
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                calls.append(None)
+                if len(calls) == 5:
+                    raise KeyboardInterrupt
+            return wrapped(*args)
+
+        monkeypatch.setattr(transient, where, interrupted)
+        forks = cpus(2)
+        with pytest.raises(KeyboardInterrupt) as info:  # its traceback holds simulate's frame
+            _fast_wye(steady_node="p2")
+        assert len(forks) == 1
+        assert_no_worker_left()
+        del info
+
+
 class TestCrossValidate:
     def test_static_one_port(self, desk_specs):
         # the 1e-3 gate needs the finer step: trapezoidal frequency warp
@@ -728,24 +863,31 @@ class TestCrossValidate:
 
     def test_shipped_toy_wye_holds_no_maps(self, monkeypatch):
         # the verify default run of the toy wye keeps no node's maps: it maps no
-        # memory for them, and the rest of the call, which tracemalloc sees,
-        # stays below what every node's maps would take
-        results = []
-        simulate_ = transient.simulate
+        # memory the size of one node's maps (the two-CPU ring of two blocks'
+        # rows is a third of that), and the rest of the call, which tracemalloc
+        # sees, stays below what every node's maps would take
+        results, sizes = [], []
+        simulate_, mmap_ = transient.simulate, transient.mmap.mmap
+        cfg = load_config(CONFIGS / "differential.cfg")
+        cases, f, f_mod = cfg.verify_cases()
+        _, net, ports, gate, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
+        basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
+        nu = transient._stamp(net, ports[0], 1.0)[3].size
+        r = round(1.0 / (f_mod * time_grid(net, f, f_mod, ppc, periods)[0]))
+        one_node = r * (16 + 8 * nu)  # bytes of one node's period maps
 
         def kept(*args, **kwargs):
             results.append(simulate_(*args, **kwargs))
             return results[-1]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("period maps allocated")
+        def refuse(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            if length >= one_node:
+                raise AssertionError("period maps allocated")
+            return mmap_(fileno, length, *args, **kwargs)
 
         monkeypatch.setattr(transient, "simulate", kept)
         monkeypatch.setattr(transient.mmap, "mmap", refuse)
-        cfg = load_config(CONFIGS / "differential.cfg")
-        cases, f, f_mod = cfg.verify_cases()
-        _, net, ports, gate, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
-        basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
         tracemalloc.start()
         try:
             err = cross_validate(net, basis, f, ports=ports, pts_per_cycle=ppc,
@@ -756,8 +898,8 @@ class TestCrossValidate:
         assert err <= gate
         (res,) = results
         assert res.maps is None and res._samples is None
-        nu = transient._stamp(net, ports[0], 1.0)[3].size
-        r = round(1.0 / (f_mod * res.dt))
+        assert r == round(1.0 / (f_mod * res.dt))
+        assert all(size < one_node for size in sizes)
         assert peak <= 3 * (8 * nu + 16) * r  # every node's maps would be 3 of one node's
 
     def test_toy_wye_at_a_half_integer_frequency_ratio(self):
