@@ -259,9 +259,14 @@ class _StepInverses:
     else one batched k x k solve.  A call checks its block's residual
     max|A_j A_j^-1 - I| against INVERSE_RESIDUAL_BOUND either way; a singular
     A0 or step matrix, or a failed check, raises :class:`Diverged`.
+
+    Every block's inverses are formed in ``out`` and its Woodbury correction
+    and residual in ``scratch``, flat float buffers of at least nu*block*nu
+    values that the caller may lend (their own when None).
     """
 
-    def __init__(self, a0: np.ndarray, mod: np.ndarray, block: int):
+    def __init__(self, a0: np.ndarray, mod: np.ndarray, block: int,
+                 out: np.ndarray | None = None, scratch: np.ndarray | None = None):
         nu = a0.shape[0]
         try:
             a0_inv = np.linalg.inv(a0)
@@ -278,8 +283,9 @@ class _StepInverses:
             rho = float(np.max(np.abs(mod[:, 1])) * np.max(np.sum(np.abs(self.c), axis=1)))
             # terms of the series, 0 for the solve
             self.terms = next((m for m in range(1, SERIES_TERMS + 1) if rho ** m <= 2.0 ** -53), 0)
-            # one block's inverses and residuals, reused by every block
-            self.work = np.empty((2, nu * block * nu))
+            size = nu * block * nu
+            self.out = np.empty(size) if out is None else out
+            self.scratch = np.empty(size) if scratch is None else scratch
 
     def _woodbury(self, d: np.ndarray) -> np.ndarray:
         """W_j = (I + D_j C)^-1 D_j for the columns d_j of ``d`` (k, n), as
@@ -310,8 +316,9 @@ class _StepInverses:
         d = mod[:, 1, None] * np.cos(np.outer(2.0 * math.pi * mod[:, 2], t) + mod[:, 3, None])
         # Row i of every step's inverse side by side, x_t[i, j] = (A_j^-1)[i],
         # so that the products below are GEMMs over the whole block.
-        x_t, r = (buf[:nu * n * nu].reshape(nu, n, nu) for buf in self.work)
-        corr = self.u @ self._woodbury(d)
+        x_t = self.out[:nu * n * nu].reshape(nu, n, nu)
+        r = self.scratch[:nu * n * nu].reshape(nu, n, nu)
+        corr = np.matmul(self.u, self._woodbury(d), out=self.scratch[:nu * n * k].reshape(nu, n * k))
         np.matmul(corr.reshape(nu * n, k), -self.v, out=x_t.reshape(nu * n, nu))
         x_t += self.a0_inv[:, None]
         np.matmul(self.a0, x_t.reshape(nu, n * nu), out=r.reshape(nu, n * nu))
@@ -323,11 +330,13 @@ class _StepInverses:
         return x_t.transpose(1, 0, 2)
 
 
-def _local(step: np.ndarray, k2: np.ndarray, nr: int) -> tuple[np.ndarray, np.ndarray]:
+def _local(step: np.ndarray, k2: np.ndarray, nr: int,
+           out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The part of a block's chain that does not depend on its entry state:
     ``ends`` (nu, nb, nu + 2), each sub-block's last local state, and ``rows``
     (nb, b, nr, nu + 2), the first ``nr`` rows of every local P_j, for
-    :func:`_lift`.
+    :func:`_lift`; both are views of the flat buffer ``out`` (see
+    :func:`_parts`), which must not hold ``step``.
 
     The chain is S_j = k2 P_j - S_{j-1}, P_j = step_j [[S_{j-1}], [0 | I]].
     S is nu x (nu + 2): a propagator beside the real and imaginary parts of
@@ -342,12 +351,13 @@ def _local(step: np.ndarray, k2: np.ndarray, nr: int) -> tuple[np.ndarray, np.nd
     b, nb = _sub_blocks(n)
     short = n - (nb - 1) * b  # steps of the last sub-block
     # every sub-block's local [[S], [0 | I]], a row of all of them at a time so
-    # that one GEMM takes k2 P for all; two buffers used in turn
-    local = np.zeros((2, nu + 2, nb, nu + 2))
-    local[0, :nu, :, :nu] = np.eye(nu)[:, None]
+    # that one GEMM takes k2 P for all; two buffers used in turn, starting
+    # from the one that leaves the last turn's states in local[0]
+    local, ends, rows = _parts(out, n, nu, nr)
+    local[...] = 0.0
+    local[b % 2, :nu, :, :nu] = np.eye(nu)[:, None]
     local[:, nu, :, nu] = local[:, nu + 1, :, nu + 1] = 1.0
     p = np.empty((nu, nb, nu + 2))
-    rows = np.empty((nb, b, nr, nu + 2))
     rows[-1, short:] = 0.0  # past the end of the last sub-block
     last = None  # the last sub-block's state, if it is short
     p_flat = p.reshape(nu, -1)
@@ -355,7 +365,7 @@ def _local(step: np.ndarray, k2: np.ndarray, nr: int) -> tuple[np.ndarray, np.nd
     for i in range(b):  # step i of every sub-block that has one
         g = -(-(n - i) // b)
         if (i % 2, g) not in turns:
-            now, nxt = local[i % 2], local[1 - i % 2]
+            now, nxt = local[(b + i) % 2], local[(b + i + 1) % 2]
             turns[i % 2, g] = (now[:, :g].transpose(1, 0, 2), p[:, :g].transpose(1, 0, 2),
                                nxt[:nu].reshape(nu, -1), nxt[:nu], now[:nu],
                                p[:nr, :g].transpose(1, 0, 2))
@@ -366,17 +376,31 @@ def _local(step: np.ndarray, k2: np.ndarray, nr: int) -> tuple[np.ndarray, np.nd
         np.matmul(k2, p_flat, out=nxt_flat)
         nxt_s -= now_s
         rows[:g, i] = rows_g
-    ends = local[b % 2, :nu]
     if last is not None:
         ends[:, -1] = last
     return ends, rows
 
 
-def _lift(ends: np.ndarray, rows: np.ndarray, state: np.ndarray,
-          n: int) -> tuple[np.ndarray, np.ndarray]:
+def _parts(out: np.ndarray, n: int, nu: int,
+           nr: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The views (local, ends, rows) of the flat buffer in which
+    :func:`_local` builds a block of ``n`` steps: its two local states
+    (2, nu + 2, nb, nu + 2), the last turn's first, whose first nu rows are
+    ``ends``, then ``rows``."""
+    b, nb = _sub_blocks(n)
+    local = out[:2 * (nu + 2) * nb * (nu + 2)].reshape(2, nu + 2, nb, nu + 2)
+    rows = out[local.size:local.size + nb * b * nr * (nu + 2)].reshape(nb, b, nr, nu + 2)
+    return local, local[0, :nu], rows
+
+
+def _lift(ends: np.ndarray, rows: np.ndarray, state: np.ndarray, n: int,
+          out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The last state of a block's chain of ``n`` steps from S_0 = ``state``,
-    and the absolute rows of every P_j, from its :func:`_local` parts."""
+    and the absolute rows of every P_j, node-major as (row, column, step),
+    from its :func:`_local` parts.  The lifted rows and that copy of them are
+    views of the flat buffer ``out``, which must not hold ``rows``."""
     nu, nb = ends.shape[:2]
+    nr = rows.shape[2]
     # each sub-block's entry state S as [[S], [0 | I]]: one product with it
     # lifts the sub-block's local [Phi | psi] to the absolute state
     enter = np.zeros((nb, nu + 2, nu + 2))
@@ -384,8 +408,11 @@ def _lift(ends: np.ndarray, rows: np.ndarray, state: np.ndarray,
     for blk in range(nb):
         enter[blk, :nu] = state
         state = ends[:, blk] @ enter[blk]
-    out = rows.reshape(nb, -1, nu + 2) @ enter
-    return state, out.reshape(-1, rows.shape[2], nu + 2)[:n]
+    lifted = np.matmul(rows.reshape(nb, -1, nu + 2), enter,
+                       out=out[:rows.size].reshape(nb, -1, nu + 2))
+    xs = out[rows.size:rows.size + nr * (nu + 2) * n].reshape(nr, nu + 2, n)
+    np.copyto(xs, lifted.reshape(-1, nr, nu + 2)[:n].transpose(1, 2, 0))
+    return state, xs
 
 
 def _sub_blocks(n: int) -> tuple[int, int]:
@@ -409,47 +436,53 @@ def _period(a0: np.ndarray, mod: np.ndarray, s: np.ndarray, k2: np.ndarray, dt: 
     blocks in every three into a ring of two shared slots, and this process
     builds the third and lifts every block in order: the same operations on
     the same inputs as one process, so the same bits, and the first failing
-    block raises its error."""
-    nu = s.size
+    block raises its error.
+
+    A block goes through two buffers of the run, each sized to the largest
+    of its uses, so that every circuit fits.  ``scratch`` holds the
+    Woodbury correction and residual of its inverses, then its step stack,
+    then, once :func:`_local` is done with the stack, its lifted rows and
+    their node-major copy, the rows yielded, valid until the next block.
+    ``held`` holds its inverses until the stack takes them, then its
+    :func:`_local` parts; a worker's block builds those in its ring slot."""
+    nu, m = s.size, s.size + 2
     starts = range(0, r, chunk)
-    inverses = _StepInverses(a0, mod, chunk)
-    # one block's step stack, reused: a new one per block would need twice its room
-    stack = np.empty((nu, chunk, nu + 2))
+    b, nb = _sub_blocks(chunk)  # no block of at most chunk steps needs more
+    rows = nb * b * nr * m  # values of a block's node rows
+    parts = 2 * m * nb * m + rows  # and of its _local parts
+    held = np.empty(max(nu * chunk * nu if len(mod) else 0, parts))
+    scratch = np.empty(max(nu * chunk * m, 2 * rows))
+    inverses = _StepInverses(a0, mod, chunk, held, scratch)
+    stack = scratch[:nu * chunk * m].reshape(nu, chunk, m)
 
     def phases(i: int) -> tuple[np.ndarray, np.ndarray]:
         j = np.arange(starts[i] + 1, min(starts[i] + chunk, r) + 1)
         return j, np.exp(1j * w_stim * (j * dt))
 
-    def build(j: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The :func:`_local` parts of the block of steps j."""
+    def build(j: np.ndarray, z: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The :func:`_local` parts of the block of steps j, in ``out``."""
         # [A_j^-1 | A_j^-1 s Re z_j, A_j^-1 s Im z_j], row i of every step side by side
         step = stack[:, :j.size]
         step[:, :, :nu] = inverses(j * dt).transpose(1, 0, 2)
         a_s = step[:, :, :nu] @ s  # A_j^-1 s
         np.multiply(a_s, z.real, out=step[:, :, nu])
         np.multiply(a_s, z.imag, out=step[:, :, nu + 1])
-        return _local(step.transpose(1, 0, 2), k2, nr)
+        return _local(step.transpose(1, 0, 2), k2, nr, out)
 
     forking = len(starts) >= MIN_FORK_BLOCKS
-    if forking:  # slot i % 3 - 1 holds worker block i's ends, then from ``cap`` its rows
-        b, nb = _sub_blocks(chunk)
-        cap = nu * nb * (nu + 2)
-        ring = fork.shared((2, cap + nb * b * nr * (nu + 2)), float)
+    if forking:  # slot i % 3 - 1 holds worker block i's parts
+        ring = fork.shared((2, parts), float)
 
-    def serve(i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """In the worker: block i's parts into its slot; their shapes."""
-        ends, rows = build(*phases(i))
-        slot = ring[i % 3 - 1]
-        slot[:ends.size] = ends.ravel()
-        slot[cap:cap + rows.size] = rows.ravel()
-        return ends.shape, rows.shape
+    def serve(i: int) -> None:
+        """In the worker: block i's parts into its slot."""
+        build(*phases(i), ring[i % 3 - 1])
 
     def submit(i: int) -> None:
         if i < len(starts):
             pool[0].submit(i, f"steps {starts[i] + 1}..{min(starts[i] + chunk, r)} "
                               f"of the modulation period")
 
-    state = np.eye(nu, nu + 2)  # S_0 = [Phi_0 | psi_0] = [I | 0]
+    state = np.eye(nu, m)  # S_0 = [Phi_0 | psi_0] = [I | 0]
     with fork.workers(serve, int(forking)) as pool:
         if pool:
             submit(1)
@@ -457,16 +490,12 @@ def _period(a0: np.ndarray, mod: np.ndarray, s: np.ndarray, k2: np.ndarray, dt: 
         for i in range(len(starts)):
             j, z = phases(i)
             if pool and i % 3:
-                shape_e, shape_r = pool[0].reply()
-                slot = ring[i % 3 - 1]
-                ends = slot[:math.prod(shape_e)].reshape(shape_e)
-                rows = slot[cap:cap + math.prod(shape_r)].reshape(shape_r)
-                state, xs = _lift(ends, rows, state, j.size)
+                pool[0].reply()
+                state, xs = _lift(*_parts(ring[i % 3 - 1], j.size, nu, nr)[1:], state,
+                                  j.size, scratch)
                 submit(i + 3)  # into the slot just read
             else:
-                state, xs = _lift(*build(j, z), state, j.size)
-            # rebound, so that the lifted rows are freed while the caller holds the block
-            xs = np.ascontiguousarray(xs.transpose(1, 2, 0))
+                state, xs = _lift(*build(j, z, held), state, j.size, scratch)
             yield j, z, state, xs
 
 
@@ -570,15 +599,16 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
                     bins += xs[steady] @ _dft_weights(z, j, r)
                 y_blk = np.empty((nn, j.size), complex)
                 y_blk.real, y_blk.imag = xs[:, nu], xs[:, nu + 1]
-                x_max = np.maximum(x_max, np.max(np.abs(xs[:, :nu]), axis=2))
+                # max|x| as max(max x, -min x), with no |x| formed
+                x_max = np.maximum(x_max, np.maximum(np.max(xs[:, :nu], axis=2),
+                                                     -np.min(xs[:, :nu], axis=2)))
                 y_max = np.maximum(y_max, np.max(np.abs(y_blk), axis=1))
                 if keep:
                     x_h[:, :, j[0] - 1:j[-1]] = xs[keep, :nu]
                     y_e[:, j[0] - 1:j[-1]] = y_blk[keep]
-                del xs  # before the next block is lifted
-        # Free the block, small arrays too: one left above its memory keeps the
-        # allocator from returning that memory.
-        del j, z, y_blk, blocks
+        # Free the block and the run's buffers, small arrays too: one left
+        # above their memory keeps the allocator from returning that memory.
+        del j, z, xs, y_blk, blocks
 
         # period boundaries h_p from h_0 = 0
         e = np.exp(1j * w_stim * ((np.arange(periods) * r) * dt))

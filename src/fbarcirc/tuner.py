@@ -233,7 +233,6 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
         fn = lambda x: objective(x, problem, stamped)
     else:
         fn = objective_fn
-    u0 = np.random.default_rng(seed).random(3)
     trace: list[tuple[np.ndarray, float]] = []
     exhausted = False
     with fork.workers(fn, 1) as pool:
@@ -260,7 +259,8 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
             for s in range(problem.starts):
                 if s == 0:
                     x0 = lo + 0.5 * span
-                else:
+                else:  # drawn here: a tune with no restart never imports numpy.random
+                    u0 = np.random.default_rng(seed).random(3)
                     x0 = lo + ((u0 + s * _LOW_DISCREPANCY_ALPHA) % 1.0) * span
                 _nelder_mead(ev, x0, 0.25 * span, lo, hi, max_iter=10 * problem.budget)
         except _BudgetExhausted:

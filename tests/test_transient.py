@@ -209,6 +209,48 @@ class TestPeriodReuse:
         assert res.samples["p1"].size == expect.size
         assert np.max(np.abs(res.samples["p1"] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("case, node_heavy", [("rc-ladder", True), ("modulated-ladder", True),
+                                                  ("modulated-one-port", False)])
+    def test_node_heavy_netlist_matches_step_loop(self, monkeypatch, case, node_heavy):
+        # With more than half its unknowns at nodes, a block's lifted rows and
+        # their copy need more room than its step stack, and a modulated
+        # block's local parts more than its inverses; the one-port is on the
+        # other side of both.  Blocks of a few hundred steps, so that the
+        # modulated periods of 693 steps hold several, the last one short.
+        monkeypatch.setattr(transient, "CHUNK_VALUES", 9000)
+        branch = bvd_from_specs(FAST_SPECS).branches[0]
+        mod = ModulationSpec(0.3, self.F_MOD_FAST, 0.4)
+        ladder = (Resistor("r1", "p1", "n2", 20.0), Capacitor("c1", "n2", "0", 1e-9),
+                  Resistor("r2", "n2", "n3", 20.0), Capacitor("c2", "n3", "0", 1e-9))
+        net = {
+            "rc-ladder": lambda: Netlist(ladder + (Port(1, "p1", 50.0),)),
+            "modulated-ladder": lambda: Netlist(ladder + (
+                Resistor("r3", "n3", "n4", 20.0), Capacitor("c0", "n4", "0", FAST_SPECS.c0),
+                ModulatedSeriesRlc("x1", "n4", "0", branch, mod), Port(1, "p1", 50.0))),
+            "modulated-one-port": lambda: one_port_net(FAST_SPECS, 0.3, self.F_MOD_FAST,
+                                                       phase=0.4),
+        }[case]()
+        names, c, g, s, stamped = transient._stamp(net, 1, 1.0)
+        assert (2 * len(names) > s.size) == node_heavy
+        dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
+        steps = 3 * 693
+        res = simulate(net, (1, self.F, 1.0), steps * dt, dt)
+        # the trapezoidal rule one step at a time on the stamped matrices:
+        # x_k = (K + G(t_k))^-1 (h_{k-1} + s cos(w t_k)), h_k = 2K x_k - h_{k-1}
+        k = 2.0 * c / dt
+        h = np.zeros(s.size)
+        expect = np.zeros((len(names), steps + 1))
+        for i in range(1, steps + 1):
+            a = k + g
+            for row, depth, f_mod, phase in stamped:
+                a[int(row), int(row) + 1] = 1.0 + depth * math.cos(2.0 * math.pi * f_mod * i * dt
+                                                                   + phase)
+            x = np.linalg.solve(a, h + s * math.cos(2.0 * math.pi * self.F * i * dt))
+            h = 2.0 * k @ x - h
+            expect[:, i] = x[:len(names)]
+        got = np.array([res.samples[n] for n in names])
+        assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
+
     def test_negative_resistance_diverges(self):
         # -49 ohm across the 50 ohm port leaves the node an unstable RC;
         # it grows ~6x per modulation period, past the guard after ~8 periods
@@ -264,13 +306,16 @@ class TestPeriodReuse:
         step = np.broadcast_to(np.concatenate([a_inv, rng.normal(size=(size, nu, 2))], axis=2),
                                (n, nu, nu + 2))
         state = rng.normal(size=(nu, nu + 2))
-        last, rows = transient._lift(*transient._local(step, k2, nr), state, n)
-        assert rows.shape == (n, nr, nu + 2)
+        b, nb = transient._sub_blocks(n)
+        held = np.empty(2 * nb * (nu + 2) ** 2 + nb * b * nr * (nu + 2))
+        scratch = np.empty(2 * nb * b * nr * (nu + 2))
+        last, rows = transient._lift(*transient._local(step, k2, nr, held), state, n, scratch)
+        assert rows.shape == (nr, nu + 2, n)
         s = state
         for j in range(n):
             x = step[j, :, :nu] @ s  # R_j S_{j-1} + [0 | w_j] in its first rows
             x[:, nu:] += step[j, :, nu:]
-            assert np.allclose(rows[j], x[:nr], rtol=0.0, atol=1e-12)
+            assert np.allclose(rows[:, :, j], x[:nr], rtol=0.0, atol=1e-12)
             s = (k2 @ step[j, :, :nu] - np.eye(nu)) @ s  # M_j S_{j-1} + [0 | d_j]
             s[:, nu:] += k2 @ step[j, :, nu:]
         assert np.allclose(last, s, rtol=0.0, atol=1e-12)
@@ -865,7 +910,9 @@ class TestCrossValidate:
         # the verify default run of the toy wye keeps no node's maps: it maps no
         # memory the size of one node's maps (the two-CPU ring of two blocks'
         # rows is a third of that), and the rest of the call, which tracemalloc
-        # sees, stays below what every node's maps would take
+        # sees, stays below what every node's maps would take, and within 2.5
+        # step stacks: the run's two buffers take 1.8 and the call peaks at
+        # 2.33 MiB, so one more array of a block's rows (0.44) would not fit
         results, sizes = [], []
         simulate_, mmap_ = transient.simulate, transient.mmap.mmap
         cfg = load_config(CONFIGS / "differential.cfg")
@@ -901,6 +948,7 @@ class TestCrossValidate:
         assert r == round(1.0 / (f_mod * res.dt))
         assert all(size < one_node for size in sizes)
         assert peak <= 3 * (8 * nu + 16) * r  # every node's maps would be 3 of one node's
+        assert peak <= 2.5 * 8 * transient.CHUNK_VALUES
 
     def test_toy_wye_at_a_half_integer_frequency_ratio(self):
         # f/f_mod = 116.5: E = exp(j w T) meets -1, a multiplier of the

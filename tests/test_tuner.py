@@ -1,6 +1,8 @@
 import logging
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +164,25 @@ class TestStampedDesign:
         problem = small_problem(budget=10)
         problem = replace(problem, design=replace(problem.design, delta=2.0))
         assert tune(problem, seed=0).evaluations == 10
+
+    def test_tune_without_restart_leaves_numpy_random_unimported(self):
+        # the stock problem has four starts, but a budget-10 tune spends it in
+        # the first: no restart offset is drawn, so numpy.random (6 MB of RSS
+        # and 10-16 ms per process) is never imported; a fresh process, as the
+        # suite's may have imported it already
+        code = ("import sys\n"
+                "from dataclasses import replace\n"
+                "from fbarcirc.bvd import ResonatorSpecs\n"
+                "from fbarcirc.netlist import CirculatorDesign, Topology\n"
+                "from fbarcirc.tuner import TuneProblem, tune\n"
+                "specs = ResonatorSpecs(f_s=2.65e9, q=700.0, k_sq=0.09, c0=1.0e-12)\n"
+                "design = CirculatorDesign(Topology.DIFFERENTIAL, specs, 0.01, 23.2e6)\n"
+                "problem = replace(TuneProblem.default(design), budget=10)\n"
+                "result = tune(problem, seed=0)\n"
+                "print(problem.starts, result.budget_exhausted, 'numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["4", "True", "False"]
 
     @pytest.mark.parametrize("budget", [10, 30])
     def test_one_build_and_one_stamp_per_tune(self, monkeypatch, cpus, budget):
