@@ -55,7 +55,7 @@ MIN_SLICE_POINTS = 16
 
 
 USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge,
-                FileNotFoundError, IsADirectoryError)
+                FileNotFoundError, IsADirectoryError, NotADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
                     StepTooLarge, TuneFailed, fork.WorkerLost)
 

@@ -28,7 +28,7 @@ each inverse beside its drive, [A_j^-1 | A_j^-1 s z_j]; its product with
 [[S], [0 | I]] for the state S = [Phi_{j-1} | psi_{j-1}] of the period's
 propagator and forced response gives the unknowns x_j, and 2K x_j - S the
 next state.  Only the node rows of x_j are formed, never a state per step,
-and only those of the nodes a run keeps are stored.
+and they are stored only by a run that keeps its maps.
 A run makes one LAPACK inverse, of A0 = K + G with every m = 1.
 A_j differs from A0 only in one entry per modulated branch, an update of
 rank k = the number of modulated branches, so a block's inverses follow
@@ -42,11 +42,11 @@ for the period.  Every period, the first included, starts from its
 boundary state, h_0 = 0 and h_{p+1} = Phi_P h_p + exp(j w p P dt) psi_P,
 and its node voltages are Re(X_j h_p + e_p Y_j) with e_p = exp(j w p P dt)
 and the maps X_j, Y_j of the one period.  :func:`simulate` returns those
-maps, of the nodes it was asked to keep (every node by default), and the
-boundary states (:class:`PeriodMaps`); one routine writes a node's samples
-over any range from them, a period at a time, and the samples are filled
-only when they are read.  The divergence guard covers every node, kept or
-not: a running max|X_j| and max|Y_j| per node bound its samples.
+maps of every node, unless the run keeps none, and the boundary states
+(:class:`PeriodMaps`); one routine forms every node's samples from them a
+period at a time (:func:`_period_blocks`), and the samples are filled only
+when they are read.  The divergence guard covers every node, with maps or
+without: a running max|X_j| and max|Y_j| per node bound its samples.
 
 One period also holds the steady state, which needs no ring-up and no fit.
 Its boundary state h* repeats up to the drive's phase, h_p = E^p h* with
@@ -126,10 +126,10 @@ class Diverged(ArithmeticError):
 @dataclass(frozen=True)
 class PeriodMaps:
     """One modulation period's maps of a :func:`simulate` run, from which
-    every sample of the kept ``nodes`` follows (:func:`_node_samples`):
-    sample i = p*r + j + 1 of node n (p = 0 ... periods-1, j = 0 ... r-1) is
+    every sample of every node follows (:func:`_period_blocks`): sample
+    i = p*r + j + 1 of node n (p = 0 ... periods-1, j = 0 ... r-1) is
     Re(X_j h_p + e_p Y_j)[n], and sample 0 is zero.  Row n of ``x`` and ``y``
-    is the node ``nodes[n]``; the run's other nodes have no rows."""
+    is the node ``nodes[n]``, in the netlist's sorted node order."""
 
     nodes: tuple[str, ...]
     x: np.ndarray       # (nodes, nu, r) real: X_j
@@ -144,7 +144,7 @@ class TransientResult:
     """Per-node voltage waveforms on a uniform time grid.
 
     A result of :func:`simulate` holds its run's :class:`PeriodMaps`, unless
-    it kept no node, and fills ``samples`` from them on first access; a run
+    the run kept none, and fills ``samples`` from them on first access; a run
     asked for a node's steady state holds its ``phasors`` P_-1, P_0, P_1."""
 
     def __init__(self, dt: float, duration: float, samples: dict[str, np.ndarray] | None = None,
@@ -156,8 +156,8 @@ class TransientResult:
     def samples(self) -> dict[str, np.ndarray]:
         if self._samples is None:
             if self.maps is None:
-                raise ValueError("this run kept no node's maps, so it has no samples: "
-                                 "simulate(nodes=...) names the nodes it keeps")
+                raise ValueError("this run kept no maps, so it has no samples: "
+                                 "simulate(keep_maps=True) keeps them")
             self._samples = _fill(self.maps)
         return self._samples
 
@@ -500,7 +500,7 @@ def _period(a0: np.ndarray, mod: np.ndarray, s: np.ndarray, k2: np.ndarray, dt: 
 
 
 def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
-             dt: float, nodes: tuple[str, ...] | None = None,
+             dt: float, keep_maps: bool = True,
              steady_node: str | None = None) -> TransientResult:
     """Integrate the netlist driven by one port tone with the trapezoidal rule.
 
@@ -513,36 +513,36 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     so that one modulation period is P whole steps (a ``dt`` from
     :func:`time_grid` passes through unchanged); the result reports the step
     used.  Only one period of step matrices is inverted (see the module
-    docstring), and the result holds that period's maps of ``nodes`` (node
-    names; every node when None); its ``samples``, of the same nodes, are
-    filled when first read.  A kept node's maps and samples have the bits of
-    the same node's in a run of every node.
+    docstring), and the result holds that period's maps of every node,
+    unless ``keep_maps`` is false; its ``samples`` are filled when first read.
 
     With ``steady_node``, the result's ``phasors`` are that node's P_n,
     n = -1, 0, 1, at f + n*f_mod in the periodic steady state (see the module
-    docstring), with the same bits whatever nodes are kept and however long
+    docstring), with the same bits with maps or without and however long
     the run: a modulated run integrates at least one whole period.  Only such
-    a run may keep no node (``nodes`` empty), and then holds no maps.
+    a run may keep no maps.
 
-    Raises :class:`ValueError`, before any work, when ``nodes`` is empty
-    without ``steady_node``, or either names a node the netlist lacks;
+    Raises :class:`ValueError`, before any work, unless f, ``dt`` and
+    ``duration`` are finite and positive, when a run keeps no maps without
+    ``steady_node``, or when ``steady_node`` names a node the netlist lacks;
     :class:`RunTooLarge`, before any work, when a modulation period
     takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
     samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
     step used; and :class:`Diverged` on a singular step matrix, on a step
     matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, on a steady
     state whose residual exceeds STEADY_RESIDUAL_BOUND, or when any node
-    magnitude, kept or not, exceeds 1e6 times the source amplitude.  For that
-    guard, sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every
-    sample of node n in period p; only when a bound exceeds the guard are the
-    samples filled at once, checked, and kept.  When a dropped node's bound
-    does, the run is made again keeping every node and checked as a run of
-    every node is; that path is rare, and it holds both runs' maps while it
-    runs.
+    magnitude exceeds 1e6 times the source amplitude.  For that guard,
+    sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
+    node n in period p; only when a bound exceeds the guard are the samples
+    filled at once, checked, and kept.  A run without maps is then made again
+    with them and checked as such a run is; that path is rare.
     """
     port_index, f_stim, amplitude = tone
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("dt and duration must be positive")
+    if not all(0.0 < v < math.inf for v in (f_stim, dt, duration)):  # NaN fails
+        raise ValueError(f"the stimulus frequency {f_stim}, dt {dt} and duration "
+                         f"{duration} must be finite and positive")
+    if not keep_maps and steady_node is None:
+        raise ValueError("a run that keeps no maps needs a steady_node")
     sources = [2.0 * math.sqrt(p.z0) * amplitude for p in net.ports if p.index == port_index]
     if not sources:
         raise ValueError(f"no port with index {port_index}")
@@ -550,11 +550,8 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
 
     node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
     nn, nu = len(node_names), s.size
-    if nodes is not None and (not (nodes or steady_node) or set(nodes) - set(node_names)):
-        raise ValueError(f"nodes {nodes!r} are not a non-empty set of the netlist's nodes")
     if steady_node is not None and steady_node not in node_names:
         raise ValueError(f"steady_node {steady_node!r} is not a node of the netlist")
-    keep = [i for i, n in enumerate(node_names) if nodes is None or n in nodes]
     steady = None if steady_node is None else node_names.index(steady_node)
     chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
     repeat = chunk  # a static step matrix repeats every step: one block is the repeat
@@ -579,13 +576,13 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     r = repeat if steady is not None and len(mod) else min(repeat, steps)
     periods = -(-steps // r)
 
-    if keep:
-        # one repeat's maps of the kept nodes, x = Re(X_j h_p + e_p Y_j), outside
-        # the heap: released there, they would leave more free memory at its top
+    if keep_maps:
+        # one repeat's maps of every node, x = Re(X_j h_p + e_p Y_j), outside the
+        # heap: released there, they would leave more free memory at its top
         # than the allocator keeps, and the next run would fault it in again
-        buf = mmap.mmap(-1, len(keep) * r * (16 + 8 * nu), access=mmap.ACCESS_COPY)
-        y_e = np.frombuffer(buf, complex, len(keep) * r).reshape(len(keep), r)
-        x_h = np.frombuffer(buf, float, offset=16 * len(keep) * r).reshape(len(keep), nu, r)
+        buf = mmap.mmap(-1, nn * r * (16 + 8 * nu), access=mmap.ACCESS_COPY)
+        y_e = np.frombuffer(buf, complex, nn * r).reshape(nn, r)
+        x_h = np.frombuffer(buf, float, offset=16 * nn * r).reshape(nn, nu, r)
     # the steady node's DFT bins n = -1, 0, 1 of the period, sum_j [X_j | Re Y_j,
     # Im Y_j][node] c_j,n
     bins = np.zeros((nu + 2, 3), complex)
@@ -603,9 +600,9 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
                 x_max = np.maximum(x_max, np.maximum(np.max(xs[:, :nu], axis=2),
                                                      -np.min(xs[:, :nu], axis=2)))
                 y_max = np.maximum(y_max, np.max(np.abs(y_blk), axis=1))
-                if keep:
-                    x_h[:, :, j[0] - 1:j[-1]] = xs[keep, :nu]
-                    y_e[:, j[0] - 1:j[-1]] = y_blk[keep]
+                if keep_maps:
+                    x_h[:, :, j[0] - 1:j[-1]] = xs[:, :nu]
+                    y_e[:, j[0] - 1:j[-1]] = y_blk
         # Free the block and the run's buffers, small arrays too: one left
         # above their memory keeps the allocator from returning that memory.
         del j, z, xs, y_blk, blocks
@@ -618,18 +615,13 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         # |sample| <= sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]|, a bound
         # per node that needs no sample; the margin covers the rounding of the
         # bound and of the samples, and NaN fails it
-        over = ~(np.max(np.abs(h.real) @ x_max.T + y_max, axis=0) * (1.0 + 1e-12) <= limit)
-    maps = None
-    if keep:
-        maps = PeriodMaps(nodes=tuple(node_names[i] for i in keep), x=x_h, y=y_e, h=h, e=e,
-                          steps=steps, limit=limit)
+        over = not np.max(np.abs(h.real) @ x_max.T + y_max) * (1.0 + 1e-12) <= limit
+    maps = (PeriodMaps(nodes=tuple(node_names), x=x_h, y=y_e, h=h, e=e, steps=steps, limit=limit)
+            if keep_maps else None)
     samples = None
-    if np.any(np.delete(over, keep)):
-        # a dropped node may exceed the guard: check every node's samples, as a
-        # run of every node does
-        every = simulate(net, tone, duration, dt).samples
-        samples = {n: every[n].copy() for n in maps.nodes} if maps else None
-    elif np.any(over):
+    if over and maps is None:  # a run with maps fills and checks the samples
+        simulate(net, tone, duration, dt)
+    elif over:
         samples = _fill(maps)
     phasors = None if steady is None else _steady_phasors(state, bins,
                                                           np.exp(1j * w_stim * (r * dt)))
@@ -664,30 +656,30 @@ def _steady_phasors(state: np.ndarray, bins: np.ndarray, phase: complex) -> np.n
     return bins[:nu].T @ h_star + bins[nu] + 1j * bins[nu + 1]
 
 
-def _node_samples(maps: PeriodMaps, node: int, start: int, out: np.ndarray) -> None:
-    """Write samples start ... start + out.size - 1 (start >= 1, at most
-    ``maps.steps``) of the node at index ``node`` into ``out``, one period at
-    a time: Re h_p times X_j[node], one GEMV, plus Re(e_p Y_j[node]).  A
-    GEMV's last bits depend on its column range, so a sample has the bits of
-    :func:`_fill` when ``out`` spans whole periods."""
-    x, y, h, e = maps.x[node], maps.y[node], maps.h, maps.e
-    stop = start + out.size  # one past the last sample written
-    r = x.shape[1]
-    for p in range((start - 1) // r, (stop - 2) // r + 1):
-        j0, j1 = max(start - 1 - p * r, 0), min(stop - 1 - p * r, r)  # sample p*r + j + 1
-        seg = out[p * r + j0 + 1 - start:p * r + j1 + 1 - start]
-        np.matmul(h[p].real, x[:, j0:j1], out=seg)
-        seg += (e[p] * y[j0:j1]).real
+def _period_blocks(maps: PeriodMaps):
+    """Every node's samples from the period maps, as (first sample, columns)
+    blocks, columns[n] of ``maps.nodes[n]``: sample 0, then one period at a
+    time in one reused buffer, Re h_p times X_j, one GEMV per node over the
+    period's steps, plus Re(e_p Y_j).  A GEMV's last bits depend on its
+    column range, so every reader of the samples forms them here."""
+    x, y, h, e = maps.x, maps.y, maps.h, maps.e
+    yield 0, np.zeros((y.shape[0], 1))
+    r = y.shape[1]
+    buf = np.empty(y.shape)
+    for p, start in enumerate(range(1, maps.steps + 1, r)):
+        cols = buf[:, :min(r, maps.steps + 1 - start)]
+        np.matmul(h[p].real, x[:, :, :cols.shape[1]], out=cols)
+        cols += (e[p] * y[:, :cols.shape[1]]).real
+        yield start, cols
 
 
 def _fill(maps: PeriodMaps) -> dict[str, np.ndarray]:
     """Every node's samples from the period maps; :class:`Diverged`, naming
     the first step that holds a non-finite value or one above ``maps.limit``."""
     volts = np.empty((len(maps.nodes), maps.steps + 1))
-    volts[:, 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for node, row in enumerate(volts):
-            _node_samples(maps, node, 1, row[1:])
+        for first, cols in _period_blocks(maps):
+            volts[:, first:first + cols.shape[1]] = cols
         if not (np.max(volts) <= maps.limit and np.min(volts) >= -maps.limit):  # NaN fails
             step = int(np.argmax(np.any(~(np.abs(volts) <= maps.limit), axis=0)))
             raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step {step}")
@@ -705,7 +697,10 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
     dt differs from 1/(pts_per_cycle*f) by less than 1/P relative.  Raises
     :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS, or round to 0
     (a step of a whole modulation period would take far more points per
-    stimulus cycle than asked for), or the run exceed MAX_SAMPLES."""
+    stimulus cycle than asked for), or the run exceed MAX_SAMPLES; and
+    :class:`ValueError` unless ``f`` and ``f_mod`` are finite and positive."""
+    if not (0.0 < f < math.inf and 0.0 < f_mod < math.inf):  # NaN fails
+        raise ValueError(f"f = {f} Hz and f_mod = {f_mod} Hz must be finite and positive")
     steps = pts_per_cycle * f / f_mod
     if not steps <= MAX_PERIOD_STEPS:  # also when it overflows, which round() would raise on
         raise RunTooLarge(f"{steps:.4g} steps per modulation period exceed "
@@ -754,8 +749,7 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     qi, pi = q_out - 1, p_in - 1
     s_htm = np.array([grid.harmonic(n)[0, qi, pi] for n in (-1, 0, 1)])
 
-    res = simulate(net, (p_in, f, 1.0), duration, dt,
-                   nodes=None if waveforms_path is not None else (),
+    res = simulate(net, (p_in, f, 1.0), duration, dt, keep_maps=waveforms_path is not None,
                    steady_node=port_map[q_out].node)
     s_td = res.phasors / math.sqrt(port_map[q_out].z0)
     if q_out == p_in:
@@ -768,68 +762,33 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     return float(np.max(np.abs(s_td - s_htm) / denom))
 
 
-def _period_blocks(maps: PeriodMaps, nodes: list[str], size: int):
-    """Samples 0 ... size-1 of ``nodes`` from the period maps, as (first
-    sample, columns) blocks, columns[k] of nodes[k]: sample 0, then one period
-    at a time in one reused buffer, written by the GEMVs of :func:`_fill`, so
-    with its bits, and never the whole waveform."""
-    yield 0, np.zeros((len(nodes), 1))
-    r = maps.x.shape[2]
-    buf = np.empty((len(nodes), r))
-    index = [maps.nodes.index(n) for n in nodes]
-    for start in range(1, size, r):
-        cols = buf[:, :min(r, maps.steps + 1 - start)]
-        for row, node in zip(cols, index):
-            _node_samples(maps, node, start, row)
-        yield start, cols[:, :size - start]
-
-
 def write_waveforms(res: TransientResult, path) -> None:
-    """Dump waveforms as CSV (t_s, one column per node); gzip when path ends .gz.
+    """Dump every node's waveform as CSV (t_s, one column per node, in the
+    maps' node order); gzip when path ends .gz.
 
     The gzip member has mtime 0, so equal waveforms give equal bytes.  It uses
     level 1, as ``repr`` digits barely compress: level 9 is 10x slower for 8% less.
-    Rows are written BLOCK_ROWS at a time through :func:`fbarcirc.fileio.atomic_open`,
-    so a failed dump leaves no partial file.  A result of :func:`simulate` that
-    holds no samples is written from its maps one period at a time
-    (:func:`_period_blocks`) and stays unfilled.
+    The samples are formed from the result's maps one period at a time
+    (:func:`_period_blocks`), so the result stays unfilled, and written
+    BLOCK_ROWS rows at a time through :func:`fbarcirc.fileio.atomic_open`, so
+    a failed dump leaves no partial file.  A result without maps raises
+    :class:`ValueError` before any file is made.
     """
+    maps = res.maps
+    if maps is None:
+        raise ValueError("this run kept no maps, so it has no waveform to write: "
+                         "simulate(keep_maps=True) keeps them")
     path = str(path)
-    size = round(res.duration / res.dt) + 1
-    if res._samples is None and res.maps is not None:
-        nodes = sorted(res.maps.nodes)
-        size = min(size, res.maps.steps + 1)
-        blocks = _period_blocks(res.maps, nodes, size)
-    else:
-        nodes = sorted(res.samples)
-        cols = [res.samples[n] for n in nodes]
-        size = min([size] + [c.size for c in cols])
-        blocks = [(0, [c[:size] for c in cols])]
     with atomic_open(path) as raw:
         # The gzip header names the final file, not the temp file.  Closing
         # the text layer flushes the compressor (a zlib sync flush) before its
         # trailer, as dumps always have, so the archive's bytes stay stable.
         gz = gzip.GzipFile(path, "wb", 1, raw, mtime=0) if path.endswith(".gz") else None
         with io.TextIOWrapper(gz or raw, encoding="utf-8") as fh:
-            fh.write("t_s," + ",".join(f"v_{n}" for n in nodes) + "\n")
-            for first, cols in blocks:
-                for b in range(0, len(cols[0]), BLOCK_ROWS):
+            fh.write("t_s," + ",".join(f"v_{n}" for n in maps.nodes) + "\n")
+            for first, cols in _period_blocks(maps):
+                for b in range(0, cols.shape[1], BLOCK_ROWS):
                     # a block of res.times
-                    t = (first + np.arange(b, min(b + BLOCK_ROWS, len(cols[0])))) * res.dt
+                    t = (first + np.arange(b, min(b + BLOCK_ROWS, cols.shape[1]))) * res.dt
                     block = zip(t.tolist(), *(c[b:b + BLOCK_ROWS].tolist() for c in cols))
                     fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
-
-
-def read_waveforms(path) -> TransientResult:
-    """Read a waveform CSV produced by :func:`write_waveforms`."""
-    path = str(path)
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        nodes = [h[2:] for h in header[1:]]
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    arr = np.asarray(rows)
-    times = arr[:, 0]
-    dt = float(times[1] - times[0]) if times.size > 1 else 1.0
-    samples = {n: arr[:, i + 1].copy() for i, n in enumerate(nodes)}
-    return TransientResult(dt=dt, duration=float(times[-1]), samples=samples)

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gzip
 import importlib
 import json
 import math
@@ -29,7 +30,7 @@ from fbarcirc.htm import HarmonicBasis, NumericallySingular, sparams
 from fbarcirc.metrics import summarize
 from fbarcirc.netlist import build_circulator, read_netlist, write_netlist
 from fbarcirc.touchstone import read_s3p, write_harmonics_csv, write_s3p
-from fbarcirc.transient import read_waveforms, time_grid
+from fbarcirc.transient import time_grid
 
 from conftest import assert_no_worker_left, count_stamps, toy_wye_net
 
@@ -270,10 +271,12 @@ class TestVerify:
             f"waveforms_{name}.csv.gz" for name, *_ in cases)
         for name, net, _, _, periods, ppc in cases:
             dt, duration = time_grid(net, f, f_mod, ppc, periods)
-            res = read_waveforms(out_dir / f"waveforms_{name}.csv.gz")
-            assert sorted(res.samples) == sorted(net.nodes - {net.ground})
-            for v in res.samples.values():
-                assert v.size == round(duration / dt) + 1
+            path = out_dir / f"waveforms_{name}.csv.gz"
+            with gzip.open(path, "rt") as fh:
+                header = fh.readline().strip().split(",")
+            assert header == ["t_s"] + [f"v_{node}" for node in sorted(net.nodes - {net.ground})]
+            assert np.loadtxt(path, delimiter=",", skiprows=1).shape == (
+                round(duration / dt) + 1, len(header))
 
     def test_steady_residual_above_the_bound_exits_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(fbarcirc.transient, "STEADY_RESIDUAL_BOUND", 1e-30)
@@ -963,6 +966,8 @@ class TestInvalidSettings:
         ("simulate", [], "sweep.points = inf\n", "sweep.points"),
         ("simulate", [], "basis.n_harm = 1e400\n", "basis.n_harm"),
         ("tune", [], "tuner.budget = inf\n", "tuner.budget"),
+        ("simulate", ["--out", "INPUT/out"], "", "Not a directory: 'INPUT/out'"),
+        ("fit", ["specs", "--emit-netlist", "INPUT/x"], "", "Not a directory: 'INPUT/x'"),
     ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
@@ -977,17 +982,18 @@ class TestInvalidSettings:
             "fit-lorentzian-seven-samples", "fit-lorentzian-unsorted",
             "report-not-json", "report-missing-keys", "report-null-value",
             "report-string-value", "fit-f-s-huge", "fit-f-s-tiny",
-            "simulate-points-inf", "simulate-n-harm-overflow", "tune-budget-inf"])
+            "simulate-points-inf", "simulate-n-harm-overflow", "tune-budget-inf",
+            "simulate-out-under-a-file", "fit-emit-netlist-under-a-file"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
         # simulate, verify and tune read SPLITTER_CFG + text as their config;
         # fit and report read text from the file that INPUT stands for
         path = tmp_path / "input"
+        argv = [command, *(a.replace("INPUT", str(path)) for a in extra_args)]
         if command in ("simulate", "verify", "tune"):
             path.write_text(SPLITTER_CFG + text)
-            argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), *extra_args]
+            argv[1:1] = ["--config", str(path), "--out", str(tmp_path / "o")]
         else:
             path.write_text(text)
-            argv = [command, *(str(path) if a == "INPUT" else a for a in extra_args)]
         proc = subprocess.run([sys.executable, "-m", "fbarcirc.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2

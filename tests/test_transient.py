@@ -11,23 +11,17 @@ import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc import fork, transient
-from fbarcirc.config import load_config, parse_config
+from fbarcirc.config import load_config
 from fbarcirc.htm import HarmonicBasis
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
                               NetlistError, Port, Resistor, build_circulator, scale_frequency)
-from fbarcirc.transient import (Diverged, StepTooLarge, TransientResult, cross_validate,
-                                read_waveforms, simulate, time_grid, write_waveforms)
+from fbarcirc.transient import (Diverged, StepTooLarge, cross_validate, simulate, time_grid,
+                                write_waveforms)
 
 from conftest import DESK_SPECS, assert_no_worker_left, one_port_net, toy_wye_net
 
 F_MOD = 23.2e3
 FAST_SPECS = ResonatorSpecs(f_s=2.65e6, q=20.0, k_sq=0.09, c0=1.0e-9)
-
-
-def _synthetic(dt, duration, wave):
-    n = round(duration / dt)
-    t = np.arange(n + 1) * dt
-    return TransientResult(dt=dt, duration=duration, samples={"n1": wave(t)}), t
 
 
 def _tail_phasors(res, node, f, f_mod, n_harm):
@@ -86,13 +80,13 @@ class TestSimulate:
             ph = _tail_phasors(res, node, f, f / 7.0, 1)
             assert abs(ph[0] - expect) <= 1e-4 * abs(expect)
 
-    @pytest.mark.parametrize("nodes", [None, ("p1",)])
-    def test_zero_conductance_node_diverges(self, nodes):
-        # a singular A0: this raises before the divergence guard, for any nodes
+    @pytest.mark.parametrize("keep_maps", [True, False])
+    def test_zero_conductance_node_diverges(self, keep_maps):
+        # a singular A0: this raises before the divergence guard, with maps or without
         net = Netlist((Resistor("r1", "p1", "n2", math.inf),
                        Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
         with pytest.raises(Diverged):
-            simulate(net, (1, 1e6, 1.0), 1e-5, 1e-8, nodes=nodes)
+            simulate(net, (1, 1e6, 1.0), 1e-5, 1e-8, keep_maps=keep_maps, steady_node="p1")
 
     def test_bvd_one_port_matches_admittance(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
@@ -140,6 +134,27 @@ class TestSimulate:
         net = one_port_net(desk_specs, 0.0, F_MOD)
         with pytest.raises(ValueError):
             simulate(net, (4, 2.68e6, 1.0), 1e-5, 1e-9)
+
+    @pytest.mark.parametrize("f, dt, duration", [
+        (0.0, 1e-9, 1e-5), (math.nan, 1e-9, 1e-5), (-2.68e6, 1e-9, 1e-5), (math.inf, 1e-9, 1e-5),
+        (2.68e6, math.nan, 1e-5), (2.68e6, 0.0, 1e-5), (2.68e6, math.inf, 1e-5),
+        (2.68e6, 1e-9, math.nan), (2.68e6, 1e-9, -1e-5),
+    ], ids=["f-zero", "f-nan", "f-negative", "f-inf", "dt-nan", "dt-zero", "dt-inf",
+            "duration-nan", "duration-negative"])
+    def test_bad_tone_or_step_raises_before_any_work(self, monkeypatch, f, dt, duration):
+        _no_inverse(monkeypatch)
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            simulate(net, (1, f, 1.0), duration, dt)
+
+    @pytest.mark.parametrize("f, f_mod", [
+        (0.0, F_MOD), (-2.68e6, F_MOD), (math.nan, F_MOD), (math.inf, F_MOD),
+        (2.68e6, 0.0), (2.68e6, -F_MOD), (2.68e6, math.nan),
+    ], ids=["f-zero", "f-negative", "f-nan", "f-inf", "f-mod-zero", "f-mod-negative",
+            "f-mod-nan"])
+    def test_time_grid_refuses_a_bad_frequency(self, f, f_mod):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            time_grid(one_port_net(FAST_SPECS, 0.05, F_MOD), f, f_mod, 60, 1.0)
 
     def test_dt_refinement_second_order(self):
         f = 2.68e6
@@ -541,12 +556,12 @@ def test_simulate_memory_stays_near_the_maps():
     assert peak + mapped <= 2 * (mapped + maps.h.nbytes + maps.e.nbytes)
 
 
-def _fast_wye(nodes=None, steady_node=None, periods=6.0):
+def _fast_wye(keep_maps=True, steady_node=None, periods=6.0):
     """``periods`` modulation periods of the Q = 20 toy wye at 60 points per
     cycle, port 1 driven."""
     net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
     dt, _ = time_grid(net, 2.68e6, F_MOD, 60, 1.0)
-    return simulate(net, (1, 2.68e6, 1.0), periods / F_MOD, dt, nodes=nodes,
+    return simulate(net, (1, 2.68e6, 1.0), periods / F_MOD, dt, keep_maps=keep_maps,
                     steady_node=steady_node)
 
 
@@ -568,10 +583,10 @@ class TestDivergenceBound:
         monkeypatch.setattr(transient, "_fill", counted)
         return fills
 
-    def _run(self, nodes=None):
+    def _run(self):
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
-        return simulate(net, (1, self.F, 1.0), 6.0 / F_MOD, dt, nodes=nodes)
+        return simulate(net, (1, self.F, 1.0), 6.0 / F_MOD, dt)
 
     def test_no_waveform_unless_one_is_read(self, monkeypatch):
         fills = self._counted_fill(monkeypatch)
@@ -580,8 +595,7 @@ class TestDivergenceBound:
         assert res.samples["p1"].size == res.maps.steps + 1
         assert res.samples is res.samples and len(fills) == 1
 
-    @pytest.mark.parametrize("nodes", [None, ("p1",)])
-    def test_limit_between_samples_and_bound(self, monkeypatch, nodes):
+    def test_limit_between_samples_and_bound(self, monkeypatch):
         reference = self._run()
         maps = reference.maps
         v_max = np.max(np.abs(reference.samples["p1"]))
@@ -591,7 +605,7 @@ class TestDivergenceBound:
         source = 2.0 * math.sqrt(50.0)
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
         fills = self._counted_fill(monkeypatch)
-        res = self._run(nodes)  # no raise
+        res = self._run()  # no raise
         assert len(fills) == 1
         assert np.array_equal(res.samples["p1"], reference.samples["p1"])
 
@@ -606,53 +620,32 @@ class TestDivergenceBound:
         first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
         assert first > 0 and str(info.value).endswith(f"near step {first}")
 
-    def test_dropped_node_above_limit_raises(self, monkeypatch):
-        # the limit lies above the kept node's bound but below a dropped node's
-        # peak: the run still raises, with the message of the run of every node
+    def test_other_node_above_limit_raises_without_maps(self, monkeypatch):
+        # the limit lies above the steady node's bound but below another node's
+        # peak: a run without maps still raises, with the message of the run
+        # with them
         reference = _fast_wye()
         maps, samples = reference.maps, reference.samples
         bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
                        + np.max(np.abs(maps.y), axis=1), axis=0)
-        kept = maps.nodes.index("p2")
         v_p1 = np.max(np.abs(samples["p1"]))
-        assert bound[kept] < 0.9 * v_p1
+        assert bound[maps.nodes.index("p2")] < 0.9 * v_p1
         source = 2.0 * math.sqrt(50.0)
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.95 * v_p1 / source)
         with pytest.raises(Diverged) as every:
             _fast_wye()
-        with pytest.raises(Diverged) as one:
-            _fast_wye(("p2",))
+        with pytest.raises(Diverged) as none:
+            _fast_wye(False, "p2")
         limit = transient.DIVERGENCE_FACTOR * source
         first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
         assert first > 0 and str(every.value).endswith(f"near step {first}")
-        assert str(one.value) == str(every.value)
-        assert str(one.value).startswith("waveform exceeded")
-
-    def test_dropped_nodes_below_limit_fill_the_kept_node(self, monkeypatch):
-        # every bound below the limit but the kept node's: only its samples are
-        # filled, and with the bits of the run of every node
-        reference = _fast_wye()
-        maps = reference.maps
-        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
-                       + np.max(np.abs(maps.y), axis=1), axis=0)
-        kept = maps.nodes.index("cm")
-        v_max = np.max(np.abs(reference.samples["cm"]))
-        others = max(b for i, b in enumerate(bound) if i != kept)
-        assert max(others, v_max) < 0.5 * bound[kept]
-        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR",
-                            1.5 * max(others, v_max) / (2.0 * math.sqrt(50.0)))
-        fills = self._counted_fill(monkeypatch)
-        res = _fast_wye(("cm",))  # no raise
-        assert [f.nodes for f in fills] == [("cm",)]
-        assert list(res.samples) == ["cm"]
-        assert np.array_equal(res.samples["cm"], reference.samples["cm"])
-
+        assert str(none.value) == str(every.value)
+        assert str(none.value).startswith("waveform exceeded")
 
     def test_run_without_maps_checks_every_node_again(self, monkeypatch):
         # a run that keeps no maps and trips a node's bound is made again
-        # keeping every node: with the limit above every sample the rerun
-        # passes and the phasors stand; below a sample it raises as the run
-        # of every node does
+        # with maps: with the limit above every sample the rerun passes and
+        # the phasors stand; below a sample it raises as the run with maps does
         reference = _fast_wye(steady_node="p2")
         maps, samples = reference.maps, reference.samples
         bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
@@ -669,54 +662,16 @@ class TestDivergenceBound:
 
         monkeypatch.setattr(transient, "simulate", counted)  # the rerun's global
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
-        res = _fast_wye((), "p2")  # no raise
-        assert reruns == [{}]  # every node kept
+        res = _fast_wye(False, "p2")  # no raise
+        assert reruns == [{}]  # maps kept
         assert res.maps is None and np.array_equal(res.phasors, reference.phasors)
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.9 * v_max / source)
         with pytest.raises(Diverged) as every:
             _fast_wye()
         with pytest.raises(Diverged) as none:
-            _fast_wye((), "p2")
+            _fast_wye(False, "p2")
         assert str(none.value) == str(every.value)
         assert str(none.value).startswith("waveform exceeded")
-
-
-class TestKeptNodes:
-    """simulate(nodes=...) holds the maps and samples of those nodes only,
-    with the bits of the same rows of a run of every node."""
-
-    F = 2.68e6
-
-    @pytest.mark.parametrize("nodes", [(), ("p9",), ("p1", "p9"), "p1"],
-                             ids=["empty", "unknown", "one-unknown", "string"])
-    def test_bad_nodes_raise_before_any_integration(self, monkeypatch, nodes):
-        _no_inverse(monkeypatch)
-        with pytest.raises(ValueError, match="nodes"):
-            _fast_wye(nodes)
-
-    def test_maps_and_samples_hold_the_kept_nodes(self):
-        every = _fast_wye()
-        res = _fast_wye(("p2", "cm"))
-        assert res.maps.nodes == ("cm", "p2")  # in the netlist's node order
-        assert res.maps.x.shape[0] == res.maps.y.shape[0] == 2
-        assert list(res.samples) == ["cm", "p2"]
-        for node in ("cm", "p2"):
-            assert np.array_equal(res.samples[node], every.samples[node])
-
-    def test_one_node_maps_equal_the_rows_of_every_node(self):
-        # every case of a fast verify config, every node
-        cfg = parse_config("design.topology = differential\nverify.q = 20\n"
-                           "verify.pts_per_cycle = 200\nbasis.n_harm = 4\n")
-        cases, f, f_mod = cfg.verify_cases()
-        for _, net, (p_in, _), _, periods, ppc in cases:
-            dt, duration = time_grid(net, f, f_mod, ppc, periods)
-            every = simulate(net, (p_in, f, 1.0), duration, dt).maps
-            for i, node in enumerate(every.nodes):
-                one = simulate(net, (p_in, f, 1.0), duration, dt, nodes=(node,)).maps
-                assert one.nodes == (node,)
-                assert np.array_equal(one.x[0], every.x[i])
-                assert np.array_equal(one.y[0], every.y[i])
-                assert np.array_equal(one.h, every.h) and np.array_equal(one.e, every.e)
 
 
 class TestTwoCpuPeriod:
@@ -904,7 +859,7 @@ class TestCrossValidate:
         dumped = cross_validate(net, basis, 2.68e6, ports=(1, 2), pts_per_cycle=100,
                                 mod_periods=4.0, waveforms_path=tmp_path / "w.csv.gz")
         assert plain == dumped
-        assert sorted(read_waveforms(tmp_path / "w.csv.gz").samples) == ["cm", "p1", "p2"]
+        assert _read_dump(tmp_path / "w.csv.gz")[0] == ["cm", "p1", "p2"]
 
     def test_shipped_toy_wye_holds_no_maps(self, monkeypatch):
         # the verify default run of the toy wye keeps no node's maps: it maps no
@@ -964,7 +919,7 @@ class TestCrossValidate:
 
 class TestSteadyState:
     """simulate(steady_node=...) reads P_-1, P_0, P_1 from one period's
-    steady state, whatever nodes the run keeps."""
+    steady state, with maps or without."""
 
     F = 2.68e6
 
@@ -974,7 +929,7 @@ class TestSteadyState:
         z0, r, c, f = 50.0, 200.0, 1e-9, 1e6
         net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
                        Port(1, "p1", z0)))
-        res = simulate(net, (1, f, 1.0), 60.0 / f, 1.0 / (200.0 * f), nodes=(),
+        res = simulate(net, (1, f, 1.0), 60.0 / f, 1.0 / (200.0 * f), keep_maps=False,
                        steady_node="n2")
         p_m, p_0, p_p = res.phasors
         zc = 1.0 / (1j * 2 * math.pi * f * c)
@@ -995,20 +950,25 @@ class TestSteadyState:
                            atol=1e-11 * abs(fit[0]))
 
     def test_run_without_maps_refuses_samples(self):
-        res = _fast_wye((), "p2")
+        res = _fast_wye(False, "p2")
         assert res.maps is None
-        with pytest.raises(ValueError, match="kept no node's maps"):
+        with pytest.raises(ValueError, match="kept no maps"):
             res.samples
         # the bins come from rows that every run forms: the same bits with maps
         kept = _fast_wye(steady_node="p2")
         assert np.array_equal(res.phasors, kept.phasors)
         assert np.array_equal(kept.samples["p2"], _fast_wye().samples["p2"])
 
-    @pytest.mark.parametrize("nodes", [None, ()], ids=["every-node", "no-maps"])
-    def test_unknown_steady_node_raises_before_any_work(self, monkeypatch, nodes):
+    @pytest.mark.parametrize("keep_maps", [True, False], ids=["every-node", "no-maps"])
+    def test_unknown_steady_node_raises_before_any_work(self, monkeypatch, keep_maps):
         _no_inverse(monkeypatch)
         with pytest.raises(ValueError, match="steady_node"):
-            _fast_wye(nodes, "p9")
+            _fast_wye(keep_maps, "p9")
+
+    def test_run_without_maps_needs_a_steady_node(self, monkeypatch):
+        _no_inverse(monkeypatch)
+        with pytest.raises(ValueError, match="needs a steady_node"):
+            _fast_wye(False)
 
     def test_run_shorter_than_a_period_integrates_one(self):
         # the steady state is the circuit's, not the run's: half a period
@@ -1019,17 +979,16 @@ class TestSteadyState:
         assert np.array_equal(short.samples["p2"], long.samples["p2"][:short.samples["p2"].size])
 
     @pytest.mark.parametrize("node", ["p1", "p2", "cm"])
-    def test_phasors_do_not_depend_on_the_kept_nodes(self, node):
-        every = _fast_wye(steady_node=node).phasors
-        for nodes in ((), ("p1",), ("p2", "cm")):
-            assert np.array_equal(_fast_wye(nodes, node).phasors, every)
+    def test_phasors_do_not_depend_on_the_maps(self, node):
+        assert np.array_equal(_fast_wye(False, node).phasors, _fast_wye(True, node).phasors)
 
     def test_phasors_scale_with_the_drive(self):
         # the run is linear in the source, and scaling by a power of two
         # commutes with every rounding
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
-        one, two = (simulate(net, (1, self.F, a), 2.0 / F_MOD, dt, nodes=(), steady_node="p2")
+        one, two = (simulate(net, (1, self.F, a), 2.0 / F_MOD, dt, keep_maps=False,
+                             steady_node="p2")
                     for a in (1.0, 2.0))
         assert np.array_equal(two.phasors, 2.0 * one.phasors)
 
@@ -1040,7 +999,8 @@ class TestSteadyState:
         net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
                        Port(1, "p1", z0)))
         dt = 1.0 / (200.0 * f)
-        short, long = (simulate(net, (1, f, 1.0), n * dt, dt, nodes=(), steady_node="n2")
+        short, long = (simulate(net, (1, f, 1.0), n * dt, dt, keep_maps=False,
+                                steady_node="n2")
                        for n in (37, 12_000))
         assert abs(short.phasors[1] - long.phasors[1]) <= 1e-12 * abs(long.phasors[1])
         assert max(abs(short.phasors[0]), abs(short.phasors[2])) <= 1e-13 * abs(short.phasors[1])
@@ -1122,23 +1082,31 @@ class TestSteadyPhasors:
             transient._steady_phasors(state, bins, phase)
 
 
-class TestWaveformDump:
-    def test_round_trip_plain(self, tmp_path, desk_specs):
-        net = one_port_net(desk_specs, 0.0, F_MOD)
-        res = simulate(net, (1, 2.68e6, 1.0), 2e-6, 1e-9)
-        path = tmp_path / "w.csv"
-        write_waveforms(res, path)
-        back = read_waveforms(path)
-        assert back.samples.keys() == res.samples.keys()
-        assert np.array_equal(back.samples["p1"], res.samples["p1"])
+def _read_dump(path):
+    """The node names and the columns (t_s, then one per node) of a dump."""
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rt") as fh:
+        names = [h[2:] for h in fh.readline().strip().split(",")[1:]]
+    return names, np.loadtxt(path, delimiter=",", skiprows=1).T
 
-    def test_round_trip_gzip(self, tmp_path, desk_specs):
-        net = one_port_net(desk_specs, 0.0, F_MOD)
-        res = simulate(net, (1, 2.68e6, 1.0), 2e-6, 1e-9)
-        path = tmp_path / "w.csv.gz"
-        write_waveforms(res, path)
-        back = read_waveforms(path)
-        assert np.array_equal(back.samples["p1"], res.samples["p1"])
+
+class TestWaveformDump:
+    @staticmethod
+    def _modulated(periods):
+        """``periods`` modulation periods of the Q = 20 one-port, about 6,900
+        steps each."""
+        f = 2.68e6
+        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
+        dt, _ = time_grid(net, f, F_MOD, 60, 1.0)
+        return simulate(net, (1, f, 1.0), periods / F_MOD, dt)
+
+    @pytest.mark.parametrize("name", ["w.csv", "w.csv.gz"], ids=["plain", "gzip"])
+    def test_round_trip(self, tmp_path, desk_specs, name):
+        res = simulate(toy_wye_net(desk_specs, 0.02, F_MOD), (1, 2.68e6, 1.0), 2e-6, 1e-9)
+        write_waveforms(res, tmp_path / name)
+        names, cols = _read_dump(tmp_path / name)
+        assert names == list(res.samples) == ["cm", "p1", "p2"]
+        assert np.array_equal(cols[0], res.times)
+        assert np.array_equal(cols[1:], list(res.samples.values()))
 
     def test_gzip_dump_is_reproducible(self, tmp_path, desk_specs, monkeypatch):
         # two dumps written at different clock times hold the same bytes,
@@ -1155,8 +1123,8 @@ class TestWaveformDump:
         write_waveforms(res, tmp_path / "w.csv")
         assert gzip.decompress(dumps[0].read_bytes()) == (tmp_path / "w.csv").read_bytes()
 
-    def test_gzip_header_names_the_final_file(self, tmp_path):
-        res, _ = _synthetic(1e-8, 1e-5, np.sin)
+    def test_gzip_header_names_the_final_file(self, tmp_path, desk_specs):
+        res = simulate(one_port_net(desk_specs, 0.0, F_MOD), (1, 2.68e6, 1.0), 2e-6, 1e-9)
         path = tmp_path / "w.csv.gz"
         write_waveforms(res, path)
         head = path.read_bytes()
@@ -1164,56 +1132,47 @@ class TestWaveformDump:
         assert head[10:head.index(b"\0", 10)] == b"w.csv"
 
     @pytest.mark.parametrize("name", ["w.csv", "w.csv.gz"])
-    def test_failed_dump_keeps_target(self, tmp_path, name):
-        class Unprintable(float):
-            def __repr__(self):
-                raise RuntimeError("unprintable sample")
+    def test_failed_dump_keeps_target(self, tmp_path, monkeypatch, name):
+        # the dump fails after its first period of rows, well past the first
+        # block of them: the previous file stands, and no other is left
+        res = self._modulated(2.0)
+        period_blocks = transient._period_blocks
 
-        values = np.array([0.5] * 3000, dtype=object)
-        values[2000] = Unprintable(0.5)  # past the first block of rows
+        def failing(maps):
+            blocks = period_blocks(maps)
+            yield next(blocks)  # sample 0
+            yield next(blocks)  # the first period
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(transient, "_period_blocks", failing)
         path = tmp_path / name
         path.write_bytes(b"previous dump")
-        res = TransientResult(dt=1.0, duration=2999.0, samples={"n1": values})
-        with pytest.raises(RuntimeError, match="unprintable"):
+        with pytest.raises(RuntimeError, match="dump failed"):
             write_waveforms(res, path)
         assert path.read_bytes() == b"previous dump"
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
-    def test_memory_stays_near_one_block(self, tmp_path):
-        # 200,001 rows of three nodes and the time, whose columns as Python
-        # lists took 26 MB: the dump holds one block of rows and the compressor
-        res, _ = _synthetic(1e-8, 2e-3, np.sin)
-        res.samples["n2"] = res.samples["n3"] = res.samples["n1"]
+    def test_run_without_maps_writes_no_dump(self, tmp_path):
+        res = _fast_wye(False, "p2")
+        with pytest.raises(ValueError, match="kept no maps"):
+            write_waveforms(res, tmp_path / "w.csv.gz")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dump_from_the_maps_stays_near_one_period(self, tmp_path):
+        # 30 modulation periods: the dump is written from the maps one period
+        # at a time, with the bits of the filled waveform, and never fills it
+        res = self._modulated(30.0)
         tracemalloc.start()
         try:
             write_waveforms(res, tmp_path / "w.csv.gz")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 ** 20
-
-    def test_dump_from_the_maps_stays_near_one_period(self, tmp_path):
-        # 30 modulation periods of about 6,900 steps: a result that holds only
-        # its maps is written one period at a time, with the bytes of its
-        # filled waveform, and is never filled
-        f = 2.68e6
-        net = one_port_net(FAST_SPECS, 0.05, F_MOD)
-        dt, _ = time_grid(net, f, F_MOD, 60, 1.0)
-        res = simulate(net, (1, f, 1.0), 30.0 / F_MOD, dt)
         assert res._samples is None
-        (tmp_path / "maps").mkdir()
-        tracemalloc.start()
-        try:
-            write_waveforms(res, tmp_path / "maps" / "w.csv.gz")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res._samples is None
-        filled = TransientResult(res.dt, res.duration, samples=transient._fill(res.maps))
-        assert sum(v.nbytes for v in filled.samples.values()) > 2 ** 20  # what a fill holds
         assert res.maps.x.shape[2] * len(res.maps.nodes) * 8 <= 2 ** 17  # one period
         assert peak <= 2 ** 20
-        (tmp_path / "filled").mkdir()
-        write_waveforms(filled, tmp_path / "filled" / "w.csv.gz")
-        assert ((tmp_path / "maps" / "w.csv.gz").read_bytes()
-                == (tmp_path / "filled" / "w.csv.gz").read_bytes())
+        names, cols = _read_dump(tmp_path / "w.csv.gz")
+        assert sum(v.nbytes for v in res.samples.values()) > 2 ** 20  # what a fill holds
+        assert names == list(res.samples)
+        assert np.array_equal(cols[0], res.times)
+        assert np.array_equal(cols[1:], list(res.samples.values()))
