@@ -31,7 +31,7 @@ class FitDiverged(RuntimeError):
 
 
 class DegenerateData(ValueError):
-    """Input samples carry no resonance information (constant magnitude)."""
+    """Input samples carry no resonance information (constant magnitude or a dip)."""
 
 
 class ParseError(ValueError):
@@ -194,8 +194,8 @@ def fit_lorentzian(samples) -> LorentzianFit:
     half-power width; 200 iteration budget, 1e-10 relative step tolerance.
 
     Raises :class:`ParseError` for fewer than 8 samples or frequencies that
-    do not increase, :class:`DegenerateData` for constant samples and
-    :class:`FitDiverged` when the budget is exhausted.
+    do not increase, :class:`DegenerateData` for constant samples or a dip
+    (a fitted peak <= 0) and :class:`FitDiverged` when the budget is exhausted.
     """
     freqs = np.asarray([s[0] for s in samples], dtype=float)
     mags = np.abs(np.asarray([s[1] for s in samples], dtype=complex))
@@ -278,6 +278,8 @@ def fit_lorentzian(samples) -> LorentzianFit:
     f0 = float(theta[0] * f_ref)
     gamma = float(theta[1] * f_ref)
     peak = float(theta[2] * y_ref)
+    if not peak > 0.0:  # a dip, or NaN: no series resonance
+        raise DegenerateData(f"the fitted Lorentzian has peak {peak:.6g} S, not a resonance")
     baseline = float(theta[3] * y_ref)
     resid = _lorentz_model(freqs, f0, gamma, peak, baseline) - mags
     rms = float(np.sqrt(np.mean(resid * resid)))

@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--q", type=_open_interval(0.0, math.inf), default=700.0)
     p_fit.add_argument("--k-sq", type=_open_interval(0.0, 1.0), default=0.09, dest="k_sq")
     p_fit.add_argument("--c0", type=_open_interval(0.0, math.inf), default=1.0e-12)
-    p_fit.add_argument("--z0", type=float, default=50.0)
+    p_fit.add_argument("--z0", type=_open_interval(0.0, math.inf), default=50.0)
     p_fit.add_argument("--emit-netlist", default=None)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
+from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor, elastance_fourier)
 
 TWO_PI = 2.0 * math.pi
@@ -167,7 +167,7 @@ class Stamped:
         row: dict[str, int] = {}
         for el in net.elements:
             for n in (el.node,) if isinstance(el, Port) else (el.node_a, el.node_b):
-                if n != net.ground:
+                if n != GROUND:
                     row.setdefault(n, len(row))
         nb = len(net.modulated)
         nu = len(row) + 2 * nb
@@ -175,7 +175,7 @@ class Stamped:
 
         def incidence(node_a: str, node_b: str) -> list[tuple[int, float]]:
             """Rows of the non-ground ends, signed +1 at node_a and -1 at node_b."""
-            return [(row[n], s) for n, s in ((node_a, 1.0), (node_b, -1.0)) if n != net.ground]
+            return [(row[n], s) for n, s in ((node_a, 1.0), (node_b, -1.0)) if n != GROUND]
 
         def stamp_admittance(block: np.ndarray, node_a: str, node_b: str, y: float) -> None:
             ends = incidence(node_a, node_b)
@@ -192,7 +192,7 @@ class Stamped:
             elif isinstance(el, Inductor):
                 stamp_admittance(k, el.node_a, el.node_b, 1.0 / el.henries)
             elif isinstance(el, Port):
-                stamp_admittance(g, el.node, net.ground, 1.0 / el.z0)
+                stamp_admittance(g, el.node, GROUND, 1.0 / el.z0)
             elif isinstance(el, ModulatedSeriesRlc):
                 cq = ci + nb
                 # KCL: branch current leaves node_a, enters node_b.

@@ -130,7 +130,7 @@ class CirculatorDesign:
 
 @dataclass(frozen=True)
 class Netlist:
-    """Ordered element list over named nodes with a distinguished ground.
+    """Ordered element list over named nodes; the node GROUND ("0") is ground.
 
     Construction is the one structural check; it raises :class:`NetlistError`
     unless each element is of the five kinds, names are unique, ports run
@@ -139,7 +139,6 @@ class Netlist:
     node has a path to ground."""
 
     elements: tuple[Element, ...]
-    ground: str = GROUND
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -153,8 +152,8 @@ class Netlist:
         if indices != list(range(1, len(indices) + 1)):
             raise NetlistError(f"port indices must be contiguous from 1, got {indices}")
         for p in self.ports:
-            if p.node == self.ground:
-                raise NetlistError(f"port {p.index} sits on the ground node {self.ground!r}")
+            if p.node == GROUND:
+                raise NetlistError(f"port {p.index} sits on the ground node {GROUND!r}")
             if not (math.isfinite(p.z0) and p.z0 > 0.0):
                 raise NetlistError(f"port {p.index}: z0 must be positive")
         for el in self.elements:  # the harmonic engine stamps 1/R and 1/L
@@ -174,7 +173,7 @@ class Netlist:
 
     @property
     def nodes(self) -> set[str]:
-        out = {self.ground}
+        out = {GROUND}
         for el in self.elements:
             if isinstance(el, Port):
                 out.add(el.node)
@@ -220,13 +219,13 @@ def floating_nodes(net: Netlist) -> set[str]:
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     for el in net.elements:
         if isinstance(el, Port):
-            a, b = el.node, net.ground
+            a, b = el.node, GROUND
         else:
             a, b = el.node_a, el.node_b
         adj[a].add(b)
         adj[b].add(a)
-    seen = {net.ground}
-    stack = [net.ground]
+    seen = {GROUND}
+    stack = [GROUND]
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in seen:
@@ -339,7 +338,7 @@ def scale_frequency(net: Netlist, factor: float) -> Netlist:
             out.append(replace(el, branch=branch, modulation=mod))
         else:
             out.append(el)
-    return Netlist(tuple(out), ground=net.ground)
+    return Netlist(tuple(out))
 
 
 def write_netlist(net: Netlist) -> str:

@@ -53,10 +53,10 @@ Its boundary state h* repeats up to the drive's phase, h_p = E^p h* with
 E = exp(j w P dt), so (E I - Phi_P) h* = psi_P, and its complex samples are
 z_j = X_j h* + Y_j.  The phasor at f + n*f_mod is the DFT bin
 P_n = sum_j z_j c_j,n = A_n h* + B_n with c_j,n = exp(-j (w dt + 2 pi n/P) j)/P
-over j = 1 ... P, A_n = sum_j X_j c_j,n and B_n = sum_j Y_j c_j,n.  A run
-asked for one node's steady state adds that node's rows into A_n and B_n,
-n = -1, 0, 1, one small GEMM per block while the chain runs, so it needs no
-maps; after the period it solves for h* and checks the residual
+over j = 1 ... P, A_n = sum_j X_j c_j,n and B_n = sum_j Y_j c_j,n.  Every
+run adds every node's rows into A_n and B_n, n = -1, 0, 1, one real GEMM
+per block while the chain runs, so it needs no maps; its result solves for
+h* when its phasors are first read, and checks the residual
 max|(E I - Phi_P) h* - psi_P| against STEADY_RESIDUAL_BOUND times max|psi_P|.
 Phi_P has multipliers of modulus 1 (+1 from floating nodes, -1 from the
 trapezoid's algebraic unknowns) that E meets at half-integer f/f_mod, so the
@@ -83,7 +83,7 @@ import numpy as np
 from . import fork
 from .fileio import BLOCK_ROWS, atomic_open
 from .htm import HarmonicBasis, sparams
-from .netlist import (Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
+from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor)
 
 DIVERGENCE_FACTOR = 1e6
@@ -141,16 +141,16 @@ class PeriodMaps:
 
 
 class TransientResult:
-    """Per-node voltage waveforms on a uniform time grid.
+    """Per-node voltage waveforms on a uniform time grid, and phasors.
 
-    A result of :func:`simulate` holds its run's :class:`PeriodMaps`, unless
-    the run kept none, and fills ``samples`` from them on first access; a run
-    asked for a node's steady state holds its ``phasors`` P_-1, P_0, P_1."""
+    A result of :func:`simulate` fills ``samples`` from its run's
+    :class:`PeriodMaps` (unless it kept none), and every node's ``phasors``
+    P_-1, P_0, P_1 from its period's state and bins, ``steady``, on first access."""
 
-    def __init__(self, dt: float, duration: float, samples: dict[str, np.ndarray] | None = None,
-                 maps: PeriodMaps | None = None, phasors: np.ndarray | None = None):
-        self.dt, self.duration, self.maps, self.phasors = dt, duration, maps, phasors
-        self._samples = samples
+    def __init__(self, dt: float, duration: float, steady: tuple,
+                 samples: dict[str, np.ndarray] | None = None, maps: PeriodMaps | None = None):
+        self.dt, self.duration, self.maps = dt, duration, maps
+        self._samples, self._steady, self._phasors = samples, steady, None
 
     @property
     def samples(self) -> dict[str, np.ndarray]:
@@ -162,12 +162,18 @@ class TransientResult:
         return self._samples
 
     @property
+    def phasors(self) -> dict[str, np.ndarray]:
+        if self._phasors is None:
+            self._phasors = _steady_phasors(*self._steady)
+        return self._phasors
+
+    @property
     def times(self) -> np.ndarray:
         n = round(self.duration / self.dt)
         return np.arange(n + 1) * self.dt
 
 
-def _stamp(net: Netlist, port_index: int, amplitude: float):
+def _stamp(net: Netlist, port_index: int):
     """Node names and the real C, G and s of ``C x' + G(t) x = s*cos(w t)``.
 
     Unknowns: the node voltages (sorted by name), then one current per
@@ -175,7 +181,7 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
     branch's (i, u) entry; each row (i, depth, f_mod, phase) of the returned
     ``mod`` marks a branch whose entry is m(t) instead.
     """
-    node_names = [n for n in sorted(net.nodes) if n != net.ground]
+    node_names = [n for n in sorted(net.nodes) if n != GROUND]
     nidx = {n: i for i, n in enumerate(node_names)}
     currents = [el for el in net.elements if isinstance(el, (Inductor, ModulatedSeriesRlc))]
     nu = len(nidx) + sum(2 if isinstance(el, ModulatedSeriesRlc) else 1 for el in currents)
@@ -186,9 +192,9 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
 
     def incidence(a: str, b: str) -> np.ndarray:
         e = np.zeros(nu)
-        if a != net.ground:
+        if a != GROUND:
             e[nidx[a]] += 1.0
-        if b != net.ground:
+        if b != GROUND:
             e[nidx[b]] -= 1.0
         return e
 
@@ -200,10 +206,10 @@ def _stamp(net: Netlist, port_index: int, amplitude: float):
             e = incidence(el.node_a, el.node_b)
             c += np.outer(e, e) * el.farads
         elif isinstance(el, Port):
-            e = incidence(el.node, net.ground)
+            e = incidence(el.node, GROUND)
             g += np.outer(e, e) / el.z0
             if el.index == port_index:
-                s += e * (2.0 * math.sqrt(el.z0) * amplitude / el.z0)
+                s += e * (2.0 * math.sqrt(el.z0) / el.z0)
 
     k = len(nidx)
     for el in currents:
@@ -499,15 +505,14 @@ def _period(a0: np.ndarray, mod: np.ndarray, s: np.ndarray, k2: np.ndarray, dt: 
             yield j, z, state, xs
 
 
-def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
-             dt: float, keep_maps: bool = True,
-             steady_node: str | None = None) -> TransientResult:
+def simulate(net: Netlist, tone: tuple[int, float], duration: float,
+             dt: float, keep_maps: bool = True) -> TransientResult:
     """Integrate the netlist driven by one port tone with the trapezoidal rule.
 
-    ``tone`` is (port_index, frequency_hz, incident_wave_amplitude); the
-    driven port carries a Thevenin source 2*sqrt(z0)*amplitude*cos(2*pi*f*t)
-    so the incident wave matches the harmonic engine's normalization.  All
-    ports are terminated in their reference impedance.
+    ``tone`` is (port_index, frequency_hz); the driven port carries a
+    Thevenin source 2*sqrt(z0)*cos(2*pi*f*t), a unit incident wave in the
+    harmonic engine's normalization.  All ports are terminated in their
+    reference impedance.
 
     With modulation, ``dt`` is rounded to 1/(P*f_mod), P = round(1/(f_mod*dt)),
     so that one modulation period is P whole steps (a ``dt`` from
@@ -516,43 +521,36 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     docstring), and the result holds that period's maps of every node,
     unless ``keep_maps`` is false; its ``samples`` are filled when first read.
 
-    With ``steady_node``, the result's ``phasors`` are that node's P_n,
-    n = -1, 0, 1, at f + n*f_mod in the periodic steady state (see the module
-    docstring), with the same bits with maps or without and however long
-    the run: a modulated run integrates at least one whole period.  Only such
-    a run may keep no maps.
+    The result's ``phasors``, solved when first read, map every node to its
+    P_n at f + n*f_mod, n = -1, 0, 1, of the periodic steady state (see the
+    module docstring), the same with maps or without and however short the run.
 
     Raises :class:`ValueError`, before any work, unless f, ``dt`` and
-    ``duration`` are finite and positive, when a run keeps no maps without
-    ``steady_node``, or when ``steady_node`` names a node the netlist lacks;
+    ``duration`` are finite and positive and the port exists;
     :class:`RunTooLarge`, before any work, when a modulation period
     takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
     samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
     step used; and :class:`Diverged` on a singular step matrix, on a step
-    matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, on a steady
-    state whose residual exceeds STEADY_RESIDUAL_BOUND, or when any node
-    magnitude exceeds 1e6 times the source amplitude.  For that guard,
+    matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, or when any
+    node magnitude exceeds DIVERGENCE_FACTOR times the source amplitude
+    2*sqrt(z0); reading ``phasors`` raises it on a singular steady-state
+    system or one whose residual exceeds STEADY_RESIDUAL_BOUND.  For the guard,
     sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
     node n in period p; only when a bound exceeds the guard are the samples
     filled at once, checked, and kept.  A run without maps is then made again
     with them and checked as such a run is; that path is rare.
     """
-    port_index, f_stim, amplitude = tone
+    port_index, f_stim = tone
     if not all(0.0 < v < math.inf for v in (f_stim, dt, duration)):  # NaN fails
         raise ValueError(f"the stimulus frequency {f_stim}, dt {dt} and duration "
                          f"{duration} must be finite and positive")
-    if not keep_maps and steady_node is None:
-        raise ValueError("a run that keeps no maps needs a steady_node")
-    sources = [2.0 * math.sqrt(p.z0) * amplitude for p in net.ports if p.index == port_index]
-    if not sources:
+    z0 = [p.z0 for p in net.ports if p.index == port_index]
+    if not z0:
         raise ValueError(f"no port with index {port_index}")
-    limit = DIVERGENCE_FACTOR * max(sources + [1e-30])
+    limit = DIVERGENCE_FACTOR * 2.0 * math.sqrt(z0[0])
 
-    node_names, c, g, s, mod = _stamp(net, port_index, amplitude)
+    node_names, c, g, s, mod = _stamp(net, port_index)
     nn, nu = len(node_names), s.size
-    if steady_node is not None and steady_node not in node_names:
-        raise ValueError(f"steady_node {steady_node!r} is not a node of the netlist")
-    steady = None if steady_node is None else node_names.index(steady_node)
     chunk = max(64, CHUNK_VALUES // (nu * (nu + 2)))
     repeat = chunk  # a static step matrix repeats every step: one block is the repeat
     if len(mod):  # a Netlist's branches share one f_mod
@@ -573,7 +571,7 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
     a0 = k + g
     w_stim = 2.0 * math.pi * f_stim
     # a steady state needs a whole modulation period, however short the run
-    r = repeat if steady is not None and len(mod) else min(repeat, steps)
+    r = repeat if len(mod) else min(repeat, steps)
     periods = -(-steps // r)
 
     if keep_maps:
@@ -583,17 +581,17 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         buf = mmap.mmap(-1, nn * r * (16 + 8 * nu), access=mmap.ACCESS_COPY)
         y_e = np.frombuffer(buf, complex, nn * r).reshape(nn, r)
         x_h = np.frombuffer(buf, float, offset=16 * nn * r).reshape(nn, nu, r)
-    # the steady node's DFT bins n = -1, 0, 1 of the period, sum_j [X_j | Re Y_j,
-    # Im Y_j][node] c_j,n
-    bins = np.zeros((nu + 2, 3), complex)
+    # every node's DFT bins n = -1, 0, 1 of the period, sum_j [X_j | Re Y_j,
+    # Im Y_j][node] c_j,n, summed as real and imaginary parts side by side
+    bins = np.zeros((nn * (nu + 2), 6))
     # every node's max_j |X_j| and max_j |Y_j|, for the guard
     x_max, y_max = np.zeros((nn, nu)), np.zeros(nn)
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _period(a0, mod, s, 2.0 * k, dt, w_stim, r, min(chunk, r), nn)
         with contextlib.closing(blocks):  # its worker ends with it
             for j, z, state, xs in blocks:
-                if steady is not None:
-                    bins += xs[steady] @ _dft_weights(z, j, r)
+                # a real GEMM: xs as (node, row) by step, c_j,n as (re, im) pairs
+                bins += xs.reshape(-1, j.size) @ _dft_weights(z, j, r).view(float)
                 y_blk = np.empty((nn, j.size), complex)
                 y_blk.real, y_blk.imag = xs[:, nu], xs[:, nu + 1]
                 # max|x| as max(max x, -min x), with no |x| formed
@@ -623,9 +621,9 @@ def simulate(net: Netlist, tone: tuple[int, float, float], duration: float,
         simulate(net, tone, duration, dt)
     elif over:
         samples = _fill(maps)
-    phasors = None if steady is None else _steady_phasors(state, bins,
-                                                          np.exp(1j * w_stim * (r * dt)))
-    return TransientResult(dt=dt, duration=duration, samples=samples, maps=maps, phasors=phasors)
+    steady = (tuple(node_names), state, bins.view(complex).reshape(nn, nu + 2, 3),
+              np.exp(1j * w_stim * (r * dt)))
+    return TransientResult(dt, duration, steady, samples=samples, maps=maps)
 
 
 def _dft_weights(z: np.ndarray, j: np.ndarray, r: int) -> np.ndarray:
@@ -635,9 +633,9 @@ def _dft_weights(z: np.ndarray, j: np.ndarray, r: int) -> np.ndarray:
     return z.conj()[:, None] / r * np.stack([turn, np.ones(j.size), turn.conj()], axis=1)
 
 
-def _steady_phasors(state: np.ndarray, bins: np.ndarray, phase: complex) -> np.ndarray:
-    """P_n = A_n h* + B_n for the bins [A_n | Re B_n, Im B_n] (columns of
-    ``bins``) and the steady boundary state h*, (E I - Phi) h* = psi with
+def _steady_phasors(nodes: tuple, state: np.ndarray, bins: np.ndarray, phase: complex) -> dict:
+    """{node: P_n} with P_n = A_n h* + B_n for bins[i] = [A_n | Re B_n, Im B_n]
+    of nodes[i] and the steady boundary state h*, (E I - Phi) h* = psi with
     E = ``phase`` and the period's state [Phi | Re psi, Im psi]; a singular
     system, or a residual max|(E I - Phi) h* - psi| above STEADY_RESIDUAL_BOUND
     times max|psi| (NaN fails), raises :class:`Diverged`."""
@@ -653,7 +651,7 @@ def _steady_phasors(state: np.ndarray, bins: np.ndarray, phase: complex) -> np.n
     if not resid <= STEADY_RESIDUAL_BOUND * scale:
         raise Diverged(f"steady-state residual max|(E I - Phi) h - psi| = {resid:.3e} exceeds "
                        f"{STEADY_RESIDUAL_BOUND} of max|psi| = {scale:.3e}")
-    return bins[:nu].T @ h_star + bins[nu] + 1j * bins[nu + 1]
+    return {node: b[:nu].T @ h_star + b[nu] + 1j * b[nu + 1] for node, b in zip(nodes, bins)}
 
 
 def _period_blocks(maps: PeriodMaps):
@@ -731,8 +729,8 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     measured against the dominant response instead of dividing by zero.
 
     The transient's S^(n) come from the output port node's periodic steady
-    state at ``pts_per_cycle`` points per stimulus cycle (:func:`simulate`
-    with ``steady_node``), which needs no ring-up and no fit.  The run still
+    state at ``pts_per_cycle`` points per stimulus cycle (the ``phasors`` of
+    :func:`simulate`), which needs no ring-up and no fit.  The run still
     spans ``mod_periods`` modulation periods past ring-up, which the
     divergence guard checks and a dump holds.  It keeps no period maps, unless
     a ``waveforms_path`` asks for every node's waveform, which that path
@@ -749,9 +747,8 @@ def cross_validate(net: Netlist, basis: HarmonicBasis, f: float,
     qi, pi = q_out - 1, p_in - 1
     s_htm = np.array([grid.harmonic(n)[0, qi, pi] for n in (-1, 0, 1)])
 
-    res = simulate(net, (p_in, f, 1.0), duration, dt, keep_maps=waveforms_path is not None,
-                   steady_node=port_map[q_out].node)
-    s_td = res.phasors / math.sqrt(port_map[q_out].z0)
+    res = simulate(net, (p_in, f), duration, dt, keep_maps=waveforms_path is not None)
+    s_td = res.phasors[port_map[q_out].node] / math.sqrt(port_map[q_out].z0)
     if q_out == p_in:
         s_td[1] -= 1.0
 

@@ -188,6 +188,14 @@ class TestLorentzianFit:
         with pytest.raises(DegenerateData):
             fit_lorentzian(samples)
 
+    def test_dip_degenerate(self):
+        # a notch in |Y| fits a Lorentzian of negative peak: not a resonance
+        gamma = 1e6
+        freqs = np.linspace(2.6e9, 2.7e9, 41)
+        mags = 0.02 - 0.019 * gamma / np.hypot(freqs - 2.65e9, gamma)
+        with pytest.raises(DegenerateData, match="not a resonance"):
+            fit_lorentzian(list(zip(freqs, mags.astype(complex))))
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_lorentzian(_bending_samples(n=7))

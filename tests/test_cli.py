@@ -28,7 +28,7 @@ from fbarcirc.config import SCHEMA, ConfigError, load_config, parse_config, seri
 from fbarcirc.fileio import fingerprint
 from fbarcirc.htm import HarmonicBasis, NumericallySingular, sparams
 from fbarcirc.metrics import summarize
-from fbarcirc.netlist import build_circulator, read_netlist, write_netlist
+from fbarcirc.netlist import GROUND, build_circulator, read_netlist, write_netlist
 from fbarcirc.touchstone import read_s3p, write_harmonics_csv, write_s3p
 from fbarcirc.transient import time_grid
 
@@ -135,6 +135,29 @@ class TestFit:
     def test_missing_input_exit_2(self, capsys):
         code, _, err = run(capsys, "fit", "lorentzian")
         assert code == 2
+
+    @pytest.mark.parametrize("z0", ["-3", "0", "nan", "inf"])
+    def test_z0_out_of_range_exit_2(self, capsys, tmp_path, z0):
+        # refused at parse time: nothing is printed and no netlist written
+        nl = tmp_path / "x.net"
+        code, out, err = run(capsys, "fit", "specs", "--z0", z0, "--emit-netlist", str(nl))
+        assert (code, out) == (2, "")
+        assert "--z0" in err and "Traceback" not in err
+        assert not nl.exists()
+
+    def test_lorentzian_dip_exit_1(self, capsys, tmp_path):
+        # |Y| dips at 2.65 GHz: the fit's peak is not positive, so there is no
+        # resonance to report and no motional branch to emit
+        csv, nl = tmp_path / "dip.csv", tmp_path / "dip.net"
+        gamma = 1e6
+        rows = ["f_hz,re_s"] + [
+            f"{f!r},{0.02 - 0.019 * gamma / math.hypot(f - 2.65e9, gamma)!r}"
+            for f in np.linspace(2.6e9, 2.7e9, 41).tolist()]
+        csv.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit", "lorentzian", str(csv), "--emit-netlist", str(nl))
+        assert (code, out) == (1, "")
+        assert err.startswith("DegenerateData: ") and "Traceback" not in err
+        assert not nl.exists()
 
     def test_non_utf8_csv_exit_2(self, capsys, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -274,7 +297,7 @@ class TestVerify:
             path = out_dir / f"waveforms_{name}.csv.gz"
             with gzip.open(path, "rt") as fh:
                 header = fh.readline().strip().split(",")
-            assert header == ["t_s"] + [f"v_{node}" for node in sorted(net.nodes - {net.ground})]
+            assert header == ["t_s"] + [f"v_{node}" for node in sorted(net.nodes - {GROUND})]
             assert np.loadtxt(path, delimiter=",", skiprows=1).shape == (
                 round(duration / dt) + 1, len(header))
 

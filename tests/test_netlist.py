@@ -102,7 +102,7 @@ class TestBuilders:
     def test_builders_produce_valid_netlists(self, differential_design, single_ended_design):
         for design in (differential_design, single_ended_design):
             net = build_circulator(design)
-            assert Netlist(net.elements, net.ground) == net  # passes the check again
+            assert Netlist(net.elements) == net  # passes the check again
 
     def test_c0_across_branch_flag(self, ghz_specs):
         from dataclasses import replace

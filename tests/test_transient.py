@@ -12,7 +12,7 @@ import pytest
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
 from fbarcirc import fork, transient
 from fbarcirc.config import load_config
-from fbarcirc.htm import HarmonicBasis
+from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
                               NetlistError, Port, Resistor, build_circulator, scale_frequency)
 from fbarcirc.transient import (Diverged, StepTooLarge, cross_validate, simulate, time_grid,
@@ -43,7 +43,7 @@ class TestSimulate:
         z0, r, c, f = 50.0, 200.0, 1e-9, 1e6
         net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
                        Port(1, "p1", z0)))
-        res = simulate(net, (1, f, 1.0), 60.0 / f, 1.0 / (200.0 * f))
+        res = simulate(net, (1, f), 60.0 / f, 1.0 / (200.0 * f))
         ph = _tail_phasors(res, "n2", f, f / 7.0, 1)
         zc = 1.0 / (1j * 2 * math.pi * f * c)
         expect = 2.0 * math.sqrt(z0) * zc / (zc + r + z0)
@@ -55,7 +55,7 @@ class TestSimulate:
         z0, c, f = 50.0, 1e-9, 1e6
         dt = 1.0 / (100.0 * f)
         net = Netlist((Capacitor("c1", "p1", "0", c), Port(1, "p1", z0)))
-        res = simulate(net, (1, f, 1.0), 2000 * dt, dt)
+        res = simulate(net, (1, f), 2000 * dt, dt)
         g = 2.0 * c / dt
         v, i = 0.0, 0.0
         expect = [0.0]
@@ -72,7 +72,7 @@ class TestSimulate:
         z0, ind, r, f = 50.0, 10e-6, 30.0, 1e6
         net = Netlist((Inductor("l1", "p1", "n2", ind), Resistor("r1", "n2", "0", r),
                        Port(1, "p1", z0)))
-        res = simulate(net, (1, f, 1.0), 40.0 / f, 1.0 / (400.0 * f))
+        res = simulate(net, (1, f), 40.0 / f, 1.0 / (400.0 * f))
         zl = 2j * math.pi * f * ind
         vs = 2.0 * math.sqrt(z0)
         for node, expect in (("p1", vs * (zl + r) / (z0 + zl + r)),
@@ -86,13 +86,13 @@ class TestSimulate:
         net = Netlist((Resistor("r1", "p1", "n2", math.inf),
                        Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
         with pytest.raises(Diverged):
-            simulate(net, (1, 1e6, 1.0), 1e-5, 1e-8, keep_maps=keep_maps, steady_node="p1")
+            simulate(net, (1, 1e6), 1e-5, 1e-8, keep_maps=keep_maps)
 
     def test_bvd_one_port_matches_admittance(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
         model = bvd_from_specs(desk_specs)
         f = desk_specs.f_s  # driven at series resonance
-        res = simulate(net, (1, f, 1.0), 4.0e-4, 1.0 / (400.0 * f))
+        res = simulate(net, (1, f), 4.0e-4, 1.0 / (400.0 * f))
         ph = _tail_phasors(res, "p1", f, F_MOD, 1)
         expect = 2.0 * math.sqrt(50.0) / (1.0 + 50.0 * admittance(model, f))
         assert abs(ph[0] - expect) <= 5e-3 * abs(expect)
@@ -100,8 +100,8 @@ class TestSimulate:
     def test_modulation_creates_sidebands(self):
         f = 2.68e6
         kwargs = dict(duration=3.0e-4, dt=1.0 / (200.0 * f))
-        on = simulate(one_port_net(FAST_SPECS, 0.05, F_MOD), (1, f, 1.0), **kwargs)
-        off = simulate(one_port_net(FAST_SPECS, 0.0, F_MOD), (1, f, 1.0), **kwargs)
+        on = simulate(one_port_net(FAST_SPECS, 0.05, F_MOD), (1, f), **kwargs)
+        off = simulate(one_port_net(FAST_SPECS, 0.0, F_MOD), (1, f), **kwargs)
         ph_on = _tail_phasors(on, "p1", f, F_MOD, 1)
         ph_off = _tail_phasors(off, "p1", f, F_MOD, 1)
         assert abs(ph_on[1]) > 1e3 * abs(ph_off[1])
@@ -110,30 +110,30 @@ class TestSimulate:
     def test_step_too_large(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
         with pytest.raises(StepTooLarge):
-            simulate(net, (1, 1e6, 1.0), 1e-4, 1.0 / (40.0 * 1e6))
+            simulate(net, (1, 1e6), 1e-4, 1.0 / (40.0 * 1e6))
 
     def test_divergence_detected(self):
         # negative resistance makes the RC node unstable
         net = Netlist((Resistor("r1", "p1", "0", -49.0),
                        Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
         with pytest.raises(Diverged):
-            simulate(net, (1, 1e6, 1.0), 1e-3, 2e-8)
+            simulate(net, (1, 1e6), 1e-3, 2e-8)
 
     def test_sample_count_invariant(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
         dt = 1.0 / (100.0 * 2.68e6)
-        res = simulate(net, (1, 2.68e6, 1.0), 1e-5, dt)
+        res = simulate(net, (1, 2.68e6), 1e-5, dt)
         assert res.samples["p1"].size == round(res.duration / res.dt) + 1
 
     def test_run_shorter_than_one_step(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
         with pytest.raises(ValueError, match="shorter than one step"):
-            simulate(net, (1, 2.68e6, 1.0), 1e-12, 1e-9)
+            simulate(net, (1, 2.68e6), 1e-12, 1e-9)
 
     def test_unknown_port(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
         with pytest.raises(ValueError):
-            simulate(net, (4, 2.68e6, 1.0), 1e-5, 1e-9)
+            simulate(net, (4, 2.68e6), 1e-5, 1e-9)
 
     @pytest.mark.parametrize("f, dt, duration", [
         (0.0, 1e-9, 1e-5), (math.nan, 1e-9, 1e-5), (-2.68e6, 1e-9, 1e-5), (math.inf, 1e-9, 1e-5),
@@ -145,7 +145,7 @@ class TestSimulate:
         _no_inverse(monkeypatch)
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         with pytest.raises(ValueError, match="must be finite and positive"):
-            simulate(net, (1, f, 1.0), duration, dt)
+            simulate(net, (1, f), duration, dt)
 
     @pytest.mark.parametrize("f, f_mod", [
         (0.0, F_MOD), (-2.68e6, F_MOD), (math.nan, F_MOD), (math.inf, F_MOD),
@@ -162,7 +162,7 @@ class TestSimulate:
         dur = 3.0e-4
         p = []
         for ppc in (200, 400):
-            res = simulate(net, (1, f, 1.0), dur, 1.0 / (ppc * f))
+            res = simulate(net, (1, f), dur, 1.0 / (ppc * f))
             p.append(_tail_phasors(res, "p1", f, F_MOD, 2)[0])
         assert abs(p[1] - p[0]) <= 2e-3 * abs(p[1])
 
@@ -173,7 +173,7 @@ class TestSimulate:
         net = one_port_net(FAST_SPECS, 0.05, F_MOD, z0=z0)
         dt = 1.0 / (400.0 * f)
         dur = 30.0 / F_MOD
-        res = simulate(net, (1, f, 1.0), dur, dt)
+        res = simulate(net, (1, f), dur, dt)
         t = res.times
         v = res.samples["p1"]
         vs = 2.0 * math.sqrt(z0) * np.cos(2 * math.pi * f * t)
@@ -202,7 +202,7 @@ class TestPeriodReuse:
         dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
         steps = 12 * round(1.0 / (self.F_MOD_FAST * dt))
         net = one_port_net(FAST_SPECS, delta, self.F_MOD_FAST, phase=phase, z0=z0)
-        res = simulate(net, (1, self.F, 1.0), steps * dt, dt)
+        res = simulate(net, (1, self.F), steps * dt, dt)
         b = bvd_from_specs(FAST_SPECS).branches[0]
         c0, g = FAST_SPECS.c0, 2.0 / dt
         x, dx = np.zeros(3), np.zeros(3)  # (v, i, u) and their derivatives
@@ -245,11 +245,11 @@ class TestPeriodReuse:
             "modulated-one-port": lambda: one_port_net(FAST_SPECS, 0.3, self.F_MOD_FAST,
                                                        phase=0.4),
         }[case]()
-        names, c, g, s, stamped = transient._stamp(net, 1, 1.0)
+        names, c, g, s, stamped = transient._stamp(net, 1)
         assert (2 * len(names) > s.size) == node_heavy
         dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
         steps = 3 * 693
-        res = simulate(net, (1, self.F, 1.0), steps * dt, dt)
+        res = simulate(net, (1, self.F), steps * dt, dt)
         # the trapezoidal rule one step at a time on the stamped matrices:
         # x_k = (K + G(t_k))^-1 (h_{k-1} + s cos(w t_k)), h_k = 2K x_k - h_{k-1}
         k = 2.0 * c / dt
@@ -276,7 +276,7 @@ class TestPeriodReuse:
                        Resistor("r1", "p1", "0", -49.0), Port(1, "p1", 50.0)))
         dt = _commensurate_dt(self.F, self.F_MOD_FAST, 60)
         with pytest.raises(Diverged):
-            simulate(net, (1, self.F, 1.0), 40.0 / self.F_MOD_FAST, dt)
+            simulate(net, (1, self.F), 40.0 / self.F_MOD_FAST, dt)
 
     @pytest.mark.parametrize("f, ppc", [(2.68e6, 400), (2.68e6, 57), (1.0113 * 2.65e6, 400),
                                         (7.1e5, 1000)])
@@ -286,7 +286,7 @@ class TestPeriodReuse:
         per = round(1.0 / (F_MOD * dt))
         assert abs(per * dt * F_MOD - 1.0) <= 1e-14
         assert abs(dt * ppc * f - 1.0) <= 1.0 / per
-        assert simulate(net, (1, f, 1.0), 1.0 / F_MOD, dt).dt == dt  # used unrounded
+        assert simulate(net, (1, f), 1.0 / F_MOD, dt).dt == dt  # used unrounded
 
     def test_commensurate_run_inverts_one_period(self, monkeypatch):
         # any other dt is rounded to the step that divides the period into 693
@@ -301,7 +301,7 @@ class TestPeriodReuse:
         net = one_port_net(FAST_SPECS, 0.05, self.F_MOD_FAST)
         for dt in (_commensurate_dt(self.F, self.F_MOD_FAST, 60), 1.0 / (60 * self.F)):
             inverted.clear()
-            res = simulate(net, (1, self.F, 1.0), 12.0 / self.F_MOD_FAST, dt)
+            res = simulate(net, (1, self.F), 12.0 / self.F_MOD_FAST, dt)
             assert sum(inverted) <= 693
             assert res.dt == 1.0 / (693 * self.F_MOD_FAST)
             assert res.samples["p1"].size == 12 * 693 + 1
@@ -383,7 +383,7 @@ class TestStepInverses:
             "toy-wye": lambda: (toy_wye_net(DESK_SPECS, 0.02, F_MOD), self.F, F_MOD),
             "differential": lambda: (self._tuned_replica(), 2.6767e6, 31479.74575625309),
         }[case]()
-        _, c, g, _, mod = transient._stamp(net, 1, 1.0)
+        _, c, g, _, mod = transient._stamp(net, 1)
         assert (c.shape[0], len(mod)) == (nu, k)
         dt, _ = time_grid(net, f, f_mod, 400, 1.0)
         a0 = 2.0 * c / dt + g
@@ -410,11 +410,11 @@ class TestStepInverses:
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
         monkeypatch.setattr(transient, "INVERSE_RESIDUAL_BOUND", 1e-30)
         with pytest.raises(Diverged, match="residual"):
-            simulate(net, (1, self.F, 1.0), 2.0 / F_MOD, dt)
+            simulate(net, (1, self.F), 2.0 / F_MOD, dt)
 
     def test_residual_bound_enforced_on_every_block(self, monkeypatch):
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
-        _, c, g, _, mod = transient._stamp(net, 1, 1.0)
+        _, c, g, _, mod = transient._stamp(net, 1)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
         a0 = 2.0 * c / dt + g
         inverses = transient._StepInverses(a0, mod, 64)
@@ -438,7 +438,7 @@ class TestStepInverses:
         net = toy_wye_net(FAST_SPECS, delta, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 400, 1.0)
         assert round(1.0 / (F_MOD * dt)) > transient.CHUNK_VALUES // (7 * 9)
-        simulate(net, (1, self.F, 1.0), 2.0 / F_MOD, dt)
+        simulate(net, (1, self.F), 2.0 / F_MOD, dt)
         assert shapes == [(7, 7)]
 
     def test_period_size_bounded_before_any_work(self, monkeypatch):
@@ -446,7 +446,7 @@ class TestStepInverses:
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         dt = 1.0 / (2.0 * transient.MAX_PERIOD_STEPS * F_MOD)
         with pytest.raises(transient.RunTooLarge, match="MAX_PERIOD_STEPS"):
-            simulate(net, (1, self.F, 1.0), 1.0 / F_MOD, dt)
+            simulate(net, (1, self.F), 1.0 / F_MOD, dt)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_sample_count_bounded_before_any_work(self, monkeypatch, delta):
@@ -454,7 +454,7 @@ class TestStepInverses:
         net = one_port_net(FAST_SPECS, delta, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
         with pytest.raises(transient.RunTooLarge, match="MAX_SAMPLES"):
-            simulate(net, (1, self.F, 1.0), 2.0 * transient.MAX_SAMPLES * dt, dt)
+            simulate(net, (1, self.F), 2.0 * transient.MAX_SAMPLES * dt, dt)
         assert isinstance(transient.RunTooLarge("x"), ValueError)
 
     @pytest.mark.parametrize("config, f_op", [("differential.cfg", 2.6e9),
@@ -478,7 +478,7 @@ class TestSeriesInverses:
     @staticmethod
     def _inverses(ppc, block):
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
-        _, c, g, _, mod = transient._stamp(net, 1, 1.0)
+        _, c, g, _, mod = transient._stamp(net, 1)
         dt, _ = time_grid(net, TestSeriesInverses.F, F_MOD, ppc, 1.0)
         return transient._StepInverses(2.0 * c / dt + g, mod, block), dt
 
@@ -505,19 +505,19 @@ class TestSeriesInverses:
         monkeypatch.setattr(np.linalg, "solve", counted)
         f_mod = 10.0 * F_MOD
         net = one_port_net(FAST_SPECS, 0.3, f_mod, phase=0.4)
-        simulate(net, (1, self.F, 1.0), 2.0 / f_mod, _commensurate_dt(self.F, f_mod, 60))
+        simulate(net, (1, self.F), 2.0 / f_mod, _commensurate_dt(self.F, f_mod, 60))
         assert solves and all(shape[1:] == (1, 1) for shape in solves)
         solves.clear()
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 400, 1.0)
-        simulate(net, (1, self.F, 1.0), 2.0 / F_MOD, dt)
+        simulate(net, (1, self.F), 2.0 / F_MOD, dt)
         assert solves == []
 
     def test_residual_bound_enforced_on_solved_blocks(self, monkeypatch):
         # test_residual_bound_enforced_on_every_block takes the series (rho =
         # 5.3e-5, four terms); the deep one-port's rho = 8e-4 takes the solve
         f_mod = 10.0 * F_MOD
-        _, c, g, _, mod = transient._stamp(one_port_net(FAST_SPECS, 0.3, f_mod, phase=0.4), 1, 1.0)
+        _, c, g, _, mod = transient._stamp(one_port_net(FAST_SPECS, 0.3, f_mod, phase=0.4), 1)
         dt = _commensurate_dt(self.F, f_mod, 60)
         inverses = transient._StepInverses(2.0 * c / dt + g, mod, 64)
         assert inverses.terms == 0
@@ -547,7 +547,7 @@ def test_simulate_memory_stays_near_the_maps():
     net, _, f, _, _, dt, duration = _wye_case()
     tracemalloc.start()
     try:
-        res = simulate(net, (1, f, 1.0), duration, dt)
+        res = simulate(net, (1, f), duration, dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,13 +556,18 @@ def test_simulate_memory_stays_near_the_maps():
     assert peak + mapped <= 2 * (mapped + maps.h.nbytes + maps.e.nbytes)
 
 
-def _fast_wye(keep_maps=True, steady_node=None, periods=6.0):
+def _fast_wye(keep_maps=True, periods=6.0):
     """``periods`` modulation periods of the Q = 20 toy wye at 60 points per
     cycle, port 1 driven."""
     net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
     dt, _ = time_grid(net, 2.68e6, F_MOD, 60, 1.0)
-    return simulate(net, (1, 2.68e6, 1.0), periods / F_MOD, dt, keep_maps=keep_maps,
-                    steady_node=steady_node)
+    return simulate(net, (1, 2.68e6), periods / F_MOD, dt, keep_maps=keep_maps)
+
+
+def _same_phasors(a, b):
+    """Whether two results' phasors hold the same nodes with the same bits."""
+    return list(a.phasors) == list(b.phasors) and all(
+        a.phasors[n].tobytes() == b.phasors[n].tobytes() for n in a.phasors)
 
 
 class TestDivergenceBound:
@@ -586,7 +591,7 @@ class TestDivergenceBound:
     def _run(self):
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
-        return simulate(net, (1, self.F, 1.0), 6.0 / F_MOD, dt)
+        return simulate(net, (1, self.F), 6.0 / F_MOD, dt)
 
     def test_no_waveform_unless_one_is_read(self, monkeypatch):
         fills = self._counted_fill(monkeypatch)
@@ -621,9 +626,8 @@ class TestDivergenceBound:
         assert first > 0 and str(info.value).endswith(f"near step {first}")
 
     def test_other_node_above_limit_raises_without_maps(self, monkeypatch):
-        # the limit lies above the steady node's bound but below another node's
-        # peak: a run without maps still raises, with the message of the run
-        # with them
+        # the limit lies above p2's bound but below another node's peak: a run
+        # without maps still raises, with the message of the run with them
         reference = _fast_wye()
         maps, samples = reference.maps, reference.samples
         bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
@@ -635,7 +639,7 @@ class TestDivergenceBound:
         with pytest.raises(Diverged) as every:
             _fast_wye()
         with pytest.raises(Diverged) as none:
-            _fast_wye(False, "p2")
+            _fast_wye(False)
         limit = transient.DIVERGENCE_FACTOR * source
         first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
         assert first > 0 and str(every.value).endswith(f"near step {first}")
@@ -646,7 +650,7 @@ class TestDivergenceBound:
         # a run that keeps no maps and trips a node's bound is made again
         # with maps: with the limit above every sample the rerun passes and
         # the phasors stand; below a sample it raises as the run with maps does
-        reference = _fast_wye(steady_node="p2")
+        reference = _fast_wye()
         maps, samples = reference.maps, reference.samples
         bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
                        + np.max(np.abs(maps.y), axis=1))
@@ -662,14 +666,14 @@ class TestDivergenceBound:
 
         monkeypatch.setattr(transient, "simulate", counted)  # the rerun's global
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
-        res = _fast_wye(False, "p2")  # no raise
+        res = _fast_wye(False)  # no raise
         assert reruns == [{}]  # maps kept
-        assert res.maps is None and np.array_equal(res.phasors, reference.phasors)
+        assert res.maps is None and _same_phasors(res, reference)
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.9 * v_max / source)
         with pytest.raises(Diverged) as every:
             _fast_wye()
         with pytest.raises(Diverged) as none:
-            _fast_wye(False, "p2")
+            _fast_wye(False)
         assert str(none.value) == str(every.value)
         assert str(none.value).startswith("waveform exceeded")
 
@@ -693,9 +697,10 @@ class TestTwoCpuPeriod:
 
     @staticmethod
     def _outputs():
-        res = _fast_wye(steady_node="p2", periods=2.5)
+        res = _fast_wye(periods=2.5)
         maps = res.maps
-        return [res.phasors, maps.x, maps.y, maps.h, _fast_wye((), "p2", 2.5).phasors]
+        return [np.stack(list(res.phasors.values())), maps.x, maps.y, maps.h,
+                np.stack(list(_fast_wye(False, 2.5).phasors.values()))]
 
     @pytest.mark.parametrize("extra, short", [(0, True), (1, True), (19, False)],
                              ids=["at-threshold", "one-step-last-block", "full-blocks"])
@@ -740,7 +745,7 @@ class TestTwoCpuPeriod:
             forks = cpus(n_cpus)
             forks.clear()
             with pytest.raises(Diverged) as info:
-                _fast_wye(steady_node="p2")
+                _fast_wye()
             messages.append(str(info.value))
             assert len(forks) == n_cpus - 1
             assert_no_worker_left()
@@ -759,7 +764,7 @@ class TestTwoCpuPeriod:
         monkeypatch.setattr(transient._StepInverses, "__call__", killed)
         cpus(2)
         with pytest.raises(fork.WorkerLost) as info:
-            _fast_wye(steady_node="p2")
+            _fast_wye()
         assert str(info.value) == (f"the worker for steps {steps + 1}..{2 * steps} of the "
                                    f"modulation period was killed by SIGKILL without a result")
         assert_no_worker_left()
@@ -800,7 +805,7 @@ class TestTwoCpuPeriod:
         monkeypatch.setattr(transient, where, interrupted)
         forks = cpus(2)
         with pytest.raises(KeyboardInterrupt) as info:  # its traceback holds simulate's frame
-            _fast_wye(steady_node="p2")
+            _fast_wye()
         assert len(forks) == 1
         assert_no_worker_left()
         del info
@@ -851,7 +856,7 @@ class TestCrossValidate:
         assert round(res.duration / res.dt) == round(duration / dt)
 
     def test_same_error_with_and_without_a_dump(self, tmp_path):
-        # the dump's run keeps every node, the plain run only the output port's
+        # the dump's run keeps every node's maps, the plain run none
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
         basis = HarmonicBasis(F_MOD, 4)
         plain = cross_validate(net, basis, 2.68e6, ports=(1, 2), pts_per_cycle=100,
@@ -874,7 +879,7 @@ class TestCrossValidate:
         cases, f, f_mod = cfg.verify_cases()
         _, net, ports, gate, periods, ppc = next(c for c in cases if c[0] == "toy-wye")
         basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
-        nu = transient._stamp(net, ports[0], 1.0)[3].size
+        nu = transient._stamp(net, ports[0])[3].size
         r = round(1.0 / (f_mod * time_grid(net, f, f_mod, ppc, periods)[0]))
         one_node = r * (16 + 8 * nu)  # bytes of one node's period maps
 
@@ -918,8 +923,8 @@ class TestCrossValidate:
 
 
 class TestSteadyState:
-    """simulate(steady_node=...) reads P_-1, P_0, P_1 from one period's
-    steady state, with maps or without."""
+    """simulate reads every node's P_-1, P_0, P_1 from one period's steady
+    state, with maps or without, and solves for them only when they are read."""
 
     F = 2.68e6
 
@@ -929,68 +934,72 @@ class TestSteadyState:
         z0, r, c, f = 50.0, 200.0, 1e-9, 1e6
         net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
                        Port(1, "p1", z0)))
-        res = simulate(net, (1, f, 1.0), 60.0 / f, 1.0 / (200.0 * f), keep_maps=False,
-                       steady_node="n2")
-        p_m, p_0, p_p = res.phasors
+        res = simulate(net, (1, f), 60.0 / f, 1.0 / (200.0 * f), keep_maps=False)
+        p_m, p_0, p_p = res.phasors["n2"]
         zc = 1.0 / (1j * 2 * math.pi * f * c)
         expect = 2.0 * math.sqrt(z0) * zc / (zc + r + z0)
         assert abs(p_0 - expect) <= 1e-3 * abs(expect)  # the fit's bound in TestSimulate
         assert max(abs(p_m), abs(p_p)) <= 1e-13 * abs(p_0)
 
-    def test_steady_state_matches_the_waveform_tail(self):
-        # the Q = 20 one-port rings up within a few of its 40 modulation
-        # periods, and 15 tones fit the tail's waveform: that fit reads the
-        # steady state's phasors (8e-14 apart)
+    @pytest.mark.parametrize("build", [one_port_net, toy_wye_net], ids=["one-port", "toy-wye"])
+    def test_steady_state_matches_the_waveform_tail(self, build):
+        # the Q = 20 circuits ring up within a few of their 40 modulation
+        # periods, and 15 tones fit the tail's waveform at every node: that
+        # fit reads the steady state's phasors
         f_mod = 10.0 * F_MOD
-        net = one_port_net(FAST_SPECS, 0.05, f_mod, phase=0.4)
+        net = build(FAST_SPECS, 0.05, f_mod)
         dt, _ = time_grid(net, self.F, f_mod, 100, 1.0)
-        res = simulate(net, (1, self.F, 1.0), 40.0 / f_mod, dt, steady_node="p1")
-        fit = _tail_phasors(res, "p1", self.F, f_mod, 7)
-        assert np.allclose(res.phasors, [fit[-1], fit[0], fit[1]], rtol=0.0,
-                           atol=1e-11 * abs(fit[0]))
+        res = simulate(net, (1, self.F), 40.0 / f_mod, dt)
+        assert list(res.phasors) == list(res.samples) == sorted(net.nodes - {"0"})
+        for node, phasors in res.phasors.items():
+            fit = _tail_phasors(res, node, self.F, f_mod, 7)
+            assert np.allclose(phasors, [fit[-1], fit[0], fit[1]], rtol=0.0,
+                               atol=1e-11 * abs(fit[0]))
+
+    def test_one_run_reads_s11_and_s21(self):
+        # port 1 driven: p1's phasors give S11 and p2's S21, each within the
+        # verify toy-wye gate (2e-2) of the harmonic engine's, as
+        # cross_validate measures it
+        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
+        dt, _ = time_grid(net, self.F, F_MOD, 400, 1.0)
+        res = simulate(net, (1, self.F), 1.0 / F_MOD, dt, keep_maps=False)
+        grid = sparams(net, HarmonicBasis(F_MOD, 4), [self.F])
+        for q, node in ((1, "p1"), (2, "p2")):
+            s_htm = np.array([grid.harmonic(n)[0, q - 1, 0] for n in (-1, 0, 1)])
+            s_td = res.phasors[node] / math.sqrt(50.0) - np.array([0.0, q == 1, 0.0])
+            denom = np.maximum(np.abs(s_htm), 0.05 * np.max(np.abs(s_htm)))
+            assert np.max(np.abs(s_td - s_htm) / denom) <= 2e-2
+
+    def test_phasors_solved_only_when_read(self, monkeypatch):
+        # a run that never reads its phasors never solves the steady state,
+        # so it keeps the failure modes of a waveform-only run
+        def refuse(*args):
+            raise Diverged("steady state solved")
+
+        monkeypatch.setattr(transient, "_steady_phasors", refuse)
+        res = _fast_wye()
+        assert res.samples["p2"].size == round(res.duration / res.dt) + 1
+        with pytest.raises(Diverged, match="steady state solved"):
+            res.phasors
 
     def test_run_without_maps_refuses_samples(self):
-        res = _fast_wye(False, "p2")
+        res = _fast_wye(False)
         assert res.maps is None
         with pytest.raises(ValueError, match="kept no maps"):
             res.samples
         # the bins come from rows that every run forms: the same bits with maps
-        kept = _fast_wye(steady_node="p2")
-        assert np.array_equal(res.phasors, kept.phasors)
-        assert np.array_equal(kept.samples["p2"], _fast_wye().samples["p2"])
-
-    @pytest.mark.parametrize("keep_maps", [True, False], ids=["every-node", "no-maps"])
-    def test_unknown_steady_node_raises_before_any_work(self, monkeypatch, keep_maps):
-        _no_inverse(monkeypatch)
-        with pytest.raises(ValueError, match="steady_node"):
-            _fast_wye(keep_maps, "p9")
-
-    def test_run_without_maps_needs_a_steady_node(self, monkeypatch):
-        _no_inverse(monkeypatch)
-        with pytest.raises(ValueError, match="needs a steady_node"):
-            _fast_wye(False)
+        assert _same_phasors(res, _fast_wye())
 
     def test_run_shorter_than_a_period_integrates_one(self):
         # the steady state is the circuit's, not the run's: half a period
         # integrates a whole one, and its samples are those of the long run
-        short, long = _fast_wye(steady_node="p2", periods=0.5), _fast_wye(steady_node="p2")
-        assert np.array_equal(short.phasors, long.phasors)
+        short, long = _fast_wye(periods=0.5), _fast_wye()
+        assert _same_phasors(short, long)
         assert short.samples["p2"].size == round(short.duration / short.dt) + 1
         assert np.array_equal(short.samples["p2"], long.samples["p2"][:short.samples["p2"].size])
 
-    @pytest.mark.parametrize("node", ["p1", "p2", "cm"])
-    def test_phasors_do_not_depend_on_the_maps(self, node):
-        assert np.array_equal(_fast_wye(False, node).phasors, _fast_wye(True, node).phasors)
-
-    def test_phasors_scale_with_the_drive(self):
-        # the run is linear in the source, and scaling by a power of two
-        # commutes with every rounding
-        net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
-        dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
-        one, two = (simulate(net, (1, self.F, a), 2.0 / F_MOD, dt, keep_maps=False,
-                             steady_node="p2")
-                    for a in (1.0, 2.0))
-        assert np.array_equal(two.phasors, 2.0 * one.phasors)
+    def test_phasors_do_not_depend_on_the_maps(self):
+        assert _same_phasors(_fast_wye(False), _fast_wye(True))
 
     def test_short_static_run_reads_the_same_steady_state(self):
         # a static run shorter than a block takes its own steps for the
@@ -999,14 +1008,10 @@ class TestSteadyState:
         net = Netlist((Resistor("r1", "p1", "n2", r), Capacitor("c1", "n2", "0", c),
                        Port(1, "p1", z0)))
         dt = 1.0 / (200.0 * f)
-        short, long = (simulate(net, (1, f, 1.0), n * dt, dt, keep_maps=False,
-                                steady_node="n2")
+        short, long = (simulate(net, (1, f), n * dt, dt, keep_maps=False).phasors["n2"]
                        for n in (37, 12_000))
-        assert abs(short.phasors[1] - long.phasors[1]) <= 1e-12 * abs(long.phasors[1])
-        assert max(abs(short.phasors[0]), abs(short.phasors[2])) <= 1e-13 * abs(short.phasors[1])
-
-    def test_no_phasors_without_a_steady_node(self):
-        assert _fast_wye().phasors is None
+        assert abs(short[1] - long[1]) <= 1e-12 * abs(long[1])
+        assert max(abs(short[0]), abs(short[2])) <= 1e-13 * abs(short[1])
 
 
 class TestDftWeights:
@@ -1042,9 +1047,9 @@ class TestDftWeights:
 
 
 class TestSteadyPhasors:
-    """_steady_phasors solves (E I - Phi) h* = psi and returns A_n h* + B_n,
-    or raises Diverged where the system is singular or the residual is not
-    within STEADY_RESIDUAL_BOUND."""
+    """_steady_phasors solves (E I - Phi) h* = psi and returns each node's
+    A_n h* + B_n, or raises Diverged where the system is singular or the
+    residual is not within STEADY_RESIDUAL_BOUND."""
 
     NU = 5
 
@@ -1055,21 +1060,24 @@ class TestSteadyPhasors:
         phase = np.exp(0.7j)
         psi = phase * h_star - phi @ h_star
         state = np.concatenate([phi, psi.real[:, None], psi.imag[:, None]], axis=1)
-        a = rng.standard_normal((self.NU, 3)) + 1j * rng.standard_normal((self.NU, 3))
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        bins = np.concatenate([a, b.real[None], b.imag[None]])
-        return state, bins, phase, a.T @ h_star + b
+        # two nodes' bins [A_n | Re B_n, Im B_n]
+        a = rng.standard_normal((2, self.NU, 3)) + 1j * rng.standard_normal((2, self.NU, 3))
+        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        bins = np.concatenate([a, b.real[:, None], b.imag[:, None]], axis=1)
+        return state, bins, phase, {"m": a[0].T @ h_star + b[0], "n": a[1].T @ h_star + b[1]}
 
     def test_phasors_of_the_boundary_state(self):
         state, bins, phase, expect = self._case()
-        got = transient._steady_phasors(state, bins, phase)
-        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        got = transient._steady_phasors(("m", "n"), state, bins, phase)
+        assert list(got) == ["m", "n"]
+        for node in got:
+            assert np.max(np.abs(got[node] - expect[node])) <= 1e-13 * np.max(np.abs(expect[node]))
 
     def test_singular_system_raises(self):
         state, bins, _, _ = self._case()
         state[:, :self.NU] = np.eye(self.NU)  # E = 1 meets every multiplier of Phi = I
         with pytest.raises(Diverged, match="singular steady-state system"):
-            transient._steady_phasors(state, bins, 1.0)
+            transient._steady_phasors(("m", "n"), state, bins, 1.0)
 
     @pytest.mark.parametrize("case", ["bound", "nan"])
     def test_residual_not_within_the_bound_raises(self, monkeypatch, case):
@@ -1079,7 +1087,7 @@ class TestSteadyPhasors:
         else:
             state[0, self.NU] = np.nan
         with pytest.raises(Diverged, match="steady-state residual"):
-            transient._steady_phasors(state, bins, phase)
+            transient._steady_phasors(("m", "n"), state, bins, phase)
 
 
 def _read_dump(path):
@@ -1097,11 +1105,11 @@ class TestWaveformDump:
         f = 2.68e6
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         dt, _ = time_grid(net, f, F_MOD, 60, 1.0)
-        return simulate(net, (1, f, 1.0), periods / F_MOD, dt)
+        return simulate(net, (1, f), periods / F_MOD, dt)
 
     @pytest.mark.parametrize("name", ["w.csv", "w.csv.gz"], ids=["plain", "gzip"])
     def test_round_trip(self, tmp_path, desk_specs, name):
-        res = simulate(toy_wye_net(desk_specs, 0.02, F_MOD), (1, 2.68e6, 1.0), 2e-6, 1e-9)
+        res = simulate(toy_wye_net(desk_specs, 0.02, F_MOD), (1, 2.68e6), 2e-6, 1e-9)
         write_waveforms(res, tmp_path / name)
         names, cols = _read_dump(tmp_path / name)
         assert names == list(res.samples) == ["cm", "p1", "p2"]
@@ -1112,7 +1120,7 @@ class TestWaveformDump:
         # two dumps written at different clock times hold the same bytes,
         # and decompress to the plain CSV
         net = toy_wye_net(desk_specs, 0.02, F_MOD)
-        res = simulate(net, (1, 2.68e6, 1.0), 2e-6, 1e-9)
+        res = simulate(net, (1, 2.68e6), 2e-6, 1e-9)
         dumps = []
         for clock in (1.0e9, 2.0e9):
             monkeypatch.setattr(gzip.time, "time", lambda now=clock: now)
@@ -1124,7 +1132,7 @@ class TestWaveformDump:
         assert gzip.decompress(dumps[0].read_bytes()) == (tmp_path / "w.csv").read_bytes()
 
     def test_gzip_header_names_the_final_file(self, tmp_path, desk_specs):
-        res = simulate(one_port_net(desk_specs, 0.0, F_MOD), (1, 2.68e6, 1.0), 2e-6, 1e-9)
+        res = simulate(one_port_net(desk_specs, 0.0, F_MOD), (1, 2.68e6), 2e-6, 1e-9)
         path = tmp_path / "w.csv.gz"
         write_waveforms(res, path)
         head = path.read_bytes()
@@ -1153,7 +1161,7 @@ class TestWaveformDump:
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_run_without_maps_writes_no_dump(self, tmp_path):
-        res = _fast_wye(False, "p2")
+        res = _fast_wye(False)
         with pytest.raises(ValueError, match="kept no maps"):
             write_waveforms(res, tmp_path / "w.csv.gz")
         assert list(tmp_path.iterdir()) == []
