@@ -193,14 +193,20 @@ def fit_lorentzian(samples) -> LorentzianFit:
     with an analytic Jacobian, initial guess from the peak location and
     half-power width; 200 iteration budget, 1e-10 relative step tolerance.
 
-    Raises :class:`ParseError` for fewer than 8 samples or frequencies that
+    Raises :class:`ParseError` for fewer than 8 samples, a non-finite
+    frequency or admittance (naming the first such sample) or frequencies that
     do not increase, :class:`DegenerateData` for constant samples or a dip
     (a fitted peak <= 0) and :class:`FitDiverged` when the budget is exhausted.
     """
     freqs = np.asarray([s[0] for s in samples], dtype=float)
-    mags = np.abs(np.asarray([s[1] for s in samples], dtype=complex))
+    ys = np.asarray([s[1] for s in samples], dtype=complex)
     if freqs.size < 8:
         raise ParseError(f"need at least 8 samples spanning the resonance, got {freqs.size}")
+    finite = np.isfinite(freqs) & np.isfinite(ys)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first non-finite sample
+        raise ParseError(f"sample {i + 1} is not finite: f = {freqs[i]} Hz, Y = {ys[i]} S")
+    mags = np.abs(ys)
     if np.any(np.diff(freqs) <= 0.0):
         raise ParseError("frequencies must be strictly increasing")
     span = float(mags.max() - mags.min())

@@ -55,13 +55,12 @@ MIN_SLICE_POINTS = 16
 
 
 USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge,
-                FileNotFoundError, IsADirectoryError, NotADirectoryError)
+                FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
                     StepTooLarge, TuneFailed, fork.WorkerLost)
 
 
 def _log(out_dir: str, message: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
     with open(os.path.join(out_dir, "run.log"), "a", encoding="utf-8") as fh:
         fh.write(f"{stamp} {message}\n")
@@ -117,14 +116,6 @@ def cmd_fit(args) -> int:
 
 # --- simulate ---------------------------------------------------------------
 
-def _load(args) -> RunConfig:
-    """The --config file, its basis.n_harm replaced by --n-harm when given."""
-    cfg = load_config(args.config)
-    if args.n_harm is None:
-        return cfg
-    return RunConfig(values={**cfg.values, "basis.n_harm": args.n_harm})
-
-
 def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
     """Sweep ``cfg``'s design and write simulate's three exports to ``out_dir``.
 
@@ -163,7 +154,6 @@ def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
             for k in range(count):  # in grid order, so the first failing slice raises
                 pool[k - 1].reply() if 0 < k <= len(pool) else solve(k)
         m = summarize(grid, direction, cfg.get_float("metrics.bw_threshold_db"))
-        os.makedirs(out_dir, exist_ok=True)
         tag = f"config_fingerprint = {fingerprint(serialize_config(cfg))}"
         write_s3p(os.path.join(out_dir, cfg.get_str("outputs.s3p")),
                   grid.frequencies, grid.s0, float(grid.z0[0]), comments=(tag,))
@@ -178,7 +168,8 @@ def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
+    os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
     m = _run_simulation(cfg, args.out)
     _log(args.out, f"simulate config={args.config} fingerprint={fingerprint(serialize_config(cfg))}")
     print(metrics_table(m))
@@ -189,12 +180,12 @@ def cmd_simulate(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
+    os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
     cases, f, f_mod = cfg.verify_cases()
     basis = HarmonicBasis(f_mod, cfg.get_int("basis.n_harm"))
     lines = []
     failed = False
-    os.makedirs(args.out, exist_ok=True)
     for name, net, ports, gate, periods, ppc in cases:
         dump = (os.path.join(args.out, f"waveforms_{name}.csv.gz")
                 if args.dump_waveforms else None)
@@ -229,8 +220,8 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float) -> R
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
+    os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
     result = tune(cfg.tune_problem(), seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 
     tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op)
@@ -333,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sweep S-parameters and export files")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default="out")
-    p_sim.add_argument("--n-harm", type=_int_from(1), default=None, dest="n_harm")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="cross-check the harmonic engine against the transient oracle")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default="out")
-    p_ver.add_argument("--n-harm", type=_int_from(1), default=None, dest="n_harm")
     p_ver.add_argument("--dump-waveforms", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 

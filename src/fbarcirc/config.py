@@ -30,6 +30,7 @@ from .fileio import read_text
 from .metrics import Direction
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence, Topology,
                       build_one_port, build_toy_wye, scale_frequency)
+from .transient import time_grid
 from .tuner import TuneProblem
 
 
@@ -190,9 +191,20 @@ class RunConfig:
                              lambda: bvd_from_specs(self.design().resonator)),
                             ("verify.q, verify.scale", self.verify_cases)):
             try:
-                build()
+                built = build()
             except ValueError as exc:
                 raise ConfigError(f"{keys}: element values leave float range ({exc})") from exc
+        # each verify case's time grid, as the oracle lays it out and checks it
+        cases, f, f_mod = built  # verify_cases(), built last above
+        for name, net, _, _, periods, ppc in cases:
+            keys = ("verify.pts_per_cycle_static, verify.mod_periods_static" if name == "static"
+                    else "verify.pts_per_cycle, verify.mod_periods")
+            try:
+                dt, _ = time_grid(net, f, f_mod, ppc, periods)
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: {name} case ({type(exc).__name__}: {exc})") from exc
+            if dt > 1.0 / (50.0 * f):  # simulate's StepTooLarge
+                raise ConfigError(f"{keys}: {name} case under 50 points per cycle (dt = {dt} s)")
         # the tune's search box, checked where it is laid out
         try:
             problem = self.tune_problem()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import os
 import secrets
@@ -17,7 +18,10 @@ def atomic_open(path):
     """Yield a binary handle on a new temp file in ``path``'s directory, renamed
     onto ``path`` on a clean exit and removed on any exception.  Exports write
     through it a block at a time, so their memory is one block, not the file.
-    The file takes the mode a plain ``open`` gives (0o666 less the umask)."""
+    The file takes the mode a plain ``open`` gives (0o666 less the umask).
+    A directory at ``path`` raises IsADirectoryError before any temp file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = os.path.join(os.path.dirname(str(path)) or ".", f".tmp_{secrets.token_hex(8)}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 64 random bits: no clash

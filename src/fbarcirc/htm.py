@@ -230,7 +230,7 @@ class Stamped:
         cur, chg = _coupling(self)
         for i, (branch, mod) in enumerate(zip(self._branches, modulations, strict=True)):
             # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
-            self.m[:, cur.start + i, chg.start + i] = 0.0 - elastance_fourier(branch, mod, 1)
+            self.m[:, cur.start + i, chg.start + i] = 0.0 - elastance_fourier(branch, mod)
         self.modulations = modulations
         self.f_mod = next((m.f_mod for m in self.modulations if m is not None), None)
 

@@ -159,29 +159,23 @@ def bandwidth_at(grid: SParamGrid, threshold_db: float,
     return float(f_hi - f_lo)
 
 
-def sideband_scan(grid: SParamGrid, direction: Direction = Direction()):
-    """Worst conversion product in dBc and the per-(n, q) worst-case table.
+def sideband_scan(grid: SParamGrid, direction: Direction = Direction()) -> float:
+    """Worst conversion product in dBc over the sweep, floored at SIDEBAND_FLOOR_DBC.
 
     For every stimulus frequency, each |S^(n)_q,in| with n != 0 is compared
-    against the transmitted |S^(0)_through,in| at the same stimulus; the
-    table collects the worst ratio per (harmonic, port) over the sweep.
+    against the transmitted |S^(0)_through,in| at the same stimulus.
     """
     p_in = direction.in_port - 1
-    thru = np.abs(grid.s0[:, direction.through_port - 1, p_in])
-    thru = np.maximum(thru, 1e-300)
+    thru = np.maximum(np.abs(grid.s0[:, direction.through_port - 1, p_in]), 1e-300)
     worst = SIDEBAND_FLOOR_DBC
-    table: list[tuple[int, int, float]] = []
     for n in range(-grid.n_harm, grid.n_harm + 1):
         if n == 0:
             continue
         mags = np.abs(grid.harmonic(n)[:, :, p_in])   # (F, q)
         for q in range(grid.ports):
             ratio = mags[:, q] / thru
-            dbc = 20.0 * math.log10(max(float(np.max(ratio)), 1e-300))
-            dbc = max(dbc, SIDEBAND_FLOOR_DBC)
-            table.append((n, q + 1, dbc))
-            worst = max(worst, dbc)
-    return worst, table
+            worst = max(worst, 20.0 * math.log10(max(float(np.max(ratio)), 1e-300)))
+    return worst
 
 
 def summarize(grid: SParamGrid, direction: Direction = Direction(),
@@ -190,9 +184,8 @@ def summarize(grid: SParamGrid, direction: Direction = Direction(),
     f_op = operating_point(grid, direction)
     ix, il, rl = metrics_at(grid, f_op, direction)
     bw = bandwidth_at(grid, bw_threshold_db, direction) if grid.frequencies.size >= 3 else None
-    worst, _ = sideband_scan(grid, direction)
     return CirculatorMetrics(f_op=f_op, ix_db=ix, il_db=il, rl_db=rl, bw_hz=bw,
-                             sideband_worst_dbc=worst)
+                             sideband_worst_dbc=sideband_scan(grid, direction))
 
 
 def metrics_table(metrics: CirculatorMetrics) -> str:

@@ -191,14 +191,6 @@ class Netlist:
     def modulated(self) -> tuple[ModulatedSeriesRlc, ...]:
         return tuple(el for el in self.elements if isinstance(el, ModulatedSeriesRlc))
 
-    @property
-    def f_mod(self) -> float | None:
-        """Common modulation frequency, or None for a static netlist."""
-        for el in self.modulated:
-            if el.modulation is not None:
-                return el.modulation.f_mod
-        return None
-
 
 def _finite_values(el: Element) -> tuple[float, ...]:
     """The values of an element that must be finite: all but a resistance,
@@ -293,22 +285,16 @@ def build_toy_wye(branch: MotionalBranch, c0: float, z0: float,
     ))
 
 
-def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None,
-                      order: int) -> np.ndarray:
-    """Fourier coefficients of the branch elastance 1/C(t), indices -order..order.
-
-    The returned array has length 2*order+1 with index n stored at n+order:
-    G_0 = 1/c_m, G_{+-1} = (depth/2)*exp(+-j*phase)/c_m, all others zero.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = np.zeros(2 * order + 1, dtype=complex)
+def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None) -> np.ndarray:
+    """Fourier coefficients [G_-1, G_0, G_+1] of the branch elastance 1/C(t):
+    G_0 = 1/c_m and G_{+-1} = (depth/2)*exp(+-j*phase)/c_m, zero when static.
+    A sinusoid has no higher orders, and the harmonic engine couples only +-1."""
+    out = np.zeros(3, dtype=complex)
     g0 = 1.0 / branch.c_m
-    out[order] = g0
+    out[1] = g0
     if mod is not None and mod.depth != 0.0:
         g1 = 0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase)
-        out[order + 1] = g1
-        out[order - 1] = g1.conjugate()
+        out[0], out[2] = g1.conjugate(), g1
     return out
 
 

@@ -107,8 +107,8 @@ def read_s3p(path):
 
 
 def harmonics_header(z0, comments: tuple[str, ...] = ()) -> bytes:
-    """The lines of :func:`write_harmonics_csv` above its data: ``comments``
-    as ``#`` lines, the port impedances, the column names."""
+    """The lines of the multi-harmonic CSV above its data: ``comments`` as
+    ``#`` lines, the port impedances, the column names."""
     lines = [f"# {c}\n" for c in comments]
     lines.append("# z0_ohm = " + " ".join(repr(float(z)) for z in z0) + "\n")
     lines.append("f_hz,n,q,p,re_s,im_s\n")
@@ -116,8 +116,9 @@ def harmonics_header(z0, comments: tuple[str, ...] = ()) -> bytes:
 
 
 def write_harmonics_rows(fh, grid: SParamGrid) -> None:
-    """The data lines of :func:`write_harmonics_csv` for ``grid``, written to
-    the binary handle ``fh`` one stimulus point's lines at a time."""
+    """The data lines of the multi-harmonic CSV for ``grid``, written to the
+    binary handle ``fh`` one stimulus point's lines at a time; ``simulate``
+    writes :func:`harmonics_header`, then these lines of each slice of its sweep."""
     nh = grid.n_harm
     keys = [f"{n},{q + 1},{p + 1}" for n in range(-nh, nh + 1)
             for q in range(grid.ports) for p in range(grid.ports)]
@@ -128,16 +129,8 @@ def write_harmonics_rows(fh, grid: SParamGrid) -> None:
                          in zip(keys, row.real.tolist(), row.imag.tolist())).encode("utf-8"))
 
 
-def write_harmonics_csv(path, grid: SParamGrid, comments: tuple[str, ...] = ()) -> None:
-    """Full multi-harmonic grid as CSV: f_hz, n, q, p, re_s, im_s; written one
-    stimulus point's lines at a time."""
-    with atomic_open(path) as fh:
-        fh.write(harmonics_header(grid.z0, comments))
-        write_harmonics_rows(fh, grid)
-
-
 def read_harmonics_csv(path) -> SParamGrid:
-    """Rebuild an :class:`SParamGrid` from :func:`write_harmonics_csv` output."""
+    """Rebuild an :class:`SParamGrid` from a multi-harmonic CSV."""
     z0 = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -141,7 +141,7 @@ class PeriodMaps:
 
 
 class TransientResult:
-    """Per-node voltage waveforms on a uniform time grid, and phasors.
+    """Per-node voltage waveforms at the times i*dt, i = 0 ... duration/dt, and phasors.
 
     A result of :func:`simulate` fills ``samples`` from its run's
     :class:`PeriodMaps` (unless it kept none), and every node's ``phasors``
@@ -166,11 +166,6 @@ class TransientResult:
         if self._phasors is None:
             self._phasors = _steady_phasors(*self._steady)
         return self._phasors
-
-    @property
-    def times(self) -> np.ndarray:
-        n = round(self.duration / self.dt)
-        return np.arange(n + 1) * self.dt
 
 
 def _stamp(net: Netlist, port_index: int):
@@ -785,7 +780,6 @@ def write_waveforms(res: TransientResult, path) -> None:
             fh.write("t_s," + ",".join(f"v_{n}" for n in maps.nodes) + "\n")
             for first, cols in _period_blocks(maps):
                 for b in range(0, cols.shape[1], BLOCK_ROWS):
-                    # a block of res.times
                     t = (first + np.arange(b, min(b + BLOCK_ROWS, cols.shape[1]))) * res.dt
                     block = zip(t.tolist(), *(c[b:b + BLOCK_ROWS].tolist() for c in cols))
                     fh.writelines(",".join(map(repr, row)) + "\n" for row in block)

@@ -126,16 +126,14 @@ def _stamped_box(problem: TuneProblem) -> htm.Stamped:
                                                 f_mod=problem.f_mod_bounds[0])))
 
 
-def objective(params, problem: TuneProblem, stamped: htm.Stamped | None = None) -> float:
+def objective(params, problem: TuneProblem, stamped: htm.Stamped) -> float:
     """Scalar cost of one (delta, f_mod, f_op) triple; +inf on solver failure.
 
-    ``stamped`` is the problem's stamped circulator, which the call
-    remodulates at (delta, f_mod); :func:`tune` passes one to all its
-    evaluations, and a call without it stamps its own.
+    ``stamped`` is the problem's stamped circulator (:func:`_stamped_box`),
+    which the call remodulates at (delta, f_mod); :func:`tune` passes one to
+    all its evaluations.
     """
     delta, f_mod, f_op = (float(v) for v in params)
-    if stamped is None:
-        stamped = _stamped_box(problem)
     stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations])
     try:
         grid = htm.sparams(stamped, HarmonicBasis(f_mod, problem.n_harm), [f_op])

@@ -108,8 +108,8 @@ def test_criterion_5_differential_cancellation(tuned):
     se_design = replace(diff_design, topology=Topology.SINGLE_ENDED)
     grid_d = sparams(build_circulator(diff_design), basis, [result.f_op])
     grid_s = sparams(build_circulator(se_design), basis, [result.f_op])
-    worst_d, _ = sideband_scan(grid_d)
-    worst_s, _ = sideband_scan(grid_s)
+    worst_d = sideband_scan(grid_d)
+    worst_s = sideband_scan(grid_s)
     advantage = worst_s - worst_d
     thru = abs(grid_d.s0[0, 1, 0])
     odd = max(float(np.max(np.abs(grid_d.harmonic(n)[0, :, 0])))

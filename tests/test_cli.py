@@ -25,11 +25,11 @@ import fbarcirc.transient
 import fbarcirc.tuner
 from fbarcirc.cli import main
 from fbarcirc.config import SCHEMA, ConfigError, load_config, parse_config, serialize_config
-from fbarcirc.fileio import fingerprint
+from fbarcirc.fileio import atomic_open, fingerprint
 from fbarcirc.htm import HarmonicBasis, NumericallySingular, sparams
 from fbarcirc.metrics import summarize
 from fbarcirc.netlist import GROUND, build_circulator, read_netlist, write_netlist
-from fbarcirc.touchstone import read_s3p, write_harmonics_csv, write_s3p
+from fbarcirc.touchstone import harmonics_header, read_s3p, write_harmonics_rows, write_s3p
 from fbarcirc.transient import time_grid
 
 from conftest import assert_no_worker_left, count_stamps, toy_wye_net
@@ -174,6 +174,14 @@ class TestFit:
         assert err.startswith("FileNotFoundError: ") and str(target) in err
         assert ".tmp_" not in err and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    def test_netlist_onto_a_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "sub"
+        target.mkdir()
+        code, _, err = run(capsys, "fit", "specs", "--emit-netlist", str(target))
+        assert code == 2
+        assert err == f"IsADirectoryError: [Errno {errno.EISDIR}] Is a directory: '{target}'\n"
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 SPLITTER_CFG = """design.topology = differential
@@ -334,6 +342,16 @@ class TestVerify:
 
 
 class TestRunSizeGuard:
+    """An oracle run over the size bounds fails the config check at load,
+    before the output directory is made or any case solves."""
+
+    @staticmethod
+    def refuse_work(monkeypatch):
+        for module in (fbarcirc.cli, fbarcirc.transient):
+            monkeypatch.setattr(module, "sparams", refuse)
+        monkeypatch.setattr(fbarcirc.cli, "cross_validate", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+
     # a tune's metrics span must lie below f_s, so the tiny f_s comes with a tiny span
     @pytest.mark.parametrize("text", ["design.f_s = 0.5\ntuner.metrics_span = 0.1\n",
                                       "design.f_mod = 0.5\n",
@@ -342,55 +360,49 @@ class TestRunSizeGuard:
     def test_oversized_oracle_run_exits_2_before_integrating(self, capsys, tmp_path,
                                                              monkeypatch, text):
         # each asks a transient run for GiBs of samples or a period of 1e12
-        # steps; the guard must stop it before anything is inverted
-        def refuse(a):
-            raise AssertionError("np.linalg.inv reached")
-
-        monkeypatch.setattr(np.linalg, "inv", refuse)
+        # steps; the config check must stop it before anything is solved
+        self.refuse_work(monkeypatch)
         cfg = tmp_path / "v.cfg"
         cfg.write_text(VERIFY_CFG + text)
         code, _, err = run(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "RunTooLarge" in err
+        # the static case is checked first
+        assert err.startswith("ConfigError: verify.pts_per_cycle_static, ")
+        assert "(RunTooLarge: " in err
+        assert not (tmp_path / "o").exists()
 
     def test_modulation_faster_than_the_step_exits_2_before_any_solve(self, capsys, tmp_path,
                                                                        monkeypatch):
         # a modulation period shorter than one requested step: rounding P up to
         # one step per period would ask for about 4e5 points per cycle
-        for module in (fbarcirc.cli, fbarcirc.transient):
-            monkeypatch.setattr(module, "sparams", refuse)
-        monkeypatch.setattr(np.linalg, "inv", refuse)
+        self.refuse_work(monkeypatch)
         cfg = tmp_path / "v.cfg"
         cfg.write_text(FUZZ_CFG + "design.f_mod = 1e15\n")
         with time_cap(10):
             code, _, err = run(capsys, "verify", "--config", str(cfg),
                                "--out", str(tmp_path / "o"))
         assert code == 2
-        assert err.startswith("RunTooLarge: f_mod = ") and "100 points per cycle" in err
+        assert err.startswith("ConfigError: verify.pts_per_cycle_static, "
+                              "verify.mod_periods_static: static case "
+                              "(RunTooLarge: f_mod = ") and "100 points per cycle" in err
+        assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, solves", [("verify.mod_periods_static", 0),
-                                             ("verify.mod_periods", 1)])
-    def test_too_many_samples_exits_2_before_the_case_solves(self, capsys, tmp_path,
-                                                             monkeypatch, key, solves):
-        # 1e6 modulation periods are about 1e11 samples per node; only the
-        # cases before the oversized one (the static case runs first) may solve
-        done = []
-
-        def solve_or_refuse(*args, **kwargs):
-            if len(done) == solves:
-                raise AssertionError("harmonic solve of an oversized case")
-            done.append(1)
-            return sparams(*args, **kwargs)
-
-        monkeypatch.setattr(fbarcirc.transient, "sparams", solve_or_refuse)
+    @pytest.mark.parametrize("key, keys", [
+        ("verify.mod_periods_static", "verify.pts_per_cycle_static, verify.mod_periods_static"),
+        ("verify.mod_periods", "verify.pts_per_cycle, verify.mod_periods")])
+    def test_too_many_samples_exits_2_before_any_solve(self, capsys, tmp_path, monkeypatch,
+                                                       key, keys):
+        # 1e6 modulation periods are about 1e11 samples per node; no case
+        # solves, not even those before the oversized one
+        self.refuse_work(monkeypatch)
         cfg = tmp_path / "v.cfg"
         cfg.write_text(VERIFY_CFG + f"{key} = 1e6\n")
         with time_cap(10):
             code, _, err = run(capsys, "verify", "--config", str(cfg),
                                "--out", str(tmp_path / "o"))
         assert code == 2
-        assert err.startswith("RunTooLarge: ") and "exceed MAX_SAMPLES" in err
-        assert len(done) == solves
+        assert err.startswith(f"ConfigError: {keys}: ") and "exceed MAX_SAMPLES" in err
+        assert not (tmp_path / "o").exists()
 
 
 TUNE_CFG = """design.topology = differential
@@ -487,7 +499,9 @@ def serial_exports(cfg_path: Path, out_dir: Path) -> None:
     tag = f"config_fingerprint = {fingerprint(serialize_config(cfg))}"
     out_dir.mkdir()
     write_s3p(out_dir / "sim.s3p", grid.frequencies, grid.s0, float(grid.z0[0]), comments=(tag,))
-    write_harmonics_csv(out_dir / "harmonics.csv", grid, comments=(tag,))
+    with atomic_open(out_dir / "harmonics.csv") as fh:
+        fh.write(harmonics_header(grid.z0, comments=(tag,)))
+        write_harmonics_rows(fh, grid)
     m = summarize(grid, cfg.direction(), cfg.get_float("metrics.bw_threshold_db"))
     (out_dir / "metrics.json").write_text(m.record() + "\n")
 
@@ -650,7 +664,9 @@ class TestSweepWorkers:
         with time_cap(60):
             code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
         assert_no_worker_left()
-        assert not out_dir.exists()  # as an unsplit run: no output before every point solves
+        # as an unsplit run: no output before every point solves, in the
+        # directory made before any work
+        assert list(out_dir.iterdir()) == []
         return code, err
 
     @pytest.mark.parametrize("checked_first", [True, False], ids=["checked", "in-worker"])
@@ -712,7 +728,7 @@ class TestSweepWorkers:
             main(["simulate", "--config", str(sweep_cfg(tmp_path, 53)),
                   "--out", str(tmp_path / "out")])
         assert_no_worker_left()
-        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "out").iterdir()) == []  # made before the work, left empty
 
 
 class TestTuneWorker:
@@ -722,7 +738,7 @@ class TestTuneWorker:
         parent = os.getpid()
         objective = fbarcirc.tuner.objective
 
-        def killed(params, problem, stamped=None):
+        def killed(params, problem, stamped):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return objective(params, problem, stamped)
@@ -747,7 +763,7 @@ class TestTuneWorker:
         before = getaffinity(0)
         masks = []
 
-        def interrupted(params, problem, stamped=None):
+        def interrupted(params, problem, stamped):
             if os.getpid() != parent:
                 time.sleep(60)  # a worker still busy when the parent stops
             masks.append(getaffinity(0))
@@ -763,7 +779,7 @@ class TestTuneWorker:
         assert len(forks) == 1
         assert masks == [({0} & before) or before]  # pinned while the worker lived
         assert getaffinity(0) == (({0, 1} & before) or before)  # the mask the tune saw
-        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "out").iterdir()) == []  # made before the work, left empty
 
 
 class TestReport:
@@ -891,17 +907,20 @@ class TestConfigCheckedAtLoad:
         assert err.startswith(f"ConfigError: {named}")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_n_harm_flag_meets_the_sweep_size_bound(self, capsys, tmp_path, monkeypatch,
-                                                     command):
-        for name in ("sparams", "cross_validate"):
+    @pytest.mark.parametrize("command", ["simulate", "tune", "verify"])
+    def test_out_naming_a_file_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                       command):
+        for name in ("sparams", "tune", "cross_validate"):
             monkeypatch.setattr(fbarcirc.cli, name, refuse)
+        monkeypatch.setattr(fbarcirc.tuner, "objective", refuse)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(FUZZ_CFG)
-        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                           "--n-harm", "100000")
+        out = tmp_path / "o"
+        out.write_text("a file\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
         assert code == 2
-        assert err.startswith("ConfigError: sweep.points, basis.n_harm: ")
+        assert err == f"FileExistsError: [Errno {errno.EEXIST}] File exists: '{out}'\n"
+        assert out.read_text() == "a file\n"
 
 
 # raised only by library calls that no workflow makes
@@ -937,6 +956,17 @@ class TestEntry:
 
 SHORT_CSV = "f_hz,re_s\n" + "".join(f"{1e6 + k * 1e3!r},0.0{k}\n" for k in range(7))
 UNSORTED_CSV = "f_hz,re_s\n" + "".join(f"{1e6 - k * 1e3!r},0.0{k}\n" for k in range(9))
+PEAK_ROWS = [f"{1e6 + k * 1e3!r},{0.01 + 0.1 / (1 + (k - 4.5) ** 2)!r}" for k in range(9)]
+
+
+def peak_csv(fifth: str) -> str:
+    """A nine-sample resonance whose fifth sample is ``fifth``."""
+    return "f_hz,re_s\n" + "\n".join(PEAK_ROWS[:4] + [fifth] + PEAK_ROWS[5:]) + "\n"
+
+
+NAN_Y_CSV, NAN_F_CSV, INF_Y_CSV = (peak_csv(row) for row in ("1004000.0,nan", "nan,0.1",
+                                                              "1004000.0,inf"))
+EXISTS = f"FileExistsError: [Errno {errno.EEXIST}] File exists: 'INPUT'"
 
 
 RECORD = ('{"bw_hz": null, "f_op_hz": 2680000000.0, "il_db": 2.5, "ix_db": 51.0, '
@@ -945,8 +975,6 @@ RECORD = ('{"bw_hz": null, "f_op_hz": 2680000000.0, "il_db": 2.5, "ix_db": 51.0,
 
 class TestInvalidSettings:
     @pytest.mark.parametrize("command, extra_args, text, named", [
-        ("simulate", ["--n-harm", "0"], "", "--n-harm"),
-        ("verify", ["--n-harm", "-1"], "", "--n-harm"),
         ("simulate", [], "basis.n_harm = 0\n", "basis.n_harm"),
         ("tune", [], "basis.n_harm = 0\n", "basis.n_harm"),
         ("tune", [], "tuner.budget = 5\n", "budget"),
@@ -991,7 +1019,24 @@ class TestInvalidSettings:
         ("tune", [], "tuner.budget = inf\n", "tuner.budget"),
         ("simulate", ["--out", "INPUT/out"], "", "Not a directory: 'INPUT/out'"),
         ("fit", ["specs", "--emit-netlist", "INPUT/x"], "", "Not a directory: 'INPUT/x'"),
-    ], ids=["simulate-n-harm-flag", "verify-n-harm-flag", "simulate-n-harm-key",
+        ("simulate", ["--n-harm", "3"], "", "unrecognized arguments: --n-harm 3"),
+        ("verify", ["--n-harm", "3"], "", "unrecognized arguments: --n-harm 3"),
+        ("simulate", [], "verify.pts_per_cycle = 10\n",
+         "ConfigError: verify.pts_per_cycle, verify.mod_periods: single-branch case under 50 "
+         "points per cycle (dt = "),
+        ("verify", [], "verify.pts_per_cycle_static = 49\n",
+         "ConfigError: verify.pts_per_cycle_static, verify.mod_periods_static: static case "
+         "under 50 points per cycle"),
+        ("tune", [], "verify.mod_periods = 1e6\n",
+         "ConfigError: verify.pts_per_cycle, verify.mod_periods: single-branch case "
+         "(RunTooLarge: "),
+        ("simulate", ["--out", "INPUT"], "", EXISTS),
+        ("tune", ["--out", "INPUT"], "", EXISTS),
+        ("verify", ["--out", "INPUT"], "", EXISTS),
+        ("fit", ["lorentzian", "INPUT"], NAN_Y_CSV, "ParseError: sample 5 is not finite"),
+        ("fit", ["lorentzian", "INPUT"], NAN_F_CSV, "ParseError: sample 5 is not finite: f = nan"),
+        ("fit", ["lorentzian", "INPUT"], INF_Y_CSV, "ParseError: sample 5 is not finite"),
+    ], ids=["simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
             "verify-scale-tiny", "verify-scale-huge", "verify-pts-per-cycle-zero",
@@ -1006,7 +1051,12 @@ class TestInvalidSettings:
             "report-not-json", "report-missing-keys", "report-null-value",
             "report-string-value", "fit-f-s-huge", "fit-f-s-tiny",
             "simulate-points-inf", "simulate-n-harm-overflow", "tune-budget-inf",
-            "simulate-out-under-a-file", "fit-emit-netlist-under-a-file"])
+            "simulate-out-under-a-file", "fit-emit-netlist-under-a-file",
+            "simulate-n-harm-flag-gone", "verify-n-harm-flag-gone",
+            "simulate-verify-step-too-large", "verify-static-step-too-large",
+            "tune-verify-run-too-large", "simulate-out-is-a-file", "tune-out-is-a-file",
+            "verify-out-is-a-file", "fit-lorentzian-nan-admittance",
+            "fit-lorentzian-nan-frequency", "fit-lorentzian-inf-admittance"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
         # simulate, verify and tune read SPLITTER_CFG + text as their config;
         # fit and report read text from the file that INPUT stands for

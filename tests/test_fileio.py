@@ -46,3 +46,18 @@ class TestAtomicOpen:
         path = tmp_path / "t.txt"
         atomic_write_text(path, "Ω = 50\n")
         assert path.read_bytes() == "Ω = 50\n".encode("utf-8")
+
+    def test_directory_target_refused_before_any_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "sub"
+        target.mkdir()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a temp file was opened")
+
+        monkeypatch.setattr(os, "open", refuse)
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(target, "x\n")
+        assert info.value.filename == str(target)
+        assert ".tmp_" not in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        assert list(target.iterdir()) == []

@@ -1,3 +1,5 @@
+import shutil
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 
 from fbarcirc.htm import HarmonicBasis, SParamGrid, sparams
 from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
-from fbarcirc.touchstone import (TouchstoneError, read_harmonics_csv, read_s3p,
-                                 write_harmonics_csv, write_s3p)
+from fbarcirc.fileio import atomic_open
+from fbarcirc.touchstone import (TouchstoneError, harmonics_header, read_harmonics_csv,
+                                 read_s3p, write_harmonics_rows, write_s3p)
 
 from conftest import GHZ_SPECS
 
@@ -16,6 +19,17 @@ def _random_grid(points, n_harm):
     shape = (points, 2 * n_harm + 1, 3, 3)
     return SParamGrid(np.linspace(2.65e9, 2.70e9, points), n_harm, np.full(3, 50.0),
                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def write_harmonics(path, grid, comments=()):
+    """The multi-harmonic CSV as ``simulate`` writes it: the rows to a temp
+    file, then the header and the rows' bytes to ``path``."""
+    with tempfile.TemporaryFile() as rows:
+        write_harmonics_rows(rows, grid)
+        with atomic_open(path) as fh:
+            fh.write(harmonics_header(grid.z0, comments))
+            rows.seek(0)
+            shutil.copyfileobj(rows, fh)
 
 
 def _peak_bytes(fn, *args):
@@ -124,7 +138,7 @@ class TestS3p:
 class TestHarmonicsCsv:
     def test_exact_round_trip(self, tmp_path, demo_grid):
         path = tmp_path / "h.csv"
-        write_harmonics_csv(path, demo_grid, comments=("config_fingerprint = xyz",))
+        write_harmonics(path, demo_grid, comments=("config_fingerprint = xyz",))
         back = read_harmonics_csv(path)
         assert back.n_harm == demo_grid.n_harm
         assert back.ports == demo_grid.ports
@@ -134,7 +148,7 @@ class TestHarmonicsCsv:
 
     def test_comment_carried(self, tmp_path, demo_grid):
         path = tmp_path / "h.csv"
-        write_harmonics_csv(path, demo_grid, comments=("config_fingerprint = xyz",))
+        write_harmonics(path, demo_grid, comments=("config_fingerprint = xyz",))
         head = path.read_text().splitlines()[0]
         assert head == "# config_fingerprint = xyz"
 
@@ -155,7 +169,7 @@ class TestHarmonicsCsv:
                         lines.append(f"{float(f)!r},{n},{q + 1},{p + 1},"
                                      f"{float(v.real)!r},{float(v.imag)!r}")
         path = tmp_path / "h.csv"
-        write_harmonics_csv(path, grid)
+        write_harmonics(path, grid)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         text = path.read_text()
         assert ",-0.0,0.0\n" in text and ",0.0,-0.0\n" in text
@@ -165,7 +179,7 @@ class TestHarmonicsCsv:
         # that were 6 MiB at the peak when formatted whole
         grid = _random_grid(252, 5)
         path = tmp_path / "h.csv"
-        assert _peak_bytes(write_harmonics_csv, path, grid) < 2 ** 20
+        assert _peak_bytes(write_harmonics, path, grid) < 2 ** 20
         back = read_harmonics_csv(path)
         assert np.array_equal(back.data, grid.data)
 

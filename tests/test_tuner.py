@@ -50,7 +50,7 @@ class TestObjective:
         # cap opened up so the penalty stays inactive at the splitter's loss
         problem = small_problem(il_cap_db=10.0)
         params = (0.0, 23.2e6, 2.68e9)
-        value = objective(params, problem)
+        value = objective(params, problem, tuner._stamped_box(problem))
         net = build_circulator(replace(problem.design, delta=0.0))
         grid = sparams(net, HarmonicBasis(23.2e6, problem.n_harm), [2.68e9])
         ix, il, _ = metrics_at(grid, 2.68e9, problem.direction)
@@ -60,7 +60,8 @@ class TestObjective:
     def test_solver_failure_maps_to_inf(self):
         problem = small_problem()
         # stimulus on a low multiple of f_mod is rejected by the engine
-        assert objective((0.01, 23.2e6, 2 * 23.2e6), problem) == math.inf
+        assert objective((0.01, 23.2e6, 2 * 23.2e6), problem,
+                         tuner._stamped_box(problem)) == math.inf
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -68,7 +69,8 @@ class TestObjective:
 
         monkeypatch.setattr("fbarcirc.tuner.metrics_at", broken)
         with pytest.raises(ValueError, match="not a solver failure"):
-            objective((0.01, 23.2e6, 2.68e9), small_problem())
+            problem = small_problem()
+            objective((0.01, 23.2e6, 2.68e9), problem, tuner._stamped_box(problem))
 
 
 class TestTuneOnEngine:
@@ -130,7 +132,7 @@ class TestStampedDesign:
         m = np.zeros_like(stamped.m)
         cur, chg = htm._coupling(stamped)
         for i, el in enumerate(net.modulated):
-            m[:, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation, 1)
+            m[:, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation)
         assert stamped.m.tobytes() == m.tobytes()
         ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         assert grid.data.tobytes() == ref.data.tobytes()
