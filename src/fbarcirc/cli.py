@@ -27,7 +27,7 @@ from . import fork
 from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
                   ParseError, ResonatorSpecs, bvd_from_specs, fit_lorentzian,
                   parallel_resonance, read_admittance_csv)
-from .config import ConfigError, RunConfig, load_config, serialize_config
+from .config import SCHEMA, ConfigError, RunConfig, _parse, load_config, serialize_config
 from .fileio import atomic_open, atomic_write_text, fingerprint
 from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid,
                   Stamped, check_grid, sparams)
@@ -220,8 +220,11 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float) -> R
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
+    problem = cfg.tune_problem()
+    for end in problem.f_mod_bounds:  # the ends bound the f_mods tune may emit: P falls as
+        cfg.check_verify_grids(end)  # f_mod rises; ring_up*P*f_mod moves by < ring_up*f_mod
     os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
-    result = tune(cfg.tune_problem(), seed=args.seed)
+    result = tune(problem, seed=args.seed)
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 
     tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op)
@@ -295,14 +298,14 @@ def _int_from(lo: int):
     return integer
 
 
-def _open_interval(lo: float, hi: float):
-    """argparse type: a float strictly between lo and hi (so never nan)."""
-    def number(text: str) -> float:
-        value = float(text)
-        if not lo < value < hi:
-            raise argparse.ArgumentTypeError(f"must lie in ({lo}, {hi}), got {value}")
-        return value
-    return number
+def _key_flag(key: str) -> dict:
+    """argparse keywords of a flag with config key ``key``'s default, parser and range."""
+    def value(text: str):
+        try:
+            return _parse(key, SCHEMA[key], text)
+        except ConfigError as exc:  # a usage error, exit 2
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return {"type": value, "default": SCHEMA[key].default}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,11 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="derive resonator element values or fit a resonance")
     p_fit.add_argument("mode", choices=("specs", "lorentzian"))
     p_fit.add_argument("input", nargs="?", help="admittance CSV (lorentzian mode)")
-    p_fit.add_argument("--f-s", type=_open_interval(0.0, math.inf), default=2.65e9, dest="f_s")
-    p_fit.add_argument("--q", type=_open_interval(0.0, math.inf), default=700.0)
-    p_fit.add_argument("--k-sq", type=_open_interval(0.0, 1.0), default=0.09, dest="k_sq")
-    p_fit.add_argument("--c0", type=_open_interval(0.0, math.inf), default=1.0e-12)
-    p_fit.add_argument("--z0", type=_open_interval(0.0, math.inf), default=50.0)
+    for name in ("f_s", "q", "k_sq", "c0", "z0"):
+        p_fit.add_argument("--" + name.replace("_", "-"), dest=name, **_key_flag(f"design.{name}"))
     p_fit.add_argument("--emit-netlist", default=None)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -73,6 +73,8 @@ SCHEMA: dict[str, Key] = {
     "tuner.delta_max": Key(0.1, float, "(0, 1)"),
     "tuner.f_mod_window": Key(0.4, float, "(0, 1)"),
     "tuner.f_op_window": Key(0.02, float, "(0, 1)"),
+    # 0.15 dB under a 3 dB budget: with the capped isolation term a perfect
+    # null could otherwise buy a small cap violation more cheaply than staying feasible
     "tuner.il_cap_db": Key(2.85, float),
     "tuner.budget": Key(300, int, "[10, inf)"),
     "tuner.starts": Key(4, int, "[1, inf)"),
@@ -191,20 +193,10 @@ class RunConfig:
                              lambda: bvd_from_specs(self.design().resonator)),
                             ("verify.q, verify.scale", self.verify_cases)):
             try:
-                built = build()
+                build()
             except ValueError as exc:
                 raise ConfigError(f"{keys}: element values leave float range ({exc})") from exc
-        # each verify case's time grid, as the oracle lays it out and checks it
-        cases, f, f_mod = built  # verify_cases(), built last above
-        for name, net, _, _, periods, ppc in cases:
-            keys = ("verify.pts_per_cycle_static, verify.mod_periods_static" if name == "static"
-                    else "verify.pts_per_cycle, verify.mod_periods")
-            try:
-                dt, _ = time_grid(net, f, f_mod, ppc, periods)
-            except ValueError as exc:
-                raise ConfigError(f"{keys}: {name} case ({type(exc).__name__}: {exc})") from exc
-            if dt > 1.0 / (50.0 * f):  # simulate's StepTooLarge
-                raise ConfigError(f"{keys}: {name} case under 50 points per cycle (dt = {dt} s)")
+        self.check_verify_grids(t["design.f_mod"])  # tune checks its f_mod box's ends
         # the tune's search box, checked where it is laid out
         try:
             problem = self.tune_problem()
@@ -261,10 +253,27 @@ class RunConfig:
 
     def tune_problem(self) -> TuneProblem:
         """``tune``'s search problem: the design, basis.n_harm, the port roles and tuner.*."""
-        keys = ("budget", "il_cap_db", "delta_max", "f_mod_window", "f_op_window", "starts")
-        return TuneProblem.default(self.design(), n_harm=self.typed["basis.n_harm"],
-                                   direction=self.direction(),
-                                   **{key: self.typed[f"tuner.{key}"] for key in keys})
+        t, design = self.typed, self.design()
+        f_mod, f_s = design.f_mod, design.resonator.f_s
+        w_mod, w_op = t["tuner.f_mod_window"], t["tuner.f_op_window"]
+        return TuneProblem(design=design, delta_bounds=(0.0, t["tuner.delta_max"]),
+                           f_mod_bounds=(f_mod * (1.0 - w_mod), f_mod * (1.0 + w_mod)),
+                           f_op_bounds=(f_s * (1.0 - w_op), f_s * (1.0 + w_op)),
+                           n_harm=t["basis.n_harm"], direction=self.direction(),
+                           **{key: t[f"tuner.{key}"] for key in ("il_cap_db", "budget", "starts")})
+
+    def check_verify_grids(self, f_mod: float) -> None:
+        """Each verify case's time grid, as the oracle lays it out and checks it, for the
+        design at modulation frequency ``f_mod``; a ConfigError names the case's keys."""
+        cases, f, _ = self.verify_cases()
+        for name, net, _, _, periods, ppc in cases:
+            keys = ("verify.pts_per_cycle_static, verify.mod_periods_static" if name == "static"
+                    else "verify.pts_per_cycle, verify.mod_periods")
+            try:
+                time_grid(net, f, f_mod / self.typed["verify.scale"], ppc, periods)
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: {name} case at f_mod = {f_mod} Hz "
+                                  f"({type(exc).__name__}: {exc})") from exc
 
     def verify_cases(self):
         """``verify``'s oracle circuits, built at the design's own frequency with

@@ -243,13 +243,12 @@ class Stamped:
 
 
 def _lift(st: Stamped, basis: HarmonicBasis, f: float) -> np.ndarray:
-    """The harmonic system matrix at stimulus frequency f."""
+    """The harmonic system matrix at stimulus frequency f, on :func:`_diagonal`'s blocks."""
     _check_stimulus(f, basis.f_mod, basis.n_harm)
     nu, size = st.nu, basis.size
-    jw = (1j * TWO_PI * basis.mixing_freqs(f))[:, None, None]
     h = np.arange(size)
     a = np.zeros((size, nu, size, nu), dtype=complex)
-    a[h, :, h, :] = st.g + jw * st.c + st.k / jw + st.m[1]
+    a[h, :, h, :] = _diagonal(st, TWO_PI * basis.mixing_freqs(f)[None])[0]
     a[h[1:], :, h[:-1], :] = st.m[2]
     a[h[:-1], :, h[1:], :] = st.m[0]
     return a.reshape(size * nu, size * nu)

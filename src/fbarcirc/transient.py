@@ -108,10 +108,12 @@ SERIES_TERMS = 4
 # run of the differential replica needs 89,655 and 2.85M.
 MAX_PERIOD_STEPS = 1 << 20
 MAX_SAMPLES = 1 << 25
+# fewest points per stimulus cycle of a run's step: simulate's and time_grid's floor
+MIN_PTS_PER_CYCLE = 50
 
 
 class StepTooLarge(ValueError):
-    """Time step leaves fewer than 50 points per stimulus cycle."""
+    """Time step leaves fewer than MIN_PTS_PER_CYCLE points per stimulus cycle."""
 
 
 class RunTooLarge(ValueError):
@@ -229,6 +231,10 @@ def _stamp(net: Netlist, port_index: int):
     return node_names, c, g, s, np.array(mod).reshape(-1, 4)
 
 
+def _too_coarse(dt: float, f: float) -> bool:  # fewer than MIN_PTS_PER_CYCLE a cycle at f
+    return dt > 1.0 / (MIN_PTS_PER_CYCLE * f)
+
+
 def _steps(duration: float, dt: float) -> float:
     """duration/dt; :class:`RunTooLarge` above MAX_SAMPLES samples per node."""
     n = duration / dt
@@ -261,20 +267,19 @@ class _StepInverses:
     max|A_j A_j^-1 - I| against INVERSE_RESIDUAL_BOUND either way; a singular
     A0 or step matrix, or a failed check, raises :class:`Diverged`.
 
-    Every block's inverses are formed in ``out`` and its Woodbury correction
-    and residual in ``scratch``, flat float buffers of at least nu*block*nu
-    values that the caller may lend (their own when None).
+    A block of n times has its inverses formed in ``out`` and its Woodbury
+    correction and residual in ``scratch``, the caller's flat float buffers of
+    at least nu*n*nu values (unread when G is static).
     """
 
-    def __init__(self, a0: np.ndarray, mod: np.ndarray, block: int,
-                 out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    def __init__(self, a0: np.ndarray, mod: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         nu = a0.shape[0]
         try:
             a0_inv = np.linalg.inv(a0)
         except np.linalg.LinAlgError as exc:
             raise Diverged("singular transient system") from exc
         _check_residual(a0 @ a0_inv - np.eye(nu))
-        self.a0, self.a0_inv, self.mod = a0, a0_inv, mod
+        self.a0, self.a0_inv, self.mod, self.out, self.scratch = a0, a0_inv, mod, out, scratch
         if len(mod):
             self.rows = mod[:, 0].astype(int)
             self.cols = self.rows + 1
@@ -284,9 +289,6 @@ class _StepInverses:
             rho = float(np.max(np.abs(mod[:, 1])) * np.max(np.sum(np.abs(self.c), axis=1)))
             # terms of the series, 0 for the solve
             self.terms = next((m for m in range(1, SERIES_TERMS + 1) if rho ** m <= 2.0 ** -53), 0)
-            size = nu * block * nu
-            self.out = np.empty(size) if out is None else out
-            self.scratch = np.empty(size) if scratch is None else scratch
 
     def _woodbury(self, d: np.ndarray) -> np.ndarray:
         """W_j = (I + D_j C)^-1 D_j for the columns d_j of ``d`` (k, n), as
@@ -308,7 +310,7 @@ class _StepInverses:
         return (d[:, None] * total).transpose(0, 2, 1).reshape(k, n * k)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """The inverses at the times ``t`` (at most ``block`` of them), shape
+        """The inverses at the times ``t`` (as many as the buffers hold), shape
         (t.size, nu, nu); valid until the next call."""
         n, nu = t.size, self.a0.shape[0]
         if not len(self.mod):
@@ -453,7 +455,7 @@ def _period(a0: np.ndarray, mod: np.ndarray, s: np.ndarray, k2: np.ndarray, dt: 
     parts = 2 * m * nb * m + rows  # and of its _local parts
     held = np.empty(max(nu * chunk * nu if len(mod) else 0, parts))
     scratch = np.empty(max(nu * chunk * m, 2 * rows))
-    inverses = _StepInverses(a0, mod, chunk, held, scratch)
+    inverses = _StepInverses(a0, mod, held, scratch)
     stack = scratch[:nu * chunk * m].reshape(nu, chunk, m)
 
     def phases(i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -524,8 +526,8 @@ def simulate(net: Netlist, tone: tuple[int, float], duration: float,
     ``duration`` are finite and positive and the port exists;
     :class:`RunTooLarge`, before any work, when a modulation period
     takes more than MAX_PERIOD_STEPS steps or a node more than MAX_SAMPLES
-    samples; :class:`StepTooLarge` below 50 points per stimulus cycle at the
-    step used; and :class:`Diverged` on a singular step matrix, on a step
+    samples; :class:`StepTooLarge` below MIN_PTS_PER_CYCLE points per stimulus
+    cycle at the step used; and :class:`Diverged` on a singular step matrix, on a step
     matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, or when any
     node magnitude exceeds DIVERGENCE_FACTOR times the source amplitude
     2*sqrt(z0); reading ``phasors`` raises it on a singular steady-state
@@ -556,8 +558,9 @@ def simulate(net: Netlist, tone: tuple[int, float], duration: float,
                               f"MAX_PERIOD_STEPS = {MAX_PERIOD_STEPS}")
         repeat = max(1, round(per))
         dt = 1.0 / (repeat * f_mod)
-    if dt > 1.0 / (50.0 * f_stim):
-        raise StepTooLarge(f"dt={dt} gives fewer than 50 points per cycle at {f_stim} Hz")
+    if _too_coarse(dt, f_stim):
+        raise StepTooLarge(f"dt={dt} gives fewer than {MIN_PTS_PER_CYCLE} points per cycle "
+                           f"at {f_stim} Hz")
     steps = round(_steps(duration, dt))
     if steps < 1:
         raise ValueError(f"duration {duration} is shorter than one step of {dt}")
@@ -685,15 +688,19 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
     stimulus cycle, for five time constants of the highest-Q (capped at
     1e4), lowest-frequency branch plus ``mod_periods`` modulation periods.
 
-    dt = 1/(P*f_mod) with P = round(pts_per_cycle*f/f_mod), so one modulation
-    period is exactly P steps and :func:`simulate` integrates it only once;
-    dt differs from 1/(pts_per_cycle*f) by less than 1/P relative.  Raises
-    :class:`RunTooLarge` when P would exceed MAX_PERIOD_STEPS, or round to 0
-    (a step of a whole modulation period would take far more points per
-    stimulus cycle than asked for), or the run exceed MAX_SAMPLES; and
+    dt = 1/(P*f_mod) with P = round(pts_per_cycle*f/f_mod), raised by the fewest steps
+    that pass :func:`simulate`'s MIN_PTS_PER_CYCLE test where it rounds under it, so one
+    modulation period is exactly P steps, integrated once, and dt differs from
+    1/(pts_per_cycle*f) by less than 1/P relative.  Raises :class:`StepTooLarge` below
+    MIN_PTS_PER_CYCLE ``pts_per_cycle``; :class:`RunTooLarge` when P would exceed
+    MAX_PERIOD_STEPS, or round to 0 (a step of a whole modulation period would take far
+    more points per stimulus cycle than asked for), or the run exceed MAX_SAMPLES; and
     :class:`ValueError` unless ``f`` and ``f_mod`` are finite and positive."""
     if not (0.0 < f < math.inf and 0.0 < f_mod < math.inf):  # NaN fails
         raise ValueError(f"f = {f} Hz and f_mod = {f_mod} Hz must be finite and positive")
+    if pts_per_cycle < MIN_PTS_PER_CYCLE:
+        raise StepTooLarge(f"{pts_per_cycle} points per cycle are fewer than "
+                           f"MIN_PTS_PER_CYCLE = {MIN_PTS_PER_CYCLE}")
     steps = pts_per_cycle * f / f_mod
     if not steps <= MAX_PERIOD_STEPS:  # also when it overflows, which round() would raise on
         raise RunTooLarge(f"{steps:.4g} steps per modulation period exceed "
@@ -702,13 +709,15 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
         raise RunTooLarge(f"f_mod = {f_mod} Hz is too fast for {pts_per_cycle} points per "
                           f"cycle at {f} Hz: a modulation period would hold {steps:.4g} "
                           f"steps, fewer than one")
-    q_max = 0.0
-    f_min = math.inf
+    q_max, f_min = 0.0, math.inf
     for el in net.modulated:
         q_max = max(q_max, min(el.branch.q, 1e4))
         f_min = min(f_min, el.branch.f_s)
     ring_up = 5.0 * q_max / (math.pi * f_min) if math.isfinite(f_min) and q_max else 0.0
-    dt, duration = 1.0 / (round(steps) * f_mod), ring_up + mod_periods / f_mod
+    p = round(steps)
+    while _too_coarse(1.0 / (p * f_mod), f):  # P rounded down under the floor
+        p += 1
+    dt, duration = 1.0 / (p * f_mod), ring_up + mod_periods / f_mod
     _steps(duration, dt)
     return dt, duration
 

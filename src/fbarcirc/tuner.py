@@ -38,7 +38,7 @@ PENALTY_PER_DB = 100.0
 
 @dataclass(frozen=True)
 class TuneProblem:
-    """Search space and constraints for one tuning run."""
+    """Search space and constraints for one tuning run, as RunConfig.tune_problem lays it out."""
 
     design: CirculatorDesign
     delta_bounds: tuple[float, float]
@@ -67,28 +67,6 @@ class TuneProblem:
             raise ValueError(f"budget must be at least 10, got {self.budget}")
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
-
-    @staticmethod
-    def default(design: CirculatorDesign, budget: int = 300,
-                il_cap_db: float = 2.85, n_harm: int = 5,
-                delta_max: float = 0.1, f_mod_window: float = 0.4,
-                f_op_window: float = 0.02, starts: int = 4,
-                direction: Direction = Direction()) -> "TuneProblem":
-        """Stock search space: delta in [0, 0.1], f_mod within +-40% of the
-        design's modulation frequency, stimulus within +-2% of f_s.
-
-        The default insertion-loss cap sits 0.15 dB under a 3 dB budget:
-        with the capped isolation term a perfect null can otherwise buy a
-        small cap violation more cheaply than staying feasible."""
-        f_s = design.resonator.f_s
-        return TuneProblem(
-            design=design,
-            delta_bounds=(0.0, delta_max),
-            f_mod_bounds=(design.f_mod * (1.0 - f_mod_window),
-                          design.f_mod * (1.0 + f_mod_window)),
-            f_op_bounds=(f_s * (1.0 - f_op_window), f_s * (1.0 + f_op_window)),
-            il_cap_db=il_cap_db, budget=budget, n_harm=n_harm, direction=direction,
-            starts=starts)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, bvd_from_specs, fit_lorentzian, specs_from_bvd
+from fbarcirc.config import parse_config
 from fbarcirc.htm import HarmonicBasis, convergence_check, sparams
 from fbarcirc.metrics import sideband_scan, summarize
 from fbarcirc.netlist import (CirculatorDesign, PhaseSequence, Topology,
                               build_circulator, read_netlist, write_netlist)
 from fbarcirc.touchstone import read_s3p, write_s3p
 from fbarcirc.transient import cross_validate
-from fbarcirc.tuner import TuneProblem, tune
+from fbarcirc.tuner import tune
 
 from conftest import DESK_SPECS, GHZ_SPECS, one_port_net, toy_wye_net
 
@@ -38,11 +39,11 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
 def tuned():
     """Criterion 3's tuning run and its metrics (251 points across +-25 MHz,
     plus f_op), shared with criteria 4-6."""
-    design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.01, f_mod=F_MOD)
-    problem = TuneProblem.default(design, budget=300, n_harm=5)
+    problem = parse_config("design.delta = 0.01\ntuner.budget = 300\nbasis.n_harm = 5\n"
+                           ).tune_problem()
     t0 = time.perf_counter()
     result = tune(problem, seed=0)
-    net = build_circulator(replace(design, delta=result.delta, f_mod=result.f_mod))
+    net = build_circulator(replace(problem.design, delta=result.delta, f_mod=result.f_mod))
     freqs = np.union1d(np.linspace(result.f_op - 25e6, result.f_op + 25e6, 251), [result.f_op])
     m = summarize(sparams(net, HarmonicBasis(result.f_mod, 5), freqs), problem.direction)
     elapsed = time.perf_counter() - t0

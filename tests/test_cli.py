@@ -94,6 +94,11 @@ class TestFit:
         net = read_netlist(nl.read_text())
         assert len(net.elements) == 3
 
+    def test_flag_defaults_are_the_design_keys(self):
+        args = fbarcirc.cli.build_parser().parse_args(["fit", "specs"])
+        for name in ("f_s", "q", "k_sq", "c0", "z0"):
+            assert getattr(args, name) == SCHEMA[f"design.{name}"].default, name
+
     def test_lorentzian_mode(self, capsys, tmp_path):
         csv = tmp_path / "bending.csv"
         bending_csv(csv)
@@ -383,8 +388,8 @@ class TestRunSizeGuard:
                                "--out", str(tmp_path / "o"))
         assert code == 2
         assert err.startswith("ConfigError: verify.pts_per_cycle_static, "
-                              "verify.mod_periods_static: static case "
-                              "(RunTooLarge: f_mod = ") and "100 points per cycle" in err
+                              "verify.mod_periods_static: static case at f_mod = "
+                              "1000000000000000.0 Hz (RunTooLarge: f_mod = ") and "100 points per cycle" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, keys", [
@@ -404,6 +409,20 @@ class TestRunSizeGuard:
         assert err.startswith(f"ConfigError: {keys}: ") and "exceed MAX_SAMPLES" in err
         assert not (tmp_path / "o").exists()
 
+    def test_samples_over_the_bound_at_the_box_low_end_exit_2_before_any_objective(
+            self, capsys, tmp_path, monkeypatch):
+        # 600 periods fit MAX_SAMPLES at design.f_mod, where simulate and
+        # verify run, but not at 0.6 x f_mod, where tune may emit its config
+        monkeypatch.setattr(fbarcirc.tuner, "objective", refuse)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG + "verify.mod_periods = 600\n")
+        load_config(str(cfg))
+        code, _, err = run(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("ConfigError: verify.pts_per_cycle, verify.mod_periods: "
+                              "single-branch case at f_mod = 13920000.0 Hz (RunTooLarge: ")
+        assert "exceed MAX_SAMPLES" in err
+        assert not (tmp_path / "o").exists()
 
 TUNE_CFG = """design.topology = differential
 design.delta = 0.01
@@ -468,6 +487,35 @@ class TestTune:
         assert code == 1
         assert err.startswith("TuneFailed: ") and "12 evaluations" in err
         assert "Traceback" not in err
+
+    def test_grids_at_the_floor_tune_and_the_emitted_config_verifies(self, capsys, tmp_path):
+        # at 50 points per cycle, round(50 f/f_mod) falls under the floor at
+        # some f_mod of the box, the tuned one among them; time_grid raises P
+        # there, so the config tunes and its oracle runs every case (whose
+        # gates fail at that step)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG + "verify.pts_per_cycle = 50\nverify.pts_per_cycle_static = 50\n")
+        out_dir = tmp_path / "out"
+        assert run(capsys, "tune", "--config", str(cfg), "--seed", "0", "--out", str(out_dir))[0] == 0
+        code, out, err = run(capsys, "verify", "--config", str(out_dir / "tuned_config.cfg"),
+                             "--out", str(tmp_path / "verify"))
+        assert (code, err) == (1, "")
+        assert out.count("FAIL") == 3
+
+    def test_emitted_config_checked_at_its_own_f_mod(self, capsys, tmp_path):
+        # 1124 periods fit MAX_SAMPLES across the box of f_mod = 60 MHz, not
+        # across the wider box of the tuned f_mod under it; tune checks only
+        # its own box, and the emitted config loads at its tuned f_mod
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG + "design.f_mod = 60e6\nverify.mod_periods = 1124\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "tune", "--config", str(cfg), "--seed", "0",
+                           "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        tuned = load_config(str(out_dir / "tuned_config.cfg"))
+        low = tuned.tune_problem().f_mod_bounds[0]
+        with pytest.raises(ConfigError, match="exceed MAX_SAMPLES"):
+            tuned.check_verify_grids(low)
 
     def test_emitted_config_reproduces_metrics(self, capsys, tmp_path):
         cfg = tmp_path / "t.cfg"
@@ -1022,20 +1070,23 @@ class TestInvalidSettings:
         ("simulate", ["--n-harm", "3"], "", "unrecognized arguments: --n-harm 3"),
         ("verify", ["--n-harm", "3"], "", "unrecognized arguments: --n-harm 3"),
         ("simulate", [], "verify.pts_per_cycle = 10\n",
-         "ConfigError: verify.pts_per_cycle, verify.mod_periods: single-branch case under 50 "
-         "points per cycle (dt = "),
+         "ConfigError: verify.pts_per_cycle, verify.mod_periods: single-branch case at "
+         "f_mod = 23200000.0 Hz (StepTooLarge: 10 points per cycle are fewer than MIN_PTS_PER_CYCLE = 50)"),
         ("verify", [], "verify.pts_per_cycle_static = 49\n",
-         "ConfigError: verify.pts_per_cycle_static, verify.mod_periods_static: static case "
-         "under 50 points per cycle"),
+         "ConfigError: verify.pts_per_cycle_static, verify.mod_periods_static: static case at "
+         "f_mod = 23200000.0 Hz (StepTooLarge: 49 points per cycle are fewer than MIN_PTS_PER_CYCLE = 50)"),
         ("tune", [], "verify.mod_periods = 1e6\n",
-         "ConfigError: verify.pts_per_cycle, verify.mod_periods: single-branch case "
-         "(RunTooLarge: "),
+         "ConfigError: verify.pts_per_cycle, verify.mod_periods: single-branch case at "
+         "f_mod = 23200000.0 Hz (RunTooLarge: "),
         ("simulate", ["--out", "INPUT"], "", EXISTS),
         ("tune", ["--out", "INPUT"], "", EXISTS),
         ("verify", ["--out", "INPUT"], "", EXISTS),
         ("fit", ["lorentzian", "INPUT"], NAN_Y_CSV, "ParseError: sample 5 is not finite"),
         ("fit", ["lorentzian", "INPUT"], NAN_F_CSV, "ParseError: sample 5 is not finite: f = nan"),
         ("fit", ["lorentzian", "INPUT"], INF_Y_CSV, "ParseError: sample 5 is not finite"),
+        ("fit", ["specs", "--k-sq", "1"], "",
+         "argument --k-sq: design.k_sq: must lie in (0, 1), got 1.0"),
+        ("fit", ["specs", "--q", "0"], "", "argument --q: design.q: must lie in (0, inf), got 0.0"),
     ], ids=["simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
@@ -1056,7 +1107,8 @@ class TestInvalidSettings:
             "simulate-verify-step-too-large", "verify-static-step-too-large",
             "tune-verify-run-too-large", "simulate-out-is-a-file", "tune-out-is-a-file",
             "verify-out-is-a-file", "fit-lorentzian-nan-admittance",
-            "fit-lorentzian-nan-frequency", "fit-lorentzian-inf-admittance"])
+            "fit-lorentzian-nan-frequency", "fit-lorentzian-inf-admittance",
+            "fit-k-sq-one", "fit-q-zero"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
         # simulate, verify and tune read SPLITTER_CFG + text as their config;
         # fit and report read text from the file that INPUT stands for

@@ -6,7 +6,10 @@ import pytest
 
 from fbarcirc.config import (MAX_SWEEP_SIZE, SCHEMA, ConfigError, _parse, parse_config,
                              serialize_config)
+from fbarcirc.metrics import Direction
 from fbarcirc.netlist import PhaseSequence, Topology
+
+from conftest import GHZ_SPECS
 
 
 class TestParse:
@@ -137,6 +140,40 @@ class TestCrossKeyFacts:
                            "basis.n_harm = 1\n")
         assert cfg.get_int("sweep.points") == 21845
 
+
+TUNE_TEXT = ("design.delta = 0.01\ntuner.budget = 10\ntuner.starts = 1\n"
+             "tuner.metrics_points = 5\ntuner.metrics_span = 2e6\n")
+
+
+class TestTuneProblem:
+    def test_default_search_box(self):
+        cfg = parse_config("design.delta = 0.01\nmetrics.in_port = 2\n"
+                           "metrics.through_port = 3\nmetrics.isolated_port = 1\n")
+        direction = Direction(in_port=2, through_port=3, isolated_port=1)
+        problem = cfg.tune_problem()
+        assert problem.direction == direction
+        assert problem.il_cap_db == 2.85
+        assert problem.delta_bounds == (0.0, 0.1)
+        assert problem.f_mod_bounds == pytest.approx((0.6 * 23.2e6, 1.4 * 23.2e6), rel=1e-15)
+        assert problem.f_op_bounds == pytest.approx((0.98 * GHZ_SPECS.f_s, 1.02 * GHZ_SPECS.f_s),
+                                                    rel=1e-15)
+
+    # Each grid fits at design.f_mod, so the config loads, but not at an end
+    # of the stock 40% box, which tune checks before its search.
+    @pytest.mark.parametrize("text, end, bound", [
+        ("verify.mod_periods = 600\n", 0, "exceed MAX_SAMPLES"),
+        ("verify.pts_per_cycle = 8000\n", 0, "exceed MAX_PERIOD_STEPS"),
+        ("design.f_mod = 2e11\nverify.pts_per_cycle = 50\n", 1, "fewer than one"),
+    ], ids=["samples-at-low-end", "period-steps-at-low-end", "no-step-at-high-end"])
+    def test_verify_grids_checked_at_any_f_mod(self, text, end, bound):
+        cfg = parse_config(TUNE_TEXT + text)
+        f_mod = cfg.tune_problem().f_mod_bounds[end]
+        with pytest.raises(ConfigError) as info:
+            cfg.check_verify_grids(f_mod)
+        message = str(info.value)
+        assert message.startswith(f"verify.pts_per_cycle, verify.mod_periods: single-branch "
+                                  f"case at f_mod = {f_mod} Hz (RunTooLarge: ")
+        assert bound in message
 
 def test_readme_table_lists_every_key_with_default_and_range():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -156,6 +156,39 @@ class TestSimulate:
         with pytest.raises(ValueError, match="must be finite and positive"):
             time_grid(one_port_net(FAST_SPECS, 0.05, F_MOD), f, f_mod, 60, 1.0)
 
+    def test_time_grid_under_the_floor_raises(self):
+        with pytest.raises(StepTooLarge, match=r"^49 points per cycle are fewer than "
+                                               r"MIN_PTS_PER_CYCLE = 50$"):
+            time_grid(one_port_net(FAST_SPECS, 0.05, F_MOD), 2.68e6, F_MOD, 49, 1.0)
+
+    def test_time_grid_at_the_floor_passes_the_step_test_across_a_tune_box(self):
+        # round(50 f/f_mod) falls under 50 f/f_mod at about half the f_mod of
+        # a +-40% box; there time_grid raises P by the fewest steps that pass
+        net, f, raised = one_port_net(FAST_SPECS, 0.05, F_MOD), 2.68e6, []
+        for f_mod in np.linspace(0.6 * F_MOD, 1.4 * F_MOD, 801):
+            dt, _ = time_grid(net, f, f_mod, 50, 1.0)
+            p = round(1.0 / (f_mod * dt))
+            assert 1.0 / (p * f_mod) == dt  # simulate keeps the step
+            assert dt <= 1.0 / (50.0 * f)  # and passes its test
+            if p != round(50 * f / f_mod):
+                assert 1.0 / ((p - 1) * f_mod) > 1.0 / (50.0 * f)
+                raised.append(f_mod)
+        assert 200 < len(raised) < 600
+        net = one_port_net(FAST_SPECS, 0.05, raised[0])
+        dt, _ = time_grid(net, f, raised[0], 50, 1.0)
+        assert simulate(net, (1, f), 1.0 / raised[0], dt).dt == dt
+
+    @pytest.mark.parametrize("ppc", [50, 51, 57, 400, 800])
+    def test_time_grid_over_the_floor_keeps_the_rounded_period(self, ppc):
+        # wherever P = round(ppc f/f_mod) passes the step test, P stays
+        net, f, kept = one_port_net(FAST_SPECS, 0.05, F_MOD), 2.68e6, 0
+        for f_mod in np.linspace(0.6 * F_MOD, 1.4 * F_MOD, 801):
+            p = round(ppc * f / f_mod)
+            if 1.0 / (p * f_mod) <= 1.0 / (50.0 * f):
+                kept += 1
+                assert time_grid(net, f, f_mod, ppc, 1.0)[0] == 1.0 / (p * f_mod)
+        assert kept >= (200 if ppc == 50 else 801)
+
     def test_dt_refinement_second_order(self):
         f = 2.68e6
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
@@ -182,6 +215,12 @@ class TestSimulate:
         for k in (1, 2, 4):  # whole numbers of beat periods from the tail
             window = power[-k * per_beat:]
             assert float(np.mean(window)) >= -0.01 * 0.5
+
+
+def _step_inverses(a0, mod, block):
+    """A run's _StepInverses with buffers for blocks of up to ``block`` times."""
+    size = a0.shape[0] * block * a0.shape[0]
+    return transient._StepInverses(a0, mod, np.empty(size), np.empty(size))
 
 
 def _commensurate_dt(f, f_mod, pts_per_cycle):
@@ -391,7 +430,7 @@ class TestStepInverses:
         per = round(1.0 / (f_mod * dt))
         t = (np.arange(1, per + 1, per // 300)) * dt
         ref = _explicit_inverses(a0, mod, t)
-        inverses = transient._StepInverses(a0, mod, t.size + 9)
+        inverses = _step_inverses(a0, mod, t.size + 9)
         for n in (t.size, 37):  # a full block, then a short one in the same buffers
             x = inverses(t[:n])
             err = np.max(np.abs(x - ref[:n]), axis=(1, 2)) / np.max(np.abs(ref[:n]), axis=(1, 2))
@@ -403,7 +442,7 @@ class TestStepInverses:
         a0 = np.array([[1.0, 1.0], [1.0, 2.0]])
         mod = np.array([[0.0, 1.0, 1.0, 0.0]])
         with pytest.raises(Diverged):
-            transient._StepInverses(a0, mod, 2)(np.array([0.25, 0.0]))
+            _step_inverses(a0, mod, 2)(np.array([0.25, 0.0]))
 
     def test_residual_bound_enforced_on_a0(self, monkeypatch):
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
@@ -417,7 +456,7 @@ class TestStepInverses:
         _, c, g, _, mod = transient._stamp(net, 1)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
         a0 = 2.0 * c / dt + g
-        inverses = transient._StepInverses(a0, mod, 64)
+        inverses = _step_inverses(a0, mod, 64)
         t = np.arange(1, 65) * dt
         inverses(t)
         monkeypatch.setattr(transient, "INVERSE_RESIDUAL_BOUND", 1e-30)
@@ -480,7 +519,7 @@ class TestSeriesInverses:
         net = toy_wye_net(FAST_SPECS, 0.02, F_MOD)
         _, c, g, _, mod = transient._stamp(net, 1)
         dt, _ = time_grid(net, TestSeriesInverses.F, F_MOD, ppc, 1.0)
-        return transient._StepInverses(2.0 * c / dt + g, mod, block), dt
+        return _step_inverses(2.0 * c / dt + g, mod, block), dt
 
     def test_series_matches_lapack_path(self):
         # rho = 1.2e-6 at 400 points per cycle: three terms
@@ -519,7 +558,7 @@ class TestSeriesInverses:
         f_mod = 10.0 * F_MOD
         _, c, g, _, mod = transient._stamp(one_port_net(FAST_SPECS, 0.3, f_mod, phase=0.4), 1)
         dt = _commensurate_dt(self.F, f_mod, 60)
-        inverses = transient._StepInverses(2.0 * c / dt + g, mod, 64)
+        inverses = _step_inverses(2.0 * c / dt + g, mod, 64)
         assert inverses.terms == 0
         t = np.arange(1, 65) * dt
         inverses(t)

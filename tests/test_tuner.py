@@ -9,18 +9,19 @@ import numpy as np
 import pytest
 
 from fbarcirc import fork, htm, tuner
+from fbarcirc.config import parse_config
 from fbarcirc.htm import HarmonicBasis, sparams
-from fbarcirc.metrics import Direction, metrics_at
-from fbarcirc.netlist import (CirculatorDesign, ModulationSpec, Topology, build_circulator,
+from fbarcirc.metrics import metrics_at
+from fbarcirc.netlist import (ModulationSpec, build_circulator,
                               elastance_fourier)
-from fbarcirc.tuner import TuneProblem, objective, penalized_objective, tune, write_trace_csv
+from fbarcirc.tuner import objective, penalized_objective, tune, write_trace_csv
 
-from conftest import GHZ_SPECS, assert_no_worker_left, count_stamps
+from conftest import assert_no_worker_left, count_stamps
 
 
 def small_problem(**overrides):
-    design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.01, f_mod=23.2e6)
-    return replace(TuneProblem.default(design), **overrides)
+    """The stock tune problem of the default differential design at delta 0.01."""
+    return replace(parse_config("design.delta = 0.01\n").tune_problem(), **overrides)
 
 
 def sphere_center(problem):
@@ -173,13 +174,10 @@ class TestStampedDesign:
         # and 10-16 ms per process) is never imported; a fresh process, as the
         # suite's may have imported it already
         code = ("import sys\n"
-                "from dataclasses import replace\n"
-                "from fbarcirc.bvd import ResonatorSpecs\n"
-                "from fbarcirc.netlist import CirculatorDesign, Topology\n"
-                "from fbarcirc.tuner import TuneProblem, tune\n"
-                "specs = ResonatorSpecs(f_s=2.65e9, q=700.0, k_sq=0.09, c0=1.0e-12)\n"
-                "design = CirculatorDesign(Topology.DIFFERENTIAL, specs, 0.01, 23.2e6)\n"
-                "problem = replace(TuneProblem.default(design), budget=10)\n"
+                "from fbarcirc.config import parse_config\n"
+                "from fbarcirc.tuner import tune\n"
+                "problem = parse_config('design.delta = 0.01\\ntuner.budget = 10\\n')"
+                ".tune_problem()\n"
                 "result = tune(problem, seed=0)\n"
                 "print(problem.starts, result.budget_exhausted, 'numpy.random' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -400,17 +398,6 @@ class TestProblemValidation:
     def test_non_finite_il_cap(self, cap):
         with pytest.raises(ValueError, match="il_cap_db must be finite"):
             small_problem(il_cap_db=cap)
-
-    def test_default_search_box(self):
-        design = CirculatorDesign(Topology.DIFFERENTIAL, GHZ_SPECS, delta=0.01, f_mod=23.2e6)
-        direction = Direction(in_port=2, through_port=3, isolated_port=1)
-        problem = TuneProblem.default(design, direction=direction)
-        assert problem.direction == direction
-        assert problem.il_cap_db == 2.85
-        assert problem.delta_bounds == (0.0, 0.1)
-        assert problem.f_mod_bounds == pytest.approx((0.6 * 23.2e6, 1.4 * 23.2e6), rel=1e-15)
-        assert problem.f_op_bounds == pytest.approx((0.98 * GHZ_SPECS.f_s, 1.02 * GHZ_SPECS.f_s),
-                                                    rel=1e-15)
 
 
 class TestTraceCsv:
