@@ -54,8 +54,9 @@ HARDWARE_REFERENCE = {
 MIN_SLICE_POINTS = 16
 
 
-USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge,
-                FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
+# Exit 2, as does an OSError that names a path (missing, unwritable, too
+# long); one that names none, such as a failed memory map, surfaces as it is.
+USAGE_ERRORS = (ConfigError, ParseError, NetlistError, DegenerateStimulus, RunTooLarge)
 NUMERICAL_ERRORS = (FitDiverged, DegenerateData, NumericallySingular, Diverged,
                     StepTooLarge, TuneFailed, fork.WorkerLost)
 
@@ -353,7 +354,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (*USAGE_ERRORS, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -188,14 +188,13 @@ class RunConfig:
         if not math.isfinite(top / t["design.f_mod"]):
             raise ConfigError(f"design.f_mod: {top} Hz / f_mod {t['design.f_mod']} "
                               f"is not finite")
-        # BVD elements in float range: the design's and the verify replicas'
-        for keys, build in (("design.f_s, design.q, design.k_sq, design.c0",
-                             lambda: bvd_from_specs(self.design().resonator)),
-                            ("verify.q, verify.scale", self.verify_cases)):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(f"{keys}: element values leave float range ({exc})") from exc
+        # BVD elements in float range: the design's here, the verify replicas'
+        # where their grids are checked
+        try:
+            bvd_from_specs(self.design().resonator)
+        except ValueError as exc:
+            raise ConfigError(f"design.f_s, design.q, design.k_sq, design.c0: element values "
+                              f"leave float range ({exc})") from exc
         self.check_verify_grids(t["design.f_mod"])  # tune checks its f_mod box's ends
         # the tune's search box, checked where it is laid out
         try:
@@ -264,8 +263,13 @@ class RunConfig:
 
     def check_verify_grids(self, f_mod: float) -> None:
         """Each verify case's time grid, as the oracle lays it out and checks it, for the
-        design at modulation frequency ``f_mod``; a ConfigError names the case's keys."""
-        cases, f, _ = self.verify_cases()
+        design at modulation frequency ``f_mod``; a ConfigError names the case's keys, or
+        verify.q and verify.scale where the cases' element values leave float range."""
+        try:
+            cases, f, _ = self.verify_cases()
+        except ValueError as exc:
+            raise ConfigError(f"verify.q, verify.scale: element values leave float range "
+                              f"({exc})") from exc
         for name, net, _, _, periods, ppc in cases:
             keys = ("verify.pts_per_cycle_static, verify.mod_periods_static" if name == "static"
                     else "verify.pts_per_cycle, verify.mod_periods")

@@ -19,7 +19,8 @@ def atomic_open(path):
     onto ``path`` on a clean exit and removed on any exception.  Exports write
     through it a block at a time, so their memory is one block, not the file.
     The file takes the mode a plain ``open`` gives (0o666 less the umask).
-    A directory at ``path`` raises IsADirectoryError before any temp file."""
+    A directory at ``path`` raises IsADirectoryError before any temp file, and
+    an OSError that opening or renaming the temp file raises names ``path``."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = os.path.join(os.path.dirname(str(path)) or ".", f".tmp_{secrets.token_hex(8)}")
@@ -30,7 +31,10 @@ def atomic_open(path):
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # the target, not the temp name, as above
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

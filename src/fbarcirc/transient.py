@@ -44,9 +44,9 @@ and its node voltages are Re(X_j h_p + e_p Y_j) with e_p = exp(j w p P dt)
 and the maps X_j, Y_j of the one period.  :func:`simulate` returns those
 maps of every node, unless the run keeps none, and the boundary states
 (:class:`PeriodMaps`); one routine forms every node's samples from them a
-period at a time (:func:`_period_blocks`), and the samples are filled only
-when they are read.  The divergence guard covers every node, with maps or
-without: a running max|X_j| and max|Y_j| per node bound its samples.
+period at a time (:func:`_period_blocks`), for the guard and the dump alike.
+The divergence guard covers every node, with maps or without: a running
+max|X_j| and max|Y_j| per node bound its samples.
 
 One period also holds the steady state, which needs no ring-up and no fit.
 Its boundary state h* repeats up to the drive's phase, h_p = E^p h* with
@@ -55,9 +55,9 @@ z_j = X_j h* + Y_j.  The phasor at f + n*f_mod is the DFT bin
 P_n = sum_j z_j c_j,n = A_n h* + B_n with c_j,n = exp(-j (w dt + 2 pi n/P) j)/P
 over j = 1 ... P, A_n = sum_j X_j c_j,n and B_n = sum_j Y_j c_j,n.  Every
 run adds every node's rows into A_n and B_n, n = -1, 0, 1, one real GEMM
-per block while the chain runs, so it needs no maps; its result solves for
-h* when its phasors are first read, and checks the residual
-max|(E I - Phi_P) h* - psi_P| against STEADY_RESIDUAL_BOUND times max|psi_P|.
+per block while the chain runs, so it needs no maps; the run then solves
+for h* and checks the residual max|(E I - Phi_P) h* - psi_P| against
+STEADY_RESIDUAL_BOUND times max|psi_P|.
 Phi_P has multipliers of modulus 1 (+1 from floating nodes, -1 from the
 trapezoid's algebraic unknowns) that E meets at half-integer f/f_mod, so the
 residual, not a condition number, is what is checked: the drive does not
@@ -142,32 +142,17 @@ class PeriodMaps:
     limit: float        # the divergence guard on |sample|
 
 
+@dataclass(frozen=True)
 class TransientResult:
-    """Per-node voltage waveforms at the times i*dt, i = 0 ... duration/dt, and phasors.
+    """A :func:`simulate` run: the step ``dt`` it used, its ``duration``,
+    every node's ``phasors`` P_-1, P_0, P_1 of the periodic steady state, and
+    its :class:`PeriodMaps` (None for a run that keeps none), from which every
+    node's samples at the times i*dt, i = 0 ... duration/dt, follow."""
 
-    A result of :func:`simulate` fills ``samples`` from its run's
-    :class:`PeriodMaps` (unless it kept none), and every node's ``phasors``
-    P_-1, P_0, P_1 from its period's state and bins, ``steady``, on first access."""
-
-    def __init__(self, dt: float, duration: float, steady: tuple,
-                 samples: dict[str, np.ndarray] | None = None, maps: PeriodMaps | None = None):
-        self.dt, self.duration, self.maps = dt, duration, maps
-        self._samples, self._steady, self._phasors = samples, steady, None
-
-    @property
-    def samples(self) -> dict[str, np.ndarray]:
-        if self._samples is None:
-            if self.maps is None:
-                raise ValueError("this run kept no maps, so it has no samples: "
-                                 "simulate(keep_maps=True) keeps them")
-            self._samples = _fill(self.maps)
-        return self._samples
-
-    @property
-    def phasors(self) -> dict[str, np.ndarray]:
-        if self._phasors is None:
-            self._phasors = _steady_phasors(*self._steady)
-        return self._phasors
+    dt: float
+    duration: float
+    phasors: dict[str, np.ndarray]
+    maps: PeriodMaps | None
 
 
 def _stamp(net: Netlist, port_index: int):
@@ -516,11 +501,12 @@ def simulate(net: Netlist, tone: tuple[int, float], duration: float,
     :func:`time_grid` passes through unchanged); the result reports the step
     used.  Only one period of step matrices is inverted (see the module
     docstring), and the result holds that period's maps of every node,
-    unless ``keep_maps`` is false; its ``samples`` are filled when first read.
+    unless ``keep_maps`` is false.
 
-    The result's ``phasors``, solved when first read, map every node to its
-    P_n at f + n*f_mod, n = -1, 0, 1, of the periodic steady state (see the
-    module docstring), the same with maps or without and however short the run.
+    The result's ``phasors``, solved once the guard has passed, map every node
+    to its P_n at f + n*f_mod, n = -1, 0, 1, of the periodic steady state (see
+    the module docstring), the same with maps or without and however short
+    the run.
 
     Raises :class:`ValueError`, before any work, unless f, ``dt`` and
     ``duration`` are finite and positive and the port exists;
@@ -530,12 +516,12 @@ def simulate(net: Netlist, tone: tuple[int, float], duration: float,
     cycle at the step used; and :class:`Diverged` on a singular step matrix, on a step
     matrix inverse whose residual exceeds INVERSE_RESIDUAL_BOUND, or when any
     node magnitude exceeds DIVERGENCE_FACTOR times the source amplitude
-    2*sqrt(z0); reading ``phasors`` raises it on a singular steady-state
-    system or one whose residual exceeds STEADY_RESIDUAL_BOUND.  For the guard,
+    2*sqrt(z0), and then on a singular steady-state system or one whose
+    residual exceeds STEADY_RESIDUAL_BOUND.  For the guard,
     sum_u |Re h_p,u| max_j |X_j[n, u]| + max_j |Y_j[n]| bounds every sample of
     node n in period p; only when a bound exceeds the guard are the samples
-    filled at once, checked, and kept.  A run without maps is then made again
-    with them and checked as such a run is; that path is rare.
+    formed and checked, one period at a time.  A run without maps is then
+    made again with them and checked as such a run is; that path is rare.
     """
     port_index, f_stim = tone
     if not all(0.0 < v < math.inf for v in (f_stim, dt, duration)):  # NaN fails
@@ -614,14 +600,14 @@ def simulate(net: Netlist, tone: tuple[int, float], duration: float,
         over = not np.max(np.abs(h.real) @ x_max.T + y_max) * (1.0 + 1e-12) <= limit
     maps = (PeriodMaps(nodes=tuple(node_names), x=x_h, y=y_e, h=h, e=e, steps=steps, limit=limit)
             if keep_maps else None)
-    samples = None
-    if over and maps is None:  # a run with maps fills and checks the samples
-        simulate(net, tone, duration, dt)
-    elif over:
-        samples = _fill(maps)
-    steady = (tuple(node_names), state, bins.view(complex).reshape(nn, nu + 2, 3),
-              np.exp(1j * w_stim * (r * dt)))
-    return TransientResult(dt, duration, steady, samples=samples, maps=maps)
+    if over:
+        if maps is None:  # a run with maps checks the samples
+            simulate(net, tone, duration, dt)
+        else:
+            _check_samples(maps)
+    phasors = _steady_phasors(tuple(node_names), state, bins.view(complex).reshape(nn, nu + 2, 3),
+                              np.exp(1j * w_stim * (r * dt)))
+    return TransientResult(dt, duration, phasors, maps)
 
 
 def _dft_weights(z: np.ndarray, j: np.ndarray, r: int) -> np.ndarray:
@@ -669,17 +655,15 @@ def _period_blocks(maps: PeriodMaps):
         yield start, cols
 
 
-def _fill(maps: PeriodMaps) -> dict[str, np.ndarray]:
-    """Every node's samples from the period maps; :class:`Diverged`, naming
-    the first step that holds a non-finite value or one above ``maps.limit``."""
-    volts = np.empty((len(maps.nodes), maps.steps + 1))
+def _check_samples(maps: PeriodMaps) -> None:
+    """Raise :class:`Diverged`, naming the first step that holds a non-finite
+    sample or one above ``maps.limit``; the samples are read from the maps
+    one period at a time (:func:`_period_blocks`), none held past it."""
     with np.errstate(over="ignore", invalid="ignore"):
         for first, cols in _period_blocks(maps):
-            volts[:, first:first + cols.shape[1]] = cols
-        if not (np.max(volts) <= maps.limit and np.min(volts) >= -maps.limit):  # NaN fails
-            step = int(np.argmax(np.any(~(np.abs(volts) <= maps.limit), axis=0)))
-            raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step {step}")
-    return dict(zip(maps.nodes, volts))
+            if not (np.max(cols) <= maps.limit and np.min(cols) >= -maps.limit):  # NaN fails
+                step = first + int(np.argmax(np.any(~(np.abs(cols) <= maps.limit), axis=0)))
+                raise Diverged(f"waveform exceeded {maps.limit:.3e} V near step {step}")
 
 
 def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
@@ -770,9 +754,8 @@ def write_waveforms(res: TransientResult, path) -> None:
     The gzip member has mtime 0, so equal waveforms give equal bytes.  It uses
     level 1, as ``repr`` digits barely compress: level 9 is 10x slower for 8% less.
     The samples are formed from the result's maps one period at a time
-    (:func:`_period_blocks`), so the result stays unfilled, and written
-    BLOCK_ROWS rows at a time through :func:`fbarcirc.fileio.atomic_open`, so
-    a failed dump leaves no partial file.  A result without maps raises
+    (:func:`_period_blocks`) and written BLOCK_ROWS rows at a time through
+    :func:`fbarcirc.fileio.atomic_open`, so a failed dump leaves no partial file.  A result without maps raises
     :class:`ValueError` before any file is made.
     """
     maps = res.maps

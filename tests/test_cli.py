@@ -979,6 +979,17 @@ class TestEntry:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_os_error_without_a_path_surfaces(self, monkeypatch):
+        # an OSError that names a path is a usage error; one that names none
+        # is no fault of the command line
+        def fail(args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(fbarcirc.cli, "cmd_report", fail)
+        with pytest.raises(OSError) as info:
+            main(["report", "any.json"])
+        assert info.value.errno == errno.ENOMEM and info.value.filename is None
+
     def test_every_exception_has_one_exit_code(self):
         # a public exception class missing from both maps would end a
         # workflow in a traceback instead of exit 1 or 2
@@ -1015,6 +1026,7 @@ def peak_csv(fifth: str) -> str:
 NAN_Y_CSV, NAN_F_CSV, INF_Y_CSV = (peak_csv(row) for row in ("1004000.0,nan", "nan,0.1",
                                                               "1004000.0,inf"))
 EXISTS = f"FileExistsError: [Errno {errno.EEXIST}] File exists: 'INPUT'"
+TOO_LONG = f"OSError: [Errno {errno.ENAMETOOLONG}] File name too long: 'INPUT{'a' * 300}'\n"
 
 
 RECORD = ('{"bw_hz": null, "f_op_hz": 2680000000.0, "il_db": 2.5, "ix_db": 51.0, '
@@ -1087,6 +1099,9 @@ class TestInvalidSettings:
         ("fit", ["specs", "--k-sq", "1"], "",
          "argument --k-sq: design.k_sq: must lie in (0, 1), got 1.0"),
         ("fit", ["specs", "--q", "0"], "", "argument --q: design.q: must lie in (0, inf), got 0.0"),
+        *((command, [*flags, "INPUT" + "a" * 300], "", TOO_LONG) for command, flags in (
+            ("simulate", ["--out"]), ("verify", ["--out"]), ("tune", ["--out"]),
+            ("fit", ["specs", "--emit-netlist"]))),
     ], ids=["simulate-n-harm-key",
             "tune-n-harm-key", "tune-budget", "tune-delta-max", "verify-scale-zero",
             "verify-scale-negative", "verify-q-zero", "verify-q-subnormal",
@@ -1108,7 +1123,9 @@ class TestInvalidSettings:
             "tune-verify-run-too-large", "simulate-out-is-a-file", "tune-out-is-a-file",
             "verify-out-is-a-file", "fit-lorentzian-nan-admittance",
             "fit-lorentzian-nan-frequency", "fit-lorentzian-inf-admittance",
-            "fit-k-sq-one", "fit-q-zero"])
+            "fit-k-sq-one", "fit-q-zero", "simulate-out-name-too-long",
+            "verify-out-name-too-long", "tune-out-name-too-long",
+            "fit-emit-netlist-name-too-long"])
     def test_usage_error_without_traceback(self, tmp_path, command, extra_args, text, named):
         # simulate, verify and tune read SPLITTER_CFG + text as their config;
         # fit and report read text from the file that INPUT stands for
@@ -1125,3 +1142,4 @@ class TestInvalidSettings:
         assert "Traceback" not in proc.stderr
         assert named.replace("INPUT", str(path)) in proc.stderr
         assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any evaluation
+        assert list(tmp_path.glob(".tmp_*")) == []

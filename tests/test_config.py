@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbarcirc import config
 from fbarcirc.config import (MAX_SWEEP_SIZE, SCHEMA, ConfigError, _parse, parse_config,
                              serialize_config)
 from fbarcirc.metrics import Direction
@@ -139,6 +140,23 @@ class TestCrossKeyFacts:
         cfg = parse_config("sweep.points = 21845\ntuner.metrics_points = 21844\n"
                            "basis.n_harm = 1\n")
         assert cfg.get_int("sweep.points") == 21845
+
+    def test_a_load_builds_the_verify_netlists_once(self, monkeypatch):
+        # the float-range check of the verify replicas is the grid check's build
+        scaled = []
+        scale = config.scale_frequency
+
+        def counted(net, factor):
+            scaled.append(factor)
+            return scale(net, factor)
+
+        monkeypatch.setattr(config, "scale_frequency", counted)
+        parse_config("")
+        assert len(scaled) == 3
+        with pytest.raises(ConfigError) as info:
+            parse_config("verify.q = 1e-310\n")
+        assert str(info.value).startswith("verify.q, verify.scale: element values leave "
+                                          "float range (")
 
 
 TUNE_TEXT = ("design.delta = 0.01\ntuner.budget = 10\ntuner.starts = 1\n"

@@ -1,3 +1,4 @@
+import errno
 import os
 import stat
 
@@ -61,3 +62,13 @@ class TestAtomicOpen:
         assert ".tmp_" not in str(info.value)
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
         assert list(target.iterdir()) == []
+
+    def test_failed_rename_names_the_target(self, tmp_path):
+        # the temp file opens, and the rename onto a name too long fails
+        path = tmp_path / ("a" * 300)
+        with pytest.raises(OSError) as info:
+            atomic_write_text(path, "x\n")
+        assert info.value.errno == errno.ENAMETOOLONG
+        assert info.value.filename == str(path) and info.value.filename2 is None
+        assert ".tmp_" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []

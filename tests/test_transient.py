@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gzip
 import math
@@ -24,11 +25,18 @@ F_MOD = 23.2e3
 FAST_SPECS = ResonatorSpecs(f_s=2.65e6, q=20.0, k_sq=0.09, c0=1.0e-9)
 
 
+def _samples(res):
+    """{node: samples} of a run that kept its maps, concatenated from the
+    period blocks that the guard and the dump read."""
+    cols = np.concatenate([c.copy() for _, c in transient._period_blocks(res.maps)], axis=1)
+    return dict(zip(res.maps.nodes, cols))
+
+
 def _tail_phasors(res, node, f, f_mod, n_harm):
     """{n: P_n} of an explicit least-squares fit of the last quarter of
     ``node``'s samples against the full (samples x 2T) cos/sin matrix of the
     tones f + n*f_mod, n in [-n_harm, n_harm]."""
-    v = res.samples[node]
+    v = _samples(res)[node]
     start = (v.size * 3) // 4
     ns = np.arange(-n_harm, n_harm + 1)
     theta = 2.0 * math.pi * (f + ns * f_mod) * res.dt
@@ -66,7 +74,7 @@ class TestSimulate:
             v = v_new
             expect.append(v)
         expect = np.array(expect)
-        assert np.max(np.abs(res.samples["p1"] - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.max(np.abs(_samples(res)["p1"] - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_series_inductor_matches_phasor(self):
         z0, ind, r, f = 50.0, 10e-6, 30.0, 1e6
@@ -123,7 +131,7 @@ class TestSimulate:
         net = one_port_net(desk_specs, 0.0, F_MOD)
         dt = 1.0 / (100.0 * 2.68e6)
         res = simulate(net, (1, 2.68e6), 1e-5, dt)
-        assert res.samples["p1"].size == round(res.duration / res.dt) + 1
+        assert _samples(res)["p1"].size == round(res.duration / res.dt) + 1
 
     def test_run_shorter_than_one_step(self, desk_specs):
         net = one_port_net(desk_specs, 0.0, F_MOD)
@@ -208,7 +216,7 @@ class TestSimulate:
         dur = 30.0 / F_MOD
         res = simulate(net, (1, f), dur, dt)
         t = np.arange(round(res.duration / res.dt) + 1) * res.dt
-        v = res.samples["p1"]
+        v = _samples(res)["p1"]
         vs = 2.0 * math.sqrt(z0) * np.cos(2 * math.pi * f * t)
         power = (vs - v) / z0 * v
         per_beat = round(1.0 / F_MOD / dt)
@@ -260,8 +268,9 @@ class TestPeriodReuse:
             x = x_new
             expect.append(x[0])
         expect = np.array(expect)
-        assert res.samples["p1"].size == expect.size
-        assert np.max(np.abs(res.samples["p1"] - expect)) <= 1e-10 * np.max(np.abs(expect))
+        v = _samples(res)["p1"]
+        assert v.size == expect.size
+        assert np.max(np.abs(v - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("case, node_heavy", [("rc-ladder", True), ("modulated-ladder", True),
                                                   ("modulated-one-port", False)])
@@ -302,7 +311,8 @@ class TestPeriodReuse:
             x = np.linalg.solve(a, h + s * math.cos(2.0 * math.pi * self.F * i * dt))
             h = 2.0 * k @ x - h
             expect[:, i] = x[:len(names)]
-        got = np.array([res.samples[n] for n in names])
+        samples = _samples(res)
+        got = np.array([samples[n] for n in names])
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_negative_resistance_diverges(self):
@@ -343,7 +353,7 @@ class TestPeriodReuse:
             res = simulate(net, (1, self.F), 12.0 / self.F_MOD_FAST, dt)
             assert sum(inverted) <= 693
             assert res.dt == 1.0 / (693 * self.F_MOD_FAST)
-            assert res.samples["p1"].size == 12 * 693 + 1
+            assert _samples(res)["p1"].size == 12 * 693 + 1
 
     @pytest.mark.parametrize("n, static", [pytest.param(n, s, id=f"static-{n}" if s else str(n))
                                            for s in (False, True) for n in (1, 2, 3, 12, 13, 97)])
@@ -538,7 +548,8 @@ class TestSeriesInverses:
         solve = np.linalg.solve
 
         def counted(a, b):
-            solves.append(np.shape(a))
+            if np.ndim(a) == 3:  # a block's batch, not the steady state's one system
+                solves.append(np.shape(a))
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
@@ -610,51 +621,49 @@ def _same_phasors(a, b):
 
 
 class TestDivergenceBound:
-    """simulate fills no waveform when a bound on every sample stays within the
-    divergence guard; above it, it fills every sample and checks them."""
+    """simulate forms no sample when a bound on every sample stays within the
+    divergence guard; above it, it checks every sample, a period at a time."""
 
     F = 2.68e6
 
     @staticmethod
-    def _counted_fill(monkeypatch):
-        fills = []
-        fill = transient._fill
+    def _counted_check(monkeypatch):
+        checks = []
+        check = transient._check_samples
 
         def counted(maps):
-            fills.append(maps)
-            return fill(maps)
+            checks.append(maps)
+            return check(maps)
 
-        monkeypatch.setattr(transient, "_fill", counted)
-        return fills
+        monkeypatch.setattr(transient, "_check_samples", counted)
+        return checks
 
-    def _run(self):
+    def _run(self, periods=6.0):
         net = one_port_net(FAST_SPECS, 0.05, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
-        return simulate(net, (1, self.F), 6.0 / F_MOD, dt)
+        return simulate(net, (1, self.F), periods / F_MOD, dt)
 
-    def test_no_waveform_unless_one_is_read(self, monkeypatch):
-        fills = self._counted_fill(monkeypatch)
-        res = self._run()
-        assert fills == []
-        assert res.samples["p1"].size == res.maps.steps + 1
-        assert res.samples is res.samples and len(fills) == 1
+    @staticmethod
+    def _bound(maps):
+        """The guard's bound on every sample of every node."""
+        return np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
+                      + np.max(np.abs(maps.y), axis=1))
 
     def test_limit_between_samples_and_bound(self, monkeypatch):
+        checks = self._counted_check(monkeypatch)
         reference = self._run()
-        maps = reference.maps
-        v_max = np.max(np.abs(reference.samples["p1"]))
-        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
-                       + np.max(np.abs(maps.y), axis=1))
+        assert checks == []  # the bound alone passes the guard
+        v_max = np.max(np.abs(_samples(reference)["p1"]))
+        bound = self._bound(reference.maps)
         assert bound > 1.5 * v_max
         source = 2.0 * math.sqrt(50.0)
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", math.sqrt(v_max * bound) / source)
-        fills = self._counted_fill(monkeypatch)
         res = self._run()  # no raise
-        assert len(fills) == 1
-        assert np.array_equal(res.samples["p1"], reference.samples["p1"])
+        assert len(checks) == 1
+        assert np.array_equal(_samples(res)["p1"], _samples(reference)["p1"])
 
     def test_limit_below_samples_raises(self, monkeypatch):
-        samples = self._run().samples
+        samples = _samples(self._run())
         v_max = np.max(np.abs(samples["p1"]))
         monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", 0.9 * v_max / (2.0 * math.sqrt(50.0)))
         with pytest.raises(Diverged, match="waveform exceeded") as info:
@@ -664,11 +673,43 @@ class TestDivergenceBound:
         first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
         assert first > 0 and str(info.value).endswith(f"near step {first}")
 
+    @pytest.mark.parametrize("passes", [True, False], ids=["passing", "raising"])
+    def test_check_holds_about_one_period(self, monkeypatch, passes):
+        # 30 modulation periods whose bound trips the guard: the check's heap
+        # stays within a few periods of samples (the period's columns and the
+        # complex product that forms them; a failing period's |samples| too),
+        # where the whole waveform holds 30
+        reference = self._run(30.0)
+        maps, samples = reference.maps, _samples(reference)["p1"]
+        period = len(maps.nodes) * maps.y.shape[1] * 8
+        assert samples.nbytes >= 29 * period
+        v_max = np.max(np.abs(samples))
+        factor = math.sqrt(v_max * self._bound(maps)) if passes else 0.9 * v_max
+        monkeypatch.setattr(transient, "DIVERGENCE_FACTOR", factor / (2.0 * math.sqrt(50.0)))
+        check, peaks = transient._check_samples, []
+
+        def measured(maps):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                check(maps)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+        monkeypatch.setattr(transient, "_check_samples", measured)
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if passes else pytest.raises(Diverged):
+                self._run(30.0)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] <= 4 * period + 2 ** 14
+
     def test_other_node_above_limit_raises_without_maps(self, monkeypatch):
         # the limit lies above p2's bound but below another node's peak: a run
         # without maps still raises, with the message of the run with them
         reference = _fast_wye()
-        maps, samples = reference.maps, reference.samples
+        maps, samples = reference.maps, _samples(reference)
         bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
                        + np.max(np.abs(maps.y), axis=1), axis=0)
         v_p1 = np.max(np.abs(samples["p1"]))
@@ -690,9 +731,8 @@ class TestDivergenceBound:
         # with maps: with the limit above every sample the rerun passes and
         # the phasors stand; below a sample it raises as the run with maps does
         reference = _fast_wye()
-        maps, samples = reference.maps, reference.samples
-        bound = np.max(np.abs(maps.h.real) @ np.max(np.abs(maps.x), axis=2).T
-                       + np.max(np.abs(maps.y), axis=1))
+        samples = _samples(reference)
+        bound = self._bound(reference.maps)
         v_max = max(np.max(np.abs(v)) for v in samples.values())
         assert bound > 1.5 * v_max
         source = 2.0 * math.sqrt(50.0)
@@ -943,7 +983,7 @@ class TestCrossValidate:
             tracemalloc.stop()
         assert err <= gate
         (res,) = results
-        assert res.maps is None and res._samples is None
+        assert res.maps is None
         assert r == round(1.0 / (f_mod * res.dt))
         assert all(size < one_node for size in sizes)
         assert peak <= 3 * (8 * nu + 16) * r  # every node's maps would be 3 of one node's
@@ -963,7 +1003,7 @@ class TestCrossValidate:
 
 class TestSteadyState:
     """simulate reads every node's P_-1, P_0, P_1 from one period's steady
-    state, with maps or without, and solves for them only when they are read."""
+    state, with maps or without, and solves for them before it returns."""
 
     F = 2.68e6
 
@@ -989,7 +1029,7 @@ class TestSteadyState:
         net = build(FAST_SPECS, 0.05, f_mod)
         dt, _ = time_grid(net, self.F, f_mod, 100, 1.0)
         res = simulate(net, (1, self.F), 40.0 / f_mod, dt)
-        assert list(res.phasors) == list(res.samples) == sorted(net.nodes - {"0"})
+        assert list(res.phasors) == list(_samples(res)) == sorted(net.nodes - {"0"})
         for node, phasors in res.phasors.items():
             fit = _tail_phasors(res, node, self.F, f_mod, 7)
             assert np.allclose(phasors, [fit[-1], fit[0], fit[1]], rtol=0.0,
@@ -1009,36 +1049,27 @@ class TestSteadyState:
             denom = np.maximum(np.abs(s_htm), 0.05 * np.max(np.abs(s_htm)))
             assert np.max(np.abs(s_td - s_htm) / denom) <= 2e-2
 
-    def test_phasors_solved_only_when_read(self, monkeypatch):
-        # a run that never reads its phasors never solves the steady state,
-        # so it keeps the failure modes of a waveform-only run
-        def refuse(*args):
-            raise Diverged("steady state solved")
-
-        monkeypatch.setattr(transient, "_steady_phasors", refuse)
-        res = _fast_wye()
-        assert res.samples["p2"].size == round(res.duration / res.dt) + 1
-        with pytest.raises(Diverged, match="steady state solved"):
-            res.phasors
-
-    def test_run_without_maps_refuses_samples(self):
-        res = _fast_wye(False)
-        assert res.maps is None
-        with pytest.raises(ValueError, match="kept no maps"):
-            res.samples
-        # the bins come from rows that every run forms: the same bits with maps
-        assert _same_phasors(res, _fast_wye())
+    @pytest.mark.parametrize("keep_maps", [True, False])
+    def test_simulate_raises_on_the_steady_residual(self, monkeypatch, keep_maps):
+        # the run solves its steady state before it returns, with maps or without
+        monkeypatch.setattr(transient, "STEADY_RESIDUAL_BOUND", 1e-30)
+        with pytest.raises(Diverged, match="steady-state residual"):
+            _fast_wye(keep_maps)
 
     def test_run_shorter_than_a_period_integrates_one(self):
         # the steady state is the circuit's, not the run's: half a period
         # integrates a whole one, and its samples are those of the long run
         short, long = _fast_wye(periods=0.5), _fast_wye()
         assert _same_phasors(short, long)
-        assert short.samples["p2"].size == round(short.duration / short.dt) + 1
-        assert np.array_equal(short.samples["p2"], long.samples["p2"][:short.samples["p2"].size])
+        v_short, v_long = _samples(short)["p2"], _samples(long)["p2"]
+        assert v_short.size == round(short.duration / short.dt) + 1
+        assert np.array_equal(v_short, v_long[:v_short.size])
 
     def test_phasors_do_not_depend_on_the_maps(self):
-        assert _same_phasors(_fast_wye(False), _fast_wye(True))
+        # the bins come from rows that every run forms: the same bits with maps
+        res = _fast_wye(False)
+        assert res.maps is None
+        assert _same_phasors(res, _fast_wye(True))
 
     def test_short_static_run_reads_the_same_steady_state(self):
         # a static run shorter than a block takes its own steps for the
@@ -1151,9 +1182,10 @@ class TestWaveformDump:
         res = simulate(toy_wye_net(desk_specs, 0.02, F_MOD), (1, 2.68e6), 2e-6, 1e-9)
         write_waveforms(res, tmp_path / name)
         names, cols = _read_dump(tmp_path / name)
-        assert names == list(res.samples) == ["cm", "p1", "p2"]
+        samples = _samples(res)
+        assert names == list(samples) == ["cm", "p1", "p2"]
         assert np.array_equal(cols[0], np.arange(round(res.duration / res.dt) + 1) * res.dt)
-        assert np.array_equal(cols[1:], list(res.samples.values()))
+        assert np.array_equal(cols[1:], list(samples.values()))
 
     def test_gzip_dump_is_reproducible(self, tmp_path, desk_specs, monkeypatch):
         # two dumps written at different clock times hold the same bytes,
@@ -1207,7 +1239,7 @@ class TestWaveformDump:
 
     def test_dump_from_the_maps_stays_near_one_period(self, tmp_path):
         # 30 modulation periods: the dump is written from the maps one period
-        # at a time, with the bits of the filled waveform, and never fills it
+        # at a time, with the bits of the whole waveform, and never holds it
         res = self._modulated(30.0)
         tracemalloc.start()
         try:
@@ -1215,11 +1247,11 @@ class TestWaveformDump:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res._samples is None
         assert res.maps.x.shape[2] * len(res.maps.nodes) * 8 <= 2 ** 17  # one period
         assert peak <= 2 ** 20
         names, cols = _read_dump(tmp_path / "w.csv.gz")
-        assert sum(v.nbytes for v in res.samples.values()) > 2 ** 20  # what a fill holds
-        assert names == list(res.samples)
+        samples = _samples(res)
+        assert sum(v.nbytes for v in samples.values()) > 2 ** 20  # the whole waveform
+        assert names == list(samples)
         assert np.array_equal(cols[0], np.arange(round(res.duration / res.dt) + 1) * res.dt)
-        assert np.array_equal(cols[1:], list(res.samples.values()))
+        assert np.array_equal(cols[1:], list(samples.values()))
