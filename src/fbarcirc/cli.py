@@ -222,8 +222,9 @@ def emitted_config(cfg: RunConfig, delta: float, f_mod: float, f_op: float) -> R
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.tune_problem()
-    for end in problem.f_mod_bounds:  # the ends bound the f_mods tune may emit: P falls as
-        cfg.check_verify_grids(end)  # f_mod rises; ring_up*P*f_mod moves by < ring_up*f_mod
+    # the ends bound the f_mods tune may emit: P falls as f_mod rises, and
+    # ring_up*P*f_mod moves by < ring_up*f_mod
+    cfg.check_verify_grids(*problem.f_mod_bounds)
     os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
     result = tune(problem, seed=args.seed)
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))

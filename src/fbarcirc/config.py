@@ -18,6 +18,7 @@ a bad value fails every workflow before any work, even one that never reads it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -261,16 +262,17 @@ class RunConfig:
                            n_harm=t["basis.n_harm"], direction=self.direction(),
                            **{key: t[f"tuner.{key}"] for key in ("il_cap_db", "budget", "starts")})
 
-    def check_verify_grids(self, f_mod: float) -> None:
+    def check_verify_grids(self, *f_mods: float) -> None:
         """Each verify case's time grid, as the oracle lays it out and checks it, for the
-        design at modulation frequency ``f_mod``; a ConfigError names the case's keys, or
-        verify.q and verify.scale where the cases' element values leave float range."""
+        design at each modulation frequency of ``f_mods``, on cases built once; a
+        ConfigError names the case's keys, or verify.q and verify.scale where the cases'
+        element values leave float range."""
         try:
             cases, f, _ = self.verify_cases()
         except ValueError as exc:
             raise ConfigError(f"verify.q, verify.scale: element values leave float range "
                               f"({exc})") from exc
-        for name, net, _, _, periods, ppc in cases:
+        for f_mod, (name, net, _, _, periods, ppc) in itertools.product(f_mods, cases):
             keys = ("verify.pts_per_cycle_static, verify.mod_periods_static" if name == "static"
                     else "verify.pts_per_cycle, verify.mod_periods")
             try:

@@ -26,8 +26,8 @@ back-substitution.  The elimination does not pivot across blocks, so every
 solve is checked: the residual max|b - A x| is formed blockwise from the
 diagonal blocks and the coupling stamps, and a point above 1e-6 of
 max|b|, or with a non-finite value, is solved again on its dense harmonic
-matrix with LAPACK's pivoted LU (``numpy.linalg.solve``); a chunk where
-LAPACK meets an exactly singular block is solved a point at a time, so a
+matrix with LAPACK's pivoted LU (``numpy.linalg.solve``); a block that
+LAPACK finds exactly singular leaves its own point non-finite, so a
 point's bits never depend on its chunk.  The dense solve raises
 NumericallySingular when it fails the same check.  :func:`assemble`
 and :func:`solve` expose one point's dense matrix and solution for timing
@@ -37,7 +37,9 @@ A :class:`Stamped` netlist holds those blocks, and :func:`sparams` solves
 a netlist or a Stamped one, so a caller stamps once however often it
 solves.  The modulation enters the stamps only through the m blocks:
 :meth:`Stamped.modulate` rewrites them, so the tuner stamps its design once
-and solves every evaluation's modulation on it.
+and solves every evaluation's modulation on it, a few points at a time:
+with one modulation per point and a basis of one f_mod per point, one
+elimination solves points that each have their own modulation.
 """
 
 from __future__ import annotations
@@ -46,11 +48,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor, elastance_fourier)
 
 TWO_PI = 2.0 * math.pi
+
+# numpy.linalg.solve's gufunc, one LAPACK zgesv per matrix of a stack, without
+# that function's checks and wrapping (a third of its cost on a small batch); it
+# leaves the solution of an exactly singular matrix NaN, where solve raises
+_gesv = _umath_linalg.solve
 
 # Largest accepted max|b - A x| relative to max|b|, per right-hand side.
 # Block elimination leaves about 1e-12 on the tuned circulator, LAPACK's
@@ -76,14 +84,16 @@ class DegenerateStimulus(ValueError):
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Mixing basis: frequencies f + n*f_mod for n in [-n_harm, n_harm]."""
+    """Mixing basis: frequencies f + n*f_mod for n in [-n_harm, n_harm], with
+    one f_mod for every stimulus point or a tuple of one per point."""
 
-    f_mod: float
+    f_mod: float | tuple[float, ...]
     n_harm: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.f_mod) and self.f_mod > 0.0):
-            raise ValueError(f"f_mod must be positive, got {self.f_mod}")
+        for f_mod in _f_mods(self, 1):
+            if not (math.isfinite(f_mod) and f_mod > 0.0):
+                raise ValueError(f"f_mod must be positive, got {f_mod}")
         if self.n_harm < 1:
             raise ValueError(f"n_harm must be >= 1, got {self.n_harm}")
 
@@ -91,8 +101,9 @@ class HarmonicBasis:
     def size(self) -> int:
         return 2 * self.n_harm + 1
 
-    def mixing_freqs(self, f: float) -> np.ndarray:
-        return f + self.f_mod * np.arange(-self.n_harm, self.n_harm + 1)
+    def mixing_freqs(self, f) -> np.ndarray:
+        """(..., H) at stimulus f, or (F, H) at a column f (F, 1) of F points."""
+        return f + np.multiply.outer(self.f_mod, np.arange(-self.n_harm, self.n_harm + 1))
 
 
 @dataclass
@@ -156,9 +167,11 @@ class Stamped:
     Unknowns per harmonic: node voltages, then the current of each modulated
     branch, then its charge.  The elastance terms, the only ones coupling
     harmonics, then fill one contiguous block: the current rows by the charge
-    columns (see _coupling).  ``modulations`` holds each modulated branch's
-    ModulationSpec (or None) in element order, and ``f_mod`` their common
-    frequency (None when static); :meth:`modulate` rewrites both.
+    columns (see _coupling).  The stamp holds one or more modulations, one
+    per point (:meth:`modulate`): ``modulations`` has, for each, every
+    modulated branch's ModulationSpec (or None) in element order, ``f_mod``
+    their common frequency (None when static), and ``m`` a leading point
+    axis.  A netlist's stamp holds its own one modulation.
     """
 
     def __init__(self, net: Netlist):
@@ -211,9 +224,9 @@ class Stamped:
         self.g = g  # constant: resistors, ports, branch incidence, -r_m, charge row
         self.c = c  # coefficient of j*omega: capacitors, -l_m, charge
         self.k = k  # coefficient of 1/(j*omega): inductors
-        # (3, nu, nu): -G_-1, -G_0, -G_+1; m[d + 1] couples block h to h - d;
-        # zero outside the (currents x charges) block
-        self.m = np.zeros((3, nu, nu), dtype=complex)
+        # (points, 3, nu, nu): -G_-1, -G_0, -G_+1; m[:, d + 1] couples block h
+        # to h - d; zero outside the (currents x charges) block
+        self.m = np.zeros((1, 3, nu, nu), dtype=complex)
         self.ports = net.ports
         self.port_rows = [row[p.node] for p in self.ports]  # block row of each port's node
         self.z0 = np.array([p.z0 for p in self.ports])  # reference impedance of each port
@@ -221,18 +234,24 @@ class Stamped:
         self._excitations: dict[int, np.ndarray] = {}  # by n_harm
         self.modulate([el.modulation for el in net.modulated])
 
-    def modulate(self, modulations) -> None:
+    def modulate(self, *points) -> None:
         """Write the elastance terms -G_-1, -G_0, -G_+1 of each modulated
-        branch into m; ``modulations`` gives each one, in element order, its
-        ModulationSpec (or None).  Rewriting them is all it takes to move the
-        stamped netlist to a new modulation."""
-        modulations = tuple(modulations)
+        branch into m; each point gives every modulated branch, in element
+        order, its ModulationSpec (or None).  One point holds for every
+        stimulus frequency :func:`sparams` solves; with K points, it solves K
+        frequencies, the k-th at point k.  Rewriting them is all it takes to
+        move the stamped netlist to a new modulation."""
+        points = tuple(tuple(p) for p in points)
         cur, chg = _coupling(self)
-        for i, (branch, mod) in enumerate(zip(self._branches, modulations, strict=True)):
-            # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
-            self.m[:, cur.start + i, chg.start + i] = 0.0 - elastance_fourier(branch, mod)
-        self.modulations = modulations
-        self.f_mod = next((m.f_mod for m in self.modulations if m is not None), None)
+        g = np.array([[elastance_fourier(branch, mod)
+                       for branch, mod in zip(self._branches, p, strict=True)] for p in points])
+        self.m = np.zeros((len(points),) + self.m.shape[1:], dtype=complex)
+        i = np.arange(self.nb)
+        g = g.reshape(len(points), self.nb, 3).swapaxes(1, 2)
+        # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
+        self.m[:, :, cur.start + i, chg.start + i] = 0.0 - g
+        self.modulations = points
+        self.f_mod = tuple(next((m.f_mod for m in p if m is not None), None) for p in points)
 
     def excitation(self, basis: HarmonicBasis) -> np.ndarray:
         """:func:`_excitation` at ``basis``, built once per harmonic order."""
@@ -242,15 +261,16 @@ class Stamped:
         return b
 
 
-def _lift(st: Stamped, basis: HarmonicBasis, f: float) -> np.ndarray:
-    """The harmonic system matrix at stimulus frequency f, on :func:`_diagonal`'s blocks."""
+def _lift(st: Stamped, m: np.ndarray, basis: HarmonicBasis, f: float) -> np.ndarray:
+    """The harmonic system matrix at stimulus frequency f, on :func:`_diagonal`'s
+    blocks, with one point's coupling stamps m (3, nu, nu)."""
     _check_stimulus(f, basis.f_mod, basis.n_harm)
     nu, size = st.nu, basis.size
     h = np.arange(size)
     a = np.zeros((size, nu, size, nu), dtype=complex)
-    a[h, :, h, :] = _diagonal(st, TWO_PI * basis.mixing_freqs(f)[None])[0]
-    a[h[1:], :, h[:-1], :] = st.m[2]
-    a[h[:-1], :, h[1:], :] = st.m[0]
+    a[h, :, h, :] = _diagonal(st, TWO_PI * basis.mixing_freqs(f)[None], m)[0]
+    a[h[1:], :, h[:-1], :] = m[2]
+    a[h[:-1], :, h[1:], :] = m[0]
     return a.reshape(size * nu, size * nu)
 
 
@@ -272,7 +292,7 @@ def assemble(net: Netlist, basis: HarmonicBasis, f: float,
     :class:`DegenerateStimulus` when f collides with a multiple of f_mod.
     """
     st = Stamped(net)
-    a = _lift(st, basis, f)
+    a = _lift(st, st.m[0], basis, f)
     indices = [p.index for p in st.ports]
     if excited_port not in indices:
         raise ValueError(f"no port with index {excited_port}")
@@ -305,15 +325,17 @@ def solve(sys: HarmonicSystem) -> np.ndarray:
     return _solve(sys.matrix, sys.rhs)
 
 
-def _diagonal(st: Stamped, w: np.ndarray) -> np.ndarray:
-    """Diagonal blocks D[F, h] = g + j*w*c + k/(j*w) + m_0 at angular frequencies w (F, H)."""
+def _diagonal(st: Stamped, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Diagonal blocks D[F, h] = g + j*w*c + k/(j*w) + m_0 at angular frequencies
+    w (F, H), with coupling stamps m (3, nu, nu) or (F, 3, nu, nu)."""
     w = w[:, :, None, None]
+    m0 = m[..., None, 1, :, :]
     d = np.empty(w.shape[:2] + (st.nu, st.nu), dtype=complex)
     np.divide(st.k, w, out=d.real)      # scratch: the real part is set last
     np.multiply(w, st.c, out=d.imag)
     d.imag -= d.real
-    d.imag += st.m[1].imag
-    d.real = st.g + st.m[1].real
+    d.imag += m0.imag
+    d.real = st.g + m0.real
     return d
 
 
@@ -323,11 +345,12 @@ def _coupling(st: Stamped) -> tuple[slice, slice]:
     return slice(st.nu - 2 * st.nb, st.nu - st.nb), slice(st.nu - st.nb, st.nu)
 
 
-def _eliminate(st: Stamped, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _eliminate(st: Stamped, m: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block-Thomas solve of the harmonic systems with diagonal blocks d (F, H, nu, nu).
 
-    ``b`` (H, nu, P) holds the right-hand sides of every point; returns x
-    (F, H, nu, P).  Row h reads D_h x_h + m[2] x_h-1 + m[0] x_h+1 = b_h.
+    ``m`` (F, 3, nu, nu) holds each point's coupling stamps, ``b`` (H, nu, P)
+    the right-hand sides of every point; returns x (F, H, nu, P).  Row h of
+    a point reads D_h x_h + m[2] x_h-1 + m[0] x_h+1 = b_h.
     Forward elimination leaves x_h = Y_h - X_h x_h+1 with
     [X_h | Y_h] = (D_h - m[2] X_h-1)^-1 [m[0] | b_h - m[2] Y_h-1].  m[0] and
     m[2] are nonzero only in the (currents, charges) block, so X_h keeps the
@@ -338,17 +361,17 @@ def _eliminate(st: Stamped, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_f, size, nu = d.shape[:3]
     nb = st.nb
     cur, chg = _coupling(st)
-    lower = st.m[2, cur, chg]
+    lower = m[:, 2, cur, chg]
     saved = d[:, :, cur, chg].copy()         # the steps below overwrite this block
     s = np.zeros((n_f, size, nu, nb + b.shape[-1]), dtype=complex)   # [X_h | Y_h]
-    s[:, :, cur, :nb] = st.m[0, cur, chg]                              # holds [m[0] | b_h] until solved
+    s[:, :, cur, :nb] = m[:, None, 0, cur, chg]            # holds [m[0] | b_h] until solved
     s[:, :, :, nb:] = b
     for h in range(size):
         if h:
             t = lower @ s[:, h - 1, chg]
             d[:, h, cur, chg] -= t[:, :, :nb]
             s[:, h, cur, nb:] -= t[:, :, nb:]
-        s[:, h] = np.linalg.solve(d[:, h], s[:, h])
+        _gesv(d[:, h], s[:, h], signature="DD->D", out=s[:, h])
     d[:, :, cur, chg] = saved
     x = s[:, :, :, nb:]
     for h in range(size - 2, -1, -1):
@@ -356,41 +379,47 @@ def _eliminate(st: Stamped, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _accepted(st: Stamped, d: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per point: x is finite and max|b - A x| <= RESIDUAL_BOUND of max|b| in
-    every column, with A x formed blockwise: the diagonal blocks d, and the
-    coupling terms on the (currents, charges) block of the stamps."""
+def _accepted(st: Stamped, m: np.ndarray, d: np.ndarray, b: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """Per point: max|b - A x| <= RESIDUAL_BOUND of max|b| in every column,
+    with A x formed blockwise: the diagonal blocks d, and the coupling terms
+    on the (currents, charges) block of each point's stamps m.  A non-finite
+    entry of x leaves its column's residual NaN or inf, so it fails."""
     cur, chg = _coupling(st)
     r = d @ x
     np.subtract(b, r, out=r)
-    r[:, 1:, cur] -= st.m[2, cur, chg] @ x[:, :-1, chg]
-    r[:, :-1, cur] -= st.m[0, cur, chg] @ x[:, 1:, chg]
-    resid = np.abs(r).max(axis=(1, 2))
+    r[:, 1:, cur] -= m[:, None, 2, cur, chg] @ x[:, :-1, chg]
+    r[:, :-1, cur] -= m[:, None, 0, cur, chg] @ x[:, 1:, chg]
     bound = RESIDUAL_BOUND * np.abs(b).max(axis=(0, 1))
-    return np.all(np.isfinite(x), axis=(1, 2, 3)) & np.all(resid <= bound, axis=1)
+    return np.all(np.abs(r).max(axis=(1, 2)) <= bound, axis=1)
 
 
-def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray,
+def _point(basis: HarmonicBasis, points: int | slice) -> HarmonicBasis:
+    """The basis of one point, or of a slice of points, of a grid."""
+    f_mod = basis.f_mod[points] if isinstance(basis.f_mod, tuple) else basis.f_mod
+    return HarmonicBasis(f_mod, basis.n_harm)
+
+
+def _f_mods(basis: HarmonicBasis, points: int) -> tuple:
+    """Each point's f_mod, for a grid of ``points`` stimulus frequencies."""
+    return basis.f_mod if isinstance(basis.f_mod, tuple) else (basis.f_mod,) * points
+
+
+def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray, m: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
-    """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies.
+    """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies
+    (with their coupling stamps m (F, 3, nu, nu) and basis).
 
-    Block elimination, then the residual check; a failed point is solved
-    again on its dense harmonic matrix, and a chunk where LAPACK meets an
-    exactly singular block one point at a time.  The work arrays die here.
+    Block elimination, then the residual check; a failed point, or one with
+    an exactly singular block, is solved again on its dense harmonic matrix.
+    The work arrays die here.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = _diagonal(st, TWO_PI * basis.mixing_freqs(freqs[:, None]))
-        try:
-            x = _eliminate(st, d, b)
-        except np.linalg.LinAlgError:  # an exactly singular block
-            if freqs.size > 1:
-                return np.concatenate([_port_waves(st, basis, f, b) for f in freqs[:, None]])
-            x = np.empty((1,) + b.shape, dtype=complex)
-            ok = np.zeros(1, dtype=bool)
-        else:
-            ok = _accepted(st, d, b, x)
+        d = _diagonal(st, TWO_PI * basis.mixing_freqs(freqs[:, None]), m)
+        x = _eliminate(st, m, d, b)
+        ok = _accepted(st, m, d, b, x)
     for i in np.flatnonzero(~ok):
-        x[i] = _solve(_lift(st, basis, float(freqs[i])),
+        x[i] = _solve(_lift(st, m[i], _point(basis, i), float(freqs[i])),
                       b.reshape(-1, b.shape[-1])).reshape(b.shape)
     return x[:, :, st.port_rows]
 
@@ -400,29 +429,38 @@ def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SP
 
     ``net`` is a :class:`Netlist`, which is stamped here, or a
     :class:`Stamped` netlist at its present modulation; either must be static
-    or modulated at basis.f_mod.  Chunks of frequency points are solved
+    or modulated at basis.f_mod.  A stamp with one modulation per point and a
+    basis with one f_mod per point solve a batch of points that each have
+    their own modulation.  Chunks of frequency points are solved
     together by block elimination over the harmonics (:func:`_eliminate`),
     and every point's residual max|b - A x| is checked blockwise against
-    RESIDUAL_BOUND.  A point that fails the check, comes out non-finite, or
-    meets a singular block when solved alone is solved again on its dense
+    RESIDUAL_BOUND.  A point that fails the check or comes out non-finite (as
+    an exactly singular block leaves it) is solved again on its dense
     harmonic matrix, which raises :class:`NumericallySingular` if it fails
     too.  Points are independent: each point's result does not depend on the
     grid around it, bit for bit, wherever the grid is cut.  ``out``, a
     complex (points, 2 n_harm + 1, ports, ports) array, receives the data.
     """
     st = net if isinstance(net, Stamped) else Stamped(net)
-    if st.f_mod is not None and st.f_mod != basis.f_mod:
-        raise ValueError(
-            f"netlist modulation {st.f_mod} Hz does not match basis {basis.f_mod} Hz")
     freqs = np.asarray(list(freqs), dtype=float)
+    stamp = st.f_mod * freqs.size if len(st.f_mod) == 1 else st.f_mod
+    f_mods = _f_mods(basis, freqs.size)
+    if not len(stamp) == len(f_mods) == freqs.size:
+        raise ValueError(f"{freqs.size} stimulus frequencies need one modulation and f_mod "
+                         f"for all or one each, got {len(stamp)} and {len(f_mods)}")
+    for stamped, f_mod in zip(stamp, f_mods):
+        if stamped is not None and stamped != f_mod:
+            raise ValueError(
+                f"netlist modulation {stamped} Hz does not match basis {f_mod} Hz")
     check_grid(basis, freqs)
     nu, n_ports = st.nu, len(st.ports)
+    m = np.broadcast_to(st.m, freqs.shape + st.m.shape[1:])
     b = st.excitation(basis).reshape(basis.size, nu, n_ports)
     chunk = max(1, CHUNK_VALUES // (basis.size * nu * (nu + st.nb + n_ports)))
     data = out if out is not None else np.empty(
         (freqs.size, basis.size, n_ports, n_ports), dtype=complex)
-    for c0 in range(0, freqs.size, chunk):
-        data[c0:c0 + chunk] = _port_waves(st, basis, freqs[c0:c0 + chunk], b)
+    for c in (slice(c0, c0 + chunk) for c0 in range(0, freqs.size, chunk)):
+        data[c] = _port_waves(st, _point(basis, c), freqs[c], m[c], b)
     data /= np.sqrt(st.z0)[:, None]                     # (point, harmonic, q, p)
     diag = np.arange(n_ports)
     data[:, basis.n_harm, diag, diag] -= 1.0            # remove the incident waves
@@ -438,8 +476,8 @@ def check_grid(basis: HarmonicBasis, freqs: np.ndarray) -> None:
         raise ValueError("need at least one stimulus frequency")
     if np.any(freqs <= 0.0):
         raise ValueError("stimulus frequencies must be positive")
-    for f in freqs:
-        _check_stimulus(float(f), basis.f_mod, basis.n_harm)
+    for f, f_mod in zip(freqs, _f_mods(basis, freqs.size)):
+        _check_stimulus(float(f), f_mod, basis.n_harm)
 
 
 def convergence_check(net: Netlist, f: float, n_small: int, n_large: int) -> float:
@@ -455,6 +493,6 @@ def convergence_check(net: Netlist, f: float, n_small: int, n_large: int) -> flo
     if not active:
         return 0.0
     st = Stamped(net)
-    s_small = sparams(st, HarmonicBasis(st.f_mod, n_small), [f]).s0[0]
-    s_large = sparams(st, HarmonicBasis(st.f_mod, n_large), [f]).s0[0]
+    s_small = sparams(st, HarmonicBasis(st.f_mod[0], n_small), [f]).s0[0]
+    s_large = sparams(st, HarmonicBasis(st.f_mod[0], n_large), [f]).s0[0]
     return float(np.max(np.abs(s_large - s_small)))

@@ -289,13 +289,11 @@ def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None) -> np.
     """Fourier coefficients [G_-1, G_0, G_+1] of the branch elastance 1/C(t):
     G_0 = 1/c_m and G_{+-1} = (depth/2)*exp(+-j*phase)/c_m, zero when static.
     A sinusoid has no higher orders, and the harmonic engine couples only +-1."""
-    out = np.zeros(3, dtype=complex)
     g0 = 1.0 / branch.c_m
-    out[1] = g0
-    if mod is not None and mod.depth != 0.0:
-        g1 = 0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase)
-        out[0], out[2] = g1.conjugate(), g1
-    return out
+    if mod is None or mod.depth == 0.0:
+        return np.array([0.0, g0, 0.0], dtype=complex)
+    g1 = 0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase)
+    return np.array([g1.conjugate(), g0, g1])
 
 
 def scale_frequency(net: Netlist, factor: float) -> Netlist:

@@ -642,16 +642,22 @@ def _period_blocks(maps: PeriodMaps):
     """Every node's samples from the period maps, as (first sample, columns)
     blocks, columns[n] of ``maps.nodes[n]``: sample 0, then one period at a
     time in one reused buffer, Re h_p times X_j, one GEMV per node over the
-    period's steps, plus Re(e_p Y_j).  A GEMV's last bits depend on its
-    column range, so every reader of the samples forms them here."""
+    period's steps, plus Re(e_p Y_j), formed an eighth of a period at a time
+    in a second buffer.  A GEMV's last bits depend on its column range, so
+    every reader of the samples forms them here; the complex product is
+    elementwise, so its parts keep the bits of one product over the period."""
     x, y, h, e = maps.x, maps.y, maps.h, maps.e
     yield 0, np.zeros((y.shape[0], 1))
     r = y.shape[1]
     buf = np.empty(y.shape)
+    part = np.empty((y.shape[0], -(-r // 8)), dtype=complex)
     for p, start in enumerate(range(1, maps.steps + 1, r)):
         cols = buf[:, :min(r, maps.steps + 1 - start)]
         np.matmul(h[p].real, x[:, :, :cols.shape[1]], out=cols)
-        cols += (e[p] * y[:, :cols.shape[1]]).real
+        for c in range(0, cols.shape[1], part.shape[1]):
+            z = part[:, :min(part.shape[1], cols.shape[1] - c)]
+            np.multiply(e[p], y[:, c:c + z.shape[1]], out=z)
+            cols[:, c:c + z.shape[1]] += z.real
         yield start, cols
 
 

@@ -6,16 +6,16 @@ hard evaluation budget, optionally restarted from a seeded low-discrepancy
 sequence; a restart runs only after a start converges within the budget.
 Every evaluation lands in the trace, so a run is reproducible from
 (problem, seed) alone.  A run builds and stamps its circulator once
-(:class:`htm.Stamped`); each evaluation remodulates it at its delta and
-f_mod and solves its one f_op through :func:`htm.sparams`, bit for bit what
-a fresh build would give.  The tuner returns only the search
-result; the metrics at the tuned point come from simulating the emitted
-configuration (``fbarcirc tune`` does this, so ``simulate`` of that file
-reproduces them).
-
-With a second CPU, a forked worker evaluates one point ahead, the expansion
-or contraction a simplex step may ask for after its reflection; the trace is
-that of one process.
+(:class:`htm.Stamped`); an evaluation remodulates it at each point's delta
+and f_mod and solves each point's f_op through :func:`htm.sparams`, bit for
+bit what a fresh build would give.  A simplex step solves its reflection
+together with the point it will likely ask for next, the expansion or the
+contraction, in one batch; the initial simplex and a shrink go as one batch
+each.  Only the points the search takes count against the budget or reach
+the trace, which is that of one point at a time.  The tuner returns only the
+search result; the metrics at the tuned point come from simulating the
+emitted configuration (``fbarcirc tune`` does this, so ``simulate`` of that
+file reproduces them).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fork, htm
-from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular
+from . import htm
+from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
 from .metrics import Direction, metrics_at
 from .netlist import CirculatorDesign, ModulationSpec, build_circulator
 
@@ -104,23 +104,45 @@ def _stamped_box(problem: TuneProblem) -> htm.Stamped:
                                                 f_mod=problem.f_mod_bounds[0])))
 
 
+def _objectives(points, problem: TuneProblem, stamped: htm.Stamped) -> list:
+    """The objective at each (delta, f_mod, f_op) point, solved as one batch on
+    ``stamped``: a float, or the solver failure that makes the point +inf.  A
+    failing batch is solved again a point at a time, so that a failure costs
+    only its own point; each point's bits are its own either way."""
+    deltas, f_mods, f_ops = np.array(points, dtype=float).T.tolist()
+    phases = [m.phase for m in stamped.modulations[0]]
+    stamped.modulate(*([ModulationSpec(delta, f_mod, phase) for phase in phases]
+                       for delta, f_mod in zip(deltas, f_mods)))
+    try:
+        grid = htm.sparams(stamped, HarmonicBasis(tuple(f_mods), problem.n_harm), f_ops)
+    except (NumericallySingular, DegenerateStimulus) as exc:
+        return [exc] if len(points) == 1 else [
+            v for p in points for v in _objectives([p], problem, stamped)]
+    values = []
+    for k, f_op in enumerate(f_ops):
+        one = SParamGrid(grid.frequencies[k:k + 1], grid.n_harm, grid.z0, grid.data[k:k + 1])
+        ix, il, _ = metrics_at(one, f_op, problem.direction)
+        values.append(penalized_objective(ix, il, problem.il_cap_db))
+    return values
+
+
+def _taken(params, value) -> float:
+    """A point's objective as the search takes it: a failure, logged here, is +inf."""
+    if isinstance(value, Exception):
+        log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
+                    *(float(v) for v in params), value)
+        return math.inf
+    return value
+
+
 def objective(params, problem: TuneProblem, stamped: htm.Stamped) -> float:
     """Scalar cost of one (delta, f_mod, f_op) triple; +inf on solver failure.
 
     ``stamped`` is the problem's stamped circulator (:func:`_stamped_box`),
-    which the call remodulates at (delta, f_mod); :func:`tune` passes one to
-    all its evaluations.
+    which the call remodulates at (delta, f_mod).  This is the one-point form
+    of the batches :func:`tune` solves, with the same bits.
     """
-    delta, f_mod, f_op = (float(v) for v in params)
-    stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations])
-    try:
-        grid = htm.sparams(stamped, HarmonicBasis(f_mod, problem.n_harm), [f_op])
-        ix, il, _ = metrics_at(grid, f_op, problem.direction)
-    except (NumericallySingular, DegenerateStimulus) as exc:
-        log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
-                    delta, f_mod, f_op, exc)
-        return math.inf
-    return penalized_objective(ix, il, problem.il_cap_db)
+    return _taken(params, _objectives([params], problem, stamped)[0])
 
 
 class _BudgetExhausted(Exception):
@@ -131,10 +153,11 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, max_iter: int) -> None:
     """Minimize via reflect/expand/contract/shrink; points clipped to bounds.
 
-    Evaluation, bookkeeping and stopping-by-budget live in ``ev``.  A step's
-    look-ahead is the expansion or the contraction, whichever the last step
-    needing a second point needed (at first the contraction); the initial
-    simplex goes in pairs.
+    Evaluation, bookkeeping and stopping-by-budget live in ``ev(x, *ahead)``,
+    which may solve the points ``ahead`` with x.  A step's look-ahead is the
+    expansion or the contraction, whichever the last step needing a second
+    point needed (at first the contraction); the initial simplex and a
+    shrink each go as one batch.
     """
     dim = x0.size
 
@@ -146,8 +169,7 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
         p = x0.copy()
         p[i] += steps[i]
         simplex.append(clip(p))
-    values = [ev(p, ahead=simplex[i + 1] if i % 2 == 0 and i < dim else None)
-              for i, p in enumerate(simplex)]
+    values = [ev(p, *simplex[i + 1:]) for i, p in enumerate(simplex)]
     expand = False
 
     for _ in range(max_iter):
@@ -163,7 +185,7 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
         xr = clip(centroid + (centroid - worst))
         xe = clip(centroid + 2.0 * (centroid - worst))
         xc = clip(centroid + 0.5 * (worst - centroid))
-        fr = ev(xr, ahead=xe if expand else xc)
+        fr = ev(xr, xe if expand else xc)
         if fr < values[0]:
             expand = True
             fe = ev(xe)
@@ -180,9 +202,8 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
                 simplex[-1], values[-1] = xc, fc
             else:
                 best = simplex[0]
-                for i in range(1, dim + 1):
-                    simplex[i] = clip(best + 0.5 * (simplex[i] - best))
-                    values[i] = ev(simplex[i])
+                simplex[1:] = [clip(best + 0.5 * (p - best)) for p in simplex[1:]]
+                values[1:] = [ev(p, *simplex[i + 2:]) for i, p in enumerate(simplex[1:])]
 
 
 _LOW_DISCREPANCY_ALPHA = np.array([0.6180339887498949,   # 1/phi
@@ -194,53 +215,44 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
     """Run the bounded simplex search; deterministic given (problem, seed).
 
     ``objective_fn(params) -> float`` overrides the simulator-backed
-    objective (test hook), which stamps the design once for the whole run;
-    either may run in a forked worker, on points the search then drops.
-    Returns the best point seen, never worse than the first evaluation;
-    ``budget_exhausted`` flags a stop on budget rather than convergence.
-    Raises :class:`TuneFailed` when no evaluation returns a finite
-    objective.  No metrics are computed here: the caller simulates the best
-    point on whatever grid it reports.
+    objective (test hook), which stamps the design once for the whole run
+    and solves points in batches; ``objective_fn`` is called only for the
+    points the search takes.  Returns the best point seen, never worse than
+    the first evaluation; ``budget_exhausted`` flags a stop on budget rather
+    than convergence.  Raises :class:`TuneFailed` when no evaluation returns
+    a finite objective.  No metrics are computed here: the caller simulates
+    the best point on whatever grid it reports.
     """
     lo, hi = problem.bounds
     span = hi - lo
-    if objective_fn is None:
-        stamped = _stamped_box(problem)
-        fn = lambda x: objective(x, problem, stamped)
-    else:
-        fn = objective_fn
+    stamped = _stamped_box(problem) if objective_fn is None else None
     trace: list[tuple[np.ndarray, float]] = []
+    solved: list[tuple[np.ndarray, object]] = []  # the last batch: each point and its value
+
+    def ev(x: np.ndarray, *ahead: np.ndarray) -> float:
+        # the objective at x, traced; the points ahead are solved with it
+        if len(trace) >= problem.budget:
+            raise _BudgetExhausted
+        if objective_fn is not None:
+            v = float(objective_fn(x))
+        else:
+            if not any(p is x for p, _ in solved):
+                solved[:] = zip((x,) + ahead, _objectives((x,) + ahead, problem, stamped))
+            v = _taken(x, next(v for p, v in solved if p is x))
+        trace.append((x.copy(), v))
+        return v
+
     exhausted = False
-    with fork.workers(fn, 1) as pool:
-        pending = None  # the point the worker holds, or is evaluating
-
-        def ev(x: np.ndarray, ahead: np.ndarray | None = None) -> float:
-            # fn(x), traced; the worker's fn(ahead) counts only if asked for next
-            nonlocal pending
-            if len(trace) >= problem.budget:
-                raise _BudgetExhausted
-            if x is pending:
-                pending, v = None, float(pool[0].reply())
-            else:
-                if ahead is not None and pool:
-                    if pending is not None:
-                        pool[0].reply(take=False)
-                    pool[0].submit(ahead, f"the objective at {tuple(map(float, ahead))}")
-                    pending = ahead
-                v = float(fn(x))
-            trace.append((x.copy(), v))
-            return v
-
-        try:
-            for s in range(problem.starts):
-                if s == 0:
-                    x0 = lo + 0.5 * span
-                else:  # drawn here: a tune with no restart never imports numpy.random
-                    u0 = np.random.default_rng(seed).random(3)
-                    x0 = lo + ((u0 + s * _LOW_DISCREPANCY_ALPHA) % 1.0) * span
-                _nelder_mead(ev, x0, 0.25 * span, lo, hi, max_iter=10 * problem.budget)
-        except _BudgetExhausted:
-            exhausted = True
+    try:
+        for s in range(problem.starts):
+            if s == 0:
+                x0 = lo + 0.5 * span
+            else:  # drawn here: a tune with no restart never imports numpy.random
+                u0 = np.random.default_rng(seed).random(3)
+                x0 = lo + ((u0 + s * _LOW_DISCREPANCY_ALPHA) % 1.0) * span
+            _nelder_mead(ev, x0, 0.25 * span, lo, hi, max_iter=10 * problem.budget)
+    except _BudgetExhausted:
+        exhausted = True
     finite = [(v, i) for i, (_, v) in enumerate(trace) if v < math.inf]
     if not finite:
         raise TuneFailed(f"none of {len(trace)} evaluations returned a finite objective")

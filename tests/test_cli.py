@@ -6,7 +6,6 @@ import json
 import math
 import os
 import pkgutil
-import re
 import signal
 import stat
 import subprocess
@@ -469,13 +468,15 @@ class TestTune:
         cfg = tmp_path / "t.cfg"
         cfg.write_text(TUNE_CFG)
         out_dir = tmp_path / "out"
-        cpus(1)  # every evaluation in this process, where the counters are
-        # an evaluation solves its one f_op on the tune's stamped design
+        cpus(1)  # the tuned sweep in this process, where the counters are
+        # the search solves its points in batches on the tune's stamped design
         points = [counting(monkeypatch, fbarcirc.htm, "sparams", lambda args: np.size(args[2])),
                   counting(monkeypatch, fbarcirc.cli, "sparams", lambda args: len(args[2]))]
         assert run(capsys, "tune", "--config", str(cfg), "--seed", "1", "--out", str(out_dir))[0] == 0
         grid = load_config(out_dir / "tuned_config.cfg").sweep_frequencies()
-        assert sum(points[0]) == 10  # one point per objective evaluation
+        # the initial simplex, then each step's reflection with its likely
+        # next point: 10 points, each of them taken
+        assert points[0] == [4, 2, 2, 2]
         assert points[1] == [grid.size]
 
     def test_no_finite_evaluation_exits_1(self, capsys, tmp_path):
@@ -501,6 +502,36 @@ class TestTune:
                              "--out", str(tmp_path / "verify"))
         assert (code, err) == (1, "")
         assert out.count("FAIL") == 3
+
+    def test_interrupted_search_leaves_the_out_dir_empty(self, tmp_path, monkeypatch, cpus):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fbarcirc.tuner, "_objectives", interrupted)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG)
+        forks = cpus(2)
+        with pytest.raises(KeyboardInterrupt):
+            main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert forks == []  # the search runs in this process
+        assert list((tmp_path / "out").iterdir()) == []  # made before the work, left empty
+
+    def test_verify_cases_built_once_for_both_box_ends(self, capsys, tmp_path, monkeypatch):
+        # the load checks the design's f_mod, then one call checks both ends of
+        # the f_mod box on the same three netlists
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TUNE_CFG)
+        builds = counting(monkeypatch, fbarcirc.config, "scale_frequency", lambda args: args[1])
+        before_search = []
+        search = fbarcirc.cli.tune
+
+        def counted(*args, **kwargs):
+            before_search.append(len(builds))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(fbarcirc.cli, "tune", counted)
+        assert run(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "out"))[0] == 0
+        assert before_search == [6]
 
     def test_emitted_config_checked_at_its_own_f_mod(self, capsys, tmp_path):
         # 1124 periods fit MAX_SAMPLES across the box of f_mod = 60 MHz, not
@@ -598,8 +629,8 @@ class TestSweepWorkers:
         cfg.write_text(TUNE_CFG + "tuner.metrics_points = 26\n")
         names = ("trace.csv", "tuned_config.cfg", "sim.s3p", "harmonics.csv", "metrics.json")
         outputs = []
-        # tune keeps one look-ahead worker whenever there are 2 CPUs or more
-        for n_cpus, forks in ((1, 0), (2, 2), (3, 5)):
+        # the search forks no worker; the tuned sweep forks one per CPU after the first
+        for n_cpus, forks in ((1, 0), (2, 1), (3, 3)):
             seen = cpus(n_cpus)
             out_dir = tmp_path / f"cpus{n_cpus}"
             with time_cap(120):
@@ -616,21 +647,22 @@ class TestSweepWorkers:
     ])
     def test_dense_fallback_of_a_chunk_keeps_its_bits(self, capsys, tmp_path, monkeypatch, cpus,
                                                       n_cpus, points):
-        # a singular block in the chunk of point 14 (points 13..25 in one
-        # call) sends point 14 alone to the dense solve, whose last bits differ
-        # from the block solve's; the cuts split that chunk, and every point
-        # keeps the bits of one call
+        # a singular block at point 14 (points 13..25 in one chunk) sends it
+        # alone to the dense solve, whose last bits differ from the block
+        # solve's; the cuts split that chunk, and every point keeps the bits
+        # of one call
         cfg = sweep_cfg(tmp_path, points)
         bad = load_config(cfg).sweep_frequencies()[14]
-        port_waves, eliminate = fbarcirc.htm._port_waves, fbarcirc.htm._eliminate
+        port_waves, gesv = fbarcirc.htm._port_waves, fbarcirc.htm._gesv
 
-        def singular(*args):
-            raise np.linalg.LinAlgError("singular block")
+        def one_singular_chunk(st, basis, freqs, *rest):
+            def singular(a, b, **kwargs):
+                a = a.copy()
+                a[freqs == bad] = 0.0
+                return gesv(a, b, **kwargs)
 
-        def one_singular_chunk(st, basis, freqs, b):
-            monkeypatch.setattr(fbarcirc.htm, "_eliminate",
-                                singular if bad in freqs else eliminate)
-            return port_waves(st, basis, freqs, b)
+            monkeypatch.setattr(fbarcirc.htm, "_gesv", singular)
+            return port_waves(st, basis, freqs, *rest)
 
         monkeypatch.setattr(fbarcirc.htm, "_port_waves", one_singular_chunk)
         serial_exports(cfg, tmp_path / "serial")
@@ -664,10 +696,10 @@ class TestSweepWorkers:
                              ids=["first-fork", "second-fork", "first-pipe", "second-pipe"])
     def test_failed_fork_leaves_the_work_here(self, capsys, tmp_path, monkeypatch, cpus,
                                               call, failing):
-        # at 3 CPUs, simulate of 53 points forks twice, and tune once for its
-        # look-ahead, then twice for its 53-point re-simulation; fork number
-        # ``failing`` of each run raises as a full process table makes it, or
-        # the second pipe of worker number ``failing`` as a full fd table does
+        # at 3 CPUs, simulate of 53 points forks twice, and tune twice for its
+        # 53-point re-simulation, none for its search; fork number ``failing``
+        # of each run raises as a full process table makes it, or the second
+        # pipe of worker number ``failing`` as a full fd table does
         getaffinity = os.sched_getaffinity
         before = getaffinity(0)
         sim_cfg, tune_cfg = sweep_cfg(tmp_path, 53), tmp_path / "t.cfg"
@@ -684,12 +716,12 @@ class TestSweepWorkers:
             return counted()
 
         monkeypatch.setattr(os, call, failing_call)
-        for argv, names, forks in (
+        forks = failing - 1
+        for argv, names in (
                 (["simulate", "--config", str(sim_cfg)],
-                 ("sim.s3p", "harmonics.csv", "metrics.json"), failing - 1),
+                 ("sim.s3p", "harmonics.csv", "metrics.json")),
                 (["tune", "--config", str(tune_cfg), "--seed", "0"],
-                 ("trace.csv", "tuned_config.cfg", "sim.s3p", "harmonics.csv", "metrics.json"),
-                 3 - failing)):
+                 ("trace.csv", "tuned_config.cfg", "sim.s3p", "harmonics.csv", "metrics.json"))):
             one, three = tmp_path / f"{argv[0]}1", tmp_path / f"{argv[0]}3"
             cpus(1)
             assert run(capsys, *argv, "--out", str(one))[0] == 0
@@ -776,57 +808,6 @@ class TestSweepWorkers:
             main(["simulate", "--config", str(sweep_cfg(tmp_path, 53)),
                   "--out", str(tmp_path / "out")])
         assert_no_worker_left()
-        assert list((tmp_path / "out").iterdir()) == []  # made before the work, left empty
-
-
-class TestTuneWorker:
-    """tune evaluates its look-ahead point on a forked worker (2 CPUs here)."""
-
-    def test_killed_worker_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
-        parent = os.getpid()
-        objective = fbarcirc.tuner.objective
-
-        def killed(params, problem, stamped):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return objective(params, problem, stamped)
-
-        monkeypatch.setattr(fbarcirc.tuner, "objective", killed)
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(TUNE_CFG)
-        forks = cpus(2)
-        out_dir = tmp_path / "out"
-        with time_cap(60):
-            code, _, err = run(capsys, "tune", "--config", str(cfg), "--out", str(out_dir))
-        assert_no_worker_left()
-        assert len(forks) == 1 and code == 1
-        assert re.fullmatch(r"WorkerLost: the worker for the objective at \([^)]*\) "
-                            r"was killed by SIGKILL without a result\n", err), err
-        assert not (out_dir / "trace.csv").exists()
-
-    def test_interrupt_kills_the_worker_and_restores_the_mask(self, tmp_path, monkeypatch,
-                                                             cpus):
-        parent = os.getpid()
-        getaffinity = os.sched_getaffinity
-        before = getaffinity(0)
-        masks = []
-
-        def interrupted(params, problem, stamped):
-            if os.getpid() != parent:
-                time.sleep(60)  # a worker still busy when the parent stops
-            masks.append(getaffinity(0))
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(fbarcirc.tuner, "objective", interrupted)
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(TUNE_CFG)
-        forks = cpus(2)
-        with time_cap(30), pytest.raises(KeyboardInterrupt):
-            main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert_no_worker_left()
-        assert len(forks) == 1
-        assert masks == [({0} & before) or before]  # pinned while the worker lived
-        assert getaffinity(0) == (({0, 1} & before) or before)  # the mask the tune saw
         assert list((tmp_path / "out").iterdir()) == []  # made before the work, left empty
 
 

@@ -290,8 +290,8 @@ class TestSparams:
         with pytest.raises(ValueError):
             sparams(net, HarmonicBasis(2.0 * F_MOD, 3), [2.68e9])
         st = htm.Stamped(net)  # remodulated at 2 f_mod, solved at f_mod
-        st.modulate([replace(m, f_mod=2.0 * F_MOD) for m in st.modulations])
-        assert st.f_mod == 2.0 * F_MOD
+        st.modulate([replace(m, f_mod=2.0 * F_MOD) for m in st.modulations[0]])
+        assert st.f_mod == (2.0 * F_MOD,)
         with pytest.raises(ValueError, match="does not match"):
             sparams(st, HarmonicBasis(F_MOD, 3), [2.68e9])
 
@@ -336,7 +336,7 @@ class TestBlockEngine:
     def _dense(net, basis, f):
         """S^(n) of one point from the dense harmonic matrix, shape (harmonic, q, p)."""
         st = htm.Stamped(net)
-        x = htm._solve(htm._lift(st, basis, f), htm._excitation(st, basis))
+        x = htm._solve(htm._lift(st, st.m[0], basis, f), htm._excitation(st, basis))
         s = x.reshape(basis.size, st.nu, -1)[:, st.port_rows] / np.sqrt(
             [p.z0 for p in st.ports])[:, None]
         s[basis.n_harm] -= np.eye(len(st.ports))
@@ -360,8 +360,8 @@ class TestBlockEngine:
         clean = sparams(net, basis, freqs).data
         eliminate = htm._eliminate
 
-        def corrupted(st, w, b):
-            x = eliminate(st, w, b)
+        def corrupted(*args):
+            x = eliminate(*args)
             x[4] *= 1.0 + 1e-3
             return x
 
@@ -373,22 +373,24 @@ class TestBlockEngine:
 
     def test_singular_block_sends_only_its_point_to_dense(self, differential_design,
                                                           monkeypatch):
-        # LAPACK meets an exactly singular block in the chunk holding point 17:
-        # that chunk is solved again a point at a time, and only point 17,
-        # singular alone too, goes to the dense solve
+        # LAPACK meets an exactly singular block at point 17: that point comes
+        # out non-finite and alone goes to the dense solve (as singular a
+        # matrix as its blocks are here only in this test's solve)
         net = build_circulator(replace(differential_design, delta=0.03))
         basis = HarmonicBasis(F_MOD, 5)
         freqs = np.linspace(2.66e9, 2.68e9, 30)
         clean = sparams(net, basis, freqs).data
-        port_waves, eliminate, solve = htm._port_waves, htm._eliminate, htm._solve
+        port_waves, gesv, solve = htm._port_waves, htm._gesv, htm._solve
         dense = []
 
-        def singular(*args):
-            raise np.linalg.LinAlgError("singular block")
+        def one_singular_point(st, basis, chunk, *rest):
+            def singular(a, b, **kwargs):
+                a = a.copy()
+                a[chunk == freqs[17]] = 0.0
+                return gesv(a, b, **kwargs)
 
-        def one_singular_point(st, basis, chunk, b):
-            monkeypatch.setattr(htm, "_eliminate", singular if freqs[17] in chunk else eliminate)
-            return port_waves(st, basis, chunk, b)
+            monkeypatch.setattr(htm, "_gesv", singular)
+            return port_waves(st, basis, chunk, *rest)
 
         def counted(a, b):
             dense.append(a.shape)
@@ -407,8 +409,8 @@ class TestBlockEngine:
         basis = HarmonicBasis(F_MOD, 3)
         eliminate = htm._eliminate
 
-        def corrupted(st, w, b):
-            x = eliminate(st, w, b)
+        def corrupted(*args):
+            x = eliminate(*args)
             x[0, 0, 0, 0] = np.inf
             return x
 
@@ -443,7 +445,7 @@ class TestBlockEngine:
         assert st.nu - 2 * st.nb == len(net.nodes) - 1
         cur, chg = htm._coupling(st)
         outside = st.m.copy()
-        outside[:, cur, chg] = 0.0
+        outside[..., cur, chg] = 0.0
         assert not np.any(outside)
 
     def test_singular_on_both_paths_raises(self):
@@ -453,6 +455,84 @@ class TestBlockEngine:
                        Capacitor("c0", "n1", "0", 0.0)))
         with pytest.raises(NumericallySingular):
             sparams(net, HarmonicBasis(F_MOD, 2), [1.0e9, 1.1e9])
+
+
+# (delta, f_mod, f_op) of a batch whose points each have their own modulation
+BATCH = [(0.03, 23.2e6, 2.67e9), (0.01, 20e6, 2.66e9), (0.08, 27e6, 2.68e9), (0.0, 23e6, 2.65e9)]
+
+
+class TestBatch:
+    """One elimination solves K points that each have their own modulation."""
+
+    @staticmethod
+    def _batch(design, points):
+        st = htm.Stamped(build_circulator(design))
+        st.modulate(*([replace(m, depth=delta, f_mod=f_mod) for m in st.modulations[0]]
+                      for delta, f_mod, _ in points))
+        return st, HarmonicBasis(tuple(f_mod for _, f_mod, _ in points), 5)
+
+    @staticmethod
+    def _alone(design, point):
+        delta, f_mod, f_op = point
+        net = build_circulator(replace(design, delta=delta, f_mod=f_mod))
+        return net, HarmonicBasis(f_mod, 5), f_op
+
+    def test_each_point_has_the_bits_of_its_own_solve(self, differential_design):
+        st, basis = self._batch(differential_design, BATCH)
+        grid = sparams(st, basis, [f_op for _, _, f_op in BATCH])
+        assert st.f_mod == basis.f_mod
+        for k, point in enumerate(BATCH):
+            net, one, f_op = self._alone(differential_design, point)
+            assert grid.data[k].tobytes() == sparams(net, one, [f_op]).data[0].tobytes()
+
+    def test_dense_fallback_of_one_point_keeps_every_bit(self, differential_design,
+                                                         monkeypatch):
+        # point 2 fails its residual check, in the batch and alone: only it
+        # goes to the dense solve, at its own modulation and basis
+        port_waves, eliminate, solve = htm._port_waves, htm._eliminate, htm._solve
+        bad = BATCH[2][2]
+        dense = []
+
+        def corrupt_bad(st, basis, freqs, *rest):
+            def corrupted(*args):
+                x = eliminate(*args)
+                x[freqs == bad] *= 1.0 + 1e-3
+                return x
+
+            monkeypatch.setattr(htm, "_eliminate", corrupted)
+            return port_waves(st, basis, freqs, *rest)
+
+        def counted(a, b):
+            dense.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(htm, "_port_waves", corrupt_bad)
+        monkeypatch.setattr(htm, "_solve", counted)
+        st, basis = self._batch(differential_design, BATCH)
+        grid = sparams(st, basis, [f_op for _, _, f_op in BATCH])
+        assert len(dense) == 1
+        for k, point in enumerate(BATCH):
+            net, one, f_op = self._alone(differential_design, point)
+            assert grid.data[k].tobytes() == sparams(net, one, [f_op]).data[0].tobytes()
+        assert len(dense) == 2
+        net, one, f_op = self._alone(differential_design, BATCH[2])
+        assert np.array_equal(grid.data[2], TestBlockEngine._dense(net, one, f_op))
+
+    def test_degenerate_point_checked_at_its_own_f_mod(self, differential_design):
+        # 3 x 20 MHz degenerates only at the second point's f_mod
+        points = [(0.03, 23.2e6, 60e6), (0.03, 20e6, 60e6)]
+        st, basis = self._batch(differential_design, points)
+        with pytest.raises(DegenerateStimulus, match="3 x f_mod"):
+            sparams(st, basis, [60e6, 60e6])
+        st, basis = self._batch(differential_design, points[:1])
+        assert np.all(np.isfinite(sparams(st, basis, [60e6]).data))
+
+    def test_batch_size_must_match_the_grid(self, differential_design):
+        st, basis = self._batch(differential_design, BATCH[:2])
+        with pytest.raises(ValueError, match="3 stimulus frequencies need .* got 2 and 2"):
+            sparams(st, basis, [2.66e9, 2.67e9, 2.68e9])
+        with pytest.raises(ValueError, match="does not match"):
+            sparams(st, HarmonicBasis((23.2e6, 23.2e6), 5), [2.66e9, 2.67e9])
 
 
 class TestConvergence:

@@ -673,12 +673,27 @@ class TestDivergenceBound:
         first = int(np.argmax(np.any([np.abs(v) > limit for v in samples.values()], axis=0)))
         assert first > 0 and str(info.value).endswith(f"near step {first}")
 
+    def test_check_forms_each_period_in_place(self):
+        # a period's columns, plus Re(e_p Y_j) formed an eighth of a period at
+        # a time: no complex product of a whole period (3 periods in all)
+        maps = self._run(30.0).maps
+        period = len(maps.nodes) * maps.y.shape[1] * 8
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            transient._check_samples(maps)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * period + 2 ** 14
+
     @pytest.mark.parametrize("passes", [True, False], ids=["passing", "raising"])
     def test_check_holds_about_one_period(self, monkeypatch, passes):
         # 30 modulation periods whose bound trips the guard: the check's heap
         # stays within a few periods of samples (the period's columns and the
-        # complex product that forms them; a failing period's |samples| too),
-        # where the whole waveform holds 30
+        # parts of the complex product that forms them; a failing period's
+        # |samples| too), where the whole waveform holds 30
         reference = self._run(30.0)
         maps, samples = reference.maps, _samples(reference)["p1"]
         period = len(maps.nodes) * maps.y.shape[1] * 8

@@ -1,6 +1,5 @@
 import logging
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbarcirc import fork, htm, tuner
+from fbarcirc import htm, tuner
 from fbarcirc.config import parse_config
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import metrics_at
@@ -16,7 +15,7 @@ from fbarcirc.netlist import (ModulationSpec, build_circulator,
                               elastance_fourier)
 from fbarcirc.tuner import objective, penalized_objective, tune, write_trace_csv
 
-from conftest import assert_no_worker_left, count_stamps
+from conftest import count_stamps
 
 
 def small_problem(**overrides):
@@ -75,10 +74,9 @@ class TestObjective:
 
 
 class TestTuneOnEngine:
-    def test_stock_design_never_falls_back_to_dense_solve(self, monkeypatch, cpus):
+    def test_stock_design_never_falls_back_to_dense_solve(self, monkeypatch):
         # A silent fallback would keep every result right and lose the block
-        # engine's speed on the tuner's one-point solves.
-        cpus(1)  # every evaluation in this process, where the counter is
+        # engine's speed on the tuner's small batches.
         calls = []
         solve = htm._solve
 
@@ -103,7 +101,7 @@ def reference_objective(params, problem):
 
 def remodulated(stamped, problem, delta, f_mod, f_op):
     """One evaluation's solve: the tune's stamped design at (delta, f_mod), at f_op."""
-    stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations])
+    stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations[0]])
     return sparams(stamped, HarmonicBasis(f_mod, problem.n_harm), [f_op])
 
 
@@ -133,13 +131,12 @@ class TestStampedDesign:
         m = np.zeros_like(stamped.m)
         cur, chg = htm._coupling(stamped)
         for i, el in enumerate(net.modulated):
-            m[:, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation)
+            m[0, :, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation)
         assert stamped.m.tobytes() == m.tobytes()
         ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         assert grid.data.tobytes() == ref.data.tobytes()
 
-    def test_excitation_built_once_per_tune(self, monkeypatch, cpus):
-        cpus(1)
+    def test_excitation_built_once_per_tune(self, monkeypatch):
         calls = []
         real = htm._excitation
 
@@ -185,8 +182,7 @@ class TestStampedDesign:
         assert proc.stdout.split() == ["4", "True", "False"]
 
     @pytest.mark.parametrize("budget", [10, 30])
-    def test_one_build_and_one_stamp_per_tune(self, monkeypatch, cpus, budget):
-        cpus(1)
+    def test_one_build_and_one_stamp_per_tune(self, monkeypatch, budget):
         calls = {"build": 0}
         build = tuner.build_circulator
 
@@ -208,7 +204,10 @@ class TestStampedDesign:
         assert result.evaluations == budget
         assert calls == {"build": 1}
         assert len(stamps) == 1
-        assert solves == [1] * budget  # every evaluation solves through sparams
+        # every evaluation solves through sparams: the initial simplex in one
+        # batch, then a step's reflection with its likely next point
+        assert solves[0] == 4 and set(solves[1:]) <= {1, 2, 3}
+        assert sum(solves) >= budget > len(solves)
 
 
 class TestTuneOnSphere:
@@ -284,91 +283,124 @@ def outcome(result):
     return (result.delta, result.f_mod, result.f_op, result.evaluations, result.budget_exhausted)
 
 
-@pytest.fixture
-def taken(monkeypatch):
-    """The look-ahead results this process takes from the worker, in order."""
-    values = []
-    reply = fork.Worker.reply
-
-    def counted(self, take=True):
-        value = reply(self, take)
-        if take:
-            values.append(value)
-        return value
-
-    monkeypatch.setattr(fork.Worker, "reply", counted)
-    return values
+def restart_problem(**overrides):
+    """A search box small enough that the first start converges within a
+    budget of 60, so that the seeded second start runs."""
+    return replace(parse_config("design.delta = 0.01\ntuner.delta_max = 0.001\n"
+                                "tuner.f_mod_window = 1e-5\ntuner.f_op_window = 1e-7\n"
+                                "tuner.starts = 2\ntuner.budget = 60\n").tune_problem(),
+                   **overrides)
 
 
-class TestLookAhead:
-    """At 2 CPUs a forked worker evaluates the point the simplex will likely
-    ask for next; trace, budget and best point are those of one process."""
+def one_at_a_time(problem, seed=0):
+    """The tune whose every evaluation is one ``objective`` call, on the point the search takes."""
+    stamped = tuner._stamped_box(problem)
+    return tune(problem, seed=seed, objective_fn=lambda x: objective(x, problem, stamped))
+
+
+def batches(monkeypatch, problem):
+    """The (f_op, f_mod) of each point of each batch a tune of ``problem`` solves."""
+    solved = []
+    solve = tuner._objectives
+
+    def recorded(points, *args):
+        solved.append([(float(p[2]), float(p[1])) for p in points])
+        return solve(points, *args)
+
+    monkeypatch.setattr(tuner, "_objectives", recorded)
+    tune(problem, seed=0)
+    monkeypatch.setattr(tuner, "_objectives", solve)
+    return solved
+
+
+def fail_at(monkeypatch, stimuli):
+    """Make the engine reject each (f_op, f_mod) in ``stimuli`` as a degenerate
+    stimulus; returns the list of the rejected ones, in order."""
+    rejected = []
+    check = htm._check_stimulus
+
+    def failing(f, f_mod, n_harm):
+        if (f, f_mod) in stimuli:
+            rejected.append((f, f_mod))
+            raise htm.DegenerateStimulus("rejected here")
+        check(f, f_mod, n_harm)
+
+    monkeypatch.setattr(htm, "_check_stimulus", failing)
+    return rejected
+
+
+class TestBatches:
+    """A step solves its reflection and its likely next point in one batch;
+    trace, budget and best point are those of one point at a time."""
 
     @pytest.mark.parametrize("budget", [10, 30, 300])
-    def test_engine_trace_matches_one_cpu(self, cpus, taken, budget):
+    def test_trace_matches_one_point_at_a_time(self, cpus, budget):
         problem = small_problem(budget=budget)
-        cpus(1)
-        serial = tune(problem, seed=0)
         forks = cpus(2)
-        split = tune(problem, seed=0)
-        assert len(forks) == 1 and taken
-        assert trace_bits(split) == trace_bits(serial)
-        assert outcome(split) == outcome(serial)
-        assert_no_worker_left()
+        batched = tune(problem, seed=0)
+        assert forks == []  # the search forks no worker
+        serial = one_at_a_time(problem)
+        assert trace_bits(batched) == trace_bits(serial)
+        assert outcome(batched) == outcome(serial)
 
-    def test_sphere_second_start_matches_one_cpu(self, cpus, taken):
-        problem = small_problem(starts=2, budget=280)
-        _, fn = sphere_center(problem)
-        cpus(1)
-        first = tune(replace(problem, starts=1), seed=1, objective_fn=fn)
-        serial = tune(problem, seed=1, objective_fn=fn)
-        assert not first.budget_exhausted and serial.evaluations > first.evaluations
-        cpus(2)
-        split = tune(problem, seed=1, objective_fn=fn)
-        assert taken
-        assert trace_bits(split) == trace_bits(serial)
-        assert outcome(split) == outcome(serial)
+    def test_restart_matches_one_point_at_a_time(self):
+        problem = restart_problem()
+        first = tune(replace(problem, starts=1), seed=0)
+        batched = tune(problem, seed=0)
+        assert not first.budget_exhausted and batched.evaluations > first.evaluations
+        serial = one_at_a_time(problem)
+        assert trace_bits(batched) == trace_bits(serial)
+        assert outcome(batched) == outcome(serial)
 
-    def test_dropped_point_neither_raises_nor_logs(self, cpus, caplog, tmp_path):
+    def test_objective_fn_called_only_for_taken_points(self):
         problem = small_problem(starts=2, budget=120)
         _, fn = sphere_center(problem)
-        cpus(1)
-        serial = tune(problem, seed=5, objective_fn=fn)
-        on_trace = {x.tobytes() for x, _ in serial.trace}
-        dropped = tmp_path / "dropped"
+        calls = []
 
-        def strict(x):
-            if x.tobytes() not in on_trace:
-                with open(dropped, "a") as fh:  # written by the worker
-                    fh.write("x")
-                logging.getLogger("fbarcirc.tuner").warning("off the trace at %s", x)
-                raise RuntimeError("off the trace")
+        def counted(x):
+            calls.append(x.tobytes())
             return fn(x)
 
-        cpus(2)
+        result = tune(problem, seed=5, objective_fn=counted)
+        assert calls == [x.tobytes() for x, _ in result.trace]
+
+    def test_untaken_failing_point_neither_raises_nor_logs(self, monkeypatch, caplog):
+        problem = small_problem(budget=30)
+        serial = one_at_a_time(problem)
+        taken = {(x[2], x[1]) for x, _ in serial.trace}
+        untaken = {p for batch in batches(monkeypatch, problem) for p in batch} - taken
+        assert untaken  # the batches solved points the search never took
+        rejected = fail_at(monkeypatch, untaken)
         with caplog.at_level(logging.WARNING):
-            split = tune(problem, seed=5, objective_fn=strict)
-        assert len(dropped.read_text()) > 0
-        assert caplog.records == []
-        assert trace_bits(split) == trace_bits(serial)
+            batched = tune(problem, seed=0)
+        assert rejected and caplog.records == []
+        assert trace_bits(batched) == trace_bits(serial)
 
-    def test_taken_point_raises_and_logs(self, cpus, caplog):
-        problem = small_problem(starts=1, budget=30)
-        _, fn = sphere_center(problem)
-        parent = os.getpid()
+    def test_taken_failing_point_logs_once(self, monkeypatch, caplog):
+        problem = small_problem(budget=30)
+        taken = {(x[2], x[1]) for x, _ in one_at_a_time(problem).trace}
+        # a step's second point, solved with its reflection and taken after it
+        ahead = next(b[1] for b in batches(monkeypatch, problem)[1:] if b[1] in taken)
+        fail_at(monkeypatch, {ahead})
+        with caplog.at_level(logging.WARNING):
+            batched = tune(problem, seed=0)
+        messages = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            serial = one_at_a_time(problem)
+        assert messages == [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith("objective failed at")
+        assert trace_bits(batched) == trace_bits(serial)
+        assert math.inf in [v for _, v in batched.trace]
 
-        def failing_ahead(x):
-            if os.getpid() != parent:
-                logging.getLogger("fbarcirc.tuner").warning("worker failed at %s", x)
-                raise RuntimeError("worker failed")
-            return fn(x)
-
-        cpus(2)
-        with caplog.at_level(logging.WARNING), pytest.raises(RuntimeError, match="worker failed"):
-            tune(problem, seed=0, objective_fn=failing_ahead)
-        assert [(r.name, r.levelno) for r in caplog.records] == [("fbarcirc.tuner", logging.WARNING)]
-        assert caplog.records[0].getMessage().startswith("worker failed at [")
-        assert_no_worker_left()
+    def test_failing_point_costs_only_itself(self):
+        problem = small_problem()
+        stamped = tuner._stamped_box(problem)
+        points = [(0.02, 23.2e6, 2.67e9), (0.01, 23.0e6, 3 * 23.0e6), (0.05, 25e6, 2.69e9)]
+        values = tuner._objectives(points, problem, stamped)
+        assert isinstance(values[1], htm.DegenerateStimulus)
+        for p, v in zip(points[::2], values[::2]):
+            assert float(v).hex() == objective(p, problem, stamped).hex()
 
 
 class TestProblemValidation:
