@@ -10,7 +10,7 @@ from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence,
                       Topology, build_circulator, elastance_fourier, read_netlist,
                       scale_frequency, write_netlist)
 from .transient import TransientResult, cross_validate, simulate
-from .tuner import TuneProblem, TuneResult, objective, tune
+from .tuner import TuneProblem, TuneResult, tune
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "CirculatorDesign", "ModulationSpec", "Netlist", "PhaseSequence", "Topology",
     "build_circulator", "elastance_fourier", "read_netlist", "scale_frequency", "write_netlist",
     "TransientResult", "cross_validate", "simulate",
-    "TuneProblem", "TuneResult", "objective", "tune",
+    "TuneProblem", "TuneResult", "tune",
     "__version__",
 ]

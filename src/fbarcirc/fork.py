@@ -1,14 +1,13 @@
 """Forked workers, the one place where fbarcirc starts processes.  A worker
 inherits the function that serves its requests; requests and replies go
-pickled over two pipes, in order, and a reply's exception and log records
-take effect where the reply is read, not in the worker.
+pickled over two pipes, in order, and a reply's exception is raised where
+the reply is read, not in the worker.
 Bulk results go through arrays that :func:`shared` makes before the fork."""
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import logging
 import math
 import mmap
 import os
@@ -47,10 +46,8 @@ def _pin(cpus: list[int]) -> None:
 
 
 def _serve(serve, inbox: int, outbox: int) -> None:
-    """Body of a worker: reply ``(ok, serve(request) or its exception, its log
-    records)`` to each request; never unwind into the parent's stack."""
-    held = []
-    logging.Logger.callHandlers = lambda self, record: held.append(record)
+    """Body of a worker: reply ``(ok, serve(request) or its exception)`` to
+    each request; never unwind into the parent's stack."""
     try:
         with open(inbox, "rb") as requests, open(outbox, "wb") as replies:
             while True:  # until pickle.load meets the end of the requests
@@ -63,11 +60,8 @@ def _serve(serve, inbox: int, outbox: int) -> None:
                     reply = (True, serve(request))
                 except Exception as exc:  # raised where the reply is read
                     reply = (False, exc)
-                for record in held:  # as text: arguments and tracebacks need not pickle
-                    record.msg, record.args, record.exc_info = record.getMessage(), None, None
-                replies.write(pickle.dumps(reply + (held,)))
+                replies.write(pickle.dumps(reply))
                 replies.flush()
-                held.clear()
     finally:
         os._exit(1)
 
@@ -92,15 +86,12 @@ class Worker:
 
     def reply(self):
         """The value of the oldest request not yet replied to, or its exception
-        raised, once its log records are emitted here.
-        :class:`WorkerLost` if the worker ended without it."""
+        raised; :class:`WorkerLost` if the worker ended without it."""
         try:
-            ok, value, records = pickle.load(self._replies)
+            ok, value = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):  # nothing sent, or cut short
             self._lost()
         self._owed.popleft()
-        for record in records:
-            logging.getLogger(record.name).handle(record)
         if not ok:
             raise value
         return value

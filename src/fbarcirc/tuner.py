@@ -11,8 +11,9 @@ and f_mod and solves each point's f_op through :func:`htm.sparams`, bit for
 bit what a fresh build would give.  A simplex step solves its reflection
 together with the point it will likely ask for next, the expansion or the
 contraction, in one batch; the initial simplex and a shrink go as one batch
-each.  Only the points the search takes count against the budget or reach
-the trace, which is that of one point at a time.  The tuner returns only the
+each, all through one batch hook (a test may pass a synthetic objective).
+Only the points the search takes count against the budget or reach the
+trace, which is that of one point at a time.  The tuner returns only the
 search result; the metrics at the tuned point come from simulating the
 emitted configuration (``fbarcirc tune`` does this, so ``simulate`` of that
 file reproduces them).
@@ -135,16 +136,6 @@ def _taken(params, value) -> float:
     return value
 
 
-def objective(params, problem: TuneProblem, stamped: htm.Stamped) -> float:
-    """Scalar cost of one (delta, f_mod, f_op) triple; +inf on solver failure.
-
-    ``stamped`` is the problem's stamped circulator (:func:`_stamped_box`),
-    which the call remodulates at (delta, f_mod).  This is the one-point form
-    of the batches :func:`tune` solves, with the same bits.
-    """
-    return _taken(params, _objectives([params], problem, stamped)[0])
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -211,21 +202,23 @@ _LOW_DISCREPANCY_ALPHA = np.array([0.6180339887498949,   # 1/phi
                                    0.5698402909980532])  # 1/rho^2
 
 
-def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
+def tune(problem: TuneProblem, seed: int = 0, objectives=None) -> TuneResult:
     """Run the bounded simplex search; deterministic given (problem, seed).
 
-    ``objective_fn(params) -> float`` overrides the simulator-backed
-    objective (test hook), which stamps the design once for the whole run
-    and solves points in batches; ``objective_fn`` is called only for the
-    points the search takes.  Returns the best point seen, never worse than
-    the first evaluation; ``budget_exhausted`` flags a stop on budget rather
-    than convergence.  Raises :class:`TuneFailed` when no evaluation returns
-    a finite objective.  No metrics are computed here: the caller simulates
+    ``objectives(points) -> list[float | Exception]`` solves a batch of
+    (delta, f_mod, f_op) points; by default it is :func:`_objectives` on the
+    problem's circulator, stamped once for the whole run (a test may pass a
+    synthetic one).  Returns the best point seen, never worse than the first
+    evaluation; ``budget_exhausted`` flags a stop on budget rather than
+    convergence.  Raises :class:`TuneFailed` when no evaluation returns a
+    finite objective.  No metrics are computed here: the caller simulates
     the best point on whatever grid it reports.
     """
     lo, hi = problem.bounds
     span = hi - lo
-    stamped = _stamped_box(problem) if objective_fn is None else None
+    if objectives is None:
+        stamped = _stamped_box(problem)
+        objectives = lambda points: _objectives(points, problem, stamped)
     trace: list[tuple[np.ndarray, float]] = []
     solved: list[tuple[np.ndarray, object]] = []  # the last batch: each point and its value
 
@@ -233,12 +226,9 @@ def tune(problem: TuneProblem, seed: int = 0, objective_fn=None) -> TuneResult:
         # the objective at x, traced; the points ahead are solved with it
         if len(trace) >= problem.budget:
             raise _BudgetExhausted
-        if objective_fn is not None:
-            v = float(objective_fn(x))
-        else:
-            if not any(p is x for p, _ in solved):
-                solved[:] = zip((x,) + ahead, _objectives((x,) + ahead, problem, stamped))
-            v = _taken(x, next(v for p, v in solved if p is x))
+        if not any(p is x for p, _ in solved):
+            solved[:] = zip((x,) + ahead, objectives((x,) + ahead))
+        v = _taken(x, next(v for p, v in solved if p is x))
         trace.append((x.copy(), v))
         return v
 

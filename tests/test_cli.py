@@ -412,7 +412,7 @@ class TestRunSizeGuard:
             self, capsys, tmp_path, monkeypatch):
         # 600 periods fit MAX_SAMPLES at design.f_mod, where simulate and
         # verify run, but not at 0.6 x f_mod, where tune may emit its config
-        monkeypatch.setattr(fbarcirc.tuner, "objective", refuse)
+        monkeypatch.setattr(fbarcirc.tuner, "_objectives", refuse)
         cfg = tmp_path / "t.cfg"
         cfg.write_text(TUNE_CFG + "verify.mod_periods = 600\n")
         load_config(str(cfg))
@@ -941,7 +941,7 @@ class TestConfigCheckedAtLoad:
                                                        command):
         for name in ("sparams", "tune", "cross_validate"):
             monkeypatch.setattr(fbarcirc.cli, name, refuse)
-        monkeypatch.setattr(fbarcirc.tuner, "objective", refuse)
+        monkeypatch.setattr(fbarcirc.tuner, "_objectives", refuse)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(FUZZ_CFG)
         out = tmp_path / "o"

@@ -219,6 +219,13 @@ class TestSerialize:
         # serialization is canonical: a second pass is byte-identical
         assert serialize_config(reparsed) == serialize_config(cfg)
 
+    def test_tuned_fixture_is_in_canonical_form(self):
+        # the fixture is the tuned_config.cfg that tune writes through
+        # serialize_config, so it holds every key, defaults included
+        text = (Path(__file__).resolve().parent.parent / "configs"
+                / "differential_tuned.cfg").read_text()
+        assert serialize_config(parse_config(text)) == text
+
     def test_basis_f_mod_follows_design(self):
         cfg = parse_config("design.f_mod = 3.1e7\n")
         assert cfg.basis_f_mod() == 3.1e7

@@ -13,7 +13,7 @@ from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import metrics_at
 from fbarcirc.netlist import (ModulationSpec, build_circulator,
                               elastance_fourier)
-from fbarcirc.tuner import objective, penalized_objective, tune, write_trace_csv
+from fbarcirc.tuner import penalized_objective, tune, write_trace_csv
 
 from conftest import count_stamps
 
@@ -24,6 +24,7 @@ def small_problem(**overrides):
 
 
 def sphere_center(problem):
+    """The sphere's center in the search box, and the sphere as a batch objective."""
     lo, hi = problem.bounds
     center = lo + np.array([0.31, 0.62, 0.47]) * (hi - lo)
 
@@ -31,7 +32,12 @@ def sphere_center(problem):
         z = (x - center) / (hi - lo)
         return float(z @ z)
 
-    return center, fn
+    return center, lambda points: [fn(p) for p in points]
+
+
+def one_point(params, problem, stamped):
+    """The objective at one point, solved alone: a float or the solver failure."""
+    return tuner._objectives([params], problem, stamped)[0]
 
 
 class TestPenalty:
@@ -50,7 +56,7 @@ class TestObjective:
         # cap opened up so the penalty stays inactive at the splitter's loss
         problem = small_problem(il_cap_db=10.0)
         params = (0.0, 23.2e6, 2.68e9)
-        value = objective(params, problem, tuner._stamped_box(problem))
+        value = one_point(params, problem, tuner._stamped_box(problem))
         net = build_circulator(replace(problem.design, delta=0.0))
         grid = sparams(net, HarmonicBasis(23.2e6, problem.n_harm), [2.68e9])
         ix, il, _ = metrics_at(grid, 2.68e9, problem.direction)
@@ -60,8 +66,10 @@ class TestObjective:
     def test_solver_failure_maps_to_inf(self):
         problem = small_problem()
         # stimulus on a low multiple of f_mod is rejected by the engine
-        assert objective((0.01, 23.2e6, 2 * 23.2e6), problem,
-                         tuner._stamped_box(problem)) == math.inf
+        params = (0.01, 23.2e6, 2 * 23.2e6)
+        value = one_point(params, problem, tuner._stamped_box(problem))
+        assert isinstance(value, htm.DegenerateStimulus)
+        assert tuner._taken(params, value) == math.inf
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -70,7 +78,7 @@ class TestObjective:
         monkeypatch.setattr("fbarcirc.tuner.metrics_at", broken)
         with pytest.raises(ValueError, match="not a solver failure"):
             problem = small_problem()
-            objective((0.01, 23.2e6, 2.68e9), problem, tuner._stamped_box(problem))
+            one_point((0.01, 23.2e6, 2.68e9), problem, tuner._stamped_box(problem))
 
 
 class TestTuneOnEngine:
@@ -111,7 +119,8 @@ class TestStampedDesign:
     def test_trace_bitwise_equal_to_fresh_builds(self):
         problem = small_problem()
         stamped = tune(problem, seed=0)
-        fresh = tune(problem, seed=0, objective_fn=lambda x: reference_objective(x, problem))
+        fresh = tune(problem, seed=0,
+                     objectives=lambda points: [reference_objective(p, problem) for p in points])
         assert stamped.evaluations == fresh.evaluations == problem.budget
         for (xs, vs), (xf, vf) in zip(stamped.trace, fresh.trace):
             assert np.array_equal(xs, xf)
@@ -214,7 +223,7 @@ class TestTuneOnSphere:
     def test_converges_within_budget(self):
         problem = small_problem(starts=1, budget=300)
         center, fn = sphere_center(problem)
-        result = tune(problem, seed=3, objective_fn=fn)
+        result = tune(problem, seed=3, objectives=fn)
         lo, hi = problem.bounds
         err = np.max(np.abs((np.array([result.delta, result.f_mod, result.f_op]) - center)
                             / (hi - lo)))
@@ -225,8 +234,8 @@ class TestTuneOnSphere:
     def test_same_seed_identical_trace(self):
         problem = small_problem(starts=2, budget=60)
         _, fn = sphere_center(problem)
-        r1 = tune(problem, seed=11, objective_fn=fn)
-        r2 = tune(problem, seed=11, objective_fn=fn)
+        r1 = tune(problem, seed=11, objectives=fn)
+        r2 = tune(problem, seed=11, objectives=fn)
         assert len(r1.trace) == len(r2.trace)
         for (x1, v1), (x2, v2) in zip(r1.trace, r2.trace):
             assert np.array_equal(x1, x2) and v1 == v2
@@ -235,15 +244,15 @@ class TestTuneOnSphere:
         # budget large enough that the seeded second start actually runs
         problem = small_problem(starts=2, budget=280)
         _, fn = sphere_center(problem)
-        r1 = tune(problem, seed=1, objective_fn=fn)
-        r2 = tune(problem, seed=2, objective_fn=fn)
+        r1 = tune(problem, seed=1, objectives=fn)
+        r2 = tune(problem, seed=2, objectives=fn)
         same = all(np.array_equal(a[0], b[0]) for a, b in zip(r1.trace, r2.trace))
         assert not same
 
     def test_monotone_best_so_far(self):
         problem = small_problem(starts=2, budget=120)
         _, fn = sphere_center(problem)
-        result = tune(problem, seed=5, objective_fn=fn)
+        result = tune(problem, seed=5, objectives=fn)
         best = math.inf
         mins = []
         for _, v in result.trace:
@@ -254,7 +263,7 @@ class TestTuneOnSphere:
     def test_bounds_respected(self):
         problem = small_problem(starts=4, budget=100)
         _, fn = sphere_center(problem)
-        result = tune(problem, seed=9, objective_fn=fn)
+        result = tune(problem, seed=9, objectives=fn)
         lo, hi = problem.bounds
         for x, _ in result.trace:
             assert np.all(x >= lo - 1e-30) and np.all(x <= hi + 1e-30)
@@ -262,7 +271,7 @@ class TestTuneOnSphere:
     def test_budget_exhausted_flag(self):
         problem = small_problem(starts=1, budget=10)
         _, fn = sphere_center(problem)
-        result = tune(problem, seed=0, objective_fn=fn)
+        result = tune(problem, seed=0, objectives=fn)
         assert result.budget_exhausted
         assert result.evaluations == 10
         assert len(result.trace) == 10
@@ -270,7 +279,7 @@ class TestTuneOnSphere:
     def test_never_worse_than_first_evaluation(self):
         problem = small_problem(starts=1, budget=25)
         _, fn = sphere_center(problem)
-        result = tune(problem, seed=4, objective_fn=fn)
+        result = tune(problem, seed=4, objectives=fn)
         values = [v for _, v in result.trace]
         assert min(values) <= values[0]
 
@@ -293,9 +302,10 @@ def restart_problem(**overrides):
 
 
 def one_at_a_time(problem, seed=0):
-    """The tune whose every evaluation is one ``objective`` call, on the point the search takes."""
+    """The tune that solves every point of every batch alone."""
     stamped = tuner._stamped_box(problem)
-    return tune(problem, seed=seed, objective_fn=lambda x: objective(x, problem, stamped))
+    return tune(problem, seed=seed,
+                objectives=lambda points: [one_point(p, problem, stamped) for p in points])
 
 
 def batches(monkeypatch, problem):
@@ -352,17 +362,41 @@ class TestBatches:
         assert trace_bits(batched) == trace_bits(serial)
         assert outcome(batched) == outcome(serial)
 
-    def test_objective_fn_called_only_for_taken_points(self):
-        problem = small_problem(starts=2, budget=120)
-        _, fn = sphere_center(problem)
-        calls = []
+    def test_trace_holds_the_taken_points_of_a_search_asked_one_at_a_time(self, monkeypatch):
+        # a rippled sphere: the search shrinks its simplex, and its first start
+        # converges within the budget, so that the seeded second one runs
+        problem = small_problem(starts=2, budget=600)
+        lo, hi = problem.bounds
+        center = lo + np.array([0.31, 0.62, 0.47]) * (hi - lo)
 
-        def counted(x):
-            calls.append(x.tobytes())
-            return fn(x)
+        def fn(x):
+            z = (x - center) / (hi - lo)
+            return float(z @ z + 0.1 * np.sum(np.sin(20.0 * z) ** 2))
 
-        result = tune(problem, seed=5, objective_fn=counted)
-        assert calls == [x.tobytes() for x, _ in result.trace]
+        def recorded(asked):
+            def objectives(points):
+                asked.append([p.tobytes() for p in points])
+                return [fn(p) for p in points]
+            return objectives
+
+        asked = []
+        batched = tune(problem, seed=5, objectives=recorded(asked))
+        sizes = [len(b) for b in asked]
+        assert not batched.budget_exhausted
+        assert sizes.count(4) == 2  # each start's initial simplex: the restart ran
+        assert 3 in sizes  # a shrink's three new points
+        # the reference search asks for each point alone, as it takes it
+        nelder_mead = tuner._nelder_mead
+        monkeypatch.setattr(tuner, "_nelder_mead", lambda ev, *args, **kwargs: nelder_mead(
+            lambda x, *ahead: ev(x), *args, **kwargs))
+        alone = []
+        serial = tune(problem, seed=5, objectives=recorded(alone))
+        assert alone == [[x.tobytes()] for x, _ in serial.trace]
+        assert trace_bits(batched) == trace_bits(serial)
+        assert outcome(batched) == outcome(serial)
+        # the batches solved points the search never took, and the trace holds none
+        taken = {x.tobytes() for x, _ in batched.trace}
+        assert {p for b in asked for p in b} - taken
 
     def test_untaken_failing_point_neither_raises_nor_logs(self, monkeypatch, caplog):
         problem = small_problem(budget=30)
@@ -400,7 +434,7 @@ class TestBatches:
         values = tuner._objectives(points, problem, stamped)
         assert isinstance(values[1], htm.DegenerateStimulus)
         for p, v in zip(points[::2], values[::2]):
-            assert float(v).hex() == objective(p, problem, stamped).hex()
+            assert float(v).hex() == float(one_point(p, problem, stamped)).hex()
 
 
 class TestProblemValidation:
@@ -436,7 +470,7 @@ class TestTraceCsv:
     def test_format(self, tmp_path):
         problem = small_problem(starts=1, budget=12)
         _, fn = sphere_center(problem)
-        result = tune(problem, seed=0, objective_fn=fn)
+        result = tune(problem, seed=0, objectives=fn)
         path = tmp_path / "trace.csv"
         write_trace_csv(result, path)
         lines = path.read_text().splitlines()
