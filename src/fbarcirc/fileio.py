@@ -6,7 +6,6 @@ import contextlib
 import errno
 import hashlib
 import os
-import secrets
 
 # rows of a table an export formats per write: its peak memory is one such
 # block of Python floats and text, about 0.3 MiB for a Touchstone block
@@ -23,7 +22,7 @@ def atomic_open(path):
     an OSError that opening or renaming the temp file raises names ``path``."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    tmp = os.path.join(os.path.dirname(str(path)) or ".", f".tmp_{secrets.token_hex(8)}")
+    tmp = os.path.join(os.path.dirname(str(path)) or ".", f".tmp_{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 64 random bits: no clash
     except OSError as exc:  # say which file could not be written, not the temp name

@@ -13,15 +13,18 @@ together with the point it will likely ask for next, the expansion or the
 contraction, in one batch; the initial simplex and a shrink go as one batch
 each, all through one batch hook (a test may pass a synthetic objective).
 Only the points the search takes count against the budget or reach the
-trace, which is that of one point at a time.  The tuner returns only the
-search result; the metrics at the tuned point come from simulating the
-emitted configuration (``fbarcirc tune`` does this, so ``simulate`` of that
-file reproduces them).
+trace, which is that of one point at a time.  On the stock circulator a
+batch of K points costs about 245 us plus 135 us per point, of which the
+LAPACK solves are about 90 us per point (:mod:`htm` says where the rest
+goes), and the search's own arithmetic about 3 ms of a 300-evaluation
+tune: its convergence test reads the values first, in plain floats.  The
+tuner returns only the search result; the metrics at the tuned point come
+from simulating the emitted configuration (``fbarcirc tune`` does this, so
+``simulate`` of that file reproduces them).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -31,8 +34,6 @@ from . import htm
 from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
 from .metrics import Direction, metrics_at
 from .netlist import CirculatorDesign, ModulationSpec, build_circulator
-
-log = logging.getLogger(__name__)
 
 PENALTY_PER_DB = 100.0
 
@@ -130,8 +131,10 @@ def _objectives(points, problem: TuneProblem, stamped: htm.Stamped) -> list:
 def _taken(params, value) -> float:
     """A point's objective as the search takes it: a failure, logged here, is +inf."""
     if isinstance(value, Exception):
-        log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
-                    *(float(v) for v in params), value)
+        import logging  # here, not at the top: a tune that never fails never loads it
+
+        logging.getLogger(__name__).warning(
+            "objective failed at delta=%g f_mod=%g f_op=%g: %s", *(float(v) for v in params), value)
         return math.inf
     return value
 
@@ -167,11 +170,13 @@ def _nelder_mead(ev, x0: np.ndarray, steps: np.ndarray, lo: np.ndarray,
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        spread = max(np.max(np.abs(simplex[-1] - simplex[0])), 0.0)
-        scale = np.max(np.abs(simplex[0])) + 1e-30
-        if spread <= 1e-9 * scale and abs(values[-1] - values[0]) <= 1e-12 * (1.0 + abs(values[0])):
+        # the values' test first: it is plain floats, and rarely passes
+        if (abs(values[-1] - values[0]) <= 1e-12 * (1.0 + abs(values[0]))
+                and np.abs(simplex[-1] - simplex[0]).max()
+                <= 1e-9 * (np.abs(simplex[0]).max() + 1e-30)):
             return
-        centroid = np.mean(simplex[:-1], axis=0)
+        # the bits of np.mean over the simplex's first axis, which sums it in order
+        centroid = sum(simplex[1:-1], simplex[0]) / dim
         worst = simplex[-1]
         xr = clip(centroid + (centroid - worst))
         xe = clip(centroid + 2.0 * (centroid - worst))

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -9,8 +10,9 @@ from fbarcirc.bvd import admittance, bvd_from_specs
 from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
                           NumericallySingular, assemble, convergence_check, solve,
                           sparams)
-from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, Netlist, NetlistError,
-                              PhaseSequence, Port, Resistor, Topology, build_circulator)
+from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, ModulationSpec, Netlist,
+                              NetlistError, PhaseSequence, Port, Resistor, Topology,
+                              build_circulator)
 
 from conftest import DESK_SPECS, GHZ_SPECS, count_stamps, one_port_net, toy_wye_net
 
@@ -190,21 +192,27 @@ class TestStaticRlcAgainstClosedForm:
 class TestStampedOnce:
     def test_per_netlist_work_once_per_sweep(self, differential_design, monkeypatch):
         # the floating-node check runs once, when the netlist is built, and
-        # never inside sparams (counted under htm's name too, had it one)
-        calls = {"elastance_fourier": 0, "floating_nodes": 0}
-        for module, name in ((htm, "elastance_fourier"), (netlist, "floating_nodes"),
+        # never inside sparams (counted under htm's name too, had it one);
+        # the elastance terms are formed once per sweep, every branch's in
+        # one call
+        calls = {"elastance_series": 0, "floating_nodes": 0}
+        formed = []
+        for module, name in ((htm, "elastance_series"), (netlist, "floating_nodes"),
                              (htm, "floating_nodes")):
             original = getattr(module, name, netlist.floating_nodes)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args, **kwargs)
+                out = _original(*args, **kwargs)
+                formed.append(np.shape(out))
+                return out
 
             monkeypatch.setattr(module, name, counted, raising=False)
         net = build_circulator(differential_design)
-        assert calls == {"elastance_fourier": 0, "floating_nodes": 1}
+        assert calls == {"elastance_series": 0, "floating_nodes": 1}
         sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.69e9, 50))
-        assert calls == {"elastance_fourier": len(net.modulated), "floating_nodes": 1}
+        assert calls == {"elastance_series": 1, "floating_nodes": 1}
+        assert formed[-1] == (1, len(net.modulated), 3)
 
 
 class TestSparams:
@@ -533,6 +541,85 @@ class TestBatch:
             sparams(st, basis, [2.66e9, 2.67e9, 2.68e9])
         with pytest.raises(ValueError, match="does not match"):
             sparams(st, HarmonicBasis((23.2e6, 23.2e6), 5), [2.66e9, 2.67e9])
+
+
+def scalar_stamps(nets) -> np.ndarray:
+    """The coupling stamps m of one point per netlist, as a fresh stamp of
+    each wrote them one branch at a time: 0 - G from zeros, with G formed
+    by Python's complex arithmetic."""
+    st = htm.Stamped(nets[0])
+    cur, chg = htm._coupling(st)
+    m = np.zeros((len(nets),) + st.m.shape[1:], dtype=complex)
+    for k, net in enumerate(nets):
+        for i, el in enumerate(net.modulated):
+            g0, mod = 1.0 / el.branch.c_m, el.modulation
+            g1 = 0j if mod is None or mod.depth == 0.0 else (
+                0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase))
+            m[k, :, cur.start + i, chg.start + i] -= np.array(
+                [0j if g1 == 0j else g1.conjugate(), g0, g1])
+    return m
+
+
+class TestModulate:
+    """A remodulated stamp holds, bit for bit, what a fresh stamp of each
+    point's netlist holds, and solves each point to the same bits."""
+
+    @staticmethod
+    def _assert_fresh(st, nets, f_mods, f_ops):
+        # tobytes tells -0.0 from +0.0, which array_equal does not
+        fresh = np.concatenate([htm.Stamped(net).m for net in nets])
+        assert st.m.tobytes() == fresh.tobytes() == scalar_stamps(nets).tobytes()
+        grid = sparams(st, HarmonicBasis(tuple(f_mods), 4), f_ops)
+        for k, (net, f_mod, f_op) in enumerate(zip(nets, f_mods, f_ops)):
+            alone = sparams(net, HarmonicBasis(f_mod, 4), [f_op]).data[0]
+            assert grid.data[k].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("topology", [Topology.SINGLE_ENDED, Topology.DIFFERENTIAL])
+    def test_multi_point_matches_fresh_stamps(self, ghz_specs, topology):
+        design = CirculatorDesign(topology, ghz_specs, delta=0.07, f_mod=25e6)
+        st = htm.Stamped(build_circulator(design))
+        points = [(0.03, 23.2e6, 2.67e9), (0.0, 20e6, 2.66e9), (0.011, 31e6, 2.68e9),
+                  (0.5, 27e6, 2.65e9)]
+        st.modulate(*([replace(m, depth=delta, f_mod=f_mod) for m in st.modulations[0]]
+                      for delta, f_mod, _ in points))
+        nets = [build_circulator(replace(design, delta=delta, f_mod=f_mod))
+                for delta, f_mod, _ in points]
+        self._assert_fresh(st, nets, [p[1] for p in points], [p[2] for p in points])
+
+    def test_one_port_static_then_modulated(self, desk_specs):
+        static = one_port_net(desk_specs, 0.05, 23.2e3)
+        static = Netlist(tuple(replace(el, modulation=None) if el in static.modulated else el
+                               for el in static.elements))
+        st = htm.Stamped(static)
+        assert st.f_mod == (None,)
+        self._assert_fresh(st, [static], [23.2e3], [2.68e6])
+        specs = [ModulationSpec(0.05, 23.2e3, 0.7), None, ModulationSpec(0.0, 21e3, -2.0),
+                 ModulationSpec(0.2, 25e3, math.pi)]
+        st.modulate(*([mod] for mod in specs))
+        assert st.f_mod == (23.2e3, None, 21e3, 25e3)
+        nets = [Netlist(tuple(replace(el, modulation=mod) if el in static.modulated else el
+                              for el in static.elements)) for mod in specs]
+        self._assert_fresh(st, nets, [23.2e3, 23.2e3, 21e3, 25e3], [2.68e6, 2.6e6, 2.7e6, 2.75e6])
+
+    def test_branches_of_a_point_must_share_f_mod(self, differential_design):
+        # before, the first branch's f_mod was stamped and the others were
+        # solved at it without complaint
+        st = htm.Stamped(build_circulator(differential_design))
+        before = st.m.copy()
+        mixed = [replace(m, f_mod=31e6 if i % 2 else 30e6)
+                 for i, m in enumerate(st.modulations[0])]
+        with pytest.raises(ValueError, match=r"point 1: .*share one f_mod, got \[30000000.0, "
+                                             r"31000000.0\]"):
+            st.modulate(st.modulations[0], mixed)
+        assert st.m.tobytes() == before.tobytes()
+
+    def test_point_needs_one_modulation_per_branch(self, differential_design):
+        st = htm.Stamped(build_circulator(differential_design))
+        with pytest.raises(ValueError, match="point 0 gives 5 modulations for the netlist's "
+                                             "6 modulated branches"):
+            st.modulate(st.modulations[0][:5])
+        with pytest.raises(ValueError, match="at least one point"):
+            st.modulate()
 
 
 class TestConvergence:
