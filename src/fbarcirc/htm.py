@@ -45,16 +45,15 @@ elimination solves points that each have their own modulation.
 What such a batch costs: on the differential circulator at N = 5 (nu = 17,
 11 harmonic blocks), on one core of a 2-vCPU Xeon (AVX-512, numpy 2.4 with
 OpenBLAS, one BLAS thread), a tuner batch of K points (remodulation,
-:func:`sparams` and the metrics) costs about 245 us plus 135 us per point:
-375 us at one point, 520 at two, 780 at four.  Its 11 zgesv calls take
-about 90 us per point.  The rest is the numpy calls around them, each on a
+:func:`sparams` and the metrics) costs about 250 us plus 155 us per point:
+400 us at one point, 570 at two, 870 at four.  Its 11 zgesv calls take
+about 100 us per point.  The rest is the numpy calls around them, each on a
 few hundred values: the elimination's coupling products, subtractions and
 views, the residual check, the diagonal blocks and the remodulation.  So
 what does not change between calls is formed once per stamp (the
-excitation with its residual bound, the sqrt(z0) scaling), the elastance
-terms of every branch at every point come from one
-:func:`elastance_series`, and a grid that fits in one chunk solves on its
-own basis.
+excitation with its residual bound, the sqrt(z0) scaling), and the
+angular mixing frequencies of a grid are formed once, before it is cut
+into chunks.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
-                      Resistor, elastance_series)
+                      Resistor, elastance_fourier)
 
 TWO_PI = 2.0 * math.pi
 
@@ -247,9 +246,7 @@ class Stamped:
         self.port_rows = [row[p.node] for p in self.ports]  # block row of each port's node
         self.z0 = np.array([p.z0 for p in self.ports])  # reference impedance of each port
         self._sqrt_z0 = np.sqrt(self.z0)[:, None]  # turns port voltages into waves
-        self._c_m = np.array([el.branch.c_m for el in net.modulated])
-        # each branch's elastance term: its current row and charge column
-        self._terms = tuple(np.arange(rc.start, rc.stop) for rc in _coupling(self))
+        self._branches = [el.branch for el in net.modulated]
         self._excitations: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by n_harm
         self.modulate([el.modulation for el in net.modulated])
 
@@ -259,8 +256,7 @@ class Stamped:
         order, its ModulationSpec (or None), all at one f_mod.  One point holds
         for every stimulus frequency :func:`sparams` solves; with K points, it
         solves K frequencies, the k-th at point k.  Rewriting them is all it
-        takes to move the stamped netlist to a new modulation.  The terms of
-        every branch at every point come from one :func:`elastance_series`."""
+        takes to move the stamped netlist to a new modulation."""
         points = tuple(tuple(p) for p in points)
         if not points:
             raise ValueError("modulate needs at least one point")
@@ -274,11 +270,15 @@ class Stamped:
                 raise ValueError(f"point {k}: modulated branches must share one f_mod, "
                                  f"got {sorted(shared)}")
             f_mod.append(shared.pop() if shared else None)
-        m = np.zeros((len(points), 3, self.nu, self.nu), dtype=complex)
-        rows, cols = self._terms
+        cur, chg = _coupling(self)
+        g = np.array([[elastance_fourier(branch, mod) for branch, mod in zip(self._branches, p)]
+                      for p in points])
+        self.m = np.zeros((len(points),) + self.m.shape[1:], dtype=complex)
+        i = np.arange(self.nb)
+        g = g.reshape(len(points), self.nb, 3).swapaxes(1, 2)
         # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
-        m[:, :, rows, cols] = 0.0 - elastance_series(self._c_m, points).swapaxes(1, 2)
-        self.m, self.modulations, self.f_mod = m, points, tuple(f_mod)
+        self.m[:, :, cur.start + i, chg.start + i] = 0.0 - g
+        self.modulations, self.f_mod = points, tuple(f_mod)
 
     def excitation(self, basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_excitation` at ``basis`` as (harmonic, row, port) blocks,
@@ -436,9 +436,9 @@ def _accepted(st: Stamped, m: np.ndarray, d: np.ndarray, b: np.ndarray,
     return (np.abs(r) <= bound).reshape(len(r), -1).all(axis=1)
 
 
-def _point(basis: HarmonicBasis, points: int | slice) -> HarmonicBasis:
-    """The basis of one point, or of a slice of points, of a grid."""
-    f_mod = basis.f_mod[points] if isinstance(basis.f_mod, tuple) else basis.f_mod
+def _point(basis: HarmonicBasis, point: int) -> HarmonicBasis:
+    """The basis of one point of a grid."""
+    f_mod = basis.f_mod[point] if isinstance(basis.f_mod, tuple) else basis.f_mod
     return HarmonicBasis(f_mod, basis.n_harm)
 
 
@@ -447,10 +447,11 @@ def _f_mods(basis: HarmonicBasis, points: int) -> tuple:
     return basis.f_mod if isinstance(basis.f_mod, tuple) else (basis.f_mod,) * points
 
 
-def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray, m: np.ndarray,
-                b: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies
-    (with their coupling stamps m (F, 3, nu, nu) and basis), for the
+def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray, w: np.ndarray,
+                m: np.ndarray, b: np.ndarray, bound: np.ndarray, first: int) -> np.ndarray:
+    """Port-node solutions (F, H, ports, P) at one chunk of stimulus frequencies,
+    the grid's points first, first + 1, ... of ``basis``, with their angular
+    mixing frequencies w (F, H) and coupling stamps m (F, 3, nu, nu), for the
     excitation b and residual bound of :meth:`Stamped.excitation`.
 
     Block elimination, then the residual check; a failed point, or one with
@@ -458,11 +459,11 @@ def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray, m: np.ndar
     The work arrays die here.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = _diagonal(st, TWO_PI * basis.mixing_freqs(freqs[:, None]), m)
+        d = _diagonal(st, w, m)
         x = _eliminate(st, m, d, b)
         ok = _accepted(st, m, d, b, x, bound)
     for i in np.flatnonzero(~ok):
-        x[i] = _solve(_lift(st, m[i], _point(basis, i), float(freqs[i])),
+        x[i] = _solve(_lift(st, m[i], _point(basis, first + i), float(freqs[i])),
                       b.reshape(-1, b.shape[-1])).reshape(b.shape)
     return x[:, :, st.port_rows]
 
@@ -497,14 +498,15 @@ def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SP
                 f"netlist modulation {stamped} Hz does not match basis {f_mod} Hz")
     check_grid(basis, freqs)
     nu, n_ports = st.nu, len(st.ports)
-    m = st.m if len(st.m) == freqs.size else np.broadcast_to(st.m, freqs.shape + st.m.shape[1:])
+    m = np.broadcast_to(st.m, freqs.shape + st.m.shape[1:])
+    w = TWO_PI * basis.mixing_freqs(freqs[:, None])
     b, bound = st.excitation(basis)
     chunk = max(1, CHUNK_VALUES // (basis.size * nu * (nu + st.nb + n_ports)))
     data = out if out is not None else np.empty(
         (freqs.size, basis.size, n_ports, n_ports), dtype=complex)
-    for c in (slice(c0, c0 + chunk) for c0 in range(0, freqs.size, chunk)):
-        part = basis if freqs.size <= chunk else _point(basis, c)
-        data[c] = _port_waves(st, part, freqs[c], m[c], b, bound)
+    for c0 in range(0, freqs.size, chunk):
+        c = slice(c0, c0 + chunk)
+        data[c] = _port_waves(st, basis, freqs[c], w[c], m[c], b, bound, c0)
     data /= st._sqrt_z0                                 # (point, harmonic, q, p)
     diag = np.arange(n_ports)
     data[:, basis.n_harm, diag, diag] -= 1.0            # remove the incident waves

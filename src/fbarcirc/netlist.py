@@ -289,28 +289,11 @@ def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None) -> np.
     """Fourier coefficients [G_-1, G_0, G_+1] of the branch elastance 1/C(t):
     G_0 = 1/c_m and G_{+-1} = (depth/2)*exp(+-j*phase)/c_m, zero when static.
     A sinusoid has no higher orders, and the harmonic engine couples only +-1."""
-    return elastance_series(np.array([branch.c_m]), [(mod,)])[0, 0]
-
-
-def elastance_series(c_m: np.ndarray, points) -> np.ndarray:
-    """:func:`elastance_fourier` of B branches with motional capacitances c_m
-    (B,) at K points, shape (K, B, 3); each point gives every branch, in
-    order, its ModulationSpec or None.  One numpy step forms them all, with
-    exp(j*phase) from cmath.exp once per distinct phase, so that each entry
-    has the bits of (depth/2) * (1/c_m) * cmath.exp(j*phase) in Python."""
-    mods = [None if m is None or m.depth == 0.0 else m for p in points for m in p]
-    rotor = {phase: cmath.exp(1j * phase) for phase in {m.phase for m in mods if m is not None}}
-    depth = np.array([0.0 if m is None else m.depth for m in mods]).reshape(len(points), -1)
-    out = np.zeros(depth.shape + (3,), dtype=complex)
-    live = depth != 0.0  # a static branch keeps G_-1 = G_+1 = +0
-    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python's floats
-        g0 = 1.0 / c_m
-        np.multiply(0.5 * depth * g0, np.array([0j if m is None else rotor[m.phase] for m in mods],
-                                              dtype=complex).reshape(depth.shape),
-                    out=out[..., 2], where=live)
-    out[..., 1] = g0
-    np.conjugate(out[..., 2], out=out[..., 0], where=live)
-    return out
+    g0 = 1.0 / branch.c_m
+    if mod is None or mod.depth == 0.0:
+        return np.array([0.0, g0, 0.0], dtype=complex)
+    g1 = 0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase)
+    return np.array([g1.conjugate(), g0, g1])
 
 
 def scale_frequency(net: Netlist, factor: float) -> Netlist:

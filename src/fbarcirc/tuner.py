@@ -14,8 +14,8 @@ contraction, in one batch; the initial simplex and a shrink go as one batch
 each, all through one batch hook (a test may pass a synthetic objective).
 Only the points the search takes count against the budget or reach the
 trace, which is that of one point at a time.  On the stock circulator a
-batch of K points costs about 245 us plus 135 us per point, of which the
-LAPACK solves are about 90 us per point (:mod:`htm` says where the rest
+batch of K points costs about 250 us plus 155 us per point, of which the
+LAPACK solves are about 100 us per point (:mod:`htm` says where the rest
 goes), and the search's own arithmetic about 3 ms of a 300-evaluation
 tune: its convergence test reads the values first, in plain floats.  The
 tuner returns only the search result; the metrics at the tuned point come
@@ -25,6 +25,7 @@ from simulating the emitted configuration (``fbarcirc tune`` does this, so
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,8 @@ from . import htm
 from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
 from .metrics import Direction, metrics_at
 from .netlist import CirculatorDesign, ModulationSpec, build_circulator
+
+log = logging.getLogger(__name__)
 
 PENALTY_PER_DB = 100.0
 
@@ -131,10 +134,8 @@ def _objectives(points, problem: TuneProblem, stamped: htm.Stamped) -> list:
 def _taken(params, value) -> float:
     """A point's objective as the search takes it: a failure, logged here, is +inf."""
     if isinstance(value, Exception):
-        import logging  # here, not at the top: a tune that never fails never loads it
-
-        logging.getLogger(__name__).warning(
-            "objective failed at delta=%g f_mod=%g f_op=%g: %s", *(float(v) for v in params), value)
+        log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
+                    *(float(v) for v in params), value)
         return math.inf
     return value
 

@@ -192,27 +192,21 @@ class TestStaticRlcAgainstClosedForm:
 class TestStampedOnce:
     def test_per_netlist_work_once_per_sweep(self, differential_design, monkeypatch):
         # the floating-node check runs once, when the netlist is built, and
-        # never inside sparams (counted under htm's name too, had it one);
-        # the elastance terms are formed once per sweep, every branch's in
-        # one call
-        calls = {"elastance_series": 0, "floating_nodes": 0}
-        formed = []
-        for module, name in ((htm, "elastance_series"), (netlist, "floating_nodes"),
+        # never inside sparams (counted under htm's name too, had it one)
+        calls = {"elastance_fourier": 0, "floating_nodes": 0}
+        for module, name in ((htm, "elastance_fourier"), (netlist, "floating_nodes"),
                              (htm, "floating_nodes")):
             original = getattr(module, name, netlist.floating_nodes)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                out = _original(*args, **kwargs)
-                formed.append(np.shape(out))
-                return out
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted, raising=False)
         net = build_circulator(differential_design)
-        assert calls == {"elastance_series": 0, "floating_nodes": 1}
+        assert calls == {"elastance_fourier": 0, "floating_nodes": 1}
         sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.69e9, 50))
-        assert calls == {"elastance_series": 1, "floating_nodes": 1}
-        assert formed[-1] == (1, len(net.modulated), 3)
+        assert calls == {"elastance_fourier": len(net.modulated), "floating_nodes": 1}
 
 
 class TestSparams:
@@ -541,6 +535,39 @@ class TestBatch:
             sparams(st, basis, [2.66e9, 2.67e9, 2.68e9])
         with pytest.raises(ValueError, match="does not match"):
             sparams(st, HarmonicBasis((23.2e6, 23.2e6), 5), [2.66e9, 2.67e9])
+
+
+class TestChunkedBatch:
+    def test_dense_fallback_past_the_first_chunk_uses_its_own_basis(self, differential_design,
+                                                                    monkeypatch):
+        # 30 points with their own f_mod span three chunks; point 20, in the
+        # second, fails its residual check and is solved densely at its own
+        # f_mod, not at that of the 20th point of its chunk's grid
+        points = [((0.01, 0.0, 0.05)[k % 3], 20e6 + 0.3e6 * k, 2.65e9 + 1.3e6 * k)
+                  for k in range(30)]
+        port_waves, eliminate = htm._port_waves, htm._eliminate
+        bad, chunks = points[20][2], []
+
+        def corrupt_bad(st, basis, freqs, *rest):
+            def corrupted(*args):
+                x = eliminate(*args)
+                x[freqs == bad] *= 1.0 + 1e-3
+                return x
+
+            chunks.append(len(freqs))
+            monkeypatch.setattr(htm, "_eliminate", corrupted)
+            return port_waves(st, basis, freqs, *rest)
+
+        monkeypatch.setattr(htm, "_port_waves", corrupt_bad)
+        st, basis = TestBatch._batch(differential_design, points)
+        grid = sparams(st, basis, [f_op for _, _, f_op in points])
+        assert len(chunks) == 3 and chunks[0] < 20 < sum(chunks[:2])
+        monkeypatch.undo()
+        for k, point in enumerate(points):
+            net, one, f_op = TestBatch._alone(differential_design, point)
+            expected = (TestBlockEngine._dense(net, one, f_op) if k == 20
+                        else sparams(net, one, [f_op]).data[0])
+            assert grid.data[k].tobytes() == expected.tobytes()
 
 
 def scalar_stamps(nets) -> np.ndarray:
