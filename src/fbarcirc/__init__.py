@@ -7,8 +7,8 @@ from .htm import HarmonicBasis, SParamGrid, convergence_check, sparams
 from .metrics import (CirculatorMetrics, Direction, bandwidth_at, metrics_at,
                       sideband_scan, summarize)
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence,
-                      Topology, build_circulator, elastance_fourier, read_netlist,
-                      scale_frequency, write_netlist)
+                      Topology, build_circulator, read_netlist, scale_frequency,
+                      write_netlist)
 from .transient import TransientResult, cross_validate, simulate
 from .tuner import TuneProblem, TuneResult, tune
 
@@ -22,7 +22,7 @@ __all__ = [
     "CirculatorMetrics", "Direction", "bandwidth_at", "metrics_at",
     "sideband_scan", "summarize",
     "CirculatorDesign", "ModulationSpec", "Netlist", "PhaseSequence", "Topology",
-    "build_circulator", "elastance_fourier", "read_netlist", "scale_frequency", "write_netlist",
+    "build_circulator", "read_netlist", "scale_frequency", "write_netlist",
     "TransientResult", "cross_validate", "simulate",
     "TuneProblem", "TuneResult", "tune",
     "__version__",

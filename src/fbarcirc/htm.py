@@ -37,10 +37,11 @@ probes.
 A :class:`Stamped` netlist holds those blocks, and :func:`sparams` solves
 a netlist or a Stamped one, so a caller stamps once however often it
 solves.  The modulation enters the stamps only through the m blocks:
-:meth:`Stamped.modulate` rewrites them, so the tuner stamps its design once
-and solves every evaluation's modulation on it, a few points at a time:
-with one modulation per point and a basis of one f_mod per point, one
-elimination solves points that each have their own modulation.
+:meth:`Stamped.modulate` rewrites them from the branch depths, so the
+tuner stamps its design once and solves every evaluation's depth on it, a
+few points at a time: with one point of depths per stimulus frequency and a
+basis of one f_mod per point, one elimination solves points that each have
+their own modulation.  f_mod enters only through the basis.
 
 What such a batch costs: on the differential circulator at N = 5 (nu = 17,
 11 harmonic blocks), on one core of a 2-vCPU Xeon (AVX-512, numpy 2.4 with
@@ -58,6 +59,7 @@ into chunks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -65,7 +67,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
-                      Resistor, elastance_fourier)
+                      Resistor)
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,11 +183,11 @@ class Stamped:
     Unknowns per harmonic: node voltages, then the current of each modulated
     branch, then its charge.  The elastance terms, the only ones coupling
     harmonics, then fill one contiguous block: the current rows by the charge
-    columns (see _coupling).  The stamp holds one or more modulations, one
-    per point (:meth:`modulate`): ``modulations`` has, for each, every
-    modulated branch's ModulationSpec (or None) in element order, ``f_mod``
-    their common frequency (None when static), and ``m`` a leading point
-    axis.  A netlist's stamp holds its own one modulation.
+    columns (see _coupling).  The stamp keeps each modulated branch's G_0 =
+    1/c_m and phase rotor exp(j*phase) (phase 0 for a static branch), and
+    ``m`` holds one or more points of branch depths on a leading point axis
+    (:meth:`modulate`).  A netlist's stamp holds its own depths; f_mod lives
+    only in the :class:`HarmonicBasis` it is solved on.
     """
 
     def __init__(self, net: Netlist):
@@ -239,46 +241,40 @@ class Stamped:
         self.c = c  # coefficient of j*omega: capacitors, -l_m, charge
         self.k = k  # coefficient of 1/(j*omega): inductors
         self._reactive = np.nonzero((c != 0.0) | (k != 0.0))  # the entries that move with omega
-        # (points, 3, nu, nu): -G_-1, -G_0, -G_+1; m[:, d + 1] couples block h
-        # to h - d; zero outside the (currents x charges) block
-        self.m = np.zeros((1, 3, nu, nu), dtype=complex)
         self.ports = net.ports
         self.port_rows = [row[p.node] for p in self.ports]  # block row of each port's node
         self.z0 = np.array([p.z0 for p in self.ports])  # reference impedance of each port
         self._sqrt_z0 = np.sqrt(self.z0)[:, None]  # turns port voltages into waves
-        self._branches = [el.branch for el in net.modulated]
+        self._g0 = np.array([1.0 / el.branch.c_m for el in net.modulated])  # G_0 of each branch
+        self._rotor = np.array([cmath.exp(1j * (0.0 if el.modulation is None else
+                                                el.modulation.phase)) for el in net.modulated])
         self._excitations: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by n_harm
-        self.modulate([el.modulation for el in net.modulated])
+        self.modulate([0.0 if el.modulation is None else el.modulation.depth
+                       for el in net.modulated])
 
     def modulate(self, *points) -> None:
-        """Write the elastance terms -G_-1, -G_0, -G_+1 of each modulated
-        branch into m; each point gives every modulated branch, in element
-        order, its ModulationSpec (or None), all at one f_mod.  One point holds
-        for every stimulus frequency :func:`sparams` solves; with K points, it
-        solves K frequencies, the k-th at point k.  Rewriting them is all it
-        takes to move the stamped netlist to a new modulation."""
-        points = tuple(tuple(p) for p in points)
-        if not points:
-            raise ValueError("modulate needs at least one point")
-        f_mod = []
-        for k, p in enumerate(points):
-            if len(p) != self.nb:
-                raise ValueError(f"point {k} gives {len(p)} modulations for the netlist's "
-                                 f"{self.nb} modulated branches")
-            shared = {m.f_mod for m in p if m is not None}
-            if len(shared) > 1:
-                raise ValueError(f"point {k}: modulated branches must share one f_mod, "
-                                 f"got {sorted(shared)}")
-            f_mod.append(shared.pop() if shared else None)
+        """Write each modulated branch's elastance Fourier terms -G_-1, -G_0,
+        -G_+1 into m, G_0 = 1/c_m and G_+1 = conj(G_-1) = depth/2 * exp(j*phase)/c_m,
+        at one depth per branch, in element order, per point; one point holds
+        for every stimulus frequency :func:`sparams` solves, K for K."""
+        depth = np.array(points, dtype=float)
+        if depth.ndim != 2 or depth.shape[1] != self.nb:
+            raise ValueError(f"modulate needs one or more points of {self.nb} depths, "
+                             f"got shape {depth.shape}")
+        if not np.all((depth >= 0.0) & (depth < 1.0)):
+            raise ValueError(f"modulation depth must lie in [0, 1), got {depth.tolist()}")
         cur, chg = _coupling(self)
-        g = np.array([[elastance_fourier(branch, mod) for branch, mod in zip(self._branches, p)]
-                      for p in points])
-        self.m = np.zeros((len(points),) + self.m.shape[1:], dtype=complex)
+        # where 1/c_m overflows, G_+-1 is inf or NaN, as Python's complex
+        # arithmetic leaves it, but exactly 0 at a zero depth
+        with np.errstate(invalid="ignore"):
+            g1 = 0.5 * depth * np.where(depth == 0.0, 0.0, self._g0) * self._rotor
+        g = np.stack([g1.conj(), np.broadcast_to(self._g0, g1.shape), g1], axis=1)
+        # (points, 3, nu, nu): -G_-1, -G_0, -G_+1; m[:, d + 1] couples block h
+        # to h - d; zero outside the (currents x charges) block
+        self.m = np.zeros((len(depth), 3, self.nu, self.nu), dtype=complex)
         i = np.arange(self.nb)
-        g = g.reshape(len(points), self.nb, 3).swapaxes(1, 2)
         # 0 - G keeps a zero coefficient +0, as subtracting from a fresh stamp does
         self.m[:, :, cur.start + i, chg.start + i] = 0.0 - g
-        self.modulations, self.f_mod = points, tuple(f_mod)
 
     def excitation(self, basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_excitation` at ``basis`` as (harmonic, row, port) blocks,
@@ -471,12 +467,12 @@ def _port_waves(st: Stamped, basis: HarmonicBasis, freqs: np.ndarray, w: np.ndar
 def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SParamGrid:
     """Multi-harmonic S-parameters over a stimulus frequency grid.
 
-    ``net`` is a :class:`Netlist`, which is stamped here, or a
-    :class:`Stamped` netlist at its present modulation; either must be static
-    or modulated at basis.f_mod.  A stamp with one modulation per point and a
-    basis with one f_mod per point solve a batch of points that each have
-    their own modulation.  Chunks of frequency points are solved
-    together by block elimination over the harmonics (:func:`_eliminate`),
+    ``net`` is a :class:`Netlist`, which is stamped here and must be static
+    or modulated at basis.f_mod, or a :class:`Stamped` netlist at its
+    present depths, modulated at basis.f_mod.  A stamp with one point of
+    depths per frequency and a basis with one f_mod per point solve a batch
+    of points that each have their own modulation.  Chunks of frequency
+    points are solved together by block elimination over the harmonics (:func:`_eliminate`),
     and every point's residual max|b - A x| is checked blockwise against
     RESIDUAL_BOUND.  A point that fails the check or comes out non-finite (as
     an exactly singular block leaves it) is solved again on its dense
@@ -485,17 +481,17 @@ def sparams(net: Netlist | Stamped, basis: HarmonicBasis, freqs, out=None) -> SP
     grid around it, bit for bit, wherever the grid is cut.  ``out``, a
     complex (points, 2 n_harm + 1, ports, ports) array, receives the data.
     """
-    st = net if isinstance(net, Stamped) else Stamped(net)
     freqs = np.asarray(list(freqs), dtype=float)
-    stamp = st.f_mod * freqs.size if len(st.f_mod) == 1 else st.f_mod
     f_mods = _f_mods(basis, freqs.size)
-    if not len(stamp) == len(f_mods) == freqs.size:
+    if isinstance(net, Netlist):
+        own = {el.modulation.f_mod for el in net.modulated if el.modulation is not None}
+        bad = [f_mod for f_mod in f_mods if own and f_mod not in own]
+        if bad:
+            raise ValueError(f"netlist modulation {own.pop()} Hz does not match basis {bad[0]} Hz")
+    st = net if isinstance(net, Stamped) else Stamped(net)
+    if len(st.m) not in (1, freqs.size) or len(f_mods) != freqs.size:
         raise ValueError(f"{freqs.size} stimulus frequencies need one modulation and f_mod "
-                         f"for all or one each, got {len(stamp)} and {len(f_mods)}")
-    for stamped, f_mod in zip(stamp, f_mods):
-        if stamped is not None and stamped != f_mod:
-            raise ValueError(
-                f"netlist modulation {stamped} Hz does not match basis {f_mod} Hz")
+                         f"for all or one each, got {len(st.m)} and {len(f_mods)}")
     check_grid(basis, freqs)
     nu, n_ports = st.nu, len(st.ports)
     m = np.broadcast_to(st.m, freqs.shape + st.m.shape[1:])
@@ -538,7 +534,7 @@ def convergence_check(net: Netlist, f: float, n_small: int, n_large: int) -> flo
               if el.modulation is not None and el.modulation.depth > 0.0]
     if not active:
         return 0.0
-    st = Stamped(net)
-    s_small = sparams(st, HarmonicBasis(st.f_mod[0], n_small), [f]).s0[0]
-    s_large = sparams(st, HarmonicBasis(st.f_mod[0], n_large), [f]).s0[0]
+    st, f_mod = Stamped(net), active[0].modulation.f_mod
+    s_small = sparams(st, HarmonicBasis(f_mod, n_small), [f]).s0[0]
+    s_large = sparams(st, HarmonicBasis(f_mod, n_large), [f]).s0[0]
     return float(np.max(np.abs(s_large - s_small)))

@@ -22,13 +22,10 @@ file byte for byte.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Union
-
-import numpy as np
 
 from .bvd import MotionalBranch, ResonatorSpecs, bvd_from_specs
 
@@ -283,17 +280,6 @@ def build_toy_wye(branch: MotionalBranch, c0: float, z0: float,
         Port(1, "p1", z0),
         Port(2, "p2", z0),
     ))
-
-
-def elastance_fourier(branch: MotionalBranch, mod: ModulationSpec | None) -> np.ndarray:
-    """Fourier coefficients [G_-1, G_0, G_+1] of the branch elastance 1/C(t):
-    G_0 = 1/c_m and G_{+-1} = (depth/2)*exp(+-j*phase)/c_m, zero when static.
-    A sinusoid has no higher orders, and the harmonic engine couples only +-1."""
-    g0 = 1.0 / branch.c_m
-    if mod is None or mod.depth == 0.0:
-        return np.array([0.0, g0, 0.0], dtype=complex)
-    g1 = 0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase)
-    return np.array([g1.conjugate(), g0, g1])
 
 
 def scale_frequency(net: Netlist, factor: float) -> Netlist:

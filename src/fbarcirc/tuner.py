@@ -6,9 +6,10 @@ hard evaluation budget, optionally restarted from a seeded low-discrepancy
 sequence; a restart runs only after a start converges within the budget.
 Every evaluation lands in the trace, so a run is reproducible from
 (problem, seed) alone.  A run builds and stamps its circulator once
-(:class:`htm.Stamped`); an evaluation remodulates it at each point's delta
-and f_mod and solves each point's f_op through :func:`htm.sparams`, bit for
-bit what a fresh build would give.  A simplex step solves its reflection
+(:class:`htm.Stamped`); an evaluation remodulates it at each point's delta,
+the one depth of every branch, and solves each point's f_op through
+:func:`htm.sparams` on a basis of each point's f_mod, bit for bit what a
+fresh build would give.  A simplex step solves its reflection
 together with the point it will likely ask for next, the expansion or the
 contraction, in one batch; the initial simplex and a shrink go as one batch
 each, all through one batch hook (a test may pass a synthetic objective).
@@ -32,9 +33,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import htm
+from .fileio import atomic_write_text
 from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
 from .metrics import Direction, metrics_at
-from .netlist import CirculatorDesign, ModulationSpec, build_circulator
+from .netlist import CirculatorDesign, build_circulator
 
 log = logging.getLogger(__name__)
 
@@ -115,9 +117,7 @@ def _objectives(points, problem: TuneProblem, stamped: htm.Stamped) -> list:
     failing batch is solved again a point at a time, so that a failure costs
     only its own point; each point's bits are its own either way."""
     deltas, f_mods, f_ops = np.array(points, dtype=float).T.tolist()
-    phases = [m.phase for m in stamped.modulations[0]]
-    stamped.modulate(*([ModulationSpec(delta, f_mod, phase) for phase in phases]
-                       for delta, f_mod in zip(deltas, f_mods)))
+    stamped.modulate(*([delta] * stamped.nb for delta in deltas))
     try:
         grid = htm.sparams(stamped, HarmonicBasis(tuple(f_mods), problem.n_harm), f_ops)
     except (NumericallySingular, DegenerateStimulus) as exc:
@@ -260,8 +260,6 @@ def tune(problem: TuneProblem, seed: int = 0, objectives=None) -> TuneResult:
 
 def write_trace_csv(result: TuneResult, path) -> None:
     """eval_index, delta, f_mod_Hz, f_op_Hz, objective per evaluation."""
-    from .fileio import atomic_write_text
-
     lines = ["eval_index,delta,f_mod_hz,f_op_hz,objective"]
     for i, (x, v) in enumerate(result.trace):
         lines.append(f"{i},{float(x[0])!r},{float(x[1])!r},{float(x[2])!r},{float(v)!r}")

@@ -1,8 +1,11 @@
+import cmath
 import math
 import os
 
+import numpy as np
 import pytest
 
+from fbarcirc import htm
 from fbarcirc.bvd import ResonatorSpecs
 from fbarcirc.netlist import (CirculatorDesign, ModulationSpec, Netlist, Topology,
                               build_one_port, build_toy_wye, bvd_from_specs)
@@ -42,6 +45,23 @@ def count_stamps(monkeypatch) -> list:
 
     monkeypatch.setattr(Stamped, "__init__", counted)
     return stamped
+
+
+def scalar_stamps(nets) -> np.ndarray:
+    """The coupling stamps m of one point per netlist, as a fresh stamp of
+    each wrote them one branch at a time: 0 - G from zeros, with G formed
+    by Python's complex arithmetic."""
+    st = htm.Stamped(nets[0])
+    cur, chg = htm._coupling(st)
+    m = np.zeros((len(nets),) + st.m.shape[1:], dtype=complex)
+    for k, net in enumerate(nets):
+        for i, el in enumerate(net.modulated):
+            g0, mod = 1.0 / el.branch.c_m, el.modulation
+            g1 = 0j if mod is None or mod.depth == 0.0 else (
+                0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase))
+            m[k, :, cur.start + i, chg.start + i] -= np.array(
+                [0j if g1 == 0j else g1.conjugate(), g0, g1])
+    return m
 
 
 @pytest.fixture

@@ -1,20 +1,21 @@
-import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fbarcirc import htm, netlist
-from fbarcirc.bvd import admittance, bvd_from_specs
+from fbarcirc.bvd import MotionalBranch, admittance, bvd_from_specs
 from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
                           NumericallySingular, assemble, convergence_check, solve,
                           sparams)
-from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, ModulationSpec, Netlist,
-                              NetlistError, PhaseSequence, Port, Resistor, Topology,
-                              build_circulator)
+from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, ModulatedSeriesRlc,
+                              ModulationSpec, Netlist, NetlistError, PhaseSequence, Port,
+                              Resistor, Topology, build_circulator)
 
-from conftest import DESK_SPECS, GHZ_SPECS, count_stamps, one_port_net, toy_wye_net
+from conftest import (DESK_SPECS, GHZ_SPECS, count_stamps, one_port_net, scalar_stamps,
+                      toy_wye_net)
 
 F_MOD = 23.2e6
 
@@ -192,21 +193,22 @@ class TestStaticRlcAgainstClosedForm:
 class TestStampedOnce:
     def test_per_netlist_work_once_per_sweep(self, differential_design, monkeypatch):
         # the floating-node check runs once, when the netlist is built, and
-        # never inside sparams (counted under htm's name too, had it one)
-        calls = {"elastance_fourier": 0, "floating_nodes": 0}
-        for module, name in ((htm, "elastance_fourier"), (netlist, "floating_nodes"),
-                             (htm, "floating_nodes")):
-            original = getattr(module, name, netlist.floating_nodes)
+        # never inside sparams (counted under htm's name too, had it one);
+        # the elastance terms are written once, when sparams stamps it
+        calls = {"modulate": 0, "floating_nodes": 0}
+        for owner, name in ((htm.Stamped, "modulate"), (netlist, "floating_nodes"),
+                            (htm, "floating_nodes")):
+            original = getattr(owner, name, netlist.floating_nodes)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted, raising=False)
+            monkeypatch.setattr(owner, name, counted, raising=False)
         net = build_circulator(differential_design)
-        assert calls == {"elastance_fourier": 0, "floating_nodes": 1}
+        assert calls == {"modulate": 0, "floating_nodes": 1}
         sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.69e9, 50))
-        assert calls == {"elastance_fourier": len(net.modulated), "floating_nodes": 1}
+        assert calls == {"modulate": 1, "floating_nodes": 1}
 
 
 class TestSparams:
@@ -288,14 +290,15 @@ class TestSparams:
             assert np.max(np.abs(s[:, :, p - 1] - b)) <= 1e-12
 
     def test_f_mod_mismatch_rejected(self, differential_design):
+        # a netlist carries its own f_mod: every point of the basis must share it
         net = build_circulator(differential_design)
-        with pytest.raises(ValueError):
-            sparams(net, HarmonicBasis(2.0 * F_MOD, 3), [2.68e9])
-        st = htm.Stamped(net)  # remodulated at 2 f_mod, solved at f_mod
-        st.modulate([replace(m, f_mod=2.0 * F_MOD) for m in st.modulations[0]])
-        assert st.f_mod == (2.0 * F_MOD,)
         with pytest.raises(ValueError, match="does not match"):
-            sparams(st, HarmonicBasis(F_MOD, 3), [2.68e9])
+            sparams(net, HarmonicBasis(2.0 * F_MOD, 3), [2.68e9])
+        with pytest.raises(ValueError, match=f"{F_MOD} Hz does not match basis {2.0 * F_MOD} Hz"):
+            sparams(net, HarmonicBasis((F_MOD, 2.0 * F_MOD, F_MOD), 3), [2.66e9, 2.67e9, 2.68e9])
+        grid = sparams(net, HarmonicBasis((F_MOD, F_MOD), 3), [2.66e9, 2.67e9])
+        assert grid.data.tobytes() == sparams(net, HarmonicBasis(F_MOD, 3),
+                                              [2.66e9, 2.67e9]).data.tobytes()
 
     def test_bad_frequencies_rejected(self, differential_design):
         net = build_circulator(differential_design)
@@ -469,8 +472,7 @@ class TestBatch:
     @staticmethod
     def _batch(design, points):
         st = htm.Stamped(build_circulator(design))
-        st.modulate(*([replace(m, depth=delta, f_mod=f_mod) for m in st.modulations[0]]
-                      for delta, f_mod, _ in points))
+        st.modulate(*([delta] * st.nb for delta, _, _ in points))
         return st, HarmonicBasis(tuple(f_mod for _, f_mod, _ in points), 5)
 
     @staticmethod
@@ -482,7 +484,6 @@ class TestBatch:
     def test_each_point_has_the_bits_of_its_own_solve(self, differential_design):
         st, basis = self._batch(differential_design, BATCH)
         grid = sparams(st, basis, [f_op for _, _, f_op in BATCH])
-        assert st.f_mod == basis.f_mod
         for k, point in enumerate(BATCH):
             net, one, f_op = self._alone(differential_design, point)
             assert grid.data[k].tobytes() == sparams(net, one, [f_op]).data[0].tobytes()
@@ -533,8 +534,8 @@ class TestBatch:
         st, basis = self._batch(differential_design, BATCH[:2])
         with pytest.raises(ValueError, match="3 stimulus frequencies need .* got 2 and 2"):
             sparams(st, basis, [2.66e9, 2.67e9, 2.68e9])
-        with pytest.raises(ValueError, match="does not match"):
-            sparams(st, HarmonicBasis((23.2e6, 23.2e6), 5), [2.66e9, 2.67e9])
+        with pytest.raises(ValueError, match="2 stimulus frequencies need .* got 2 and 3"):
+            sparams(st, HarmonicBasis((23.2e6, 23.2e6, 23.2e6), 5), [2.66e9, 2.67e9])
 
 
 class TestChunkedBatch:
@@ -570,23 +571,6 @@ class TestChunkedBatch:
             assert grid.data[k].tobytes() == expected.tobytes()
 
 
-def scalar_stamps(nets) -> np.ndarray:
-    """The coupling stamps m of one point per netlist, as a fresh stamp of
-    each wrote them one branch at a time: 0 - G from zeros, with G formed
-    by Python's complex arithmetic."""
-    st = htm.Stamped(nets[0])
-    cur, chg = htm._coupling(st)
-    m = np.zeros((len(nets),) + st.m.shape[1:], dtype=complex)
-    for k, net in enumerate(nets):
-        for i, el in enumerate(net.modulated):
-            g0, mod = 1.0 / el.branch.c_m, el.modulation
-            g1 = 0j if mod is None or mod.depth == 0.0 else (
-                0.5 * mod.depth * g0 * cmath.exp(1j * mod.phase))
-            m[k, :, cur.start + i, chg.start + i] -= np.array(
-                [0j if g1 == 0j else g1.conjugate(), g0, g1])
-    return m
-
-
 class TestModulate:
     """A remodulated stamp holds, bit for bit, what a fresh stamp of each
     point's netlist holds, and solves each point to the same bits."""
@@ -607,46 +591,101 @@ class TestModulate:
         st = htm.Stamped(build_circulator(design))
         points = [(0.03, 23.2e6, 2.67e9), (0.0, 20e6, 2.66e9), (0.011, 31e6, 2.68e9),
                   (0.5, 27e6, 2.65e9)]
-        st.modulate(*([replace(m, depth=delta, f_mod=f_mod) for m in st.modulations[0]]
-                      for delta, f_mod, _ in points))
+        st.modulate(*([delta] * st.nb for delta, _, _ in points))
         nets = [build_circulator(replace(design, delta=delta, f_mod=f_mod))
                 for delta, f_mod, _ in points]
         self._assert_fresh(st, nets, [p[1] for p in points], [p[2] for p in points])
 
-    def test_one_port_static_then_modulated(self, desk_specs):
-        static = one_port_net(desk_specs, 0.05, 23.2e3)
-        static = Netlist(tuple(replace(el, modulation=None) if el in static.modulated else el
-                               for el in static.elements))
+    @pytest.mark.parametrize("phase", [None, 0.7, -2.0, math.pi])
+    def test_one_port_static_then_modulated(self, desk_specs, phase):
+        # a stamp keeps its netlist's phase, 0 for a branch whose modulation
+        # is None, at every depth it is given; a zero depth stamps as None does
+        base = one_port_net(desk_specs, 0.05, 23.2e3)
+
+        def with_mod(mod):
+            return Netlist(tuple(replace(el, modulation=mod) if el in base.modulated else el
+                                 for el in base.elements))
+
+        ph = phase or 0.0
+        static = with_mod(None if phase is None else ModulationSpec(0.0, 23.2e3, ph))
         st = htm.Stamped(static)
-        assert st.f_mod == (None,)
         self._assert_fresh(st, [static], [23.2e3], [2.68e6])
-        specs = [ModulationSpec(0.05, 23.2e3, 0.7), None, ModulationSpec(0.0, 21e3, -2.0),
-                 ModulationSpec(0.2, 25e3, math.pi)]
-        st.modulate(*([mod] for mod in specs))
-        assert st.f_mod == (23.2e3, None, 21e3, 25e3)
-        nets = [Netlist(tuple(replace(el, modulation=mod) if el in static.modulated else el
-                              for el in static.elements)) for mod in specs]
+        st.modulate([0.05], [0.0], [0.0], [0.2])
+        nets = [with_mod(ModulationSpec(0.05, 23.2e3, ph)), with_mod(None),
+                with_mod(ModulationSpec(0.0, 21e3, ph)), with_mod(ModulationSpec(0.2, 25e3, ph))]
         self._assert_fresh(st, nets, [23.2e3, 23.2e3, 21e3, 25e3], [2.68e6, 2.6e6, 2.7e6, 2.75e6])
 
-    def test_branches_of_a_point_must_share_f_mod(self, differential_design):
-        # before, the first branch's f_mod was stamped and the others were
-        # solved at it without complaint
+    def test_refuses_a_wrong_shape_or_depth(self, differential_design):
         st = htm.Stamped(build_circulator(differential_design))
         before = st.m.copy()
-        mixed = [replace(m, f_mod=31e6 if i % 2 else 30e6)
-                 for i, m in enumerate(st.modulations[0])]
-        with pytest.raises(ValueError, match=r"point 1: .*share one f_mod, got \[30000000.0, "
-                                             r"31000000.0\]"):
-            st.modulate(st.modulations[0], mixed)
+        with pytest.raises(ValueError, match=r"points of 6 depths, got shape \(1, 5\)"):
+            st.modulate([0.01] * 5)
+        with pytest.raises(ValueError, match=r"points of 6 depths, got shape \(0,\)"):
+            st.modulate()
+        with pytest.raises(ValueError, match=r"got shape \(2, 1, 6\)"):
+            st.modulate([[0.01] * 6], [[0.02] * 6])
+        for bad in (1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"depth must lie in \[0, 1\)"):
+                st.modulate([0.01] * 6, [0.01] * 5 + [bad])
         assert st.m.tobytes() == before.tobytes()
 
-    def test_point_needs_one_modulation_per_branch(self, differential_design):
-        st = htm.Stamped(build_circulator(differential_design))
-        with pytest.raises(ValueError, match="point 0 gives 5 modulations for the netlist's "
-                                             "6 modulated branches"):
-            st.modulate(st.modulations[0][:5])
-        with pytest.raises(ValueError, match="at least one point"):
-            st.modulate()
+    def test_zero_depth_keeps_exact_zero_terms_where_g0_overflows(self):
+        # 1/c_m of a subnormal c_m is inf, and 0 * inf is NaN: a zero depth
+        # must still stamp +0 sidebands, without a floating-point warning; a
+        # nonzero one stamps non-finite sidebands, silently, as Python's
+        # complex arithmetic leaves them, for the solve to refuse
+        branch = MotionalBranch(r_m=1.0, l_m=1e-8, c_m=1e-310)
+        for mod in (None, ModulationSpec(0.0, F_MOD, 0.0), ModulationSpec(0.0, F_MOD, 2.5)):
+            net = Netlist((ModulatedSeriesRlc("x1", "p1", "0", branch, mod), Port(1, "p1", 50.0)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                st = htm.Stamped(net)
+                st.modulate([0.0], [0.0], [0.3])
+            cur, chg = htm._coupling(st)
+            terms = st.m[:, :, cur.start, chg.start]
+            assert terms[:2, [0, 2]].tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
+            assert not np.any(np.isfinite(terms[2, [0, 2]]))
+            assert np.all(terms[:, 1] == -math.inf)
+
+
+def elastance_terms(branch, mod) -> np.ndarray:
+    """[G_-1, G_0, G_+1] of one branch, as a fresh stamp of it holds them."""
+    st = htm.Stamped(Netlist((ModulatedSeriesRlc("x1", "p1", "0", branch, mod),
+                              Port(1, "p1", 50.0))))
+    cur, chg = htm._coupling(st)
+    return -st.m[0, :, cur.start, chg.start]
+
+
+class TestElastanceTerms:
+    BRANCH = MotionalBranch(r_m=1.07, l_m=4.5e-8, c_m=0.0802e-12)
+
+    def test_static_only_dc_term(self):
+        out = elastance_terms(self.BRANCH, ModulationSpec(0.0, 23.2e6, 1.0))
+        assert out.shape == (3,)
+        assert out[1] == pytest.approx(1.0 / 0.0802e-12, rel=1e-12)
+        assert np.all(out[[0, 2]] == 0.0)
+        none_out = elastance_terms(self.BRANCH, None)
+        assert np.array_equal(out, none_out)
+
+    def test_first_order_amplitude(self):
+        # delta=0.01, phi=0: |G_1| = 0.005/0.0802e-12
+        out = elastance_terms(self.BRANCH, ModulationSpec(0.01, 23.2e6, 0.0))
+        assert out[2] == pytest.approx(6.234413965087282e10, rel=1e-12)
+        assert out[0] == pytest.approx(6.234413965087282e10, rel=1e-12)
+        assert out[1] == pytest.approx(1.0 / 0.0802e-12, rel=1e-12)
+
+    def test_quadrature_phase(self):
+        out = elastance_terms(self.BRANCH, ModulationSpec(0.01, 23.2e6, math.pi / 2))
+        g1 = out[2]
+        assert g1.real == pytest.approx(0.0, abs=1e-6 * abs(g1))
+        assert g1.imag > 0.0
+
+    def test_conjugate_symmetry_random(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            mod = ModulationSpec(rng.uniform(0, 0.99), 1e6, rng.uniform(-10, 10))
+            out = elastance_terms(self.BRANCH, mod)
+            assert np.allclose(out[::-1].conj(), out, rtol=0, atol=0)
 
 
 class TestConvergence:

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +181,15 @@ class TestSummarize:
         m = summarize(make_grid(freqs, notch_s31(freqs, 2.65e9, 1e6)))
         txt = metrics_table(m)
         assert "isolation" in txt and "insertion loss" in txt and "MHz" in txt
+
+
+def test_readme_library_use_prints_a_record(capsys):
+    # README's "Library use" block runs as written, on the public exports,
+    # and prints one record that from_record parses back
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", text, re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    line = capsys.readouterr().out.strip()
+    metrics = CirculatorMetrics.from_record(line)
+    assert metrics.record() == line
+    assert metrics.ix_db > 20.0 and 0.0 < metrics.il_db < 10.0

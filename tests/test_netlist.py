@@ -10,8 +10,7 @@ from fbarcirc.bvd import MotionalBranch
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, ModulatedSeriesRlc,
                               ModulationSpec, Netlist, NetlistError, PhaseSequence,
-                              Port, Resistor, Topology, build_circulator,
-                              elastance_fourier, read_netlist,
+                              Port, Resistor, Topology, build_circulator, read_netlist,
                               scale_frequency, write_netlist)
 
 TWO_PI = 2.0 * math.pi
@@ -111,38 +110,6 @@ class TestBuilders:
         net = build_circulator(design)
         caps = [e for e in net.elements if isinstance(e, Capacitor)]
         assert all(c.node_b == "ca" for c in caps)
-
-
-class TestElastanceFourier:
-    BRANCH = MotionalBranch(r_m=1.07, l_m=4.5e-8, c_m=0.0802e-12)
-
-    def test_static_only_dc_term(self):
-        out = elastance_fourier(self.BRANCH, ModulationSpec(0.0, 23.2e6, 1.0))
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(1.0 / 0.0802e-12, rel=1e-12)
-        assert np.all(out[[0, 2]] == 0.0)
-        none_out = elastance_fourier(self.BRANCH, None)
-        assert np.array_equal(out, none_out)
-
-    def test_first_order_amplitude(self):
-        # delta=0.01, phi=0: |G_1| = 0.005/0.0802e-12
-        out = elastance_fourier(self.BRANCH, ModulationSpec(0.01, 23.2e6, 0.0))
-        assert out[2] == pytest.approx(6.234413965087282e10, rel=1e-12)
-        assert out[0] == pytest.approx(6.234413965087282e10, rel=1e-12)
-        assert out[1] == pytest.approx(1.0 / 0.0802e-12, rel=1e-12)
-
-    def test_quadrature_phase(self):
-        out = elastance_fourier(self.BRANCH, ModulationSpec(0.01, 23.2e6, math.pi / 2))
-        g1 = out[2]
-        assert g1.real == pytest.approx(0.0, abs=1e-6 * abs(g1))
-        assert g1.imag > 0.0
-
-    def test_conjugate_symmetry_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            mod = ModulationSpec(rng.uniform(0, 0.99), 1e6, rng.uniform(-10, 10))
-            out = elastance_fourier(self.BRANCH, mod)
-            assert np.allclose(out[::-1].conj(), out, rtol=0, atol=0)
 
 
 class TestValidation:

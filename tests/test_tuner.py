@@ -11,11 +11,10 @@ from fbarcirc import htm, tuner
 from fbarcirc.config import parse_config
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import metrics_at
-from fbarcirc.netlist import (ModulationSpec, build_circulator,
-                              elastance_fourier)
+from fbarcirc.netlist import build_circulator
 from fbarcirc.tuner import penalized_objective, tune, write_trace_csv
 
-from conftest import count_stamps
+from conftest import count_stamps, scalar_stamps
 
 
 def small_problem(**overrides):
@@ -109,7 +108,7 @@ def reference_objective(params, problem):
 
 def remodulated(stamped, problem, delta, f_mod, f_op):
     """One evaluation's solve: the tune's stamped design at (delta, f_mod), at f_op."""
-    stamped.modulate([ModulationSpec(delta, f_mod, m.phase) for m in stamped.modulations[0]])
+    stamped.modulate([delta] * stamped.nb)
     return sparams(stamped, HarmonicBasis(f_mod, problem.n_harm), [f_op])
 
 
@@ -137,11 +136,8 @@ class TestStampedDesign:
         net = build_circulator(replace(problem.design, delta=delta, f_mod=f_mod))
         # the coupling as a fresh stamp subtracts it from zeros; tobytes
         # tells -0.0 from +0.0, which array_equal does not
-        m = np.zeros_like(stamped.m)
-        cur, chg = htm._coupling(stamped)
-        for i, el in enumerate(net.modulated):
-            m[0, :, cur.start + i, chg.start + i] -= elastance_fourier(el.branch, el.modulation)
-        assert stamped.m.tobytes() == m.tobytes()
+        assert stamped.m.tobytes() == scalar_stamps([net]).tobytes()
+        assert stamped.m.tobytes() == htm.Stamped(net).m.tobytes()
         ref = sparams(net, HarmonicBasis(f_mod, problem.n_harm), [f_op])
         assert grid.data.tobytes() == ref.data.tobytes()
 
@@ -163,7 +159,7 @@ class TestStampedDesign:
         stamped = tuner._stamped_box(problem)
         with pytest.raises(ValueError, match="depth"):
             remodulated(stamped, problem, 1.0, 23.2e6, 2.68e9)
-        with pytest.raises(ValueError, match="modulation frequency"):
+        with pytest.raises(ValueError, match="f_mod must be positive"):
             remodulated(stamped, problem, 0.01, math.inf, 2.68e9)
         with pytest.raises(htm.DegenerateStimulus):
             remodulated(stamped, problem, 0.01, 23.2e6, 3 * 23.2e6)
