@@ -23,7 +23,11 @@ import shutil
 import sys
 import tempfile
 
-from . import fork
+# tuner loads with this module, though only tune runs it, as perfbench's
+# tracer (perfbench/spans.py) looks up every layer it wraps among the loaded
+# modules.  It costs little: config has loaded what it imports, and it
+# imports logging only to log a failed objective.
+from . import fork, tuner
 from .bvd import (DegenerateData, FitDiverged, LorentzianFit, MotionalBranch,
                   ParseError, ResonatorSpecs, bvd_from_specs, fit_lorentzian,
                   parallel_resonance, read_admittance_csv)
@@ -33,9 +37,8 @@ from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular, SParam
                   Stamped, check_grid, sparams)
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import NetlistError, build_circulator, build_one_port, write_netlist
-from .transient import Diverged, RunTooLarge, StepTooLarge, cross_validate
+from .plan import Diverged, RunTooLarge, StepTooLarge, TuneFailed
 from .touchstone import harmonics_header, write_harmonics_rows, write_s3p
-from .tuner import TuneFailed, tune, write_trace_csv
 
 # Measured hardware reference (differential FBAR circulator board) used by
 # the report command as the comparison column.
@@ -181,6 +184,8 @@ def cmd_simulate(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .transient import cross_validate  # only verify loads the oracle
+
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
     cases, f, f_mod = cfg.verify_cases()
@@ -226,8 +231,8 @@ def cmd_tune(args) -> int:
     # ring_up*P*f_mod moves by < ring_up*f_mod
     cfg.check_verify_grids(*problem.f_mod_bounds)
     os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
-    result = tune(problem, seed=args.seed)
-    write_trace_csv(result, os.path.join(args.out, "trace.csv"))
+    result = tuner.tune(problem, seed=args.seed)
+    tuner.write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 
     tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op)
     atomic_write_text(os.path.join(args.out, "tuned_config.cfg"), serialize_config(tuned))

@@ -31,8 +31,7 @@ from .fileio import read_text
 from .metrics import Direction
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence, Topology,
                       build_one_port, build_toy_wye, scale_frequency)
-from .transient import time_grid
-from .tuner import TuneProblem
+from .plan import TuneProblem, time_grid
 
 
 class ConfigError(ValueError):

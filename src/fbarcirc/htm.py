@@ -421,14 +421,18 @@ def _accepted(st: Stamped, m: np.ndarray, d: np.ndarray, b: np.ndarray,
               x: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Per point: max|b - A x| <= ``bound`` (RESIDUAL_BOUND of max|b|) in
     every column, with A x formed blockwise: the diagonal blocks d, and the
-    coupling terms on the (currents, charges) block of each point's stamps
-    m.  A non-finite entry of x leaves its column's residual NaN or inf, so
-    it fails."""
+    coupling terms of each point's stamps m.  :meth:`Stamped.modulate` writes
+    those only at (current i, charge i), so each term is the diagonal of its
+    (currents, charges) block times the charge rows of x, elementwise.  A
+    non-finite entry of x leaves its column's residual NaN or inf, so it
+    fails."""
     cur, chg = _coupling(st)
     r = d @ x
     np.subtract(b, r, out=r)
-    r[:, 1:, cur] -= m[:, None, 2, cur, chg] @ x[:, :-1, chg]
-    r[:, :-1, cur] -= m[:, None, 0, cur, chg] @ x[:, 1:, chg]
+    lower, upper = (m[:, k, cur, chg].diagonal(axis1=1, axis2=2)[:, None, :, None]
+                    for k in (2, 0))
+    r[:, 1:, cur] -= lower * x[:, :-1, chg]
+    r[:, :-1, cur] -= upper * x[:, 1:, chg]
     return (np.abs(r) <= bound).reshape(len(r), -1).all(axis=1)
 
 

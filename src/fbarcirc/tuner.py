@@ -26,7 +26,6 @@ from simulating the emitted configuration (``fbarcirc tune`` does this, so
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -35,51 +34,11 @@ import numpy as np
 from . import htm
 from .fileio import atomic_write_text
 from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
-from .metrics import Direction, metrics_at
-from .netlist import CirculatorDesign, build_circulator
-
-log = logging.getLogger(__name__)
+from .metrics import metrics_at
+from .netlist import build_circulator
+from .plan import TuneFailed, TuneProblem
 
 PENALTY_PER_DB = 100.0
-
-
-@dataclass(frozen=True)
-class TuneProblem:
-    """Search space and constraints for one tuning run, as RunConfig.tune_problem lays it out."""
-
-    design: CirculatorDesign
-    delta_bounds: tuple[float, float]
-    f_mod_bounds: tuple[float, float]
-    f_op_bounds: tuple[float, float]
-    il_cap_db: float
-    budget: int
-    n_harm: int
-    direction: Direction
-    starts: int
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (("delta", self.delta_bounds),
-                               ("f_mod", self.f_mod_bounds),
-                               ("f_op", self.f_op_bounds)):
-            if not lo < hi:
-                raise ValueError(f"{name} bounds must be non-degenerate, got ({lo}, {hi})")
-        if not (0.0 <= self.delta_bounds[0] and self.delta_bounds[1] < 1.0):
-            raise ValueError(f"delta bounds must lie in [0, 1), got {self.delta_bounds}")
-        if not (self.f_mod_bounds[0] > 0.0 and self.f_op_bounds[0] > 0.0):
-            raise ValueError(f"f_mod and f_op bounds must be positive, got "
-                             f"{self.f_mod_bounds} and {self.f_op_bounds}")
-        if not math.isfinite(self.il_cap_db):
-            raise ValueError(f"il_cap_db must be finite, got {self.il_cap_db}")
-        if self.budget < 10:
-            raise ValueError(f"budget must be at least 10, got {self.budget}")
-        if self.starts < 1:
-            raise ValueError(f"starts must be at least 1, got {self.starts}")
-
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([self.delta_bounds[0], self.f_mod_bounds[0], self.f_op_bounds[0]])
-        hi = np.array([self.delta_bounds[1], self.f_mod_bounds[1], self.f_op_bounds[1]])
-        return lo, hi
 
 
 @dataclass
@@ -97,10 +56,6 @@ class TuneResult:
 def penalized_objective(ix_db: float, il_db: float, il_cap_db: float) -> float:
     """-ix + 100 per dB of insertion loss above the cap (lower is better)."""
     return -ix_db + PENALTY_PER_DB * max(0.0, il_db - il_cap_db)
-
-
-class TuneFailed(ArithmeticError):
-    """No evaluation of a tune returned a finite objective."""
 
 
 def _stamped_box(problem: TuneProblem) -> htm.Stamped:
@@ -134,8 +89,10 @@ def _objectives(points, problem: TuneProblem, stamped: htm.Stamped) -> list:
 def _taken(params, value) -> float:
     """A point's objective as the search takes it: a failure, logged here, is +inf."""
     if isinstance(value, Exception):
-        log.warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
-                    *(float(v) for v in params), value)
+        import logging  # here, so that a tune with no failure never loads it
+
+        logging.getLogger(__name__).warning("objective failed at delta=%g f_mod=%g f_op=%g: %s",
+                                            *(float(v) for v in params), value)
         return math.inf
     return value
 

@@ -353,7 +353,7 @@ class TestRunSizeGuard:
     def refuse_work(monkeypatch):
         for module in (fbarcirc.cli, fbarcirc.transient):
             monkeypatch.setattr(module, "sparams", refuse)
-        monkeypatch.setattr(fbarcirc.cli, "cross_validate", refuse)
+        monkeypatch.setattr(fbarcirc.transient, "cross_validate", refuse)
         monkeypatch.setattr(np.linalg, "inv", refuse)
 
     # a tune's metrics span must lie below f_s, so the tiny f_s comes with a tiny span
@@ -523,13 +523,13 @@ class TestTune:
         cfg.write_text(TUNE_CFG)
         builds = counting(monkeypatch, fbarcirc.config, "scale_frequency", lambda args: args[1])
         before_search = []
-        search = fbarcirc.cli.tune
+        search = fbarcirc.tuner.tune
 
         def counted(*args, **kwargs):
             before_search.append(len(builds))
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(fbarcirc.cli, "tune", counted)
+        monkeypatch.setattr(fbarcirc.tuner, "tune", counted)
         assert run(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "out"))[0] == 0
         assert before_search == [6]
 
@@ -877,13 +877,19 @@ def time_cap(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+# where each workflow's work starts: simulate's sweep, tune's search and
+# verify's cross-checks, read where the command calls them
+WORK = ((fbarcirc.cli, "sparams"), (fbarcirc.tuner, "tune"),
+        (fbarcirc.transient, "cross_validate"))
+
+
 class TestConfigCheckedAtLoad:
     @pytest.mark.parametrize("command", ["simulate", "tune"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_bw_threshold_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       command, value):
         monkeypatch.setattr(fbarcirc.cli, "sparams", refuse)
-        monkeypatch.setattr(fbarcirc.cli, "tune", refuse)
+        monkeypatch.setattr(fbarcirc.tuner, "tune", refuse)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TUNE_CFG + f"metrics.bw_threshold_db = {value}\n")
         out_dir = tmp_path / "o"
@@ -908,8 +914,8 @@ class TestConfigCheckedAtLoad:
         except ConfigError:
             rejected = True
         if rejected:
-            for name in ("sparams", "tune", "cross_validate"):
-                monkeypatch.setattr(fbarcirc.cli, name, refuse)
+            for module, name in WORK:
+                monkeypatch.setattr(module, name, refuse)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
         with time_cap(10):
@@ -939,8 +945,8 @@ class TestConfigCheckedAtLoad:
     @pytest.mark.parametrize("command", ["simulate", "tune", "verify"])
     def test_out_naming_a_file_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                        command):
-        for name in ("sparams", "tune", "cross_validate"):
-            monkeypatch.setattr(fbarcirc.cli, name, refuse)
+        for module, name in WORK:
+            monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(fbarcirc.tuner, "_objectives", refuse)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(FUZZ_CFG)
@@ -994,7 +1000,60 @@ class TestEntry:
         assert "r_m" in proc.stdout
 
 
-SHORT_CSV = "f_hz,re_s\n" + "".join(f"{1e6 + k * 1e3!r},0.0{k}\n" for k in range(7))
+def loaded_by(code: str) -> set:
+    """The modules a fresh interpreter holds after running ``code``: the
+    suite's own has imported every module already."""
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStartUp:
+    """A command loads only the modules that it runs."""
+
+    def test_import_fbarcirc_loads_no_module_of_it(self):
+        assert {m for m in loaded_by("import fbarcirc") if m.startswith("fbarcirc")} == {
+            "fbarcirc"}
+
+    @pytest.mark.parametrize("command", ["simulate", "report", "fit"])
+    def test_simulate_report_and_fit_leave_the_oracle_and_logging_unloaded(self, tmp_path,
+                                                                          command):
+        cfg, record = tmp_path / "c.cfg", tmp_path / "metrics.json"
+        cfg.write_text(FUZZ_CFG)
+        record.write_text(RECORD)
+        argv = {"simulate": ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                "report": ["report", str(record)], "fit": ["fit", "specs"]}[command]
+        mods = loaded_by(f"from fbarcirc.cli import main\nassert main({argv!r}) == 0")
+        assert "fbarcirc.cli" in mods
+        assert not {"fbarcirc.transient", "gzip", "logging"} & mods
+
+    def test_tune_leaves_the_oracle_unloaded(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TUNE_CFG)
+        argv = ["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        mods = loaded_by(f"from fbarcirc.cli import main\nassert main({argv!r}) == 0")
+        assert "fbarcirc.tuner" in mods
+        assert not {"fbarcirc.transient", "gzip"} & mods
+
+    def test_every_public_name_resolves_to_its_defining_module(self):
+        for name in fbarcirc.__all__:
+            obj = getattr(fbarcirc, name)
+            if name == "__version__":
+                assert isinstance(obj, str)
+                continue
+            home = importlib.import_module(obj.__module__)
+            assert home.__name__.startswith("fbarcirc.") and getattr(home, name) is obj, name
+        assert set(fbarcirc.__all__) <= set(dir(fbarcirc))
+        namespace = {}
+        exec("from fbarcirc import *", namespace)
+        assert {name: namespace[name] for name in fbarcirc.__all__} == {
+            name: getattr(fbarcirc, name) for name in fbarcirc.__all__}
+        with pytest.raises(AttributeError, match="no attribute 'tuned'"):
+            fbarcirc.tuned
+
+
+SHORT_CSV ="f_hz,re_s\n" + "".join(f"{1e6 + k * 1e3!r},0.0{k}\n" for k in range(7))
 UNSORTED_CSV = "f_hz,re_s\n" + "".join(f"{1e6 - k * 1e3!r},0.0{k}\n" for k in range(9))
 PEAK_ROWS = [f"{1e6 + k * 1e3!r},{0.01 + 0.1 / (1 + (k - 4.5) ** 2)!r}" for k in range(9)]
 

@@ -453,6 +453,29 @@ class TestBlockEngine:
         outside[..., cur, chg] = 0.0
         assert not np.any(outside)
 
+    @pytest.mark.parametrize("term", [0, 2], ids=["upper", "lower"])
+    @pytest.mark.parametrize("case", ["one-port", "toy-wye", "single-ended", "differential"])
+    def test_residual_check_reads_each_coupling_term(self, case, term):
+        # the check forms the coupling terms from the diagonal of the
+        # (currents, charges) block, the only entries modulate writes: it
+        # passes the solution, and fails it against stamps whose term
+        # differs by 1e-3
+        net, f_mod, freqs = ENGINE_CASES[case]()
+        st = htm.Stamped(net)
+        basis = HarmonicBasis(f_mod, 3)
+        freqs = np.array(freqs)
+        cur, chg = htm._coupling(st)
+        off_diagonal = st.m[..., cur, chg] * (1.0 - np.eye(st.nb))
+        assert not np.any(off_diagonal)
+        m = np.broadcast_to(st.m, freqs.shape + st.m.shape[1:])
+        b, bound = st.excitation(basis)
+        d = htm._diagonal(st, htm.TWO_PI * basis.mixing_freqs(freqs[:, None]), m)
+        x = htm._eliminate(st, m, d, b)
+        assert htm._accepted(st, m, d, b, x, bound).all()
+        skewed = m.copy()
+        skewed[:, term, cur, chg] *= 1.0 + 1e-3
+        assert not htm._accepted(st, skewed, d, b, x, bound).any()
+
     def test_singular_on_both_paths_raises(self):
         # a node tied to ground only by a zero capacitor: every block and the
         # dense matrix have a zero row

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fbarcirc.bvd import ResonatorSpecs, admittance, bvd_from_specs
-from fbarcirc import fork, transient
+from fbarcirc import fork, plan, transient
 from fbarcirc.config import load_config
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.netlist import (Capacitor, Inductor, ModulatedSeriesRlc, ModulationSpec, Netlist,
@@ -503,7 +503,7 @@ class TestStepInverses:
         net = one_port_net(FAST_SPECS, delta, F_MOD)
         dt, _ = time_grid(net, self.F, F_MOD, 60, 1.0)
         with pytest.raises(transient.RunTooLarge, match="MAX_SAMPLES"):
-            simulate(net, (1, self.F), 2.0 * transient.MAX_SAMPLES * dt, dt)
+            simulate(net, (1, self.F), 2.0 * plan.MAX_SAMPLES * dt, dt)
         assert isinstance(transient.RunTooLarge("x"), ValueError)
 
     @pytest.mark.parametrize("config, f_op", [("differential.cfg", 2.6e9),
@@ -516,7 +516,7 @@ class TestStepInverses:
         f_mod = design.f_mod / 1000.0
         dt, duration = time_grid(net, f_op / 1000.0, f_mod, 800, 22.0)
         assert 10 * round(1.0 / (f_mod * dt)) <= transient.MAX_PERIOD_STEPS
-        assert 10 * (round(duration / dt) + 1) <= transient.MAX_SAMPLES
+        assert 10 * (round(duration / dt) + 1) <= plan.MAX_SAMPLES
 
 
 class TestSeriesInverses:
