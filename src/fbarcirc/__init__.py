@@ -22,6 +22,7 @@ _HOMES = {
                      "write_netlist"), "netlist"),
     **dict.fromkeys(("TransientResult", "cross_validate", "simulate"), "transient"),
     "TuneProblem": "plan",
+    "replace": "record",
     **dict.fromkeys(("TuneResult", "tune"), "tuner"),
 }
 

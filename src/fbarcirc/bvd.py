@@ -13,11 +13,11 @@ data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fileio import read_text
+from .record import Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,8 +38,7 @@ class ParseError(ValueError):
     """Malformed input: an admittance CSV, or samples a fit cannot use."""
 
 
-@dataclass(frozen=True)
-class MotionalBranch:
+class MotionalBranch(Record):
     """One series R-L-C branch of the BVD equivalent circuit."""
 
     r_m: float
@@ -70,8 +69,7 @@ class MotionalBranch:
         return math.sqrt(self.l_m / self.c_m) / self.r_m
 
 
-@dataclass(frozen=True)
-class BvdParams:
+class BvdParams(Record):
     """Plate capacitance plus one or two motional branches."""
 
     c0: float
@@ -85,8 +83,7 @@ class BvdParams:
         object.__setattr__(self, "branches", tuple(self.branches))
 
 
-@dataclass(frozen=True)
-class ResonatorSpecs:
+class ResonatorSpecs(Record):
     """Measured resonator figures: f_s (Hz), Q, k_eff^2 and plate capacitance."""
 
     f_s: float
@@ -103,8 +100,7 @@ class ResonatorSpecs:
             raise ValueError(f"k_sq must lie in (0, 1), got {self.k_sq}")
 
 
-@dataclass(frozen=True)
-class LorentzianFit:
+class LorentzianFit(Record):
     """Result of a magnitude Lorentzian fit: |Y| = baseline + peak*g/sqrt(df^2+g^2)."""
 
     f0: float

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .metrics import Direction
 from .netlist import (CirculatorDesign, ModulationSpec, Netlist, PhaseSequence, Topology,
                       build_one_port, build_toy_wye, scale_frequency)
 from .plan import TuneProblem, time_grid
+from .record import Record, replace
 
 
 class ConfigError(ValueError):
@@ -154,17 +154,18 @@ def _parse(key: str, spec: Key, raw):
     return value
 
 
-@dataclass
-class RunConfig:
-    """Parsed configuration, every key filled in and checked on construction:
-    ``values`` as written (what :func:`serialize_config` reproduces), ``typed``
-    as checked (what the getters and section builders return)."""
+class RunConfig(Record):
+    """Parsed configuration, every key filled in and checked on construction.
+    Its one field, ``values``, holds the keys as written (what
+    :func:`serialize_config` reproduces); ``typed``, derived from it on
+    construction, holds them as checked (what the getters and section
+    builders return)."""
 
     values: dict[str, object]
-    typed: dict[str, object] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.typed = {key: _parse(key, spec, self.values[key]) for key, spec in SCHEMA.items()}
+        object.__setattr__(self, "typed", {key: _parse(key, spec, self.values[key])
+                                           for key, spec in SCHEMA.items()})
         self._check_together()
 
     def _check_together(self) -> None:

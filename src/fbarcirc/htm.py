@@ -61,13 +61,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, Port,
                       Resistor)
+from .record import Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,8 +99,7 @@ class DegenerateStimulus(ValueError):
     """Stimulus frequency coincides with a multiple of the modulation frequency."""
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(Record):
     """Mixing basis: frequencies f + n*f_mod for n in [-n_harm, n_harm], with
     one f_mod for every stimulus point or a tuple of one per point."""
 
@@ -110,8 +110,14 @@ class HarmonicBasis:
         for f_mod in _f_mods(self, 1):
             if not (math.isfinite(f_mod) and f_mod > 0.0):
                 raise ValueError(f"f_mod must be positive, got {f_mod}")
-        if self.n_harm < 1:
-            raise ValueError(f"n_harm must be >= 1, got {self.n_harm}")
+        # a numpy integer passes; a float or a bool, which the engine's index
+        # arithmetic fails on deep in numpy, does not
+        try:
+            whole = not isinstance(self.n_harm, bool) and operator.index(self.n_harm) >= 1
+        except TypeError:
+            whole = False
+        if not whole:
+            raise ValueError(f"n_harm must be an integer >= 1, got {self.n_harm!r}")
 
     @property
     def size(self) -> int:
@@ -122,8 +128,7 @@ class HarmonicBasis:
         return f + np.multiply.outer(self.f_mod, np.arange(-self.n_harm, self.n_harm + 1))
 
 
-@dataclass
-class HarmonicSystem:
+class HarmonicSystem(Record):
     """Assembled linear system A x = b.  Unknown ``h * nu + i`` is unknown i of
     harmonic h - n_harm; :class:`Stamped` gives nu and each port's row i."""
 
@@ -135,8 +140,7 @@ class HarmonicSystem:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SParamGrid:
+class SParamGrid(Record):
     """S^(n)_qp over a stimulus frequency grid.
 
     ``data[fi, n + n_harm, q - 1, p - 1]`` is the wave leaving port q at

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .htm import SParamGrid
+from .record import Record
 
 DB_CAP = 200.0
 SIDEBAND_FLOOR_DBC = -200.0
@@ -35,8 +35,7 @@ class Direction(NamedTuple):
     isolated_port: int = 3
 
 
-@dataclass(frozen=True)
-class CirculatorMetrics:
+class CirculatorMetrics(Record):
     """Figures of merit at the operating point f_op (argmax of isolation)."""
 
     f_op: float

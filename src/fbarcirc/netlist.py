@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from typing import Union
 
 from .bvd import MotionalBranch, ResonatorSpecs, bvd_from_specs
+from .record import Record, replace
 
 GROUND = "0"
 
@@ -46,8 +46,7 @@ class PhaseSequence(enum.Enum):
     REVERSE = "reverse"
 
 
-@dataclass(frozen=True)
-class ModulationSpec:
+class ModulationSpec(Record):
     """Sinusoidal elastance modulation: 1/C(t) = (1/c_m)*(1 + depth*cos(2*pi*f_mod*t + phase))."""
 
     depth: float
@@ -61,32 +60,28 @@ class ModulationSpec:
             raise NetlistError(f"modulation frequency must be positive, got {self.f_mod}")
 
 
-@dataclass(frozen=True)
-class Resistor:
+class Resistor(Record):
     name: str
     node_a: str
     node_b: str
     ohms: float
 
 
-@dataclass(frozen=True)
-class Inductor:
+class Inductor(Record):
     name: str
     node_a: str
     node_b: str
     henries: float
 
 
-@dataclass(frozen=True)
-class Capacitor:
+class Capacitor(Record):
     name: str
     node_a: str
     node_b: str
     farads: float
 
 
-@dataclass(frozen=True)
-class ModulatedSeriesRlc:
+class ModulatedSeriesRlc(Record):
     """Series r-l-c branch between two nodes; elastance optionally modulated."""
 
     name: str
@@ -96,8 +91,7 @@ class ModulatedSeriesRlc:
     modulation: ModulationSpec | None = None
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(Record):
     """Port termination: reference impedance z0 from ``node`` to ground."""
 
     index: int
@@ -108,8 +102,7 @@ class Port:
 Element = Union[Resistor, Inductor, Capacitor, ModulatedSeriesRlc, Port]
 
 
-@dataclass(frozen=True)
-class CirculatorDesign:
+class CirculatorDesign(Record):
     """Parameters of one circulator build: topology, resonator, drive and ports."""
 
     topology: Topology
@@ -125,8 +118,7 @@ class CirculatorDesign:
             raise NetlistError(f"port impedance must be positive, got {self.z0}")
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(Record):
     """Ordered element list over named nodes; the node GROUND ("0") is ground.
 
     Construction is the one structural check; it raises :class:`NetlistError`

@@ -11,12 +11,12 @@ every error to its exit code without either engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import Direction
 from .netlist import CirculatorDesign, Netlist
+from .record import Record
 
 # Size bounds of one oracle run, checked before anything is allocated: the
 # steps of one modulation period (whose maps are held, nodes x unknowns values
@@ -93,8 +93,7 @@ def time_grid(net: Netlist, f: float, f_mod: float, pts_per_cycle: int,
     return dt, duration
 
 
-@dataclass(frozen=True)
-class TuneProblem:
+class TuneProblem(Record):
     """Search space and constraints for one tuning run, as RunConfig.tune_problem lays it out."""
 
     design: CirculatorDesign

@@ -76,7 +76,6 @@ import gzip
 import io
 import math
 import mmap
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +86,7 @@ from .netlist import (GROUND, Capacitor, Inductor, ModulatedSeriesRlc, Netlist, 
                       Resistor)
 from .plan import (MAX_PERIOD_STEPS, MIN_PTS_PER_CYCLE, Diverged, RunTooLarge, StepTooLarge,
                    _steps, _too_coarse, time_grid)
+from .record import Record
 
 DIVERGENCE_FACTOR = 1e6
 # max|A_j A_j^-1 - I| accepted for any step matrix's computed inverse
@@ -106,8 +106,7 @@ MIN_FORK_BLOCKS = 10
 SERIES_TERMS = 4
 
 
-@dataclass(frozen=True)
-class PeriodMaps:
+class PeriodMaps(Record):
     """One modulation period's maps of a :func:`simulate` run, from which
     every sample of every node follows (:func:`_period_blocks`): sample
     i = p*r + j + 1 of node n (p = 0 ... periods-1, j = 0 ... r-1) is
@@ -123,8 +122,7 @@ class PeriodMaps:
     limit: float        # the divergence guard on |sample|
 
 
-@dataclass(frozen=True)
-class TransientResult:
+class TransientResult(Record):
     """A :func:`simulate` run: the step ``dt`` it used, its ``duration``,
     every node's ``phasors`` P_-1, P_0, P_1 of the periodic steady state, and
     its :class:`PeriodMaps` (None for a run that keeps none), from which every

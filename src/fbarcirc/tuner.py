@@ -27,22 +27,21 @@ from simulating the emitted configuration (``fbarcirc tune`` does this, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import htm
 from .fileio import atomic_write_text
-from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular, SParamGrid
-from .metrics import metrics_at
+from .htm import DegenerateStimulus, HarmonicBasis, NumericallySingular
+from .metrics import _attenuation_db
 from .netlist import build_circulator
 from .plan import TuneFailed, TuneProblem
+from .record import Record, replace
 
 PENALTY_PER_DB = 100.0
 
 
-@dataclass
-class TuneResult:
+class TuneResult(Record):
     """Best parameters found and the evaluation trace."""
 
     delta: float
@@ -78,12 +77,12 @@ def _objectives(points, problem: TuneProblem, stamped: htm.Stamped) -> list:
     except (NumericallySingular, DegenerateStimulus) as exc:
         return [exc] if len(points) == 1 else [
             v for p in points for v in _objectives([p], problem, stamped)]
-    values = []
-    for k, f_op in enumerate(f_ops):
-        one = SParamGrid(grid.frequencies[k:k + 1], grid.n_harm, grid.z0, grid.data[k:k + 1])
-        ix, il, _ = metrics_at(one, f_op, problem.direction)
-        values.append(penalized_objective(ix, il, problem.il_cap_db))
-    return values
+    # each point's |S_iso,in| and |S_thru,in| by scalar abs, with metrics_at's
+    # bits; np.abs differs from it in the last bit on about a third of values
+    d = problem.direction
+    pairs = grid.s0[:, (d.isolated_port - 1, d.through_port - 1), d.in_port - 1].tolist()
+    return [penalized_objective(_attenuation_db(abs(iso)), _attenuation_db(abs(thru)),
+                                problem.il_cap_db) for iso, thru in pairs]
 
 
 def _taken(params, value) -> float:

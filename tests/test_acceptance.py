@@ -7,11 +7,11 @@ once and shared by the criteria that probe it.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fbarcirc import replace
 from fbarcirc.bvd import ResonatorSpecs, bvd_from_specs, fit_lorentzian, specs_from_bvd
 from fbarcirc.config import parse_config
 from fbarcirc.htm import HarmonicBasis, convergence_check, sparams

@@ -11,7 +11,6 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ import fbarcirc.cli
 import fbarcirc.fork
 import fbarcirc.transient
 import fbarcirc.tuner
+from fbarcirc import replace
 from fbarcirc.cli import main
 from fbarcirc.config import SCHEMA, ConfigError, load_config, parse_config, serialize_config
 from fbarcirc.fileio import atomic_open, fingerprint
@@ -1026,7 +1026,7 @@ class TestStartUp:
                 "report": ["report", str(record)], "fit": ["fit", "specs"]}[command]
         mods = loaded_by(f"from fbarcirc.cli import main\nassert main({argv!r}) == 0")
         assert "fbarcirc.cli" in mods
-        assert not {"fbarcirc.transient", "gzip", "logging"} & mods
+        assert not {"fbarcirc.transient", "gzip", "logging", "dataclasses"} & mods
 
     def test_tune_leaves_the_oracle_unloaded(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -1034,7 +1034,7 @@ class TestStartUp:
         argv = ["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]
         mods = loaded_by(f"from fbarcirc.cli import main\nassert main({argv!r}) == 0")
         assert "fbarcirc.tuner" in mods
-        assert not {"fbarcirc.transient", "gzip"} & mods
+        assert not {"fbarcirc.transient", "gzip", "dataclasses"} & mods
 
     def test_every_public_name_resolves_to_its_defining_module(self):
         for name in fbarcirc.__all__:

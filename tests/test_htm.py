@@ -1,11 +1,10 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fbarcirc import htm, netlist
+from fbarcirc import htm, netlist, replace
 from fbarcirc.bvd import MotionalBranch, admittance, bvd_from_specs
 from fbarcirc.htm import (DegenerateStimulus, HarmonicBasis, HarmonicSystem,
                           NumericallySingular, assemble, convergence_check, solve,
@@ -209,6 +208,20 @@ class TestStampedOnce:
         assert calls == {"modulate": 0, "floating_nodes": 1}
         sparams(net, HarmonicBasis(F_MOD, 3), np.linspace(2.66e9, 2.69e9, 50))
         assert calls == {"modulate": 1, "floating_nodes": 1}
+
+
+class TestHarmonicBasis:
+    # True once passed, then sparams raised IndexError; a float failed deep in numpy
+    @pytest.mark.parametrize("n_harm", [True, 2.5, 3.0])
+    def test_n_harm_must_be_an_integer(self, n_harm):
+        with pytest.raises(ValueError, match="n_harm must be an integer"):
+            HarmonicBasis(F_MOD, n_harm)
+
+    def test_numpy_integer_n_harm_solves_as_an_int(self, ghz_specs):
+        net = build_circulator(CirculatorDesign(Topology.DIFFERENTIAL, ghz_specs, delta=0.03,
+                                                f_mod=F_MOD))
+        grids = [sparams(net, HarmonicBasis(F_MOD, n), [2.68e9]) for n in (np.int64(2), 2)]
+        assert np.array_equal(grids[0].data, grids[1].data)
 
 
 class TestSparams:

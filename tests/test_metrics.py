@@ -156,7 +156,7 @@ class TestDirectionConsistency:
         for d in cycle:
             ix, il, _ = metrics_at(s_f, f, Direction(*d))
             assert il < ix
-        from dataclasses import replace
+        from fbarcirc import replace
         rev = replace(design, phase_sequence=PhaseSequence.REVERSE)
         s_r = sparams(build_circulator(rev), basis, [f])
         for d in cycle:

@@ -1,11 +1,12 @@
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from fbarcirc import replace
 from fbarcirc.bvd import MotionalBranch
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.netlist import (Capacitor, CirculatorDesign, Inductor, ModulatedSeriesRlc,
@@ -39,7 +40,6 @@ class TestBuilders:
                 assert not (el.node_a == "0" and el.node_b == "ca")
 
     def test_reverse_flips_phase_sign(self, single_ended_design):
-        from dataclasses import replace
         fwd = build_circulator(single_ended_design)
         rev = build_circulator(replace(single_ended_design,
                                        phase_sequence=PhaseSequence.REVERSE))
@@ -48,7 +48,6 @@ class TestBuilders:
 
     def test_reverse_equals_port_swap_of_forward(self, single_ended_design):
         # reversal == permutation (1)(2 3) of the branch phases, up to 2*pi
-        from dataclasses import replace
         fwd = {e.node_a: e.modulation.phase for e in build_circulator(single_ended_design).modulated}
         rev = {e.node_a: e.modulation.phase
                for e in build_circulator(replace(single_ended_design,
@@ -104,7 +103,6 @@ class TestBuilders:
             assert Netlist(net.elements) == net  # passes the check again
 
     def test_c0_across_branch_flag(self, ghz_specs):
-        from dataclasses import replace
         design = CirculatorDesign(Topology.SINGLE_ENDED, ghz_specs, delta=0.01,
                                   f_mod=23.2e6, c0_to_ground=False)
         net = build_circulator(design)

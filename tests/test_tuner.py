@@ -2,12 +2,11 @@ import logging
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fbarcirc import htm, tuner
+from fbarcirc import htm, replace, tuner
 from fbarcirc.config import parse_config
 from fbarcirc.htm import HarmonicBasis, sparams
 from fbarcirc.metrics import metrics_at
@@ -74,7 +73,7 @@ class TestObjective:
         def broken(*args, **kwargs):
             raise ValueError("not a solver failure")
 
-        monkeypatch.setattr("fbarcirc.tuner.metrics_at", broken)
+        monkeypatch.setattr("fbarcirc.tuner.penalized_objective", broken)
         with pytest.raises(ValueError, match="not a solver failure"):
             problem = small_problem()
             one_point((0.01, 23.2e6, 2.68e9), problem, tuner._stamped_box(problem))
