@@ -38,7 +38,7 @@ from .htm import (DegenerateStimulus, HarmonicBasis, NumericallySingular, SParam
 from .metrics import CirculatorMetrics, metrics_table, summarize
 from .netlist import NetlistError, build_circulator, build_one_port, write_netlist
 from .plan import Diverged, RunTooLarge, StepTooLarge, TuneFailed
-from .touchstone import harmonics_header, write_harmonics_rows, write_s3p
+from .touchstone import harmonics_header, s3p_header, write_harmonics_rows, write_s3p_rows
 
 # Measured hardware reference (differential FBAR circulator board) used by
 # the report command as the comparison column.
@@ -52,8 +52,10 @@ HARDWARE_REFERENCE = {
 # Stimulus points a sweep worker's slice must hold.  A worker costs the
 # parent about 4.5 ms on 2 vCPUs: 1.1 ms in fork (a 38 MB process) and
 # 3.4 ms of copy-on-write faults on its own slice, against about 0.75 ms to
-# solve a point and format its harmonics.csv lines.  Measured splits: 26
-# points as 13 + 13 ran 2% slower than one process, 52 as 26 + 26 17% faster.
+# solve a point and format its rows of both exports (12 us of it for sim.s3p).
+# Measured splits, as the median ratio of 95 alternating pairs of calls, in
+# two runs: 26 points as 13 + 13 ran from 2% faster to 5% slower than one
+# process, 52 as 26 + 26 14% to 17% faster.
 MIN_SLICE_POINTS = 16
 
 
@@ -120,16 +122,21 @@ def cmd_fit(args) -> int:
 
 # --- simulate ---------------------------------------------------------------
 
-def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
-    """Sweep ``cfg``'s design and write simulate's three exports to ``out_dir``.
+def _run_simulation(cfg: RunConfig, out_dir: str, config_fingerprint: str) -> CirculatorMetrics:
+    """Sweep ``cfg``'s design and write simulate's three exports to ``out_dir``,
+    tagged with ``config_fingerprint``, the fingerprint of ``cfg``'s text.
 
     The grid is cut into balanced contiguous slices, at most one per CPU and
     none under MIN_SLICE_POINTS, solved into one S block that all processes
-    share, with their harmonics.csv lines in unlinked temp files.  A forked
-    worker solves each slice after the first, and this process every slice
-    without a worker.  The files are those of one sparams call over the grid,
-    and a failure raises what it raises: the stimulus checks first, then the
-    first failing slice's error.  No worker or temp file outlives this."""
+    share.  Each slice's process formats its own sim.s3p and harmonics.csv
+    rows: this process writes the first slice's, and those of any slice
+    without a worker, into the two outputs after their headers; a forked
+    worker writes each other slice's into two unlinked temp files, which this
+    process appends in grid order, releasing the worker once it has replied,
+    so that it exits meanwhile.  The files are those of one sparams call over
+    the grid, and a failure raises what it raises: the stimulus checks first,
+    then the first failing slice's error.  No worker or temp file outlives
+    this."""
     design = cfg.design()
     net = build_circulator(design)
     basis = HarmonicBasis(design.f_mod, cfg.get_int("basis.n_harm"))
@@ -143,29 +150,39 @@ def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
     shape = (n, basis.size, len(stamped.ports), len(stamped.ports))
     data = fork.shared(shape, complex)
     grid = SParamGrid(frequencies=freqs, n_harm=basis.n_harm, z0=stamped.z0, data=data)
+    tag = (f"config_fingerprint = {config_fingerprint}",)
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts]
+        outputs = [stack.enter_context(atomic_open(os.path.join(out_dir, cfg.get_str(key))))
+                   for key in ("outputs.s3p", "outputs.harmonics")]
+        outputs[0].write(s3p_header(float(grid.z0[0]), comments=tag))
+        outputs[1].write(harmonics_header(grid.z0, comments=tag))
+        for fh in outputs:
+            fh.flush()  # before the forks, so that no worker holds these bytes too
+        temps = {k: [stack.enter_context(tempfile.TemporaryFile()) for _ in outputs]
+                 for k in range(1, count)}
 
-        def solve(k: int) -> None:
-            """Slice k into its rows of ``data`` and ``files[k]``."""
-            write_harmonics_rows(files[k], sparams(stamped, basis, freqs[parts[k]],
-                                                   out=data[parts[k]]))
-            files[k].flush()
+        def solve(k: int, files) -> None:
+            """Slice k into its rows of ``data`` and of ``files``, for sim.s3p
+            and harmonics.csv, flushed, as a worker ends without flushing."""
+            part = sparams(stamped, basis, freqs[parts[k]], out=data[parts[k]])
+            write_s3p_rows(files[0], part.frequencies, part.s0)
+            write_harmonics_rows(files[1], part)
+            for fh in files:
+                fh.flush()
 
-        with fork.workers(solve, count - 1) as pool:
+        with fork.workers(lambda k: solve(k, temps[k]), count - 1) as pool:
             for k, worker in enumerate(pool, 1):
                 worker.submit(k, f"stimulus points {parts[k].start}..{parts[k].stop - 1}")
             for k in range(count):  # in grid order, so the first failing slice raises
-                pool[k - 1].reply() if 0 < k <= len(pool) else solve(k)
-        m = summarize(grid, direction, cfg.get_float("metrics.bw_threshold_db"))
-        tag = f"config_fingerprint = {fingerprint(serialize_config(cfg))}"
-        write_s3p(os.path.join(out_dir, cfg.get_str("outputs.s3p")),
-                  grid.frequencies, grid.s0, float(grid.z0[0]), comments=(tag,))
-        with atomic_open(os.path.join(out_dir, cfg.get_str("outputs.harmonics"))) as fh:
-            fh.write(harmonics_header(grid.z0, comments=(tag,)))
-            for rows in files:
-                rows.seek(0)
-                shutil.copyfileobj(rows, fh)  # in 64 KiB blocks
+                if 0 < k <= len(pool):
+                    pool[k - 1].reply()
+                    pool[k - 1].release()  # it exits while this process appends its rows
+                    for rows, fh in zip(temps[k], outputs):
+                        rows.seek(0)
+                        shutil.copyfileobj(rows, fh)  # in 64 KiB blocks
+                else:
+                    solve(k, outputs)
+            m = summarize(grid, direction, cfg.get_float("metrics.bw_threshold_db"))
     atomic_write_text(os.path.join(out_dir, cfg.get_str("outputs.metrics")),
                       m.record() + "\n")
     return m
@@ -174,8 +191,9 @@ def _run_simulation(cfg: RunConfig, out_dir: str) -> CirculatorMetrics:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)  # after the config's checks, before any work
-    m = _run_simulation(cfg, args.out)
-    _log(args.out, f"simulate config={args.config} fingerprint={fingerprint(serialize_config(cfg))}")
+    config_fingerprint = fingerprint(serialize_config(cfg))
+    m = _run_simulation(cfg, args.out, config_fingerprint)
+    _log(args.out, f"simulate config={args.config} fingerprint={config_fingerprint}")
     print(metrics_table(m))
     print(m.record())
     return 0
@@ -235,8 +253,9 @@ def cmd_tune(args) -> int:
     tuner.write_trace_csv(result, os.path.join(args.out, "trace.csv"))
 
     tuned = emitted_config(cfg, result.delta, result.f_mod, result.f_op)
-    atomic_write_text(os.path.join(args.out, "tuned_config.cfg"), serialize_config(tuned))
-    m = _run_simulation(tuned, args.out)
+    text = serialize_config(tuned)
+    atomic_write_text(os.path.join(args.out, "tuned_config.cfg"), text)
+    m = _run_simulation(tuned, args.out, fingerprint(text))
     _log(args.out, f"tune config={args.config} seed={args.seed} evals={result.evaluations}")
 
     if result.budget_exhausted:

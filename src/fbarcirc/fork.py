@@ -76,7 +76,10 @@ class Worker:
     def submit(self, request, about: str) -> None:
         """Send ``request``; ``about`` names it.  Requests may be sent before
         earlier replies are read: the worker serves them in order, and
-        :meth:`reply` reads the replies in the same order."""
+        :meth:`reply` reads the replies in the same order.  A released worker
+        takes no request: ValueError."""
+        if self._requests.closed:
+            raise ValueError(f"{about}: the worker is released and takes no request")
         self._owed.append(about)
         try:
             self._requests.write(pickle.dumps(request))
@@ -96,6 +99,12 @@ class Worker:
             raise value
         return value
 
+    def release(self) -> None:
+        """Send no more requests: the worker exits once it has served those
+        sent, without waiting for :func:`workers` to end, and their replies
+        can still be read."""
+        self._requests.close()  # the worker meets the end of its requests
+
     def _lost(self):
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
@@ -107,9 +116,9 @@ class Worker:
 def workers(serve, count: int):
     """Yield up to ``count`` :class:`Worker` serving requests with ``serve``,
     one per CPU of the mask after the first, which this process keeps to;
-    they are killed and reaped, and the mask restored, however it ends.  A
-    failed pipe or fork ends the forking, and the workers made before it are
-    yielded."""
+    they are killed and reaped, released or not, and the mask restored,
+    however it ends.  A failed pipe or fork ends the forking, and the workers
+    made before it are yielded."""
     mask = cpus()
     count = min(count, len(mask) - 1)
     pool: list[Worker] = []
@@ -139,7 +148,7 @@ def workers(serve, count: int):
     finally:
         for worker in pool:
             with contextlib.suppress(BrokenPipeError):  # a request left unsent
-                worker._requests.close()
+                worker.release()
             worker._replies.close()
             if worker.pid is not None:
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):

@@ -195,12 +195,15 @@ def _finite_values(el: Element) -> tuple[float, ...]:
 
 
 def floating_nodes(net: Netlist) -> set[str]:
-    """Nodes with no element path to ground (a :class:`Netlist` has none)."""
+    """Nodes with no element path to ground (a :class:`Netlist` has none); an
+    infinite resistance is an open, no path."""
     nodes = net.nodes
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     for el in net.elements:
         if isinstance(el, Port):
             a, b = el.node, GROUND
+        elif isinstance(el, Resistor) and math.isinf(el.ohms):
+            continue
         else:
             a, b = el.node_a, el.node_b
         adj[a].add(b)

@@ -27,27 +27,44 @@ class TouchstoneError(ValueError):
     """Malformed Touchstone content."""
 
 
-def write_s3p(path, freqs, s0, z0: float, comments: tuple[str, ...] = ()) -> None:
-    """Write harmonic-0 S-parameters of a 3-port as Touchstone v1 text.
+# one row: f, then Re and Im of S11 S12 ... S33
+_S3P_ROW = " ".join(["%.8e"] * 19) + "\n"
 
-    ``s0`` has shape (F, 3, 3); ``comments`` become leading ``!`` lines.
-    """
+
+def s3p_header(z0: float, comments: tuple[str, ...] = ()) -> bytes:
+    """The lines of a ``.s3p`` file above its data: ``comments`` as ``!``
+    lines, then the option line."""
+    lines = [f"! {c}\n" for c in comments]
+    short = f"{z0:g}"  # "50" for 50; a z0 that 6 digits would round is written in full
+    lines.append(f"# Hz S RI R {short if float(short) == z0 else repr(float(z0))}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def write_s3p_rows(fh, freqs, s0) -> None:
+    """The data lines of a ``.s3p`` file for ``freqs`` and ``s0`` of shape
+    (F, 3, 3), written to the binary handle ``fh`` a block of rows at a time;
+    each line depends only on its own point, so any cut of a grid gives the
+    whole grid's lines."""
     freqs = np.asarray(freqs, dtype=float)
     s0 = np.asarray(s0)
     if s0.ndim != 3 or s0.shape[1:] != (3, 3) or s0.shape[0] != freqs.size:
         raise ValueError(f"expected (F, 3, 3) S data, got {s0.shape}")
-    lines = [f"! {c}\n" for c in comments]
-    short = f"{z0:g}"  # "50" for 50; a z0 that 6 digits would round is written in full
-    lines.append(f"# Hz S RI R {short if float(short) == z0 else repr(float(z0))}\n")
-    template = " ".join(["%.8e"] * 19) + "\n"
     s0 = s0.reshape(-1, 9)
+    for b in range(0, freqs.size, BLOCK_ROWS):
+        rows = np.column_stack([freqs[b:b + BLOCK_ROWS],
+                                s0[b:b + BLOCK_ROWS].astype(complex).view(float)])
+        fh.write("".join(_S3P_ROW % tuple(row) for row in rows.tolist()).encode("utf-8"))
+
+
+def write_s3p(path, freqs, s0, z0: float, comments: tuple[str, ...] = ()) -> None:
+    """Write harmonic-0 S-parameters of a 3-port as Touchstone v1 text:
+    :func:`s3p_header`, then :func:`write_s3p_rows`.
+
+    ``s0`` has shape (F, 3, 3); ``comments`` become leading ``!`` lines.
+    """
     with atomic_open(path) as fh:
-        fh.write("".join(lines).encode("utf-8"))
-        for b in range(0, freqs.size, BLOCK_ROWS):
-            # each row: f, then Re and Im of S11 S12 ... S33
-            rows = np.column_stack([freqs[b:b + BLOCK_ROWS],
-                                    s0[b:b + BLOCK_ROWS].astype(complex).view(float)])
-            fh.write("".join(template % tuple(row) for row in rows.tolist()).encode("utf-8"))
+        fh.write(s3p_header(z0, comments))
+        write_s3p_rows(fh, freqs, s0)
 
 
 def read_s3p(path):

@@ -221,6 +221,22 @@ class TestSimulate:
         for name in ("sim.s3p", "harmonics.csv", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_config_serialized_once_for_the_tags_and_the_log(self, capsys, tmp_path,
+                                                             monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SPLITTER_CFG)
+        out_dir = tmp_path / "out"
+        calls = counting(monkeypatch, fbarcirc.cli, "serialize_config", lambda args: None)
+        assert run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+        assert len(calls) == 1
+        expected = fingerprint(serialize_config(load_config(cfg)))
+        assert (out_dir / "sim.s3p").read_text().splitlines()[0] == (
+            f"! config_fingerprint = {expected}")
+        assert (out_dir / "harmonics.csv").read_text().splitlines()[0] == (
+            f"# config_fingerprint = {expected}")
+        stamp, message = (out_dir / "run.log").read_text().rstrip("\n").split(" ", 1)
+        assert message == f"simulate config={cfg} fingerprint={expected}"
+
     def test_outputs_take_the_umask(self, capsys, tmp_path, umask):
         # the same mode as run.log, which a plain open creates
         umask(0o022)
@@ -781,6 +797,7 @@ class TestSweepWorkers:
         assert self._fail(capsys, tmp_path, cpus, cfg, 3) == serial
 
     def test_killed_worker_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
+        # after this process has written its own slice's rows into the outputs
         parent = os.getpid()
 
         def killed(net, basis, freqs, out=None):
@@ -793,6 +810,48 @@ class TestSweepWorkers:
         assert code == 1
         assert err == ("WorkerLost: the worker for stimulus points 19..38 was killed by "
                        "SIGKILL without a result\n")
+
+    def test_failure_in_this_process_slice_exits_1(self, capsys, tmp_path, monkeypatch, cpus):
+        # this process's own slice fails with both headers written, in the
+        # outputs' temp files, and the worker's slice in flight: the temp
+        # files go, and the worker with them
+        parent, out_dir, seen = os.getpid(), tmp_path / "cpus2", []
+
+        def failing(net, basis, freqs, out=None):
+            if os.getpid() == parent:
+                seen.append(sorted(p.read_bytes()[:2] for p in out_dir.iterdir()
+                                   if p.name.startswith(".tmp_")))
+                raise NumericallySingular("no solution in the first slice")
+            return sparams(net, basis, freqs, out=out)
+
+        monkeypatch.setattr(fbarcirc.cli, "sparams", failing)
+        assert self._fail(capsys, tmp_path, cpus, sweep_cfg(tmp_path, 39), 2) == (
+            1, "NumericallySingular: no solution in the first slice\n")
+        assert seen == [[b"! ", b"# "]]  # the sim.s3p and harmonics.csv headers
+
+    def test_released_worker_exits_before_the_workers_end(self, cpus):
+        cpus(2)
+        with time_cap(30), fbarcirc.fork.workers(lambda x: 2 * x, 1) as pool:
+            (worker,) = pool
+            worker.submit(1, "one")
+            worker.submit(2, "two")
+            worker.release()  # with two replies owed: they are still served
+            assert (worker.reply(), worker.reply()) == (2, 4)
+            # it ends by itself; WNOWAIT leaves it for the context to reap
+            info = os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+            assert info.si_code == os.CLD_EXITED
+        assert_no_worker_left()
+
+    def test_request_after_release_is_refused(self, cpus):
+        cpus(2)
+        with time_cap(30), fbarcirc.fork.workers(lambda x: 2 * x, 1) as pool:
+            (worker,) = pool
+            worker.submit(1, "one")
+            assert worker.reply() == 2
+            worker.release()
+            with pytest.raises(ValueError, match="two: the worker is released"):
+                worker.submit(2, "two")
+        assert_no_worker_left()
 
     def test_interrupt_kills_and_reaps_the_workers(self, capsys, tmp_path, monkeypatch, cpus):
         parent = os.getpid()

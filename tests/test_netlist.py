@@ -198,6 +198,13 @@ class TestConstructionCheck:
                        Capacitor("c2", "n2", "0", 1e-9), Port(1, "p1", 50.0)))
         assert net.elements[0].ohms == ohms
 
+    @pytest.mark.parametrize("ohms", [math.inf, -math.inf])
+    def test_node_behind_an_infinite_resistance_alone_floats(self, ohms):
+        # else sparams fails on it as a singular solve (exit 1), not as a bad netlist
+        with pytest.raises(NetlistError, match=re.escape("reachable from ground: ['n1']")):
+            Netlist((Resistor("r1", "n1", "0", ohms), Capacitor("c1", "n0", "0", 1e-12),
+                     Port(1, "n0", 50.0)))
+
     @pytest.mark.parametrize("line", ["R r1 p1 0 nan", "C r1 p1 0 inf", "L r1 p1 0 -inf",
                                       "X r1 p1 0 1.0 1e-06 1e-12 0.1 1e6 nan"])
     def test_non_finite_value_in_text_rejected(self, line):

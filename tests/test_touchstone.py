@@ -1,3 +1,4 @@
+import io
 import shutil
 import tempfile
 import tracemalloc
@@ -7,9 +8,10 @@ import pytest
 
 from fbarcirc.htm import HarmonicBasis, SParamGrid, sparams
 from fbarcirc.netlist import CirculatorDesign, Topology, build_circulator
-from fbarcirc.fileio import atomic_open
+from fbarcirc.fileio import BLOCK_ROWS, atomic_open
 from fbarcirc.touchstone import (TouchstoneError, harmonics_header, read_harmonics_csv,
-                                 read_s3p, write_harmonics_rows, write_s3p)
+                                 read_s3p, s3p_header, write_harmonics_rows, write_s3p,
+                                 write_s3p_rows)
 
 from conftest import GHZ_SPECS
 
@@ -129,10 +131,33 @@ class TestS3p:
         assert freqs.size == 5957
         assert np.max(np.abs(s - grid.s0)) <= 1e-8 * np.max(np.abs(grid.s0))
 
+    @pytest.mark.parametrize("cuts", [
+        (BLOCK_ROWS,), (BLOCK_ROWS - 1,), (BLOCK_ROWS + 1,),
+        (100, 100 + BLOCK_ROWS + 50),  # a piece across a block boundary
+        (0, 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS),  # empty pieces and a one-row piece
+    ], ids=["at-a-block", "one-before", "one-after", "across-a-block", "empty-pieces"])
+    @pytest.mark.parametrize("z0", [50.0, 1.0 / 3.0], ids=["short-z0", "full-z0"])
+    def test_header_and_rows_of_any_cut_give_the_file(self, tmp_path, z0, cuts):
+        # simulate writes each slice's rows on its own; the grid spans
+        # several blocks, so pieces start and end inside one and on its edge
+        grid = _random_grid(2 * BLOCK_ROWS + 100, 0)
+        comments = ("config_fingerprint = abc",)
+        whole = tmp_path / "whole.s3p"
+        write_s3p(whole, grid.frequencies, grid.s0, z0, comments=comments)
+        pieces = io.BytesIO(s3p_header(z0, comments))
+        pieces.seek(0, io.SEEK_END)
+        bounds = (0, *cuts, grid.frequencies.size)
+        for a, b in zip(bounds, bounds[1:]):
+            write_s3p_rows(pieces, grid.frequencies[a:b], grid.s0[a:b])
+        assert pieces.getvalue() == whole.read_bytes()
+        assert whole.read_text().splitlines()[1] == (
+            "# Hz S RI R 50" if z0 == 50.0 else "# Hz S RI R 0.3333333333333333")
+
     def test_wrong_shape_rejected(self, tmp_path, demo_grid):
         with pytest.raises(ValueError):
             write_s3p(tmp_path / "x.s3p", demo_grid.frequencies,
                       demo_grid.s0[:, :2, :2], 50.0)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHarmonicsCsv:

@@ -90,9 +90,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("keep_maps", [True, False])
     def test_zero_conductance_node_diverges(self, keep_maps):
-        # a singular A0: this raises before the divergence guard, with maps or without
-        net = Netlist((Resistor("r1", "p1", "n2", math.inf),
-                       Capacitor("c1", "p1", "0", 1e-9), Port(1, "p1", 50.0)))
+        # a singular A0: this raises before the divergence guard, with maps or
+        # without.  n2's capacitances to ground cancel, and r1 is an open, so
+        # n2 has zero admittance but, unlike a node behind r1 alone, a path to
+        # ground, which the netlist check asks for
+        net = Netlist((Resistor("r1", "p1", "n2", math.inf), Capacitor("c1", "p1", "0", 1e-9),
+                       Capacitor("c2", "n2", "0", 1e-9), Capacitor("c3", "n2", "0", -1e-9),
+                       Port(1, "p1", 50.0)))
         with pytest.raises(Diverged):
             simulate(net, (1, 1e6), 1e-5, 1e-8, keep_maps=keep_maps)
 
